@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, specfun
-from .eigensolver import SymTridiag, eig_symtridiag
+from .eigensolver import SymTridiag
 from .errors import ConsistencyError, DomainError, TruncationError
 
 __all__ = [
@@ -118,20 +118,82 @@ def eval_psi(basis, n, x, derivative=0):
     return float(vals[0]) if np.asarray(x).ndim == 0 else vals
 
 
-def _merge_parities(dec_even, dec_odd, nmax):
-    chi = np.concatenate([dec_even.values, dec_odd.values])
-    parity = np.concatenate([np.zeros(dec_even.values.size, dtype=int),
-                             np.ones(dec_odd.values.size, dtype=int)])
-    cols = np.concatenate([np.arange(dec_even.values.size),
-                           np.arange(dec_odd.values.size)])
+def _merge_parities(chi_even, chi_odd, nmax):
+    chi = np.concatenate([chi_even, chi_odd])
+    parity = np.concatenate([np.zeros(chi_even.size, dtype=int),
+                             np.ones(chi_odd.size, dtype=int)])
     order = np.argsort(chi, kind="stable")
-    chi, parity, cols = chi[order], parity[order], cols[order]
+    chi, parity = chi[order], parity[order]
     if np.any(parity[:nmax] != np.arange(nmax) % 2):
         raise ConsistencyError("even/odd spectra failed to interleave")
     scale = np.maximum(1.0, np.abs(chi[1:nmax]))
     if np.any(np.diff(chi[:nmax]) <= 1e-12 * scale):
         raise ConsistencyError("merged eigenvalues are not strictly increasing")
-    return chi[:nmax], parity[:nmax], cols[:nmax]
+    return chi[:nmax]
+
+
+_RESCALE_LOG2 = 600
+_RESCALE = 2.0 ** _RESCALE_LOG2
+
+
+def _march(d, lower, upper, lam):
+    """Three-term recurrence of ``(T - lam) v = 0`` from the last row down.
+
+    Row i reads ``lower[i] v[i-1] + (d[i] - lam) v[i] + upper[i] v[i+1] = 0``
+    with ``upper[-1] = 0``; the march starts from ``v[-1] = 1`` and solves
+    each row for ``v[i-1]``, one column per eigenvalue in ``lam``.  Returns
+    mantissas and exponents: ``v = mant * 2**(600 * exp)``.
+    """
+    m = d.size
+    mant = np.empty((m, lam.size))
+    expo = np.zeros((m, lam.size), dtype=np.int64)
+    v_next = np.zeros(lam.size)
+    v = np.ones(lam.size)
+    scale = np.zeros(lam.size, dtype=np.int64)
+    mant[m - 1] = v
+    for i in range(m - 1, 0, -1):
+        v, v_next = ((lam - d[i]) * v - upper[i] * v_next) / lower[i], v
+        big = np.abs(v) > _RESCALE
+        if big.any():
+            v[big] /= _RESCALE
+            v_next[big] /= _RESCALE
+            scale[big] += 1
+        mant[i - 1] = v
+        expo[i - 1] = scale
+    return mant, expo
+
+
+def _recurrence_vectors(tri, lam):
+    """Unit eigenvectors of the tridiagonal ``tri`` (positive off-diagonal)
+    for the eigenvalues ``lam``, as the columns of the returned array.
+
+    Above its largest entries an eigenvector decays: there it is the minimal
+    solution of the three-term recurrence, which marching up from the last
+    row computes stably.  Below, it is the solution that grows upward from
+    row 0, which marching down from row 0 computes stably.  The two marches
+    are spliced at the first local peak of |v| seen from the last row; every
+    entry keeps its relative accuracy, however small (Gautschi, SIAM Rev. 9,
+    1967).
+    """
+    d, e = tri.diag, tri.offdiag
+    m = d.size
+    lower = np.concatenate([[0.0], e])   # coefficient of v[i-1] in row i
+    upper = np.concatenate([e, [0.0]])   # coefficient of v[i+1] in row i
+    b_mant, b_exp = _march(d, lower, upper, lam)
+    f_mant, f_exp = _march(d[::-1], upper[::-1], lower[::-1], lam)
+    f_mant, f_exp = f_mant[::-1], f_exp[::-1]
+    with np.errstate(divide="ignore"):
+        size = np.log2(np.abs(b_mant)) + _RESCALE_LOG2 * b_exp
+    # peak: the largest row p whose predecessor p-1 is no larger than it
+    flat = size[:-1] <= size[1:]
+    last = m - 2 - np.argmax(flat[::-1], axis=0)
+    peak = np.where(flat.any(axis=0), last + 1, 0)
+    cols = np.arange(lam.size)
+    below = np.arange(m)[:, None] < peak
+    mant = np.where(below, f_mant / f_mant[peak, cols], b_mant / b_mant[peak, cols])
+    expo = np.where(below, f_exp - f_exp[peak, cols], b_exp - b_exp[peak, cols])
+    z = np.ldexp(mant, (_RESCALE_LOG2 * expo).astype(np.int32))
+    return z / np.linalg.norm(z, axis=0)
 
 
 def _tail_mass(vec, buffer):
@@ -144,7 +206,8 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
 
     The per-parity truncation starts at ``nmax + ceil(c) + 40`` and doubles
     until the squared mass in the last ``tail_buffer`` coefficients of every
-    retained eigenvector is below ``tail_tol``.
+    retained eigenvector is below ``tail_tol``.  Eigenvalues come from LAPACK,
+    eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
     """
     if not math.isfinite(alpha) or alpha < 0.0:
         raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
@@ -155,25 +218,22 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
     M = m_start if m_start is not None else nmax + math.ceil(c) + 40
     M = max(M, nmax // 2 + 8, tail_buffer + 4)
     while True:
-        dec_even = eig_symtridiag(assemble_eigensystem(alpha, c, M, "even"))
-        dec_odd = eig_symtridiag(assemble_eigensystem(alpha, c, M, "odd"))
-        chi, parity, cols = _merge_parities(dec_even, dec_odd, nmax)
-        beta = []
-        worst = (0, 0.0)
-        for n in range(nmax):
-            dec = dec_even if parity[n] == 0 else dec_odd
-            vec = dec.vectors[:, cols[n]].copy()
-            tail = _tail_mass(vec, tail_buffer)
-            if tail > worst[1]:
-                worst = (n, tail)
-            beta.append(vec)
-        if worst[1] <= tail_tol:
+        tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
+        spectra = [np.linalg.eigvalsh(t.dense()) for t in tris]
+        chi = _merge_parities(*spectra, nmax)
+        # n of parity p is column n // 2 of that parity's spectrum
+        vecs = [_recurrence_vectors(t, s[:(nmax - p + 1) // 2])
+                for p, (t, s) in enumerate(zip(tris, spectra))]
+        beta = [vecs[n % 2][:, n // 2].copy() for n in range(nmax)]
+        tails = [_tail_mass(vec, tail_buffer) for vec in beta]
+        worst = int(np.argmax(tails))
+        if tails[worst] <= tail_tol:
             break
         if 2 * M > m_cap:
             raise TruncationError(
-                f"coefficient tail mass {worst[1]:.3e} at n={worst[0]} still "
+                f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
                 f"above {tail_tol:.1e} at truncation cap {m_cap}",
-                n=worst[0], tail_mass=worst[1])
+                n=worst, tail_mass=tails[worst])
         M *= 2
     _apply_sign_convention(alpha, M, beta)
     chi = np.array(chi)
@@ -281,11 +341,20 @@ def local_estimate(basis, n, grid_size=400):
                                bound_applicable=applicable)
 
 
-def moment_b(basis, n, extra_order=8):
-    """B = int x^2 psi_n(x)^2 w_a(x) dx via an exact Gauss rule."""
-    rule = specfun.gauss_jacobi(basis.alpha, 2 * basis.trunc + 2 + extra_order)
-    vals = basis.psi(n, rule.nodes, 0)[0]
-    return float(rule.integrate(rule.nodes ** 2 * vals ** 2))
+def moment_b(basis, n):
+    """B = int x^2 psi_n(x)^2 w_a(x) dx, exactly, as ||J beta||^2.
+
+    With psi = sum_k f_k Jt_k, the product x psi has the coefficients
+    (x psi)_k = a_k f_{k-1} + a_{k+1} f_{k+1}; orthonormality of the Jt_k
+    turns the integral into their sum of squares.
+    """
+    f = basis.full_coefficients(n)
+    m = f.size
+    a = specfun.jacobi_recurrence(basis.alpha, m + 1)
+    g = np.zeros(m + 1)
+    g[1:] += a[1:] * f
+    g[:m - 1] += a[1:m] * f[1:]
+    return float(np.dot(g, g))
 
 
 def beta_bound_constant(alpha):

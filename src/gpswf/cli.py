@@ -74,9 +74,12 @@ def build_parser():
                        help="run a registered scenario")
     p.add_argument("--name", required=True,
                    choices=("lambda-decay", "brownian", "wm-table"))
-    p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--out-dir", default="reports")
+    p.add_argument("--config", default=None,
+                   help="JSON config file; flags given here override its values")
+    p.add_argument("--out-dir", default=None, help="report root (default: reports)")
     _add_common(p)
+    # a flag left unset keeps the config file's (or the scenario's) value
+    p.set_defaults(seed=None, no_cache=None, threads=None)
 
     p = sub.add_parser("cache", help="cache maintenance")
     p.add_argument("action", choices=("ls", "clear"))
@@ -199,19 +202,28 @@ def _cmd_project(args):
     return 0
 
 
-def _cmd_experiment(args):
-    cfg = None
-    if args.config:
-        with open(args.config) as fh:
+def _load_config(path, name):
+    try:
+        with open(path) as fh:
             payload = json.load(fh)
-        payload.setdefault("name", args.name)
-        payload["output_dir"] = payload.get("output_dir", args.out_dir)
-        cfg = experiments.ExperimentConfig(
-            **{k: tuple(v) if isinstance(v, list) else v
-               for k, v in payload.items()})
-    overrides = dict(output_dir=args.out_dir, seed=args.seed,
-                     cache=not args.no_cache, cache_dir=args.cache_dir,
-                     threads=args.threads)
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DomainError(f"config {path} must hold a JSON object")
+    payload["name"] = name
+    try:  # an unknown key or a grid that is not a list
+        return experiments.ExperimentConfig(
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in payload.items()})
+    except TypeError as exc:
+        raise DomainError(f"invalid config {path}: {exc}") from exc
+
+
+def _cmd_experiment(args):
+    cfg = _load_config(args.config, args.name) if args.config else None
+    flags = dict(output_dir=args.out_dir, seed=args.seed,
+                 cache=False if args.no_cache else None,
+                 cache_dir=args.cache_dir, threads=args.threads)
+    overrides = {k: v for k, v in flags.items() if v is not None}
     out_dir, detail = experiments.run_experiment(args.name, cfg, **overrides)
     print(f"reports written to {out_dir}")
     if isinstance(detail, dict):

@@ -1,7 +1,8 @@
-"""Symmetric tridiagonal eigendecomposition (implicit-shift QL, Wilkinson shifts).
+"""Symmetric tridiagonal matrices and their full eigendecomposition.
 
-Shared by the Gauss-Jacobi rule construction and the coefficient eigensystem
-of the wave-function bases.
+Used by the Gauss-Jacobi rule construction; the coefficient eigensystem of
+the wave-function bases computes its eigenvectors by recurrence instead
+(:func:`gpswf.basis.build_basis`).
 """
 
 from dataclasses import dataclass, field

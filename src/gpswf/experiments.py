@@ -15,7 +15,7 @@ import struct
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ __all__ = [
     "run_experiment",
 ]
 
-SCENARIOS = ("lambda-decay", "brownian", "wm-table", "custom")
+SCENARIOS = ("lambda-decay", "brownian", "wm-table")
 
 # Reference weighted-L2 errors for approximating the lambda=2 rough
 # sine-series benchmark with c = 5*pi, N = 95; regression targets (factor-2).
@@ -81,7 +81,7 @@ class ExperimentConfig:
             raise DomainError(f"unknown scenario {self.name!r}; "
                               f"expected one of {SCENARIOS}")
         for grid in (self.alpha_list, self.c_list, self.N_list):
-            if len(tuple(grid)) == 0 and self.name != "custom":
+            if len(tuple(grid)) == 0:
                 raise DomainError("parameter grids must be nonempty")
 
 
@@ -287,6 +287,14 @@ def _pool_map(fn, items, threads):
 # Scenarios.
 # ---------------------------------------------------------------------------
 
+def _config(cfg, overrides, **defaults):
+    """``cfg``, or the scenario's defaults when it is None, with the keyword
+    ``overrides`` applied on top."""
+    if cfg is None:
+        return ExperimentConfig(**{**defaults, **overrides})
+    return replace(cfg, **overrides)
+
+
 def run_lambda_decay(cfg=None, **overrides):
     """Per-alpha eigenvalue decay curves with bound margins.
 
@@ -294,7 +302,9 @@ def run_lambda_decay(cfg=None, **overrides):
     log space), margin (log_bound - log_lambda, nonnegative when applicable),
     and the comparison curve -(2n+1) log((4n+4a+2)/(ec)).
     """
-    cfg = _lambda_cfg(cfg, overrides)
+    cfg = _config(cfg, overrides, name="lambda-decay",
+                  alpha_list=(1.0, 1.5, 2.0, 2.5), c_list=(5 * math.pi,),
+                  N_list=(0,))
     out_dir = _report_dir(cfg)
     _write_config(out_dir, cfg)
     files = []
@@ -325,15 +335,6 @@ def run_lambda_decay(cfg=None, **overrides):
     return out_dir, files
 
 
-def _lambda_cfg(cfg, overrides):
-    if cfg is None:
-        cfg = ExperimentConfig(name="lambda-decay",
-                               alpha_list=(1.0, 1.5, 2.0, 2.5),
-                               c_list=(5 * math.pi,),
-                               N_list=(0,), **overrides)
-    return cfg
-
-
 # Reported sup errors exclude the outer 0.5% near each endpoint: the weight
 # (1 - x^2)^a vanishes there, so the weighted projection does not control
 # pointwise values inside that layer (the L2 column is unaffected).
@@ -348,10 +349,8 @@ def run_brownian(cfg=None, **overrides):
     rows plus the across-seed medians, and sample curves (x, f, S_N f, error)
     for the first seed.
     """
-    if cfg is None:
-        cfg = ExperimentConfig(name="brownian", alpha_list=(1.5,),
-                               c_list=(5 * math.pi,), N_list=(46, 90),
-                               s_list=(1.5,), **overrides)
+    cfg = _config(cfg, overrides, name="brownian", alpha_list=(1.5,),
+                  c_list=(5 * math.pi,), N_list=(46, 90), s_list=(1.5,))
     out_dir = _report_dir(cfg)
     _write_config(out_dir, cfg, extra={"bulk_sup_limit": BULK_SUP_LIMIT})
     alpha, c, s = cfg.alpha_list[0], cfg.c_list[0], cfg.s_list[0]
@@ -410,11 +409,9 @@ def run_brownian(cfg=None, **overrides):
 def run_wm_table(cfg=None, **overrides):
     """Weighted-L2 approximation errors of the rough sine-series function,
     side by side with the reference values and their ratios."""
-    if cfg is None:
-        cfg = ExperimentConfig(name="wm-table",
-                               alpha_list=(0.1, 0.5, 1.0, 1.5, 2.0),
-                               c_list=(5 * math.pi,), N_list=(95,),
-                               s_list=(0.25, 0.5, 0.75, 1.0), **overrides)
+    cfg = _config(cfg, overrides, name="wm-table",
+                  alpha_list=(0.1, 0.5, 1.0, 1.5, 2.0), c_list=(5 * math.pi,),
+                  N_list=(95,), s_list=(0.25, 0.5, 0.75, 1.0))
     out_dir = _report_dir(cfg)
     _write_config(out_dir, cfg, extra={"lambda": 2.0,
                                        "assumed_cell_params": "c=5*pi, N=95"})

@@ -226,6 +226,16 @@ class TestBoundCheckers:
         direct = float(rule.integrate(rule.nodes ** 2 * vals ** 2))
         assert rep.b_moment == pytest.approx(direct, rel=1e-11)
 
+    @pytest.mark.parametrize("alpha,c,n", [(0.0, 10.0, 7), (0.5, 30.0, 20),
+                                           (2.5, 60.0, 41)])
+    def test_moment_b_matches_quadrature(self, alpha, c, n):
+        # the coefficient sum ||J beta||^2 against a Gauss rule exact for it
+        b = B.build_basis(alpha, c, n + 1)
+        rule = specfun.gauss_jacobi(alpha, 2 * b.trunc + 10)
+        vals = b.psi(n, rule.nodes, 0)[0]
+        direct = float(rule.integrate(rule.nodes ** 2 * vals ** 2))
+        assert B.moment_b(b, n) == pytest.approx(direct, rel=1e-12)
+
     def test_local_estimate_grid_floor(self):
         b = B.build_basis(0.0, 1.0, 2)
         with pytest.raises(DomainError):

@@ -138,6 +138,52 @@ def test_experiment_wm_table_with_config(capsys, tmp_path):
     assert "(0.5, 0.25)" in out
 
 
+def _experiment_with_config(capsys, tmp_path, cfg, *flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(capsys, "experiment", "--name", "lambda-decay",
+                   "--config", str(cfg_path), *flags)
+
+
+def _written_config(root):
+    (path,) = root.glob("lambda-decay/*/config.json")
+    return json.loads(path.read_text())
+
+
+LAMBDA_CFG = {"alpha_list": [1.0], "c_list": [2.0], "N_list": [0], "nmax": 4}
+
+
+def test_experiment_flags_override_config(capsys, tmp_path):
+    cfg = dict(LAMBDA_CFG, seed=99, output_dir=str(tmp_path / "file"),
+               cache_dir=str(tmp_path / "file_cache"))
+    code, _, _ = _experiment_with_config(
+        capsys, tmp_path, cfg, "--seed", "7", "--out-dir", str(tmp_path / "flag"),
+        "--cache-dir", str(tmp_path / "flag_cache"))
+    assert code == 0
+    assert _written_config(tmp_path / "flag")["seed"] == 7
+    assert list((tmp_path / "flag_cache").glob("*.gpswf"))
+    assert not (tmp_path / "file").exists()
+    assert not (tmp_path / "file_cache").exists()
+
+
+def test_experiment_flag_defaults_keep_config(capsys, tmp_path):
+    cfg = dict(LAMBDA_CFG, seed=99, output_dir=str(tmp_path / "file"),
+               cache_dir=str(tmp_path / "file_cache"))
+    code, _, _ = _experiment_with_config(capsys, tmp_path, cfg)
+    assert code == 0
+    assert _written_config(tmp_path / "file")["seed"] == 99
+    assert list((tmp_path / "file_cache").glob("*.gpswf"))
+
+
+@pytest.mark.parametrize("key,value", [("alpha_lsit", [2.0]), ("alpha_list", 2.0)])
+def test_experiment_invalid_config_exits_1(capsys, tmp_path, key, value):
+    cfg = dict(LAMBDA_CFG, **{key: value})
+    code, _, err = _experiment_with_config(capsys, tmp_path, cfg,
+                                           "--out-dir", str(tmp_path / "r"))
+    assert code == 1
+    assert "invalid config" in err
+
+
 def test_help_lists_flags(capsys):
     code, out, _ = run_cli(capsys, "basis", "--help")
     assert code == 0

@@ -92,6 +92,11 @@ class TestConfig:
             X.ExperimentConfig(name="brownian", alpha_list=(),
                                c_list=(1.0,), N_list=(1,))
 
+    def test_custom_is_not_a_scenario(self):
+        with pytest.raises(DomainError):
+            X.ExperimentConfig(name="custom", alpha_list=(1.0,),
+                               c_list=(1.0,), N_list=(1,))
+
 
 class TestLambdaDecay:
     def _cfg(self, tmp_path, cache_dir):
