@@ -6,11 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
+from . import specfun, spectral
 from .basis import decay_regime_multiplier
 from .errors import DomainError
-from .spectral import _gammas as _spectral_gammas
-from .spectral import fourier_series_value
 
 __all__ = [
     "TargetFunction",
@@ -282,16 +280,10 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
         return out
     coefs = np.stack([basis.full_coefficients(n) for n in odd])
     kmax = coefs.shape[1] - 1
-    idx = np.arange(kmax + 1)
-    signs = np.where(idx % 4 == 1, 1.0, np.where(idx % 4 == 3, -1.0, 0.0))
-    gam = _spectral_gammas(basis.alpha, kmax)
     for k in _wm_powers(basis, s, lam, K):
-        u = float(lam ** k)
-        amp = float(lam ** (-(2.0 - s) * k))
-        ladder = specfun.bessel_j_ladder(basis.alpha + 0.5, kmax, u)
-        pref = math.sqrt(math.pi) * (2.0 / u) ** (basis.alpha + 0.5)
         # Im of the transform value for odd-parity coefficient vectors
-        out[odd] += amp * pref * (coefs @ (signs * gam * ladder))
+        out[odd] += float(lam ** (-(2.0 - s) * k)) * (
+            coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
     return out
 
 
@@ -346,16 +338,9 @@ def cosine_transform_table(basis, k_max, N):
     even = [n for n in range(N) if n % 2 == 0]
     coefs = np.stack([basis.full_coefficients(n) for n in even])
     kmax = coefs.shape[1] - 1
-    idx = np.arange(kmax + 1)
-    signs = np.where(idx % 4 == 0, 1.0, np.where(idx % 4 == 2, -1.0, 0.0))
-    gam = _spectral_gammas(basis.alpha, kmax)
-    proj = coefs * (signs * gam)
     table = np.zeros((k_max, N))
     for k in range(1, k_max + 1):
-        u = k * math.pi
-        ladder = specfun.bessel_j_ladder(basis.alpha + 0.5, kmax, u)
-        pref = math.sqrt(math.pi) * (2.0 / u) ** (basis.alpha + 0.5)
-        table[k - 1, even] = pref * (proj @ ladder)
+        table[k - 1, even] = coefs @ spectral._fc_terms(basis.alpha, kmax, k * math.pi)
     return table
 
 
@@ -399,7 +384,7 @@ def periodic_coefficient(basis, k, n):
         if n % 2 == 1:
             return 0.0j
         return complex(coef[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    val = fourier_series_value(basis.alpha, coef, n % 2, abs(k) * math.pi)
+    val = spectral._fc_series(basis.alpha, coef, n % 2, abs(k) * math.pi)[0]
     if k < 0:
         val = val.conjugate()
     return val

@@ -200,12 +200,25 @@ def _tail_mass(vec, buffer):
     return float(np.sum(vec[-buffer:] ** 2))
 
 
+def _truncation_orders(c, nmax, m_start=None, m_cap=8192, tail_buffer=8):
+    """Per-parity truncation orders that :func:`build_basis` tries, in order:
+    ``m_start`` (default ``nmax + ceil(c) + 40``, at least ``nmax // 2 + 8``
+    and ``tail_buffer + 4``), then doublings while they stay within ``m_cap``.
+    """
+    m = m_start if m_start is not None else nmax + math.ceil(c) + 40
+    m = max(m, nmax // 2 + 8, tail_buffer + 4)
+    yield m
+    while 2 * m <= m_cap:
+        m *= 2
+        yield m
+
+
 def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
                 tail_buffer=8):
     """Build a basis with nmax eigenpairs, choosing the truncation adaptively.
 
-    The per-parity truncation starts at ``nmax + ceil(c) + 40`` and doubles
-    until the squared mass in the last ``tail_buffer`` coefficients of every
+    The per-parity truncation runs through :func:`_truncation_orders` until
+    the squared mass in the last ``tail_buffer`` coefficients of every
     retained eigenvector is below ``tail_tol``.  Eigenvalues come from LAPACK,
     eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
     """
@@ -215,9 +228,7 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
         raise DomainError(f"basis construction requires c > 0, got {c!r}")
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax!r}")
-    M = m_start if m_start is not None else nmax + math.ceil(c) + 40
-    M = max(M, nmax // 2 + 8, tail_buffer + 4)
-    while True:
+    for M in _truncation_orders(c, nmax, m_start, m_cap, tail_buffer):
         tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
         spectra = [np.linalg.eigvalsh(t.dense()) for t in tris]
         chi = _merge_parities(*spectra, nmax)
@@ -229,12 +240,11 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
         worst = int(np.argmax(tails))
         if tails[worst] <= tail_tol:
             break
-        if 2 * M > m_cap:
-            raise TruncationError(
-                f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
-                f"above {tail_tol:.1e} at truncation cap {m_cap}",
-                n=worst, tail_mass=tails[worst])
-        M *= 2
+    else:
+        raise TruncationError(
+            f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
+            f"above {tail_tol:.1e} at truncation cap {m_cap}",
+            n=worst, tail_mass=tails[worst])
     _apply_sign_convention(alpha, M, beta)
     chi = np.array(chi)
     chi.setflags(write=False)

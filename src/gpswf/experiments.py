@@ -99,7 +99,9 @@ def default_cache_dir():
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"GPSW"
-_FORMAT_VERSION = 1
+# 2: eigenvectors from the spliced recurrence, bottom entries relatively
+# accurate.  Part of the cache key, so older entries are rebuilt once.
+_FORMAT_VERSION = 2
 
 
 def basis_to_bytes(b):
@@ -165,16 +167,9 @@ class CacheEntry:
 
 
 def cache_key(alpha, c, M, nmax, version=__version__):
-    text = f"gpswf|{version}|{float(alpha)!r}|{float(c)!r}|{int(M)}|{int(nmax)}"
+    text = (f"gpswf|{version}|v{_FORMAT_VERSION}|{float(alpha)!r}|{float(c)!r}"
+            f"|{int(M)}|{int(nmax)}")
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _m_ladder(alpha, c, nmax, m_cap=8192):
-    m = nmax + math.ceil(c) + 40
-    m = max(m, nmax // 2 + 8, 12)
-    while m <= m_cap:
-        yield m
-        m *= 2
 
 
 def cache_put(b, cache_dir=None):
@@ -186,10 +181,11 @@ def cache_put(b, cache_dir=None):
 
 
 def cache_get(alpha, c, nmax, cache_dir=None):
-    """Look up a cached basis; the adaptive truncation ladder is re-derived
-    from (alpha, c, nmax), so each candidate M yields one key to probe."""
+    """Look up a cached basis; the truncation orders of ``build_basis`` are
+    re-derived from (c, nmax), so each candidate M yields one key to probe.
+    A corrupt entry is deleted with a warning and the lookup goes on."""
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    for m in _m_ladder(alpha, c, nmax):
+    for m in basis_mod._truncation_orders(c, nmax):
         key = cache_key(alpha, c, m, nmax)
         path = cache_dir / f"{key}.gpswf"
         if not path.exists():
@@ -199,7 +195,7 @@ def cache_get(alpha, c, nmax, cache_dir=None):
         except (DomainError, OSError) as exc:
             warnings.warn(f"discarding corrupt cache entry {path.name}: {exc}")
             path.unlink(missing_ok=True)
-            return None
+            continue
         return b
     return None
 

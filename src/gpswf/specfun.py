@@ -26,32 +26,11 @@ __all__ = [
     "gauss_jacobi",
 ]
 
-# Lanczos approximation, g = 7, 9 terms (~15 significant digits for x > 0).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
 def ln_gamma(x):
-    """log Gamma(x) for x > 0 (Lanczos, evaluated in log space)."""
+    """log Gamma(x) for finite x > 0."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
-    x = float(x)
-    # Gamma(x) = sqrt(2 pi) t^(x-1/2) e^(-t) A(x), t = x + g - 1/2
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def ln_beta(a, b):

@@ -21,8 +21,6 @@ __all__ = [
     "SpectrumEntry",
     "DecayVerdict",
     "fc_on_jacobi",
-    "fourier_series_value",
-    "transform_of_psi",
     "compute_spectrum",
     "decay_bound_check",
     "mu_decay_constant",
@@ -36,82 +34,61 @@ __all__ = [
 
 
 @lru_cache(maxsize=64)
-def _gammas(alpha, kmax):
-    """gamma_k = Gamma(k+a+1) / (Gamma(k+1) sqrt(h_k)) for k = 0..kmax."""
+def _signed_gammas(alpha, kmax):
+    """s_k gamma_k for k = 0..kmax, where gamma_k = Gamma(k+a+1) / (Gamma(k+1)
+    sqrt(h_k)) and s_k = +1 for k mod 4 in {0, 1}, -1 otherwise."""
     k = np.arange(kmax + 1, dtype=float)
     lg = np.vectorize(math.lgamma)
     out = np.exp(-(alpha + 0.5) * math.log(2.0)
                  + 0.5 * (np.log(2.0 * k + 2.0 * alpha + 1.0)
                           + lg(k + 2.0 * alpha + 1.0) - lg(k + 1.0)))
+    out[k % 4 >= 2] *= -1.0
     out.setflags(write=False)
     return out
 
 
+def _fc_terms(alpha, kmax, u):
+    """Real transform terms t_k = s_k sqrt(pi) (2/u)^(a+1/2) gamma_k
+    J_{k+a+1/2}(u) for k = 0..kmax and u > 0.
+
+    int e^{iuy} Jt_k(y) w_a(y) dy = i^(k mod 2) t_k, so a coefficient vector
+    of one parity transforms to its dot product with t (times i if odd).  This
+    is the only place that knows the Bessel expansion of F_c.
+    """
+    pref = math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
+    return (pref * _signed_gammas(alpha, kmax)
+            * specfun.bessel_j_ladder(alpha + 0.5, kmax, u))
+
+
 def _fc_series(alpha, coef, parity, u):
-    """Transform sum and its conditioning scale (largest term magnitude).
+    """int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient vector of
+    the given parity, u > 0, and its conditioning scale (largest term).
 
     The terms alternate in sign and their peak can tower over the sum, so the
     reduction uses exactly rounded summation; the remaining error is the
     roundoff of the terms themselves, about eps * scale.
     """
     coef = np.asarray(coef, dtype=float)
-    kmax = coef.size - 1
-    ladder = specfun.bessel_j_ladder(alpha + 0.5, kmax, u)
-    terms = coef * _gammas(alpha, kmax)[: kmax + 1] * ladder
-    pref = math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
-    scale = pref * float(np.max(np.abs(terms)))
-    k = np.arange(kmax + 1)
-    if parity == 0:
-        signs = np.where(k % 4 == 0, 1.0, np.where(k % 4 == 2, -1.0, 0.0))
-        return complex(pref * math.fsum(signs * terms), 0.0), scale
-    signs = np.where(k % 4 == 1, 1.0, np.where(k % 4 == 3, -1.0, 0.0))
-    return 1j * (pref * math.fsum(signs * terms)), scale
-
-
-def fourier_series_value(alpha, coef, parity, u):
-    """sqrt(pi) (2/u)^(a+1/2) sum_k coef_k i^k gamma_k J_{k+a+1/2}(u).
-
-    This is int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient
-    vector supported on Jacobi indices of the given parity; u > 0.
-    """
-    return _fc_series(alpha, coef, parity, u)[0]
+    terms = coef * _fc_terms(alpha, coef.size - 1, u)
+    total = math.fsum(terms)
+    return (1j * total if parity else complex(total)), float(np.max(np.abs(terms)))
 
 
 def fc_on_jacobi(alpha, c, k, x):
     """(F_c Jt_k)(x) = i^k sqrt(pi) (2/(c|x|))^(a+1/2) G(k+a+1)/(G(k+1) sqrt(h_k))
-    J_{k+a+1/2}(c|x|), extended to x < 0 by parity and to x = 0 by the
-    small-argument limit."""
+    J_{k+a+1/2}(c|x|), extended to x < 0 by parity; at x = 0 only k = 0
+    survives, with value int Jt_0 w_a = sqrt(m0)."""
     if not math.isfinite(c) or c <= 0.0:
         raise DomainError(f"bandwidth c must be > 0, got {c!r}")
     if abs(x) > 1.0 + 8.0 * np.finfo(float).eps:
         raise DomainError("transform evaluation requires |x| <= 1")
     if x == 0.0:
-        if k == 0:
-            val = (math.sqrt(math.pi) * float(_gammas(alpha, 0)[0])
-                   * math.exp(-specfun.ln_gamma(alpha + 1.5)))
-            return complex(val)
-        return 0.0j
-    coef = np.zeros(k + 1)
-    coef[k] = 1.0
-    val = fourier_series_value(alpha, coef, k % 2, c * abs(x))
+        return complex(math.sqrt(specfun.weight_mass(alpha))) if k == 0 else 0.0j
+    val = 1j ** (k % 2) * float(_fc_terms(alpha, k, c * abs(x))[k])
     # parity: (F_c Jt_k)(-x) = (-1)^k (F_c Jt_k)(x)
     if x < 0.0 and k % 2 == 1:
         val = -val
     return val
-
-
-def transform_of_psi(basis, n, x):
-    """(F_c psi_n)(x) as a complex number, by the exact Bessel expansion."""
-    if x == 0.0:
-        if n % 2 == 1:
-            return 0.0j
-        coef = basis.full_coefficients(n)
-        return complex(coef[0]) * fc_on_jacobi(basis.alpha, basis.c, 0, 0.0)
-    coef = basis.full_coefficients(n)
-    out = fourier_series_value(basis.alpha, coef, n % 2, basis.c * abs(x))
-    if x < 0.0 and n % 2 == 1:
-        out = -out
-    return out
 
 
 @dataclass(frozen=True)
@@ -197,42 +174,6 @@ def _probe_points(basis, n, count):
     return xs[:count]
 
 
-def _bottom_coefficient(basis, n):
-    """First expansion coefficient of psi_n, refined for deep eigenvectors.
-
-    Below its peak an eigenvector of the tridiagonal system is the solution
-    that grows in the upward direction, so marching the three-term recurrence
-    up from row 0 and matching at the peak entry recovers the tiny bottom
-    entries with full relative accuracy (the raw eigensolver output only
-    carries absolute accuracy there).
-    """
-    from .basis import assemble_eigensystem
-
-    beta = basis.beta[n]
-    i_pk = int(np.argmax(np.abs(beta)))
-    if i_pk == 0 or abs(beta[0]) > 1e-8:
-        return float(beta[0])
-    tri = assemble_eigensystem(basis.alpha, basis.c, basis.trunc, n % 2)
-    d, e = tri.diag, tri.offdiag
-    chi = float(basis.chi[n])
-    w_prev = 1.0
-    w_cur = (chi - d[0]) / e[0]
-    log_scale = 0.0
-    for i in range(1, i_pk):
-        w_next = ((chi - d[i]) * w_cur - e[i - 1] * w_prev) / e[i]
-        w_prev, w_cur = w_cur, w_next
-        if abs(w_cur) > 1e250:
-            w_prev /= 1e250
-            w_cur /= 1e250
-            log_scale += 250.0 * math.log(10.0)
-    if w_cur == 0.0:
-        return float(beta[0])
-    t = math.log(abs(beta[i_pk])) - math.log(abs(w_cur)) - log_scale
-    if t < -745.0:
-        return 0.0
-    return math.copysign(math.exp(t), beta[i_pk] * w_cur)
-
-
 def _mu_from_boundary(basis, n):
     """mu_n from the x = 0 identities: only the k = 0 (resp. k = 1) Jacobi
     mode contributes to (F_c psi_n)(0) (resp. its derivative), so
@@ -240,10 +181,12 @@ def _mu_from_boundary(basis, n):
         even n:  mu_n psi_n(0)  = beta_0 sqrt(m0)
         odd n:   mu_n psi_n'(0) = i c a_1 beta_1 sqrt(m0)
 
-    with m0 the weight mass and a_1 the first recurrence coefficient.
+    with m0 the weight mass and a_1 the first recurrence coefficient.  The
+    bottom coefficient is the first entry of the basis's recurrence
+    eigenvector, which keeps full relative accuracy however small it gets.
     """
     sqrt_m0 = math.sqrt(specfun.weight_mass(basis.alpha))
-    bottom = _bottom_coefficient(basis, n)
+    bottom = float(basis.beta[n][0])
     at0 = basis.psi(n, np.array([0.0]), 1)
     if n % 2 == 0:
         return complex(bottom * sqrt_m0 / float(at0[0, 0]))

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+from gpswf import __version__
 from gpswf import basis as B
 from gpswf import experiments as X
 from gpswf.errors import DomainError
@@ -66,6 +68,24 @@ class TestCache:
         with pytest.warns(UserWarning):
             assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         assert not entry.path.exists()
+
+    def test_entry_under_old_key_not_returned(self, small_basis, cache_dir):
+        # keys without the container format version hold eigenvectors from
+        # the earlier eigensolver
+        text = f"gpswf|{__version__}|{0.5!r}|{2.0!r}|{small_basis.trunc}|8"
+        old = hashlib.sha256(text.encode()).hexdigest()
+        X.save_basis(small_basis, cache_dir / f"{old}.gpswf")
+        assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
+
+    def test_corrupt_entry_does_not_end_lookup(self, small_basis, cache_dir):
+        first = small_basis.trunc
+        X.cache_put(B.build_basis(0.5, 2.0, 8, m_start=2 * first), cache_dir)
+        bad = cache_dir / f"{X.cache_key(0.5, 2.0, first, 8)}.gpswf"
+        bad.write_bytes(b"corrupt" * 10)
+        with pytest.warns(UserWarning):
+            got = X.cache_get(0.5, 2.0, 8, cache_dir)
+        assert got is not None and got.trunc == 2 * first
+        assert not bad.exists()
 
     def test_ls_and_clear(self, small_basis, cache_dir):
         X.cache_put(small_basis, cache_dir)

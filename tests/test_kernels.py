@@ -1,5 +1,6 @@
 """Eigenvectors of the coefficient eigensystem: orthogonality, and agreement
-with a 60-digit mpmath oracle entry by entry."""
+with a 60-digit mpmath oracle entry by entry and in the transform eigenvalue
+mu_n of the boundary identity."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from gpswf import basis as B
+from gpswf import spectral as S
 
 
 @pytest.mark.parametrize("alpha,c,nmax", [(0.0, math.pi, 20), (0.5, 30.0, 61),
@@ -26,20 +28,24 @@ def test_per_parity_orthogonality(alpha, c, nmax):
 # chi_n only seeds the shift; an inertia count confirms that the iteration
 # found the eigenvalue of index n.  The LU solves of a tridiagonal are
 # componentwise backward stable, so the tiny tail entries come out with full
-# relative accuracy.
+# relative accuracy.  mu_n follows from the vector by the boundary identity
+# of spectral._mu_from_boundary, with Jt_k(0) and Jt_k'(0) from the same
+# recurrence.
 # ---------------------------------------------------------------------------
+
+def _mp_a2(alpha, k):
+    """Square of the orthonormal-Jacobi recurrence coefficient a_k."""
+    if k == 0:
+        return mp.mpf(0)
+    return k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1))
+
 
 def _mp_system(alpha, c, m, parity):
     alpha, c = mp.mpf(alpha), mp.mpf(c)
-
-    def a2(k):
-        if k == 0:
-            return mp.mpf(0)
-        return k * (k + 2 * alpha) / ((2 * k + 2 * alpha + 1) * (2 * k + 2 * alpha - 1))
-
     ks = [2 * i + parity for i in range(m)]
-    d = [k * (k + 2 * alpha + 1) + c * c * (a2(k) + a2(k + 1)) for k in ks]
-    e = [c * c * mp.sqrt(a2(k + 1) * a2(k + 2)) for k in ks[:-1]]
+    d = [k * (k + 2 * alpha + 1) + c * c * (_mp_a2(alpha, k) + _mp_a2(alpha, k + 1))
+         for k in ks]
+    e = [c * c * mp.sqrt(_mp_a2(alpha, k + 1) * _mp_a2(alpha, k + 2)) for k in ks[:-1]]
     return d, e
 
 
@@ -81,10 +87,25 @@ def _mp_eigpair(d, e, guess):
     return s, [v / norm for v in x]
 
 
+def _mp_jacobi_at_zero(alpha, m, sqrt_m0):
+    """Jt_k(0) and Jt_k'(0) for k < m, from x Jt_k = a_{k+1} Jt_{k+1} + a_k Jt_{k-1}
+    and its derivative at x = 0."""
+    a = [mp.sqrt(_mp_a2(mp.mpf(alpha), k)) for k in range(m)]
+    val, der = [1 / sqrt_m0, mp.mpf(0)], [mp.mpf(0), 1 / (a[1] * sqrt_m0)]
+    for k in range(1, m - 1):
+        val.append(-a[k] * val[k - 1] / a[k + 1])
+        der.append((val[k] - a[k] * der[k - 1]) / a[k + 1])
+    return val, der
+
+
 def test_eigenpairs_match_mpmath_oracle():
     alpha, c, nmax = 0.5, 30.0, 61
     b = B.build_basis(alpha, c, nmax)
     with mp.workdps(60):
+        sqrt_m0 = mp.sqrt(mp.sqrt(mp.pi) * mp.gamma(mp.mpf(alpha) + 1)
+                          / mp.gamma(mp.mpf(alpha) + mp.mpf(1.5)))
+        val0, der0 = _mp_jacobi_at_zero(alpha, 2 * b.trunc, sqrt_m0)
+        a1 = mp.sqrt(_mp_a2(mp.mpf(alpha), 1))
         for parity in (0, 1):
             d, e = _mp_system(alpha, c, b.trunc, parity)
             for n in range(parity, nmax, 2):
@@ -100,3 +121,13 @@ def test_eigenpairs_match_mpmath_oracle():
                 keep = np.abs(ref) >= 1e-250
                 rel = np.abs(mine[keep] - ref[keep]) / np.abs(ref[keep])
                 assert np.max(rel) <= 1e-11, (n, float(np.max(rel)))
+                # even n: mu psi(0) = beta_0 sqrt(m0); odd n: mu psi'(0) =
+                # i c a_1 beta_1 sqrt(m0); the sign of the vector cancels
+                if parity == 0:
+                    mu = vec[0] * sqrt_m0 / mp.fdot(vec, val0[0::2])
+                else:
+                    mu = (mp.mpc(0, 1) * c * a1 * vec[0] * sqrt_m0
+                          / mp.fdot(vec, der0[1::2]))
+                mu = complex(mu)
+                got = S._mu_from_boundary(b, n)
+                assert abs(got - mu) <= 1e-12 * abs(mu), (n, abs(got - mu) / abs(mu))
