@@ -1,8 +1,10 @@
-"""Numerical kernels: symmetric tridiagonal eigensolve, Clenshaw evaluation
+"""Numerical kernels: symmetric tridiagonal eigenvalues, Clenshaw evaluation
 of Jacobi series, and Bessel J ladders.
 
-Every kernel has this one NumPy implementation; the eigensolve is LAPACK
-through ``numpy.linalg``.
+Every kernel has this one NumPy implementation.  All tridiagonal eigenvalue
+work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
+:func:`tridiag_eig`, which is LAPACK through ``numpy.linalg``; no kernel
+computes eigenvectors.
 """
 
 import math
@@ -18,18 +20,13 @@ def backend_name() -> str:
 
 
 def tridiag_eig(diag, offdiag):
-    """Full eigendecomposition of a symmetric tridiagonal matrix.
-
-    Returns ``(values, vectors)`` with values ascending and ``vectors[:, i]``
-    the eigenvector of ``values[i]`` (LAPACK ``syevd`` on the dense matrix).
-    """
+    """Ascending eigenvalues of a symmetric tridiagonal matrix (LAPACK
+    ``syevd`` on the dense lower triangle)."""
     d = np.asarray(diag, dtype=float)
-    n = d.size
     a = np.diag(d)
-    if n > 1:
-        i = np.arange(n - 1)
-        a[i + 1, i] = offdiag  # eigh reads the lower triangle only
-    return np.linalg.eigh(a)
+    i = np.arange(d.size - 1)
+    a[i + 1, i] = offdiag  # eigvalsh reads the lower triangle only
+    return np.linalg.eigvalsh(a)
 
 
 def jacobi_series(coef, rec, p0, x, nderiv=0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend, specfun
-from .eigensolver import SymTridiag
+from .eigensolver import SymTridiag, eig_symtridiag
 from .errors import ConsistencyError, DomainError, TruncationError
 
 __all__ = [
@@ -219,8 +219,8 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
 
     The per-parity truncation runs through :func:`_truncation_orders` until
     the squared mass in the last ``tail_buffer`` coefficients of every
-    retained eigenvector is below ``tail_tol``.  Eigenvalues come from LAPACK,
-    eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
+    retained eigenvector is below ``tail_tol``.  Eigenvalues come from
+    :func:`eig_symtridiag` (LAPACK), eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
     """
     if not math.isfinite(alpha) or alpha < 0.0:
         raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
@@ -230,7 +230,7 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
         raise DomainError(f"nmax must be >= 1, got {nmax!r}")
     for M in _truncation_orders(c, nmax, m_start, m_cap, tail_buffer):
         tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
-        spectra = [np.linalg.eigvalsh(t.dense()) for t in tris]
+        spectra = [eig_symtridiag(t).values for t in tris]
         chi = _merge_parities(*spectra, nmax)
         # n of parity p is column n // 2 of that parity's spectrum
         vecs = [_recurrence_vectors(t, s[:(nmax - p + 1) // 2])

@@ -21,17 +21,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common(p):
+def _add_format(p):
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.add_argument("--quad-order", type=int, default=None)
-    p.add_argument("--seed", type=int, default=1234)
+
+
+def _add_cache(p):
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--threads", type=int, default=0,
-                   help="worker threads for experiments (0 = auto)")
+
+
+def _add_basis_params(p, nmax=True):
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--c", type=float, required=True)
+    if nmax:
+        p.add_argument("--nmax", type=int, required=True)
+    _add_format(p)
+    _add_cache(p)
 
 
 def build_parser():
+    """Each subcommand takes only the flags it reads."""
     parser = _Parser(prog="gpswf", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -39,36 +48,28 @@ def build_parser():
 
     p = sub.add_parser("basis",
                        help="eigenvalue table or basis file for (alpha, c)")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    _add_basis_params(p)
     p.add_argument("--out", default=None, help="write a binary basis container")
-    _add_common(p)
 
     p = sub.add_parser("spectrum",
                        help="adds mu/lambda columns to the basis table")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    _add_common(p)
+    _add_basis_params(p)
 
     p = sub.add_parser("bounds",
                        help="verdict table for every implemented bound")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    _add_basis_params(p)
     p.add_argument("--grid-size", type=int, default=400)
-    _add_common(p)
 
     p = sub.add_parser("project",
                        help="project a corpus function onto the basis")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
+    _add_basis_params(p, nmax=False)
     p.add_argument("--fn", required=True,
                    help="corpus spec, e.g. brownian:s=1.5,seed=7 | "
                         "wm:s=1,lambda=2 | periodic:k=3")
     p.add_argument("--N", type=int, required=True)
-    _add_common(p)
+    p.add_argument("--quad-order", type=int, default=None)
+    p.add_argument("--seed", type=int, default=1234,
+                   help="brownian seed when --fn names none")
 
     p = sub.add_parser("experiment",
                        help="run a registered scenario")
@@ -77,14 +78,16 @@ def build_parser():
     p.add_argument("--config", default=None,
                    help="JSON config file; flags given here override its values")
     p.add_argument("--out-dir", default=None, help="report root (default: reports)")
-    _add_common(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
+    _add_cache(p)
     # a flag left unset keeps the config file's (or the scenario's) value
-    p.set_defaults(seed=None, no_cache=None, threads=None)
+    p.set_defaults(no_cache=None)
 
     p = sub.add_parser("cache", help="cache maintenance")
     p.add_argument("action", choices=("ls", "clear"))
     p.add_argument("--cache-dir", default=None)
-    p.add_argument("--format", choices=("table", "csv", "json"), default="table")
+    _add_format(p)
     return parser
 
 

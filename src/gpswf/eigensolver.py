@@ -1,8 +1,10 @@
-"""Symmetric tridiagonal matrices and their full eigendecomposition.
+"""Symmetric tridiagonal matrices and their eigenvalues.
 
-Used by the Gauss-Jacobi rule construction; the coefficient eigensystem of
-the wave-function bases computes its eigenvectors by recurrence instead
-(:func:`gpswf.basis.build_basis`).
+The one entry point for tridiagonal eigenvalues: the ``chi_n`` of the
+wave-function bases (:func:`gpswf.basis.build_basis`) and the nodes of the
+Gauss-Jacobi rules (:func:`gpswf.specfun.gauss_jacobi`).  Neither needs
+eigenvectors from here: the bases march theirs by recurrence, and the rules
+take Christoffel weights from the orthonormal polynomials.
 """
 
 from dataclasses import dataclass, field
@@ -38,13 +40,6 @@ class SymTridiag:
     def n(self):
         return self.diag.size
 
-    def matvec(self, v):
-        out = self.diag * v
-        if self.n > 1:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
-
     def dense(self):
         a = np.diag(self.diag)
         if self.n > 1:
@@ -54,33 +49,15 @@ class SymTridiag:
 
 @dataclass(frozen=True)
 class EigDecomposition:
-    """Ascending eigenvalues and orthonormal eigenvectors (as columns)."""
+    """Ascending eigenvalues (read-only)."""
 
     values: np.ndarray = field(repr=False)
-    vectors: np.ndarray = field(repr=False)
-
-
-def _fix_signs(z):
-    # first nonzero entry of every eigenvector positive (deterministic and
-    # stabilizes the downstream wave-function sign convention)
-    for j in range(z.shape[1]):
-        col = z[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        lead = col[nz[0]] if nz.size else col[0]
-        if lead < 0.0:
-            col *= -1.0
-    return z
 
 
 def eig_symtridiag(m: SymTridiag) -> EigDecomposition:
-    """Full spectrum of a symmetric tridiagonal matrix; deterministic output."""
+    """Spectrum of a symmetric tridiagonal matrix; deterministic output."""
     if not isinstance(m, SymTridiag):
         m = SymTridiag(np.asarray(m[0]), np.asarray(m[1]))
-    if m.n == 1:
-        return EigDecomposition(values=m.diag.copy(), vectors=np.ones((1, 1)))
-    values, vectors = backend.tridiag_eig(m.diag, m.offdiag)
-    vectors = _fix_signs(np.array(vectors))
-    values = np.array(values)
+    values = backend.tridiag_eig(m.diag, m.offdiag)
     values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigDecomposition(values=values, vectors=vectors)
+    return EigDecomposition(values=values)

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 SCENARIOS = ("lambda-decay", "brownian", "wm-table")
+# grids a scenario does not sweep: a second entry would be silently dropped
+_SINGLE_VALUED = {"brownian": ("alpha_list", "c_list", "s_list"),
+                  "wm-table": ("c_list", "N_list")}
 
 # Reference weighted-L2 errors for approximating the lambda=2 rough
 # sine-series benchmark with c = 5*pi, N = 95; regression targets (factor-2).
@@ -67,7 +70,6 @@ class ExperimentConfig:
     c_list: tuple = ()
     N_list: tuple = ()
     s_list: tuple = ()
-    corpus: tuple = ()
     seed: int = 1234
     n_seeds: int = 10
     nmax: int = 40
@@ -83,6 +85,10 @@ class ExperimentConfig:
         for grid in (self.alpha_list, self.c_list, self.N_list):
             if len(tuple(grid)) == 0:
                 raise DomainError("parameter grids must be nonempty")
+        for grid in _SINGLE_VALUED.get(self.name, ()):
+            if len(tuple(getattr(self, grid))) != 1:
+                raise DomainError(f"{self.name} reads one {grid} value, "
+                                  f"got {list(getattr(self, grid))}")
 
 
 def default_cache_dir():
@@ -234,10 +240,19 @@ def get_basis(alpha, c, nmax, cache_dir=None, use_cache=True):
 # ---------------------------------------------------------------------------
 
 def _report_dir(cfg):
+    """A new directory per run; a run in the same second as an earlier one
+    gets a numeric suffix instead of overwriting that run's CSVs."""
     stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    path = Path(cfg.output_dir) / cfg.name / stamp
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    root = Path(cfg.output_dir) / cfg.name
+    root.mkdir(parents=True, exist_ok=True)
+    path, i = root / stamp, 0
+    while True:
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            i += 1
+            path = root / f"{stamp}-{i}"
 
 
 def _write_csv(path, header, rows):

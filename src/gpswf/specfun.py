@@ -171,7 +171,8 @@ def jacobi_table(alpha, kmax, x, nderiv=0):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jacobi quadrature (Golub-Welsch on the recurrence matrix).
+# Gauss-Jacobi quadrature: nodes are the eigenvalues of the recurrence
+# matrix, weights w_j = 1 / sum_k Jt_k(x_j)^2 (the Christoffel function).
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -195,14 +196,16 @@ def _build_rule(alpha, m):
     from .eigensolver import SymTridiag, eig_symtridiag
 
     a = jacobi_recurrence(alpha, m + 1)
-    dec = eig_symtridiag(SymTridiag(np.zeros(m), a[1:m].copy()))
-    nodes = dec.values
-    weights = weight_mass(alpha) * dec.vectors[0, :] ** 2
+    nodes = eig_symtridiag(SymTridiag(np.zeros(m), a[1:m].copy())).values
     # the problem is symmetric under x -> -x; make the node set exactly so
     nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
     if m % 2 == 1:
         nodes[m // 2] = 0.0
+    # Christoffel weights keep the tiny end weights relatively accurate, where
+    # squared first eigenvector components are accurate only absolutely; and
+    # Jt_k(-x)^2 == Jt_k(x)^2 exactly, so they come out exactly symmetric
+    table = jacobi_table(alpha, m - 1, nodes)
+    weights = 1.0 / np.sum(table * table, axis=0)
     return nodes, weights
 
 

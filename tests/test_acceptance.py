@@ -271,16 +271,24 @@ def test_criterion_10_oracle_equivalence():
         ref = ref / np.linalg.norm(ref)
         keep = min(mine.size, ref.size)  # tails beyond are ~1e-30
         assert np.max(np.abs(mine[:keep] - ref[:keep])) <= 1e-8, n
-    # eigensolver residual suite on random tridiagonals
+    # eigensolver on random tridiagonals against Sturm counts: the negative
+    # pivots of the LDL^T of T - s I number the eigenvalues below s
     from gpswf.eigensolver import SymTridiag, eig_symtridiag
+
+    def count_below(d, e, shifts):
+        piv = d[0] - shifts
+        count = (piv < 0).astype(int)
+        for i in range(1, d.size):
+            piv = d[i] - shifts - e[i - 1] ** 2 / np.where(piv == 0.0, 1e-300, piv)
+            count += piv < 0
+        return count
 
     rng = np.random.default_rng(123)
     for n in (10, 60, 200):
         m = SymTridiag(rng.normal(size=n), rng.normal(size=n - 1))
-        dec = eig_symtridiag(m)
-        for i in range(n):
-            res = np.linalg.norm(m.matvec(dec.vectors[:, i].copy())
-                                 - dec.values[i] * dec.vectors[:, i])
-            assert res <= 1e-10 * (1.0 + abs(dec.values[i]))
+        vals = eig_symtridiag(m).values
+        delta = 1e-10 * (1.0 + np.abs(vals))
+        assert np.all(count_below(m.diag, m.offdiag, vals - delta) <= np.arange(n))
+        assert np.all(count_below(m.diag, m.offdiag, vals + delta) >= np.arange(n) + 1)
     _report(10, "dense-matrix oracle matches (chi 1e-9, |beta| 1e-8, "
-                "n <= 10); eigensolver residuals <= 1e-10")
+                "n <= 10); eigenvalues within 1e-10 by Sturm count")

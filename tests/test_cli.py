@@ -184,9 +184,54 @@ def test_experiment_invalid_config_exits_1(capsys, tmp_path, key, value):
     assert "invalid config" in err
 
 
+# the flags each subcommand reads, and flags it used to accept and ignore
+HELP_FLAGS = {
+    "basis": (("--alpha", "--c", "--nmax", "--format", "--cache-dir",
+               "--no-cache", "--out"), ("--quad-order", "--seed", "--threads")),
+    "spectrum": (("--alpha", "--c", "--nmax", "--format", "--cache-dir",
+                  "--no-cache"), ("--quad-order", "--seed", "--threads")),
+    "bounds": (("--alpha", "--c", "--nmax", "--format", "--cache-dir",
+                "--no-cache", "--grid-size"), ("--quad-order", "--seed", "--threads")),
+    "project": (("--alpha", "--c", "--fn", "--N", "--format", "--quad-order",
+                 "--seed", "--cache-dir", "--no-cache"), ("--nmax", "--threads")),
+    "experiment": (("--name", "--config", "--out-dir", "--seed", "--threads",
+                    "--cache-dir", "--no-cache"), ("--quad-order", "--format")),
+}
+
+
 def test_help_lists_flags(capsys):
-    code, out, _ = run_cli(capsys, "basis", "--help")
-    assert code == 0
-    for flag in ("--alpha", "--c", "--nmax", "--format", "--quad-order",
-                 "--seed", "--cache-dir", "--threads", "--out"):
-        assert flag in out
+    for command, (flags, absent) in HELP_FLAGS.items():
+        code, out, _ = run_cli(capsys, command, "--help")
+        assert code == 0
+        for flag in flags:
+            assert flag in out, (command, flag)
+        for flag in absent:
+            assert flag not in out, (command, flag)
+
+
+def test_ignored_flag_and_config_key_exit_1(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "basis", "--alpha", "0.5", "--c", "2",
+                           "--nmax", "4", "--threads", "2")
+    assert code == 1
+    assert "usage" in err.lower()
+    code, _, err = _experiment_with_config(capsys, tmp_path,
+                                           dict(LAMBDA_CFG, corpus=["wm"]))
+    assert code == 1
+    assert "invalid config" in err
+
+
+@pytest.mark.parametrize("name,grid", [("brownian", "alpha_list"),
+                                       ("brownian", "c_list"),
+                                       ("brownian", "s_list"),
+                                       ("wm-table", "c_list"),
+                                       ("wm-table", "N_list")])
+def test_grid_the_scenario_does_not_sweep_exits_1(capsys, tmp_path, name, grid):
+    cfg = dict(alpha_list=[1.0], c_list=[1.0], N_list=[4], s_list=[1.0])
+    cfg[grid] = cfg[grid] * 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
+                           str(cfg_path), "--out-dir", str(tmp_path / "r"))
+    assert code == 1
+    assert grid in err
+    assert not (tmp_path / "r").exists()

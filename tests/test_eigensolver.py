@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -11,20 +9,35 @@ def random_tridiag(n, rng):
     return SymTridiag(rng.normal(size=n), rng.normal(size=n - 1))
 
 
+def count_below(m, shifts):
+    """Sturm count: how many eigenvalues of ``m`` lie below each shift, from
+    the negative pivots of the LDL^T factorization of ``m - shift I``."""
+    piv = m.diag[0] - shifts
+    count = (piv < 0).astype(int)
+    for i in range(1, m.n):
+        piv = (m.diag[i] - shifts
+               - m.offdiag[i - 1] ** 2 / np.where(piv == 0.0, 1e-300, piv))
+        count += piv < 0
+    return count
+
+
+def assert_sturm_bracketed(m, values):
+    """Value i has at most i eigenvalues below it and at least i + 1 just
+    above it, within delta = 1e-10 (1 + |value|)."""
+    delta = 1e-10 * (1.0 + np.abs(values))
+    idx = np.arange(values.size)
+    assert np.all(count_below(m, values - delta) <= idx)
+    assert np.all(count_below(m, values + delta) >= idx + 1)
+
+
 def test_one_by_one():
     dec = eig_symtridiag(SymTridiag(np.array([4.2]), np.array([])))
     assert dec.values[0] == 4.2
-    assert dec.vectors[0, 0] == 1.0
 
 
 def test_two_by_two_closed_form():
     dec = eig_symtridiag(SymTridiag(np.array([0.0, 0.0]), np.array([1.0])))
     np.testing.assert_allclose(dec.values, [-1.0, 1.0], atol=1e-15)
-    r = 1.0 / math.sqrt(2.0)
-    np.testing.assert_allclose(np.abs(dec.vectors), [[r, r], [r, r]], atol=1e-15)
-    # first nonzero entry positive
-    assert dec.vectors[0, 0] > 0 and dec.vectors[0, 1] > 0
-    np.testing.assert_allclose(dec.vectors[:, 0], [r, -r], atol=1e-15)
 
 
 def test_diagonal_matrix():
@@ -40,13 +53,8 @@ def test_random_residuals(n):
     dec = eig_symtridiag(m)
     assert dec.values.size == n
     assert np.all(np.diff(dec.values) >= 0)
-    # residual ||A v - w v|| <= 1e-10 (1 + |w|)
-    for i in range(n):
-        res = np.linalg.norm(m.matvec(dec.vectors[:, i].copy())
-                             - dec.values[i] * dec.vectors[:, i])
-        assert res <= 1e-10 * (1.0 + abs(dec.values[i]))
-    orth = np.max(np.abs(dec.vectors.T @ dec.vectors - np.eye(n)))
-    assert orth <= 1e-11
+    # the residual of each value, measured by inertia rather than by a vector
+    assert_sturm_bracketed(m, dec.values)
 
 
 def test_values_match_dense_solver():
@@ -63,16 +71,15 @@ def test_deterministic():
     d1 = eig_symtridiag(m)
     d2 = eig_symtridiag(m)
     np.testing.assert_array_equal(d1.values, d2.values)
-    np.testing.assert_array_equal(d1.vectors, d2.vectors)
 
 
-def test_sign_convention():
-    rng = np.random.default_rng(17)
-    dec = eig_symtridiag(random_tridiag(25, rng))
-    for j in range(25):
-        col = dec.vectors[:, j]
-        lead = col[np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0][0]]
-        assert lead > 0
+def test_sturm_oracle_rejects_a_shifted_value():
+    rng = np.random.default_rng(7)
+    m = random_tridiag(40, rng)
+    values = np.array(eig_symtridiag(m).values)
+    values[17] += 1e-6 * (1.0 + abs(values[17]))
+    with pytest.raises(AssertionError):
+        assert_sturm_bracketed(m, values)
 
 
 def test_domain_errors():

@@ -142,6 +142,15 @@ class TestLambdaDecay:
             assert lams[0] > lams[1]  # leading eigenvalue dominates
         assert (out_dir / "config.json").exists()
 
+    def test_same_second_runs_do_not_collide(self, tmp_path, cache_dir,
+                                             monkeypatch):
+        monkeypatch.setattr(X.time, "strftime", lambda fmt, t=None: "20260101T000000")
+        runs = [X.run_lambda_decay(self._cfg(tmp_path, cache_dir)) for _ in range(2)]
+        assert runs[0][0] != runs[1][0]
+        for out_dir, files in runs:
+            assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+                ["config.json"] + [p.name for p in files])
+
     def test_cold_warm_identical(self, tmp_path, cache_dir):
         _, files1 = X.run_lambda_decay(self._cfg(tmp_path, cache_dir))
         _, files2 = X.run_lambda_decay(self._cfg(tmp_path, cache_dir))
