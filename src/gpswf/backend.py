@@ -5,6 +5,13 @@ Every kernel has this one NumPy implementation.  All tridiagonal eigenvalue
 work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
 :func:`tridiag_eig`, which is LAPACK through ``numpy.linalg``; no kernel
 computes eigenvectors.
+
+:func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at one argument;
+:func:`bessel_ladders` gives them at many.  Arguments in the upward regime
+share one vectorised recurrence, the rest go through the scalar Miller
+ladder, and each row of the batch is bitwise equal to the scalar ladder at
+its argument: the start values are the same scalar Hankel sums and every
+recurrence step is the same pair of IEEE operations on each argument.
 """
 
 import math
@@ -181,14 +188,21 @@ def _ladder_miller(nu0, count, x):
     return ladder
 
 
-def _ladder_upward(nu0, count, x):
-    ladder = np.zeros(count)
-    ladder[0] = _hankel_j(nu0, x)
+def _ladder_upward(nu0, count, xs):
+    """Ladders at an array of arguments in the upward regime, one row per
+    order (shape (count, len(xs))), so each step is one contiguous vector op
+    and every argument sees the same IEEE operations as it would alone."""
+    lad = np.empty((count, xs.size))
+    lad[0] = [_hankel_j(nu0, x) for x in xs.tolist()]
     if count > 1:
-        ladder[1] = _hankel_j(nu0 + 1.0, x)
+        lad[1] = [_hankel_j(nu0 + 1.0, x) for x in xs.tolist()]
         for j in range(2, count):
-            ladder[j] = (2.0 * (nu0 + j - 1) / x) * ladder[j - 1] - ladder[j - 2]
-    return ladder
+            lad[j] = (2.0 * (nu0 + j - 1) / xs) * lad[j - 1] - lad[j - 2]
+    return lad
+
+
+def _upward_regime(nu0, count, x):
+    return x > _MILLER_X_MAX and not nu0 + count - 1 > 0.88 * x
 
 
 def bessel_ladder(nu0, count, x):
@@ -198,6 +212,19 @@ def bessel_ladder(nu0, count, x):
         if nu0 == 0.0:
             ladder[0] = 1.0
         return ladder
-    if x <= _MILLER_X_MAX or nu0 + count - 1 > 0.88 * x:
+    if not _upward_regime(nu0, count, x):
         return _ladder_miller(nu0, count, x)
-    return _ladder_upward(nu0, count, x)
+    return _ladder_upward(nu0, count, np.array([x]))[:, 0]
+
+
+def bessel_ladders(nu0, count, x):
+    """J_{nu0+j}(x_i) as an array of shape (len(x), count); row i is bitwise
+    equal to ``bessel_ladder(nu0, count, x_i)``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((x.size, count))
+    up = np.array([_upward_regime(nu0, count, xi) for xi in x.tolist()], dtype=bool)
+    for i in np.flatnonzero(~up):
+        out[i] = bessel_ladder(nu0, count, float(x[i]))
+    if up.any():
+        out[up] = _ladder_upward(nu0, count, x[up]).T
+    return out

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 SCENARIOS = ("lambda-decay", "brownian", "wm-table")
+# scenarios that read N_list; lambda-decay's curves run to nmax instead
+_READS_N = ("brownian", "wm-table")
 # grids a scenario does not sweep: a second entry would be silently dropped
 _SINGLE_VALUED = {"brownian": ("alpha_list", "c_list", "s_list"),
                   "wm-table": ("c_list", "N_list")}
@@ -82,9 +84,11 @@ class ExperimentConfig:
         if self.name not in SCENARIOS:
             raise DomainError(f"unknown scenario {self.name!r}; "
                               f"expected one of {SCENARIOS}")
-        for grid in (self.alpha_list, self.c_list, self.N_list):
-            if len(tuple(grid)) == 0:
-                raise DomainError("parameter grids must be nonempty")
+        grids = ("alpha_list", "c_list") + (
+            ("N_list",) if self.name in _READS_N else ())
+        for grid in grids:
+            if len(tuple(getattr(self, grid))) == 0:
+                raise DomainError(f"{self.name} needs a nonempty {grid}")
         for grid in _SINGLE_VALUED.get(self.name, ()):
             if len(tuple(getattr(self, grid))) != 1:
                 raise DomainError(f"{self.name} reads one {grid} value, "
@@ -387,12 +391,12 @@ def run_brownian(cfg=None, **overrides):
             l2 = math.sqrt(max(err2, 0.0))
             resid = np.abs(fx - coeffs[:N] @ psi_grid[:N])
             out.append((seed, N, float(np.max(resid[bulk])), l2))
-        return out
+        return out, fx, coeffs
 
     results = _pool_map(one, seeds, cfg.threads)
     summary = []
     sup_by_n = {N: [] for N in cfg.N_list}
-    for per_seed in results:
+    for per_seed, _, _ in results:
         for seed, N, sup, l2 in per_seed:
             summary.append([seed, N, _fmt(sup), _fmt(l2)])
             sup_by_n[N].append(sup)
@@ -401,10 +405,7 @@ def run_brownian(cfg=None, **overrides):
     _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
                summary)
     # sample curves for the first seed
-    f0 = approx.brownian(s, seeds[0], K=k_terms)
-    y0 = f0.params["amplitudes"] / np.arange(1, k_terms + 1.0) ** s
-    coeffs0 = y0 @ table
-    fx0 = f0(xg)
+    _, fx0, coeffs0 = results[0]
     curve_files = []
     for N in sorted(cfg.N_list):
         sx = coeffs0[:N] @ psi_grid[:N]

@@ -18,6 +18,7 @@ __all__ = [
     "gamma_bracket",
     "bessel_j",
     "bessel_j_ladder",
+    "bessel_j_ladders",
     "weight_mass",
     "jacobi_recurrence",
     "jacobi_norm0",
@@ -76,16 +77,35 @@ def weight_mass(alpha):
 # Bessel functions of the first kind, real order nu >= -1/2, x >= 0.
 # ---------------------------------------------------------------------------
 
-def bessel_j_ladder(nu, kmax, x):
-    """Array J_{nu+j}(x) for j = 0..kmax (one backward recurrence for all)."""
+def _split_order(nu):
+    """(base, shift) with nu = base + shift, base in [-1/2, 1/2), shift >= 0."""
     if nu < -0.5:
         raise DomainError(f"bessel order must be >= -1/2, got {nu!r}")
+    base = nu - math.floor(nu + 0.5)
+    return base, int(round(nu - base))
+
+
+def _check_argument(x):
     if not math.isfinite(x) or x < 0.0:
         raise DomainError(f"bessel argument must be finite and >= 0, got {x!r}")
-    base = nu - math.floor(nu + 0.5)
-    shift = int(round(nu - base))
+
+
+def bessel_j_ladder(nu, kmax, x):
+    """Array J_{nu+j}(x) for j = 0..kmax (one backward recurrence for all)."""
+    base, shift = _split_order(nu)
+    _check_argument(x)
     full = backend.bessel_ladder(base, shift + kmax + 1, float(x))
     return np.asarray(full)[shift:]
+
+
+def bessel_j_ladders(nu, kmax, x):
+    """J_{nu+j}(x_i), j = 0..kmax, one row per argument; row i is bitwise
+    equal to ``bessel_j_ladder(nu, kmax, x_i)``."""
+    base, shift = _split_order(nu)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    for xi in x.tolist():
+        _check_argument(xi)
+    return backend.bessel_ladders(base, shift + kmax + 1, x)[:, shift:]
 
 
 def bessel_j(nu, x):

@@ -47,17 +47,35 @@ def _signed_gammas(alpha, kmax):
     return out
 
 
+def _fc_pref(alpha, u):
+    # a Python-float expression per argument: a vectorised pow may round
+    # differently
+    return math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
+
+
+@lru_cache(maxsize=256)
 def _fc_terms(alpha, kmax, u):
     """Real transform terms t_k = s_k sqrt(pi) (2/u)^(a+1/2) gamma_k
-    J_{k+a+1/2}(u) for k = 0..kmax and u > 0.
+    J_{k+a+1/2}(u) for k = 0..kmax and u > 0, as a read-only array.
 
     int e^{iuy} Jt_k(y) w_a(y) dy = i^(k mod 2) t_k, so a coefficient vector
     of one parity transforms to its dot product with t (times i if odd).  This
-    is the only place that knows the Bessel expansion of F_c.
+    is the only place that knows the Bessel expansion of F_c.  The terms
+    depend on (alpha, kmax, u) alone, so they are memoised: every n of a
+    basis, and every seed or call, shares one ladder per argument.
     """
-    pref = math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
-    return (pref * _signed_gammas(alpha, kmax)
-            * specfun.bessel_j_ladder(alpha + 0.5, kmax, u))
+    terms = (_fc_pref(alpha, u) * _signed_gammas(alpha, kmax)
+             * specfun.bessel_j_ladder(alpha + 0.5, kmax, u))
+    terms.setflags(write=False)
+    return terms
+
+
+def _fc_term_rows(alpha, kmax, us):
+    """Row i holds ``_fc_terms(alpha, kmax, us[i])``, bitwise, from one
+    batched Bessel ladder; nothing is memoised."""
+    pref = np.array([_fc_pref(alpha, u) for u in np.asarray(us, float).tolist()])
+    return (pref[:, None] * _signed_gammas(alpha, kmax)
+            * specfun.bessel_j_ladders(alpha + 0.5, kmax, us))
 
 
 def _fc_series(alpha, coef, parity, u):
@@ -293,8 +311,9 @@ def concentration_kernel(alpha, u):
     if np.any(~small):
         idx = np.nonzero(~small)[0]
         nu = alpha + 0.5
-        for i in idx:
-            out[i] = pref * specfun.bessel_j(nu, u[i]) / u[i] ** nu
+        jv = specfun.bessel_j_ladders(nu, 0, u[idx])[:, 0]
+        for i, j in zip(idx, jv):
+            out[i] = pref * j / u[i] ** nu
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from gpswf import approx
 from gpswf import basis as B
-from gpswf import specfun
+from gpswf import specfun, spectral
 from gpswf.errors import DomainError
 
 
@@ -161,6 +161,42 @@ class TestWmCoefficients:
                             quad_order=max(basis_wm.trunc + 64, 400))
         err = approx.wm_projection_error(basis_wm, 1.0, 2.0, 20, K=K)
         assert err == pytest.approx(pr.l2w_error, rel=1e-6)
+
+
+class TestCosineSeries:
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_norm_matches_quadrature(self, alpha):
+        rule = specfun.gauss_jacobi(alpha, 600)
+        y = np.random.default_rng(5).standard_normal(40) / np.arange(1, 41) ** 1.5
+
+        def quad(y):
+            k = np.arange(1, y.size + 1)
+            return float(rule.integrate((y @ np.cos(math.pi * np.outer(k, rule.nodes))) ** 2))
+
+        first = approx.cosine_series_norm2(alpha, y)
+        assert first == pytest.approx(quad(y), rel=1e-12)
+        assert approx.cosine_series_norm2(alpha, y) == first
+        # a different K right after reads its own table
+        assert approx.cosine_series_norm2(alpha, y[:25]) == pytest.approx(
+            quad(y[:25]), rel=1e-12)
+
+    def test_transform_table_bitwise_equals_scalar(self):
+        # j pi crosses the Miller/upward switch at 370 near j = 118
+        w = approx._cos_transform_table(1.5, 300)
+        ref = np.array([approx._cos_transform(1.5, j * math.pi) for j in range(301)])
+        assert w.tobytes() == ref.tobytes()
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_cosine_transform_table_bitwise(self, basis_05_2):
+        b = basis_05_2
+        table = approx.cosine_transform_table(b, 300, 6)
+        coefs = np.stack([b.full_coefficients(n) for n in (0, 2, 4)])
+        kmax = coefs.shape[1] - 1
+        for k in (1, 64, 65, 117, 118, 300):
+            ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)
+            assert table[k - 1, [0, 2, 4]].tobytes() == ref.tobytes()
+        assert not np.any(table[:, 1::2])
 
 
 class TestPeriodicCoefficients:

@@ -112,6 +112,13 @@ class TestConfig:
             X.ExperimentConfig(name="brownian", alpha_list=(),
                                c_list=(1.0,), N_list=(1,))
 
+    def test_n_list_required_only_where_read(self):
+        X.ExperimentConfig(name="lambda-decay", alpha_list=(1.0,),
+                           c_list=(1.0,), N_list=())
+        with pytest.raises(DomainError):
+            X.ExperimentConfig(name="brownian", alpha_list=(1.5,),
+                               c_list=(1.0,), N_list=(), s_list=(1.5,))
+
     def test_custom_is_not_a_scenario(self):
         with pytest.raises(DomainError):
             X.ExperimentConfig(name="custom", alpha_list=(1.0,),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_jacobi, jv
 
-from gpswf import specfun
+from gpswf import backend, specfun
 from gpswf.errors import DomainError
 
 
@@ -125,6 +125,34 @@ class TestBesselJ:
             specfun.bessel_j(-0.75, 1.0)
         with pytest.raises(DomainError):
             specfun.bessel_j(1.0, -2.0)
+        with pytest.raises(DomainError):
+            specfun.bessel_j_ladders(1.0, 3, [1.0, -2.0])
+
+    # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
+    # top-order switch nu0 + count - 1 > 0.88 x near x = 453
+    LADDER_X = (0.0, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
+                454.0, 1000.0, 5000.0)
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
+    @pytest.mark.parametrize("count", [1, 2, 400])
+    def test_batched_ladder_bitwise_equals_scalar(self, nu0, count):
+        rows = backend.bessel_ladders(nu0, count, np.array(self.LADDER_X))
+        assert rows.shape == (len(self.LADDER_X), count)
+        for x, row in zip(self.LADDER_X, rows):
+            assert row.tobytes() == backend.bessel_ladder(nu0, count, x).tobytes()
+            if x > 370.0 and nu0 + count - 1 <= 0.88 * x:
+                # upward regime: the plain-float recurrence, step by step
+                ref = [backend._hankel_j(nu0, x), backend._hankel_j(nu0 + 1.0, x)]
+                for j in range(2, count):
+                    ref.append((2.0 * (nu0 + j - 1) / x) * ref[j - 1] - ref[j - 2])
+                assert row.tobytes() == np.array(ref[:count]).tobytes()
+
+    def test_batched_orders_bitwise_equal_scalar(self):
+        x = np.array([3.0, 371.5, 2222.0])
+        for nu, kmax in ((2.0, 0), (3.5, 40)):
+            rows = specfun.bessel_j_ladders(nu, kmax, x)
+            for xi, row in zip(x, rows):
+                assert row.tobytes() == specfun.bessel_j_ladder(nu, kmax, xi).tobytes()
 
 
 class TestJacobiNormalized:

@@ -79,6 +79,20 @@ class TestFcOnJacobi:
             spectral.fc_on_jacobi(0.5, 2.0, 0, 1.4)
 
 
+def test_fc_terms_are_read_only():
+    terms = spectral._fc_terms(0.5, 12, 3.7)
+    with pytest.raises(ValueError):
+        terms[0] = 1.0
+    assert spectral._fc_terms(0.5, 12, 3.7) is terms
+
+
+def test_fc_term_rows_bitwise_equal_fc_terms():
+    u = [0.4, 369.0, 371.0, 900.0]
+    rows = spectral._fc_term_rows(1.5, 60, u)
+    for x, row in zip(u, rows):
+        assert row.tobytes() == spectral._fc_terms(1.5, 60, x).tobytes()
+
+
 class TestSpectrum:
     def test_lambda_identity_and_range(self, basis_05_2, spectrum_05_2):
         for e in spectrum_05_2:
@@ -166,6 +180,16 @@ class TestOperator:
         ref = (math.sqrt(math.pi) * math.gamma(alpha + 1.0)
                / math.gamma(alpha + 1.5))
         assert val == pytest.approx(ref, rel=1e-13)
+
+    def test_kernel_large_argument_bitwise(self):
+        # the u > 12 branch from batched ladders against the scalar formula
+        alpha = 1.3
+        u = np.array([12.5, 100.0, 369.9, 370.1, 5000.0])
+        nu = alpha + 0.5
+        pref = math.sqrt(math.pi) * math.exp((alpha + 0.5) * math.log(2.0)
+                                             + specfun.ln_gamma(alpha + 1.0))
+        ref = np.array([pref * specfun.bessel_j(nu, x) / x ** nu for x in u])
+        assert spectral.concentration_kernel(alpha, u).tobytes() == ref.tobytes()
 
     def test_kernel_even(self):
         alpha = 0.4
