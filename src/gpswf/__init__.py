@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .backend import backend_name
 from .errors import ConsistencyError, DomainError, GpswfError, TruncationError
-from .specfun import (JacobiParams, QuadratureRule, bessel_j, gauss_jacobi,
-                      jacobi_normalized, ln_gamma, weight_mass)
+from .specfun import (QuadratureRule, bessel_j, gauss_jacobi, jacobi_normalized,
+                      ln_gamma, weight_mass)
 from .eigensolver import EigDecomposition, SymTridiag, eig_symtridiag
 from .basis import (GpswfBasis, LocalEstimateReport, assemble_eigensystem,
                     build_basis, chi_bracket, chi_lower_bound_check,

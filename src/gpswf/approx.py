@@ -23,7 +23,6 @@ __all__ = [
     "user_sampled",
     "target_from_config",
     "project",
-    "evaluate_partial_sum",
     "wm_coefficients_closed_form",
     "wm_all_coefficients",
     "wm_l2_norm_squared",
@@ -210,12 +209,12 @@ class ProjectionResult:
     sup_error: float = math.nan
 
 
-def project(basis, f, N, quad_order=None, sup_grid=2001):
+def project(basis, f, N, quad_order=None):
     """Coefficients <f, psi_n> for n < N plus weighted-L2 and sup errors.
 
     Coefficients use a Gauss rule with ``quad_order`` nodes (at least
     trunc + 32); the residual norm uses at least trunc + 64 nodes.  The sup
-    error is approximated on ``sup_grid`` equispaced points of the open
+    error is approximated on 2001 equispaced points of the open
     interval: the weight (1-x^2)^a vanishes at the endpoints, so the method
     does not control pointwise values exactly there.
     """
@@ -240,48 +239,29 @@ def project(basis, f, N, quad_order=None, sup_grid=2001):
     resid = res_f - coeffs @ res_tab
     l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
                                              np.abs(resid) ** 2))), 0.0))
-    xg = np.linspace(-1.0, 1.0, sup_grid + 2)[1:-1]
+    xg = np.linspace(-1.0, 1.0, 2003)[1:-1]
     sup = float(np.max(np.abs(f(xg) - coeffs @ basis.psi_table(xg, range(N)))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
-
-
-def evaluate_partial_sum(basis, coefficients, x):
-    """Evaluate sum_n coefficients[n] psi_n at the given points."""
-    n = len(coefficients)
-    return np.asarray(coefficients) @ basis.psi_table(np.asarray(x, float), range(n))
 
 
 # ---------------------------------------------------------------------------
 # Closed-form coefficients of the Weierstrass-Mandelbrot corpus.
 # ---------------------------------------------------------------------------
 
-def _wm_powers(basis, s, lam, K):
-    if K is not None:
-        return np.arange(K)
-    # truncate once the scale-k contribution (amplitude times the decayed
-    # transform envelope) is negligible
-    ks = []
-    k = 0
-    while k < 400:
-        u = lam ** k
-        weight = lam ** (k * (s - basis.alpha - 2.5))
-        envelope = min(1.0, math.sqrt(2.0 / (math.pi * u)))
-        ks.append(k)
-        if weight * envelope <= 1e-16:
-            break
-        k += 1
-    return np.asarray(ks)
-
-
 def wm_all_coefficients(basis, s, lam, N, K=None):
-    """<M_{s,lam}, psi_n> for n < N; exact Bessel form, zero at even n."""
+    """<M_{s,lam}, psi_n> for n < N; exact Bessel form, zero at even n.
+
+    ``K`` terms of the series, by default ``wm_truncation(s, lam)`` like
+    :func:`weierstrass_mandelbrot`."""
+    if K is None:
+        K = wm_truncation(s, lam)
     out = np.zeros(N)
     odd = [n for n in range(N) if n % 2 == 1]
     if not odd:
         return out
     coefs = np.stack([basis.full_coefficients(n) for n in odd])
     kmax = coefs.shape[1] - 1
-    for k in _wm_powers(basis, s, lam, K):
+    for k in np.arange(K):
         # Im of the transform value for odd-parity coefficient vectors
         out[odd] += float(lam ** (-(2.0 - s) * k)) * (
             coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))

@@ -107,17 +107,6 @@ class GpswfBasis:
         return np.stack([b @ table[d] for d in range(nderiv + 1)])
 
 
-def eval_psi(basis, n, x, derivative=0):
-    """Single-point (or array) evaluation of psi_n or its derivative."""
-    if derivative not in (0, 1):
-        raise DomainError("derivative must be 0 or 1")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xa) > 1.0 + 8.0 * np.finfo(float).eps):
-        raise DomainError("evaluation requires |x| <= 1")
-    vals = basis.psi(n, xa, derivative)[derivative]
-    return float(vals[0]) if np.asarray(x).ndim == 0 else vals
-
-
 def _merge_parities(chi_even, chi_odd, nmax):
     chi = np.concatenate([chi_even, chi_odd])
     parity = np.concatenate([np.zeros(chi_even.size, dtype=int),
@@ -196,30 +185,31 @@ def _recurrence_vectors(tri, lam):
     return z / np.linalg.norm(z, axis=0)
 
 
-def _tail_mass(vec, buffer):
-    return float(np.sum(vec[-buffer:] ** 2))
+# The truncation rule.  Cache entries are keyed on (alpha, c, nmax) alone, so
+# a change to any of these three, or to the start order below, must come with
+# a bump of ``experiments._FORMAT_VERSION``.
+_TAIL_BUFFER = 8   # trailing coefficients whose squared mass is checked
+_TAIL_TOL = 1e-24  # largest squared tail mass accepted in any eigenvector
+_M_CAP = 8192      # largest per-parity order reached by doubling
 
 
-def _truncation_orders(c, nmax, m_start=None, m_cap=8192, tail_buffer=8):
+def _truncation_orders(c, nmax):
     """Per-parity truncation orders that :func:`build_basis` tries, in order:
-    ``m_start`` (default ``nmax + ceil(c) + 40``, at least ``nmax // 2 + 8``
-    and ``tail_buffer + 4``), then doublings while they stay within ``m_cap``.
+    ``nmax + ceil(c) + 40``, then doublings while they stay within ``_M_CAP``.
     """
-    m = m_start if m_start is not None else nmax + math.ceil(c) + 40
-    m = max(m, nmax // 2 + 8, tail_buffer + 4)
+    m = nmax + math.ceil(c) + 40
     yield m
-    while 2 * m <= m_cap:
+    while 2 * m <= _M_CAP:
         m *= 2
         yield m
 
 
-def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
-                tail_buffer=8):
+def build_basis(alpha, c, nmax):
     """Build a basis with nmax eigenpairs, choosing the truncation adaptively.
 
     The per-parity truncation runs through :func:`_truncation_orders` until
-    the squared mass in the last ``tail_buffer`` coefficients of every
-    retained eigenvector is below ``tail_tol``.  Eigenvalues come from
+    the squared mass in the last ``_TAIL_BUFFER`` coefficients of every
+    retained eigenvector is below ``_TAIL_TOL``.  Eigenvalues come from
     :func:`eig_symtridiag` (LAPACK), eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
     """
     if not math.isfinite(alpha) or alpha < 0.0:
@@ -228,7 +218,7 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
         raise DomainError(f"basis construction requires c > 0, got {c!r}")
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax!r}")
-    for M in _truncation_orders(c, nmax, m_start, m_cap, tail_buffer):
+    for M in _truncation_orders(c, nmax):
         tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
         spectra = [eig_symtridiag(t).values for t in tris]
         chi = _merge_parities(*spectra, nmax)
@@ -236,14 +226,14 @@ def build_basis(alpha, c, nmax, m_start=None, m_cap=8192, tail_tol=1e-24,
         vecs = [_recurrence_vectors(t, s[:(nmax - p + 1) // 2])
                 for p, (t, s) in enumerate(zip(tris, spectra))]
         beta = [vecs[n % 2][:, n // 2].copy() for n in range(nmax)]
-        tails = [_tail_mass(vec, tail_buffer) for vec in beta]
+        tails = [float(np.sum(vec[-_TAIL_BUFFER:] ** 2)) for vec in beta]
         worst = int(np.argmax(tails))
-        if tails[worst] <= tail_tol:
+        if tails[worst] <= _TAIL_TOL:
             break
     else:
         raise TruncationError(
             f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
-            f"above {tail_tol:.1e} at truncation cap {m_cap}",
+            f"above {_TAIL_TOL:.1e} at truncation order {M}",
             n=worst, tail_mass=tails[worst])
     _apply_sign_convention(alpha, M, beta)
     chi = np.array(chi)

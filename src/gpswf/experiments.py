@@ -15,7 +15,7 @@ import struct
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,11 +43,14 @@ __all__ = [
 ]
 
 SCENARIOS = ("lambda-decay", "brownian", "wm-table")
-# scenarios that read N_list; lambda-decay's curves run to nmax instead
-_READS_N = ("brownian", "wm-table")
 # grids a scenario does not sweep: a second entry would be silently dropped
 _SINGLE_VALUED = {"brownian": ("alpha_list", "c_list", "s_list"),
                   "wm-table": ("c_list", "N_list")}
+# fields a scenario never reads: they must keep their defaults (lambda-decay's
+# curves run to nmax, brownian's and wm-table's bases to max(N_list) + 1)
+_UNREAD = {"lambda-decay": ("N_list", "s_list", "n_seeds"),
+           "brownian": ("nmax",),
+           "wm-table": ("nmax", "n_seeds")}
 
 # Reference weighted-L2 errors for approximating the lambda=2 rough
 # sine-series benchmark with c = 5*pi, N = 95; regression targets (factor-2).
@@ -84,15 +87,21 @@ class ExperimentConfig:
         if self.name not in SCENARIOS:
             raise DomainError(f"unknown scenario {self.name!r}; "
                               f"expected one of {SCENARIOS}")
-        grids = ("alpha_list", "c_list") + (
-            ("N_list",) if self.name in _READS_N else ())
-        for grid in grids:
-            if len(tuple(getattr(self, grid))) == 0:
+        for grid in ("alpha_list", "c_list", "N_list"):
+            if grid not in _UNREAD[self.name] and not tuple(getattr(self, grid)):
                 raise DomainError(f"{self.name} needs a nonempty {grid}")
         for grid in _SINGLE_VALUED.get(self.name, ()):
             if len(tuple(getattr(self, grid))) != 1:
                 raise DomainError(f"{self.name} reads one {grid} value, "
                                   f"got {list(getattr(self, grid))}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name in _UNREAD[self.name]:
+            value = getattr(self, name)
+            if isinstance(value, list):
+                value = tuple(value)
+            if value != defaults[name]:
+                raise DomainError(f"{self.name} does not read {name}, "
+                                  f"got {getattr(self, name)!r}")
 
 
 def default_cache_dir():
@@ -110,7 +119,9 @@ def default_cache_dir():
 
 _MAGIC = b"GPSW"
 # 2: eigenvectors from the spliced recurrence, bottom entries relatively
-# accurate.  Part of the cache key, so older entries are rebuilt once.
+# accurate.  Part of the cache key, so older entries are rebuilt once; bump it
+# also when the truncation rule of ``basis`` (its ``_TAIL_*`` and ``_M_CAP``
+# constants or its start order) changes, as the key leaves M out.
 _FORMAT_VERSION = 2
 
 
@@ -176,38 +187,35 @@ class CacheEntry:
     created_at: float
 
 
-def cache_key(alpha, c, M, nmax, version=__version__):
-    text = (f"gpswf|{version}|v{_FORMAT_VERSION}|{float(alpha)!r}|{float(c)!r}"
-            f"|{int(M)}|{int(nmax)}")
+def cache_key(alpha, c, nmax):
+    """M is left out: ``build_basis`` derives it from (alpha, c, nmax), and
+    the entry records it."""
+    text = (f"gpswf|{__version__}|v{_FORMAT_VERSION}|{float(alpha)!r}"
+            f"|{float(c)!r}|{int(nmax)}")
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def cache_put(b, cache_dir=None):
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    key = cache_key(b.alpha, b.c, b.trunc, b.nmax)
+    key = cache_key(b.alpha, b.c, b.nmax)
     path = cache_dir / f"{key}.gpswf"
     save_basis(b, path)
     return CacheEntry(key=key, path=path, created_at=path.stat().st_mtime)
 
 
 def cache_get(alpha, c, nmax, cache_dir=None):
-    """Look up a cached basis; the truncation orders of ``build_basis`` are
-    re-derived from (c, nmax), so each candidate M yields one key to probe.
-    A corrupt entry is deleted with a warning and the lookup goes on."""
+    """The cached basis for (alpha, c, nmax), or None.  A corrupt entry is
+    deleted with a warning and counts as a miss."""
     cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-    for m in basis_mod._truncation_orders(c, nmax):
-        key = cache_key(alpha, c, m, nmax)
-        path = cache_dir / f"{key}.gpswf"
-        if not path.exists():
-            continue
-        try:
-            b = load_basis(path)
-        except (DomainError, OSError) as exc:
-            warnings.warn(f"discarding corrupt cache entry {path.name}: {exc}")
-            path.unlink(missing_ok=True)
-            continue
-        return b
-    return None
+    path = cache_dir / f"{cache_key(alpha, c, nmax)}.gpswf"
+    if not path.exists():
+        return None
+    try:
+        return load_basis(path)
+    except (DomainError, OSError) as exc:
+        warnings.warn(f"discarding corrupt cache entry {path.name}: {exc}")
+        path.unlink(missing_ok=True)
+        return None
 
 
 def cache_ls(cache_dir=None):
@@ -318,8 +326,7 @@ def run_lambda_decay(cfg=None, **overrides):
     and the comparison curve -(2n+1) log((4n+4a+2)/(ec)).
     """
     cfg = _config(cfg, overrides, name="lambda-decay",
-                  alpha_list=(1.0, 1.5, 2.0, 2.5), c_list=(5 * math.pi,),
-                  N_list=(0,))
+                  alpha_list=(1.0, 1.5, 2.0, 2.5), c_list=(5 * math.pi,))
     out_dir = _report_dir(cfg)
     _write_config(out_dir, cfg)
     files = []

@@ -11,7 +11,6 @@ from . import backend
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
-    "JacobiParams",
     "QuadratureRule",
     "ln_gamma",
     "ln_beta",
@@ -50,22 +49,11 @@ def gamma_bracket(x):
             math.exp(0.5 * math.log(2.0 * math.pi) + core))
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Weight exponent for w_a(x) = (1 - x^2)^a; requires a > -1."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.alpha) or self.alpha <= -1.0:
-            raise DomainError(f"alpha must be finite and > -1, got {self.alpha!r}")
-
-    def weight(self, x):
-        return (1.0 - np.asarray(x) ** 2) ** self.alpha
-
-
-def _alpha_of(params):
-    return params.alpha if isinstance(params, JacobiParams) else JacobiParams(params).alpha
+def _check_alpha(alpha):
+    """The weight exponent as a float; w_a needs a finite a > -1."""
+    if not math.isfinite(alpha) or alpha <= -1.0:
+        raise DomainError(f"alpha must be finite and > -1, got {alpha!r}")
+    return float(alpha)
 
 
 def weight_mass(alpha):
@@ -141,9 +129,9 @@ def jacobi_norm0(alpha):
     return math.exp(-0.5 * ln_h0)
 
 
-def jacobi_normalized(k, params, x, derivative=0):
+def jacobi_normalized(k, alpha, x, derivative=0):
     """Orthonormal Jacobi polynomial Jt_k(x) (or derivative of order 1 or 2)."""
-    alpha = _alpha_of(params)
+    alpha = _check_alpha(alpha)
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k!r}")
     if derivative not in (0, 1, 2):
@@ -208,9 +196,6 @@ class QuadratureRule:
         """Integral of f against w_a from samples f(nodes)."""
         return np.dot(self.weights, values)
 
-    def integrate_fn(self, f):
-        return self.integrate(f(self.nodes))
-
 
 def _build_rule(alpha, m):
     from .eigensolver import SymTridiag, eig_symtridiag
@@ -242,9 +227,9 @@ def _rule_cached(alpha, m):
     return QuadratureRule(alpha=alpha, order=m, nodes=nodes, weights=weights)
 
 
-def gauss_jacobi(params, m):
+def gauss_jacobi(alpha, m):
     """Gauss-Jacobi rule with m nodes for the weight (1 - x^2)^alpha."""
-    alpha = _alpha_of(params)
+    alpha = _check_alpha(alpha)
     if int(m) < 1:
         raise DomainError(f"quadrature order must be >= 1, got {m!r}")
-    return _rule_cached(float(alpha), int(m))
+    return _rule_cached(alpha, int(m))

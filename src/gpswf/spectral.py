@@ -136,13 +136,12 @@ def lambda_decay_constant(alpha):
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
 
-def decay_bound_check(entry, alpha, c):
+def decay_bound_check(n, mu_abs, lam, alpha, c):
     """Super-exponential decay bounds on |mu_n| and lambda_n, in log space.
 
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
     verdict with infinite margins.
     """
-    n = entry.n
     applicable = n > (math.e * c + 1.0) / 2.0
     if not applicable:
         return DecayVerdict(n=n, applicable=False, log_mu_bound=math.inf,
@@ -155,8 +154,8 @@ def decay_bound_check(entry, alpha, c):
     log_lambda_bound = (math.log(lambda_decay_constant(alpha))
                         - (alpha + 1.0) * math.log(c)
                         - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
-    log_mu = math.log(entry.mu_abs) if entry.mu_abs > 0.0 else -math.inf
-    log_lam = math.log(entry.lam) if entry.lam > 0.0 else -math.inf
+    log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
+    log_lam = math.log(lam) if lam > 0.0 else -math.inf
     return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
                         log_lambda_bound=log_lambda_bound,
                         margin_mu=log_mu_bound - log_mu,
@@ -172,11 +171,16 @@ class SpectrumEntry:
     mu_abs: float
     mu_phase: complex
     lam: float
-    bound: DecayVerdict | None = None
-    probe_spread: float = 0.0
+    bound: DecayVerdict
+    probe_spread: float
 
 
-def _probe_points(basis, n, count):
+# probe points per n, and the relative agreement each probe ratio must reach
+_N_PROBES = 5
+_PROBE_TOL = 1e-8
+
+
+def _probe_points(basis, n):
     # Chebyshev candidates in (0, 1) where |psi_n| is a sizable fraction of
     # its peak; prefer the smallest such x, where the Bessel expansion of the
     # transform is best conditioned.  The grid must be dense enough to catch
@@ -186,10 +190,10 @@ def _probe_points(basis, n, count):
     vals = basis.psi(n, grid, 0)[0]
     peak = float(np.max(np.abs(vals)))
     idx = np.nonzero(np.abs(vals) > 0.1 * peak)[0]
-    if idx.size < count:
-        idx = np.argsort(-np.abs(vals))[:count]
+    if idx.size < _N_PROBES:
+        idx = np.argsort(-np.abs(vals))[:_N_PROBES]
     xs = np.sort(grid[idx])
-    return xs[:count]
+    return xs[:_N_PROBES]
 
 
 def _mu_from_boundary(basis, n):
@@ -212,7 +216,7 @@ def _mu_from_boundary(basis, n):
     return 1j * basis.c * a1 * bottom * sqrt_m0 / float(at0[1, 0])
 
 
-def _validate_phase(basis, tol=1e-8):
+def _check_phase(basis):
     # one-off check of the i^k phase convention against direct quadrature
     rule = specfun.gauss_jacobi(basis.alpha, 80 + int(basis.c))
     for k in (0, 1):
@@ -221,34 +225,32 @@ def _validate_phase(basis, tol=1e-8):
                             np.exp(1j * basis.c * x0 * rule.nodes)
                             * specfun.jacobi_table(basis.alpha, k, rule.nodes)[k])
             closed = fc_on_jacobi(basis.alpha, basis.c, k, x0)
-            if abs(direct - closed) > tol * max(1.0, abs(direct)):
+            if abs(direct - closed) > 1e-8 * max(1.0, abs(direct)):
                 raise ConsistencyError(
                     f"transform phase validation failed at k={k}: "
                     f"quadrature {direct:.3e} vs closed form {closed:.3e}")
 
 
-def compute_spectrum(basis, nmax=None, n_probes=5, rel_tol=1e-8,
-                     validate_phase=True, bound_checks=True):
-    """Eigenvalues mu_n (complex) and lambda_n for n < nmax.
+def compute_spectrum(basis):
+    """Eigenvalues mu_n (complex) and lambda_n for every n of the basis.
 
     The primary value comes from the exact boundary identity at x = 0, which
     stays fully accurate however small mu_n gets.  It is then checked against
     the ratios (F_c psi_n)(x*) / psi_n(x*) at probe points where |psi_n| is a
     sizable fraction of its maximum; the ratios must agree with mu to
-    ``rel_tol`` relative plus the roundoff floor of the alternating Bessel
+    ``_PROBE_TOL`` relative plus the roundoff floor of the alternating Bessel
     sum (its largest term over |psi(x*)| times machine epsilon), otherwise a
-    consistency error is raised.
+    consistency error is raised.  So is a phase convention that disagrees
+    with quadrature, a lambda above 1, or a lambda sequence that increases.
     """
-    nmax = basis.nmax if nmax is None else min(nmax, basis.nmax)
-    if validate_phase:
-        _validate_phase(basis)
+    _check_phase(basis)
     eps = np.finfo(float).eps
     entries = []
     prev_lam = None
-    for n in range(nmax):
+    for n in range(basis.nmax):
         mu = _mu_from_boundary(basis, n)
         mu_abs = abs(mu)
-        probes = _probe_points(basis, n, n_probes)
+        probes = _probe_points(basis, n)
         psi_vals = basis.psi(n, probes, 0)[0]
         spread = 0.0
         for x, v in zip(probes, psi_vals):
@@ -257,10 +259,10 @@ def compute_spectrum(basis, nmax=None, n_probes=5, rel_tol=1e-8,
             ratio = val / v
             floor = 1024.0 * eps * scale / abs(v)
             dev = abs(ratio - mu)
-            if dev > rel_tol * mu_abs + floor:
+            if dev > _PROBE_TOL * mu_abs + floor:
                 raise ConsistencyError(
                     f"mu probe spread {dev / max(mu_abs, 1e-300):.3e} exceeds "
-                    f"{rel_tol:.1e} at n={n} (insufficient truncation?)")
+                    f"{_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
             spread = max(spread, dev)
         lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
         if lam > 1.0 + 1e-9:
@@ -269,10 +271,7 @@ def compute_spectrum(basis, nmax=None, n_probes=5, rel_tol=1e-8,
             raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
         prev_lam = lam
         phase = mu / mu_abs if mu_abs > 0.0 else complex(1.0)
-        bound = decay_bound_check(
-            SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
-                          mu_phase=phase, lam=lam),
-            basis.alpha, basis.c) if bound_checks else None
+        bound = decay_bound_check(n, mu_abs, lam, basis.alpha, basis.c)
         entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
                                      mu_phase=phase, lam=lam, bound=bound,
                                      probe_spread=spread))
@@ -330,8 +329,7 @@ def lambda_bound_tail(alpha, c, n_from, max_terms=20000):
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")
     total = 0.0
     for n in range(n0, n0 + max_terms):
-        entry = SpectrumEntry(n=n, chi=0.0, mu_abs=0.0, mu_phase=1.0, lam=0.0)
-        v = decay_bound_check(entry, alpha, c)
+        v = decay_bound_check(n, 0.0, 0.0, alpha, c)
         term = math.exp(min(v.log_lambda_bound, 700.0))
         total += term
         if term < 1e-30 * max(total, 1e-300):

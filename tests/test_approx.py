@@ -153,6 +153,14 @@ class TestWmCoefficients:
             assert closed == pytest.approx(float(np.real(pr.coefficients[n])),
                                            rel=1e-8)
 
+    @pytest.mark.parametrize("s", [0.25, 1.0])
+    def test_default_k_is_the_evaluator_truncation(self, basis_wm, s):
+        K = approx.wm_truncation(s, 2.0)
+        assert approx.weierstrass_mandelbrot(s, 2.0).params["K"] == K
+        default = approx.wm_all_coefficients(basis_wm, s, 2.0, 22)
+        explicit = approx.wm_all_coefficients(basis_wm, s, 2.0, 22, K=K)
+        assert default.tobytes() == explicit.tobytes()
+
     def test_projection_error_parseval_route(self, basis_wm):
         # coefficient-space error equals the quadrature residual norm
         K = 8

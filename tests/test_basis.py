@@ -146,9 +146,11 @@ class TestBuildBasis:
         for n in range(basis_05_2.nmax):
             assert float(np.sum(basis_05_2.beta[n][-8:] ** 2)) <= 1e-24
 
-    def test_truncation_cap_error(self):
-        with pytest.raises(TruncationError):
-            B.build_basis(0.5, 30.0, 40, m_start=12, m_cap=24)
+    def test_truncation_cap_error(self, monkeypatch):
+        # orders far too short for c = 30: every one leaves tail mass behind
+        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((24, 28)))
+        with pytest.raises(TruncationError, match="truncation order 28"):
+            B.build_basis(0.5, 30.0, 40)
 
     def test_sign_convention(self, basis_05_2):
         for n in range(basis_05_2.nmax):
@@ -186,11 +188,11 @@ class TestEvaluation:
             peak = np.max(np.abs(b.psi(n, dense, 0)[0]))
             assert np.max(np.abs(resid)) <= 1e-8 * (1 + b.chi[n]) * peak
 
-    def test_eval_psi_domain(self, basis_05_2):
+    def test_psi_index_domain(self, basis_05_2):
         with pytest.raises(IndexError):
             basis_05_2.psi(99, np.array([0.0]))
-        with pytest.raises(DomainError):
-            B.eval_psi(basis_05_2, 0, 1.5)
+        with pytest.raises(IndexError):
+            basis_05_2.psi(-1, np.array([0.0]))
 
 
 class TestBoundCheckers:

@@ -113,7 +113,7 @@ def test_cache_ls_and_clear(capsys, tmp_path):
 
 
 def test_experiment_lambda_decay(capsys, tmp_path):
-    cfg = {"alpha_list": [1.0], "c_list": [2.0], "N_list": [0], "nmax": 6}
+    cfg = {"alpha_list": [1.0], "c_list": [2.0], "nmax": 6}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     code, out, _ = run_cli(capsys, "experiment", "--name", "lambda-decay",
@@ -150,7 +150,7 @@ def _written_config(root):
     return json.loads(path.read_text())
 
 
-LAMBDA_CFG = {"alpha_list": [1.0], "c_list": [2.0], "N_list": [0], "nmax": 4}
+LAMBDA_CFG = {"alpha_list": [1.0], "c_list": [2.0], "nmax": 4}
 
 
 def test_experiment_flags_override_config(capsys, tmp_path):
@@ -234,4 +234,25 @@ def test_grid_the_scenario_does_not_sweep_exits_1(capsys, tmp_path, name, grid):
                            str(cfg_path), "--out-dir", str(tmp_path / "r"))
     assert code == 1
     assert grid in err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name,field,value", [("lambda-decay", "N_list", [4]),
+                                              ("lambda-decay", "s_list", [1.0]),
+                                              ("lambda-decay", "n_seeds", 3),
+                                              ("brownian", "nmax", 12),
+                                              ("wm-table", "nmax", 12),
+                                              ("wm-table", "n_seeds", 3)])
+def test_field_the_scenario_does_not_read_exits_1(capsys, tmp_path, name,
+                                                  field, value):
+    cfg = dict(alpha_list=[1.0], c_list=[1.0])
+    if name != "lambda-decay":
+        cfg.update(N_list=[4], s_list=[1.0])
+    cfg[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
+                           str(cfg_path), "--out-dir", str(tmp_path / "r"))
+    assert code == 1
+    assert f"does not read {field}" in err
     assert not (tmp_path / "r").exists()

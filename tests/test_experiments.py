@@ -54,11 +54,16 @@ class TestCache:
         assert got is not None
         np.testing.assert_array_equal(got.chi, small_basis.chi)
 
-    def test_version_bump_misses(self, small_basis, cache_dir):
+    def test_version_bump_misses(self, small_basis, cache_dir, monkeypatch):
         entry = X.cache_put(small_basis, cache_dir)
-        other = X.cache_key(0.5, 2.0, small_basis.trunc, 8, version="99.0")
-        assert other != entry.key
         assert X.cache_get(0.5, 2.0, 9, cache_dir) is None  # different nmax
+        for attr, value in (("__version__", "99.0"),
+                            ("_FORMAT_VERSION", X._FORMAT_VERSION + 1)):
+            with monkeypatch.context() as m:
+                m.setattr(X, attr, value)
+                assert X.cache_key(0.5, 2.0, 8) != entry.key
+                assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
+        assert X.cache_get(0.5, 2.0, 8, cache_dir) is not None
 
     def test_corrupt_entry_discarded(self, small_basis, cache_dir):
         entry = X.cache_put(small_basis, cache_dir)
@@ -77,15 +82,17 @@ class TestCache:
         X.save_basis(small_basis, cache_dir / f"{old}.gpswf")
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
 
-    def test_corrupt_entry_does_not_end_lookup(self, small_basis, cache_dir):
-        first = small_basis.trunc
-        X.cache_put(B.build_basis(0.5, 2.0, 8, m_start=2 * first), cache_dir)
-        bad = cache_dir / f"{X.cache_key(0.5, 2.0, first, 8)}.gpswf"
-        bad.write_bytes(b"corrupt" * 10)
-        with pytest.warns(UserWarning):
-            got = X.cache_get(0.5, 2.0, 8, cache_dir)
-        assert got is not None and got.trunc == 2 * first
-        assert not bad.exists()
+    def test_corrupt_entry_rebuilt_by_get_basis(self, small_basis, cache_dir):
+        entry = X.cache_put(small_basis, cache_dir)
+        entry.path.write_bytes(b"corrupt" * 10)
+        with pytest.warns(UserWarning, match="corrupt"):
+            got = X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir)
+        assert got.trunc == small_basis.trunc
+        assert got.chi.tobytes() == small_basis.chi.tobytes()
+        for a, b in zip(got.beta, small_basis.beta):
+            assert a.tobytes() == b.tobytes()
+        # the fresh build replaced the corrupt entry
+        assert X.cache_get(0.5, 2.0, 8, cache_dir).chi.tobytes() == got.chi.tobytes()
 
     def test_ls_and_clear(self, small_basis, cache_dir):
         X.cache_put(small_basis, cache_dir)
@@ -128,7 +135,7 @@ class TestConfig:
 class TestLambdaDecay:
     def _cfg(self, tmp_path, cache_dir):
         return X.ExperimentConfig(name="lambda-decay", alpha_list=(1.0, 1.5),
-                                  c_list=(2.0,), N_list=(0,), nmax=12,
+                                  c_list=(2.0,), nmax=12,
                                   output_dir=str(tmp_path / "reports"),
                                   cache_dir=str(cache_dir))
 

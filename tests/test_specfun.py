@@ -202,7 +202,9 @@ class TestJacobiNormalized:
         with pytest.raises(DomainError):
             specfun.jacobi_normalized(2, 0.5, 1.5)
         with pytest.raises(DomainError):
-            specfun.JacobiParams(-1.5)
+            specfun.gauss_jacobi(-1.5, 4)
+        with pytest.raises(DomainError):
+            specfun.jacobi_normalized(2, math.nan, 0.5)
 
 
 def mp_gauss_jacobi_half(alpha, m, guesses):

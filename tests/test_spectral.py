@@ -142,8 +142,8 @@ class TestSpectrum:
         vec /= np.linalg.norm(vec)
         bad_beta[4] = vec
         bad = dataclasses.replace(basis_05_2, beta=tuple(bad_beta))
-        with pytest.raises(ConsistencyError):
-            spectral.compute_spectrum(bad, validate_phase=False)
+        with pytest.raises(ConsistencyError, match="probe spread"):
+            spectral.compute_spectrum(bad)
 
 
 class TestDecayBounds:
