@@ -45,21 +45,26 @@ def jacobi_series(coef, rec, p0, x, nderiv=0):
     sums (``nderiv`` up to 2) come from differentiating the Clenshaw
     recurrence, not from finite differences.
 
-    Returns an array of shape ``(nderiv + 1, len(x))``.
+    Returns an array of shape ``(nderiv + 1, len(x))``.  A coefficient matrix
+    of shape ``(m, ncols)`` sums one series per column and returns shape
+    ``(nderiv + 1, ncols, len(x))``: every recurrence array gains a leading
+    column axis, so column j goes through the same IEEE operations as the
+    call on ``coef[:, j]`` and is bitwise equal to it.
     """
     coef = np.asarray(coef, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    m = coef.size
-    npts = x.size
-    out = np.zeros((nderiv + 1, npts))
+    m = coef.shape[0]
+    shape = coef.shape[1:] + x.shape
+    out = np.zeros((nderiv + 1,) + shape)
     if m == 0:
         return out
-    u1 = np.zeros(npts)
-    u2 = np.zeros(npts)
-    d1_1 = np.zeros(npts)
-    d1_2 = np.zeros(npts)
-    d2_1 = np.zeros(npts)
-    d2_2 = np.zeros(npts)
+    coef = coef.reshape(coef.shape + (1,) * (coef.ndim - 1))  # coef[k] per column
+    u1 = np.zeros(shape)
+    u2 = np.zeros(shape)
+    d1_1 = np.zeros(shape)
+    d1_2 = np.zeros(shape)
+    d2_1 = np.zeros(shape)
+    d2_2 = np.zeros(shape)
     for k in range(m - 1, -1, -1):
         inv_a = 1.0 / rec[k + 1]
         ratio = rec[k + 1] / rec[k + 2]

@@ -9,6 +9,7 @@ spectra merged.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,13 +65,19 @@ def assemble_eigensystem(alpha, c, M, parity):
     return SymTridiag(diag, offdiag)
 
 
-@dataclass(frozen=True)
+# Largest number of values (columns times points) one batched Clenshaw call
+# of ``GpswfBasis.psi`` computes; it keeps the recurrence's temporaries small.
+_PSI_BLOCK_VALUES = 8192
+
+
+@dataclass(frozen=True, eq=False)
 class GpswfBasis:
     """Eigenpairs (chi_n, beta^n) of a fixed (alpha, c) family.
 
     ``beta[n]`` holds the coefficients over Jacobi indices of parity n mod 2,
     i.e. k = (n mod 2), (n mod 2) + 2, ..., length ``trunc``; each vector has
     unit Euclidean norm, which equals the weighted L2 normalization of psi_n.
+    A basis compares and hashes by identity.
     """
 
     alpha: float
@@ -87,13 +94,27 @@ class GpswfBasis:
         return full
 
     def psi(self, n, x, nderiv=0):
-        """psi_n and derivatives on an array of points; shape (nderiv+1, len(x))."""
-        if not 0 <= n < self.nmax:
-            raise IndexError(f"basis index {n} out of range (nmax={self.nmax})")
-        coef = self.full_coefficients(n)
-        rec = specfun.jacobi_recurrence(self.alpha, coef.size + 2)
-        return backend.jacobi_series(coef, rec, specfun.jacobi_norm0(self.alpha),
-                                     np.asarray(x, dtype=float), nderiv)
+        """psi_n and derivatives on an array of points; shape (nderiv+1, len(x)).
+
+        ``n`` may also be a sequence of indices: the result ``out`` then has
+        shape (nderiv+1, len(n), len(x)), and ``out[:, j]`` is bitwise equal
+        to ``psi(n[j], x, nderiv)``.  It comes from batched Clenshaw calls of
+        at most ``_PSI_BLOCK_VALUES`` values each.
+        """
+        ns = [n] if np.ndim(n) == 0 else list(n)
+        for k in ns:
+            if not 0 <= k < self.nmax:
+                raise IndexError(f"basis index {k} out of range (nmax={self.nmax})")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
+        p0 = specfun.jacobi_norm0(self.alpha)
+        out = np.empty((nderiv + 1, len(ns), x.size))
+        step = max(1, _PSI_BLOCK_VALUES // max(1, x.size))
+        for j in range(0, len(ns), step):
+            block = ns[j:j + step]
+            coef = np.stack([self.full_coefficients(k) for k in block], axis=1)
+            out[:, j:j + step] = backend.jacobi_series(coef, rec, p0, x, nderiv)
+        return out[:, 0] if np.ndim(n) == 0 else out
 
     def psi_table(self, x, n_list=None, nderiv=0):
         """Values (and derivatives) of many psi_n on a node array at once."""
@@ -321,19 +342,41 @@ class LocalEstimateReport:
     bound_applicable: bool
 
 
+def _estimate_grid(grid_size):
+    # Chebyshev-style clustering toward x = 1 where the envelope varies fastest
+    return np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, grid_size))
+
+
+@lru_cache(maxsize=1)
+def _estimate_values(basis, grid_size):
+    """Every psi_n of the basis on the local-estimate grid (shape
+    (nmax, grid_size)) and psi_n, psi_n' at x = 0 (shape (2, nmax)), read-only.
+
+    :func:`local_estimate` is called once per n of one basis in turn, so one
+    entry serves them all; the key is the basis's identity.
+    """
+    ns = range(basis.nmax)
+    grid = basis.psi(ns, _estimate_grid(grid_size), 0)[0]
+    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    grid.setflags(write=False)
+    at0.setflags(write=False)
+    return grid, at0
+
+
 def local_estimate(basis, n, grid_size=400):
     if grid_size < 100:
         raise DomainError("grid_size must be >= 100")
+    if not 0 <= n < basis.nmax:
+        raise IndexError(f"basis index {n} out of range (nmax={basis.nmax})")
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
-    # Chebyshev-style clustering toward x = 1 where the envelope varies fastest
-    x = np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, grid_size))
-    psi = basis.psi(n, x, 0)[0]
+    x = _estimate_grid(grid_size)
+    grid, at0 = _estimate_values(basis, grid_size)
+    psi = grid[n]
     envelope = np.sqrt(np.maximum((1.0 - x ** 2) * (1.0 - q * x ** 2), 0.0))
     w = (1.0 - x ** 2) ** basis.alpha
     sup_value = float(np.max(envelope * w * psi ** 2))
-    at0 = basis.psi(n, np.array([0.0]), 1)
-    a_squared = float(at0[0, 0] ** 2 + at0[1, 0] ** 2 / chi)
+    a_squared = float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi)
     b_moment = moment_b(basis, n)
     applicable = basis.alpha <= 0.25 and q < 3.0 / 17.0
     return LocalEstimateReport(n=n, q=q, sup_value=sup_value,

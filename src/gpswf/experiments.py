@@ -87,7 +87,7 @@ class ExperimentConfig:
         if self.name not in SCENARIOS:
             raise DomainError(f"unknown scenario {self.name!r}; "
                               f"expected one of {SCENARIOS}")
-        for grid in ("alpha_list", "c_list", "N_list"):
+        for grid in ("alpha_list", "c_list", "N_list", "s_list"):
             if grid not in _UNREAD[self.name] and not tuple(getattr(self, grid)):
                 raise DomainError(f"{self.name} needs a nonempty {grid}")
         for grid in _SINGLE_VALUED.get(self.name, ()):

@@ -180,25 +180,30 @@ _N_PROBES = 5
 _PROBE_TOL = 1e-8
 
 
-def _probe_points(basis, n):
-    # Chebyshev candidates in (0, 1) where |psi_n| is a sizable fraction of
-    # its peak; prefer the smallest such x, where the Bessel expansion of the
-    # transform is best conditioned.  The grid must be dense enough to catch
-    # oscillation tops near x = 0 for moderately large n.
-    npts = max(256, 8 * basis.nmax)
-    grid = np.cos(math.pi * (2.0 * np.arange(npts) + 1.0) / (4.0 * npts))
-    vals = basis.psi(n, grid, 0)[0]
+def _probe_candidates(nmax):
+    # Chebyshev candidates in (0, 1), dense enough to catch oscillation tops
+    # near x = 0 for moderately large n
+    npts = max(256, 8 * nmax)
+    return np.cos(math.pi * (2.0 * np.arange(npts) + 1.0) / (4.0 * npts))
+
+
+def _select_probes(grid, vals):
+    """Indices into ``grid`` of the probe points of one psi_n, whose values
+    there are ``vals``, in ascending order of x.  They are the smallest x
+    where |psi_n| exceeds a tenth of its peak, since the Bessel expansion of
+    the transform is best conditioned there, or the largest |psi_n| when
+    fewer than ``_N_PROBES`` candidates do."""
     peak = float(np.max(np.abs(vals)))
     idx = np.nonzero(np.abs(vals) > 0.1 * peak)[0]
     if idx.size < _N_PROBES:
         idx = np.argsort(-np.abs(vals))[:_N_PROBES]
-    xs = np.sort(grid[idx])
-    return xs[:_N_PROBES]
+    return idx[np.argsort(grid[idx])][:_N_PROBES]
 
 
-def _mu_from_boundary(basis, n):
-    """mu_n from the x = 0 identities: only the k = 0 (resp. k = 1) Jacobi
-    mode contributes to (F_c psi_n)(0) (resp. its derivative), so
+def _mu_from_boundary(basis, n, at0):
+    """mu_n from the x = 0 identities, given ``at0`` = (psi_n(0), psi_n'(0)):
+    only the k = 0 (resp. k = 1) Jacobi mode contributes to (F_c psi_n)(0)
+    (resp. its derivative), so
 
         even n:  mu_n psi_n(0)  = beta_0 sqrt(m0)
         odd n:   mu_n psi_n'(0) = i c a_1 beta_1 sqrt(m0)
@@ -209,11 +214,10 @@ def _mu_from_boundary(basis, n):
     """
     sqrt_m0 = math.sqrt(specfun.weight_mass(basis.alpha))
     bottom = float(basis.beta[n][0])
-    at0 = basis.psi(n, np.array([0.0]), 1)
     if n % 2 == 0:
-        return complex(bottom * sqrt_m0 / float(at0[0, 0]))
+        return complex(bottom * sqrt_m0 / float(at0[0]))
     a1 = float(specfun.jacobi_recurrence(basis.alpha, 2)[1])
-    return 1j * basis.c * a1 * bottom * sqrt_m0 / float(at0[1, 0])
+    return 1j * basis.c * a1 * bottom * sqrt_m0 / float(at0[1])
 
 
 def _check_phase(basis):
@@ -245,15 +249,20 @@ def compute_spectrum(basis):
     """
     _check_phase(basis)
     eps = np.finfo(float).eps
+    ns = range(basis.nmax)
+    # every n at the probe candidates and at x = 0 in one pass; Clenshaw is
+    # pointwise, so a probe's psi value is its entry in the candidate table
+    grid = _probe_candidates(basis.nmax)
+    grid_vals = basis.psi(ns, grid, 0)[0]
+    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
     entries = []
     prev_lam = None
-    for n in range(basis.nmax):
-        mu = _mu_from_boundary(basis, n)
+    for n in ns:
+        mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
-        probes = _probe_points(basis, n)
-        psi_vals = basis.psi(n, probes, 0)[0]
+        sel = _select_probes(grid, grid_vals[n])
         spread = 0.0
-        for x, v in zip(probes, psi_vals):
+        for x, v in zip(grid[sel], grid_vals[n, sel]):
             val, scale = _fc_series(basis.alpha, basis.full_coefficients(n),
                                     n % 2, basis.c * float(x))
             ratio = val / v

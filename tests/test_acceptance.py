@@ -125,7 +125,9 @@ def test_criterion_04_operator_consistency():
                 rel = e.probe_spread / e.mu_abs
                 if rel > 1e-8:
                     floor_limited += 1
-                    probes = spectral._probe_points(b, e.n)
+                    grid = spectral._probe_candidates(b.nmax)
+                    probes = grid[spectral._select_probes(
+                        grid, b.psi(e.n, grid, 0)[0])]
                     psi_vals = b.psi(e.n, probes, 0)[0]
                     floors = []
                     for x, v in zip(probes, psi_vals):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpswf import basis as B
-from gpswf import specfun
+from gpswf import backend, specfun
 from gpswf.errors import DomainError, TruncationError
 
 
@@ -193,6 +193,38 @@ class TestEvaluation:
             basis_05_2.psi(99, np.array([0.0]))
         with pytest.raises(IndexError):
             basis_05_2.psi(-1, np.array([0.0]))
+        with pytest.raises(IndexError):
+            basis_05_2.psi([0, 16], np.array([0.0]))
+
+    @pytest.mark.parametrize("nderiv", [0, 1, 2])
+    def test_psi_of_many_n_bitwise_equals_single_n(self, basis_05_2, nderiv):
+        b = basis_05_2
+        x = np.linspace(-1.0, 1.0, 1500)
+        assert B._PSI_BLOCK_VALUES // x.size < b.nmax  # crosses block boundaries
+        rec = specfun.jacobi_recurrence(b.alpha, 2 * b.trunc + 2)
+        p0 = specfun.jacobi_norm0(b.alpha)
+        ref = np.stack([backend.jacobi_series(b.full_coefficients(n), rec, p0, x,
+                                              nderiv) for n in range(b.nmax)], axis=1)
+        assert b.psi(range(b.nmax), x, nderiv).tobytes() == ref.tobytes()
+        for n in (0, 7, b.nmax - 1):
+            assert b.psi(n, x, nderiv).tobytes() == ref[:, n].tobytes()
+        assert b.psi([], x, nderiv).shape == (nderiv + 1, 0, x.size)
+
+
+def _per_n_local_estimate(basis, n, grid_size):
+    """local_estimate from psi_n alone, one evaluation per call."""
+    chi = float(basis.chi[n])
+    q = basis.c ** 2 / chi
+    x = np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, grid_size))
+    psi = basis.psi(n, x, 0)[0]
+    envelope = np.sqrt(np.maximum((1.0 - x ** 2) * (1.0 - q * x ** 2), 0.0))
+    w = (1.0 - x ** 2) ** basis.alpha
+    at0 = basis.psi(n, np.array([0.0]), 1)
+    return B.LocalEstimateReport(
+        n=n, q=q, sup_value=float(np.max(envelope * w * psi ** 2)),
+        a_squared=float(at0[0, 0] ** 2 + at0[1, 0] ** 2 / chi),
+        b_moment=B.moment_b(basis, n),
+        bound_applicable=basis.alpha <= 0.25 and q < 3.0 / 17.0)
 
 
 class TestBoundCheckers:
@@ -242,6 +274,19 @@ class TestBoundCheckers:
         b = B.build_basis(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             B.local_estimate(b, 0, grid_size=50)
+
+    def test_local_estimate_cache_never_stale(self):
+        # alternate bases and grid sizes: each report must equal one computed
+        # from per-n evaluations, so the one-entry cache never serves a table
+        # of another basis or grid
+        bases = [B.build_basis(0.0, 1.0, 8), B.build_basis(0.5, 3.0, 8)]
+        for b, grid_size, n in [(0, 400, 3), (0, 400, 4), (1, 400, 3), (1, 137, 5),
+                                (1, 137, 6), (0, 137, 5), (0, 400, 6), (1, 137, 2),
+                                (1, 400, 7)]:
+            got = B.local_estimate(bases[b], n, grid_size)
+            assert repr(got) == repr(_per_n_local_estimate(bases[b], n, grid_size))
+        with pytest.raises(IndexError):
+            B.local_estimate(bases[0], -1)
 
     def test_beta_bound_constant(self):
         # C_0 = (3/2)^(3/2) e^(-3/2)

@@ -256,3 +256,17 @@ def test_field_the_scenario_does_not_read_exits_1(capsys, tmp_path, name,
     assert code == 1
     assert f"does not read {field}" in err
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", ["wm-table", "brownian"])
+def test_empty_s_list_exits_1(capsys, tmp_path, name):
+    cfg = {"alpha_list": [0.5], "c_list": [2.0], "N_list": [6], "s_list": []}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
+                           str(cfg_path), "--out-dir", str(tmp_path / "r"),
+                           "--cache-dir", str(tmp_path / "cache"))
+    assert code == 1
+    assert "s_list" in err
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "cache").exists()

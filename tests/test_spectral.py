@@ -146,6 +146,39 @@ class TestSpectrum:
             spectral.compute_spectrum(bad)
 
 
+def _per_n_probe_points(basis, n):
+    """Probe points of psi_n from its own evaluation on the candidate grid."""
+    npts = max(256, 8 * basis.nmax)
+    grid = np.cos(math.pi * (2.0 * np.arange(npts) + 1.0) / (4.0 * npts))
+    vals = basis.psi(n, grid, 0)[0]
+    peak = float(np.max(np.abs(vals)))
+    idx = np.nonzero(np.abs(vals) > 0.1 * peak)[0]
+    if idx.size < 5:
+        idx = np.argsort(-np.abs(vals))[:5]
+    return np.sort(grid[idx])[:5]
+
+
+@pytest.mark.parametrize("alpha,c,nmax", [(0.5, 2.0, 24), (1.5, 5 * math.pi, 48)])
+def test_one_pass_spectrum_equals_per_n_evaluation(alpha, c, nmax):
+    # probes, mu and probe_spread from per-n psi calls, bitwise
+    b = B.build_basis(alpha, c, nmax)
+    entries = spectral.compute_spectrum(b)
+    grid = spectral._probe_candidates(nmax)
+    table = b.psi(range(nmax), grid, 0)[0]
+    for e in entries:
+        n = e.n
+        probes = _per_n_probe_points(b, n)
+        sel = spectral._select_probes(grid, table[n])
+        assert grid[sel].tobytes() == probes.tobytes()
+        mu = spectral._mu_from_boundary(b, n, b.psi(n, np.array([0.0]), 1)[:, 0])
+        spread = 0.0
+        for x, v in zip(probes, b.psi(n, probes, 0)[0]):
+            val, _ = spectral._fc_series(alpha, b.full_coefficients(n), n % 2,
+                                         c * float(x))
+            spread = max(spread, abs(val / v - mu))
+        assert (e.mu_abs, e.mu_phase, e.probe_spread) == (abs(mu), mu / abs(mu), spread)
+
+
 class TestDecayBounds:
     def test_constants_alpha0(self):
         assert spectral.mu_decay_constant(0.0) == pytest.approx(
