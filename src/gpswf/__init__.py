@@ -16,4 +16,4 @@ from .spectral import (SpectrumEntry, compute_spectrum, decay_bound_check,
                        dchi_dc, fc_on_jacobi, kernel_trace)
 from .approx import (ProjectionResult, SobolevNorm, TargetFunction, brownian,
                      periodic_coefficient, project, sobolev_norm,
-                     weierstrass_mandelbrot, wm_coefficients_closed_form)
+                     weierstrass_mandelbrot)

@@ -23,7 +23,6 @@ __all__ = [
     "user_sampled",
     "target_from_config",
     "project",
-    "wm_coefficients_closed_form",
     "wm_all_coefficients",
     "wm_l2_norm_squared",
     "wm_projection_error",
@@ -266,13 +265,6 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
         out[odd] += float(lam ** (-(2.0 - s) * k)) * (
             coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
     return out
-
-
-def wm_coefficients_closed_form(basis, s, lam, n, K=None):
-    """Single coefficient <M_{s,lam}, psi_n>; exactly zero for even n."""
-    if n % 2 == 0:
-        return 0.0
-    return float(wm_all_coefficients(basis, s, lam, n + 1, K)[n])
 
 
 def _cos_transform(alpha, u, bessel=None):

@@ -65,11 +65,6 @@ def assemble_eigensystem(alpha, c, M, parity):
     return SymTridiag(diag, offdiag)
 
 
-# Largest number of values (columns times points) one batched Clenshaw call
-# of ``GpswfBasis.psi`` computes; it keeps the recurrence's temporaries small.
-_PSI_BLOCK_VALUES = 8192
-
-
 @dataclass(frozen=True, eq=False)
 class GpswfBasis:
     """Eigenpairs (chi_n, beta^n) of a fixed (alpha, c) family.
@@ -96,36 +91,27 @@ class GpswfBasis:
     def psi(self, n, x, nderiv=0):
         """psi_n and derivatives on an array of points; shape (nderiv+1, len(x)).
 
-        ``n`` may also be a sequence of indices: the result ``out`` then has
-        shape (nderiv+1, len(n), len(x)), and ``out[:, j]`` is bitwise equal
-        to ``psi(n[j], x, nderiv)``.  It comes from batched Clenshaw calls of
-        at most ``_PSI_BLOCK_VALUES`` values each.
+        ``n`` may also be a sequence of indices: the result then has shape
+        (nderiv+1, len(n), len(x)), from one :func:`backend.jacobi_series`
+        call over all of them.
         """
         ns = [n] if np.ndim(n) == 0 else list(n)
-        for k in ns:
+        coef = np.zeros((2 * self.trunc, len(ns)))
+        for j, k in enumerate(ns):
             if not 0 <= k < self.nmax:
                 raise IndexError(f"basis index {k} out of range (nmax={self.nmax})")
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+            coef[k % 2::2, j] = self.beta[k]
         rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
-        p0 = specfun.jacobi_norm0(self.alpha)
-        out = np.empty((nderiv + 1, len(ns), x.size))
-        step = max(1, _PSI_BLOCK_VALUES // max(1, x.size))
-        for j in range(0, len(ns), step):
-            block = ns[j:j + step]
-            coef = np.stack([self.full_coefficients(k) for k in block], axis=1)
-            out[:, j:j + step] = backend.jacobi_series(coef, rec, p0, x, nderiv)
+        out = backend.jacobi_series(coef, rec, specfun.jacobi_norm0(self.alpha),
+                                    x, nderiv)
         return out[:, 0] if np.ndim(n) == 0 else out
 
     def psi_table(self, x, n_list=None, nderiv=0):
-        """Values (and derivatives) of many psi_n on a node array at once."""
-        if n_list is None:
-            n_list = range(self.nmax)
-        kmax = 2 * self.trunc - 1
-        table = specfun.jacobi_table(self.alpha, kmax, x, nderiv)
-        b = np.stack([self.full_coefficients(n) for n in n_list])
-        if nderiv == 0:
-            return b @ table
-        return np.stack([b @ table[d] for d in range(nderiv + 1)])
+        """Values (and derivatives) of many psi_n on a node array at once:
+        ``psi(n_list, x, nderiv)``, all n by default, shape (len(n_list),
+        len(x)) when nderiv is 0."""
+        out = self.psi(range(self.nmax) if n_list is None else n_list, x, nderiv)
+        return out[0] if nderiv == 0 else out
 
 
 def _merge_parities(chi_even, chi_odd, nmax):

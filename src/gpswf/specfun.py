@@ -139,11 +139,8 @@ def jacobi_normalized(k, alpha, x, derivative=0):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(np.abs(xa) > 1.0 + 8.0 * np.finfo(float).eps) or not np.all(np.isfinite(xa)):
         raise DomainError("jacobi_normalized requires |x| <= 1")
-    coef = np.zeros(k + 1)
-    coef[k] = 1.0
-    rec = jacobi_recurrence(alpha, k + 3)
-    out = backend.jacobi_series(coef, rec, jacobi_norm0(alpha), xa, derivative)
-    vals = out[derivative]
+    table = jacobi_table(alpha, k, xa, derivative)
+    vals = table[k] if derivative == 0 else table[derivative, k]
     return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
@@ -155,27 +152,9 @@ def jacobi_table(alpha, kmax, x, nderiv=0):
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a = jacobi_recurrence(alpha, kmax + 2)
-    p0 = jacobi_norm0(alpha)
-    vals = np.zeros((kmax + 1, x.size))
-    vals[0] = p0
-    if kmax >= 1:
-        vals[1] = x * p0 / a[1]
-        for k in range(1, kmax):
-            vals[k + 1] = (x * vals[k] - a[k] * vals[k - 1]) / a[k + 1]
-    if nderiv == 0:
-        return vals
-    out = np.zeros((nderiv + 1, kmax + 1, x.size))
-    out[0] = vals
-    # differentiating x p_k = a_{k+1} p_{k+1} + a_k p_{k-1} d times gives
-    # a_{k+1} p_{k+1}^(d) = x p_k^(d) + d p_k^(d-1) - a_k p_{k-1}^(d)
-    for d in range(1, nderiv + 1):
-        dv = out[d]
-        prev = out[d - 1]
-        if kmax >= 1:
-            dv[1] = (d * prev[0] + x * dv[0]) / a[1]
-            for k in range(1, kmax):
-                dv[k + 1] = (d * prev[k] + x * dv[k] - a[k] * dv[k - 1]) / a[k + 1]
-    return out
+    _, out = next(backend._jacobi_rows(a, jacobi_norm0(alpha), kmax, x, nderiv,
+                                       kmax + 1))
+    return out[0] if nderiv == 0 else out
 
 
 # ---------------------------------------------------------------------------

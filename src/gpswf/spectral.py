@@ -136,9 +136,11 @@ def lambda_decay_constant(alpha):
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
 
-def decay_bound_check(n, mu_abs, lam, alpha, c):
+def decay_bound_check(n, mu_abs, alpha, c):
     """Super-exponential decay bounds on |mu_n| and lambda_n, in log space.
 
+    log lambda_n = log(c / 2 pi) + 2 log |mu_n| comes from |mu_n|, so the
+    lambda margin stays finite where lambda_n itself underflows to 0.
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
     verdict with infinite margins.
     """
@@ -155,7 +157,7 @@ def decay_bound_check(n, mu_abs, lam, alpha, c):
                         - (alpha + 1.0) * math.log(c)
                         - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
     log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
-    log_lam = math.log(lam) if lam > 0.0 else -math.inf
+    log_lam = math.log(c / (2.0 * math.pi)) + 2.0 * log_mu
     return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
                         log_lambda_bound=log_lambda_bound,
                         margin_mu=log_mu_bound - log_mu,
@@ -250,8 +252,8 @@ def compute_spectrum(basis):
     _check_phase(basis)
     eps = np.finfo(float).eps
     ns = range(basis.nmax)
-    # every n at the probe candidates and at x = 0 in one pass; Clenshaw is
-    # pointwise, so a probe's psi value is its entry in the candidate table
+    # every n at the probe candidates and at x = 0 in one pass; a probe's
+    # psi value is its entry in the candidate table
     grid = _probe_candidates(basis.nmax)
     grid_vals = basis.psi(ns, grid, 0)[0]
     at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
@@ -280,7 +282,7 @@ def compute_spectrum(basis):
             raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
         prev_lam = lam
         phase = mu / mu_abs if mu_abs > 0.0 else complex(1.0)
-        bound = decay_bound_check(n, mu_abs, lam, basis.alpha, basis.c)
+        bound = decay_bound_check(n, mu_abs, basis.alpha, basis.c)
         entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
                                      mu_phase=phase, lam=lam, bound=bound,
                                      probe_spread=spread))
@@ -338,7 +340,7 @@ def lambda_bound_tail(alpha, c, n_from, max_terms=20000):
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")
     total = 0.0
     for n in range(n0, n0 + max_terms):
-        v = decay_bound_check(n, 0.0, 0.0, alpha, c)
+        v = decay_bound_check(n, 0.0, alpha, c)
         term = math.exp(min(v.log_lambda_bound, 700.0))
         total += term
         if term < 1e-30 * max(total, 1e-300):

@@ -229,7 +229,7 @@ def test_criterion_09_coefficient_cross_validation():
     pr = approx.project(b, f, 22, quad_order=max(b.trunc + 64, 400))
     worst_rel = 0.0
     for n in range(1, 22, 2):
-        closed = approx.wm_coefficients_closed_form(b, 1.0, 2.0, n, K=K)
+        closed = approx.wm_all_coefficients(b, 1.0, 2.0, n + 1, K)[n]
         quad = float(np.real(pr.coefficients[n]))
         worst_rel = max(worst_rel, abs(closed - quad) / abs(quad))
     assert worst_rel <= 1e-8

@@ -139,7 +139,7 @@ class TestProjection:
 class TestWmCoefficients:
     def test_even_coefficients_vanish(self, basis_wm):
         for n in range(0, 22, 2):
-            assert approx.wm_coefficients_closed_form(basis_wm, 1.0, 2.0, n) == 0.0
+            assert approx.wm_all_coefficients(basis_wm, 1.0, 2.0, n + 1)[n] == 0.0
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_closed_form_matches_quadrature(self, basis_wm, s):
@@ -149,7 +149,7 @@ class TestWmCoefficients:
         pr = approx.project(basis_wm, f, 22,
                             quad_order=max(basis_wm.trunc + 64, 400))
         for n in range(1, 22, 2):
-            closed = approx.wm_coefficients_closed_form(basis_wm, s, 2.0, n, K=K)
+            closed = approx.wm_all_coefficients(basis_wm, s, 2.0, n + 1, K)[n]
             assert closed == pytest.approx(float(np.real(pr.coefficients[n])),
                                            rel=1e-8)
 

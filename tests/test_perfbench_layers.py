@@ -1,11 +1,15 @@
 """perfbench names the library's layers by text ("module.function"); a rename
 or deletion in gpswf would leave a traced run without its layer.  The names
-are read from the perfbench sources with ``ast``, without importing them."""
+are read from the perfbench sources with ``ast``; only the last test imports
+perfbench's tracer and workloads, from their files."""
 
 import ast
 import importlib
+import importlib.util
 import inspect
 from pathlib import Path
+
+from gpswf import spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -54,3 +58,26 @@ def test_layer_names_resolve():
 def test_expected_layers_are_traced():
     for layers in EXPECTED.values():
         assert not set(layers) & UNWRAPPED
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_sweep_op_enters_every_expected_layer():
+    # a pinned layer that the library no longer calls fails only a traced
+    # benchmark run; one small sweep op under perfbench's own tracer finds it
+    tracing, workloads = _load("tracing"), _load("workloads")
+    spectral._fc_terms.cache_clear()  # a warm transform cache skips the ladders
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.sweep_op(None, {"alpha": 0.0, "c": 1.0})
+    finally:
+        tracer.restore()
+    called = {tracer.names[i] for i in tracer.name}
+    assert not set(EXPECTED["sweep"]) - called, sorted(set(EXPECTED["sweep"]) - called)

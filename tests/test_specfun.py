@@ -155,38 +155,34 @@ class TestBesselJ:
                 assert row.tobytes() == specfun.bessel_j_ladder(nu, kmax, xi).tobytes()
 
 
-def _clenshaw_floats(coef, rec, p0, x, nderiv):
-    """The Clenshaw recurrence of ``backend.jacobi_series`` in Python floats at
-    one point, each step in the kernel's order of operations."""
-    u1 = u2 = d1_1 = d1_2 = d2_1 = d2_2 = 0.0
-    for k in range(len(coef) - 1, -1, -1):
-        inv_a = 1.0 / rec[k + 1]
-        ratio = rec[k + 1] / rec[k + 2]
-        u0 = coef[k] + x * u1 * inv_a - ratio * u2
-        d1_0 = (u1 + x * d1_1) * inv_a - ratio * d1_2
-        d2_0 = (2.0 * d1_1 + x * d2_1) * inv_a - ratio * d2_2
-        u2, u1 = u1, u0
-        d1_2, d1_1 = d1_1, d1_0
-        d2_2, d2_1 = d2_1, d2_0
-    return [u1 * p0, d1_1 * p0, d2_1 * p0][:nderiv + 1]
+def _forward_floats(alpha, kmax, x, nderiv):
+    """Jt_k^(d)(x), k = 0..kmax, d = 0..nderiv, from the forward recurrence in
+    Python floats at one point, each step in the kernel's order of operations:
+    ``((x Jt_k^(d) + d Jt_k^(d-1)) - a_k Jt_{k-1}^(d)) / a_{k+1}``."""
+    a = specfun.jacobi_recurrence(alpha, kmax + 2).tolist()
+    prev = [0.0] * (nderiv + 1)
+    cur = [specfun.jacobi_norm0(alpha)] + [0.0] * nderiv
+    rows = [cur]
+    for k in range(1, kmax + 1):
+        step = [x * cur[d] + d * cur[d - 1] if d else x * cur[d]
+                for d in range(nderiv + 1)]
+        prev, cur = cur, [(step[d] - a[k - 1] * prev[d]) / a[k]
+                          for d in range(nderiv + 1)]
+        rows.append(cur)
+    return np.array(rows).T  # (nderiv + 1, kmax + 1)
 
 
-class TestJacobiSeries:
+class TestJacobiTable:
     @pytest.mark.parametrize("nderiv", [0, 1, 2])
     @pytest.mark.parametrize("x", [[0.3], np.linspace(-1.0, 1.0, 23).tolist()])
-    def test_matrix_columns_bitwise_equal_vector_calls(self, nderiv, x):
-        alpha, m, ncols = 1.5, 40, 5
-        coef = np.random.default_rng(7).standard_normal((m, ncols))
-        rec = specfun.jacobi_recurrence(alpha, m + 2)
-        p0 = specfun.jacobi_norm0(alpha)
-        out = backend.jacobi_series(coef, rec, p0, np.array(x), nderiv)
-        assert out.shape == (nderiv + 1, ncols, len(x))
-        for j in range(ncols):
-            col = backend.jacobi_series(coef[:, j], rec, p0, np.array(x), nderiv)
-            assert out[:, j].tobytes() == col.tobytes()
-            ref = [_clenshaw_floats(coef[:, j].tolist(), rec.tolist(), p0, xi, nderiv)
-                   for xi in x]
-            assert col.tobytes() == np.array(ref).T.tobytes()
+    def test_table_bitwise_equals_float_recurrence(self, nderiv, x):
+        kmax = 40
+        for alpha in (0.0, 0.5, 2.5):
+            table = specfun.jacobi_table(alpha, kmax, np.array(x), nderiv)
+            table = table.reshape(nderiv + 1, kmax + 1, len(x))
+            ref = np.stack([_forward_floats(alpha, kmax, xi, nderiv) for xi in x],
+                           axis=-1)
+            assert table.tobytes() == ref.tobytes()
 
 
 class TestJacobiNormalized:
