@@ -283,30 +283,45 @@ def _cos_transform_table(alpha, jmax):
     """W(j pi) = _cos_transform(alpha, j pi), j = 0..jmax, read-only; the
     Bessel values come from one batched ladder."""
     u = (np.arange(jmax + 1) * math.pi).tolist()
-    bessel = specfun.bessel_j_ladders(alpha + 0.5, 0, u)[:, 0].tolist()
+    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
     w = np.array([_cos_transform(alpha, uj, jv) for uj, jv in zip(u, bessel)])
     w.setflags(write=False)
     return w
 
 
 def wm_l2_norm_squared(alpha, s, lam, K):
-    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised:
-    K^2/2 scalar transforms per distinct argument set)."""
+    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised)."""
     # the memo sits behind a plain function, which perfbench's tracer wraps
     return _wm_l2_norm_squared(alpha, s, lam, K)
 
 
+@lru_cache(maxsize=8)
+def _wm_sine_products(alpha, lam, K):
+    """P[i, j] = int sin(lam^i x) sin(lam^j x) w_a(x) dx for i <= j < K (zero
+    below the diagonal), read-only, from one batched ladder over the distinct
+    arguments |lam^i - lam^j| and lam^i + lam^j."""
+    freqs = lam ** np.arange(K)
+    i, j = np.triu_indices(K)
+    diff = np.abs(freqs[i] - freqs[j])
+    total = freqs[i] + freqs[j]
+    u = np.array(sorted(set(diff.tolist() + total.tolist())))
+    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
+    w = np.array([_cos_transform(alpha, uk, jv) for uk, jv in zip(u, bessel)])
+    # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
+    prods = np.zeros((K, K))
+    prods[i, j] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, total)])
+    prods.setflags(write=False)
+    return prods
+
+
 @lru_cache(maxsize=64)
 def _wm_l2_norm_squared(alpha, s, lam, K):
-    freqs = lam ** np.arange(K)
     amps = lam ** (-(2.0 - s) * np.arange(K))
+    prods = _wm_sine_products(alpha, lam, K)
     total = 0.0
     for i in range(K):
         for j in range(i, K):
-            # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
-            val = 0.5 * (_cos_transform(alpha, abs(freqs[i] - freqs[j]))
-                         - _cos_transform(alpha, freqs[i] + freqs[j]))
-            total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * val
+            total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * prods[i, j]
     return total
 
 

@@ -8,11 +8,16 @@ work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
 computes eigenvectors.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at one argument;
-:func:`bessel_ladders` gives them at many.  Arguments in the upward regime
-share one vectorised recurrence, the rest go through the scalar Miller
-ladder, and each row of the batch is bitwise equal to the scalar ladder at
-its argument: the start values are the same scalar Hankel sums and every
-recurrence step is the same pair of IEEE operations on each argument.
+:func:`bessel_ladders` gives them at many, and each row of the batch is
+bitwise equal to the scalar ladder at its argument.  Arguments in the upward
+regime share one vectorised recurrence from the same scalar Hankel sums.
+Miller-regime arguments are no longer sent to the scalar ladder: they run in
+blocks of ``_MILLER_BLOCK`` through one array backward recurrence, in which
+each column starts at its own order and rescales on its own, so every step
+is the same IEEE operations on each argument; the closing normalisation
+stays a per-element ``math.log``/``math.exp`` pass.  A block's work arrays
+hold at most (jtop + 7 count) * 32 doubles, 0.85 MB at count 394.  Both
+Miller paths read one memoised table of Neumann coefficients per base order.
 """
 
 import math
@@ -153,27 +158,84 @@ def _hankel_j(nu, x):
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
 
 
-def _ladder_miller(nu0, count, x):
+def _miller_top(nu0, count, x):
+    """Start order of the backward recurrence at argument x."""
     nu_top = max(float(count + 1), 1.02 * x - nu0)
-    jtop = int(math.ceil(nu_top + 12.0 * math.sqrt(x + 1.0) + 32.0))
-    out = np.zeros(count)
-    outexp = np.zeros(count, dtype=np.int64)
+    return int(math.ceil(nu_top + 12.0 * math.sqrt(x + 1.0) + 32.0))
+
+
+@lru_cache(maxsize=32)
+def _neumann_table(nu0, size):
+    """cf_k, k = 0..size-1, of the Neumann sum sum_k cf_k J_{nu0+2k} =
+    (x/2)^nu0: cf_0 = Gamma(nu0 + 1), cf_k = (nu0 + 2k) Gamma(nu0 + k) / k!."""
+    return (math.exp(math.lgamma(nu0 + 1.0)),) + tuple(
+        (nu0 + 2 * k) * math.exp(math.lgamma(nu0 + k) - math.lgamma(k + 1.0))
+        for k in range(1, size))
+
+
+def _neumann(nu0, jtop):
+    """The Neumann coefficients of orders nu0 + 2k <= nu0 + jtop.  The table is
+    memoised per nu0 in power-of-two sizes; each entry is computed on its own,
+    so every size holds the same doubles."""
+    size = 256
+    while size <= jtop // 2:
+        size *= 2
+    return _neumann_table(nu0, size)
+
+
+def _miller_close(nu0, xs, vals, exps, neumann, scale):
+    """Normalise backward recurrences, one column per argument ``xs[i]``:
+    ``vals[j, i]`` at rescale count ``exps[j, i]`` is proportional to
+    J_{nu0+j}(xs[i]), and column i ended with Neumann sum ``neumann[i]`` at
+    rescale count ``scale[i]``.  Returns the ladders, shape (len(xs), count),
+    as a view of ``vals``; ``vals`` and ``exps`` are overwritten.
+
+    Only the logarithms and exponentials are per-element ``math.log`` and
+    ``math.exp`` calls: a vectorised log or exp may round differently, while
+    every other operation here is exactly rounded alike in NumPy.
+    """
+    # sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j} = vals[j]/neumann
+    # * (x/2)^nu0, with the scale bookkeeping folded in through log space.
+    log_norm = [nu0 * math.log(0.5 * x) - math.log(abs(n))
+                for x, n in zip(xs, neumann.tolist())]
+    buf = np.abs(vals)
+    keep = buf != 0.0
+    buf[~keep] = 1.0  # any value with a logarithm; these entries stay 0
+    t = _each(math.log, buf)
+    t += log_norm
+    exps -= scale
+    exps *= _RESCALE_LOG2
+    t += np.multiply(exps, math.log(2.0), out=buf)
+    keep &= ~(t < -745.0)
+    mag = _each(math.exp, t[keep])
+    del t
+    np.multiply(vals, np.copysign(1.0, neumann), out=buf)
+    np.copysign(mag, buf[keep], out=mag)
+    vals[...] = 0.0
+    vals[keep] = mag
+    return vals.T
+
+
+def _each(fn, a):
+    """fn applied to every element of a float array, one Python call each."""
+    return np.fromiter(map(fn, memoryview(a.ravel())), float, a.size).reshape(a.shape)
+
+
+def _ladder_miller(nu0, count, x):
+    jtop = _miller_top(nu0, count, x)
+    cf = _neumann(nu0, jtop)
+    vals = [0.0] * count
+    exps = [0] * count
     vp1 = 0.0          # order nu0 + j + 1
     v = 1e-30          # order nu0 + j
     scale_count = 0
     neumann = 0.0
-    lg_nu0p1 = math.lgamma(nu0 + 1.0)
     for j in range(jtop, -1, -1):
         if j < count:
-            out[j] = v
-            outexp[j] = scale_count
+            vals[j] = v
+            exps[j] = scale_count
         if j % 2 == 0:
-            k = j // 2
-            if k == 0:
-                cf = math.exp(lg_nu0p1)
-            else:
-                cf = (nu0 + j) * math.exp(math.lgamma(nu0 + k) - math.lgamma(k + 1.0))
-            neumann += cf * v
+            neumann += cf[j >> 1] * v
         if j > 0:
             vm1 = (2.0 * (nu0 + j) / x) * v - vp1
             vp1 = v
@@ -183,20 +245,60 @@ def _ladder_miller(nu0, count, x):
                 vp1 /= _RESCALE
                 neumann /= _RESCALE
                 scale_count += 1
-    # sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j} = out[j]/neumann
-    # * (x/2)^nu0, with the scale bookkeeping folded in through log space.
-    log_norm = nu0 * math.log(0.5 * x) - math.log(abs(neumann))
-    sign_norm = math.copysign(1.0, neumann)
-    ladder = np.zeros(count)
-    for j in range(count):
-        if out[j] == 0.0:
-            continue
-        t = (math.log(abs(out[j])) + log_norm
-             + (outexp[j] - scale_count) * _RESCALE_LOG2 * math.log(2.0))
-        if t < -745.0:
-            continue
-        ladder[j] = math.copysign(math.exp(t), out[j] * sign_norm)
-    return ladder
+    return _miller_close(nu0, [x], np.array(vals)[:, None], np.array(exps)[:, None],
+                         np.array([neumann]), np.array([scale_count]))[0]
+
+
+def _miller_block(nu0, count, xs, tops):
+    """Backward recurrences at the arguments ``xs``, sorted by descending
+    start order ``tops``, as one array recurrence; returns shape
+    (len(xs), count).
+
+    A column joins at its own start order with (v, vp1, neumann) = (1e-30,
+    0, 0) and rescales on its own, so it sees exactly the IEEE operations of
+    :func:`_ladder_miller` at its argument; before that it runs from the
+    block's start on values that its join discards.
+    """
+    nb = len(xs)
+    jtop = tops[0]
+    cf = _neumann(nu0, jtop)
+    # the step factors 2 (nu0 + j) / x, each one division as in the scalar
+    fac = np.divide(np.array([2.0 * (nu0 + j) for j in range(jtop + 1)])[:, None],
+                    np.array(xs))
+    joins = {}
+    for i, t in enumerate(tops):
+        joins.setdefault(t, []).append(i)
+    v = np.full(nb, 1e-30)
+    vp1 = np.zeros(nb)
+    neumann = np.zeros(nb)
+    scale = np.zeros(nb, dtype=np.int64)
+    step = np.empty(nb)
+    vals = np.empty((count, nb))
+    exps = np.empty((count, nb), dtype=np.int64)
+    for j in range(jtop, -1, -1):
+        cols = joins.get(j)
+        if cols is not None:
+            v[cols] = 1e-30
+            vp1[cols] = 0.0
+            neumann[cols] = 0.0
+            scale[cols] = 0
+        if j < count:  # every column has joined: tops[i] > count
+            vals[j] = v
+            exps[j] = scale
+        if j % 2 == 0:
+            neumann += np.multiply(cf[j >> 1], v, out=step)
+        if j > 0:
+            np.multiply(fac[j], v, out=step)
+            np.subtract(step, vp1, out=vp1)   # vp1 now holds order j - 1
+            v, vp1 = vp1, v
+            np.abs(v, out=step)
+            if np.maximum.reduce(step) > _RESCALE:
+                big = step > _RESCALE
+                v[big] /= _RESCALE
+                vp1[big] /= _RESCALE
+                neumann[big] /= _RESCALE
+                scale[big] += 1
+    return _miller_close(nu0, xs, vals, exps, neumann, scale)
 
 
 def _ladder_upward(nu0, count, xs):
@@ -216,26 +318,52 @@ def _upward_regime(nu0, count, x):
     return x > _MILLER_X_MAX and not nu0 + count - 1 > 0.88 * x
 
 
+def _ladder_zero(nu0, count):
+    ladder = np.zeros(count)
+    if nu0 == 0.0:
+        ladder[0] = 1.0
+    return ladder
+
+
 def bessel_ladder(nu0, count, x):
     """J_{nu0+j}(x) for j = 0..count-1, nu0 in [-0.5, 0.5), x >= 0."""
     if x == 0.0:
-        ladder = np.zeros(count)
-        if nu0 == 0.0:
-            ladder[0] = 1.0
-        return ladder
+        return _ladder_zero(nu0, count)
     if not _upward_regime(nu0, count, x):
         return _ladder_miller(nu0, count, x)
     return _ladder_upward(nu0, count, np.array([x]))[:, 0]
 
 
+# Arguments per batched Miller recurrence: its work arrays hold at most
+# (jtop + 7 count) x 32 doubles, and larger blocks raised peak RSS for little
+# further speed.
+_MILLER_BLOCK = 32
+
+
 def bessel_ladders(nu0, count, x):
     """J_{nu0+j}(x_i) as an array of shape (len(x), count); row i is bitwise
-    equal to ``bessel_ladder(nu0, count, x_i)``."""
+    equal to ``bessel_ladder(nu0, count, x_i)``.
+
+    Miller-regime arguments are sorted by start order and run in blocks of
+    ``_MILLER_BLOCK`` through one array recurrence each; a lone argument
+    runs the scalar ladder, which is faster for one column.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = x.tolist()
     out = np.empty((x.size, count))
-    up = np.array([_upward_regime(nu0, count, xi) for xi in x.tolist()], dtype=bool)
-    for i in np.flatnonzero(~up):
-        out[i] = bessel_ladder(nu0, count, float(x[i]))
+    up = np.array([_upward_regime(nu0, count, xi) for xi in xs], dtype=bool)
+    zero = x == 0.0
+    out[zero] = _ladder_zero(nu0, count)
+    miller = np.flatnonzero(~up & ~zero).tolist()
+    tops = {i: _miller_top(nu0, count, xs[i]) for i in miller}
+    miller.sort(key=tops.get, reverse=True)
+    for lo in range(0, len(miller), _MILLER_BLOCK):
+        block = miller[lo:lo + _MILLER_BLOCK]
+        if len(block) == 1:
+            out[block[0]] = _ladder_miller(nu0, count, xs[block[0]])
+        else:
+            out[block] = _miller_block(nu0, count, [xs[i] for i in block],
+                                       [tops[i] for i in block])
     if up.any():
         out[up] = _ladder_upward(nu0, count, x[up]).T
     return out

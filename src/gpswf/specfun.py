@@ -97,8 +97,11 @@ def bessel_j_ladders(nu, kmax, x):
 
 
 def bessel_j(nu, x):
-    """J_nu(x) for real order nu >= -1/2 and x >= 0."""
-    return float(bessel_j_ladder(nu, 0, x)[0])
+    """J_nu(x) for real order nu >= -1/2 and x >= 0.  An array of x gives an
+    array from one batched ladder, bitwise equal to scalar calls."""
+    if np.ndim(x) == 0:
+        return float(bessel_j_ladder(nu, 0, x)[0])
+    return bessel_j_ladders(nu, 0, x)[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,9 @@ def _fc_terms(alpha, kmax, u):
     of one parity transforms to its dot product with t (times i if odd).  This
     is the only place that knows the Bessel expansion of F_c.  The terms
     depend on (alpha, kmax, u) alone, so they are memoised: every n of a
-    basis, and every seed or call, shares one ladder per argument.
+    basis, and every seed or call, shares one ladder per argument.  Many
+    arguments at once (the probes of :func:`compute_spectrum`) go through
+    :func:`_fc_term_rows` instead.
     """
     terms = (_fc_pref(alpha, u) * _signed_gammas(alpha, kmax)
              * specfun.bessel_j_ladder(alpha + 0.5, kmax, u))
@@ -74,22 +76,28 @@ def _fc_term_rows(alpha, kmax, us):
     """Row i holds ``_fc_terms(alpha, kmax, us[i])``, bitwise, from one
     batched Bessel ladder; nothing is memoised."""
     pref = np.array([_fc_pref(alpha, u) for u in np.asarray(us, float).tolist()])
-    return (pref[:, None] * _signed_gammas(alpha, kmax)
-            * specfun.bessel_j_ladders(alpha + 0.5, kmax, us))
+    terms = pref[:, None] * _signed_gammas(alpha, kmax)
+    terms *= specfun.bessel_j_ladders(alpha + 0.5, kmax, us)
+    return terms
 
 
-def _fc_series(alpha, coef, parity, u):
-    """int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient vector of
-    the given parity, u > 0, and its conditioning scale (largest term).
+def _fc_sum(terms, parity):
+    """The transform value from its terms (``coef * t``) for a coefficient
+    vector of the given parity, and its conditioning scale (largest term).
 
     The terms alternate in sign and their peak can tower over the sum, so the
     reduction uses exactly rounded summation; the remaining error is the
     roundoff of the terms themselves, about eps * scale.
     """
-    coef = np.asarray(coef, dtype=float)
-    terms = coef * _fc_terms(alpha, coef.size - 1, u)
     total = math.fsum(terms)
     return (1j * total if parity else complex(total)), float(np.max(np.abs(terms)))
+
+
+def _fc_series(alpha, coef, parity, u):
+    """int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient vector of
+    the given parity, u > 0, and its conditioning scale; see :func:`_fc_sum`."""
+    coef = np.asarray(coef, dtype=float)
+    return _fc_sum(coef * _fc_terms(alpha, coef.size - 1, u), parity)
 
 
 def fc_on_jacobi(alpha, c, k, x):
@@ -257,16 +265,26 @@ def compute_spectrum(basis):
     grid = _probe_candidates(basis.nmax)
     grid_vals = basis.psi(ns, grid, 0)[0]
     at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    sels = [_select_probes(grid, grid_vals[n]) for n in ns]
+    # the transform terms at every distinct probe argument, from one batched
+    # Bessel ladder; row_of maps a candidate index to its row
+    used = np.zeros(grid.size, dtype=bool)
+    used[np.concatenate(sels)] = True
+    probes = np.flatnonzero(used)
+    kmax = 2 * basis.trunc - 1
+    rows = _fc_term_rows(basis.alpha, kmax, basis.c * grid[probes])
+    row_of = np.empty(grid.size, dtype=np.intp)
+    row_of[probes] = np.arange(probes.size)
     entries = []
     prev_lam = None
     for n in ns:
         mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
-        sel = _select_probes(grid, grid_vals[n])
+        coef = basis.full_coefficients(n)
         spread = 0.0
-        for x, v in zip(grid[sel], grid_vals[n, sel]):
-            val, scale = _fc_series(basis.alpha, basis.full_coefficients(n),
-                                    n % 2, basis.c * float(x))
+        for i in sels[n]:
+            val, scale = _fc_sum(coef * rows[row_of[i]], n % 2)
+            v = grid_vals[n, i]
             ratio = val / v
             floor = 1024.0 * eps * scale / abs(v)
             dev = abs(ratio - mu)
@@ -321,7 +339,7 @@ def concentration_kernel(alpha, u):
     if np.any(~small):
         idx = np.nonzero(~small)[0]
         nu = alpha + 0.5
-        jv = specfun.bessel_j_ladders(nu, 0, u[idx])[:, 0]
+        jv = specfun.bessel_j(nu, u[idx])
         for i, j in zip(idx, jv):
             out[i] = pref * j / u[i] ** nu
     return out

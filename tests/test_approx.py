@@ -161,6 +161,21 @@ class TestWmCoefficients:
         explicit = approx.wm_all_coefficients(basis_wm, s, 2.0, 22, K=K)
         assert default.tobytes() == explicit.tobytes()
 
+    @pytest.mark.parametrize("alpha,s", [(0.1, 0.25), (1.5, 1.0)])
+    def test_norm_bitwise_equals_scalar_transforms(self, alpha, s):
+        # the pairwise sum of scalar transforms, in the same order, is the
+        # reference for the table read from one batched ladder
+        K = approx.wm_truncation(s, 2.0)
+        freqs = 2.0 ** np.arange(K)
+        amps = 2.0 ** (-(2.0 - s) * np.arange(K))
+        ref = 0.0
+        for i in range(K):
+            for j in range(i, K):
+                val = 0.5 * (approx._cos_transform(alpha, abs(freqs[i] - freqs[j]))
+                             - approx._cos_transform(alpha, freqs[i] + freqs[j]))
+                ref += (1.0 if i == j else 2.0) * amps[i] * amps[j] * val
+        assert approx.wm_l2_norm_squared(alpha, s, 2.0, K) == ref
+
     def test_projection_error_parseval_route(self, basis_wm):
         # coefficient-space error equals the quadrature residual norm
         K = 8

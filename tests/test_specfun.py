@@ -129,13 +129,24 @@ class TestBesselJ:
             specfun.bessel_j_ladders(1.0, 3, [1.0, -2.0])
 
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
-    # top-order switch nu0 + count - 1 > 0.88 x near x = 453
-    LADDER_X = (0.0, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
-                454.0, 1000.0, 5000.0)
+    # top-order switch nu0 + count - 1 > 0.88 x near x = 453; the 75 Miller
+    # arguments in (0, 370] fill several batched blocks, each mixing start
+    # orders more than 100 apart, and rescale at different steps (the
+    # recurrence grows by about 2 nu / x per step)
+    LADDER_X = (0.0, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
+                454.0, 1000.0, 5000.0) + tuple(np.geomspace(0.01, 360.0, 70))
 
     @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
     @pytest.mark.parametrize("count", [1, 2, 400])
     def test_batched_ladder_bitwise_equals_scalar(self, nu0, count):
+        miller = [x for x in self.LADDER_X
+                  if 0.0 < x and not backend._upward_regime(nu0, count, x)]
+        tops = sorted((backend._miller_top(nu0, count, x) for x in miller),
+                      reverse=True)
+        blocks = [tops[i:i + backend._MILLER_BLOCK]
+                  for i in range(0, len(tops), backend._MILLER_BLOCK)]
+        assert len(blocks) >= 3
+        assert max(b[0] - b[-1] for b in blocks) > 100
         rows = backend.bessel_ladders(nu0, count, np.array(self.LADDER_X))
         assert rows.shape == (len(self.LADDER_X), count)
         for x, row in zip(self.LADDER_X, rows):
@@ -153,6 +164,8 @@ class TestBesselJ:
             rows = specfun.bessel_j_ladders(nu, kmax, x)
             for xi, row in zip(x, rows):
                 assert row.tobytes() == specfun.bessel_j_ladder(nu, kmax, xi).tobytes()
+            scalar = np.array([specfun.bessel_j(nu, xi) for xi in x.tolist()])
+            assert specfun.bessel_j(nu, x).tobytes() == scalar.tobytes()
 
 
 def _forward_floats(alpha, kmax, x, nderiv):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpswf import basis as B
-from gpswf import specfun, spectral
+from gpswf import backend, specfun, spectral
 from gpswf.errors import ConsistencyError, DomainError
 
 
@@ -144,6 +144,29 @@ class TestSpectrum:
         bad = dataclasses.replace(basis_05_2, beta=tuple(bad_beta))
         with pytest.raises(ConsistencyError, match="probe spread"):
             spectral.compute_spectrum(bad)
+
+
+def test_spectrum_probes_share_batched_ladders(monkeypatch):
+    # every probe argument of every n goes through one batched Bessel
+    # ladder; only _check_phase's four transforms run the scalar one
+    calls = []
+    scalar = backend._ladder_miller
+
+    def counted(*args):
+        calls.append(args)
+        return scalar(*args)
+
+    monkeypatch.setattr(backend, "_ladder_miller", counted)
+    spectral._fc_terms.cache_clear()
+    spectral.compute_spectrum(B.build_basis(1.0, 20 * math.pi, 93))
+    assert len(calls) <= 4
+
+
+@pytest.mark.xfail(strict=True, raises=ConsistencyError,
+                   reason="known limit: deep-n probes sit where the Bessel "
+                          "sum cancels (c = 200 probe failure)")
+def test_deep_n_probe_placement_known_limit():
+    spectral.compute_spectrum(B.build_basis(0.5, 10.0, 120))
 
 
 EPS = np.finfo(float).eps
