@@ -66,30 +66,41 @@ def _gaussian_samples(seed, count):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
+# The sup-error grid: 2001 equispaced points of the open interval (-1, 1).
+_SUP_GRID = np.linspace(-1.0, 1.0, 2003)[1:-1]
+_SUP_GRID.setflags(write=False)
+
+
+def _cos_series_grid(coefs, m):
+    """sum_k coefs[k-1] cos(k pi x_i) at x_i = -1 + 2i/L, i = 1..m, L = m + 1.
+
+    There cos(k pi x_i) = (-1)^k cos(2 pi k i / L), so the series is the real
+    part of one length-L FFT of (-1)^k coefs_k folded into bins k mod L."""
+    L = m + 1
+    k = np.arange(1, coefs.size + 1)
+    signed = np.where(k % 2 == 1, -coefs, coefs)
+    bins = np.bincount(k % L, weights=signed, minlength=L)
+    return np.fft.fft(bins).real[1:m + 1]
+
+
 def _cos_series_eval(coefs):
     k = np.arange(1, coefs.size + 1, dtype=float)
 
-    def evaluator(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(x.size)
-        for lo in range(0, coefs.size, 512):
-            hi = min(lo + 512, coefs.size)
-            out += coefs[lo:hi] @ np.cos(math.pi * np.outer(k[lo:hi], x))
-        return out
-
     def derivative(x, order):
-        if order == 0:
-            return evaluator(x)
         x = np.atleast_1d(np.asarray(x, dtype=float))
+        # the equispaced open grid (as np.linspace builds it) takes the FFT
+        if (order == 0 and x.ndim == 1
+                and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1])):
+            return _cos_series_grid(coefs, x.size)
+        scaled = coefs * (math.pi * k) ** order
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, 512):
             hi = min(lo + 512, coefs.size)
-            kk = k[lo:hi]
-            out += (coefs[lo:hi] * (math.pi * kk) ** order) @ np.cos(
-                math.pi * np.outer(kk, x) + 0.5 * math.pi * order)
+            out += scaled[lo:hi] @ np.cos(
+                math.pi * np.outer(k[lo:hi], x) + 0.5 * math.pi * order)
         return out
 
-    return evaluator, derivative
+    return (lambda x: derivative(x, 0)), derivative
 
 
 def brownian_from_coefficients(s, coefs):
@@ -238,8 +249,8 @@ def project(basis, f, N, quad_order=None):
     resid = res_f - coeffs @ res_tab
     l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
                                              np.abs(resid) ** 2))), 0.0))
-    xg = np.linspace(-1.0, 1.0, 2003)[1:-1]
-    sup = float(np.max(np.abs(f(xg) - coeffs @ basis.psi_table(xg, range(N)))))
+    sup = float(np.max(np.abs(f(_SUP_GRID)
+                              - coeffs @ basis.psi_table(_SUP_GRID, range(N)))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
 
 

@@ -380,7 +380,7 @@ def run_brownian(cfg=None, **overrides):
     b = get_basis(alpha, c, n_top + 1, cfg.cache_dir, cfg.cache)
     k_terms = 4000
     table = approx.cosine_transform_table(b, k_terms, n_top + 1)
-    xg = np.linspace(-1.0, 1.0, 2003)[1:-1]
+    xg = approx._SUP_GRID
     bulk = np.abs(xg) <= BULK_SUP_LIMIT
     psi_grid = b.psi_table(xg, range(n_top))
     seeds = [cfg.seed + i for i in range(cfg.n_seeds)]

@@ -280,10 +280,11 @@ def compute_spectrum(basis):
     for n in ns:
         mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
-        coef = basis.full_coefficients(n)
+        beta_n = basis.beta[n]
         spread = 0.0
         for i in sels[n]:
-            val, scale = _fc_sum(coef * rows[row_of[i]], n % 2)
+            # psi_n's coefficients vanish off its parity: sum only its orders
+            val, scale = _fc_sum(beta_n * rows[row_of[i], n % 2::2], n % 2)
             v = grid_vals[n, i]
             ratio = val / v
             floor = 1024.0 * eps * scale / abs(v)

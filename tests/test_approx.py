@@ -95,6 +95,85 @@ class TestCorpus:
             approx.target_from_config({"kind": "spline"})
 
 
+def _cos_amplitudes(f):
+    return f.params["amplitudes"] / np.arange(1, f.params["K"] + 1.0) ** f.params["s"]
+
+
+def _blocked_sum(y, x, order=0):
+    # the direct cosine sum in 512-frequency blocks, as the generic path does
+    k = np.arange(1, y.size + 1, dtype=float)
+    scaled = y * (math.pi * k) ** order
+    out = np.zeros(x.size)
+    for lo in range(0, y.size, 512):
+        out += scaled[lo:lo + 512] @ np.cos(
+            math.pi * np.outer(k[lo:lo + 512], x) + 0.5 * math.pi * order)
+    return out
+
+
+def _exact_angle_sum(y, m):
+    # sum_k y_k cos(k pi x_i) at x_i = -1 + 2i/L with the angle reduced in
+    # integers: cos(k pi x_i) = (-1)^k cos(2 pi r / L), r = k i mod L, folded
+    # to min(r, L - r) so the rounded angle stays within [0, pi]
+    L = m + 1
+    k = np.arange(1, y.size + 1)
+    r = np.outer(k, np.arange(1, m + 1)) % L
+    r = np.minimum(r, L - r)
+    return np.where(k % 2 == 1, -y, y) @ np.cos(2.0 * math.pi * r / L)
+
+
+class TestGridEvaluation:
+    """The cosine series on np.linspace(-1, 1, m + 2)[1:-1] is one FFT."""
+
+    @pytest.mark.parametrize("s", [1.5, 2.0])
+    @pytest.mark.parametrize("K,m", [(4000, 2001), (10, 2001), (4000, 7), (10, 7)])
+    def test_fft_matches_blocked_and_exact_sums(self, monkeypatch, K, s, m):
+        calls = []
+        grid_eval = approx._cos_series_grid
+        monkeypatch.setattr(approx, "_cos_series_grid",
+                            lambda c, n: calls.append(n) or grid_eval(c, n))
+        f = approx.brownian(s, seed=5, K=K)
+        y = _cos_amplitudes(f)
+        x = np.linspace(-1.0, 1.0, m + 2)[1:-1]
+        fft = f(x)
+        assert calls == [m]
+        exact = _exact_angle_sum(y, m)
+        blocked = _blocked_sum(y, x)
+        assert np.max(np.abs(fft - blocked)) <= 1e-13
+        assert np.max(np.abs(fft - exact)) <= 1e-14
+        assert np.max(np.abs(blocked - exact)) <= 1e-14
+
+    def test_sup_grid_takes_the_fft(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(approx, "_cos_series_grid",
+                            lambda c, n: calls.append(n) or np.zeros(n))
+        approx.brownian(1.5, seed=1, K=50)(approx._SUP_GRID)
+        assert calls == [2001]
+        assert not approx._SUP_GRID.flags.writeable
+
+    def test_other_points_take_the_blocked_sum(self, monkeypatch):
+        def fail(c, n):
+            raise AssertionError("grid branch taken off the grid")
+
+        monkeypatch.setattr(approx, "_cos_series_grid", fail)
+        f = approx.brownian(1.5, seed=2, K=1100)
+        y = _cos_amplitudes(f)
+        nudged = np.linspace(-1.0, 1.0, 203)[1:-1]
+        nudged[57] = np.nextafter(nudged[57], 2.0)
+        for x in (nudged, specfun.gauss_jacobi(0.5, 120).nodes):
+            np.testing.assert_array_equal(f(x), _blocked_sum(y, x))
+
+    def test_derivative_order0_is_the_evaluator(self):
+        f = approx.brownian(1.5, seed=3, K=700)
+        y = _cos_amplitudes(f)
+        grid = np.linspace(-1.0, 1.0, 301)[1:-1]
+        gauss = specfun.gauss_jacobi(1.0, 90).nodes
+        for x in (grid, gauss, np.array([0.3]), approx._SUP_GRID):
+            np.testing.assert_array_equal(f.derivative(x, 0), f(x))
+        # higher orders keep the direct sum, on the grid too
+        for x in (grid, gauss):
+            np.testing.assert_array_equal(f.derivative(x, 2), _blocked_sum(y, x, 2))
+
+
 class TestProjection:
     def test_idempotence_on_basis_function(self, basis_05_2):
         b = basis_05_2
