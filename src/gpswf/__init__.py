@@ -6,14 +6,14 @@ __version__ = "0.1.0"
 
 from .backend import backend_name
 from .errors import ConsistencyError, DomainError, GpswfError, TruncationError
-from .specfun import (QuadratureRule, bessel_j, gauss_jacobi, jacobi_normalized,
-                      ln_gamma, weight_mass)
+from .specfun import (QuadratureRule, bessel_j, gauss_jacobi, ln_gamma,
+                      weight_mass)
 from .eigensolver import EigDecomposition, SymTridiag, eig_symtridiag
 from .basis import (GpswfBasis, LocalEstimateReport, assemble_eigensystem,
                     build_basis, chi_bracket, chi_lower_bound_check,
                     decay_regime_multiplier, beta_bound_check, local_estimate)
 from .spectral import (SpectrumEntry, compute_spectrum, decay_bound_check,
-                       dchi_dc, fc_on_jacobi, kernel_trace)
+                       fc_on_jacobi, kernel_trace)
 from .approx import (ProjectionResult, SobolevNorm, TargetFunction, brownian,
                      periodic_coefficient, project, sobolev_norm,
                      weierstrass_mandelbrot)

@@ -51,7 +51,6 @@ class TargetFunction:
     params: dict = field(repr=False)
     evaluator: object = field(repr=False)
     derivative: object = field(default=None, repr=False)
-    complex_valued: bool = False
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
@@ -134,10 +133,16 @@ def brownian(s, seed, K=4000):
     return f
 
 
-def wm_truncation(s, lam, tol=1e-12):
-    """Smallest K with geometric-tail bound lam^(-K(2-s)) / (1 - lam^(-(2-s))) <= tol."""
+# the largest geometric tail bound a truncated Weierstrass-Mandelbrot series
+# may leave out
+_WM_TAIL_TOL = 1e-12
+
+
+def wm_truncation(s, lam):
+    """Smallest K with geometric-tail bound lam^(-K(2-s)) / (1 - lam^(-(2-s)))
+    <= ``_WM_TAIL_TOL``."""
     r = lam ** (-(2.0 - s))
-    return max(1, int(math.ceil(math.log(tol * (1.0 - r)) / math.log(r))))
+    return max(1, int(math.ceil(math.log(_WM_TAIL_TOL * (1.0 - r)) / math.log(r))))
 
 
 def weierstrass_mandelbrot(s, lam, K=None):
@@ -170,8 +175,7 @@ def periodic_exponential(k):
         return (1j * kpi) ** order * evaluator(x)
 
     return TargetFunction(kind="periodic_exponential", evaluator=evaluator,
-                          derivative=derivative, params={"k": int(k)},
-                          complex_valued=True)
+                          derivative=derivative, params={"k": int(k)})
 
 
 def user_sampled(grid, values):
@@ -306,29 +310,22 @@ def wm_l2_norm_squared(alpha, s, lam, K):
     return _wm_l2_norm_squared(alpha, s, lam, K)
 
 
-@lru_cache(maxsize=8)
-def _wm_sine_products(alpha, lam, K):
-    """P[i, j] = int sin(lam^i x) sin(lam^j x) w_a(x) dx for i <= j < K (zero
-    below the diagonal), read-only, from one batched ladder over the distinct
-    arguments |lam^i - lam^j| and lam^i + lam^j."""
+@lru_cache(maxsize=64)
+def _wm_l2_norm_squared(alpha, s, lam, K):
+    """Sums amps_i amps_j P[i, j] pairwise over i <= j < K, where P[i, j] =
+    int sin(lam^i x) sin(lam^j x) w_a(x) dx comes from one batched ladder over
+    the distinct arguments |lam^i - lam^j| and lam^i + lam^j."""
     freqs = lam ** np.arange(K)
-    i, j = np.triu_indices(K)
-    diff = np.abs(freqs[i] - freqs[j])
-    total = freqs[i] + freqs[j]
-    u = np.array(sorted(set(diff.tolist() + total.tolist())))
+    iu, ju = np.triu_indices(K)
+    diff = np.abs(freqs[iu] - freqs[ju])
+    sums = freqs[iu] + freqs[ju]
+    u = np.array(sorted(set(diff.tolist() + sums.tolist())))
     bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
     w = np.array([_cos_transform(alpha, uk, jv) for uk, jv in zip(u, bessel)])
     # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
     prods = np.zeros((K, K))
-    prods[i, j] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, total)])
-    prods.setflags(write=False)
-    return prods
-
-
-@lru_cache(maxsize=64)
-def _wm_l2_norm_squared(alpha, s, lam, K):
+    prods[iu, ju] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])
     amps = lam ** (-(2.0 - s) * np.arange(K))
-    prods = _wm_sine_products(alpha, lam, K)
     total = 0.0
     for i in range(K):
         for j in range(i, K):
@@ -457,11 +454,15 @@ def sobolev_norm(coeffs, s, style="jacobi_coefficient", alpha=None, k_values=Non
     return SobolevNorm(s=float(s), value=value, style=style)
 
 
-def derivative_sobolev_norm(f, r, alpha, quad_order=500):
+# nodes of the Gauss rule of derivative_sobolev_norm
+_SOBOLEV_QUAD_ORDER = 500
+
+
+def derivative_sobolev_norm(f, r, alpha):
     """sum_{j=0}^{r} ||f^(j)||^2 in L2(w_a); needs analytic derivatives."""
     if f.derivative is None:
         raise DomainError(f"corpus function {f.kind!r} has no derivatives")
-    rule = specfun.gauss_jacobi(alpha, quad_order)
+    rule = specfun.gauss_jacobi(alpha, _SOBOLEV_QUAD_ORDER)
     total = 0.0
     for j in range(r + 1):
         vals = f.derivative(rule.nodes, j)
@@ -505,7 +506,7 @@ def _chi_tail_factor(basis, N, m):
     return acc
 
 
-def chi_tail_error_check(basis, f, m, N_list, quad_order=None):
+def chi_tail_error_check(basis, f, m, N_list):
     """Ratio ||f - S_N f||^2 / (sum_{n>N} chi_n^(-2m) * ||f||^2_{m+2}) over N.
 
     A bounded, non-exploding ratio (and a log-log error slope <= -2m) is the
@@ -513,7 +514,7 @@ def chi_tail_error_check(basis, f, m, N_list, quad_order=None):
     """
     N_list = sorted(N_list)
     n_top = N_list[-1]
-    proj = project(basis, f, n_top, quad_order)
+    proj = project(basis, f, n_top)
     norm2 = derivative_sobolev_norm(f, m + 2, basis.alpha)
     errors, tails, ratios = [], [], []
     err2_top = proj.l2w_error ** 2
@@ -552,7 +553,7 @@ class RateReport:
                                         self.algebraic, self.applicable))
 
 
-def projection_rate_check(basis, f, s, N_list, hs_norm, quad_order=None):
+def projection_rate_check(basis, f, s, N_list, hs_norm):
     """Check err_N <= (1 + (N/2)^2)^(-s/2) ||f||_{H^s} + A e^{-aN}.
 
     ``hs_norm`` is the (unsquared) smoothness norm of f.  The exponential
@@ -563,7 +564,7 @@ def projection_rate_check(basis, f, s, N_list, hs_norm, quad_order=None):
     N_list = sorted(N_list)
     threshold = decay_regime_multiplier(basis.alpha) * basis.c
     n_top = N_list[-1]
-    proj = project(basis, f, n_top, quad_order)
+    proj = project(basis, f, n_top)
     err2_top = proj.l2w_error ** 2
     errors, algebraic, applicable = [], [], []
     for N in N_list:

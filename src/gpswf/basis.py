@@ -33,7 +33,7 @@ __all__ = [
     "local_estimate",
 ]
 
-_PARITIES = {"even": 0, "odd": 1, 0: 0, 1: 1}
+_PARITIES = {"even": 0, "odd": 1}
 
 
 def assemble_eigensystem(alpha, c, M, parity):

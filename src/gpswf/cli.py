@@ -55,8 +55,9 @@ def build_parser():
                        help="adds mu/lambda columns to the basis table")
     _add_basis_params(p)
 
-    p = sub.add_parser("bounds",
-                       help="verdict table for every implemented bound")
+    text = ("verdicts of the chi bracket, the improved lower bound, the "
+            "decay bounds and the local estimate")
+    p = sub.add_parser("bounds", help=text, description=text)
     _add_basis_params(p)
     p.add_argument("--grid-size", type=int, default=400)
 
@@ -73,8 +74,7 @@ def build_parser():
 
     p = sub.add_parser("experiment",
                        help="run a registered scenario")
-    p.add_argument("--name", required=True,
-                   choices=("lambda-decay", "brownian", "wm-table"))
+    p.add_argument("--name", required=True, choices=tuple(experiments.SCENARIOS))
     p.add_argument("--config", default=None,
                    help="JSON config file; flags given here override its values")
     p.add_argument("--out-dir", default=None, help="report root (default: reports)")

@@ -56,8 +56,6 @@ class EigDecomposition:
 
 def eig_symtridiag(m: SymTridiag) -> EigDecomposition:
     """Spectrum of a symmetric tridiagonal matrix; deterministic output."""
-    if not isinstance(m, SymTridiag):
-        m = SymTridiag(np.asarray(m[0]), np.asarray(m[1]))
     values = backend.tridiag_eig(m.diag, m.offdiag)
     values.setflags(write=False)
     return EigDecomposition(values=values)

@@ -21,7 +21,6 @@ __all__ = [
     "weight_mass",
     "jacobi_recurrence",
     "jacobi_norm0",
-    "jacobi_normalized",
     "jacobi_table",
     "gauss_jacobi",
 ]
@@ -130,21 +129,6 @@ def jacobi_norm0(alpha):
     ln_h0 = ((2.0 * alpha + 1.0) * math.log(2.0) + 2.0 * ln_gamma(alpha + 1.0)
              - math.log(2.0 * alpha + 1.0) - ln_gamma(2.0 * alpha + 1.0))
     return math.exp(-0.5 * ln_h0)
-
-
-def jacobi_normalized(k, alpha, x, derivative=0):
-    """Orthonormal Jacobi polynomial Jt_k(x) (or derivative of order 1 or 2)."""
-    alpha = _check_alpha(alpha)
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k!r}")
-    if derivative not in (0, 1, 2):
-        raise DomainError("derivative order must be 0, 1 or 2")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(xa) > 1.0 + 8.0 * np.finfo(float).eps) or not np.all(np.isfinite(xa)):
-        raise DomainError("jacobi_normalized requires |x| <= 1")
-    table = jacobi_table(alpha, k, xa, derivative)
-    vals = table[k] if derivative == 0 else table[derivative, k]
-    return float(vals[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else vals
 
 
 def jacobi_table(alpha, kmax, x, nderiv=0):

@@ -25,11 +25,8 @@ __all__ = [
     "decay_bound_check",
     "mu_decay_constant",
     "lambda_decay_constant",
-    "concentration_kernel",
-    "apply_concentration",
     "kernel_trace",
     "lambda_bound_tail",
-    "dchi_dc",
 ]
 
 
@@ -309,42 +306,9 @@ def compute_spectrum(basis):
 
 
 # ---------------------------------------------------------------------------
-# Concentration operator (c / 2 pi) F* F applied by quadrature.
+# Sums over the whole spectrum: the trace of the concentration operator and
+# the decay bound on its tail.
 # ---------------------------------------------------------------------------
-
-def concentration_kernel(alpha, u):
-    """K_a(u) = sqrt(pi) 2^(a+1/2) Gamma(a+1) J_{a+1/2}(u) / u^(a+1/2).
-
-    Even and entire in u; the removable singularity at u = 0 is evaluated by
-    the ascending series.
-    """
-    u = np.abs(np.atleast_1d(np.asarray(u, dtype=float)))
-    out = np.empty_like(u)
-    pref = math.sqrt(math.pi) * math.exp((alpha + 0.5) * math.log(2.0)
-                                         + specfun.ln_gamma(alpha + 1.0))
-    small = u <= 12.0
-    if np.any(small):
-        us = u[small]
-        # J_nu(u)/u^nu = sum_m (-1)^m u^(2m) / (2^(2m+nu) m! Gamma(m+nu+1))
-        term = np.full(us.shape,
-                       math.exp(-(alpha + 0.5) * math.log(2.0)
-                                - specfun.ln_gamma(alpha + 1.5)))
-        acc = term.copy()
-        u2 = us * us
-        for m in range(1, 60):
-            term = -term * u2 / (4.0 * m * (m + alpha + 0.5))
-            acc += term
-            if np.max(np.abs(term)) < 1e-18:
-                break
-        out[small] = pref * acc
-    if np.any(~small):
-        idx = np.nonzero(~small)[0]
-        nu = alpha + 0.5
-        jv = specfun.bessel_j(nu, u[idx])
-        for i, j in zip(idx, jv):
-            out[i] = pref * j / u[i] ** nu
-    return out
-
 
 def kernel_trace(alpha, c):
     """Trace of the concentration operator: (c/2) (Gamma(a+1)/Gamma(a+3/2))^2."""
@@ -352,46 +316,20 @@ def kernel_trace(alpha, c):
                                      - specfun.ln_gamma(alpha + 1.5)))
 
 
-def lambda_bound_tail(alpha, c, n_from, max_terms=20000):
+# terms of the decay bound that lambda_bound_tail adds at most
+_TAIL_MAX_TERMS = 20000
+
+
+def lambda_bound_tail(alpha, c, n_from):
     """Upper bound on sum_{n >= n_from} lambda_n from the decay estimate."""
     n0 = int(max(n_from, math.floor((math.e * c + 1.0) / 2.0) + 1))
     if n0 > n_from:
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")
     total = 0.0
-    for n in range(n0, n0 + max_terms):
+    for n in range(n0, n0 + _TAIL_MAX_TERMS):
         v = decay_bound_check(n, 0.0, alpha, c)
         term = math.exp(min(v.log_lambda_bound, 700.0))
         total += term
         if term < 1e-30 * max(total, 1e-300):
             break
     return total
-
-
-def apply_concentration(alpha, c, rule, values):
-    """Apply (c/2pi) * the kernel integral operator to samples on a rule."""
-    diff = c * (rule.nodes[:, None] - rule.nodes[None, :])
-    kmat = concentration_kernel(alpha, diff.ravel()).reshape(diff.shape)
-    return (c / (2.0 * math.pi)) * kmat @ (rule.weights * values)
-
-
-@dataclass(frozen=True)
-class DchiDcRecord:
-    analytic: float
-    finite_diff: float
-
-
-def dchi_dc(alpha, c, n, h=None, nmax=None):
-    """d chi_n / dc: analytic moment value 2c * int x^2 psi_n^2 w_a dx versus
-    a central finite difference of chi_n(c +/- h) from fresh bases."""
-    from .basis import build_basis, moment_b
-
-    if h is None:
-        h = 1e-4 * c
-    if nmax is None:
-        nmax = n + 1
-    b0 = build_basis(alpha, c, nmax)
-    analytic = 2.0 * c * moment_b(b0, n)
-    bp = build_basis(alpha, c + h, nmax)
-    bm = build_basis(alpha, c - h, nmax)
-    fd = (float(bp.chi[n]) - float(bm.chi[n])) / (2.0 * h)
-    return DchiDcRecord(analytic=analytic, finite_diff=fd)

