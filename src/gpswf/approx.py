@@ -3,7 +3,7 @@ weighted Sobolev norms, and approximation-rate checkers."""
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -194,21 +194,48 @@ def user_sampled(grid, values):
                           params={"npoints": grid.size})
 
 
+def _whole(value):
+    # a float or string that is not a whole number is an error, not truncated
+    if int(value) != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
+# per corpus kind, its builder and the keys it reads, in argument order, each
+# with its conversion and default (_REQUIRED: the key must be given)
+_REQUIRED = object()
+_floats = partial(np.asarray, dtype=float)
+_TARGETS = {
+    "brownian": (brownian, {"s": (float, _REQUIRED), "seed": (_whole, 0),
+                            "K": (_whole, 4000)}),
+    "wm": (weierstrass_mandelbrot, {"s": (float, _REQUIRED), "lambda": (float, _REQUIRED),
+                                    "K": (_whole, None)}),
+    "periodic": (periodic_exponential, {"k": (_whole, _REQUIRED)}),
+    "user_sampled": (user_sampled, {"grid": (_floats, _REQUIRED),
+                                    "values": (_floats, _REQUIRED)}),
+}
+_TARGETS.update(weierstrass_mandelbrot=_TARGETS["wm"],
+                periodic_exponential=_TARGETS["periodic"])
+
+
 def target_from_config(cfg):
-    """Build a corpus function from a declarative record (kind + parameters)."""
+    """Build a corpus function from a declarative record (kind + parameters);
+    an unknown kind or key, a missing key or a bad value raise DomainError."""
     kind = cfg.get("kind")
-    if kind == "brownian":
-        return brownian(float(cfg["s"]), int(cfg.get("seed", 0)),
-                        int(cfg.get("K", 4000)))
-    if kind in ("weierstrass_mandelbrot", "wm"):
-        K = cfg.get("K")
-        return weierstrass_mandelbrot(float(cfg["s"]), float(cfg["lambda"]),
-                                      None if K is None else int(K))
-    if kind in ("periodic_exponential", "periodic"):
-        return periodic_exponential(int(cfg["k"]))
-    if kind == "user_sampled":
-        return user_sampled(np.asarray(cfg["grid"]), np.asarray(cfg["values"]))
-    raise DomainError(f"unknown target kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _TARGETS:
+        raise DomainError(f"unknown target kind {kind!r}")
+    build, keys = _TARGETS[kind]
+    unknown = sorted(set(cfg) - set(keys) - {"kind"})
+    missing = [k for k, (_, default) in keys.items() if default is _REQUIRED and k not in cfg]
+    if unknown or missing:
+        raise DomainError(f"target {kind!r} reads {', '.join(keys)}; "
+                          f"unknown keys {unknown}, missing keys {missing}")
+    try:
+        args = [convert(cfg[key]) if key in cfg else default
+                for key, (convert, default) in keys.items()]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"invalid {kind!r} parameter: {exc}") from exc
+    return build(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +259,8 @@ def project(basis, f, N, quad_order=None):
     interval: the weight (1-x^2)^a vanishes at the endpoints, so the method
     does not control pointwise values exactly there.
     """
-    if N > basis.nmax:
-        raise DomainError(f"N={N} exceeds the available nmax={basis.nmax}")
+    if not 1 <= N <= basis.nmax:
+        raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
     floor = basis.trunc + 32
     if quad_order is None:
         quad_order = basis.trunc + 64
@@ -403,7 +430,7 @@ def periodic_coefficient(basis, k, n):
         if n % 2 == 1:
             return 0.0j
         return complex(coef[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    val = spectral._fc_series(basis.alpha, coef, n % 2, abs(k) * math.pi)[0]
+    val = spectral._fc_series(basis.alpha, coef, n % 2, abs(k) * math.pi)
     if k < 0:
         val = val.conjugate()
     return val

@@ -92,18 +92,15 @@ def build_parser():
 
 
 def _parse_fn_spec(spec):
+    """``kind:key=value,...`` as a record of strings; the keys and values are
+    checked by :func:`approx.target_from_config`."""
     kind, _, rest = spec.partition(":")
     cfg = {"kind": kind.strip()}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            cfg[key.strip()] = value.strip()
-    for key in ("s", "lambda"):
-        if key in cfg:
-            cfg[key] = float(cfg[key])
-    for key in ("seed", "K", "k"):
-        if key in cfg:
-            cfg[key] = int(cfg[key])
+    for item in rest.split(",") if rest else ():
+        key, eq, value = (part.strip() for part in item.partition("="))
+        if not eq or not key or key in cfg:
+            raise DomainError(f"--fn item {item!r} is not key=value with a new key")
+        cfg[key] = value
     return cfg
 
 

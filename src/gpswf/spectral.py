@@ -5,7 +5,8 @@ orthonormal Jacobi polynomial Jt_k to a closed-form Bessel expression with
 phase i^k.  mu_n comes from the boundary identity at x = 0 (only the lowest
 Jacobi mode survives there), and the expansion summed over a coefficient
 vector gives F_c psi_n exactly, which verifies mu_n as the ratio
-(F_c psi_n)(x*) / psi_n(x*) at probe points.
+(F_c psi_n)(x*) / psi_n(x*) at the probe points where that sum is best
+conditioned.
 """
 
 import math
@@ -80,20 +81,16 @@ def _fc_term_rows(alpha, kmax, us):
 
 def _fc_sum(terms, parity):
     """The transform value from its terms (``coef * t``) for a coefficient
-    vector of the given parity, and its conditioning scale (largest term).
-
-    The terms alternate in sign and their peak can tower over the sum, so the
-    reduction uses exactly rounded summation; the remaining error is the
-    roundoff of the terms themselves, about eps * scale.
-    """
+    vector of the given parity.  The terms alternate in sign and their peak
+    can tower over the sum, so the reduction is exactly rounded; the error
+    left is the roundoff of the terms themselves, about eps * max |term|."""
     total = math.fsum(terms)
-    return (1j * total if parity else complex(total)), float(np.max(np.abs(terms)))
+    return 1j * total if parity else complex(total)
 
 
 def _fc_series(alpha, coef, parity, u):
     """int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient vector of
-    the given parity, u > 0, and its conditioning scale; see :func:`_fc_sum`."""
-    coef = np.asarray(coef, dtype=float)
+    the given parity and u > 0; see :func:`_fc_sum`."""
     return _fc_sum(coef * _fc_terms(alpha, coef.size - 1, u), parity)
 
 
@@ -171,7 +168,9 @@ def decay_bound_check(n, mu_abs, alpha, c):
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """Transform eigenvalue record: lambda = (c / 2 pi) |mu|^2 by construction."""
+    """Transform eigenvalue record: lambda = (c / 2 pi) |mu|^2 by construction;
+    ``probe_spread`` is the largest |ratio - mu| over the probes of n, and
+    ``probe_floor`` the largest roundoff floor of those probes over |mu|."""
 
     n: int
     chi: float
@@ -180,31 +179,16 @@ class SpectrumEntry:
     lam: float
     bound: DecayVerdict
     probe_spread: float
+    probe_floor: float
 
 
-# probe points per n, and the relative agreement each probe ratio must reach
+# probe candidates, geometric so that they are dense near x = 0, where the
+# Bessel sum of a deep psi_n cancels least; each n keeps the _N_PROBES with the
+# smallest roundoff floor, and each ratio must agree to _PROBE_TOL relative
+_PROBE_X = np.geomspace(1e-3, 0.99, 32)
+_PROBE_X.setflags(write=False)
 _N_PROBES = 5
 _PROBE_TOL = 1e-8
-
-
-def _probe_candidates(nmax):
-    # Chebyshev candidates in (0, 1), dense enough to catch oscillation tops
-    # near x = 0 for moderately large n
-    npts = max(256, 8 * nmax)
-    return np.cos(math.pi * (2.0 * np.arange(npts) + 1.0) / (4.0 * npts))
-
-
-def _select_probes(grid, vals):
-    """Indices into ``grid`` of the probe points of one psi_n, whose values
-    there are ``vals``, in ascending order of x.  They are the smallest x
-    where |psi_n| exceeds a tenth of its peak, since the Bessel expansion of
-    the transform is best conditioned there, or the largest |psi_n| when
-    fewer than ``_N_PROBES`` candidates do."""
-    peak = float(np.max(np.abs(vals)))
-    idx = np.nonzero(np.abs(vals) > 0.1 * peak)[0]
-    if idx.size < _N_PROBES:
-        idx = np.argsort(-np.abs(vals))[:_N_PROBES]
-    return idx[np.argsort(grid[idx])][:_N_PROBES]
 
 
 def _mu_from_boundary(basis, n, at0):
@@ -247,50 +231,39 @@ def compute_spectrum(basis):
 
     The primary value comes from the exact boundary identity at x = 0, which
     stays fully accurate however small mu_n gets.  It is then checked against
-    the ratios (F_c psi_n)(x*) / psi_n(x*) at probe points where |psi_n| is a
-    sizable fraction of its maximum; the ratios must agree with mu to
-    ``_PROBE_TOL`` relative plus the roundoff floor of the alternating Bessel
-    sum (its largest term over |psi(x*)| times machine epsilon), otherwise a
-    consistency error is raised.  So is a phase convention that disagrees
-    with quadrature, a lambda above 1, or a lambda sequence that increases.
+    the ratios (F_c psi_n)(x*) / psi_n(x*) at the candidates x* where the
+    alternating Bessel sum has the smallest roundoff floor (1024 eps times its
+    largest term over |psi_n(x*)|).  A consistency error is raised when the
+    worst kept floor exceeds ``_PROBE_TOL`` relative (the check would be
+    vacuous), when a ratio misses mu by more than that plus its floor, when
+    the phase convention disagrees with quadrature, when a lambda exceeds 1,
+    and when the lambda sequence increases.
     """
     _check_phase(basis)
     eps = np.finfo(float).eps
     ns = range(basis.nmax)
-    # every n at the probe candidates and at x = 0 in one pass; a probe's
-    # psi value is its entry in the candidate table
-    grid = _probe_candidates(basis.nmax)
-    grid_vals = basis.psi(ns, grid, 0)[0]
+    # every n at every candidate and at x = 0, and the transform terms at
+    # every candidate argument from one batched Bessel ladder
+    vals = basis.psi(ns, _PROBE_X, 0)[0]
     at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
-    sels = [_select_probes(grid, grid_vals[n]) for n in ns]
-    # the transform terms at every distinct probe argument, from one batched
-    # Bessel ladder; row_of maps a candidate index to its row
-    used = np.zeros(grid.size, dtype=bool)
-    used[np.concatenate(sels)] = True
-    probes = np.flatnonzero(used)
-    kmax = 2 * basis.trunc - 1
-    rows = _fc_term_rows(basis.alpha, kmax, basis.c * grid[probes])
-    row_of = np.empty(grid.size, dtype=np.intp)
-    row_of[probes] = np.arange(probes.size)
+    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
     entries = []
     prev_lam = None
     for n in ns:
         mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
-        beta_n = basis.beta[n]
-        spread = 0.0
-        for i in sels[n]:
-            # psi_n's coefficients vanish off its parity: sum only its orders
-            val, scale = _fc_sum(beta_n * rows[row_of[i], n % 2::2], n % 2)
-            v = grid_vals[n, i]
-            ratio = val / v
-            floor = 1024.0 * eps * scale / abs(v)
-            dev = abs(ratio - mu)
-            if dev > _PROBE_TOL * mu_abs + floor:
-                raise ConsistencyError(
-                    f"mu probe spread {dev / max(mu_abs, 1e-300):.3e} exceeds "
-                    f"{_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
-            spread = max(spread, dev)
+        # psi_n's coefficients vanish off its parity: sum only its orders
+        terms = basis.beta[n] * rows[:, n % 2::2]
+        with np.errstate(divide="ignore"):  # psi_n(x) = 0 ranks last
+            floors = 1024.0 * eps * np.max(np.abs(terms), axis=1) / np.abs(vals[n])
+        keep = np.argsort(floors)[:_N_PROBES]
+        devs = np.array([abs(_fc_sum(terms[i], n % 2) / vals[n, i] - mu) for i in keep])
+        spread, floor = float(devs.max()), float(floors[keep[-1]])
+        if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + floors[keep]):
+            raise ConsistencyError(
+                f"mu probe spread {spread / max(mu_abs, 1e-300):.3e} (floor "
+                f"{floor / max(mu_abs, 1e-300):.3e}) exceeds {_PROBE_TOL:.1e} "
+                f"at n={n} (insufficient truncation?)")
         lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
         if lam > 1.0 + 1e-9:
             raise ConsistencyError(f"lambda_{n} = {lam!r} exceeds 1")
@@ -301,7 +274,8 @@ def compute_spectrum(basis):
         bound = decay_bound_check(n, mu_abs, basis.alpha, basis.c)
         entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
                                      mu_phase=phase, lam=lam, bound=bound,
-                                     probe_spread=spread))
+                                     probe_spread=spread,
+                                     probe_floor=floor / mu_abs))
     return entries
 
 

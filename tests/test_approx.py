@@ -91,8 +91,14 @@ class TestCorpus:
         g = approx.target_from_config(
             {"kind": "wm", "s": 0.5, "lambda": 2.0, "K": 8})
         assert g.params["K"] == 8
-        with pytest.raises(DomainError):
-            approx.target_from_config({"kind": "spline"})
+        for kind in ("spline", ["wm"], None):
+            with pytest.raises(DomainError):
+                approx.target_from_config({"kind": kind})
+        # unknown key, missing key, unparsable value, truncated integer
+        for bad in ({"kind": "brownian", "s": 1.5, "sed": 3}, {"kind": "wm", "s": 1.0},
+                    {"kind": "brownian", "s": "abc"}, {"kind": "periodic", "k": 1.5}):
+            with pytest.raises(DomainError):
+                approx.target_from_config(bad)
 
 
 def _cos_amplitudes(f):

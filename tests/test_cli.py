@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpswf import cli
+from gpswf.errors import DomainError
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +82,48 @@ def test_consistency_failure_exits_2(capsys, monkeypatch):
                            "--nmax", "4")
     assert code == 2
     assert "numerical-consistency" in err
+
+
+@pytest.mark.parametrize("fn,N", [
+    ("brownian:s=1.5,sed=3", "4"),  # unknown key
+    ("wm:s=1", "4"),  # missing key
+    ("brownian:s=abc", "4"),  # unparsable value
+    ("periodic:k=1.5", "4"),  # not a whole number
+    ("periodic:k=1", "-3"),  # N < 1
+])
+def test_project_bad_fn_or_N_exits_1(capsys, cache_args, fn, N):
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
+                             "--fn", fn, "--N", N, *cache_args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+# spec words: no separator and nothing str.strip would remove
+_WORD_CHARS = st.characters(whitelist_categories=("L", "N", "P", "S"),
+                            blacklist_characters=",=:")
+_WORD = st.text(_WORD_CHARS)
+
+
+def _format_fn_spec(cfg):
+    items = ",".join(f"{k}={v}" for k, v in cfg.items() if k != "kind")
+    return f"{cfg['kind']}:{items}" if items else cfg["kind"]
+
+
+@given(_WORD, st.dictionaries(_WORD.filter(lambda k: k and k != "kind"), _WORD,
+                              max_size=4))
+def test_fn_spec_round_trips(kind, items):
+    cfg = {"kind": kind, **items}
+    assert cli._parse_fn_spec(_format_fn_spec(cfg)) == cfg
+
+
+@given(st.text())
+def test_fn_spec_parses_or_raises_domain_error(spec):
+    try:
+        cfg = cli._parse_fn_spec(spec)
+    except DomainError:
+        return
+    assert cli._parse_fn_spec(_format_fn_spec(cfg)) == cfg
 
 
 def test_invalid_parameter_exits_1(capsys, cache_args):

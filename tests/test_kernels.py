@@ -131,3 +131,51 @@ def test_eigenpairs_match_mpmath_oracle():
                 mu = complex(mu)
                 got = S._mu_from_boundary(b, n, b.psi(n, [0.0], 1)[:, 0])
                 assert abs(got - mu) <= 1e-12 * abs(mu), (n, abs(got - mu) / abs(mu))
+
+
+def _mp_jacobi_at(alpha, m, sqrt_m0, x):
+    """Jt_k(x) for k < m, from x Jt_k = a_{k+1} Jt_{k+1} + a_k Jt_{k-1}."""
+    a = [mp.sqrt(_mp_a2(mp.mpf(alpha), k)) for k in range(m)]
+    val = [1 / sqrt_m0, x / (a[1] * sqrt_m0)]
+    for k in range(1, m - 1):
+        val.append((x * val[k] - a[k] * val[k - 1]) / a[k + 1])
+    return val
+
+
+def _mp_fc_jacobi(alpha, k, u):
+    """(F_c Jt_k)(x) at u = c x > 0: i^k sqrt(pi) (2/u)^(a+1/2)
+    G(k+a+1) / (k! sqrt(h_k)) J_{k+a+1/2}(u)."""
+    alpha = mp.mpf(alpha)
+    h = (2 ** (2 * alpha + 1) * mp.gamma(k + alpha + 1) ** 2
+         / (mp.factorial(k) * (2 * k + 2 * alpha + 1) * mp.gamma(k + 2 * alpha + 1)))
+    return (mp.mpc(0, 1) ** k * mp.sqrt(mp.pi) * (2 / u) ** (alpha + mp.mpf(0.5))
+            * mp.gamma(k + alpha + 1) / (mp.factorial(k) * mp.sqrt(h))
+            * mp.besselj(k + alpha + mp.mpf(0.5), u))
+
+
+def test_deep_n_mu_matches_mpmath_transform_ratio():
+    # mu at the deepest even and odd n as (F_c psi_n)(x) / psi_n(x) at the
+    # best-conditioned probe candidate, all in 60 digits: independent of the
+    # boundary identity and of the float Bessel and Jacobi ladders
+    alpha, c, nmax = 0.5, 10.0, 120
+    b = B.build_basis(alpha, c, nmax)
+    entries = S.compute_spectrum(b)
+    with mp.workdps(60):
+        sqrt_m0 = mp.sqrt(mp.sqrt(mp.pi) * mp.gamma(mp.mpf(alpha) + 1)
+                          / mp.gamma(mp.mpf(alpha) + mp.mpf(1.5)))
+        for n in (nmax - 2, nmax - 1):
+            parity = n % 2
+            d, e = _mp_system(alpha, c, b.trunc, parity)
+            chi, vec = _mp_eigpair(d, e, b.chi[n])
+            assert abs(b.chi[n] - float(chi)) <= 1e-13 * float(chi), n
+            # the candidate the library ranks first
+            coef = b.full_coefficients(n)
+            floors = [float(np.max(np.abs(coef * S._fc_terms(alpha, coef.size - 1, c * x))))
+                      / abs(v) for x, v in zip(S._PROBE_X, b.psi(n, S._PROBE_X, 0)[0])]
+            x = mp.mpf(float(S._PROBE_X[int(np.argmin(floors))]))
+            ks = range(parity, 2 * b.trunc, 2)
+            psi = mp.fdot(vec, _mp_jacobi_at(alpha, 2 * b.trunc, sqrt_m0, x)[parity::2])
+            image = mp.fsum(v * _mp_fc_jacobi(alpha, k, c * x) for v, k in zip(vec, ks))
+            mu = complex(image / psi)
+            got = entries[n].mu_abs * entries[n].mu_phase
+            assert abs(got - mu) <= 1e-12 * abs(mu), (n, abs(got - mu) / abs(mu))
