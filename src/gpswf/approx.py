@@ -65,6 +65,19 @@ def _gaussian_samples(seed, count):
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
+# The most series terms a corpus function takes: K comes from outside input
+# (a ``--fn`` spec or a config), and both series allocate O(K) arrays.
+_MAX_TERMS = 10 ** 6
+# series terms per block of an evaluation, which bounds its memory to
+# _EVAL_BLOCK doubles per point
+_EVAL_BLOCK = 512
+
+
+def _check_terms(K):
+    if not 1 <= K <= _MAX_TERMS:
+        raise DomainError(f"K must lie in 1..{_MAX_TERMS}, got {K!r}")
+
+
 # The sup-error grid: 2001 equispaced points of the open interval (-1, 1).
 _SUP_GRID = np.linspace(-1.0, 1.0, 2003)[1:-1]
 _SUP_GRID.setflags(write=False)
@@ -93,8 +106,8 @@ def _cos_series_eval(coefs):
             return _cos_series_grid(coefs, x.size)
         scaled = coefs * (math.pi * k) ** order
         out = np.zeros(x.size)
-        for lo in range(0, coefs.size, 512):
-            hi = min(lo + 512, coefs.size)
+        for lo in range(0, coefs.size, _EVAL_BLOCK):
+            hi = min(lo + _EVAL_BLOCK, coefs.size)
             out += scaled[lo:hi] @ np.cos(
                 math.pi * np.outer(k[lo:hi], x) + 0.5 * math.pi * order)
         return out
@@ -124,8 +137,7 @@ def brownian(s, seed, K=4000):
     the realized per-seed tail depends on the draw), roughly 2.5e-2 at the
     default K = 4000 with s = 1.5.
     """
-    if K < 1:
-        raise DomainError(f"K must be >= 1, got {K!r}")
+    _check_terms(K)
     if s <= 0.5:
         raise DomainError(f"brownian requires s > 1/2, got {s!r}")
     f = brownian_from_coefficients(s, _gaussian_samples(seed, K))
@@ -153,12 +165,17 @@ def weierstrass_mandelbrot(s, lam, K=None):
         raise DomainError(f"s must be <= 1, got {s!r}")
     if K is None:
         K = wm_truncation(s, lam)
+    _check_terms(K)
     freqs = lam ** np.arange(K)
     amps = lam ** (-(2.0 - s) * np.arange(K))
 
     def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.sin(np.outer(x, freqs)) @ amps
+        out = np.zeros(x.size)
+        for lo in range(0, K, _EVAL_BLOCK):
+            hi = min(lo + _EVAL_BLOCK, K)
+            out += np.sin(np.outer(x, freqs[lo:hi])) @ amps[lo:hi]
+        return out
 
     return TargetFunction(kind="weierstrass_mandelbrot", evaluator=evaluator,
                           params={"s": s, "lambda": lam, "K": K})
@@ -254,23 +271,25 @@ def project(basis, f, N, quad_order=None):
     """Coefficients <f, psi_n> for n < N plus weighted-L2 and sup errors.
 
     Coefficients use a Gauss rule with ``quad_order`` nodes (at least
-    trunc + 32); the residual norm uses at least trunc + 64 nodes.  The sup
+    m + 32, by default m + 64); the residual norm uses at least m + 64 nodes.
+    Here m = max(trunc, nmax + ceil(c) + 40), which holds the rules at the
+    sizes of the former truncation start order.  The sup
     error is approximated on 2001 equispaced points of the open
     interval: the weight (1-x^2)^a vanishes at the endpoints, so the method
     does not control pointwise values exactly there.
     """
     if not 1 <= N <= basis.nmax:
         raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
-    floor = basis.trunc + 32
+    m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
     if quad_order is None:
-        quad_order = basis.trunc + 64
-    if quad_order < floor:
-        raise DomainError(f"quad_order must be >= trunc + 32 = {floor}")
+        quad_order = m + 64
+    if quad_order < m + 32:
+        raise DomainError(f"quad_order must be >= {m + 32}")
     rule = specfun.gauss_jacobi(basis.alpha, quad_order)
     fvals = f(rule.nodes)
     tab = basis.psi_table(rule.nodes, range(N))
     coeffs = tab @ (rule.weights * fvals)
-    res_order = max(quad_order, basis.trunc + 64)
+    res_order = max(quad_order, m + 64)
     if res_order == quad_order:
         res_rule, res_f, res_tab = rule, fvals, tab
     else:

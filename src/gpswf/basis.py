@@ -200,11 +200,23 @@ _TAIL_TOL = 1e-24  # largest squared tail mass accepted in any eigenvector
 _M_CAP = 8192      # largest per-parity order reached by doubling
 
 
+def _start_order(c, nmax):
+    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 40``.
+
+    By the bracket of :func:`chi_bracket` every kept chi_n is at most
+    nmax(nmax + 2a + 1) + c^2, so above Jacobi degree K* ~ hypot(nmax, c)
+    each diagonal entry of the coefficient matrix exceeds every kept chi and
+    the eigenvectors decay there.  Row i of a parity block is degree 2i + p,
+    so K* / 2 rows reach K*, and 40 more hold the decay.
+    """
+    return math.ceil(math.hypot(nmax, c) / 2) + 40
+
+
 def _truncation_orders(c, nmax):
     """Per-parity truncation orders that :func:`build_basis` tries, in order:
-    ``nmax + ceil(c) + 40``, then doublings while they stay within ``_M_CAP``.
+    :func:`_start_order`, then doublings while they stay within ``_M_CAP``.
     """
-    m = nmax + math.ceil(c) + 40
+    m = _start_order(c, nmax)
     yield m
     while 2 * m <= _M_CAP:
         m *= 2

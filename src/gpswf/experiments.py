@@ -118,10 +118,12 @@ def default_cache_dir():
 
 _MAGIC = b"GPSW"
 # 2: eigenvectors from the spliced recurrence, bottom entries relatively
-# accurate.  Part of the cache key, so older entries are rebuilt once; bump it
-# also when the truncation rule of ``basis`` (its ``_TAIL_*`` and ``_M_CAP``
-# constants or its start order) changes, as the key leaves M out.
-_FORMAT_VERSION = 2
+# accurate.  3: the truncation starts from the chi bracket,
+# ceil(hypot(nmax, c) / 2) + 40.  Part of the cache key, so older entries are
+# rebuilt once; bump it also when the truncation rule of ``basis`` (its
+# ``_TAIL_*`` and ``_M_CAP`` constants or its start order) changes, as the key
+# leaves M out.
+_FORMAT_VERSION = 3
 
 
 def basis_to_bytes(b):
@@ -337,10 +339,9 @@ def run_lambda_decay(cfg=None, **overrides):
         rows = []
         for e in entries:
             v = e.bound
-            log_lam = math.log(e.lam) if e.lam > 0 else -math.inf
             comparison = -(2 * e.n + 1) * math.log(
                 (4 * e.n + 4 * alpha + 2) / (math.e * c))
-            rows.append([e.n, _fmt(e.chi), _fmt(e.lam), _fmt(log_lam),
+            rows.append([e.n, _fmt(e.chi), _fmt(e.lam), _fmt(e.log_lam),
                          _fmt(v.log_lambda_bound) if v.applicable else "",
                          _fmt(v.margin_lambda) if v.applicable else "",
                          _fmt(comparison)])

@@ -138,11 +138,18 @@ def lambda_decay_constant(alpha):
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
 
+def _log_lambda(mu_abs, c):
+    """log lambda_n = log(c / 2 pi) + 2 log |mu_n|, from |mu_n|: finite where
+    lambda_n itself underflows to 0 (-inf only when mu_n is 0)."""
+    log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
+    return math.log(c / (2.0 * math.pi)) + 2.0 * log_mu
+
+
 def decay_bound_check(n, mu_abs, alpha, c):
     """Super-exponential decay bounds on |mu_n| and lambda_n, in log space.
 
-    log lambda_n = log(c / 2 pi) + 2 log |mu_n| comes from |mu_n|, so the
-    lambda margin stays finite where lambda_n itself underflows to 0.
+    log lambda_n comes from |mu_n| (:func:`_log_lambda`), so the lambda
+    margin stays finite where lambda_n itself underflows to 0.
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
     verdict with infinite margins.
     """
@@ -159,24 +166,26 @@ def decay_bound_check(n, mu_abs, alpha, c):
                         - (alpha + 1.0) * math.log(c)
                         - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
     log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
-    log_lam = math.log(c / (2.0 * math.pi)) + 2.0 * log_mu
     return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
                         log_lambda_bound=log_lambda_bound,
                         margin_mu=log_mu_bound - log_mu,
-                        margin_lambda=log_lambda_bound - log_lam)
+                        margin_lambda=log_lambda_bound - _log_lambda(mu_abs, c))
 
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """Transform eigenvalue record: lambda = (c / 2 pi) |mu|^2 by construction;
-    ``probe_spread`` is the largest |ratio - mu| over the probes of n, and
-    ``probe_floor`` the largest roundoff floor of those probes over |mu|."""
+    """Transform eigenvalue record: lambda = (c / 2 pi) |mu|^2 by construction,
+    and ``log_lam`` its logarithm from log |mu|, finite where ``lam``
+    underflows to 0; ``probe_spread`` is the largest |ratio - mu| over the
+    probes of n, and ``probe_floor`` the largest roundoff floor of those
+    probes over |mu|."""
 
     n: int
     chi: float
     mu_abs: float
     mu_phase: complex
     lam: float
+    log_lam: float
     bound: DecayVerdict
     probe_spread: float
     probe_floor: float
@@ -237,7 +246,8 @@ def compute_spectrum(basis):
     worst kept floor exceeds ``_PROBE_TOL`` relative (the check would be
     vacuous), when a ratio misses mu by more than that plus its floor, when
     the phase convention disagrees with quadrature, when a lambda exceeds 1,
-    and when the lambda sequence increases.
+    and when log lambda increases by more than 1e-12 (the log form of a
+    1e-12 relative rise, which stays strict where lambda underflows).
     """
     _check_phase(basis)
     eps = np.finfo(float).eps
@@ -248,7 +258,7 @@ def compute_spectrum(basis):
     at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
     rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
     entries = []
-    prev_lam = None
+    prev_log_lam = None
     for n in ns:
         mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
@@ -265,15 +275,17 @@ def compute_spectrum(basis):
                 f"{floor / max(mu_abs, 1e-300):.3e}) exceeds {_PROBE_TOL:.1e} "
                 f"at n={n} (insufficient truncation?)")
         lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
+        log_lam = _log_lambda(mu_abs, basis.c)
         if lam > 1.0 + 1e-9:
             raise ConsistencyError(f"lambda_{n} = {lam!r} exceeds 1")
-        if prev_lam is not None and lam > prev_lam * (1.0 + 1e-12):
+        if prev_log_lam is not None and log_lam > prev_log_lam + 1e-12:
             raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
-        prev_lam = lam
+        prev_log_lam = log_lam
         phase = mu / mu_abs if mu_abs > 0.0 else complex(1.0)
         bound = decay_bound_check(n, mu_abs, basis.alpha, basis.c)
         entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
-                                     mu_phase=phase, lam=lam, bound=bound,
+                                     mu_phase=phase, lam=lam, log_lam=log_lam,
+                                     bound=bound,
                                      probe_spread=spread,
                                      probe_floor=floor / mu_abs))
     return entries

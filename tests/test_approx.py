@@ -54,6 +54,15 @@ class TestCorpus:
         with pytest.raises(DomainError):
             approx.brownian(0.4, seed=1)
 
+    def test_wm_blocked_evaluation_matches_one_product(self):
+        # more terms than one evaluation block
+        lam, s, K = 1.01, 1.0, 3 * approx._EVAL_BLOCK + 7
+        f = approx.weierstrass_mandelbrot(s, lam, K=K)
+        x = np.linspace(-1.0, 1.0, 41)
+        k = np.arange(K)
+        ref = np.sin(np.outer(x, lam ** k)) @ lam ** (-(2.0 - s) * k)
+        np.testing.assert_allclose(f(x), ref, rtol=0, atol=1e-12)
+
     def test_wm_odd_and_zero_at_origin(self):
         f = approx.weierstrass_mandelbrot(0.5, 2.0)
         x = np.linspace(0.05, 1.0, 13)

@@ -6,7 +6,7 @@ import pytest
 
 from gpswf import basis as B
 from gpswf import specfun
-from gpswf.errors import DomainError, TruncationError
+from gpswf.errors import ConsistencyError, DomainError, TruncationError
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +153,15 @@ class TestBuildBasis:
         with pytest.raises(TruncationError, match="truncation order 28"):
             B.build_basis(0.5, 30.0, 40)
 
+    def test_short_start_grows_and_passes(self, monkeypatch):
+        # a start below the smallest passing order (167 here) doubles once
+        ref = B.build_basis(0.5, 200.0, 230)
+        monkeypatch.setattr(B, "_start_order", lambda c, nmax: 120)
+        b = B.build_basis(0.5, 200.0, 230)
+        assert b.trunc == 240
+        assert max(float(np.sum(v[-8:] ** 2)) for v in b.beta) <= 1e-24
+        np.testing.assert_allclose(b.chi, ref.chi, rtol=1e-12, atol=0)
+
     def test_sign_convention(self, basis_05_2):
         for n in range(basis_05_2.nmax):
             at0 = basis_05_2.psi(n, np.array([0.0]), 1)
@@ -161,6 +170,53 @@ class TestBuildBasis:
             else:
                 assert at0[0, 0] == 0.0
                 assert at0[1, 0] > 0
+
+
+# The start order of the truncation rule at the sweep workload's corners
+# (nmax = ceil(c) + 30), the projection and scenario cells, and bandwidth
+# cells, two of them with nmax < c
+_RULE_CELLS = [(0.0, math.pi, 34), (2.5, math.pi, 34), (0.0, 20 * math.pi, 93),
+               (2.5, 20 * math.pi, 93), (0.5, 5 * math.pi, 96),
+               (1.5, 5 * math.pi, 96), (1.5, 5 * math.pi, 91),
+               (2.5, 5 * math.pi, 40), (0.5, 200.0, 230), (5.0, 200.0, 250),
+               (0.5, 500.0, 250), (2.0, 300.0, 100)]
+
+
+def _tail_passes(monkeypatch, alpha, c, nmax, M):
+    with monkeypatch.context() as m:
+        m.setattr(B, "_truncation_orders", lambda c, nmax: iter((M,)))
+        try:
+            B.build_basis(alpha, c, nmax)
+        except (TruncationError, ConsistencyError):
+            return False
+    return True
+
+
+class TestTruncationRule:
+    @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
+    def test_start_needs_no_growth_and_keeps_chi(self, alpha, c, nmax):
+        b = B.build_basis(alpha, c, nmax)
+        assert b.trunc == B._start_order(c, nmax)
+        # the former start order, nmax + ceil(c) + 40, as a dense oracle
+        old = nmax + math.ceil(c) + 40
+        dense = np.sort(np.concatenate([
+            np.linalg.eigvalsh(B.assemble_eigensystem(alpha, c, old, p).dense())
+            for p in ("even", "odd")]))[:nmax]
+        np.testing.assert_allclose(b.chi, dense, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
+    def test_start_is_tight(self, monkeypatch, alpha, c, nmax):
+        # bisect the smallest order that passes the tail check; each parity
+        # block needs (nmax + 1) // 2 rows to hold its eigenvalues at all
+        start = B._start_order(c, nmax)
+        lo, hi = (nmax + 1) // 2 - 1, start
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _tail_passes(monkeypatch, alpha, c, nmax, mid):
+                hi = mid
+            else:
+                lo = mid
+        assert start - hi <= 60
 
 
 EPS = np.finfo(float).eps

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpswf import cli
+from gpswf import approx, cli
 from gpswf.errors import DomainError
 
 
@@ -97,6 +97,24 @@ def test_project_bad_fn_or_N_exits_1(capsys, cache_args, fn, N):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fn", [
+    "wm:s=1,lambda=1.0000001",  # wm_truncation gives 437,491,191 terms
+    "wm:s=1,lambda=2,K=1000001",
+    "brownian:s=1.5,K=10000000000",
+])
+def test_project_term_count_past_cap_exits_1(capsys, cache_args, monkeypatch, fn):
+    # the cap stops the spec before any series array is built
+    def no_draw(seed, count):
+        raise AssertionError(f"drew {count} samples")
+
+    monkeypatch.setattr(approx, "_gaussian_samples", no_draw)
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
+                             "--fn", fn, "--N", "4", *cache_args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "K must lie in 1..1000000" in err
 
 
 # spec words: no separator and nothing str.strip would remove

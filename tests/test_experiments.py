@@ -65,6 +65,20 @@ class TestCache:
                 assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is not None
 
+    def test_version_2_entry_rebuilt_at_the_bracket_start(self, cache_dir, monkeypatch):
+        # version 2 entries hold bases at the former start order,
+        # nmax + ceil(c) + 40; under version 3 they miss and are rebuilt
+        with monkeypatch.context() as m:
+            m.setattr(X, "_FORMAT_VERSION", 2)
+            m.setattr(B, "_start_order", lambda c, nmax: nmax + math.ceil(c) + 40)
+            assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 50
+        assert X._FORMAT_VERSION == 3
+        assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
+        got = X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir)
+        assert got.trunc == B._start_order(2.0, 8) == 45
+        assert X.cache_get(0.5, 2.0, 8, cache_dir).trunc == 45
+        assert len(X.cache_ls(cache_dir)) == 2
+
     def test_corrupt_entry_discarded(self, small_basis, cache_dir):
         entry = X.cache_put(small_basis, cache_dir)
         raw = bytearray(entry.path.read_bytes())

@@ -179,6 +179,24 @@ def test_deep_n_probe_check_passes(alpha, c, nmax):
 EPS = np.finfo(float).eps
 
 
+def test_log_lambda_finite_and_decreasing_where_lambda_underflows():
+    # from n = 127 on lambda underflows to 0.0, where a decreasing check on
+    # lambda itself holds vacuously; log lambda stays finite and decreasing
+    entries = spectral.compute_spectrum(B.build_basis(0.5, 10.0, 200))
+    log_lam = np.array([e.log_lam for e in entries])
+    assert sum(e.lam == 0.0 for e in entries) > 0
+    assert np.all(np.isfinite(log_lam))
+    assert np.all(np.diff(log_lam) < 0.0)
+    tiny = np.finfo(float).tiny
+    for e in entries:
+        if e.lam >= tiny:  # a normal double: its log agrees to a few ulps
+            assert abs(e.log_lam - math.log(e.lam)) <= 8 * EPS * max(1.0, abs(e.log_lam))
+        if e.bound.applicable:
+            assert e.bound.margin_lambda == e.bound.log_lambda_bound - e.log_lam
+
+
+
+
 def _per_n_probes(basis, n):
     """Probe ratios and floors of psi_n, ranked by floor, from its own psi
     call at the 32 geometric candidates and one transform sum per candidate."""
