@@ -328,24 +328,22 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     return out
 
 
-def _cos_transform(alpha, u, bessel=None):
-    """int cos(u x) w_a(x) dx = sqrt(pi) (2/u)^(a+1/2) Gamma(a+1) J_{a+1/2}(u);
-    ``bessel`` is J_{a+1/2}(u) when the caller already has it."""
-    if u == 0.0:
-        return specfun.weight_mass(alpha)
-    if bessel is None:
-        bessel = specfun.bessel_j(alpha + 0.5, u)
-    return (spectral._fc_pref(alpha, u)
-            * math.exp(specfun.ln_gamma(alpha + 1.0)) * bessel)
+def _cos_transforms(alpha, u):
+    """W(u_i) = int cos(u_i x) w_a(x) dx = sqrt(pi) (2/u)^(a+1/2) Gamma(a+1)
+    J_{a+1/2}(u) for an array of u_i >= 0, the Bessel values from one ladder
+    call; W(0) is the weight mass."""
+    u = np.asarray(u, dtype=float)
+    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
+    gamma = math.exp(specfun.ln_gamma(alpha + 1.0))
+    return np.array([spectral._fc_pref(alpha, uk) * gamma * jv if uk
+                     else specfun.weight_mass(alpha)
+                     for uk, jv in zip(u.tolist(), bessel)])
 
 
 @lru_cache(maxsize=8)
 def _cos_transform_table(alpha, jmax):
-    """W(j pi) = _cos_transform(alpha, j pi), j = 0..jmax, read-only; the
-    Bessel values come from one batched ladder."""
-    u = (np.arange(jmax + 1) * math.pi).tolist()
-    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
-    w = np.array([_cos_transform(alpha, uj, jv) for uj, jv in zip(u, bessel)])
+    """W(j pi), j = 0..jmax, from :func:`_cos_transforms`, read-only."""
+    w = _cos_transforms(alpha, np.arange(jmax + 1) * math.pi)
     w.setflags(write=False)
     return w
 
@@ -366,8 +364,7 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
     diff = np.abs(freqs[iu] - freqs[ju])
     sums = freqs[iu] + freqs[ju]
     u = np.array(sorted(set(diff.tolist() + sums.tolist())))
-    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
-    w = np.array([_cos_transform(alpha, uk, jv) for uk, jv in zip(u, bessel)])
+    w = _cos_transforms(alpha, u)
     # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
     prods = np.zeros((K, K))
     prods[iu, ju] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])

@@ -7,17 +7,17 @@ work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
 :func:`tridiag_eig`, which is LAPACK through ``numpy.linalg``; no kernel
 computes eigenvectors.
 
-:func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at one argument;
-:func:`bessel_ladders` gives them at many, and each row of the batch is
-bitwise equal to the scalar ladder at its argument.  Arguments in the upward
-regime share one vectorised recurrence from the same scalar Hankel sums.
-Miller-regime arguments are no longer sent to the scalar ladder: they run in
-blocks of ``_MILLER_BLOCK`` through one array backward recurrence, in which
-each column starts at its own order and rescales on its own, so every step
-is the same IEEE operations on each argument; the closing normalisation
-stays a per-element ``math.log``/``math.exp`` pass.  A block's work arrays
-hold at most (jtop + 7 count) * 32 doubles, 0.85 MB at count 394.  Both
-Miller paths read one memoised table of Neumann coefficients per base order.
+:func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
+arguments, one row each, and every row is bitwise what the argument would get
+alone.  Arguments in the upward regime share one vectorised recurrence from
+the same scalar Hankel sums.  Miller-regime arguments run in blocks of
+``_MILLER_BLOCK`` through one array backward recurrence, in which each column
+starts at its own order and rescales on its own, so every step is the same
+IEEE operations as the one-argument recurrence :func:`_ladder_miller`; the
+closing normalisation stays a per-element ``math.log``/``math.exp`` pass.  A
+block's work arrays hold at most (jtop + 7 count) * 32 doubles, 0.85 MB at
+count 394.  Both Miller paths read one memoised table of Neumann coefficients
+per base order.
 """
 
 import math
@@ -116,8 +116,8 @@ def _reduce_mod_2pi(x: float) -> float:
 # ---------------------------------------------------------------------------
 # Bessel J ladders.
 #
-# bessel_ladder(nu0, count, x) returns J_{nu0 + j}(x), j = 0..count-1, for
-# a base order nu0 in [-0.5, 0.5).  Two regimes:
+# bessel_ladder(nu0, count, x) returns J_{nu0 + j}(x_i), j = 0..count-1, one
+# row per argument x_i, for a base order nu0 in [-0.5, 0.5).  Two regimes:
 #   * Miller backward recurrence, normalized by the Neumann-type sum
 #     (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k!  J_{nu+2k}(x),
 #     used whenever the top order is comparable to x or x is moderate;
@@ -126,8 +126,8 @@ def _reduce_mod_2pi(x: float) -> float:
 #     (upward recurrence is stable in the oscillatory regime).
 # ---------------------------------------------------------------------------
 
-_RESCALE = 2.0 ** 600
 _RESCALE_LOG2 = 600
+_RESCALE = 2.0 ** _RESCALE_LOG2
 _MILLER_X_MAX = 370.0
 
 
@@ -222,6 +222,8 @@ def _each(fn, a):
 
 
 def _ladder_miller(nu0, count, x):
+    """The backward recurrence at one argument, in Python floats: the path
+    of a lone Miller argument and the reference of :func:`_miller_block`."""
     jtop = _miller_top(nu0, count, x)
     cf = _neumann(nu0, jtop)
     vals = [0.0] * count
@@ -325,28 +327,21 @@ def _ladder_zero(nu0, count):
     return ladder
 
 
-def bessel_ladder(nu0, count, x):
-    """J_{nu0+j}(x) for j = 0..count-1, nu0 in [-0.5, 0.5), x >= 0."""
-    if x == 0.0:
-        return _ladder_zero(nu0, count)
-    if not _upward_regime(nu0, count, x):
-        return _ladder_miller(nu0, count, x)
-    return _ladder_upward(nu0, count, np.array([x]))[:, 0]
-
-
 # Arguments per batched Miller recurrence: its work arrays hold at most
 # (jtop + 7 count) x 32 doubles, and larger blocks raised peak RSS for little
 # further speed.
 _MILLER_BLOCK = 32
 
 
-def bessel_ladders(nu0, count, x):
-    """J_{nu0+j}(x_i) as an array of shape (len(x), count); row i is bitwise
-    equal to ``bessel_ladder(nu0, count, x_i)``.
+def bessel_ladder(nu0, count, x):
+    """J_{nu0+j}(x_i), j = 0..count-1, for nu0 in [-0.5, 0.5) and an array
+    of x_i >= 0, as an array of shape (len(x), count).  Row i is bitwise the
+    same whatever other arguments share the call.
 
     Miller-regime arguments are sorted by start order and run in blocks of
-    ``_MILLER_BLOCK`` through one array recurrence each; a lone argument
-    runs the scalar ladder, which is faster for one column.
+    ``_MILLER_BLOCK`` through one array recurrence each; a block of one
+    argument runs :func:`_ladder_miller`, about ten times faster than a
+    one-column array recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.tolist()

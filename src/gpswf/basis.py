@@ -128,10 +128,6 @@ def _merge_parities(chi_even, chi_odd, nmax):
     return chi[:nmax]
 
 
-_RESCALE_LOG2 = 600
-_RESCALE = 2.0 ** _RESCALE_LOG2
-
-
 def _march(d, lower, upper, lam):
     """Three-term recurrence of ``(T - lam) v = 0`` from the last row down.
 
@@ -149,10 +145,10 @@ def _march(d, lower, upper, lam):
     mant[m - 1] = v
     for i in range(m - 1, 0, -1):
         v, v_next = ((lam - d[i]) * v - upper[i] * v_next) / lower[i], v
-        big = np.abs(v) > _RESCALE
+        big = np.abs(v) > backend._RESCALE
         if big.any():
-            v[big] /= _RESCALE
-            v_next[big] /= _RESCALE
+            v[big] /= backend._RESCALE
+            v_next[big] /= backend._RESCALE
             scale[big] += 1
         mant[i - 1] = v
         expo[i - 1] = scale
@@ -179,7 +175,7 @@ def _recurrence_vectors(tri, lam):
     f_mant, f_exp = _march(d[::-1], upper[::-1], lower[::-1], lam)
     f_mant, f_exp = f_mant[::-1], f_exp[::-1]
     with np.errstate(divide="ignore"):
-        size = np.log2(np.abs(b_mant)) + _RESCALE_LOG2 * b_exp
+        size = np.log2(np.abs(b_mant)) + backend._RESCALE_LOG2 * b_exp
     # peak: the largest row p whose predecessor p-1 is no larger than it
     flat = size[:-1] <= size[1:]
     last = m - 2 - np.argmax(flat[::-1], axis=0)
@@ -188,7 +184,7 @@ def _recurrence_vectors(tri, lam):
     below = np.arange(m)[:, None] < peak
     mant = np.where(below, f_mant / f_mant[peak, cols], b_mant / b_mant[peak, cols])
     expo = np.where(below, f_exp - f_exp[peak, cols], b_exp - b_exp[peak, cols])
-    z = np.ldexp(mant, (_RESCALE_LOG2 * expo).astype(np.int32))
+    z = np.ldexp(mant, (backend._RESCALE_LOG2 * expo).astype(np.int32))
     return z / np.linalg.norm(z, axis=0)
 
 
@@ -306,15 +302,20 @@ class ChiBoundVerdict:
                                          and self.margin_upper >= 0.0)
 
 
+def _improved_regime(alpha, q):
+    """Whether the improved chi bound and the local estimate apply: alpha <=
+    1/4 and q = c^2 / chi_n < 3/17."""
+    return alpha <= 0.25 and q < 3.0 / 17.0
+
+
 def chi_lower_bound_check(basis, n):
     """Improved lower bound check, applicable for alpha <= 1/4 and q < 3/17."""
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
-    applicable = basis.alpha <= 0.25 and q < 3.0 / 17.0
+    applicable = _improved_regime(basis.alpha, q)
     c_alpha = improved_chi_constant(basis.alpha)
-    base = n * (n + 2.0 * basis.alpha + 1.0)
+    base, upper = chi_bracket(basis.alpha, basis.c, n)
     lower = base + c_alpha * basis.c ** 2
-    upper = base + basis.c ** 2
     return ChiBoundVerdict(n=n, chi=chi, q=q, applicable=applicable,
                            c_alpha=c_alpha, lower=lower, upper=upper,
                            margin_lower=chi - lower, margin_upper=upper - chi)
@@ -329,7 +330,8 @@ class LocalEstimateReport:
     a_squared  = psi_n(0)^2 + psi_n'(0)^2 / chi_n
     b_moment   = int x^2 psi_n^2 w_a dx
     The bound sup <= A^2 <= 2a+1 (and 1 - B <= 2 A^2) applies when
-    alpha <= 1/4 and q = c^2/chi_n < 3/17.
+    alpha <= 1/4 and q = c^2/chi_n < 3/17; ``ok`` holds when it does not
+    apply or when all three inequalities hold to 1e-9.
     """
 
     n: int
@@ -338,6 +340,14 @@ class LocalEstimateReport:
     a_squared: float
     b_moment: float
     bound_applicable: bool
+    alpha: float
+
+    @property
+    def ok(self):
+        return (not self.bound_applicable) or (
+            self.sup_value <= self.a_squared + 1e-9
+            and self.a_squared <= 2 * self.alpha + 1 + 1e-9
+            and 1 - self.b_moment <= 2 * self.a_squared + 1e-9)
 
 
 def _estimate_grid(grid_size):
@@ -376,10 +386,10 @@ def local_estimate(basis, n, grid_size=400):
     sup_value = float(np.max(envelope * w * psi ** 2))
     a_squared = float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi)
     b_moment = moment_b(basis, n)
-    applicable = basis.alpha <= 0.25 and q < 3.0 / 17.0
     return LocalEstimateReport(n=n, q=q, sup_value=sup_value,
                                a_squared=a_squared, b_moment=b_moment,
-                               bound_applicable=applicable)
+                               bound_applicable=_improved_regime(basis.alpha, q),
+                               alpha=basis.alpha)
 
 
 def moment_b(basis, n):

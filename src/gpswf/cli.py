@@ -155,6 +155,10 @@ def _cmd_spectrum(args):
     return 0
 
 
+def _verdict(applicable, ok):
+    return ("ok" if ok else "VIOLATED") if applicable else "n/a"
+
+
 def _cmd_bounds(args):
     b = _get_basis(args)
     entries = spectral.compute_spectrum(b)
@@ -162,24 +166,15 @@ def _cmd_bounds(args):
     for e in entries:
         chi_verdict = basis_mod.chi_lower_bound_check(b, e.n)
         lo, hi = basis_mod.chi_bracket(b.alpha, b.c, e.n)
-        bracket_ok = lo <= e.chi <= hi
         est = basis_mod.local_estimate(b, e.n, args.grid_size)
-        if est.bound_applicable:
-            local_ok = (est.sup_value <= est.a_squared + 1e-9
-                        and est.a_squared <= 2 * b.alpha + 1 + 1e-9
-                        and 1 - est.b_moment <= 2 * est.a_squared + 1e-9)
-            local = "ok" if local_ok else "VIOLATED"
-        else:
-            local = "n/a"
         dv = e.bound
         rows.append([
             e.n,
-            "ok" if bracket_ok else "VIOLATED",
-            ("ok" if chi_verdict.ok else "VIOLATED") if chi_verdict.applicable else "n/a",
-            (("ok" if dv.margin_mu >= 0 and dv.margin_lambda >= 0 else "VIOLATED")
-             if dv.applicable else "n/a"),
+            _verdict(True, lo <= e.chi <= hi),
+            _verdict(chi_verdict.applicable, chi_verdict.ok),
+            _verdict(dv.applicable, dv.ok),
             f"{dv.margin_lambda:.3e}" if dv.applicable else "",
-            local,
+            _verdict(est.bound_applicable, est.ok),
         ])
     _emit(rows, ["n", "chi_bracket", "chi_lower", "decay", "decay_margin",
                  "local_estimate"], args.format)

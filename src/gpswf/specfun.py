@@ -1,4 +1,4 @@
-"""Scalar special functions and Gauss-Jacobi quadrature for the weight
+"""Special functions and Gauss-Jacobi quadrature for the weight
 ``w_a(x) = (1 - x^2)^a`` on [-1, 1]."""
 
 import math
@@ -17,7 +17,6 @@ __all__ = [
     "gamma_bracket",
     "bessel_j",
     "bessel_j_ladder",
-    "bessel_j_ladders",
     "weight_mass",
     "jacobi_recurrence",
     "jacobi_norm0",
@@ -78,29 +77,21 @@ def _check_argument(x):
 
 
 def bessel_j_ladder(nu, kmax, x):
-    """Array J_{nu+j}(x) for j = 0..kmax (one backward recurrence for all)."""
-    base, shift = _split_order(nu)
-    _check_argument(x)
-    full = backend.bessel_ladder(base, shift + kmax + 1, float(x))
-    return np.asarray(full)[shift:]
-
-
-def bessel_j_ladders(nu, kmax, x):
-    """J_{nu+j}(x_i), j = 0..kmax, one row per argument; row i is bitwise
-    equal to ``bessel_j_ladder(nu, kmax, x_i)``."""
+    """J_{nu+j}(x_i), j = 0..kmax, for an array of x_i, one row per argument,
+    from :func:`backend.bessel_ladder`; a row does not depend on the other
+    arguments of the call."""
     base, shift = _split_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     for xi in x.tolist():
         _check_argument(xi)
-    return backend.bessel_ladders(base, shift + kmax + 1, x)[:, shift:]
+    return backend.bessel_ladder(base, shift + kmax + 1, x)[:, shift:]
 
 
 def bessel_j(nu, x):
-    """J_nu(x) for real order nu >= -1/2 and x >= 0.  An array of x gives an
-    array from one batched ladder, bitwise equal to scalar calls."""
-    if np.ndim(x) == 0:
-        return float(bessel_j_ladder(nu, 0, x)[0])
-    return bessel_j_ladders(nu, 0, x)[:, 0]
+    """J_nu(x) for real order nu >= -1/2 and x >= 0: a float for a scalar x,
+    an array for an array of x."""
+    col = bessel_j_ladder(nu, 0, x)[:, 0]
+    return col if np.ndim(x) else float(col[0])
 
 
 # ---------------------------------------------------------------------------

@@ -51,31 +51,28 @@ def _fc_pref(alpha, u):
     return math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
 
 
-@lru_cache(maxsize=256)
-def _fc_terms(alpha, kmax, u):
+def _fc_term_rows(alpha, kmax, us):
     """Real transform terms t_k = s_k sqrt(pi) (2/u)^(a+1/2) gamma_k
-    J_{k+a+1/2}(u) for k = 0..kmax and u > 0, as a read-only array.
+    J_{k+a+1/2}(u), k = 0..kmax, one row per argument u > 0 of ``us``, from
+    one Bessel ladder call; nothing is memoised.
 
     int e^{iuy} Jt_k(y) w_a(y) dy = i^(k mod 2) t_k, so a coefficient vector
     of one parity transforms to its dot product with t (times i if odd).  This
-    is the only place that knows the Bessel expansion of F_c.  The terms
-    depend on (alpha, kmax, u) alone, so they are memoised: every n of a
-    basis, and every seed or call, shares one ladder per argument.  Many
-    arguments at once (the probes of :func:`compute_spectrum`) go through
-    :func:`_fc_term_rows` instead.
+    is the only place that knows the Bessel expansion of F_c.
     """
-    terms = (_fc_pref(alpha, u) * _signed_gammas(alpha, kmax)
-             * specfun.bessel_j_ladder(alpha + 0.5, kmax, u))
-    terms.setflags(write=False)
+    pref = np.array([_fc_pref(alpha, u) for u in np.asarray(us, float).tolist()])
+    terms = pref[:, None] * _signed_gammas(alpha, kmax)
+    terms *= specfun.bessel_j_ladder(alpha + 0.5, kmax, us)
     return terms
 
 
-def _fc_term_rows(alpha, kmax, us):
-    """Row i holds ``_fc_terms(alpha, kmax, us[i])``, bitwise, from one
-    batched Bessel ladder; nothing is memoised."""
-    pref = np.array([_fc_pref(alpha, u) for u in np.asarray(us, float).tolist()])
-    terms = pref[:, None] * _signed_gammas(alpha, kmax)
-    terms *= specfun.bessel_j_ladders(alpha + 0.5, kmax, us)
+@lru_cache(maxsize=256)
+def _fc_terms(alpha, kmax, u):
+    """The row of :func:`_fc_term_rows` at one argument u, read-only.  The
+    terms depend on (alpha, kmax, u) alone, so they are memoised: every n of
+    a basis, and every seed or call, shares one ladder per argument."""
+    terms = _fc_term_rows(alpha, kmax, [u])[0]
+    terms.setflags(write=False)
     return terms
 
 
@@ -138,11 +135,15 @@ def lambda_decay_constant(alpha):
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
 
+def _log_mu(mu_abs):
+    """log |mu_n|, -inf when mu_n is 0."""
+    return math.log(mu_abs) if mu_abs > 0.0 else -math.inf
+
+
 def _log_lambda(mu_abs, c):
     """log lambda_n = log(c / 2 pi) + 2 log |mu_n|, from |mu_n|: finite where
     lambda_n itself underflows to 0 (-inf only when mu_n is 0)."""
-    log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
-    return math.log(c / (2.0 * math.pi)) + 2.0 * log_mu
+    return math.log(c / (2.0 * math.pi)) + 2.0 * _log_mu(mu_abs)
 
 
 def decay_bound_check(n, mu_abs, alpha, c):
@@ -165,10 +166,9 @@ def decay_bound_check(n, mu_abs, alpha, c):
     log_lambda_bound = (math.log(lambda_decay_constant(alpha))
                         - (alpha + 1.0) * math.log(c)
                         - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
-    log_mu = math.log(mu_abs) if mu_abs > 0.0 else -math.inf
     return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
                         log_lambda_bound=log_lambda_bound,
-                        margin_mu=log_mu_bound - log_mu,
+                        margin_mu=log_mu_bound - _log_mu(mu_abs),
                         margin_lambda=log_lambda_bound - _log_lambda(mu_abs, c))
 
 

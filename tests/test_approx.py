@@ -257,16 +257,16 @@ class TestWmCoefficients:
 
     @pytest.mark.parametrize("alpha,s", [(0.1, 0.25), (1.5, 1.0)])
     def test_norm_bitwise_equals_scalar_transforms(self, alpha, s):
-        # the pairwise sum of scalar transforms, in the same order, is the
-        # reference for the table read from one batched ladder
+        # the pairwise sum of one-argument transforms, in the same order, is
+        # the reference for the table read from one batched ladder
         K = approx.wm_truncation(s, 2.0)
         freqs = 2.0 ** np.arange(K)
         amps = 2.0 ** (-(2.0 - s) * np.arange(K))
         ref = 0.0
         for i in range(K):
             for j in range(i, K):
-                val = 0.5 * (approx._cos_transform(alpha, abs(freqs[i] - freqs[j]))
-                             - approx._cos_transform(alpha, freqs[i] + freqs[j]))
+                val = 0.5 * (approx._cos_transforms(alpha, [abs(freqs[i] - freqs[j])])[0]
+                             - approx._cos_transforms(alpha, [freqs[i] + freqs[j]])[0])
                 ref += (1.0 if i == j else 2.0) * amps[i] * amps[j] * val
         assert approx.wm_l2_norm_squared(alpha, s, 2.0, K) == ref
 
@@ -300,7 +300,7 @@ class TestCosineSeries:
     def test_transform_table_bitwise_equals_scalar(self):
         # j pi crosses the Miller/upward switch at 370 near j = 118
         w = approx._cos_transform_table(1.5, 300)
-        ref = np.array([approx._cos_transform(1.5, j * math.pi) for j in range(301)])
+        ref = np.array([approx._cos_transforms(1.5, [j * math.pi])[0] for j in range(301)])
         assert w.tobytes() == ref.tobytes()
         with pytest.raises(ValueError):
             w[0] = 0.0

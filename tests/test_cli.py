@@ -84,6 +84,29 @@ def test_consistency_failure_exits_2(capsys, monkeypatch):
     assert "numerical-consistency" in err
 
 
+def test_version_exits_0(capsys):
+    from gpswf import __version__
+
+    code, out, _ = run_cli(capsys, "--version")
+    assert code == 0
+    assert out.strip() == __version__
+
+
+def test_truncation_failure_exits_2(capsys, monkeypatch):
+    from gpswf import basis
+    from gpswf.errors import TruncationError
+
+    def unresolved(alpha, c, nmax):
+        raise TruncationError("coefficient tail mass 1e-3 at n=3", n=3, tail_mass=1e-3)
+
+    monkeypatch.setattr(basis, "build_basis", unresolved)
+    code, out, err = run_cli(capsys, "basis", "--alpha", "0.5", "--c", "2",
+                             "--nmax", "4", "--no-cache")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical-consistency failure: coefficient tail mass")
+
+
 @pytest.mark.parametrize("fn,N", [
     ("brownian:s=1.5,sed=3", "4"),  # unknown key
     ("wm:s=1", "4"),  # missing key

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpswf import __version__
 from gpswf import basis as B
@@ -45,6 +47,50 @@ class TestSerialization:
         path.write_bytes(b"not a basis at all" * 10)
         with pytest.raises(DomainError):
             X.load_basis(path)
+
+
+# any doubles, NaN payloads and signed zeros included: the container must
+# carry them bit for bit
+_DOUBLES = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _small_bases(draw):
+    nmax, trunc = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    chi = np.array(draw(st.lists(_DOUBLES, min_size=nmax, max_size=nmax)), dtype=float)
+    beta = tuple(np.array(draw(st.lists(_DOUBLES, min_size=trunc, max_size=trunc)),
+                          dtype=float) for _ in range(nmax))
+    return B.GpswfBasis(alpha=draw(_DOUBLES), c=draw(_DOUBLES), trunc=trunc,
+                        nmax=nmax, chi=chi, beta=beta)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestContainerProperties:
+    @given(_small_bases())
+    def test_round_trip_bit_for_bit(self, b):
+        got = X.basis_from_bytes(X.basis_to_bytes(b))
+        assert (_bits(got.alpha), _bits(got.c)) == (_bits(b.alpha), _bits(b.c))
+        assert (got.trunc, got.nmax) == (b.trunc, b.nmax)
+        assert got.chi.tobytes() == b.chi.tobytes()
+        assert [v.tobytes() for v in got.beta] == [v.tobytes() for v in b.beta]
+
+    @settings(max_examples=50, deadline=None)
+    @given(_small_bases())
+    def test_every_bit_flip_and_truncation_raises_domain_error(self, b):
+        # pytest.raises(DomainError) lets any other exception through, and a
+        # struct.error, a plain ValueError or an IndexError is not one
+        raw = X.basis_to_bytes(b)
+        for bit in range(8 * len(raw)):
+            bad = bytearray(raw)
+            bad[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(DomainError):
+                X.basis_from_bytes(bytes(bad))
+        for size in range(len(raw)):
+            with pytest.raises(DomainError):
+                X.basis_from_bytes(raw[:size])
 
 
 class TestCache:
