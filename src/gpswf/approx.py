@@ -299,9 +299,18 @@ def project(basis, f, N, quad_order=None):
     resid = res_f - coeffs @ res_tab
     l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
                                              np.abs(resid) ** 2))), 0.0))
-    sup = float(np.max(np.abs(f(_SUP_GRID)
-                              - coeffs @ basis.psi_table(_SUP_GRID, range(N)))))
+    sup = float(np.max(np.abs(f(_SUP_GRID) - _sup_grid_values(basis, coeffs))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
+
+
+def _sup_grid_values(basis, coeffs):
+    """S_N f = sum_n coeffs_n psi_n on ``_SUP_GRID`` as one Jacobi series in
+    g = sum_n coeffs_n beta^n: one column, or the real and imaginary part of
+    complex coefficients as two, so no N x 2001 psi table is built."""
+    complex_ = np.iscomplexobj(coeffs)
+    parts = np.stack([coeffs.real, coeffs.imag], axis=1) if complex_ else coeffs[:, None]
+    vals = basis._series(basis._beta_matrix(range(coeffs.size)) @ parts, _SUP_GRID)[0]
+    return vals[0] + 1j * vals[1] if complex_ else vals[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,17 +417,20 @@ def cosine_transform_table(basis, k_max, N):
 
 def cosine_series_norm2(alpha, weighted_amplitudes):
     """||sum_k y_k cos(k pi x)||^2 in L2(w_a), via exact cosine transforms:
-    <cos(j pi .), cos(k pi .)>_w = (W(|j-k| pi) + W((j+k) pi)) / 2."""
+    <cos(j pi .), cos(k pi .)>_w = (W(|j-k| pi) + W((j+k) pi)) / 2.
+
+    The autocorrelation and the self-convolution of y come from one
+    zero-padded real FFT of length L >= 2K - 1, O(K log K) in place of two
+    O(K^2) direct products."""
     y = np.asarray(weighted_amplitudes, dtype=float)
     K = y.size
     w = _cos_transform_table(alpha, 2 * K)
-    auto = np.correlate(y, y, mode="full")  # lags -(K-1)..K-1
-    w_diff = w[:K]
-    norm2 = 0.5 * float(auto[K - 1] * w_diff[0]
-                        + 2.0 * np.dot(auto[K:], w_diff[1:]))
-    w_sum = w[2:]
-    pair = np.convolve(y, y, mode="full")  # index d holds sum_{j+k=d+2} y y
-    norm2 += 0.5 * float(np.dot(pair, w_sum))
+    L = 1 << (2 * K - 2).bit_length()  # the smallest power of two >= 2K - 1
+    Y = np.fft.rfft(y, L)
+    auto = np.fft.irfft(Y * Y.conj(), L)[:K]  # lags 0..K-1
+    norm2 = 0.5 * float(auto[0] * w[0] + 2.0 * np.dot(auto[1:], w[1:K]))
+    pair = np.fft.irfft(Y * Y, L)[:2 * K - 1]  # index d holds sum_{j+k=d+2} y y
+    norm2 += 0.5 * float(np.dot(pair, w[2:]))
     return norm2
 
 

@@ -96,15 +96,26 @@ class GpswfBasis:
         call over all of them.
         """
         ns = [n] if np.ndim(n) == 0 else list(n)
+        out = self._series(self._beta_matrix(ns), x, nderiv)
+        return out[:, 0] if np.ndim(n) == 0 else out
+
+    def _beta_matrix(self, ns):
+        """The beta^n of each n in ``ns`` as the columns of a (2 trunc,
+        len(ns)) matrix over all Jacobi indices, as in full_coefficients."""
         coef = np.zeros((2 * self.trunc, len(ns)))
         for j, k in enumerate(ns):
             if not 0 <= k < self.nmax:
                 raise IndexError(f"basis index {k} out of range (nmax={self.nmax})")
             coef[k % 2::2, j] = self.beta[k]
+        return coef
+
+    def _series(self, coef, x, nderiv=0):
+        """One Jacobi series per column of ``coef`` (2 trunc rows, all Jacobi
+        indices) on the points x: :func:`backend.jacobi_series` with this
+        basis's recurrence, shape (nderiv+1, ncols, len(x))."""
         rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
-        out = backend.jacobi_series(coef, rec, specfun.jacobi_norm0(self.alpha),
-                                    x, nderiv)
-        return out[:, 0] if np.ndim(n) == 0 else out
+        return backend.jacobi_series(coef, rec, specfun.jacobi_norm0(self.alpha),
+                                     x, nderiv)
 
     def psi_table(self, x, n_list=None, nderiv=0):
         """Values (and derivatives) of many psi_n on a node array at once:
@@ -234,6 +245,10 @@ def build_basis(alpha, c, nmax):
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax!r}")
     for M in _truncation_orders(c, nmax):
+        if M < (nmax + 1) // 2:
+            raise TruncationError(
+                f"truncation order {M} gives fewer than {(nmax + 1) // 2} "
+                f"rows per parity for nmax={nmax}")
         tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
         spectra = [eig_symtridiag(t).values for t in tris]
         chi = _merge_parities(*spectra, nmax)

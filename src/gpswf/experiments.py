@@ -163,6 +163,12 @@ def basis_from_bytes(raw):
             off += 8 * ln
     except (struct.error, ValueError) as exc:
         raise DomainError(f"malformed basis container: {exc}") from exc
+    if off != len(payload):
+        raise DomainError(f"malformed basis container: {len(payload) - off} "
+                          "trailing bytes")
+    if any(vec.size != trunc for vec in beta):
+        raise DomainError(f"malformed basis container: beta row lengths "
+                          f"{sorted({vec.size for vec in beta})} != trunc {trunc}")
     chi.setflags(write=False)
     return basis_mod.GpswfBasis(alpha=alpha, c=c, trunc=trunc, nmax=nmax,
                                 chi=chi, beta=tuple(beta))

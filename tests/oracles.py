@@ -5,6 +5,9 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   route to lambda_n that does not go through mu_n and the boundary identity.
 * d chi_n / dc from a central finite difference of chi_n over two extra
   bases, against the exact moment 2c int x^2 psi_n^2 w_a.
+* The norm of a cosine series from the two direct O(K^2) products, and the
+  sup error of a projection from the N x 2001 psi table on the sup grid:
+  the forms the library's FFT norm and one-series sup error replaced.
 """
 
 import math
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpswf import specfun
+from gpswf import approx, specfun
 from gpswf.basis import build_basis, moment_b
 
 
@@ -76,3 +79,26 @@ def dchi_dc(alpha, c, n, h=None, nmax=None):
     bm = build_basis(alpha, c - h, nmax)
     fd = (float(bp.chi[n]) - float(bm.chi[n])) / (2.0 * h)
     return DchiDcRecord(analytic=analytic, finite_diff=fd)
+
+
+def cosine_series_norm2(alpha, weighted_amplitudes):
+    """||sum_k y_k cos(k pi x)||^2 in L2(w_a), via exact cosine transforms:
+    <cos(j pi .), cos(k pi .)>_w = (W(|j-k| pi) + W((j+k) pi)) / 2."""
+    y = np.asarray(weighted_amplitudes, dtype=float)
+    K = y.size
+    w = approx._cos_transform_table(alpha, 2 * K)
+    auto = np.correlate(y, y, mode="full")  # lags -(K-1)..K-1
+    w_diff = w[:K]
+    norm2 = 0.5 * float(auto[K - 1] * w_diff[0]
+                        + 2.0 * np.dot(auto[K:], w_diff[1:]))
+    w_sum = w[2:]
+    pair = np.convolve(y, y, mode="full")  # index d holds sum_{j+k=d+2} y y
+    norm2 += 0.5 * float(np.dot(pair, w_sum))
+    return norm2
+
+
+def sup_error_table(basis, f, coeffs):
+    """max |f - sum_n coeffs_n psi_n| on the sup grid, from the psi table."""
+    grid = approx._SUP_GRID
+    return float(np.max(np.abs(f(grid)
+                               - coeffs @ basis.psi_table(grid, range(coeffs.size)))))

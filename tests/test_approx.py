@@ -2,11 +2,12 @@ import math
 
 import mpmath
 import numpy as np
+import oracles
 import pytest
 
 from gpswf import approx
+from gpswf import backend, specfun, spectral
 from gpswf import basis as B
-from gpswf import specfun, spectral
 from gpswf.errors import DomainError
 
 
@@ -222,6 +223,32 @@ class TestProjection:
         norm2 = float(rule.integrate(f(rule.nodes) ** 2))
         assert float(np.sum(np.abs(pr.coefficients) ** 2)) <= norm2 + 1e-10
 
+    @pytest.mark.parametrize("target", [
+        approx.weierstrass_mandelbrot(0.5, 2.0, K=8),
+        approx.user_sampled(np.linspace(-1, 1, 401), np.abs(np.linspace(-1, 1, 401))),
+        approx.periodic_exponential(3),
+    ], ids=["wm", "abs", "periodic"])
+    def test_sup_error_matches_psi_table(self, basis_wm, target):
+        pr = approx.project(basis_wm, target, 20)
+        ref = oracles.sup_error_table(basis_wm, target, pr.coefficients)
+        assert pr.sup_error == pytest.approx(ref, abs=1e-13)
+
+    def test_sup_error_builds_no_psi_table(self, basis_wm, monkeypatch):
+        # S_N f on the sup grid is one series: one column for a real target,
+        # two (real and imaginary part) for a complex one, never N columns
+        columns = []
+        series = backend.jacobi_series
+
+        def counting(coef, rec, p0, x, nderiv=0):
+            if np.size(x) == approx._SUP_GRID.size:
+                columns.append(np.shape(coef)[1])
+            return series(coef, rec, p0, x, nderiv)
+
+        monkeypatch.setattr(backend, "jacobi_series", counting)
+        approx.project(basis_wm, approx.weierstrass_mandelbrot(0.5, 2.0, K=8), 20)
+        approx.project(basis_wm, approx.periodic_exponential(3), 20)
+        assert columns == [1, 2]
+
     def test_range_and_config_errors(self, basis_05_2):
         f = approx.brownian(1.5, seed=3, K=10)
         with pytest.raises(DomainError):
@@ -314,6 +341,17 @@ class TestCosineSeries:
             ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)
             assert table[k - 1, [0, 2, 4]].tobytes() == ref.tobytes()
         assert not np.any(table[:, 1::2])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_fft_norm_matches_direct_products(alpha):
+    # the FFT autocorrelation and self-convolution against np.correlate and
+    # np.convolve, from K = 1 (an FFT of length 1) up to the brownian K
+    rng = np.random.default_rng(9)
+    for K in (1, 2, 3, 40, 4000):
+        y = rng.standard_normal(K) / np.arange(1, K + 1) ** 1.5
+        assert approx.cosine_series_norm2(alpha, y) == pytest.approx(
+            oracles.cosine_series_norm2(alpha, y), rel=1e-14, abs=0)
 
 
 class TestPeriodicCoefficients:

@@ -153,6 +153,12 @@ class TestBuildBasis:
         with pytest.raises(TruncationError, match="truncation order 28"):
             B.build_basis(0.5, 30.0, 40)
 
+    def test_order_short_of_nmax_names_it(self, monkeypatch):
+        # 2 rows per parity cannot hold the 17 even n of nmax 34
+        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((2,)))
+        with pytest.raises(TruncationError, match="truncation order 2 "):
+            B.build_basis(0.0, math.pi, 34)
+
     def test_short_start_grows_and_passes(self, monkeypatch):
         # a start below the smallest passing order (167 here) doubles once
         ref = B.build_basis(0.5, 200.0, 230)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -47,6 +48,22 @@ class TestSerialization:
         path.write_bytes(b"not a basis at all" * 10)
         with pytest.raises(DomainError):
             X.load_basis(path)
+
+    def test_rehashed_inconsistent_fields_raise_domain_error(self, small_basis):
+        # a valid content hash over fields that disagree: trailing bytes, a
+        # trunc that is not the beta row length, rows of unequal length
+        def rehashed(payload):
+            return bytes(payload) + hashlib.sha256(bytes(payload)).digest()
+
+        payload = bytearray(X.basis_to_bytes(small_basis)[:-32])
+        trunc = bytearray(payload)
+        struct.pack_into("<I", trunc, 24, small_basis.trunc + 4)  # magic, version, alpha, c
+        ragged = B.GpswfBasis(alpha=0.5, c=2.0, trunc=3, nmax=2, chi=np.zeros(2),
+                              beta=(np.ones(3), np.ones(4)))
+        for raw in (rehashed(payload + b"\0" * 8), rehashed(trunc),
+                    X.basis_to_bytes(ragged)):
+            with pytest.raises(DomainError, match="malformed"):
+                X.basis_from_bytes(raw)
 
 
 # any doubles, NaN payloads and signed zeros included: the container must

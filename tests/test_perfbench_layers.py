@@ -1,7 +1,7 @@
 """perfbench names the library's layers by text ("module.function"); a rename
 or deletion in gpswf would leave a traced run without its layer.  The names
-are read from the perfbench sources with ``ast``; only the last test imports
-perfbench's tracer and workloads, from their files."""
+are read from the perfbench sources with ``ast``; only the last two tests
+import perfbench's tracer and workloads, from their files."""
 
 import ast
 import importlib
@@ -9,7 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from gpswf import spectral
+from gpswf import approx, specfun, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -81,3 +81,22 @@ def test_sweep_op_enters_every_expected_layer():
         tracer.restore()
     called = {tracer.names[i] for i in tracer.name}
     assert not set(EXPECTED["sweep"]) - called, sorted(set(EXPECTED["sweep"]) - called)
+
+
+def test_projection_ops_enter_every_expected_layer():
+    # perfbench's projection set-up prepares its bases and runs one op of
+    # each kind; a traced run counts set-up spans too.  The psi table and the
+    # cosine norm must stay on the path.
+    tracing, workloads = _load("tracing"), _load("workloads")
+    for cached in (spectral._fc_terms, approx._cos_transform_table,
+                   approx._wm_l2_norm_squared, specfun._rule_cached):
+        cached.cache_clear()  # warm transforms and rules skip their layers
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        workloads.projection_setup()
+    finally:
+        tracer.restore()
+    called = {tracer.names[i] for i in tracer.name}
+    missing = set(EXPECTED["projection"]) - called
+    assert not missing, sorted(missing)
