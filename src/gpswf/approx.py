@@ -157,15 +157,23 @@ def wm_truncation(s, lam):
     return max(1, int(math.ceil(math.log(_WM_TAIL_TOL * (1.0 - r)) / math.log(r))))
 
 
-def weierstrass_mandelbrot(s, lam, K=None):
-    """M_{s,lam}(x) = sum_{k=0}^{K-1} sin(lam^k x) / lam^(k(2-s)); lam > 1, s <= 1."""
+def _wm_terms(s, lam, K):
+    """The term count of a Weierstrass-Mandelbrot series, by default
+    :func:`wm_truncation`; a lam <= 1 or NaN, an s > 1 or NaN, or a count
+    outside 1.._MAX_TERMS raise DomainError."""
     if not lam > 1.0:
         raise DomainError(f"lambda must be > 1, got {lam!r}")
-    if s > 1.0:
+    if not s <= 1.0:
         raise DomainError(f"s must be <= 1, got {s!r}")
     if K is None:
         K = wm_truncation(s, lam)
     _check_terms(K)
+    return K
+
+
+def weierstrass_mandelbrot(s, lam, K=None):
+    """M_{s,lam}(x) = sum_{k=0}^{K-1} sin(lam^k x) / lam^(k(2-s)); lam > 1, s <= 1."""
+    K = _wm_terms(s, lam, K)
     freqs = lam ** np.arange(K)
     amps = lam ** (-(2.0 - s) * np.arange(K))
 
@@ -321,20 +329,33 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     """<M_{s,lam}, psi_n> for n < N; exact Bessel form, zero at even n.
 
     ``K`` terms of the series, by default ``wm_truncation(s, lam)`` like
-    :func:`weierstrass_mandelbrot`."""
-    if K is None:
-        K = wm_truncation(s, lam)
+    :func:`weierstrass_mandelbrot`, whose checks it shares."""
+    K = _wm_terms(s, lam, K)
     out = np.zeros(N)
     odd = [n for n in range(N) if n % 2 == 1]
     if not odd:
         return out
     coefs = np.stack([basis.full_coefficients(n) for n in odd])
     kmax = coefs.shape[1] - 1
-    for k in np.arange(K):
-        # Im of the transform value for odd-parity coefficient vectors
-        out[odd] += float(lam ** (-(2.0 - s) * k)) * (
-            coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
+    for lo in range(0, K, _EVAL_BLOCK):
+        hi = min(lo + _EVAL_BLOCK, K)
+        rows = _wm_term_rows(basis.alpha, kmax, lam, lo, hi)
+        for k in np.arange(lo, hi):
+            # Im of the transform value for odd-parity coefficient vectors
+            out[odd] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k - lo])
     return out
+
+
+@lru_cache(maxsize=16)
+def _wm_term_rows(alpha, kmax, lam, lo, hi):
+    """The transform terms at lam^k, k = lo..hi-1, one row each from one
+    ladder call, read-only: a series of at most ``_EVAL_BLOCK`` terms is one
+    entry, which every N and s at its basis and lam share.  The powers take
+    NumPy integers k: a Python int exponent may round lam^k differently."""
+    us = [float(lam ** k) for k in np.arange(lo, hi)]
+    rows = spectral._fc_term_rows(alpha, kmax, us)
+    rows.setflags(write=False)
+    return rows
 
 
 def _cos_transforms(alpha, u):
@@ -360,7 +381,7 @@ def _cos_transform_table(alpha, jmax):
 def wm_l2_norm_squared(alpha, s, lam, K):
     """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised)."""
     # the memo sits behind a plain function, which perfbench's tracer wraps
-    return _wm_l2_norm_squared(alpha, s, lam, K)
+    return _wm_l2_norm_squared(alpha, s, lam, _wm_terms(s, lam, K))
 
 
 @lru_cache(maxsize=64)
@@ -387,8 +408,7 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
 
 def wm_projection_error(basis, s, lam, N, K=None):
     """||M - S_N M||_{L2(w_a)} via Parseval in the orthonormal basis."""
-    if K is None:
-        K = wm_truncation(s, lam)
+    K = _wm_terms(s, lam, K)
     norm2 = wm_l2_norm_squared(basis.alpha, s, lam, K)
     coeffs = wm_all_coefficients(basis, s, lam, N, K=K)
     return math.sqrt(max(norm2 - float(np.sum(coeffs ** 2)), 0.0))

@@ -9,11 +9,14 @@ computes eigenvectors.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
-alone.  Arguments in the upward regime share one vectorised recurrence from
-the same scalar Hankel sums.  Miller-regime arguments run in blocks of
-``_MILLER_BLOCK`` through one array backward recurrence, in which each column
-starts at its own order and rescales on its own, so every step is the same
-IEEE operations as the one-argument recurrence :func:`_ladder_miller`; the
+alone.  Arguments in the upward regime share one vectorised recurrence, which
+starts from one array Hankel sum per start order; its phase x mod 2 pi comes
+from an array Cody-Waite reduction that is bitwise the exact rational one.
+Miller-regime arguments run in blocks of ``_MILLER_BLOCK`` through one array
+backward recurrence, in which each column starts at its own order and
+rescales on its own, so every step is the same IEEE operations as the
+one-argument recurrence :func:`_ladder_miller`; a block of fewer than
+``_MILLER_LONE`` arguments runs that recurrence per argument instead.  The
 closing normalisation stays a per-element ``math.log``/``math.exp`` pass.  A
 block's work arrays hold at most (jtop + 7 count) * 32 doubles, 0.85 MB at
 count 394.  Both Miller paths read one memoised table of Neumann coefficients
@@ -113,6 +116,60 @@ def _reduce_mod_2pi(x: float) -> float:
     return float(Fraction(x) % _TWO_PI)
 
 
+def _cody_waite_split(value, heads, bits):
+    """``heads`` doubles of at most ``bits`` significant bits each, taken
+    greedily from the top of the positive rational ``value``, and the double
+    nearest to what they leave."""
+    parts = []
+    for _ in range(heads):
+        quantum = Fraction(2) ** (math.frexp(float(value))[1] - bits)
+        part = value // quantum * quantum
+        parts.append(float(part))
+        value -= part
+    return tuple(parts), float(value)
+
+
+# 2*pi as seven 13-bit heads and a tail: k * head is exact for k < 2^40, so
+# the array reduction holds for x < _REDUCE_MAX, where k = floor(x / 2 pi)
+# stays below 2^40
+_TWO_PI_HEADS, _TWO_PI_TAIL = _cody_waite_split(_TWO_PI, 7, 13)
+_REDUCE_MAX = 2.0 ** 42
+
+
+def _cody_waite(x, k):
+    """x - k * 2 pi as a double-double over the exact products k * head,
+    rounded once at the end."""
+    hi = x
+    lo = np.zeros(x.size)
+    for head in _TWO_PI_HEADS:
+        t = k * -head
+        s = hi + t  # two-sum: s + err == hi + t exactly
+        b = s - hi
+        lo += (hi - (s - b)) + (t - b)
+        hi = s
+    lo -= k * _TWO_PI_TAIL
+    return hi + lo
+
+
+def _mod_2pi(x):
+    """x mod 2 pi for an array of x >= 0, each element bitwise
+    :func:`_reduce_mod_2pi`.  Below ``_REDUCE_MAX`` a Cody-Waite reduction
+    over the array (Cody & Waite, *Software Manual for the Elementary
+    Functions*, 1980); beyond it the exact per-element reduction."""
+    out = np.empty(x.size)
+    fast = x < _REDUCE_MAX
+    xf = x[fast]
+    # x / 2 pi rounded is never below floor(x / 2 pi), and at most one above
+    k = np.floor(xf / float(_TWO_PI))
+    r = _cody_waite(xf, k)
+    over = r < 0.0
+    if over.any():
+        r[over] = _cody_waite(xf[over], k[over] - 1.0)
+    out[fast] = r
+    out[~fast] = [_reduce_mod_2pi(v) for v in x[~fast].tolist()]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Bessel J ladders.
 #
@@ -131,31 +188,39 @@ _RESCALE = 2.0 ** _RESCALE_LOG2
 _MILLER_X_MAX = 370.0
 
 
-def _hankel_j(nu, x):
-    """Large-argument asymptotic J_nu(x); needs x >> nu^2 (small nu here)."""
+def _hankel_start(nu, xs, phase):
+    """Large-argument asymptotic J_nu(x) at an array of x >> nu^2 (small nu
+    here), with ``phase`` = x mod 2 pi.  Each element stops the series at its
+    own smallest term or once a term falls below 1e-18, and sees the IEEE
+    operations of the one-argument sum; cos and sin are ``math`` calls per
+    element, as a vectorised one may round differently."""
     mu = 4.0 * nu * nu
-    inv8x = 0.125 / x
-    p = 1.0
-    q = 0.0
-    term = 1.0
+    inv8x = 0.125 / xs
+    p = np.ones(xs.size)
+    q = np.zeros(xs.size)
+    term = np.ones(xs.size)
+    prev = np.full(xs.size, math.inf)
+    live = np.ones(xs.size, dtype=bool)
     sign = 1.0
-    prev = math.inf
-    k = 1
-    while k <= 40:
-        term *= (mu - (2 * k - 1) ** 2) * inv8x / k
-        if abs(term) > prev:
-            break  # asymptotic series started diverging; stop at smallest term
-        prev = abs(term)
+    for k in range(1, 41):
+        step = term * (((mu - (2 * k - 1) ** 2) * inv8x) / k)
+        mag = np.abs(step)
+        live &= ~(mag > prev)  # diverging: stop at the smallest term
+        if not live.any():
+            break
+        term = np.where(live, step, term)
+        prev = np.where(live, mag, prev)
         if k % 2 == 1:
-            q += sign * term
+            q = np.where(live, q + sign * step, q)
         else:
             sign = -sign
-            p += sign * term
-        if abs(term) < 1e-18:
+            p = np.where(live, p + sign * step, p)
+        live &= ~(mag < 1e-18)
+        if not live.any():
             break
-        k += 1
-    omega = _reduce_mod_2pi(x) - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+    omega = phase - (0.5 * nu + 0.25) * math.pi
+    return np.sqrt(2.0 / (math.pi * xs)) * (p * _each(math.cos, omega)
+                                           - q * _each(math.sin, omega))
 
 
 def _miller_top(nu0, count, x):
@@ -308,9 +373,10 @@ def _ladder_upward(nu0, count, xs):
     order (shape (count, len(xs))), so each step is one contiguous vector op
     and every argument sees the same IEEE operations as it would alone."""
     lad = np.empty((count, xs.size))
-    lad[0] = [_hankel_j(nu0, x) for x in xs.tolist()]
+    phase = _mod_2pi(xs)
+    lad[0] = _hankel_start(nu0, xs, phase)
     if count > 1:
-        lad[1] = [_hankel_j(nu0 + 1.0, x) for x in xs.tolist()]
+        lad[1] = _hankel_start(nu0 + 1.0, xs, phase)
         for j in range(2, count):
             lad[j] = (2.0 * (nu0 + j - 1) / xs) * lad[j - 1] - lad[j - 2]
     return lad
@@ -331,6 +397,10 @@ def _ladder_zero(nu0, count):
 # (jtop + 7 count) x 32 doubles, and larger blocks raised peak RSS for little
 # further speed.
 _MILLER_BLOCK = 32
+# Below this many arguments a block runs _ladder_miller per argument: at
+# count 181, 9 arguments (x = 1..256) took 3.5 ms as a block and 1.4 ms
+# alone, and 32 about tie (timings in README).
+_MILLER_LONE = 16
 
 
 def bessel_ladder(nu0, count, x):
@@ -339,9 +409,10 @@ def bessel_ladder(nu0, count, x):
     same whatever other arguments share the call.
 
     Miller-regime arguments are sorted by start order and run in blocks of
-    ``_MILLER_BLOCK`` through one array recurrence each; a block of one
-    argument runs :func:`_ladder_miller`, about ten times faster than a
-    one-column array recurrence.
+    ``_MILLER_BLOCK`` through one array recurrence each; a block of fewer
+    than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per argument,
+    which is faster there (a lone argument by about ten times).  Upward-regime
+    arguments share one array Hankel start and one recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.tolist()
@@ -354,8 +425,9 @@ def bessel_ladder(nu0, count, x):
     miller.sort(key=tops.get, reverse=True)
     for lo in range(0, len(miller), _MILLER_BLOCK):
         block = miller[lo:lo + _MILLER_BLOCK]
-        if len(block) == 1:
-            out[block[0]] = _ladder_miller(nu0, count, xs[block[0]])
+        if len(block) < _MILLER_LONE:
+            for i in block:
+                out[i] = _ladder_miller(nu0, count, xs[i])
         else:
             out[block] = _miller_block(nu0, count, [xs[i] for i in block],
                                        [tops[i] for i in block])

@@ -82,8 +82,13 @@ class GpswfBasis:
     chi: np.ndarray = field(repr=False)
     beta: tuple = field(repr=False)
 
+    def _check_index(self, n):
+        if not 0 <= n < self.nmax:
+            raise IndexError(f"basis index {n} out of range (nmax={self.nmax})")
+
     def full_coefficients(self, n):
         """Coefficient vector over all Jacobi indices k = 0..2*trunc-1."""
+        self._check_index(n)
         full = np.zeros(2 * self.trunc)
         full[n % 2::2] = self.beta[n]
         return full
@@ -104,8 +109,7 @@ class GpswfBasis:
         len(ns)) matrix over all Jacobi indices, as in full_coefficients."""
         coef = np.zeros((2 * self.trunc, len(ns)))
         for j, k in enumerate(ns):
-            if not 0 <= k < self.nmax:
-                raise IndexError(f"basis index {k} out of range (nmax={self.nmax})")
+            self._check_index(k)
             coef[k % 2::2, j] = self.beta[k]
         return coef
 
@@ -389,8 +393,7 @@ def _estimate_values(basis, grid_size):
 def local_estimate(basis, n, grid_size=400):
     if grid_size < 100:
         raise DomainError("grid_size must be >= 100")
-    if not 0 <= n < basis.nmax:
-        raise IndexError(f"basis index {n} out of range (nmax={basis.nmax})")
+    basis._check_index(n)
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
     x = _estimate_grid(grid_size)

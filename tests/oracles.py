@@ -8,6 +8,10 @@ against.  pytest does not collect this file; test modules ``import oracles``.
 * The norm of a cosine series from the two direct O(K^2) products, and the
   sup error of a projection from the N x 2001 psi table on the sup grid:
   the forms the library's FFT norm and one-series sup error replaced.
+* The one-argument Hankel sum with the exact rational phase reduction, and
+  the Weierstrass-Mandelbrot coefficients from one memoised transform row
+  per term: the forms the array Hankel start, the Cody-Waite reduction and
+  the one-ladder WM rows replaced.
 """
 
 import math
@@ -15,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpswf import approx, specfun
+from gpswf import approx, specfun, spectral
+from gpswf.backend import _reduce_mod_2pi
 from gpswf.basis import build_basis, moment_b
 
 
@@ -102,3 +107,50 @@ def sup_error_table(basis, f, coeffs):
     grid = approx._SUP_GRID
     return float(np.max(np.abs(f(grid)
                                - coeffs @ basis.psi_table(grid, range(coeffs.size)))))
+
+
+def _hankel_j(nu, x):
+    """Large-argument asymptotic J_nu(x); needs x >> nu^2 (small nu here)."""
+    mu = 4.0 * nu * nu
+    inv8x = 0.125 / x
+    p = 1.0
+    q = 0.0
+    term = 1.0
+    sign = 1.0
+    prev = math.inf
+    k = 1
+    while k <= 40:
+        term *= (mu - (2 * k - 1) ** 2) * inv8x / k
+        if abs(term) > prev:
+            break  # asymptotic series started diverging; stop at smallest term
+        prev = abs(term)
+        if k % 2 == 1:
+            q += sign * term
+        else:
+            sign = -sign
+            p += sign * term
+        if abs(term) < 1e-18:
+            break
+        k += 1
+    omega = _reduce_mod_2pi(x) - (0.5 * nu + 0.25) * math.pi
+    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+
+
+def wm_all_coefficients(basis, s, lam, N, K=None):
+    """<M_{s,lam}, psi_n> for n < N; exact Bessel form, zero at even n.
+
+    ``K`` terms of the series, by default ``wm_truncation(s, lam)`` like
+    :func:`weierstrass_mandelbrot`."""
+    if K is None:
+        K = approx.wm_truncation(s, lam)
+    out = np.zeros(N)
+    odd = [n for n in range(N) if n % 2 == 1]
+    if not odd:
+        return out
+    coefs = np.stack([basis.full_coefficients(n) for n in odd])
+    kmax = coefs.shape[1] - 1
+    for k in np.arange(K):
+        # Im of the transform value for odd-parity coefficient vectors
+        out[odd] += float(lam ** (-(2.0 - s) * k)) * (
+            coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
+    return out

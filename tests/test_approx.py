@@ -307,6 +307,61 @@ class TestWmCoefficients:
         assert err == pytest.approx(pr.l2w_error, rel=1e-6)
 
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_one_ladder_bitwise_per_term_rows(self, alpha):
+        # the workloads' wm bases, against one memoised row per term
+        b = B.build_basis(alpha, 5 * math.pi, 96)
+        for s in (0.25, 1.0):
+            assert (approx.wm_all_coefficients(b, s, 2.0, 95).tobytes()
+                    == oracles.wm_all_coefficients(b, s, 2.0, 95).tobytes())
+
+    def test_rows_from_one_cached_ladder(self, basis_wm, monkeypatch):
+        approx._wm_term_rows.cache_clear()
+        calls = []
+        rows = spectral._fc_term_rows
+
+        def counted(alpha, kmax, us):
+            calls.append(len(us))
+            return rows(alpha, kmax, us)
+
+        monkeypatch.setattr(spectral, "_fc_term_rows", counted)
+        K = approx.wm_truncation(0.5, 2.0)
+        first = approx.wm_all_coefficients(basis_wm, 0.5, 2.0, 22)
+        assert calls == [K]
+        # another s and N at the same basis and lambda read the same rows
+        approx.wm_all_coefficients(basis_wm, 1.0, 2.0, 12, K=K)
+        assert approx.wm_all_coefficients(basis_wm, 0.5, 2.0, 22).tobytes() == first.tobytes()
+        assert calls == [K]
+
+    def test_long_series_in_blocks(self, basis_wm, monkeypatch):
+        # past _EVAL_BLOCK terms the rows come one block at a time
+        calls = []
+        rows = spectral._fc_term_rows
+        monkeypatch.setattr(spectral, "_fc_term_rows",
+                            lambda *a: calls.append(len(a[2])) or rows(*a))
+        K = approx.wm_truncation(0.5, 1.03)
+        assert K > approx._EVAL_BLOCK
+        approx._wm_term_rows.cache_clear()
+        got = approx.wm_all_coefficients(basis_wm, 0.5, 1.03, 12)
+        assert calls == [approx._EVAL_BLOCK, K - approx._EVAL_BLOCK]
+        assert got.tobytes() == oracles.wm_all_coefficients(basis_wm, 0.5, 1.03, 12).tobytes()
+
+    @pytest.mark.parametrize("s,lam,K", [(0.5, 1.0, 12), (0.5, 0.5, 12),
+                                         (0.5, math.nan, 12), (0.5, 2.0, -3),
+                                         (1.5, 2.0, 12)])
+    def test_domain(self, basis_wm, s, lam, K):
+        # lambda <= 1 or NaN, K outside 1.._MAX_TERMS and s > 1, as in
+        # weierstrass_mandelbrot
+        with pytest.raises(DomainError):
+            approx.weierstrass_mandelbrot(s, lam, K)
+        with pytest.raises(DomainError):
+            approx.wm_l2_norm_squared(basis_wm.alpha, s, lam, K)
+        with pytest.raises(DomainError):
+            approx.wm_all_coefficients(basis_wm, s, lam, 12, K=K)
+        with pytest.raises(DomainError):
+            approx.wm_projection_error(basis_wm, s, lam, 12, K=K)
+
+
 class TestCosineSeries:
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_norm_matches_quadrature(self, alpha):

@@ -284,6 +284,13 @@ class TestEvaluation:
         with pytest.raises(IndexError):
             basis_05_2.psi([0, 16], np.array([0.0]))
 
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_full_coefficients_index_domain(self, n):
+        # a negative n used to wrap to beta[n] at the parity of n
+        b = B.build_basis(0.5, 2.0, 5)
+        with pytest.raises(IndexError):
+            b.full_coefficients(n)
+
     @pytest.mark.parametrize("nderiv", [0, 1, 2])
     def test_psi_of_many_n_matches_single_n(self, basis_05_2, nderiv):
         # one call for all n sums the same rows as one call per n; only the

@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 from scipy.special import eval_jacobi, jv
 
@@ -129,12 +131,14 @@ class TestBesselJ:
             specfun.bessel_j_ladder(1.0, 3, [1.0, -2.0])
 
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
-    # top-order switch nu0 + count - 1 > 0.88 x near x = 453; the 75 Miller
+    # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and the bound
+    # of the array phase reduction at 2^42; the 75 Miller
     # arguments in (0, 370] fill several batched blocks, each mixing start
     # orders more than 100 apart, and rescale at different steps (the
     # recurrence grows by about 2 nu / x per step)
     LADDER_X = (0.0, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
-                454.0, 1000.0, 5000.0) + tuple(np.geomspace(0.01, 360.0, 70))
+                454.0, 1000.0, 5000.0, 8000.0 * math.pi, 2.0 ** 41, 1e40
+                ) + tuple(np.geomspace(0.01, 360.0, 70))
 
     @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
     @pytest.mark.parametrize("count", [1, 2, 400])
@@ -153,7 +157,7 @@ class TestBesselJ:
             assert row.tobytes() == backend.bessel_ladder(nu0, count, [x])[0].tobytes()
             if x > 370.0 and nu0 + count - 1 <= 0.88 * x:
                 # upward regime: the plain-float recurrence, step by step
-                ref = [backend._hankel_j(nu0, x), backend._hankel_j(nu0 + 1.0, x)]
+                ref = [oracles._hankel_j(nu0, x), oracles._hankel_j(nu0 + 1.0, x)]
                 for j in range(2, count):
                     ref.append((2.0 * (nu0 + j - 1) / x) * ref[j - 1] - ref[j - 2])
                 assert row.tobytes() == np.array(ref[:count]).tobytes()
@@ -166,6 +170,52 @@ class TestBesselJ:
                 assert row.tobytes() == specfun.bessel_j_ladder(nu, kmax, [xi])[0].tobytes()
             scalar = np.array([specfun.bessel_j(nu, xi) for xi in x.tolist()])
             assert specfun.bessel_j(nu, x).tobytes() == scalar.tobytes()
+
+
+class TestUpwardStart:
+    """The array phase reduction and Hankel sum against their one-argument
+    forms: the exact rational reduction and ``oracles._hankel_j``."""
+
+    @staticmethod
+    def _exact(x):
+        return float(Fraction(x) % backend._TWO_PI)
+
+    def test_reduction_bitwise_exact(self):
+        top = backend._REDUCE_MAX
+        x = [k * math.pi for k in range(1, 16001)]
+        x += np.geomspace(370.0, 2.0 ** 41, 20000).tolist()
+        x += [float(abs(2 ** i + sgn * 2 ** j)) for i in range(41) for j in range(41)
+              for sgn in (1, -1) if 2 ** i + sgn * 2 ** j]
+        # the doubles around k 2 pi, where the reduction cancels the most
+        for k in np.unique(np.geomspace(1, top / 6.3, 30000).astype(np.int64)).tolist():
+            v = float(k * backend._TWO_PI)
+            x += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+        x = np.array(x)
+        assert x.size >= 100_000 and x.max() < top
+        got = backend._mod_2pi(x)
+        want = np.array([self._exact(v) for v in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+        assert got.min() >= 0.0 and got.max() <= 2.0 * math.pi  # x = float(2 pi) stays
+
+    def test_reduction_past_bound(self):
+        x = np.array([backend._REDUCE_MAX, 1e13, 1e40, 1e300])
+        assert backend._mod_2pi(x).tolist() == [self._exact(v) for v in x.tolist()]
+
+    @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.25, 0.5, 1.0, 1.25])
+    def test_hankel_sum_bitwise_oracle(self, nu):
+        x = np.concatenate([np.geomspace(370.5, 1e6, 400), [8000.0 * math.pi, 2.0 ** 41, 1e40]])
+        got = backend._hankel_start(nu, x, backend._mod_2pi(x))
+        want = np.array([oracles._hankel_j(nu, v) for v in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_small_miller_block_bitwise_lone():
+    # 9 Miller arguments: fewer than _MILLER_LONE, so each runs alone
+    x = 2.0 ** np.arange(9)
+    rows = backend.bessel_ladder(0.25, 181, x)
+    for xi, row in zip(x.tolist(), rows):
+        assert row.tobytes() == backend._ladder_miller(0.25, 181, xi).tobytes()
+        assert row.tobytes() == backend.bessel_ladder(0.25, 181, [xi])[0].tobytes()
 
 
 def _forward_floats(alpha, kmax, x, nderiv):
