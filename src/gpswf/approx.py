@@ -332,17 +332,16 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     :func:`weierstrass_mandelbrot`, whose checks it shares."""
     K = _wm_terms(s, lam, K)
     out = np.zeros(N)
-    odd = [n for n in range(N) if n % 2 == 1]
-    if not odd:
+    if N < 2:
         return out
-    coefs = np.stack([basis.full_coefficients(n) for n in odd])
+    coefs = basis.full_coefficients(range(1, N, 2))
     kmax = coefs.shape[1] - 1
     for lo in range(0, K, _EVAL_BLOCK):
         hi = min(lo + _EVAL_BLOCK, K)
         rows = _wm_term_rows(basis.alpha, kmax, lam, lo, hi)
         for k in np.arange(lo, hi):
             # Im of the transform value for odd-parity coefficient vectors
-            out[odd] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k - lo])
+            out[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k - lo])
     return out
 
 
@@ -423,15 +422,14 @@ def cosine_transform_table(basis, k_max, N):
     practical size cannot resolve thousands of cosine modes, and aliasing
     noise gets amplified by the endpoint growth of psi_n).
     """
-    even = [n for n in range(N) if n % 2 == 0]
-    coefs = np.stack([basis.full_coefficients(n) for n in even])
+    coefs = basis.full_coefficients(range(0, N, 2))
     kmax = coefs.shape[1] - 1
     table = np.zeros((k_max, N))
     block = 64  # frequencies per batched ladder; bounds its memory
     for lo in range(0, k_max, block):
         u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
         for i, terms in enumerate(spectral._fc_term_rows(basis.alpha, kmax, u)):
-            table[lo + i, even] = coefs @ terms
+            table[lo + i, 0::2] = coefs @ terms
     return table
 
 
@@ -473,12 +471,12 @@ def periodic_coefficient(basis, k, n):
     """<e^{i k pi x}, psi_n> in L2(w_a), via the exact transform expansion."""
     if not 0 <= n < basis.nmax:
         raise DomainError(f"basis index {n} out of range")
-    coef = basis.full_coefficients(n)
+    row = basis.beta[n]
     if k == 0:
         if n % 2 == 1:
             return 0.0j
-        return complex(coef[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    val = spectral._fc_series(basis.alpha, coef, n % 2, abs(k) * math.pi)
+        return complex(row[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
+    val = spectral._fc_series(basis.alpha, row, n % 2, abs(k) * math.pi)
     if k < 0:
         val = val.conjugate()
     return val

@@ -69,10 +69,12 @@ def assemble_eigensystem(alpha, c, M, parity):
 class GpswfBasis:
     """Eigenpairs (chi_n, beta^n) of a fixed (alpha, c) family.
 
-    ``beta[n]`` holds the coefficients over Jacobi indices of parity n mod 2,
-    i.e. k = (n mod 2), (n mod 2) + 2, ..., length ``trunc``; each vector has
-    unit Euclidean norm, which equals the weighted L2 normalization of psi_n.
-    A basis compares and hashes by identity.
+    ``beta`` is one float64 matrix of shape (nmax, trunc): row n holds the
+    coefficients of psi_n over the Jacobi indices k = (n mod 2), (n mod 2) +
+    2, ...; each row has unit Euclidean norm, the weighted L2 normalization
+    of psi_n.  Construction checks the shapes of ``beta`` and ``chi`` (nmax,)
+    (:class:`DomainError`) and keeps both read-only.  A basis compares and
+    hashes by identity.
     """
 
     alpha: float
@@ -80,18 +82,33 @@ class GpswfBasis:
     trunc: int
     nmax: int
     chi: np.ndarray = field(repr=False)
-    beta: tuple = field(repr=False)
+    beta: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for name, shape in (("chi", (self.nmax,)), ("beta", (self.nmax, self.trunc))):
+            try:
+                value = np.asarray(getattr(self, name), dtype=float).view()
+            except ValueError as exc:  # rows of unequal length
+                raise DomainError(f"{name} is not an array of shape {shape}: {exc}") from exc
+            if value.shape != shape:
+                raise DomainError(f"{name} has shape {value.shape}, expected {shape}")
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def _check_index(self, n):
-        if not 0 <= n < self.nmax:
-            raise IndexError(f"basis index {n} out of range (nmax={self.nmax})")
+        """``n``, one index or a sequence of them, as a 1-d integer array; one
+        that is not an integer in 0..nmax-1 raises IndexError."""
+        ns = np.asarray(n)
+        if ns.size and (ns.dtype.kind not in "iu" or ns.min() < 0 or ns.max() >= self.nmax):
+            raise IndexError(f"basis index out of range 0..{self.nmax - 1}: {n!r}")
+        return np.atleast_1d(ns).astype(np.intp)
 
     def full_coefficients(self, n):
-        """Coefficient vector over all Jacobi indices k = 0..2*trunc-1."""
-        self._check_index(n)
-        full = np.zeros(2 * self.trunc)
-        full[n % 2::2] = self.beta[n]
-        return full
+        """Coefficients over all Jacobi indices k = 0..2*trunc-1, zero off the
+        parity of n: a vector for one n, one row per n (C order) for a
+        sequence."""
+        rows = self._beta_matrix(n, order="F").T
+        return rows[0] if np.ndim(n) == 0 else rows
 
     def psi(self, n, x, nderiv=0):
         """psi_n and derivatives on an array of points; shape (nderiv+1, len(x)).
@@ -100,17 +117,18 @@ class GpswfBasis:
         (nderiv+1, len(n), len(x)), from one :func:`backend.jacobi_series`
         call over all of them.
         """
-        ns = [n] if np.ndim(n) == 0 else list(n)
-        out = self._series(self._beta_matrix(ns), x, nderiv)
+        out = self._series(self._beta_matrix(n), x, nderiv)
         return out[:, 0] if np.ndim(n) == 0 else out
 
-    def _beta_matrix(self, ns):
-        """The beta^n of each n in ``ns`` as the columns of a (2 trunc,
-        len(ns)) matrix over all Jacobi indices, as in full_coefficients."""
-        coef = np.zeros((2 * self.trunc, len(ns)))
-        for j, k in enumerate(ns):
-            self._check_index(k)
-            coef[k % 2::2, j] = self.beta[k]
+    def _beta_matrix(self, ns, order="C"):
+        """The beta^n of each n in ``ns`` (one index or a sequence) as the
+        columns of a (2 trunc, len(ns)) matrix over all Jacobi indices, in
+        memory order ``order``: row 2i + n mod 2 of column j holds
+        ``beta[ns[j], i]``, the rest is 0."""
+        ns = self._check_index(ns)
+        coef = np.zeros((2 * self.trunc, ns.size), order=order)
+        rows = ns % 2 + 2 * np.arange(self.trunc)[:, None]
+        coef[rows, np.arange(ns.size)] = self.beta[ns].T
         return coef
 
     def _series(self, coef, x, nderiv=0):
@@ -257,10 +275,10 @@ def build_basis(alpha, c, nmax):
         spectra = [eig_symtridiag(t).values for t in tris]
         chi = _merge_parities(*spectra, nmax)
         # n of parity p is column n // 2 of that parity's spectrum
-        vecs = [_recurrence_vectors(t, s[:(nmax - p + 1) // 2])
-                for p, (t, s) in enumerate(zip(tris, spectra))]
-        beta = [vecs[n % 2][:, n // 2].copy() for n in range(nmax)]
-        tails = [float(np.sum(vec[-_TAIL_BUFFER:] ** 2)) for vec in beta]
+        beta = np.empty((nmax, M))
+        for p, (t, s) in enumerate(zip(tris, spectra)):
+            beta[p::2] = _recurrence_vectors(t, s[:(nmax - p + 1) // 2]).T
+        tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
         worst = int(np.argmax(tails))
         if tails[worst] <= _TAIL_TOL:
             break
@@ -268,27 +286,22 @@ def build_basis(alpha, c, nmax):
         raise TruncationError(
             f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
             f"above {_TAIL_TOL:.1e} at truncation order {M}",
-            n=worst, tail_mass=tails[worst])
+            n=worst, tail_mass=float(tails[worst]))
     _apply_sign_convention(alpha, M, beta)
-    chi = np.array(chi)
-    chi.setflags(write=False)
     return GpswfBasis(alpha=float(alpha), c=float(c), trunc=M, nmax=int(nmax),
-                      chi=chi, beta=tuple(beta))
+                      chi=chi, beta=beta)
 
 
 def _apply_sign_convention(alpha, M, beta):
     # even n: psi_n(0) > 0; odd n: psi_n'(0) > 0; if the value at 0 is
     # numerically nil, fall back to the largest-|beta| coefficient positive
     table = specfun.jacobi_table(alpha, 2 * M - 1, np.array([0.0]), nderiv=1)
-    j0 = table[0, :, 0]
-    j0p = table[1, :, 0]
-    for n, vec in enumerate(beta):
-        ref = j0[n % 2::2] if n % 2 == 0 else j0p[n % 2::2]
-        s = float(np.dot(vec, ref))
-        if abs(s) < 1e-13:
-            s = vec[int(np.argmax(np.abs(vec)))]
-        if s < 0.0:
-            vec *= -1.0
+    s = np.empty(beta.shape[0])
+    for p in (0, 1):
+        s[p::2] = beta[p::2] @ table[p, p::2, 0]
+    nil = np.flatnonzero(np.abs(s) < 1e-13)
+    s[nil] = beta[nil, np.argmax(np.abs(beta[nil]), axis=1)]
+    beta[s < 0.0] *= -1.0
 
 
 def chi_bracket(alpha, c, n):
@@ -377,7 +390,8 @@ def _estimate_grid(grid_size):
 @lru_cache(maxsize=1)
 def _estimate_values(basis, grid_size):
     """Every psi_n of the basis on the local-estimate grid (shape
-    (nmax, grid_size)) and psi_n, psi_n' at x = 0 (shape (2, nmax)), read-only.
+    (nmax, grid_size)), psi_n, psi_n' at x = 0 (shape (2, nmax)) and every
+    :func:`moment_b` (shape (nmax,)), read-only.
 
     :func:`local_estimate` is called once per n of one basis in turn, so one
     entry serves them all; the key is the basis's identity.
@@ -385,9 +399,10 @@ def _estimate_values(basis, grid_size):
     ns = range(basis.nmax)
     grid = basis.psi(ns, _estimate_grid(grid_size), 0)[0]
     at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
-    grid.setflags(write=False)
-    at0.setflags(write=False)
-    return grid, at0
+    moments = moment_b(basis, ns)
+    for arr in (grid, at0, moments):
+        arr.setflags(write=False)
+    return grid, at0, moments
 
 
 def local_estimate(basis, n, grid_size=400):
@@ -397,33 +412,34 @@ def local_estimate(basis, n, grid_size=400):
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
     x = _estimate_grid(grid_size)
-    grid, at0 = _estimate_values(basis, grid_size)
+    grid, at0, moments = _estimate_values(basis, grid_size)
     psi = grid[n]
     envelope = np.sqrt(np.maximum((1.0 - x ** 2) * (1.0 - q * x ** 2), 0.0))
     w = (1.0 - x ** 2) ** basis.alpha
     sup_value = float(np.max(envelope * w * psi ** 2))
     a_squared = float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi)
-    b_moment = moment_b(basis, n)
     return LocalEstimateReport(n=n, q=q, sup_value=sup_value,
-                               a_squared=a_squared, b_moment=b_moment,
+                               a_squared=a_squared, b_moment=float(moments[n]),
                                bound_applicable=_improved_regime(basis.alpha, q),
                                alpha=basis.alpha)
 
 
 def moment_b(basis, n):
-    """B = int x^2 psi_n(x)^2 w_a(x) dx, exactly, as ||J beta||^2.
+    """B = int x^2 psi_n(x)^2 w_a(x) dx, exactly, as ||J beta||^2: a float
+    for one n, an array for a sequence of n.
 
     With psi = sum_k f_k Jt_k, the product x psi has the coefficients
     (x psi)_k = a_k f_{k-1} + a_{k+1} f_{k+1}; orthonormality of the Jt_k
-    turns the integral into their sum of squares.
+    turns the integral into their sum of squares, one dot product per n.
     """
     f = basis.full_coefficients(n)
-    m = f.size
+    m = f.shape[-1]
     a = specfun.jacobi_recurrence(basis.alpha, m + 1)
-    g = np.zeros(m + 1)
-    g[1:] += a[1:] * f
-    g[:m - 1] += a[1:m] * f[1:]
-    return float(np.dot(g, g))
+    g = np.zeros(f.shape[:-1] + (m + 1,))
+    g[..., 1:] += a[1:] * f
+    g[..., :m - 1] += a[1:m] * f[..., 1:]
+    sums = np.array([np.dot(row, row) for row in np.atleast_2d(g)])
+    return float(sums[0]) if np.ndim(n) == 0 else sums
 
 
 def beta_bound_constant(alpha):

@@ -7,7 +7,6 @@ Scenarios: ``lambda-decay`` (eigenvalue decay curves per alpha),
 
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -112,66 +111,45 @@ def default_cache_dir():
 
 # ---------------------------------------------------------------------------
 # Basis container format: magic "GPSW", u32 version, f64 alpha, f64 c,
-# u32 M, u32 nmax, chi[nmax] f64, then per-row u32 length + f64 payload,
-# then a sha256 digest of everything before it.  Little-endian throughout.
+# u32 M, u32 nmax, chi[nmax] f64, beta as one nmax x M block of f64 in row
+# order, then a sha256 digest of everything before it: 64 + 8 nmax (M + 1)
+# bytes.  Little-endian throughout.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"GPSW"
+_HEADER = struct.Struct("<4sIddII")
 # 2: eigenvectors from the spliced recurrence, bottom entries relatively
 # accurate.  3: the truncation starts from the chi bracket,
-# ceil(hypot(nmax, c) / 2) + 40.  Part of the cache key, so older entries are
-# rebuilt once; bump it also when the truncation rule of ``basis`` (its
-# ``_TAIL_*`` and ``_M_CAP`` constants or its start order) changes, as the key
-# leaves M out.
-_FORMAT_VERSION = 3
+# ceil(hypot(nmax, c) / 2) + 40.  4: beta as one block, no per-row lengths.
+# Part of the cache key, so older entries are rebuilt once; bump it also when
+# the truncation rule of ``basis`` (its ``_TAIL_*`` and ``_M_CAP`` constants
+# or its start order) changes, as the key leaves M out.
+_FORMAT_VERSION = 4
 
 
 def basis_to_bytes(b):
-    buf = io.BytesIO()
-    buf.write(_MAGIC)
-    buf.write(struct.pack("<I", _FORMAT_VERSION))
-    buf.write(struct.pack("<dd", b.alpha, b.c))
-    buf.write(struct.pack("<II", b.trunc, b.nmax))
-    buf.write(np.asarray(b.chi, dtype="<f8").tobytes())
-    for vec in b.beta:
-        buf.write(struct.pack("<I", vec.size))
-        buf.write(np.asarray(vec, dtype="<f8").tobytes())
-    payload = buf.getvalue()
+    payload = (_HEADER.pack(_MAGIC, _FORMAT_VERSION, b.alpha, b.c, b.trunc, b.nmax)
+               + np.asarray(b.chi, dtype="<f8").tobytes()
+               + np.asarray(b.beta, dtype="<f8").tobytes())
     return payload + hashlib.sha256(payload).digest()
 
 
 def basis_from_bytes(raw):
-    if len(raw) < 56 or raw[:4] != _MAGIC:
+    if len(raw) < _HEADER.size + 32 or raw[:4] != _MAGIC:
         raise DomainError("not a basis container")
     payload, digest = raw[:-32], raw[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise DomainError("basis container failed its content hash")
-    try:
-        off = 4
-        (version,) = struct.unpack_from("<I", payload, off); off += 4
-        if version != _FORMAT_VERSION:
-            raise DomainError(f"unsupported container version {version}")
-        alpha, c = struct.unpack_from("<dd", payload, off); off += 16
-        trunc, nmax = struct.unpack_from("<II", payload, off); off += 8
-        chi = np.frombuffer(payload, dtype="<f8", count=nmax, offset=off).copy()
-        off += 8 * nmax
-        beta = []
-        for _ in range(nmax):
-            (ln,) = struct.unpack_from("<I", payload, off); off += 4
-            beta.append(np.frombuffer(payload, dtype="<f8", count=ln,
-                                      offset=off).copy())
-            off += 8 * ln
-    except (struct.error, ValueError) as exc:
-        raise DomainError(f"malformed basis container: {exc}") from exc
-    if off != len(payload):
-        raise DomainError(f"malformed basis container: {len(payload) - off} "
-                          "trailing bytes")
-    if any(vec.size != trunc for vec in beta):
-        raise DomainError(f"malformed basis container: beta row lengths "
-                          f"{sorted({vec.size for vec in beta})} != trunc {trunc}")
-    chi.setflags(write=False)
+    _, version, alpha, c, trunc, nmax = _HEADER.unpack_from(payload)
+    if version != _FORMAT_VERSION:
+        raise DomainError(f"unsupported container version {version}")
+    if len(payload) != _HEADER.size + 8 * nmax * (trunc + 1):
+        raise DomainError(f"malformed basis container: {len(payload)} bytes before "
+                          f"the digest for nmax {nmax}, trunc {trunc}")
+    values = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size)
     return basis_mod.GpswfBasis(alpha=alpha, c=c, trunc=trunc, nmax=nmax,
-                                chi=chi, beta=tuple(beta))
+                                chi=values[:nmax],
+                                beta=values[nmax:].reshape(nmax, trunc))
 
 
 def save_basis(b, path):

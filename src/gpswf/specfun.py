@@ -71,19 +71,16 @@ def _split_order(nu):
     return base, int(round(nu - base))
 
 
-def _check_argument(x):
-    if not math.isfinite(x) or x < 0.0:
-        raise DomainError(f"bessel argument must be finite and >= 0, got {x!r}")
-
-
 def bessel_j_ladder(nu, kmax, x):
     """J_{nu+j}(x_i), j = 0..kmax, for an array of x_i, one row per argument,
     from :func:`backend.bessel_ladder`; a row does not depend on the other
     arguments of the call."""
     base, shift = _split_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    for xi in x.tolist():
-        _check_argument(xi)
+    bad = np.flatnonzero(~(np.isfinite(x) & (x >= 0.0)))
+    if bad.size:
+        raise DomainError("bessel argument must be finite and >= 0, "
+                          f"got {float(x.flat[bad[0]])!r}")
     return backend.bessel_ladder(base, shift + kmax + 1, x)[:, shift:]
 
 

@@ -85,10 +85,12 @@ def _fc_sum(terms, parity):
     return 1j * total if parity else complex(total)
 
 
-def _fc_series(alpha, coef, parity, u):
-    """int e^{iuy} (sum_k coef_k Jt_k)(y) w_a(y) dy for a coefficient vector of
-    the given parity and u > 0; see :func:`_fc_sum`."""
-    return _fc_sum(coef * _fc_terms(alpha, coef.size - 1, u), parity)
+def _fc_series(alpha, row, parity, u):
+    """int e^{iuy} psi(y) w_a(y) dy for psi = sum_i row_i Jt_{2i+parity} (a
+    row of a basis's beta) and u > 0; see :func:`_fc_sum`, whose exactly
+    rounded sum makes this the value over all Jacobi indices bit for bit."""
+    terms = _fc_terms(alpha, 2 * row.size - 1, u)
+    return _fc_sum(row * terms[parity::2], parity)
 
 
 def fc_on_jacobi(alpha, c, k, x):
@@ -213,7 +215,7 @@ def _mu_from_boundary(basis, n, at0):
     eigenvector, which keeps full relative accuracy however small it gets.
     """
     sqrt_m0 = math.sqrt(specfun.weight_mass(basis.alpha))
-    bottom = float(basis.beta[n][0])
+    bottom = float(basis.beta[n, 0])
     if n % 2 == 0:
         return complex(bottom * sqrt_m0 / float(at0[0]))
     a1 = float(specfun.jacobi_recurrence(basis.alpha, 2)[1])
@@ -270,10 +272,14 @@ def compute_spectrum(basis):
         devs = np.array([abs(_fc_sum(terms[i], n % 2) / vals[n, i] - mu) for i in keep])
         spread, floor = float(devs.max()), float(floors[keep[-1]])
         if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + floors[keep]):
+            if mu_abs < np.finfo(float).tiny:  # subnormal or zero
+                raise ConsistencyError(
+                    f"|mu_n| = {mu_abs:.3e} at n={n} underflowed below the smallest "
+                    f"normal double, so the probes cannot check it (absolute "
+                    f"spread {spread:.3e}, floor {floor:.3e})")
             raise ConsistencyError(
-                f"mu probe spread {spread / max(mu_abs, 1e-300):.3e} (floor "
-                f"{floor / max(mu_abs, 1e-300):.3e}) exceeds {_PROBE_TOL:.1e} "
-                f"at n={n} (insufficient truncation?)")
+                f"mu probe spread {spread / mu_abs:.3e} (floor {floor / mu_abs:.3e}) "
+                f"exceeds {_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
         lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
         log_lam = _log_lambda(mu_abs, basis.c)
         if lam > 1.0 + 1e-9:

@@ -178,6 +178,65 @@ class TestBuildBasis:
                 assert at0[1, 0] > 0
 
 
+class TestBasisArrays:
+    def test_beta_is_one_matrix(self, basis_05_2):
+        b = basis_05_2
+        assert isinstance(b.beta, np.ndarray) and b.beta.dtype == np.float64
+        assert b.beta.shape == (b.nmax, b.trunc) and b.chi.shape == (b.nmax,)
+
+    def test_writes_raise(self, basis_05_2):
+        b = basis_05_2
+        before = b.psi(3, np.array([0.3]))
+        with pytest.raises(ValueError):
+            b.beta[3][:] *= 2
+        with pytest.raises(ValueError):
+            b.beta[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            b.chi[0] = 1.0
+        np.testing.assert_array_equal(b.psi(3, np.array([0.3])), before)
+
+    def test_construction_leaves_the_callers_array_writable(self):
+        beta, chi = np.eye(2, 3), np.zeros(2)
+        b = B.GpswfBasis(alpha=0.5, c=2.0, trunc=3, nmax=2, chi=chi, beta=beta)
+        assert beta.flags.writeable and chi.flags.writeable
+        assert not b.beta.flags.writeable and not b.chi.flags.writeable
+
+    @pytest.mark.parametrize("beta, chi", [
+        ((np.ones(3), np.ones(4)), np.zeros(2)),   # ragged rows
+        (np.ones((2, 4)), np.zeros(2)),            # rows longer than trunc
+        (np.ones((3, 3)), np.zeros(2)),            # more rows than nmax
+        (np.ones(6), np.zeros(2)),                 # flat
+        (np.ones((2, 3)), np.zeros(3)),            # chi longer than nmax
+    ])
+    def test_wrong_shape_raises_domain_error(self, beta, chi):
+        with pytest.raises(DomainError):
+            B.GpswfBasis(alpha=0.5, c=2.0, trunc=3, nmax=2, chi=chi, beta=beta)
+
+    def test_tails_and_signs_match_per_row_forms(self):
+        # the array forms of the tail mass and the sign convention against
+        # one row at a time, as dot products over each row's parity
+        b = B.build_basis(0.5, 5.0, 21)
+        tails = [float(np.sum(v[-B._TAIL_BUFFER:] ** 2)) for v in b.beta]
+        assert max(tails) <= B._TAIL_TOL
+        table = specfun.jacobi_table(0.5, 2 * b.trunc - 1, np.array([0.0]), nderiv=1)
+        for n, vec in enumerate(b.beta):
+            assert float(np.dot(vec, table[n % 2, n % 2::2, 0])) > 1e-13
+        flipped = -np.array(b.beta)
+        flipped[::3] *= -1.0
+        B._apply_sign_convention(0.5, b.trunc, flipped)
+        np.testing.assert_array_equal(flipped, b.beta)
+
+    def test_sign_falls_back_to_the_largest_coefficient(self):
+        # an even row orthogonal to (Jt_0(0), Jt_2(0), Jt_4(0)) has psi(0) = 0:
+        # its largest-|beta| entry decides, made negative here
+        ref = specfun.jacobi_table(0.5, 5, np.array([0.0]), nderiv=1)[0, 0::2, 0]
+        v = np.array([ref[1], -ref[0], 0.0])
+        v *= -np.sign(v[np.argmax(np.abs(v))]) / np.linalg.norm(v)
+        beta = np.array([v, [1.0, 0.0, 0.0]])
+        B._apply_sign_convention(0.5, 3, beta)
+        np.testing.assert_array_equal(beta, [-v, [1.0, 0.0, 0.0]])
+
+
 # The start order of the truncation rule at the sweep workload's corners
 # (nmax = ceil(c) + 30), the projection and scenario cells, and bandwidth
 # cells, two of them with nmax < c
@@ -290,6 +349,18 @@ class TestEvaluation:
         b = B.build_basis(0.5, 2.0, 5)
         with pytest.raises(IndexError):
             b.full_coefficients(n)
+
+    def test_full_coefficients_scatter_beta_rows(self, basis_05_2):
+        b = basis_05_2
+        rows = b.full_coefficients(range(b.nmax))
+        assert rows.shape == (b.nmax, 2 * b.trunc) and rows.flags.c_contiguous
+        cols = b._beta_matrix(range(b.nmax))
+        assert cols.flags.c_contiguous
+        np.testing.assert_array_equal(cols, rows.T)
+        for n in range(b.nmax):
+            np.testing.assert_array_equal(b.full_coefficients(n), rows[n])
+            np.testing.assert_array_equal(rows[n, n % 2::2], b.beta[n])
+            assert not rows[n, 1 - n % 2::2].any()
 
     @pytest.mark.parametrize("nderiv", [0, 1, 2])
     def test_psi_of_many_n_matches_single_n(self, basis_05_2, nderiv):

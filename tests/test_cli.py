@@ -84,6 +84,16 @@ def test_consistency_failure_exits_2(capsys, monkeypatch):
     assert "numerical-consistency" in err
 
 
+def test_underflowed_mu_named_in_the_error(capsys, cache_args):
+    # |mu_182| is subnormal at (0, 5, 200): the refusal names the underflow,
+    # not the truncation
+    code, _, err = run_cli(capsys, "spectrum", "--alpha", "0", "--c", "5",
+                           "--nmax", "200", *cache_args)
+    assert code == 2
+    assert "|mu_n| = 2.058e-316 at n=182 underflowed" in err
+    assert "truncation" not in err
+
+
 def test_version_exits_0(capsys):
     from gpswf import __version__
 

@@ -51,19 +51,27 @@ class TestSerialization:
 
     def test_rehashed_inconsistent_fields_raise_domain_error(self, small_basis):
         # a valid content hash over fields that disagree: trailing bytes, a
-        # trunc that is not the beta row length, rows of unequal length
+        # trunc that is not the beta row length
         def rehashed(payload):
             return bytes(payload) + hashlib.sha256(bytes(payload)).digest()
 
         payload = bytearray(X.basis_to_bytes(small_basis)[:-32])
         trunc = bytearray(payload)
         struct.pack_into("<I", trunc, 24, small_basis.trunc + 4)  # magic, version, alpha, c
-        ragged = B.GpswfBasis(alpha=0.5, c=2.0, trunc=3, nmax=2, chi=np.zeros(2),
-                              beta=(np.ones(3), np.ones(4)))
-        for raw in (rehashed(payload + b"\0" * 8), rehashed(trunc),
-                    X.basis_to_bytes(ragged)):
+        for raw in (rehashed(payload + b"\0" * 8), rehashed(trunc)):
             with pytest.raises(DomainError, match="malformed"):
                 X.basis_from_bytes(raw)
+
+    def test_container_size_is_header_chi_beta_digest(self, small_basis):
+        b = small_basis
+        assert len(X.basis_to_bytes(b)) == 64 + 8 * b.nmax * (b.trunc + 1)
+
+    def test_loaded_basis_is_read_only(self, small_basis):
+        got = X.basis_from_bytes(X.basis_to_bytes(small_basis))
+        assert got.beta.shape == (small_basis.nmax, small_basis.trunc)
+        for arr in (got.beta, got.chi):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 # any doubles, NaN payloads and signed zeros included: the container must
@@ -75,8 +83,8 @@ _DOUBLES = st.floats(allow_nan=True, allow_infinity=True)
 def _small_bases(draw):
     nmax, trunc = draw(st.integers(0, 3)), draw(st.integers(0, 4))
     chi = np.array(draw(st.lists(_DOUBLES, min_size=nmax, max_size=nmax)), dtype=float)
-    beta = tuple(np.array(draw(st.lists(_DOUBLES, min_size=trunc, max_size=trunc)),
-                          dtype=float) for _ in range(nmax))
+    beta = np.array(draw(st.lists(_DOUBLES, min_size=nmax * trunc,
+                                  max_size=nmax * trunc)), dtype=float).reshape(nmax, trunc)
     return B.GpswfBasis(alpha=draw(_DOUBLES), c=draw(_DOUBLES), trunc=trunc,
                         nmax=nmax, chi=chi, beta=beta)
 
@@ -92,7 +100,8 @@ class TestContainerProperties:
         assert (_bits(got.alpha), _bits(got.c)) == (_bits(b.alpha), _bits(b.c))
         assert (got.trunc, got.nmax) == (b.trunc, b.nmax)
         assert got.chi.tobytes() == b.chi.tobytes()
-        assert [v.tobytes() for v in got.beta] == [v.tobytes() for v in b.beta]
+        assert got.beta.shape == b.beta.shape
+        assert got.beta.tobytes() == b.beta.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(_small_bases())
@@ -130,12 +139,12 @@ class TestCache:
 
     def test_version_2_entry_rebuilt_at_the_bracket_start(self, cache_dir, monkeypatch):
         # version 2 entries hold bases at the former start order,
-        # nmax + ceil(c) + 40; under version 3 they miss and are rebuilt
+        # nmax + ceil(c) + 40; under version 4 they miss and are rebuilt
         with monkeypatch.context() as m:
             m.setattr(X, "_FORMAT_VERSION", 2)
             m.setattr(B, "_start_order", lambda c, nmax: nmax + math.ceil(c) + 40)
             assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 50
-        assert X._FORMAT_VERSION == 3
+        assert X._FORMAT_VERSION == 4
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         got = X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir)
         assert got.trunc == B._start_order(2.0, 8) == 45

@@ -1,15 +1,16 @@
 """perfbench names the library's layers by text ("module.function"); a rename
 or deletion in gpswf would leave a traced run without its layer.  The names
-are read from the perfbench sources with ``ast``; only the last two tests
+are read from the perfbench sources with ``ast``; only the last three tests
 import perfbench's tracer and workloads, from their files."""
 
 import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
-from gpswf import approx, specfun, spectral
+from gpswf import approx, cli, specfun, spectral
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -100,4 +101,41 @@ def test_projection_ops_enter_every_expected_layer():
         tracer.restore()
     called = {tracer.names[i] for i in tracer.name}
     missing = set(EXPECTED["projection"]) - called
+    assert not missing, sorted(missing)
+
+
+# small stand-ins for the three scenarios: one basis each, on a fresh cache
+_SCENARIO_CONFIGS = {
+    "lambda-decay": {"alpha_list": [1.0], "c_list": [3.0], "nmax": 12},
+    "wm-table": {"alpha_list": [0.5], "c_list": [15.707963267948966],
+                 "N_list": [12], "s_list": [1.0]},
+    "brownian": {"alpha_list": [1.5], "c_list": [15.707963267948966],
+                 "N_list": [10], "s_list": [1.5], "n_seeds": 1},
+}
+
+
+def test_scenario_runs_enter_every_expected_layer(tmp_path):
+    # perfbench runs each scenario as a fresh CLI process, so every
+    # in-process cache starts cold; on an empty disk cache each run looks its
+    # basis up (cache_get), misses and stores it (cache_put)
+    tracing = _load("tracing")
+    for cached in (spectral._fc_terms, approx._cos_transform_table,
+                   approx._wm_l2_norm_squared, approx._wm_term_rows,
+                   specfun._rule_cached):
+        cached.cache_clear()  # warm transforms and rules skip their layers
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, cfg in _SCENARIO_CONFIGS.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            code = cli.main(["experiment", "--name", name, "--config", str(path),
+                             "--out-dir", str(tmp_path / "reports"),
+                             "--cache-dir", str(tmp_path / "cache"),
+                             "--threads", "1", "--seed", "1"])
+            assert code == 0, name
+    finally:
+        tracer.restore()
+    called = {tracer.names[i] for i in tracer.name}
+    missing = set(EXPECTED["scenarios"]) - called
     assert not missing, sorted(missing)

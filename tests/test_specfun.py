@@ -130,6 +130,20 @@ class TestBesselJ:
         with pytest.raises(DomainError):
             specfun.bessel_j_ladder(1.0, 3, [1.0, -2.0])
 
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
+                                            (-1.0, "-1.0")])
+    def test_batch_names_first_bad_argument(self, bad, shown):
+        # one array pass over the batch; the message names the first bad
+        # argument as a plain float, wherever it sits
+        x = np.linspace(0.0, 500.0, 9)
+        for where in (0, 4, 8):
+            batch = x.copy()
+            batch[where] = bad
+            batch[-1 if where < 8 else 0] = -7.5  # a later or earlier second one
+            first = shown if where < 8 else "-7.5"
+            with pytest.raises(DomainError, match=rf"got {first}$"):
+                specfun.bessel_j_ladder(0.5, 4, batch)
+
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
     # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and the bound
     # of the array phase reduction at 2^42; the 75 Miller

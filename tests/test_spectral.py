@@ -146,6 +146,14 @@ class TestSpectrum:
         with pytest.raises(ConsistencyError, match="probe spread"):
             spectral.compute_spectrum(bad)
 
+    def test_underflowed_mu_named_in_the_error(self):
+        # |mu_n| turns subnormal near n = 210 at (0.5, 10, 240); the check
+        # still refuses, and says why
+        b = B.build_basis(0.5, 10.0, 240)
+        with pytest.raises(ConsistencyError, match=r"at n=211 underflowed") as info:
+            spectral.compute_spectrum(b)
+        assert "truncation" not in str(info.value)
+
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
     # every probe argument of every n goes through one batched Bessel
@@ -207,7 +215,7 @@ def _per_n_probes(basis, n):
     for x, v in zip(xs, vals):
         u = basis.c * float(x)
         terms = coef * spectral._fc_terms(basis.alpha, coef.size - 1, u)
-        ratios.append(spectral._fc_series(basis.alpha, coef, n % 2, u) / v)
+        ratios.append(spectral._fc_series(basis.alpha, basis.beta[n], n % 2, u) / v)
         floors.append(1024.0 * EPS * float(np.max(np.abs(terms))) / abs(v))
     keep = np.argsort(floors)[:5]
     return np.array(ratios)[keep], np.array(floors)[keep]
