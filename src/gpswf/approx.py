@@ -275,6 +275,12 @@ class ProjectionResult:
     sup_error: float = math.nan
 
 
+def _check_N(basis, N):
+    """A projection order N counts basis functions: it must lie in 1..nmax."""
+    if not 1 <= N <= basis.nmax:
+        raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
+
+
 def project(basis, f, N, quad_order=None):
     """Coefficients <f, psi_n> for n < N plus weighted-L2 and sup errors.
 
@@ -286,8 +292,7 @@ def project(basis, f, N, quad_order=None):
     interval: the weight (1-x^2)^a vanishes at the endpoints, so the method
     does not control pointwise values exactly there.
     """
-    if not 1 <= N <= basis.nmax:
-        raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
+    _check_N(basis, N)
     m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
     if quad_order is None:
         quad_order = m + 64
@@ -330,6 +335,7 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
 
     ``K`` terms of the series, by default ``wm_truncation(s, lam)`` like
     :func:`weierstrass_mandelbrot`, whose checks it shares."""
+    _check_N(basis, N)
     K = _wm_terms(s, lam, K)
     out = np.zeros(N)
     if N < 2:
@@ -407,6 +413,7 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
 
 def wm_projection_error(basis, s, lam, N, K=None):
     """||M - S_N M||_{L2(w_a)} via Parseval in the orthonormal basis."""
+    _check_N(basis, N)
     K = _wm_terms(s, lam, K)
     norm2 = wm_l2_norm_squared(basis.alpha, s, lam, K)
     coeffs = wm_all_coefficients(basis, s, lam, N, K=K)
@@ -422,6 +429,7 @@ def cosine_transform_table(basis, k_max, N):
     practical size cannot resolve thousands of cosine modes, and aliasing
     noise gets amplified by the endpoint growth of psi_n).
     """
+    _check_N(basis, N)
     coefs = basis.full_coefficients(range(0, N, 2))
     kmax = coefs.shape[1] - 1
     table = np.zeros((k_max, N))

@@ -98,6 +98,10 @@ class GpswfBasis:
     def _check_index(self, n):
         """``n``, one index or a sequence of them, as a 1-d integer array; one
         that is not an integer in 0..nmax-1 raises IndexError."""
+        if type(n) is int or isinstance(n, np.integer):  # one index: no array pass
+            if 0 <= n < self.nmax:
+                return np.array([n], dtype=np.intp)
+            raise IndexError(f"basis index out of range 0..{self.nmax - 1}: {n!r}")
         ns = np.asarray(n)
         if ns.size and (ns.dtype.kind not in "iu" or ns.min() < 0 or ns.max() >= self.nmax):
             raise IndexError(f"basis index out of range 0..{self.nmax - 1}: {n!r}")
@@ -388,39 +392,55 @@ def _estimate_grid(grid_size):
 
 
 @lru_cache(maxsize=1)
+def _psi_at0(basis):
+    """psi_n(0) and psi_n'(0) for every n of the basis, shape (2, nmax),
+    read-only.  The spectrum's boundary identity and the local estimate's A^2
+    both read it, so one entry (2 nmax doubles) keyed on the basis's
+    identity serves both."""
+    at0 = basis.psi(range(basis.nmax), np.array([0.0]), 1)[:, :, 0]
+    at0.setflags(write=False)
+    return at0
+
+
+@lru_cache(maxsize=1)
 def _estimate_values(basis, grid_size):
-    """Every psi_n of the basis on the local-estimate grid (shape
-    (nmax, grid_size)), psi_n, psi_n' at x = 0 (shape (2, nmax)) and every
-    :func:`moment_b` (shape (nmax,)), read-only.
+    """q_n, the sampled sup, A_n^2 and B_n (:func:`moment_b`) for every n of
+    the basis, one tuple of floats each.
 
     :func:`local_estimate` is called once per n of one basis in turn, so one
-    entry serves them all; the key is the basis's identity.
+    entry, keyed on the basis's identity, serves them all.  The sup comes
+    from one (nmax, grid_size) array pass; A^2 stays a scalar expression per
+    n, since a scalar pow and an array square of the same double may differ
+    in the last bit.
     """
     ns = range(basis.nmax)
-    grid = basis.psi(ns, _estimate_grid(grid_size), 0)[0]
-    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    x = _estimate_grid(grid_size)
+    q = basis.c ** 2 / basis.chi
     moments = moment_b(basis, ns)
-    for arr in (grid, at0, moments):
-        arr.setflags(write=False)
-    return grid, at0, moments
+    psi = basis.psi(ns, x, 0)[0]
+    # sqrt((1 - x^2)(1 - q x^2)) w_a(x) psi_n(x)^2, formed in place
+    x2 = x ** 2
+    curve = 1.0 - q[:, None] * x2
+    curve *= 1.0 - x2
+    np.sqrt(np.maximum(curve, 0.0, out=curve), out=curve)
+    curve *= (1.0 - x2) ** basis.alpha
+    psi **= 2
+    curve *= psi
+    at0 = _psi_at0(basis)
+    chi = basis.chi.tolist()
+    a_squared = tuple(float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi[n]) for n in ns)
+    return (tuple(q.tolist()), tuple(np.max(curve, axis=1).tolist()), a_squared,
+            tuple(moments.tolist()))
 
 
 def local_estimate(basis, n, grid_size=400):
     if grid_size < 100:
         raise DomainError("grid_size must be >= 100")
     basis._check_index(n)
-    chi = float(basis.chi[n])
-    q = basis.c ** 2 / chi
-    x = _estimate_grid(grid_size)
-    grid, at0, moments = _estimate_values(basis, grid_size)
-    psi = grid[n]
-    envelope = np.sqrt(np.maximum((1.0 - x ** 2) * (1.0 - q * x ** 2), 0.0))
-    w = (1.0 - x ** 2) ** basis.alpha
-    sup_value = float(np.max(envelope * w * psi ** 2))
-    a_squared = float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi)
-    return LocalEstimateReport(n=n, q=q, sup_value=sup_value,
-                               a_squared=a_squared, b_moment=float(moments[n]),
-                               bound_applicable=_improved_regime(basis.alpha, q),
+    q, sup, a_squared, moments = _estimate_values(basis, grid_size)
+    return LocalEstimateReport(n=n, q=q[n], sup_value=sup[n],
+                               a_squared=a_squared[n], b_moment=moments[n],
+                               bound_applicable=_improved_regime(basis.alpha, q[n]),
                                alpha=basis.alpha)
 
 
@@ -484,8 +504,10 @@ def beta_bound_check(basis, n, k, mu_abs, c_prime=None):
     """
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
-    coefs = basis.full_coefficients(n)
-    beta_k = abs(float(coefs[k])) if k < coefs.size else 0.0
+    basis._check_index(n)
+    # beta_k^n is row n's entry k // 2 at the parity of n, and 0 elsewhere
+    on_row = k % 2 == n % 2 and k < 2 * basis.trunc
+    beta_k = abs(float(basis.beta[n, k // 2])) if on_row else 0.0
     c_alpha = beta_bound_constant(basis.alpha)
     log_bound = (math.log(c_alpha) + k * (math.log(2.0 * math.sqrt(chi)) - math.log(basis.c))
                  + math.log(mu_abs)) if mu_abs > 0.0 else -math.inf

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import specfun
+from . import basis as basis_mod, specfun
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -80,7 +80,9 @@ def _fc_sum(terms, parity):
     """The transform value from its terms (``coef * t``) for a coefficient
     vector of the given parity.  The terms alternate in sign and their peak
     can tower over the sum, so the reduction is exactly rounded; the error
-    left is the roundoff of the terms themselves, about eps * max |term|."""
+    left is the roundoff of the terms themselves, about eps * max |term|.
+    ``math.fsum`` reads a list of floats about twice as fast as an array row,
+    and its exactly rounded value is the same either way."""
     total = math.fsum(terms)
     return 1j * total if parity else complex(total)
 
@@ -90,7 +92,7 @@ def _fc_series(alpha, row, parity, u):
     row of a basis's beta) and u > 0; see :func:`_fc_sum`, whose exactly
     rounded sum makes this the value over all Jacobi indices bit for bit."""
     terms = _fc_terms(alpha, 2 * row.size - 1, u)
-    return _fc_sum(row * terms[parity::2], parity)
+    return _fc_sum((row * terms[parity::2]).tolist(), parity)
 
 
 def fc_on_jacobi(alpha, c, k, x):
@@ -137,6 +139,13 @@ def lambda_decay_constant(alpha):
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
 
+@lru_cache(maxsize=64)
+def _log_decay_constants(alpha):
+    """log k_a and log K_a, which :func:`decay_bound_check` reads on every
+    call (:func:`lambda_bound_tail` makes up to ``_TAIL_MAX_TERMS`` of them)."""
+    return math.log(mu_decay_constant(alpha)), math.log(lambda_decay_constant(alpha))
+
+
 def _log_mu(mu_abs):
     """log |mu_n|, -inf when mu_n is 0."""
     return math.log(mu_abs) if mu_abs > 0.0 else -math.inf
@@ -162,10 +171,11 @@ def decay_bound_check(n, mu_abs, alpha, c):
                             log_lambda_bound=math.inf, margin_mu=math.inf,
                             margin_lambda=math.inf)
     big_l = math.log((2.0 * n - 1.0) / (math.e * c))
-    log_mu_bound = (math.log(mu_decay_constant(alpha))
+    log_k_mu, log_k_lambda = _log_decay_constants(alpha)
+    log_mu_bound = (log_k_mu
                     - (0.5 * alpha + 1.0) * math.log(c)
                     - math.log(big_l) - (n + 0.5 * alpha) * big_l)
-    log_lambda_bound = (math.log(lambda_decay_constant(alpha))
+    log_lambda_bound = (log_k_lambda
                         - (alpha + 1.0) * math.log(c)
                         - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
     return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
@@ -214,27 +224,61 @@ def _mu_from_boundary(basis, n, at0):
     bottom coefficient is the first entry of the basis's recurrence
     eigenvector, which keeps full relative accuracy however small it gets.
     """
-    sqrt_m0 = math.sqrt(specfun.weight_mass(basis.alpha))
+    sqrt_m0, a1 = _boundary_constants(basis.alpha)
     bottom = float(basis.beta[n, 0])
     if n % 2 == 0:
         return complex(bottom * sqrt_m0 / float(at0[0]))
-    a1 = float(specfun.jacobi_recurrence(basis.alpha, 2)[1])
     return 1j * basis.c * a1 * bottom * sqrt_m0 / float(at0[1])
+
+
+@lru_cache(maxsize=64)
+def _boundary_constants(alpha):
+    """sqrt(m0) and a_1 of :func:`_mu_from_boundary`: they depend on alpha
+    alone, not on n."""
+    return (math.sqrt(specfun.weight_mass(alpha)),
+            float(specfun.jacobi_recurrence(alpha, 2)[1]))
 
 
 def _check_phase(basis):
     # one-off check of the i^k phase convention against direct quadrature
     rule = specfun.gauss_jacobi(basis.alpha, 80 + int(basis.c))
+    table = specfun.jacobi_table(basis.alpha, 1, rule.nodes)
     for k in (0, 1):
         for x0 in (0.37, 0.61):
             direct = np.dot(rule.weights,
-                            np.exp(1j * basis.c * x0 * rule.nodes)
-                            * specfun.jacobi_table(basis.alpha, k, rule.nodes)[k])
+                            np.exp(1j * basis.c * x0 * rule.nodes) * table[k])
             closed = fc_on_jacobi(basis.alpha, basis.c, k, x0)
             if abs(direct - closed) > 1e-8 * max(1.0, abs(direct)):
                 raise ConsistencyError(
                     f"transform phase validation failed at k={k}: "
                     f"quadrature {direct:.3e} vs closed form {closed:.3e}")
+
+
+# n of one parity per block of the probe floors: the block's product holds
+# _FLOOR_BLOCK x 32 x trunc doubles (0.4 MB at trunc 96), where all n at
+# once would hold nmax / _FLOOR_BLOCK times that
+_FLOOR_BLOCK = 16
+
+
+def _probe_floors(basis, rows, vals):
+    """The roundoff floor of every candidate of every n, shape (nmax, 32):
+    1024 eps times the largest |term| of the candidate's transform sum, over
+    |psi_n(x*)| (``vals``); ``rows`` holds the transform terms of every
+    candidate over all Jacobi indices.
+
+    The largest |beta_k t_k| is taken as the largest |beta_k| |t_k|, which is
+    the same product bit for bit, over blocks of ``_FLOOR_BLOCK`` n of one
+    parity.  psi_n(x*) = 0 gives an infinite floor, which ranks last.
+    """
+    peaks = np.empty(vals.shape)
+    abs_beta = np.abs(basis.beta)
+    for p in (0, 1):
+        abs_rows = np.abs(rows[:, p::2])
+        for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
+            block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
+            peaks[block] = np.max(abs_beta[block, None, :] * abs_rows, axis=2)
+    with np.errstate(divide="ignore"):
+        return 1024.0 * np.finfo(float).eps * peaks / np.abs(vals)
 
 
 def compute_spectrum(basis):
@@ -250,28 +294,31 @@ def compute_spectrum(basis):
     the phase convention disagrees with quadrature, when a lambda exceeds 1,
     and when log lambda increases by more than 1e-12 (the log form of a
     1e-12 relative rise, which stays strict where lambda underflows).
+    The checks run n by n, so the first n that fails one raises.
     """
     _check_phase(basis)
-    eps = np.finfo(float).eps
     ns = range(basis.nmax)
-    # every n at every candidate and at x = 0, and the transform terms at
-    # every candidate argument from one batched Bessel ladder
+    # every n at every candidate and at x = 0, the transform terms at every
+    # candidate argument from one batched Bessel ladder, and every n's floors
+    # and candidate ranking
     vals = basis.psi(ns, _PROBE_X, 0)[0]
-    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    at0 = basis_mod._psi_at0(basis)
     rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
+    floors = _probe_floors(basis, rows, vals)
+    ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
     entries = []
     prev_log_lam = None
     for n in ns:
+        p = n % 2
         mu = _mu_from_boundary(basis, n, at0[:, n])
         mu_abs = abs(mu)
+        keep = ranked[n]
         # psi_n's coefficients vanish off its parity: sum only its orders
-        terms = basis.beta[n] * rows[:, n % 2::2]
-        with np.errstate(divide="ignore"):  # psi_n(x) = 0 ranks last
-            floors = 1024.0 * eps * np.max(np.abs(terms), axis=1) / np.abs(vals[n])
-        keep = np.argsort(floors)[:_N_PROBES]
-        devs = np.array([abs(_fc_sum(terms[i], n % 2) / vals[n, i] - mu) for i in keep])
-        spread, floor = float(devs.max()), float(floors[keep[-1]])
-        if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + floors[keep]):
+        terms = (basis.beta[n] * rows[keep, p::2]).tolist()
+        devs = np.array([abs(_fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])])
+        kept_floors = floors[n, keep]
+        spread, floor = float(devs.max()), float(kept_floors[-1])
+        if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + kept_floors):
             if mu_abs < np.finfo(float).tiny:  # subnormal or zero
                 raise ConsistencyError(
                     f"|mu_n| = {mu_abs:.3e} at n={n} underflowed below the smallest "
@@ -280,6 +327,7 @@ def compute_spectrum(basis):
             raise ConsistencyError(
                 f"mu probe spread {spread / mu_abs:.3e} (floor {floor / mu_abs:.3e}) "
                 f"exceeds {_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
+        # scalar expressions: an array square may round differently from pow
         lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
         log_lam = _log_lambda(mu_abs, basis.c)
         if lam > 1.0 + 1e-9:

@@ -12,6 +12,11 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   the Weierstrass-Mandelbrot coefficients from one memoised transform row
   per term: the forms the array Hankel start, the Cody-Waite reduction and
   the one-ladder WM rows replaced.
+* The spectrum and the local estimate n by n: per-n probe floors, ranking
+  and exact sums over array rows, the boundary and decay constants rebuilt
+  for every n, and every local estimate from its own envelope and weight:
+  the forms the one pass per basis replaced; and the coefficient bound
+  verdict read from the full coefficient vector of psi_n.
 """
 
 import math
@@ -21,7 +26,13 @@ import numpy as np
 
 from gpswf import approx, specfun, spectral
 from gpswf.backend import _reduce_mod_2pi
-from gpswf.basis import build_basis, moment_b
+from gpswf.basis import (BetaBoundVerdict, LocalEstimateReport, _estimate_grid,
+                         _improved_regime, beta_bound_constant, build_basis,
+                         decay_regime_multiplier, moment_b)
+from gpswf.errors import ConsistencyError
+from gpswf.spectral import (_N_PROBES, _PROBE_TOL, _PROBE_X, DecayVerdict,
+                            SpectrumEntry, _fc_term_rows, _log_lambda,
+                            _log_mu, lambda_decay_constant, mu_decay_constant)
 
 
 def concentration_kernel(alpha, u):
@@ -154,3 +165,133 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
         out[odd] += float(lam ** (-(2.0 - s) * k)) * (
             coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
     return out
+
+
+def _fc_sum(terms, parity):
+    """The transform value, ``math.fsum`` over the array row of terms."""
+    total = math.fsum(terms)
+    return 1j * total if parity else complex(total)
+
+
+def _mu_from_boundary(basis, n, at0):
+    """mu_n from the x = 0 identities, the weight mass and a_1 rebuilt per n."""
+    sqrt_m0 = math.sqrt(specfun.weight_mass(basis.alpha))
+    bottom = float(basis.beta[n, 0])
+    if n % 2 == 0:
+        return complex(bottom * sqrt_m0 / float(at0[0]))
+    a1 = float(specfun.jacobi_recurrence(basis.alpha, 2)[1])
+    return 1j * basis.c * a1 * bottom * sqrt_m0 / float(at0[1])
+
+
+def decay_bound_check(n, mu_abs, alpha, c):
+    """The decay verdict with k_a and K_a recomputed on every call."""
+    applicable = n > (math.e * c + 1.0) / 2.0
+    if not applicable:
+        return DecayVerdict(n=n, applicable=False, log_mu_bound=math.inf,
+                            log_lambda_bound=math.inf, margin_mu=math.inf,
+                            margin_lambda=math.inf)
+    big_l = math.log((2.0 * n - 1.0) / (math.e * c))
+    log_mu_bound = (math.log(mu_decay_constant(alpha))
+                    - (0.5 * alpha + 1.0) * math.log(c)
+                    - math.log(big_l) - (n + 0.5 * alpha) * big_l)
+    log_lambda_bound = (math.log(lambda_decay_constant(alpha))
+                        - (alpha + 1.0) * math.log(c)
+                        - 2.0 * math.log(big_l) - (2.0 * n + alpha) * big_l)
+    return DecayVerdict(n=n, applicable=True, log_mu_bound=log_mu_bound,
+                        log_lambda_bound=log_lambda_bound,
+                        margin_mu=log_mu_bound - _log_mu(mu_abs),
+                        margin_lambda=log_lambda_bound - _log_lambda(mu_abs, c))
+
+
+def spectrum_per_n(basis):
+    """:func:`spectral.compute_spectrum` without its phase check, one n at a
+    time: a (32, trunc) product, its floors and an ``argsort`` per n, and
+    ``math.fsum`` over array rows."""
+    eps = np.finfo(float).eps
+    ns = range(basis.nmax)
+    vals = basis.psi(ns, _PROBE_X, 0)[0]
+    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
+    entries = []
+    prev_log_lam = None
+    for n in ns:
+        mu = _mu_from_boundary(basis, n, at0[:, n])
+        mu_abs = abs(mu)
+        # psi_n's coefficients vanish off its parity: sum only its orders
+        terms = basis.beta[n] * rows[:, n % 2::2]
+        with np.errstate(divide="ignore"):  # psi_n(x) = 0 ranks last
+            floors = 1024.0 * eps * np.max(np.abs(terms), axis=1) / np.abs(vals[n])
+        keep = np.argsort(floors)[:_N_PROBES]
+        devs = np.array([abs(_fc_sum(terms[i], n % 2) / vals[n, i] - mu) for i in keep])
+        spread, floor = float(devs.max()), float(floors[keep[-1]])
+        if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + floors[keep]):
+            if mu_abs < np.finfo(float).tiny:  # subnormal or zero
+                raise ConsistencyError(
+                    f"|mu_n| = {mu_abs:.3e} at n={n} underflowed below the smallest "
+                    f"normal double, so the probes cannot check it (absolute "
+                    f"spread {spread:.3e}, floor {floor:.3e})")
+            raise ConsistencyError(
+                f"mu probe spread {spread / mu_abs:.3e} (floor {floor / mu_abs:.3e}) "
+                f"exceeds {_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
+        lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
+        log_lam = _log_lambda(mu_abs, basis.c)
+        if lam > 1.0 + 1e-9:
+            raise ConsistencyError(f"lambda_{n} = {lam!r} exceeds 1")
+        if prev_log_lam is not None and log_lam > prev_log_lam + 1e-12:
+            raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
+        prev_log_lam = log_lam
+        phase = mu / mu_abs if mu_abs > 0.0 else complex(1.0)
+        bound = decay_bound_check(n, mu_abs, basis.alpha, basis.c)
+        entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
+                                     mu_phase=phase, lam=lam, log_lam=log_lam,
+                                     bound=bound,
+                                     probe_spread=spread,
+                                     probe_floor=floor / mu_abs))
+    return entries
+
+
+def local_estimates_per_n(basis, grid_size):
+    """:func:`basis.local_estimate` for every n, each from its own envelope,
+    weight and sup over the psi table of the whole basis."""
+    ns = range(basis.nmax)
+    grid = basis.psi(ns, _estimate_grid(grid_size), 0)[0]
+    at0 = basis.psi(ns, np.array([0.0]), 1)[:, :, 0]
+    moments = moment_b(basis, ns)
+    reports = []
+    for n in ns:
+        chi = float(basis.chi[n])
+        q = basis.c ** 2 / chi
+        x = _estimate_grid(grid_size)
+        psi = grid[n]
+        envelope = np.sqrt(np.maximum((1.0 - x ** 2) * (1.0 - q * x ** 2), 0.0))
+        w = (1.0 - x ** 2) ** basis.alpha
+        sup_value = float(np.max(envelope * w * psi ** 2))
+        a_squared = float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi)
+        reports.append(LocalEstimateReport(
+            n=n, q=q, sup_value=sup_value, a_squared=a_squared,
+            b_moment=float(moments[n]),
+            bound_applicable=_improved_regime(basis.alpha, q), alpha=basis.alpha))
+    return reports
+
+
+def beta_bound_check(basis, n, k, mu_abs, c_prime=None):
+    """:func:`basis.beta_bound_check` with beta_k^n read from
+    ``full_coefficients(n)``, zero past its last index."""
+    chi = float(basis.chi[n])
+    q = basis.c ** 2 / chi
+    coefs = basis.full_coefficients(n)
+    beta_k = abs(float(coefs[k])) if k < coefs.size else 0.0
+    c_alpha = beta_bound_constant(basis.alpha)
+    log_bound = (math.log(c_alpha) + k * (math.log(2.0 * math.sqrt(chi)) - math.log(basis.c))
+                 + math.log(mu_abs)) if mu_abs > 0.0 else -math.inf
+    log_beta = math.log(beta_k) if beta_k > 0.0 else -math.inf
+    condition_value = k * (k + 2.0 * basis.alpha + 1.0)
+    condition_ok = None
+    if c_prime is not None:
+        condition_ok = condition_value + c_prime * basis.c ** 2 <= chi
+    regime = (k <= n / 1.9) and (n >= decay_regime_multiplier(basis.alpha) * basis.c)
+    margin = log_bound - log_beta  # +inf when beta_k is exactly zero
+    return BetaBoundVerdict(n=n, k=k, q=q, c_alpha=c_alpha, log_bound=log_bound,
+                            log_beta=log_beta, margin=margin,
+                            applicable_q=q < 1.0, condition_value=condition_value,
+                            condition_ok=condition_ok, regime=regime)

@@ -249,6 +249,19 @@ class TestProjection:
         approx.project(basis_wm, approx.periodic_exponential(3), 20)
         assert columns == [1, 2]
 
+    @pytest.mark.parametrize("N", [0, 12])
+    def test_every_order_taker_checks_n_alike(self, N):
+        # the closed-form routes name a bad N as project does, not as a bare
+        # IndexError from the basis
+        b = B.build_basis(0.5, 2.0, 10)
+        f = approx.periodic_exponential(1)
+        for call in (lambda: approx.project(b, f, N),
+                     lambda: approx.wm_all_coefficients(b, 1.0, 2.0, N),
+                     lambda: approx.wm_projection_error(b, 1.0, 2.0, N),
+                     lambda: approx.cosine_transform_table(b, 8, N)):
+            with pytest.raises(DomainError, match=rf"^N={N} must lie in 1\.\.nmax=10$"):
+                call()
+
     def test_range_and_config_errors(self, basis_05_2):
         f = approx.brownian(1.5, seed=3, K=10)
         with pytest.raises(DomainError):

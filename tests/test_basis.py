@@ -2,6 +2,7 @@ import math
 
 import mpmath as mp
 import numpy as np
+import oracles
 import pytest
 
 from gpswf import basis as B
@@ -343,6 +344,16 @@ class TestEvaluation:
         with pytest.raises(IndexError):
             basis_05_2.psi([0, 16], np.array([0.0]))
 
+    def test_one_index_fast_path(self, basis_05_2):
+        # a Python or NumPy integer skips the array pass but gives the same
+        # index array, and the same error for anything else
+        for n in (0, 15, np.int64(7), np.uint8(3)):
+            ns = basis_05_2._check_index(n)
+            assert ns.dtype == np.intp and ns.tolist() == [int(n)]
+        for n in (-1, 16, np.int64(-1), 2.0, True, np.bool_(True)):
+            with pytest.raises(IndexError, match=r"out of range 0\.\.15"):
+                basis_05_2._check_index(n)
+
     @pytest.mark.parametrize("n", [-1, 5])
     def test_full_coefficients_index_domain(self, n):
         # a negative n used to wrap to beta[n] at the parity of n
@@ -457,6 +468,32 @@ class TestBoundCheckers:
             assert repr(got) == repr(B.local_estimate(bases[b], n, grid_size))
         with pytest.raises(IndexError):
             B.local_estimate(bases[0], -1)
+
+    @pytest.mark.parametrize("alpha,c,nmax", [(0.5, 2.0, 16), (0.5, 5 * math.pi, 96),
+                                               (1.0, 20 * math.pi, 93),
+                                               (2.5, 20 * math.pi, 93), (0.0, 10.0, 60)])
+    def test_one_pass_local_estimate_bitwise_per_n(self, alpha, c, nmax):
+        # every report from the one pass per basis equals the per-n form bit
+        # for bit, at two grid sizes
+        b = B.build_basis(alpha, c, nmax)
+        for grid_size in (400, 137):
+            want = [repr(r) for r in oracles.local_estimates_per_n(b, grid_size)]
+            assert [repr(B.local_estimate(b, n, grid_size)) for n in range(nmax)] == want
+        assert B.local_estimate(b, np.int64(3)).sup_value == B.local_estimate(b, 3).sup_value
+
+    def test_beta_bound_check_reads_beta_like_full_coefficients(self, basis_05_2):
+        # k at and off the parity of n, past the last coefficient and
+        # negative (an index from the end, as before)
+        b = basis_05_2
+        ks = (0, 1, 2, 3, 16, 17, 2 * b.trunc - 2, 2 * b.trunc - 1, 2 * b.trunc,
+              2 * b.trunc + 1, 3 * b.trunc, -1, -2)
+        for n in (0, 1, 6, 15, np.int64(9)):
+            for k in ks:
+                for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0)):
+                    want = oracles.beta_bound_check(b, n, k, mu_abs, c_prime)
+                    assert repr(B.beta_bound_check(b, n, k, mu_abs, c_prime)) == repr(want)
+        with pytest.raises(IndexError):
+            B.beta_bound_check(b, -1, 2, 1e-3)
 
     def test_beta_bound_constant(self):
         # C_0 = (3/2)^(3/2) e^(-3/2)

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import oracles
@@ -237,7 +239,70 @@ def test_one_pass_spectrum_matches_per_n_evaluation(alpha, c, nmax):
         assert e.probe_floor == pytest.approx(floors[-1] / abs(mu), rel=16 * EPS)
 
 
+@pytest.mark.parametrize("alpha,c,nmax", [(0.5, 2.0, 16), (0.5, 5 * math.pi, 96),
+                                           (1.0, 20 * math.pi, 93),
+                                           (2.5, 20 * math.pi, 93), (0.0, 10.0, 60)])
+def test_one_pass_spectrum_bitwise_per_n(alpha, c, nmax):
+    # floors and ranking for all n at once, list-fed exact sums and the
+    # hoisted constants give every entry of the per-n form bit for bit
+    b = B.build_basis(alpha, c, nmax)
+    want = [repr(e) for e in oracles.spectrum_per_n(b)]
+    assert [repr(e) for e in spectral.compute_spectrum(b)] == want
+
+
+def _raised(fn, basis):
+    with pytest.raises(ConsistencyError) as info:
+        fn(basis)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("alpha,c,nmax", [(0.0, 5.0, 200), (0.5, 10.0, 240)])
+def test_underflow_error_same_as_per_n(alpha, c, nmax):
+    b = B.build_basis(alpha, c, nmax)
+    message = _raised(spectral.compute_spectrum, b)
+    assert "underflowed" in message
+    assert message == _raised(oracles.spectrum_per_n, b)
+
+
+@pytest.mark.parametrize("rows", [(1,), (9, 6), (11, 3), (20,)])
+def test_perturbed_rows_raise_at_the_first_n(basis_05_2, rows):
+    # the checks still run n by n: the first perturbed n raises, with the
+    # message of the per-n form
+    beta = np.array(basis_05_2.beta)
+    for n in rows:
+        beta[n, 1] += 0.01  # mix a neighboring mode into one eigenvector
+        beta[n] /= np.linalg.norm(beta[n])
+    bad = dataclasses.replace(basis_05_2, beta=beta)
+    message = _raised(spectral.compute_spectrum, bad)
+    assert f"at n={min(rows)} " in message
+    assert message == _raised(oracles.spectrum_per_n, bad)
+
+
+def test_spectrum_peak_memory_stays_small():
+    # the floor product runs in blocks of n: all n at once would hold
+    # nmax x 32 x trunc doubles (2.3 MB here) per temporary
+    b = B.build_basis(2.5, 20 * math.pi, 93)
+    spectral.compute_spectrum(b)
+    B._psi_at0.cache_clear()
+    spectral._fc_terms.cache_clear()
+    tracemalloc.start()
+    try:
+        spectral.compute_spectrum(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 class TestDecayBounds:
+    def test_bitwise_per_call_constants(self):
+        # k_a and K_a memoised by alpha give the verdicts of the per-call form
+        for alpha in (0.0, 0.25, 1.3, 2.5):
+            for n in (1, 3, 9, 40, 200, 5000):
+                for mu_abs in (0.0, 1e-300, 1e-5, 0.4):
+                    got = spectral.decay_bound_check(n, mu_abs, alpha, 3.7)
+                    assert repr(got) == repr(oracles.decay_bound_check(n, mu_abs, alpha, 3.7))
+
     def test_constants_alpha0(self):
         assert spectral.mu_decay_constant(0.0) == pytest.approx(
             2.3114546995818434, rel=1e-13)
