@@ -140,6 +140,8 @@ def brownian(s, seed, K=4000):
     _check_terms(K)
     if s <= 0.5:
         raise DomainError(f"brownian requires s > 1/2, got {s!r}")
+    if not 0 <= seed < 2 ** 128:  # a Philox key is two 64-bit words
+        raise DomainError(f"brownian seed must lie in 0..2**128-1, got {seed!r}")
     f = brownian_from_coefficients(s, _gaussian_samples(seed, K))
     f.params.update({"seed": int(seed), "generator": GAUSSIAN_GENERATOR})
     return f

@@ -10,21 +10,19 @@ computes eigenvectors.
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
 alone.  Arguments in the upward regime share one vectorised recurrence, which
-starts from one array Hankel sum per start order; its phase x mod 2 pi comes
-from an array Cody-Waite reduction that is bitwise the exact rational one.
-Miller-regime arguments run in blocks of ``_MILLER_BLOCK`` through one array
-backward recurrence, in which each column starts at its own order and
-rescales on its own, so every step is the same IEEE operations as the
-one-argument recurrence :func:`_ladder_miller`; a block of fewer than
-``_MILLER_LONE`` arguments runs that recurrence per argument instead.  The
-closing normalisation stays a per-element ``math.log``/``math.exp`` pass.  A
-block's work arrays hold at most (jtop + 7 count) * 32 doubles, 0.85 MB at
-count 394.  Both Miller paths read one memoised table of Neumann coefficients
-per base order.
+starts from one array Hankel sum per start order, its phase from libm's
+``cos`` and ``sin`` of x, which reduce every double exactly.  Miller-regime
+arguments run in blocks of ``_MILLER_BLOCK`` through one array backward
+recurrence, in which each column starts at its own order and rescales on its
+own, so every step is the same IEEE operations as the one-argument recurrence
+:func:`_ladder_miller`; a block of fewer than ``_MILLER_LONE`` arguments runs
+that recurrence per argument instead.  The closing normalisation stays a
+per-element ``math.log``/``math.exp`` pass.  A block's work arrays hold at
+most (jtop + 7 count) * 32 doubles, 0.85 MB at count 394.  Both Miller paths
+read one memoised table of Neumann coefficients per base order.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -103,73 +101,6 @@ def jacobi_series(coef, rec, p0, x, nderiv=0):
     return out
 
 
-# 2*pi to 60 decimal digits; exact rational arithmetic below makes the
-# reduction error independent of the size of x.
-_TWO_PI = Fraction(
-    "6.283185307179586476925286766559005768394338798750211641949889185"
-)
-
-
-@lru_cache(maxsize=4096)
-def _reduce_mod_2pi(x: float) -> float:
-    """Return x mod 2*pi with absolute error ~1 ulp regardless of |x|."""
-    return float(Fraction(x) % _TWO_PI)
-
-
-def _cody_waite_split(value, heads, bits):
-    """``heads`` doubles of at most ``bits`` significant bits each, taken
-    greedily from the top of the positive rational ``value``, and the double
-    nearest to what they leave."""
-    parts = []
-    for _ in range(heads):
-        quantum = Fraction(2) ** (math.frexp(float(value))[1] - bits)
-        part = value // quantum * quantum
-        parts.append(float(part))
-        value -= part
-    return tuple(parts), float(value)
-
-
-# 2*pi as seven 13-bit heads and a tail: k * head is exact for k < 2^40, so
-# the array reduction holds for x < _REDUCE_MAX, where k = floor(x / 2 pi)
-# stays below 2^40
-_TWO_PI_HEADS, _TWO_PI_TAIL = _cody_waite_split(_TWO_PI, 7, 13)
-_REDUCE_MAX = 2.0 ** 42
-
-
-def _cody_waite(x, k):
-    """x - k * 2 pi as a double-double over the exact products k * head,
-    rounded once at the end."""
-    hi = x
-    lo = np.zeros(x.size)
-    for head in _TWO_PI_HEADS:
-        t = k * -head
-        s = hi + t  # two-sum: s + err == hi + t exactly
-        b = s - hi
-        lo += (hi - (s - b)) + (t - b)
-        hi = s
-    lo -= k * _TWO_PI_TAIL
-    return hi + lo
-
-
-def _mod_2pi(x):
-    """x mod 2 pi for an array of x >= 0, each element bitwise
-    :func:`_reduce_mod_2pi`.  Below ``_REDUCE_MAX`` a Cody-Waite reduction
-    over the array (Cody & Waite, *Software Manual for the Elementary
-    Functions*, 1980); beyond it the exact per-element reduction."""
-    out = np.empty(x.size)
-    fast = x < _REDUCE_MAX
-    xf = x[fast]
-    # x / 2 pi rounded is never below floor(x / 2 pi), and at most one above
-    k = np.floor(xf / float(_TWO_PI))
-    r = _cody_waite(xf, k)
-    over = r < 0.0
-    if over.any():
-        r[over] = _cody_waite(xf[over], k[over] - 1.0)
-    out[fast] = r
-    out[~fast] = [_reduce_mod_2pi(v) for v in x[~fast].tolist()]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bessel J ladders.
 #
@@ -188,12 +119,12 @@ _RESCALE = 2.0 ** _RESCALE_LOG2
 _MILLER_X_MAX = 370.0
 
 
-def _hankel_start(nu, xs, phase):
+def _hankel_start(nu, xs, cos_x, sin_x):
     """Large-argument asymptotic J_nu(x) at an array of x >> nu^2 (small nu
-    here), with ``phase`` = x mod 2 pi.  Each element stops the series at its
-    own smallest term or once a term falls below 1e-18, and sees the IEEE
-    operations of the one-argument sum; cos and sin are ``math`` calls per
-    element, as a vectorised one may round differently."""
+    here), its phase x - (nu/2 + 1/4) pi from ``cos_x`` = cos x and ``sin_x``
+    = sin x by angle addition.  Each element stops the series at its own
+    smallest term or once a term falls below 1e-18, and sees the IEEE
+    operations of the one-argument sum."""
     mu = 4.0 * nu * nu
     inv8x = 0.125 / xs
     p = np.ones(xs.size)
@@ -206,8 +137,6 @@ def _hankel_start(nu, xs, phase):
         step = term * (((mu - (2 * k - 1) ** 2) * inv8x) / k)
         mag = np.abs(step)
         live &= ~(mag > prev)  # diverging: stop at the smallest term
-        if not live.any():
-            break
         term = np.where(live, step, term)
         prev = np.where(live, mag, prev)
         if k % 2 == 1:
@@ -218,9 +147,11 @@ def _hankel_start(nu, xs, phase):
         live &= ~(mag < 1e-18)
         if not live.any():
             break
-    omega = phase - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * xs)) * (p * _each(math.cos, omega)
-                                           - q * _each(math.sin, omega))
+    theta = (0.5 * nu + 0.25) * math.pi
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_w = cos_x * cos_t + sin_x * sin_t
+    sin_w = sin_x * cos_t - cos_x * sin_t
+    return np.sqrt(2.0 / (math.pi * xs)) * (p * cos_w - q * sin_w)
 
 
 def _miller_top(nu0, count, x):
@@ -373,10 +304,10 @@ def _ladder_upward(nu0, count, xs):
     order (shape (count, len(xs))), so each step is one contiguous vector op
     and every argument sees the same IEEE operations as it would alone."""
     lad = np.empty((count, xs.size))
-    phase = _mod_2pi(xs)
-    lad[0] = _hankel_start(nu0, xs, phase)
+    cos_x, sin_x = np.cos(xs), np.sin(xs)
+    lad[0] = _hankel_start(nu0, xs, cos_x, sin_x)
     if count > 1:
-        lad[1] = _hankel_start(nu0 + 1.0, xs, phase)
+        lad[1] = _hankel_start(nu0 + 1.0, xs, cos_x, sin_x)
         for j in range(2, count):
             lad[j] = (2.0 * (nu0 + j - 1) / xs) * lad[j - 1] - lad[j - 2]
     return lad

@@ -346,6 +346,7 @@ def _improved_regime(alpha, q):
 
 def chi_lower_bound_check(basis, n):
     """Improved lower bound check, applicable for alpha <= 1/4 and q < 3/17."""
+    basis._check_index(n)
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
     applicable = _improved_regime(basis.alpha, q)
@@ -502,9 +503,9 @@ def beta_bound_check(basis, n, k, mu_abs, c_prime=None):
     condition value k(k+2a+1) is only reported.  Also flags the regime
     k <= n/1.9 and n >= m_a c of the exponential decay estimate.
     """
+    basis._check_index(n)
     chi = float(basis.chi[n])
     q = basis.c ** 2 / chi
-    basis._check_index(n)
     # beta_k^n is row n's entry k // 2 at the parity of n, and 0 elsewhere
     on_row = k % 2 == n % 2 and k < 2 * basis.trunc
     beta_k = abs(float(basis.beta[n, k // 2])) if on_row else 0.0

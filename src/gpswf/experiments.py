@@ -9,6 +9,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 import struct
 import time
@@ -100,6 +101,16 @@ class ExperimentConfig:
             if value != defaults[name]:
                 raise DomainError(f"{self.name} does not read {name}, "
                                   f"got {getattr(self, name)!r}")
+        ints = [("N_list", v, 1) for v in tuple(self.N_list)] + [
+            ("seed", self.seed, 0), ("n_seeds", self.n_seeds, 1),
+            ("nmax", self.nmax, 1), ("threads", self.threads, 0)]
+        for name, v, low in ints:
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise DomainError(f"{name} takes integers >= {low}, got {v!r}")
+        for grid in ("alpha_list", "c_list", "s_list"):
+            for v in tuple(getattr(self, grid)):
+                if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                    raise DomainError(f"{grid} takes finite reals, got {v!r}")
 
 
 def default_cache_dir():

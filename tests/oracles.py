@@ -8,10 +8,10 @@ against.  pytest does not collect this file; test modules ``import oracles``.
 * The norm of a cosine series from the two direct O(K^2) products, and the
   sup error of a projection from the N x 2001 psi table on the sup grid:
   the forms the library's FFT norm and one-series sup error replaced.
-* The one-argument Hankel sum with the exact rational phase reduction, and
-  the Weierstrass-Mandelbrot coefficients from one memoised transform row
-  per term: the forms the array Hankel start, the Cody-Waite reduction and
-  the one-ladder WM rows replaced.
+* The one-argument Hankel sum with ``math.cos`` and ``math.sin``, and the
+  Weierstrass-Mandelbrot coefficients from one memoised transform row per
+  term: the forms the array Hankel start and the one-ladder WM rows
+  replaced.
 * The spectrum and the local estimate n by n: per-n probe floors, ranking
   and exact sums over array rows, the boundary and decay constants rebuilt
   for every n, and every local estimate from its own envelope and weight:
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpswf import approx, specfun, spectral
-from gpswf.backend import _reduce_mod_2pi
 from gpswf.basis import (BetaBoundVerdict, LocalEstimateReport, _estimate_grid,
                          _improved_regime, beta_bound_constant, build_basis,
                          decay_regime_multiplier, moment_b)
@@ -143,8 +142,11 @@ def _hankel_j(nu, x):
         if abs(term) < 1e-18:
             break
         k += 1
-    omega = _reduce_mod_2pi(x) - (0.5 * nu + 0.25) * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+    theta = (0.5 * nu + 0.25) * math.pi
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_w = math.cos(x) * cos_t + math.sin(x) * sin_t
+    sin_w = math.sin(x) * cos_t - math.cos(x) * sin_t
+    return math.sqrt(2.0 / (math.pi * x)) * (p * cos_w - q * sin_w)
 
 
 def wm_all_coefficients(basis, s, lam, N, K=None):

@@ -54,6 +54,10 @@ class TestCorpus:
             approx.brownian(1.5, seed=1, K=0)
         with pytest.raises(DomainError):
             approx.brownian(0.4, seed=1)
+        for seed in (-5, -1, 2 ** 128):
+            with pytest.raises(DomainError, match="seed"):
+                approx.brownian(1.5, seed=seed, K=10)
+        assert approx.brownian(1.5, seed=2 ** 128 - 1, K=10).params["seed"] == 2 ** 128 - 1
 
     def test_wm_blocked_evaluation_matches_one_product(self):
         # more terms than one evaluation block

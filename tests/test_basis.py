@@ -495,6 +495,15 @@ class TestBoundCheckers:
         with pytest.raises(IndexError):
             B.beta_bound_check(b, -1, 2, 1e-3)
 
+    @pytest.mark.parametrize("n", [-1, 10])
+    def test_checkers_refuse_index_out_of_range(self, n):
+        # the index is checked before chi is read: -1 must not wrap to the last n
+        b = B.build_basis(0.0, 3.0, 10)
+        with pytest.raises(IndexError, match=r"basis index out of range 0\.\.9"):
+            B.chi_lower_bound_check(b, n)
+        with pytest.raises(IndexError, match=r"basis index out of range 0\.\.9"):
+            B.beta_bound_check(b, n, 2, 1e-3)
+
     def test_beta_bound_constant(self):
         # C_0 = (3/2)^(3/2) e^(-3/2)
         assert B.beta_bound_constant(0.0) == pytest.approx(

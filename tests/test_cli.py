@@ -354,6 +354,42 @@ def test_field_the_scenario_does_not_read_exits_1(capsys, tmp_path, name,
     assert not (tmp_path / "r").exists()
 
 
+BROWNIAN_CFG = {"alpha_list": [1.5], "c_list": [2.0], "N_list": [4], "s_list": [1.5]}
+
+
+@pytest.mark.parametrize("name,cfg,flags,field", [
+    ("brownian", dict(BROWNIAN_CFG, n_seeds=0), (), "n_seeds"),
+    ("lambda-decay", dict(LAMBDA_CFG, nmax=10.5), (), "nmax"),
+    ("lambda-decay", dict(LAMBDA_CFG, alpha_list=["a"]), (), "alpha_list"),
+    ("lambda-decay", dict(LAMBDA_CFG, c_list=[float("nan")]), (), "c_list"),
+    ("brownian", dict(BROWNIAN_CFG, N_list=[0]), (), "N_list"),
+    ("brownian", dict(BROWNIAN_CFG, N_list=[4.0]), (), "N_list"),
+    ("lambda-decay", dict(LAMBDA_CFG, seed=True), (), "seed"),
+    ("lambda-decay", LAMBDA_CFG, ("--threads", "-3"), "threads"),
+    ("brownian", BROWNIAN_CFG, ("--seed", "-5"), "seed"),
+])
+def test_config_field_out_of_range_exits_1(capsys, tmp_path, name, cfg, flags, field):
+    # each field's type and range is checked before any report or cache exists
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", name, "--config",
+                             str(cfg_path), "--out-dir", str(tmp_path / "r"),
+                             "--cache-dir", str(tmp_path / "cache"), *flags)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} takes ")
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_project_brownian_seed_out_of_range_exits_1(capsys, cache_args):
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
+                             "--fn", "brownian:s=1.5,seed=-1", "--N", "4", *cache_args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: brownian seed must lie in 0..2**128-1")
+
+
 @pytest.mark.parametrize("name", ["wm-table", "brownian"])
 def test_empty_s_list_exits_1(capsys, tmp_path, name):
     cfg = {"alpha_list": [0.5], "c_list": [2.0], "N_list": [6], "s_list": []}

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -97,7 +96,7 @@ class TestBesselJ:
             assert abs(mine - ref) <= 5e-11 * max(abs(ref), 1e-2 * envelope)
 
     def test_large_argument(self):
-        # the asymptotic branch with exact phase reduction
+        # the asymptotic branch, its phase from libm cos and sin
         for nu, x in [(0.5, 1e5), (2.5, 4096.0), (1.25, 2.0 ** 30)]:
             assert specfun.bessel_j(nu, x) == pytest.approx(
                 jv(nu, x), rel=1e-9, abs=1e-13)
@@ -145,14 +144,14 @@ class TestBesselJ:
                 specfun.bessel_j_ladder(0.5, 4, batch)
 
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
-    # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and the bound
-    # of the array phase reduction at 2^42; the 75 Miller
-    # arguments in (0, 370] fill several batched blocks, each mixing start
-    # orders more than 100 apart, and rescale at different steps (the
-    # recurrence grows by about 2 nu / x per step)
+    # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and reaches
+    # arguments far past 2^53, where libm's reduction of x mod 2 pi is the
+    # whole phase; the 75 Miller arguments in (0, 370] fill several batched
+    # blocks, each mixing start orders more than 100 apart, and rescale at
+    # different steps (the recurrence grows by about 2 nu / x per step)
     LADDER_X = (0.0, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
-                454.0, 1000.0, 5000.0, 8000.0 * math.pi, 2.0 ** 41, 1e40
-                ) + tuple(np.geomspace(0.01, 360.0, 70))
+                454.0, 1000.0, 5000.0, 8000.0 * math.pi, 2.0 ** 41, 1e40, 1e60,
+                1e300) + tuple(np.geomspace(0.01, 360.0, 70))
 
     @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
     @pytest.mark.parametrize("count", [1, 2, 400])
@@ -187,40 +186,38 @@ class TestBesselJ:
 
 
 class TestUpwardStart:
-    """The array phase reduction and Hankel sum against their one-argument
-    forms: the exact rational reduction and ``oracles._hankel_j``."""
-
-    @staticmethod
-    def _exact(x):
-        return float(Fraction(x) % backend._TWO_PI)
-
-    def test_reduction_bitwise_exact(self):
-        top = backend._REDUCE_MAX
-        x = [k * math.pi for k in range(1, 16001)]
-        x += np.geomspace(370.0, 2.0 ** 41, 20000).tolist()
-        x += [float(abs(2 ** i + sgn * 2 ** j)) for i in range(41) for j in range(41)
-              for sgn in (1, -1) if 2 ** i + sgn * 2 ** j]
-        # the doubles around k 2 pi, where the reduction cancels the most
-        for k in np.unique(np.geomspace(1, top / 6.3, 30000).astype(np.int64)).tolist():
-            v = float(k * backend._TWO_PI)
-            x += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
-        x = np.array(x)
-        assert x.size >= 100_000 and x.max() < top
-        got = backend._mod_2pi(x)
-        want = np.array([self._exact(v) for v in x.tolist()])
-        assert got.tobytes() == want.tobytes()
-        assert got.min() >= 0.0 and got.max() <= 2.0 * math.pi  # x = float(2 pi) stays
-
-    def test_reduction_past_bound(self):
-        x = np.array([backend._REDUCE_MAX, 1e13, 1e40, 1e300])
-        assert backend._mod_2pi(x).tolist() == [self._exact(v) for v in x.tolist()]
+    """The array Hankel start against its one-argument form
+    ``oracles._hankel_j``, and the upward ladders against mpmath."""
 
     @pytest.mark.parametrize("nu", [-0.5, 0.0, 0.25, 0.5, 1.0, 1.25])
     def test_hankel_sum_bitwise_oracle(self, nu):
-        x = np.concatenate([np.geomspace(370.5, 1e6, 400), [8000.0 * math.pi, 2.0 ** 41, 1e40]])
-        got = backend._hankel_start(nu, x, backend._mod_2pi(x))
+        x = np.concatenate([np.geomspace(370.5, 1e6, 400),
+                            [8000.0 * math.pi, 2.0 ** 41, 1e40, 1e60, 1e300]])
+        got = backend._hankel_start(nu, x, np.cos(x), np.sin(x))
         want = np.array([oracles._hankel_j(nu, v) for v in x.tolist()])
         assert got.tobytes() == want.tobytes()
+
+    # multiples of pi, where x - theta cancels most; powers of two and a
+    # geometric sweep to 2^45; and arguments past 1e48, where x mod 2 pi
+    # needs more than 63 digits of 2 pi
+    MP_X = ([k * math.pi for k in range(118, 4001, 31)] + [4000.0 * math.pi]
+            + [2.0 ** k for k in range(9, 46)]
+            + np.geomspace(371.0, 2.0 ** 45, 40).tolist() + [1e60, 1e100, 1e300])
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
+    def test_upward_ladder_against_mpmath(self, nu0):
+        orders = (0, 1, 5)
+        x = np.array(self.MP_X)
+        assert all(backend._upward_regime(nu0, orders[-1] + 1, v) for v in self.MP_X)
+        rows = backend.bessel_ladder(nu0, orders[-1] + 1, x)
+        worst = 0.0
+        with mp.workdps(30):
+            for v, row in zip(self.MP_X, rows.tolist()):
+                envelope = math.sqrt(2.0 / (math.pi * v))
+                for j in orders:
+                    ref = mp.besselj(nu0 + j, v)
+                    worst = max(worst, float(abs(mp.mpf(row[j]) - ref)) / envelope)
+        assert worst <= 1e-15
 
 
 def test_small_miller_block_bitwise_lone():
