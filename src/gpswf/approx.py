@@ -129,6 +129,10 @@ def brownian_from_coefficients(s, coefs):
                                   "amplitudes": coefs})
 
 
+# one past the largest brownian seed: a Philox key is two 64-bit words
+SEED_END = 2 ** 128
+
+
 def brownian(s, seed, K=4000):
     """B_s(x) = sum_{k=1}^{K} X_k k^{-s} cos(k pi x) with standard Gaussian X_k.
 
@@ -140,7 +144,7 @@ def brownian(s, seed, K=4000):
     _check_terms(K)
     if s <= 0.5:
         raise DomainError(f"brownian requires s > 1/2, got {s!r}")
-    if not 0 <= seed < 2 ** 128:  # a Philox key is two 64-bit words
+    if not 0 <= seed < SEED_END:
         raise DomainError(f"brownian seed must lie in 0..2**128-1, got {seed!r}")
     f = brownian_from_coefficients(s, _gaussian_samples(seed, K))
     f.params.update({"seed": int(seed), "generator": GAUSSIAN_GENERATOR})

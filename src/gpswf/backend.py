@@ -7,6 +7,13 @@ work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
 :func:`tridiag_eig`, which is LAPACK through ``numpy.linalg``; no kernel
 computes eigenvectors.
 
+The Jacobi recurrence :func:`_jacobi_rows` has two paths with bitwise the
+same values.  At one point (x = 0 for the sign convention and psi_n(0)) it
+steps in Python floats; at several points (probes, grids, Gauss nodes) it
+writes each step into its output row with ``out=`` ufuncs.  At these sizes
+both cost NumPy call overhead rather than arithmetic, which is what they
+cut.
+
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
 alone.  Arguments in the upward regime share one vectorised recurrence, which
@@ -50,28 +57,64 @@ def _jacobi_rows(rec, p0, kmax, x, nderiv, chunk):
     recurrence ``x Jt_k = rec[k+1] Jt_{k+1} + rec[k] Jt_{k-1}`` and
     ``Jt_0 = p0``; ``rec`` needs length ``>= kmax + 1``.  Differentiating it
     d times gives ``rec[k+1] Jt_{k+1}^(d) = x Jt_k^(d) + d Jt_k^(d-1) -
-    rec[k] Jt_{k-1}^(d)``, and each step updates every order d <= nderiv in
-    one array operation.  Yields ``(k0, rows)`` with ``rows[d, i] =
+    rec[k] Jt_{k-1}^(d)``.  Yields ``(k0, rows)`` with ``rows[d, i] =
     Jt_{k0+i}^(d)(x)`` for at most ``chunk`` consecutive k, so rows has shape
     (nderiv+1, <= chunk, len(x)).  The recurrence is stable inside [-1, 1]
     (Gautschi, *Orthogonal Polynomials*, 2004).
+
+    Two paths, chosen by ``x.size``, take every value through the same IEEE
+    operations in the same order, ``((x Jt_k + d Jt_k^(d-1)) - rec[k]
+    Jt_{k-1}) / rec[k+1]``, with ``rec`` read as Python floats.  One point
+    steps in Python floats, which round each operation as NumPy does (no
+    FMA) without its per-call overhead.  Several points step one derivative
+    order at a time with ``out=`` ufuncs on 1-d row views: each step writes
+    its row of the block in place, with one scratch vector, and the next
+    block's first steps read the last rows of the one before, so a caller
+    must not write to a block before asking for the next.
     """
-    dmul = np.arange(1.0, nderiv + 1.0)[:, None]
+    recs = rec.tolist()
+    if x.size == 1:
+        yield from _jacobi_rows_one(recs, p0, kmax, x.item(), nderiv, chunk)
+        return
     prev = np.zeros((nderiv + 1, x.size))
     cur = np.zeros((nderiv + 1, x.size))
     cur[0] = p0
+    tmp = np.empty(x.size)
     for k0 in range(0, kmax + 1, chunk):
         rows = np.empty((nderiv + 1, min(chunk, kmax + 1 - k0), x.size))
         for i in range(rows.shape[1]):
             k = k0 + i
-            if k:
-                step = x * cur
-                if nderiv:
-                    step[1:] += dmul * cur[:-1]
-                step -= rec[k - 1] * prev
-                prev, cur = cur, step / rec[k]
-            rows[:, i] = cur
+            if k == 0:
+                rows[:, 0] = cur
+                continue
+            for d in range(nderiv + 1):
+                row = rows[d, i]
+                np.multiply(x, cur[d], out=row)
+                if d:
+                    row += np.multiply(float(d), cur[d - 1], out=tmp)
+                row -= np.multiply(recs[k - 1], prev[d], out=tmp)
+                row /= recs[k]
+            prev, cur = cur, rows[:, i]
         yield k0, rows
+
+
+def _jacobi_rows_one(recs, p0, kmax, x, nderiv, chunk):
+    """:func:`_jacobi_rows` at one point ``x``, in Python floats; ``recs`` is
+    the recurrence as a list."""
+    prev = [0.0] * (nderiv + 1)
+    cur = [p0] + [0.0] * nderiv
+    vals = list(cur)  # vals[k * (nderiv + 1) + d] = Jt_k^(d)(x)
+    for k in range(1, kmax + 1):
+        r0, r1 = recs[k - 1], recs[k]
+        nxt = [(x * cur[0] - r0 * prev[0]) / r1]
+        for d in range(1, nderiv + 1):
+            nxt.append((x * cur[d] + d * cur[d - 1] - r0 * prev[d]) / r1)
+        prev, cur = cur, nxt
+        vals += cur
+    # C order, so each derivative's rows are contiguous as in the array path
+    table = np.array(vals).reshape(kmax + 1, nderiv + 1).T.copy()[:, :, None]
+    for k0 in range(0, kmax + 1, chunk):
+        yield k0, table[:, k0:k0 + chunk]
 
 
 # Rows of the recurrence alive at once in jacobi_series: (nderiv+1) * 32 *

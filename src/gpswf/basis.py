@@ -166,28 +166,46 @@ def _merge_parities(chi_even, chi_odd, nmax):
 
 
 def _march(d, lower, upper, lam):
-    """Three-term recurrence of ``(T - lam) v = 0`` from the last row down.
+    """Three-term recurrences of ``(T - lam) v = 0`` from both ends at once.
 
     Row i reads ``lower[i] v[i-1] + (d[i] - lam) v[i] + upper[i] v[i+1] = 0``
-    with ``upper[-1] = 0``; the march starts from ``v[-1] = 1`` and solves
-    each row for ``v[i-1]``, one column per eigenvalue in ``lam``.  Returns
-    mantissas and exponents: ``v = mant * 2**(600 * exp)``.
+    with ``lower[0] = upper[-1] = 0``.  Direction 0 starts from ``v[-1] = 1``
+    and solves each row for ``v[i-1]``; direction 1 starts from ``v[0] = 1``
+    and solves each row for ``v[i+1]``.  Both run as one march over a state
+    of shape (2, len(lam)), one column per eigenvalue, each element through
+    the IEEE operations of its own one-direction march.  Returns mantissas
+    and exponents, ``v = mant * 2**(600 * exp)``, of shape (m, 2, len(lam)):
+    ``[:, 0]`` holds direction 0 by row, ``[::-1, 1]`` direction 1.
     """
     m = d.size
-    mant = np.empty((m, lam.size))
-    expo = np.zeros((m, lam.size), dtype=np.int64)
-    v_next = np.zeros(lam.size)
-    v = np.ones(lam.size)
-    scale = np.zeros(lam.size, dtype=np.int64)
-    mant[m - 1] = v
+    # coefficients of step i, shape (m, 2, 1): direction 1 reads the rows
+    # reversed, with the roles of lower and upper swapped
+    dd = np.stack([d, d[::-1]], axis=1)[:, :, None]
+    near = np.stack([upper, lower[::-1]], axis=1)[:, :, None]
+    far = np.stack([lower, upper[::-1]], axis=1)[:, :, None]
+    mant = np.empty((m, 2, lam.size))
+    expo = np.zeros((m, 2, lam.size), dtype=np.int64)
+    v_next = np.zeros((2, lam.size))
+    mant[m - 1] = 1.0
+    v = mant[m - 1]
+    scale = np.zeros((2, lam.size), dtype=np.int64)
+    t = np.empty((2, lam.size))
+    w = np.empty((2, lam.size))
     for i in range(m - 1, 0, -1):
-        v, v_next = ((lam - d[i]) * v - upper[i] * v_next) / lower[i], v
-        big = np.abs(v) > backend._RESCALE
-        if big.any():
+        # v[i-1] = ((lam - d[i]) v[i] - upper[i] v[i+1]) / lower[i], written
+        # straight into its row; the row stays the state of the next step
+        np.subtract(lam, dd[i], out=t)
+        t *= v
+        np.multiply(near[i], v_next, out=w)
+        t -= w
+        v, v_next = np.divide(t, far[i], out=mant[i - 1]), v
+        np.abs(v, out=w)
+        if np.maximum.reduce(w, axis=None, initial=0.0) > backend._RESCALE:
+            big = w > backend._RESCALE
             v[big] /= backend._RESCALE
-            v_next[big] /= backend._RESCALE
+            # a fresh array: v_next is the row above, stored at its old scale
+            v_next = np.where(big, v_next / backend._RESCALE, v_next)
             scale[big] += 1
-        mant[i - 1] = v
         expo[i - 1] = scale
     return mant, expo
 
@@ -199,18 +217,18 @@ def _recurrence_vectors(tri, lam):
     Above its largest entries an eigenvector decays: there it is the minimal
     solution of the three-term recurrence, which marching up from the last
     row computes stably.  Below, it is the solution that grows upward from
-    row 0, which marching down from row 0 computes stably.  The two marches
-    are spliced at the first local peak of |v| seen from the last row; every
-    entry keeps its relative accuracy, however small (Gautschi, SIAM Rev. 9,
-    1967).
+    row 0, which marching down from row 0 computes stably.  :func:`_march`
+    runs both marches as one; they are spliced at the first local peak of
+    |v| seen from the last row, and every entry keeps its relative accuracy,
+    however small (Gautschi, SIAM Rev. 9, 1967).
     """
     d, e = tri.diag, tri.offdiag
     m = d.size
     lower = np.concatenate([[0.0], e])   # coefficient of v[i-1] in row i
     upper = np.concatenate([e, [0.0]])   # coefficient of v[i+1] in row i
-    b_mant, b_exp = _march(d, lower, upper, lam)
-    f_mant, f_exp = _march(d[::-1], upper[::-1], lower[::-1], lam)
-    f_mant, f_exp = f_mant[::-1], f_exp[::-1]
+    mant, expo = _march(d, lower, upper, lam)
+    b_mant, b_exp = mant[:, 0], expo[:, 0]
+    f_mant, f_exp = mant[::-1, 1], expo[::-1, 1]
     with np.errstate(divide="ignore"):
         size = np.log2(np.abs(b_mant)) + backend._RESCALE_LOG2 * b_exp
     # peak: the largest row p whose predecessor p-1 is no larger than it

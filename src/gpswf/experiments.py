@@ -111,6 +111,16 @@ class ExperimentConfig:
             for v in tuple(getattr(self, grid)):
                 if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
                     raise DomainError(f"{grid} takes finite reals, got {v!r}")
+        if self.name == "brownian" and self.seed + self.n_seeds - 1 >= approx.SEED_END:
+            raise DomainError(f"brownian seeds run from seed to seed + n_seeds - 1 = "
+                              f"{self.seed + self.n_seeds - 1}, past 2**128-1")
+        # a JSON "no" is truthy: only a bool turns the cache on or off
+        if not isinstance(self.cache, bool):
+            raise DomainError(f"cache takes true or false, got {self.cache!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise DomainError(f"output_dir takes a path, got {self.output_dir!r}")
+        if not isinstance(self.cache_dir, (str, os.PathLike, type(None))):
+            raise DomainError(f"cache_dir takes a path or null, got {self.cache_dir!r}")
 
 
 def default_cache_dir():
@@ -294,6 +304,15 @@ def _fmt(x):
     return str(x)
 
 
+def _median(values):
+    """The median of finite floats, as ``np.median`` rounds it (the mean of
+    the middle two, (a + b) / 2), without the first call's import of
+    ``numpy.ma``."""
+    v = sorted(values)
+    h = len(v) // 2
+    return v[h] if len(v) % 2 else (v[h - 1] + v[h]) / 2
+
+
 def _pool_map(fn, items, threads):
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -403,7 +422,7 @@ def run_brownian(cfg=None, **overrides):
             summary.append([seed, N, _fmt(sup), _fmt(l2)])
             sup_by_n[N].append(sup)
     for N in sorted(cfg.N_list):
-        summary.append(["median", N, _fmt(float(np.median(sup_by_n[N]))), ""])
+        summary.append(["median", N, _fmt(_median(sup_by_n[N])), ""])
     _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
                summary)
     # sample curves for the first seed
@@ -416,7 +435,7 @@ def run_brownian(cfg=None, **overrides):
         name = f"samples_N{N}_seed{seeds[0]}.csv"
         _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
         curve_files.append(out_dir / name)
-    medians = {N: float(np.median(sup_by_n[N])) for N in cfg.N_list}
+    medians = {N: _median(sup_by_n[N]) for N in cfg.N_list}
     return out_dir, medians
 
 

@@ -17,6 +17,11 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   for every n, and every local estimate from its own envelope and weight:
   the forms the one pass per basis replaced; and the coefficient bound
   verdict read from the full coefficient vector of psi_n.
+* The eigenvector marches one direction at a time, and the forward Jacobi
+  recurrence as whole-array steps at every point count: the forms that one
+  march per parity, the Python-float one-point recurrence and the rows
+  written in place replaced.  Both are kept word for word, so a test can
+  hold the library to them byte for byte.
 """
 
 import math
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpswf import approx, specfun, spectral
+from gpswf import approx, backend, specfun, spectral
 from gpswf.basis import (BetaBoundVerdict, LocalEstimateReport, _estimate_grid,
                          _improved_regime, beta_bound_constant, build_basis,
                          decay_regime_multiplier, moment_b)
@@ -297,3 +302,94 @@ def beta_bound_check(basis, n, k, mu_abs, c_prime=None):
                             log_beta=log_beta, margin=margin,
                             applicable_q=q < 1.0, condition_value=condition_value,
                             condition_ok=condition_ok, regime=regime)
+
+
+def _march(d, lower, upper, lam):
+    """Three-term recurrence of ``(T - lam) v = 0`` from the last row down.
+
+    Row i reads ``lower[i] v[i-1] + (d[i] - lam) v[i] + upper[i] v[i+1] = 0``
+    with ``upper[-1] = 0``; the march starts from ``v[-1] = 1`` and solves
+    each row for ``v[i-1]``, one column per eigenvalue in ``lam``.  Returns
+    mantissas and exponents: ``v = mant * 2**(600 * exp)``.
+    """
+    m = d.size
+    mant = np.empty((m, lam.size))
+    expo = np.zeros((m, lam.size), dtype=np.int64)
+    v_next = np.zeros(lam.size)
+    v = np.ones(lam.size)
+    scale = np.zeros(lam.size, dtype=np.int64)
+    mant[m - 1] = v
+    for i in range(m - 1, 0, -1):
+        v, v_next = ((lam - d[i]) * v - upper[i] * v_next) / lower[i], v
+        big = np.abs(v) > backend._RESCALE
+        if big.any():
+            v[big] /= backend._RESCALE
+            v_next[big] /= backend._RESCALE
+            scale[big] += 1
+        mant[i - 1] = v
+        expo[i - 1] = scale
+    return mant, expo
+
+
+def _recurrence_vectors(tri, lam):
+    """Unit eigenvectors of the tridiagonal ``tri`` (positive off-diagonal)
+    for the eigenvalues ``lam``, as the columns of the returned array.
+
+    Above its largest entries an eigenvector decays: there it is the minimal
+    solution of the three-term recurrence, which marching up from the last
+    row computes stably.  Below, it is the solution that grows upward from
+    row 0, which marching down from row 0 computes stably.  The two marches
+    are spliced at the first local peak of |v| seen from the last row; every
+    entry keeps its relative accuracy, however small (Gautschi, SIAM Rev. 9,
+    1967).
+    """
+    d, e = tri.diag, tri.offdiag
+    m = d.size
+    lower = np.concatenate([[0.0], e])   # coefficient of v[i-1] in row i
+    upper = np.concatenate([e, [0.0]])   # coefficient of v[i+1] in row i
+    b_mant, b_exp = _march(d, lower, upper, lam)
+    f_mant, f_exp = _march(d[::-1], upper[::-1], lower[::-1], lam)
+    f_mant, f_exp = f_mant[::-1], f_exp[::-1]
+    with np.errstate(divide="ignore"):
+        size = np.log2(np.abs(b_mant)) + backend._RESCALE_LOG2 * b_exp
+    # peak: the largest row p whose predecessor p-1 is no larger than it
+    flat = size[:-1] <= size[1:]
+    last = m - 2 - np.argmax(flat[::-1], axis=0)
+    peak = np.where(flat.any(axis=0), last + 1, 0)
+    cols = np.arange(lam.size)
+    below = np.arange(m)[:, None] < peak
+    mant = np.where(below, f_mant / f_mant[peak, cols], b_mant / b_mant[peak, cols])
+    expo = np.where(below, f_exp - f_exp[peak, cols], b_exp - b_exp[peak, cols])
+    z = np.ldexp(mant, (backend._RESCALE_LOG2 * expo).astype(np.int32))
+    return z / np.linalg.norm(z, axis=0)
+
+
+def _jacobi_rows(rec, p0, kmax, x, nderiv, chunk):
+    """Forward recurrence for ``Jt_k(x)``, k = 0..kmax, and its derivatives.
+
+    ``Jt_k`` are the orthonormal symmetric-Jacobi polynomials with three-term
+    recurrence ``x Jt_k = rec[k+1] Jt_{k+1} + rec[k] Jt_{k-1}`` and
+    ``Jt_0 = p0``; ``rec`` needs length ``>= kmax + 1``.  Differentiating it
+    d times gives ``rec[k+1] Jt_{k+1}^(d) = x Jt_k^(d) + d Jt_k^(d-1) -
+    rec[k] Jt_{k-1}^(d)``, and each step updates every order d <= nderiv in
+    one array operation.  Yields ``(k0, rows)`` with ``rows[d, i] =
+    Jt_{k0+i}^(d)(x)`` for at most ``chunk`` consecutive k, so rows has shape
+    (nderiv+1, <= chunk, len(x)).  The recurrence is stable inside [-1, 1]
+    (Gautschi, *Orthogonal Polynomials*, 2004).
+    """
+    dmul = np.arange(1.0, nderiv + 1.0)[:, None]
+    prev = np.zeros((nderiv + 1, x.size))
+    cur = np.zeros((nderiv + 1, x.size))
+    cur[0] = p0
+    for k0 in range(0, kmax + 1, chunk):
+        rows = np.empty((nderiv + 1, min(chunk, kmax + 1 - k0), x.size))
+        for i in range(rows.shape[1]):
+            k = k0 + i
+            if k:
+                step = x * cur
+                if nderiv:
+                    step[1:] += dmul * cur[:-1]
+                step -= rec[k - 1] * prev
+                prev, cur = cur, step / rec[k]
+            rows[:, i] = cur
+        yield k0, rows

@@ -5,8 +5,8 @@ import numpy as np
 import oracles
 import pytest
 
+from gpswf import backend, specfun
 from gpswf import basis as B
-from gpswf import specfun
 from gpswf.errors import ConsistencyError, DomainError, TruncationError
 
 
@@ -532,3 +532,43 @@ class TestBoundCheckers:
         assert v2.condition_ok is True
         v3 = B.beta_bound_check(b, 40, 16, entries[40].mu_abs, c_prime=100.0)
         assert v3.condition_ok is False
+
+
+# cells of the march oracle: nmax 1 marches no odd column; (0, 5, 200), (0.5, 10, 240) and (5, 1000, 1130)
+# rescale their marches past 2**600
+MARCH_CELLS = [(0.5, 2.0, 1), (0.5, 2.0, 16), (0.25, 3.0, 50), (0.0, 5.0, 200), (0.5, 10.0, 240),
+               (2.5, 20 * math.pi, 93), (5.0, 200.0, 230), (5.0, 1000.0, 1130)]
+
+
+class TestRecurrenceOracle:
+    """The eigenvectors and the sign convention against the former one-march-
+    per-direction and whole-array recurrences, byte for byte."""
+
+    @pytest.mark.parametrize("alpha,c,nmax", MARCH_CELLS[:-1])
+    def test_march_bytes_equal_former_marches(self, alpha, c, nmax):
+        M = B._start_order(c, nmax)
+        for p, parity in enumerate(("even", "odd")):
+            tri = B.assemble_eigensystem(alpha, c, M, parity)
+            lam = B.eig_symtridiag(tri).values[:(nmax - p + 1) // 2]
+            d, e = tri.diag, tri.offdiag
+            lower = np.concatenate([[0.0], e])
+            upper = np.concatenate([e, [0.0]])
+            mant, expo = B._march(d, lower, upper, lam)
+            down = oracles._march(d, lower, upper, lam)
+            up = oracles._march(d[::-1], upper[::-1], lower[::-1], lam)
+            for got, want in zip((mant[:, 0], expo[:, 0], mant[:, 1], expo[:, 1]),
+                                 down + up):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("alpha,c,nmax", MARCH_CELLS)
+    def test_beta_and_chi_bytes_equal_former_recurrences(self, monkeypatch, alpha, c, nmax):
+        now = B.build_basis(alpha, c, nmax)
+        at0 = B._psi_at0(now)
+        monkeypatch.setattr(B, "_recurrence_vectors", oracles._recurrence_vectors)
+        monkeypatch.setattr(backend, "_jacobi_rows", oracles._jacobi_rows)
+        before = B.build_basis(alpha, c, nmax)
+        assert now.trunc == before.trunc
+        assert now.chi.tobytes() == before.chi.tobytes()
+        assert now.beta.tobytes() == before.beta.tobytes()
+        ref = before.psi(range(nmax), np.array([0.0]), 1)[:, :, 0]
+        assert at0.tobytes() == ref.tobytes()

@@ -367,6 +367,10 @@ BROWNIAN_CFG = {"alpha_list": [1.5], "c_list": [2.0], "N_list": [4], "s_list": [
     ("lambda-decay", dict(LAMBDA_CFG, seed=True), (), "seed"),
     ("lambda-decay", LAMBDA_CFG, ("--threads", "-3"), "threads"),
     ("brownian", BROWNIAN_CFG, ("--seed", "-5"), "seed"),
+    ("lambda-decay", dict(LAMBDA_CFG, cache="no"), (), "cache"),
+    ("lambda-decay", dict(LAMBDA_CFG, cache=0), (), "cache"),
+    ("lambda-decay", dict(LAMBDA_CFG, output_dir=5), (), "output_dir"),
+    ("brownian", dict(BROWNIAN_CFG, cache_dir=["c"]), (), "cache_dir"),
 ])
 def test_config_field_out_of_range_exits_1(capsys, tmp_path, name, cfg, flags, field):
     # each field's type and range is checked before any report or cache exists
@@ -380,6 +384,36 @@ def test_config_field_out_of_range_exits_1(capsys, tmp_path, name, cfg, flags, f
     assert err.startswith(f"error: {field} takes ")
     assert not (tmp_path / "r").exists()
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("cfg,flags", [
+    (dict(BROWNIAN_CFG, seed=2 ** 128 - 1, n_seeds=2), ()),
+    (dict(BROWNIAN_CFG, n_seeds=3), ("--seed", str(2 ** 128 - 2))),
+])
+def test_brownian_last_seed_out_of_range_exits_1(capsys, tmp_path, cfg, flags):
+    # refused by the config, before the report directory exists
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "experiment", "--name", "brownian", "--config",
+                             str(cfg_path), "--out-dir", str(tmp_path / "r"),
+                             "--cache-dir", str(tmp_path / "cache"), *flags)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: brownian seeds run from seed to seed + n_seeds - 1 = "
+                   f"{2 ** 128}, past 2**128-1\n")
+    assert not (tmp_path / "r").exists()
+    assert not (tmp_path / "cache").exists()
+
+
+def test_config_paths_accepted(capsys, tmp_path):
+    # a null cache_dir keeps the default; false turns the cache off
+    cfg = dict(LAMBDA_CFG, output_dir=str(tmp_path / "r"), cache=False, cache_dir=None)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "experiment", "--name", "lambda-decay",
+                           "--config", str(cfg_path))
+    assert code == 0
+    assert out.startswith(f"reports written to {tmp_path / 'r'}")
 
 
 def test_project_brownian_seed_out_of_range_exits_1(capsys, cache_args):

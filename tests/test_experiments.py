@@ -217,6 +217,33 @@ class TestConfig:
             X.ExperimentConfig(name="custom", alpha_list=(1.0,),
                                c_list=(1.0,), N_list=(1,))
 
+    def test_path_fields_take_str_or_pathlike(self, tmp_path):
+        grid = dict(name="lambda-decay", alpha_list=(1.0,), c_list=(1.0,))
+        X.ExperimentConfig(**grid, output_dir=tmp_path, cache_dir=tmp_path / "c")
+        X.ExperimentConfig(**grid, output_dir="r", cache_dir="c", cache=False)
+        for bad in (dict(output_dir=5), dict(output_dir=None), dict(cache_dir=b"c"),
+                    dict(cache="no"), dict(cache=1), dict(cache=None)):
+            with pytest.raises(DomainError, match=f"{next(iter(bad))} takes "):
+                X.ExperimentConfig(**grid, **bad)
+
+    def test_brownian_seed_range_covers_the_last_seed(self):
+        grid = dict(name="brownian", alpha_list=(1.5,), c_list=(2.0,), N_list=(4,),
+                    s_list=(1.5,))
+        X.ExperimentConfig(**grid, seed=2 ** 128 - 10, n_seeds=10)
+        with pytest.raises(DomainError, match="past 2\\*\\*128-1"):
+            X.ExperimentConfig(**grid, seed=2 ** 128 - 10, n_seeds=11)
+        # other scenarios draw no brownian seeds
+        X.ExperimentConfig(name="lambda-decay", alpha_list=(1.0,), c_list=(1.0,),
+                           seed=2 ** 128)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 10, 11])
+def test_median_bitwise_numpy(size):
+    rng = np.random.default_rng(size)
+    for _ in range(50):
+        values = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist()
+        assert X._median(values) == float(np.median(values))
+
 
 class TestLambdaDecay:
     def _cfg(self, tmp_path, cache_dir):

@@ -6,7 +6,7 @@ import oracles
 import pytest
 from scipy.special import eval_jacobi, jv
 
-from gpswf import backend, specfun
+from gpswf import approx, backend, specfun, spectral
 from gpswf.errors import DomainError
 
 
@@ -257,6 +257,61 @@ class TestJacobiTable:
             ref = np.stack([_forward_floats(alpha, kmax, xi, nderiv) for xi in x],
                            axis=-1)
             assert table.tobytes() == ref.tobytes()
+
+
+# single points of the one-point path; -0.0 so that a flipped zero shows
+JACOBI_ONE_POINTS = [0.0, -0.0, 0.3, -0.3, 1.0, -1.0, 0.999]
+# (kmax, chunk): jacobi_table's one block, jacobi_series' blocks of 32, and
+# blocks that split the recurrence at odd places
+JACOBI_ROW_SPANS = [(0, 1), (1, 32), (40, 7), (215, 216), (2000, 32)]
+
+
+def _jacobi_point_sets(alpha):
+    """Every point count the library evaluates at: one point, two, the 32
+    spectrum probes, a 216-node Gauss rule and the 2001-point sup grid."""
+    return ([np.array([x]) for x in JACOBI_ONE_POINTS]
+            + [np.array([-0.5, 0.7]), spectral._PROBE_X,
+               specfun.gauss_jacobi(alpha, 216).nodes, approx._SUP_GRID])
+
+
+def _row_blocks(rows_fn, alpha, kmax, x, nderiv, chunk):
+    rec = specfun.jacobi_recurrence(alpha, kmax + 2)
+    return [(k0, rows.shape, rows.tobytes()) for k0, rows in
+            rows_fn(rec, specfun.jacobi_norm0(alpha), kmax, x, nderiv, chunk)]
+
+
+class TestJacobiRowsOracle:
+    """Both paths of backend._jacobi_rows against the former whole-array
+    recurrence, byte for byte (signed zeros included)."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 2.5, 5.0])
+    def test_rows_bytes_equal_former_recurrence(self, alpha):
+        for x in _jacobi_point_sets(alpha):
+            for nderiv in (0, 1, 2):
+                for kmax, chunk in JACOBI_ROW_SPANS:
+                    if x.size > 216 and nderiv and kmax < 2000:
+                        continue  # the long recurrence covers these steps
+                    assert (_row_blocks(backend._jacobi_rows, alpha, kmax, x, nderiv, chunk)
+                            == _row_blocks(oracles._jacobi_rows, alpha, kmax, x, nderiv,
+                                           chunk)), (x.size, x[0], nderiv, kmax, chunk)
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5])
+    def test_series_and_table_bytes_equal_former_recurrence(self, monkeypatch, alpha):
+        rng = np.random.default_rng(7)
+        coefs = [rng.standard_normal(300), rng.standard_normal((300, 5))]
+        sets = [np.array([x]) for x in JACOBI_ONE_POINTS] + [np.array([-0.5, 0.7]),
+                                                             spectral._PROBE_X]
+        rec = specfun.jacobi_recurrence(alpha, 302)
+        p0 = specfun.jacobi_norm0(alpha)
+
+        def outputs():
+            return [(backend.jacobi_series(coef, rec, p0, x, nderiv).tobytes(),
+                     specfun.jacobi_table(alpha, 299, x, nderiv).tobytes())
+                    for x in sets for coef in coefs for nderiv in (0, 1, 2)]
+
+        now = outputs()
+        monkeypatch.setattr(backend, "_jacobi_rows", oracles._jacobi_rows)
+        assert now == outputs()
 
 
 class TestJacobiNormalized:
