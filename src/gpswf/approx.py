@@ -2,8 +2,10 @@
 weighted Sobolev norms, and approximation-rate checkers."""
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -115,8 +117,14 @@ def _cos_series_eval(coefs):
     return (lambda x: derivative(x, 0)), derivative
 
 
+def _check_brownian_s(s):
+    if not (math.isfinite(s) and s > 0.5):
+        raise DomainError(f"brownian requires a finite s > 1/2, got {s!r}")
+
+
 def brownian_from_coefficients(s, coefs):
     """Random-cosine-series path with explicitly supplied amplitudes X_k."""
+    _check_brownian_s(s)
     coefs = np.asarray(coefs, dtype=float)
     if coefs.size < 1:
         raise DomainError("need at least one coefficient")
@@ -142,8 +150,7 @@ def brownian(s, seed, K=4000):
     default K = 4000 with s = 1.5.
     """
     _check_terms(K)
-    if s <= 0.5:
-        raise DomainError(f"brownian requires s > 1/2, got {s!r}")
+    _check_brownian_s(s)
     if not 0 <= seed < SEED_END:
         raise DomainError(f"brownian seed must lie in 0..2**128-1, got {seed!r}")
     f = brownian_from_coefficients(s, _gaussian_samples(seed, K))
@@ -160,17 +167,19 @@ def wm_truncation(s, lam):
     """Smallest K with geometric-tail bound lam^(-K(2-s)) / (1 - lam^(-(2-s)))
     <= ``_WM_TAIL_TOL``."""
     r = lam ** (-(2.0 - s))
+    if r == 0.0:  # underflowed: the bound of K = 1 is 0
+        return 1
     return max(1, int(math.ceil(math.log(_WM_TAIL_TOL * (1.0 - r)) / math.log(r))))
 
 
 def _wm_terms(s, lam, K):
     """The term count of a Weierstrass-Mandelbrot series, by default
-    :func:`wm_truncation`; a lam <= 1 or NaN, an s > 1 or NaN, or a count
-    outside 1.._MAX_TERMS raise DomainError."""
-    if not lam > 1.0:
-        raise DomainError(f"lambda must be > 1, got {lam!r}")
-    if not s <= 1.0:
-        raise DomainError(f"s must be <= 1, got {s!r}")
+    :func:`wm_truncation`; a lam <= 1, an s > 1, either not finite, or a
+    count outside 1.._MAX_TERMS raise DomainError."""
+    if not (math.isfinite(lam) and lam > 1.0):
+        raise DomainError(f"lambda must be finite and > 1, got {lam!r}")
+    if not (math.isfinite(s) and s <= 1.0):
+        raise DomainError(f"s must be finite and <= 1, got {s!r}")
     if K is None:
         K = wm_truncation(s, lam)
     _check_terms(K)
@@ -357,16 +366,54 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     return out
 
 
-@lru_cache(maxsize=16)
-def _wm_term_rows(alpha, kmax, lam, lo, hi):
-    """The transform terms at lam^k, k = lo..hi-1, one row each from one
-    ladder call, read-only: a series of at most ``_EVAL_BLOCK`` terms is one
-    entry, which every N and s at its basis and lam share.  The powers take
+def _grown_lru(maxsize, nkey):
+    """Memoise ``grow(kept, *args)`` on its first ``nkey`` arguments, in an
+    LRU of at most ``maxsize`` read-only tables.  ``grow`` returns the table
+    to keep and the value to return: ``kept`` (None on a miss) as it is when
+    it covers the request, or grown by only what it lacks.  Every value of a
+    table is bitwise what a fresh call gives, so a table grown across calls,
+    or one a concurrent call replaced by a smaller one, reads the same.
+    ``cache_clear`` empties it, as on ``functools.lru_cache``."""
+
+    def decorate(grow):
+        tables = OrderedDict()
+        lock = threading.Lock()
+
+        @wraps(grow)
+        def cached(*args):
+            key = args[:nkey]
+            with lock:
+                kept = tables.get(key)
+            table, value = grow(kept, *args)
+            with lock:
+                tables[key] = table
+                tables.move_to_end(key)
+                if len(tables) > maxsize:
+                    tables.popitem(last=False)
+            return value
+
+        cached.cache_clear = tables.clear
+        return cached
+
+    return decorate
+
+
+@_grown_lru(maxsize=16, nkey=4)
+def _wm_term_rows(kept, alpha, kmax, lam, lo, hi):
+    """The transform terms at lam^k, k = lo..hi-1, one row each, read-only.
+
+    One table per (alpha, kmax, lam, lo) holds the rows up to the largest hi
+    asked (at most ``lo + _EVAL_BLOCK``); a larger hi adds the rows it lacks
+    from one ladder call, so every N and s at one basis and lam share one
+    block.  Each row is bitwise independent of its batch.  The powers take
     NumPy integers k: a Python int exponent may round lam^k differently."""
-    us = [float(lam ** k) for k in np.arange(lo, hi)]
-    rows = spectral._fc_term_rows(alpha, kmax, us)
-    rows.setflags(write=False)
-    return rows
+    have = lo if kept is None else lo + len(kept)
+    if hi > have:
+        us = [float(lam ** k) for k in np.arange(have, hi)]
+        new = spectral._fc_term_rows(alpha, kmax, us)
+        kept = new if kept is None else np.concatenate([kept, new])
+        kept.setflags(write=False)
+    return kept, kept[:hi - lo]
 
 
 def _cos_transforms(alpha, u):
@@ -395,25 +442,44 @@ def wm_l2_norm_squared(alpha, s, lam, K):
     return _wm_l2_norm_squared(alpha, s, lam, _wm_terms(s, lam, K))
 
 
+@_grown_lru(maxsize=8, nkey=2)
+def _wm_pair_transforms(kept, alpha, lam, u):
+    """(args, W(args)), read-only, over sorted distinct arguments that cover
+    the sorted distinct ``u``: one table per (alpha, lam), grown by the
+    arguments it lacks from one :func:`_cos_transforms` call.  The pair
+    arguments of a smaller K are a subset of a larger K's, so the table of
+    the largest K serves every s."""
+    if kept is None:
+        kept = (np.empty(0), np.empty(0))
+    missing = np.setdiff1d(u, kept[0], assume_unique=True)
+    if missing.size:
+        args = np.concatenate([kept[0], missing])
+        order = np.argsort(args)
+        kept = (args[order],
+                np.concatenate([kept[1], _cos_transforms(alpha, missing)])[order])
+        for a in kept:
+            a.setflags(write=False)
+    return kept, kept
+
+
 @lru_cache(maxsize=64)
 def _wm_l2_norm_squared(alpha, s, lam, K):
     """Sums amps_i amps_j P[i, j] pairwise over i <= j < K, where P[i, j] =
-    int sin(lam^i x) sin(lam^j x) w_a(x) dx comes from one batched ladder over
-    the distinct arguments |lam^i - lam^j| and lam^i + lam^j."""
+    int sin(lam^i x) sin(lam^j x) w_a(x) dx comes from the transforms at the
+    distinct arguments |lam^i - lam^j| and lam^i + lam^j, which
+    :func:`_wm_pair_transforms` keeps per (alpha, lam)."""
     freqs = lam ** np.arange(K)
     iu, ju = np.triu_indices(K)
     diff = np.abs(freqs[iu] - freqs[ju])
     sums = freqs[iu] + freqs[ju]
-    u = np.array(sorted(set(diff.tolist() + sums.tolist())))
-    w = _cos_transforms(alpha, u)
-    # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
-    prods = np.zeros((K, K))
-    prods[iu, ju] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])
-    amps = lam ** (-(2.0 - s) * np.arange(K))
+    u, w = _wm_pair_transforms(alpha, lam, np.unique(np.concatenate([diff, sums])))
+    # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2, row by row over
+    # i <= j as np.triu_indices orders them
+    prods = (0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])).tolist()
+    amps = (lam ** (-(2.0 - s) * np.arange(K))).tolist()
     total = 0.0
-    for i in range(K):
-        for j in range(i, K):
-            total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * prods[i, j]
+    for i, j, p in zip(iu.tolist(), ju.tolist(), prods):
+        total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * p
     return total
 
 
@@ -439,7 +505,7 @@ def cosine_transform_table(basis, k_max, N):
     coefs = basis.full_coefficients(range(0, N, 2))
     kmax = coefs.shape[1] - 1
     table = np.zeros((k_max, N))
-    block = 64  # frequencies per batched ladder; bounds its memory
+    block = 256  # frequencies per batched ladder; bounds its memory
     for lo in range(0, k_max, block):
         u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
         for i, terms in enumerate(spectral._fc_term_rows(basis.alpha, kmax, u)):

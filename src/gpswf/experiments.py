@@ -14,7 +14,6 @@ import os
 import struct
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -316,6 +315,9 @@ def _median(values):
 def _pool_map(fn, items, threads):
     if threads == 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported on use, so that a one-thread run never loads it
+    from concurrent.futures import ThreadPoolExecutor
+
     workers = threads if threads > 0 else min(len(items), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
@@ -431,7 +433,7 @@ def run_brownian(cfg=None, **overrides):
     for N in sorted(cfg.N_list):
         sx = coeffs0[:N] @ psi_grid[:N]
         rows = [[_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
-                for x, v, sv in zip(xg, fx0, sx)]
+                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sx.tolist())]
         name = f"samples_N{N}_seed{seeds[0]}.csv"
         _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
         curve_files.append(out_dir / name)
@@ -453,12 +455,12 @@ def run_wm_table(cfg=None, **overrides):
 
     def one(alpha):
         b = get_basis(alpha, c, N + 1, cfg.cache_dir, cfg.cache)
-        row = []
-        for s in cfg.s_list:
-            err = approx.wm_projection_error(b, s, 2.0, N)
-            ref = WM_REFERENCE_ERRORS.get((alpha, s))
-            row.append((alpha, s, err, ref))
-        return row
+        # the largest s first: its K = wm_truncation(s, 2) is the largest, and
+        # the transforms it keeps cover every smaller K
+        errs = {s: approx.wm_projection_error(b, s, 2.0, N)
+                for s in sorted(cfg.s_list, reverse=True)}
+        return [(alpha, s, errs[s], WM_REFERENCE_ERRORS.get((alpha, s)))
+                for s in cfg.s_list]
 
     rows = []
     for chunk in _pool_map(one, list(cfg.alpha_list), cfg.threads):

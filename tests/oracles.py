@@ -17,6 +17,10 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   for every n, and every local estimate from its own envelope and weight:
   the forms the one pass per basis replaced; and the coefficient bound
   verdict read from the full coefficient vector of psi_n.
+* The Weierstrass-Mandelbrot norm from its own batched ladder per K, the
+  WM term rows as one memoised entry per (lo, hi), and the cosine-transform
+  table in 64-frequency batches: the forms that the pair transforms and
+  term rows shared across s, and the 256-frequency batches, replaced.
 * The eigenvector marches one direction at a time, and the forward Jacobi
   recurrence as whole-array steps at every point count: the forms that one
   march per parity, the Python-float one-point recurrence and the rows
@@ -26,6 +30,7 @@ against.  pytest does not collect this file; test modules ``import oracles``.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -172,6 +177,61 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
         out[odd] += float(lam ** (-(2.0 - s) * k)) * (
             coefs @ spectral._fc_terms(basis.alpha, kmax, float(lam ** k)))
     return out
+
+
+@lru_cache(maxsize=64)
+def wm_l2_norm_squared(alpha, s, lam, K):
+    """Sums amps_i amps_j P[i, j] pairwise over i <= j < K, where P[i, j] =
+    int sin(lam^i x) sin(lam^j x) w_a(x) dx comes from one batched ladder over
+    the distinct arguments |lam^i - lam^j| and lam^i + lam^j."""
+    freqs = lam ** np.arange(K)
+    iu, ju = np.triu_indices(K)
+    diff = np.abs(freqs[iu] - freqs[ju])
+    sums = freqs[iu] + freqs[ju]
+    u = np.array(sorted(set(diff.tolist() + sums.tolist())))
+    w = approx._cos_transforms(alpha, u)
+    # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2
+    prods = np.zeros((K, K))
+    prods[iu, ju] = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])
+    amps = lam ** (-(2.0 - s) * np.arange(K))
+    total = 0.0
+    for i in range(K):
+        for j in range(i, K):
+            total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * prods[i, j]
+    return total
+
+
+@lru_cache(maxsize=16)
+def wm_term_rows(alpha, kmax, lam, lo, hi):
+    """The transform terms at lam^k, k = lo..hi-1, one row each from one
+    ladder call, read-only: a series of at most ``_EVAL_BLOCK`` terms is one
+    entry, which every N and s at its basis and lam share.  The powers take
+    NumPy integers k: a Python int exponent may round lam^k differently."""
+    us = [float(lam ** k) for k in np.arange(lo, hi)]
+    rows = spectral._fc_term_rows(alpha, kmax, us)
+    rows.setflags(write=False)
+    return rows
+
+
+def cosine_transform_table(basis, k_max, N):
+    """Matrix T[k-1, n] = <cos(k pi x), psi_n> for k = 1..k_max, n < N.
+
+    Exact Bessel form, one ladder per frequency; odd-n columns vanish by
+    parity.  Seed-independent, so random cosine-series projections reduce to
+    a matrix-vector product with exact coefficients (a quadrature rule of
+    practical size cannot resolve thousands of cosine modes, and aliasing
+    noise gets amplified by the endpoint growth of psi_n).
+    """
+    approx._check_N(basis, N)
+    coefs = basis.full_coefficients(range(0, N, 2))
+    kmax = coefs.shape[1] - 1
+    table = np.zeros((k_max, N))
+    block = 64  # frequencies per batched ladder; bounds its memory
+    for lo in range(0, k_max, block):
+        u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
+        for i, terms in enumerate(spectral._fc_term_rows(basis.alpha, kmax, u)):
+            table[lo + i, 0::2] = coefs @ terms
+    return table
 
 
 def _fc_sum(terms, parity):

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -54,6 +56,11 @@ class TestCorpus:
             approx.brownian(1.5, seed=1, K=0)
         with pytest.raises(DomainError):
             approx.brownian(0.4, seed=1)
+        for s in (0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite s > 1/2"):
+                approx.brownian(s, seed=1, K=50)
+            with pytest.raises(DomainError, match="finite s > 1/2"):
+                approx.brownian_from_coefficients(s, np.ones(50))
         for seed in (-5, -1, 2 ** 128):
             with pytest.raises(DomainError, match="seed"):
                 approx.brownian(1.5, seed=seed, K=10)
@@ -363,12 +370,25 @@ class TestWmCoefficients:
         assert calls == [approx._EVAL_BLOCK, K - approx._EVAL_BLOCK]
         assert got.tobytes() == oracles.wm_all_coefficients(basis_wm, 0.5, 1.03, 12).tobytes()
 
+    def test_rows_grow_by_the_missing_terms(self, basis_wm, monkeypatch):
+        # a larger K adds only its extra rows to the block; a smaller K reads
+        approx._wm_term_rows.cache_clear()
+        calls = []
+        rows = spectral._fc_term_rows
+        monkeypatch.setattr(spectral, "_fc_term_rows",
+                            lambda *a: calls.append(len(a[2])) or rows(*a))
+        for K in (24, 41, 27):
+            approx.wm_all_coefficients(basis_wm, 0.5, 2.0, 22, K=K)
+        assert calls == [24, 41 - 24]
+
     @pytest.mark.parametrize("s,lam,K", [(0.5, 1.0, 12), (0.5, 0.5, 12),
                                          (0.5, math.nan, 12), (0.5, 2.0, -3),
-                                         (1.5, 2.0, 12)])
+                                         (1.5, 2.0, 12), (-math.inf, 2.0, 5),
+                                         (math.nan, 2.0, 5), (-math.inf, 2.0, None),
+                                         (1.0, math.inf, None), (1.0, math.inf, 5)])
     def test_domain(self, basis_wm, s, lam, K):
-        # lambda <= 1 or NaN, K outside 1.._MAX_TERMS and s > 1, as in
-        # weierstrass_mandelbrot
+        # lambda <= 1, s > 1, either not finite, and K outside 1.._MAX_TERMS,
+        # as in weierstrass_mandelbrot
         with pytest.raises(DomainError):
             approx.weierstrass_mandelbrot(s, lam, K)
         with pytest.raises(DomainError):
@@ -377,6 +397,141 @@ class TestWmCoefficients:
             approx.wm_all_coefficients(basis_wm, s, lam, 12, K=K)
         with pytest.raises(DomainError):
             approx.wm_projection_error(basis_wm, s, lam, 12, K=K)
+
+
+def _clear_wm_caches():
+    for cached in (approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+                   approx._wm_term_rows):
+        cached.cache_clear()
+
+
+def _oracle_wm_error(b, s, lam, N):
+    # wm_projection_error's Parseval step on the former norm and coefficients
+    norm2 = oracles.wm_l2_norm_squared(b.alpha, s, lam, approx.wm_truncation(s, lam))
+    coeffs = oracles.wm_all_coefficients(b, s, lam, N)
+    return math.sqrt(max(norm2 - float(np.sum(coeffs ** 2)), 0.0))
+
+
+@pytest.fixture(scope="module")
+def brownian_basis():
+    # the brownian scenario's basis (alpha 1.5, c 5 pi, N 91)
+    return B.build_basis(1.5, 5 * math.pi, 91)
+
+
+@pytest.fixture(scope="module")
+def wm_table_cells():
+    # the wm-table scenario's bases (c = 5 pi, N = 95) and its 20 cells from
+    # the former per-K transforms
+    bases = {alpha: B.build_basis(alpha, 5 * math.pi, 96)
+             for alpha in (0.1, 0.5, 1.0, 1.5, 2.0)}
+    ref = {(alpha, s): _oracle_wm_error(b, s, 2.0, 95)
+           for alpha, b in bases.items() for s in (0.25, 0.5, 0.75, 1.0)}
+    return bases, ref
+
+
+class TestSharedTransformsOracle:
+    """The WM pair transforms and term rows shared across s, and the cosine
+    table in 256-frequency batches, byte for byte against the former forms
+    kept in ``oracles``."""
+
+    @pytest.mark.parametrize("s_order", [(0.25, 0.5, 0.75, 1.0),
+                                         (1.0, 0.75, 0.5, 0.25),
+                                         (0.5, 1.0, 0.25, 0.75)])
+    def test_wm_table_cells_in_any_s_order(self, wm_table_cells, s_order):
+        bases, ref = wm_table_cells
+        _clear_wm_caches()
+        for alpha, b in bases.items():
+            coefs = b.full_coefficients(range(1, 95, 2))
+            kmax = coefs.shape[1] - 1
+            for s in s_order:
+                K = approx.wm_truncation(s, 2.0)
+                assert (approx._wm_term_rows(alpha, kmax, 2.0, 0, K).tobytes()
+                        == oracles.wm_term_rows(alpha, kmax, 2.0, 0, K).tobytes())
+                got = np.float64(approx.wm_projection_error(b, s, 2.0, 95))
+                assert got.tobytes() == np.float64(ref[alpha, s]).tobytes(), (alpha, s)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_projection_bases(self, alpha):
+        # the projection workload's bases: the brownian table and wm errors
+        b = B.build_basis(alpha, 5 * math.pi, 96)
+        assert (approx.cosine_transform_table(b, 4000, 91).tobytes()
+                == oracles.cosine_transform_table(b, 4000, 91).tobytes())
+        _clear_wm_caches()
+        for s in (0.75, 0.25, 1.0, 0.5):
+            got = np.float64(approx.wm_projection_error(b, s, 2.0, 95))
+            assert got.tobytes() == np.float64(_oracle_wm_error(b, s, 2.0, 95)).tobytes()
+
+    def test_long_series_across_eval_block(self, basis_wm):
+        # lambda = 1.03 takes K > _EVAL_BLOCK terms: both blocks grow and
+        # shrink their requests, and every read is the former entry
+        K = approx.wm_truncation(0.5, 1.03)
+        assert approx._EVAL_BLOCK < K < 2 * approx._EVAL_BLOCK
+        _clear_wm_caches()
+        kmax = basis_wm.full_coefficients(range(1, 12, 2)).shape[1] - 1
+        for lo, hi in ((0, 100), (0, 512), (0, 40), (512, 600), (512, K),
+                       (512, 530)):
+            assert (approx._wm_term_rows(0.5, kmax, 1.03, lo, hi).tobytes()
+                    == oracles.wm_term_rows(0.5, kmax, 1.03, lo, hi).tobytes())
+        for k_terms in (300, None, 1000):
+            assert (approx.wm_all_coefficients(basis_wm, 0.5, 1.03, 12, K=k_terms).tobytes()
+                    == oracles.wm_all_coefficients(basis_wm, 0.5, 1.03, 12, K=k_terms).tobytes())
+
+    @pytest.mark.parametrize("k_max", [1, 255, 256, 257, 4000])
+    def test_cosine_table_across_batches(self, brownian_basis, k_max):
+        assert (approx.cosine_transform_table(brownian_basis, k_max, 91).tobytes()
+                == oracles.cosine_transform_table(brownian_basis, k_max, 91).tobytes())
+
+    def test_pair_table_grows_by_the_missing_arguments(self, monkeypatch):
+        _clear_wm_caches()
+        calls = []
+        transforms = approx._cos_transforms
+        monkeypatch.setattr(approx, "_cos_transforms",
+                            lambda a, u: calls.append(len(u)) or transforms(a, u))
+
+        def args(K):
+            f = 2.0 ** np.arange(K)
+            return set(np.abs(np.subtract.outer(f, f)).ravel().tolist()
+                       + np.add.outer(f, f).ravel().tolist())
+
+        for K in (24, 41, 27):
+            approx.wm_l2_norm_squared(0.5, 0.5, 2.0, K)
+        assert calls == [len(args(24)), len(args(41) - args(24))]
+
+    def test_grown_tables_under_threads(self):
+        # eight threads grow and evict the tables of a four-key LRU; every
+        # read must still be its key's table up to its size
+        @approx._grown_lru(maxsize=4, nkey=1)
+        def grow(kept, key, n):
+            if kept is None or len(kept) < n:
+                kept = tuple(range(key, key + n))
+            return kept, kept[:n]
+
+        requests = [(i % 9, 1 + (7 * i) % 13) for i in range(4000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(grow, key, n) for key, n in requests]
+                got = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [tuple(range(key, key + n)) for key, n in requests]
+
+    def test_pair_table_is_bounded(self, monkeypatch):
+        # one table per (alpha, lambda), the least recently used dropped
+        _clear_wm_caches()
+        calls = []
+        transforms = approx._cos_transforms
+        monkeypatch.setattr(approx, "_cos_transforms",
+                            lambda a, u: calls.append(len(u)) or transforms(a, u))
+        lams = [2.0 + i / 8 for i in range(9)]
+        for lam in lams:
+            approx.wm_l2_norm_squared(0.5, 1.0, lam, 4)
+        approx._wm_l2_norm_squared.cache_clear()
+        approx.wm_l2_norm_squared(0.5, 1.0, lams[-1], 4)
+        assert len(calls) == 9
+        approx.wm_l2_norm_squared(0.5, 1.0, lams[0], 4)
+        assert len(calls) == 10
 
 
 class TestCosineSeries:

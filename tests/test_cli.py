@@ -1,9 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gpswf
 from gpswf import approx, cli
 from gpswf.errors import DomainError
 
@@ -123,6 +129,12 @@ def test_truncation_failure_exits_2(capsys, monkeypatch):
     ("brownian:s=abc", "4"),  # unparsable value
     ("periodic:k=1.5", "4"),  # not a whole number
     ("periodic:k=1", "-3"),  # N < 1
+    ("brownian:s=nan,seed=1", "4"),  # s not finite
+    ("brownian:s=inf,seed=1", "4"),
+    ("wm:s=-inf,lambda=2", "4"),
+    ("wm:s=nan,lambda=2,K=5", "4"),
+    ("wm:s=1,lambda=inf", "4"),  # lambda not finite
+    ("wm:s=0.5,lambda=nan", "4"),
 ])
 def test_project_bad_fn_or_N_exits_1(capsys, cache_args, fn, N):
     code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
@@ -175,6 +187,19 @@ def test_fn_spec_parses_or_raises_domain_error(spec):
     except DomainError:
         return
     assert cli._parse_fn_spec(_format_fn_spec(cfg)) == cfg
+
+
+@given(st.sampled_from(["brownian:s={bad},seed=1", "brownian:s={bad},K=50",
+                        "wm:s={bad},lambda={lam}", "wm:s={bad},lambda={lam},K=5",
+                        "wm:s={s},lambda={bad}", "wm:s={s},lambda={bad},K=5"]),
+       st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.floats(max_value=1.0, allow_nan=False, allow_infinity=False),
+       st.floats(min_value=1.5, max_value=1e3))
+def test_fn_non_finite_parameter_raises_domain_error(template, bad, s, lam):
+    # a NaN or infinite s or lambda, the other parameters valid, is refused
+    spec = template.format(bad=bad, s=s, lam=lam)
+    with pytest.raises(DomainError):
+        approx.target_from_config(cli._parse_fn_spec(spec))
 
 
 def test_invalid_parameter_exits_1(capsys, cache_args):
@@ -436,3 +461,31 @@ def test_empty_s_list_exits_1(capsys, tmp_path, name):
     assert "s_list" in err
     assert not (tmp_path / "r").exists()
     assert not (tmp_path / "cache").exists()
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # the CLI imports concurrent.futures (and with it logging and queue) only
+    # for a scenario run on more than one thread
+    code = ("import sys, gpswf.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'logging', 'queue') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(gpswf.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name", ["wm-table", "brownian"])
+def test_two_threads_write_the_same_csvs(capsys, tmp_path, name):
+    written = {}
+    for threads in ("1", "2"):
+        for cached in (approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+                       approx._wm_term_rows, approx._cos_transform_table):
+            cached.cache_clear()
+        out_dir = tmp_path / f"threads{threads}"
+        code, _, _ = run_cli(capsys, "experiment", "--name", name,
+                             "--out-dir", str(out_dir),
+                             "--cache-dir", str(tmp_path / "cache"),
+                             "--threads", threads, "--seed", "1")
+        assert code == 0
+        written[threads] = {p.name: p.read_bytes() for p in out_dir.rglob("*.csv")}
+    assert written["1"] and written["1"] == written["2"]
