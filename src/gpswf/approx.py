@@ -2,6 +2,7 @@
 weighted Sobolev norms, and approximation-rate checkers."""
 
 import math
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -183,6 +184,8 @@ def _wm_terms(s, lam, K):
     if K is None:
         K = wm_truncation(s, lam)
     _check_terms(K)
+    if (K - 1) * math.log(lam) > math.log(sys.float_info.max):
+        raise DomainError(f"lambda^(K-1) overflows a double at K={K}, lambda={lam!r}")
     return K
 
 
@@ -206,7 +209,12 @@ def weierstrass_mandelbrot(s, lam, K=None):
 
 def periodic_exponential(k):
     """f(x) = e^{i k pi x}; single-mode periodic test function (complex)."""
-    kpi = math.pi * k
+    try:
+        kpi = math.pi * k
+    except OverflowError:  # an int k past the largest double
+        kpi = math.inf
+    if not math.isfinite(kpi):
+        raise DomainError(f"k pi must be finite, got k={k!r}")
 
     def evaluator(x):
         return np.exp(1j * kpi * np.asarray(x, dtype=float))
@@ -296,6 +304,11 @@ def _check_N(basis, N):
         raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
 
 
+# The largest projection rule: its dense eigensolve and Jacobi table hold
+# 16 m^2 bytes for m nodes, 4.3 GB at the cap
+_MAX_QUAD_ORDER = 2 ** 14
+
+
 def project(basis, f, N, quad_order=None):
     """Coefficients <f, psi_n> for n < N plus weighted-L2 and sup errors.
 
@@ -311,8 +324,9 @@ def project(basis, f, N, quad_order=None):
     m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
     if quad_order is None:
         quad_order = m + 64
-    if quad_order < m + 32:
-        raise DomainError(f"quad_order must be >= {m + 32}")
+    if not m + 32 <= quad_order <= _MAX_QUAD_ORDER:
+        raise DomainError(f"quad_order must lie in {m + 32}..{_MAX_QUAD_ORDER}, "
+                          f"got {quad_order!r}")
     rule = specfun.gauss_jacobi(basis.alpha, quad_order)
     fvals = f(rule.nodes)
     tab = basis.psi_table(rule.nodes, range(N))

@@ -266,8 +266,12 @@ def _start_order(c, nmax):
 def _truncation_orders(c, nmax):
     """Per-parity truncation orders that :func:`build_basis` tries, in order:
     :func:`_start_order`, then doublings while they stay within ``_M_CAP``.
+    A start past the cap raises TruncationError before any order is tried.
     """
     m = _start_order(c, nmax)
+    if m > _M_CAP:
+        raise TruncationError(f"start order {m} for c={c!r}, nmax={nmax} is past "
+                              f"the truncation cap {_M_CAP}")
     yield m
     while 2 * m <= _M_CAP:
         m *= 2
@@ -452,9 +456,15 @@ def _estimate_values(basis, grid_size):
             tuple(moments.tolist()))
 
 
+# The largest local-estimate grid: the psi table and the curve of
+# _estimate_values hold about 24 bytes per n and grid point, 2.4 MB per n
+# at the cap
+_MAX_GRID_SIZE = 10 ** 5
+
+
 def local_estimate(basis, n, grid_size=400):
-    if grid_size < 100:
-        raise DomainError("grid_size must be >= 100")
+    if not 100 <= grid_size <= _MAX_GRID_SIZE:
+        raise DomainError(f"grid_size must lie in 100..{_MAX_GRID_SIZE}, got {grid_size!r}")
     basis._check_index(n)
     q, sup, a_squared, moments = _estimate_values(basis, grid_size)
     return LocalEstimateReport(n=n, q=q[n], sup_value=sup[n],

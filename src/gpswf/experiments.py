@@ -429,14 +429,12 @@ def run_brownian(cfg=None, **overrides):
                summary)
     # sample curves for the first seed
     _, fx0, coeffs0 = results[0]
-    curve_files = []
     for N in sorted(cfg.N_list):
         sx = coeffs0[:N] @ psi_grid[:N]
         rows = [[_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
                 for x, v, sv in zip(xg.tolist(), fx0.tolist(), sx.tolist())]
         name = f"samples_N{N}_seed{seeds[0]}.csv"
         _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
-        curve_files.append(out_dir / name)
     medians = {N: _median(sup_by_n[N]) for N in cfg.N_list}
     return out_dir, medians
 

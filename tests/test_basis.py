@@ -2,10 +2,9 @@ import math
 
 import mpmath as mp
 import numpy as np
-import oracles
 import pytest
 
-from gpswf import backend, specfun
+from gpswf import specfun
 from gpswf import basis as B
 from gpswf.errors import ConsistencyError, DomainError, TruncationError
 
@@ -153,6 +152,15 @@ class TestBuildBasis:
         monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((24, 28)))
         with pytest.raises(TruncationError, match="truncation order 28"):
             B.build_basis(0.5, 30.0, 40)
+
+    def test_start_past_cap_raises_before_assembly(self, monkeypatch):
+        # nmax 20000 starts at order 10041, past _M_CAP: no 10041^2 eigensolve
+        def no_assembly(*args):
+            raise AssertionError("assembled a system past the cap")
+
+        monkeypatch.setattr(B, "assemble_eigensystem", no_assembly)
+        with pytest.raises(TruncationError, match="start order 10041 .* past the truncation cap"):
+            B.build_basis(0.5, 5.0, 20000)
 
     def test_order_short_of_nmax_names_it(self, monkeypatch):
         # 2 rows per parity cannot hold the 17 even n of nmax 34
@@ -466,32 +474,24 @@ class TestBoundCheckers:
             got = B.local_estimate(bases[b], n, grid_size)
             B._estimate_values.cache_clear()
             assert repr(got) == repr(B.local_estimate(bases[b], n, grid_size))
+        assert (B.local_estimate(bases[1], np.int64(3)).sup_value
+                == B.local_estimate(bases[1], 3).sup_value)
         with pytest.raises(IndexError):
             B.local_estimate(bases[0], -1)
 
-    @pytest.mark.parametrize("alpha,c,nmax", [(0.5, 2.0, 16), (0.5, 5 * math.pi, 96),
-                                               (1.0, 20 * math.pi, 93),
-                                               (2.5, 20 * math.pi, 93), (0.0, 10.0, 60)])
-    def test_one_pass_local_estimate_bitwise_per_n(self, alpha, c, nmax):
-        # every report from the one pass per basis equals the per-n form bit
-        # for bit, at two grid sizes
-        b = B.build_basis(alpha, c, nmax)
-        for grid_size in (400, 137):
-            want = [repr(r) for r in oracles.local_estimates_per_n(b, grid_size)]
-            assert [repr(B.local_estimate(b, n, grid_size)) for n in range(nmax)] == want
-        assert B.local_estimate(b, np.int64(3)).sup_value == B.local_estimate(b, 3).sup_value
-
     def test_beta_bound_check_reads_beta_like_full_coefficients(self, basis_05_2):
         # k at and off the parity of n, past the last coefficient and
-        # negative (an index from the end, as before)
+        # negative (an index from the end, as before); the golden file pins
+        # the other fields
         b = basis_05_2
         ks = (0, 1, 2, 3, 16, 17, 2 * b.trunc - 2, 2 * b.trunc - 1, 2 * b.trunc,
               2 * b.trunc + 1, 3 * b.trunc, -1, -2)
         for n in (0, 1, 6, 15, np.int64(9)):
+            coefs = b.full_coefficients(n)
             for k in ks:
-                for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0)):
-                    want = oracles.beta_bound_check(b, n, k, mu_abs, c_prime)
-                    assert repr(B.beta_bound_check(b, n, k, mu_abs, c_prime)) == repr(want)
+                beta_k = abs(float(coefs[k])) if k < coefs.size else 0.0
+                want = math.log(beta_k) if beta_k > 0.0 else -math.inf
+                assert B.beta_bound_check(b, n, k, 1e-3).log_beta == want
         with pytest.raises(IndexError):
             B.beta_bound_check(b, -1, 2, 1e-3)
 
@@ -532,43 +532,3 @@ class TestBoundCheckers:
         assert v2.condition_ok is True
         v3 = B.beta_bound_check(b, 40, 16, entries[40].mu_abs, c_prime=100.0)
         assert v3.condition_ok is False
-
-
-# cells of the march oracle: nmax 1 marches no odd column; (0, 5, 200), (0.5, 10, 240) and (5, 1000, 1130)
-# rescale their marches past 2**600
-MARCH_CELLS = [(0.5, 2.0, 1), (0.5, 2.0, 16), (0.25, 3.0, 50), (0.0, 5.0, 200), (0.5, 10.0, 240),
-               (2.5, 20 * math.pi, 93), (5.0, 200.0, 230), (5.0, 1000.0, 1130)]
-
-
-class TestRecurrenceOracle:
-    """The eigenvectors and the sign convention against the former one-march-
-    per-direction and whole-array recurrences, byte for byte."""
-
-    @pytest.mark.parametrize("alpha,c,nmax", MARCH_CELLS[:-1])
-    def test_march_bytes_equal_former_marches(self, alpha, c, nmax):
-        M = B._start_order(c, nmax)
-        for p, parity in enumerate(("even", "odd")):
-            tri = B.assemble_eigensystem(alpha, c, M, parity)
-            lam = B.eig_symtridiag(tri).values[:(nmax - p + 1) // 2]
-            d, e = tri.diag, tri.offdiag
-            lower = np.concatenate([[0.0], e])
-            upper = np.concatenate([e, [0.0]])
-            mant, expo = B._march(d, lower, upper, lam)
-            down = oracles._march(d, lower, upper, lam)
-            up = oracles._march(d[::-1], upper[::-1], lower[::-1], lam)
-            for got, want in zip((mant[:, 0], expo[:, 0], mant[:, 1], expo[:, 1]),
-                                 down + up):
-                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
-
-    @pytest.mark.parametrize("alpha,c,nmax", MARCH_CELLS)
-    def test_beta_and_chi_bytes_equal_former_recurrences(self, monkeypatch, alpha, c, nmax):
-        now = B.build_basis(alpha, c, nmax)
-        at0 = B._psi_at0(now)
-        monkeypatch.setattr(B, "_recurrence_vectors", oracles._recurrence_vectors)
-        monkeypatch.setattr(backend, "_jacobi_rows", oracles._jacobi_rows)
-        before = B.build_basis(alpha, c, nmax)
-        assert now.trunc == before.trunc
-        assert now.chi.tobytes() == before.chi.tobytes()
-        assert now.beta.tobytes() == before.beta.tobytes()
-        ref = before.psi(range(nmax), np.array([0.0]), 1)[:, :, 0]
-        assert at0.tobytes() == ref.tobytes()

@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpswf
@@ -135,6 +138,8 @@ def test_truncation_failure_exits_2(capsys, monkeypatch):
     ("wm:s=nan,lambda=2,K=5", "4"),
     ("wm:s=1,lambda=inf", "4"),  # lambda not finite
     ("wm:s=0.5,lambda=nan", "4"),
+    ("wm:s=0.5,lambda=1e10,K=100", "10"),  # lambda^(K-1) overflows
+    pytest.param(f"periodic:k={2 ** 1023}", "4", id="periodic:k=2**1023-4"),  # k pi overflows
 ])
 def test_project_bad_fn_or_N_exits_1(capsys, cache_args, fn, N):
     code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
@@ -200,6 +205,52 @@ def test_fn_non_finite_parameter_raises_domain_error(template, bad, s, lam):
     spec = template.format(bad=bad, s=s, lam=lam)
     with pytest.raises(DomainError):
         approx.target_from_config(cli._parse_fn_spec(spec))
+
+
+_FINITE = {"allow_nan": False, "allow_infinity": False}
+# term counts: short series, or past the cap of 10^6 and refused
+_TERMS = st.one_of(st.integers(1, 64), st.integers(10 ** 6 + 1, 2 ** 70))
+# lambda near 1 or from 1.5 up: in between, the default K reaches 10^5 terms,
+# too many for 200 examples
+_LAMBDAS = st.one_of(st.floats(1.0, 1.0 + 1e-9), st.floats(min_value=1.5, **_FINITE))
+_FN_SPECS = st.one_of(
+    st.builds("wm:s={!r},lambda={!r}".format, st.floats(max_value=1.0, **_FINITE), _LAMBDAS),
+    st.builds("wm:s={!r},lambda={!r},K={}".format, st.floats(max_value=1.0, **_FINITE),
+              st.floats(min_value=1.0, **_FINITE), _TERMS),
+    st.builds("brownian:s={!r},seed={},K={}".format, st.floats(min_value=0.5, **_FINITE),
+              st.integers(-1, 2 ** 129), _TERMS),
+    st.builds("periodic:k={}".format, st.integers(-2 ** 1100, 2 ** 1100)))
+
+
+# at an extreme s, k**s and lambda**((s-2) k) overflow to inf and the term's
+# amplitude to 0, its limit; NumPy warns on the way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(_FN_SPECS)
+def test_fn_spec_exits_0_only_with_finite_numbers(spec):
+    # finite but extreme parameters are refused, or projected to finite
+    # coefficients and errors
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["project", "--alpha", "0.5", "--c", "2", "--N", "3",
+                         "--fn", spec, "--format", "csv", "--no-cache"])
+    if code == 0:
+        assert not re.search("nan|inf", out.getvalue() + err.getvalue()), spec
+    else:
+        assert code == 1 and err.getvalue().startswith("error: "), spec
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--alpha", "0.5", "--c", "2", "--nmax", "4", "--grid-size", "100000000"),
+    ("project", "--alpha", "0.5", "--c", "2", "--N", "4", "--fn", "periodic:k=3",
+     "--quad-order", "10000000"),
+])
+def test_size_past_its_cap_exits_1(capsys, cache_args, argv):
+    # refused before the 24 GB grid or the 728 TB rule is allocated
+    code, out, err = run_cli(capsys, *argv, *cache_args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "must lie in" in err
 
 
 def test_invalid_parameter_exits_1(capsys, cache_args):
