@@ -420,11 +420,18 @@ def _wm_term_rows(kept, alpha, kmax, lam, lo, hi):
     asked (at most ``lo + _EVAL_BLOCK``); a larger hi adds the rows it lacks
     from one ladder call, so every N and s at one basis and lam share one
     block.  Each row is bitwise independent of its batch.  The powers take
-    NumPy integers k: a Python int exponent may round lam^k differently."""
+    NumPy integers k: a Python int exponent may round lam^k differently.
+    Every term enters the coefficients, so a row whose finite factors
+    multiply past the largest double raises DomainError."""
     have = lo if kept is None else lo + len(kept)
     if hi > have:
         us = [float(lam ** k) for k in np.arange(have, hi)]
-        new = spectral._fc_term_rows(alpha, kmax, us)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = spectral._fc_term_rows(alpha, kmax, us)
+        bad = ~np.isfinite(new).all(axis=1)
+        if bad.any():
+            raise DomainError(f"the transform terms pass the largest double at "
+                              f"alpha={alpha!r}, u={us[int(np.argmax(bad))]!r}")
         kept = new if kept is None else np.concatenate([kept, new])
         kept.setflags(write=False)
     return kept, kept[:hi - lo]
@@ -433,13 +440,22 @@ def _wm_term_rows(kept, alpha, kmax, lam, lo, hi):
 def _cos_transforms(alpha, u):
     """W(u_i) = int cos(u_i x) w_a(x) dx = sqrt(pi) (2/u)^(a+1/2) Gamma(a+1)
     J_{a+1/2}(u) for an array of u_i >= 0, the Bessel values from one ladder
-    call; W(0) is the weight mass."""
+    call; W(0) is the weight mass.  A W(u_i) that is not a finite double
+    raises DomainError, naming alpha and u_i."""
     u = np.asarray(u, dtype=float)
     bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
-    gamma = math.exp(specfun.ln_gamma(alpha + 1.0))
-    return np.array([spectral._fc_pref(alpha, uk) * gamma * jv if uk
-                     else specfun.weight_mass(alpha)
-                     for uk, jv in zip(u.tolist(), bessel)])
+    try:
+        gamma = math.exp(specfun.ln_gamma(alpha + 1.0))
+    except OverflowError:
+        gamma = math.inf  # refused below, at the first u > 0
+    w = np.array([spectral._fc_pref(alpha, uk) * gamma * jv if uk
+                  else specfun.weight_mass(alpha)
+                  for uk, jv in zip(u.tolist(), bessel)])
+    bad = ~np.isfinite(w)
+    if bad.any():
+        raise DomainError(f"the cosine transform W(u) is not a finite double at "
+                          f"alpha={alpha!r}, u={u[bad][0].item()!r}")
+    return w
 
 
 @lru_cache(maxsize=8)

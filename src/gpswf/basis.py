@@ -305,9 +305,16 @@ def build_basis(alpha, c, nmax):
         for p, (t, s) in enumerate(zip(tris, spectra)):
             beta[p::2] = _recurrence_vectors(t, s[:(nmax - p + 1) // 2]).T
         tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
-        worst = int(np.argmax(tails))
+        worst = int(np.argmax(tails))  # the first NaN, if there is one
         if tails[worst] <= _TAIL_TOL:
             break
+        if not math.isfinite(tails[worst]):
+            # a larger order repeats the overflow: refuse at the first
+            raise TruncationError(
+                f"coefficient tail mass {tails[worst]} at n={worst}, truncation "
+                f"order {M}: the eigenvector march overflowed at c={c!r}, whose "
+                f"off-diagonals fall to {min(t.offdiag.min() for t in tris):.3e}",
+                n=worst, tail_mass=float(tails[worst]))
     else:
         raise TruncationError(
             f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
@@ -462,9 +469,15 @@ def _estimate_values(basis, grid_size):
 _MAX_GRID_SIZE = 10 ** 5
 
 
-def local_estimate(basis, n, grid_size=400):
+def _check_grid_size(grid_size):
+    """The local estimate's grid range, which ``gpswf bounds`` checks before
+    it builds anything."""
     if not 100 <= grid_size <= _MAX_GRID_SIZE:
         raise DomainError(f"grid_size must lie in 100..{_MAX_GRID_SIZE}, got {grid_size!r}")
+
+
+def local_estimate(basis, n, grid_size=400):
+    _check_grid_size(grid_size)
     basis._check_index(n)
     q, sup, a_squared, moments = _estimate_values(basis, grid_size)
     return LocalEstimateReport(n=n, q=q[n], sup_value=sup[n],

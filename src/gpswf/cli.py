@@ -105,19 +105,19 @@ def _parse_fn_spec(spec):
 
 
 def _emit(rows, header, fmt):
+    """Print the rows as JSON, CSV or a table; a cell that formats a
+    non-finite number raises ConsistencyError, and nothing is printed."""
     if fmt == "json":
-        print(json.dumps([dict(zip(header, r)) for r in rows], indent=2))
-        return
-    if fmt == "csv":
-        print(",".join(header))
-        for r in rows:
-            print(",".join(str(v) for v in r))
-        return
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h)
-              for i, h in enumerate(header)]
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
+        text = json.dumps([dict(zip(header, r)) for r in rows], indent=2)
+    elif fmt == "csv":
+        text = "\n".join(",".join(str(v) for v in r) for r in [header, *rows])
+    else:
+        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(h)
+                  for i, h in enumerate(header)]
+        text = "\n".join("  ".join(str(v).ljust(w) for v, w in zip(r, widths))
+                         for r in [header, *rows])
+    experiments._check_finite(header, rows, text, "the output")
+    print(text)
 
 
 def _get_basis(args):
@@ -160,6 +160,7 @@ def _verdict(applicable, ok):
 
 
 def _cmd_bounds(args):
+    basis_mod._check_grid_size(args.grid_size)
     b = _get_basis(args)
     entries = spectral.compute_spectrum(b)
     rows = []
@@ -190,10 +191,13 @@ def _cmd_project(args):
                               cache_dir=args.cache_dir,
                               use_cache=not args.no_cache)
     pr = approx.project(b, f, args.N, quad_order=args.quad_order)
+    names = ["l2w_error", "sup_error"]
+    errors = [f"{pr.l2w_error:.6e}", f"{pr.sup_error:.6e}"]
+    line = " ".join(f"{k}={v}" for k, v in zip(names, errors))
+    experiments._check_finite(names, [errors], line, "the error line")
     rows = [[n, f"{abs(pr.coefficients[n]):.12e}"] for n in range(pr.N)]
     _emit(rows, ["n", "abs_coefficient"], args.format)
-    print(f"l2w_error={pr.l2w_error:.6e} sup_error={pr.sup_error:.6e}",
-          file=sys.stderr if args.format != "table" else sys.stdout)
+    print(line, file=sys.stderr if args.format != "table" else sys.stdout)
     return 0
 
 

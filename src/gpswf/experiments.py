@@ -7,10 +7,12 @@ Scenarios: ``lambda-decay`` (eigenvalue decay curves per alpha),
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import numbers
 import os
+import re
 import struct
 import time
 import warnings
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, approx, basis as basis_mod, spectral
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 __all__ = [
     "ExperimentConfig",
@@ -272,7 +274,28 @@ def _report_dir(cfg):
             path = root / f"{stamp}-{i}"
 
 
+# a cell that formats a number that is not finite: nan, inf or -inf, alone or
+# as a part of a complex phase such as +nan+0.000j
+_NON_FINITE = re.compile(r"[-+\d.e]*(?:nan|inf)[-+\d.ej]*")
+
+
+def _check_finite(header, rows, text, where):
+    """Raise ConsistencyError, naming ``where``, the column and the row, when
+    a cell of ``rows`` formats a non-finite number.  ``text`` holds every
+    cell as it is printed: when it has no "nan" and no "inf", two substring
+    searches clear them all."""
+    if "nan" not in text and "inf" not in text:
+        return
+    for i, row in enumerate(rows):
+        for name, cell in zip(header, row):
+            if _NON_FINITE.fullmatch(str(cell)):
+                raise ConsistencyError(f"non-finite {name} = {cell} in row {i} of {where}")
+
+
 def _write_csv(path, header, rows):
+    """Write the CSV once every cell is checked finite (:func:`_check_finite`)."""
+    _check_finite(header, rows, "\n".join(map(str, itertools.chain.from_iterable(rows))),
+                  path.name)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

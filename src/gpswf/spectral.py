@@ -37,9 +37,13 @@ def _signed_gammas(alpha, kmax):
     sqrt(h_k)) and s_k = +1 for k mod 4 in {0, 1}, -1 otherwise."""
     k = np.arange(kmax + 1, dtype=float)
     lg = np.vectorize(math.lgamma)
-    out = np.exp(-(alpha + 0.5) * math.log(2.0)
-                 + 0.5 * (np.log(2.0 * k + 2.0 * alpha + 1.0)
-                          + lg(k + 2.0 * alpha + 1.0) - lg(k + 1.0)))
+    with np.errstate(over="ignore"):
+        out = np.exp(-(alpha + 0.5) * math.log(2.0)
+                     + 0.5 * (np.log(2.0 * k + 2.0 * alpha + 1.0)
+                              + lg(k + 2.0 * alpha + 1.0) - lg(k + 1.0)))
+    if out[-1] == math.inf:  # gamma_k grows with k
+        raise DomainError(f"the transform factor gamma_k passes the largest double "
+                          f"at alpha={alpha!r}, k={int(np.argmax(out == math.inf))}")
     out[k % 4 >= 2] *= -1.0
     out.setflags(write=False)
     return out
@@ -48,7 +52,14 @@ def _signed_gammas(alpha, kmax):
 def _fc_pref(alpha, u):
     # a Python-float expression per argument: a vectorised pow may round
     # differently
-    return math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
+    try:
+        pref = math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
+    except OverflowError:
+        pref = math.inf
+    if pref == math.inf:
+        raise DomainError(f"the transform factor (2/u)^(alpha+1/2) passes the largest "
+                          f"double at alpha={alpha!r}, u={u!r}")
+    return pref
 
 
 def _fc_term_rows(alpha, kmax, us):
@@ -318,7 +329,9 @@ def compute_spectrum(basis):
         devs = np.array([abs(_fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])])
         kept_floors = floors[n, keep]
         spread, floor = float(devs.max()), float(kept_floors[-1])
-        if floor > _PROBE_TOL * mu_abs or np.any(devs > _PROBE_TOL * mu_abs + kept_floors):
+        # a mu of 0 with sums of 0 would pass the comparisons vacuously
+        if (mu_abs == 0.0 or floor > _PROBE_TOL * mu_abs
+                or np.any(devs > _PROBE_TOL * mu_abs + kept_floors)):
             if mu_abs < np.finfo(float).tiny:  # subnormal or zero
                 raise ConsistencyError(
                     f"|mu_n| = {mu_abs:.3e} at n={n} underflowed below the smallest "

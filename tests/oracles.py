@@ -10,12 +10,6 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   the forms the library's FFT norm and one-series sup error replaced.
 * The one-argument Hankel sum with ``math.cos`` and ``math.sin``: the
   form the array Hankel start replaced.
-* The forward Jacobi recurrence as whole-array steps at every point count:
-  the form that the Python-float one-point recurrence and the rows written
-  in place replaced, kept word for word so that a test can hold both paths
-  of the library to it byte for byte.  Its inputs (every point count up to
-  the 2001-point sup grid, kmax up to 2000) cost more to hash than the
-  golden file's time budget allows.
 
 The other former implementations are gone: ``tests/golden/`` pins their
 inputs' outputs by sha256.
@@ -144,33 +138,3 @@ def _hankel_j(nu, x):
     sin_w = math.sin(x) * cos_t - math.cos(x) * sin_t
     return math.sqrt(2.0 / (math.pi * x)) * (p * cos_w - q * sin_w)
 
-
-def _jacobi_rows(rec, p0, kmax, x, nderiv, chunk):
-    """Forward recurrence for ``Jt_k(x)``, k = 0..kmax, and its derivatives.
-
-    ``Jt_k`` are the orthonormal symmetric-Jacobi polynomials with three-term
-    recurrence ``x Jt_k = rec[k+1] Jt_{k+1} + rec[k] Jt_{k-1}`` and
-    ``Jt_0 = p0``; ``rec`` needs length ``>= kmax + 1``.  Differentiating it
-    d times gives ``rec[k+1] Jt_{k+1}^(d) = x Jt_k^(d) + d Jt_k^(d-1) -
-    rec[k] Jt_{k-1}^(d)``, and each step updates every order d <= nderiv in
-    one array operation.  Yields ``(k0, rows)`` with ``rows[d, i] =
-    Jt_{k0+i}^(d)(x)`` for at most ``chunk`` consecutive k, so rows has shape
-    (nderiv+1, <= chunk, len(x)).  The recurrence is stable inside [-1, 1]
-    (Gautschi, *Orthogonal Polynomials*, 2004).
-    """
-    dmul = np.arange(1.0, nderiv + 1.0)[:, None]
-    prev = np.zeros((nderiv + 1, x.size))
-    cur = np.zeros((nderiv + 1, x.size))
-    cur[0] = p0
-    for k0 in range(0, kmax + 1, chunk):
-        rows = np.empty((nderiv + 1, min(chunk, kmax + 1 - k0), x.size))
-        for i in range(rows.shape[1]):
-            k = k0 + i
-            if k:
-                step = x * cur
-                if nderiv:
-                    step[1:] += dmul * cur[:-1]
-                step -= rec[k - 1] * prev
-                prev, cur = cur, step / rec[k]
-            rows[:, i] = cur
-        yield k0, rows

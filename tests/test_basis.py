@@ -162,6 +162,16 @@ class TestBuildBasis:
         with pytest.raises(TruncationError, match="start order 10041 .* past the truncation cap"):
             B.build_basis(0.5, 5.0, 20000)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_march_raises_at_the_first_order(self, monkeypatch):
+        # c = 1e-70: off-diagonals of 2.5e-141 overflow the march at the start
+        # order 42, and no doubling mends a NaN tail (to 5376: 10 s, 475 MB)
+        assert B.build_basis(0.5, 1e-50, 4).trunc == 42  # finite at 1e-50
+        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((42, 84)))
+        with pytest.raises(TruncationError, match="order 42: the eigenvector march "
+                                                  "overflowed at c=1e-70"):
+            B.build_basis(0.5, 1e-70, 4)
+
     def test_order_short_of_nmax_names_it(self, monkeypatch):
         # 2 rows per parity cannot hold the 17 even n of nmax 34
         monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((2,)))

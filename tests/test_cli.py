@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gpswf
-from gpswf import approx, cli
+from gpswf import approx, cli, spectral
 from gpswf.errors import DomainError
 
 
@@ -21,6 +22,13 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _experiment_with_config(capsys, tmp_path, cfg, *flags, name="lambda-decay"):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return run_cli(capsys, "experiment", "--name", name,
+                   "--config", str(cfg_path), *flags)
 
 
 @pytest.fixture()
@@ -253,6 +261,71 @@ def test_size_past_its_cap_exits_1(capsys, cache_args, argv):
     assert err.startswith("error: ") and "must lie in" in err
 
 
+def test_bounds_checks_the_grid_before_the_basis(capsys, monkeypatch):
+    from gpswf import basis
+
+    monkeypatch.setattr(basis, "build_basis", None)  # a build raises TypeError
+    assert run_cli(capsys, "bounds", "--alpha", "0.5", "--c", "500", "--nmax", "600",
+                   "--grid-size", "50", "--no-cache") == (
+        1, "", "error: grid_size must lie in 100..100000, got 50\n")
+
+
+# at alpha 110, products of finite factors overflow at the smallest probes,
+# which the probe check ranks last; NumPy warns on the way
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name, cfg, shown", [
+    # (2/u)^(alpha+1/2) at the smallest probe u = 1e-3 c, from alpha 118
+    ("spectrum", "118", "alpha=118.0, u=0.005"),
+    ("spectrum", "110", None),
+    # gamma_k past k = 33, W(1) and the WM terms at u = 1: nan rows on exit 0
+    ("wm-table", {"alpha_list": [160], "N_list": [4], "s_list": [1.0]}, "alpha=160.0, u=1.0"),
+    ("brownian", {"alpha_list": [160], "N_list": [4], "s_list": [1.5]}, "alpha=160.0, k=33"),
+    ("lambda-decay", {"alpha_list": [160]}, "alpha=160.0, u=0.0157"),
+    # exp(ln Gamma(alpha + 1)) overflows
+    ("wm-table", {"alpha_list": [300], "N_list": [4], "s_list": [1.0]}, "alpha=300.0, u=1.0"),
+], ids=["spectrum-118", "spectrum-110", "wm-table-160", "brownian-160", "lambda-decay-160",
+        "wm-table-300"])
+def test_transform_factor_past_the_largest_double_exits_1(capsys, tmp_path, monkeypatch,
+                                                          name, cfg, shown):
+    monkeypatch.chdir(tmp_path)  # the scenarios' reports/
+    if name == "spectrum":
+        code, out, err = run_cli(capsys, name, "--alpha", cfg, "--c", "5", "--nmax", "4",
+                                 "--no-cache")
+    else:
+        code, out, err = _experiment_with_config(
+            capsys, tmp_path, {"c_list": [5 * math.pi], **cfg}, "--no-cache", name=name)
+    assert code == (1 if shown else 0)
+    if shown:
+        assert out == "" and err.startswith("error: ") and shown in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, shown", [
+    *[(("spectrum", "--alpha", "0.5", "--c", "2", "--nmax", "4", "--format", fmt),
+       "lambda = nan in row 2 of the output") for fmt in ("table", "csv", "json")],
+    (("project", "--alpha", "0.5", "--c", "2", "--N", "4", "--fn", "periodic:k=3"),
+     "sup_error = inf in row 0 of the error line"),
+    (("experiment", "--name", "lambda-decay"),
+     "lambda = nan in row 2 of lambda_decay_alpha1_c15.708.csv"),
+    (("experiment", "--name", "wm-table"), "computed_error = nan in row 0 of wm_table.csv"),
+], ids=["spectrum-table", "spectrum-csv", "spectrum-json", "project", "lambda-decay",
+        "wm-table"])
+def test_non_finite_value_exits_2_printing_nothing(capsys, tmp_path, monkeypatch, argv,
+                                                   shown):
+    spectrum, project = spectral.compute_spectrum, approx.project
+    monkeypatch.setattr(spectral, "compute_spectrum", lambda b: [
+        dataclasses.replace(e, lam=math.nan) if e.n == 2 else e for e in spectrum(b)])
+    monkeypatch.setattr(approx, "project", lambda *args, **kw: dataclasses.replace(
+        project(*args, **kw), sup_error=math.inf))
+    monkeypatch.setattr(approx, "wm_projection_error", lambda *args: math.nan)
+    monkeypatch.chdir(tmp_path)  # the scenarios' reports/
+    code, out, err = run_cli(capsys, *argv, "--no-cache")
+    assert code == 2 and out == ""
+    assert err == f"numerical-consistency failure: non-finite {shown}\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_invalid_parameter_exits_1(capsys, cache_args):
     code, _, err = run_cli(capsys, "basis", "--alpha", "-3", "--c", "2",
                            "--nmax", "4", *cache_args)
@@ -273,7 +346,8 @@ def test_missing_subcommand_exits_1(capsys):
 
 
 def test_cache_ls_and_clear(capsys, tmp_path):
-    cache = str(tmp_path / "cache")
+    # a path is not checked as a number, and may hold "inf" and "nan"
+    cache = str(tmp_path / "inf" / "nan")
     run_cli(capsys, "basis", "--alpha", "0.5", "--c", "2", "--nmax", "4",
             "--cache-dir", cache)
     code, out, _ = run_cli(capsys, "cache", "ls", "--cache-dir", cache)
@@ -286,12 +360,9 @@ def test_cache_ls_and_clear(capsys, tmp_path):
 
 def test_experiment_lambda_decay(capsys, tmp_path):
     cfg = {"alpha_list": [1.0], "c_list": [2.0], "nmax": 6}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "experiment", "--name", "lambda-decay",
-                           "--config", str(cfg_path),
-                           "--out-dir", str(tmp_path / "reports"),
-                           "--cache-dir", str(tmp_path / "cache"))
+    code, out, _ = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "reports"),
+        "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
     assert "reports written" in out
 
@@ -299,22 +370,12 @@ def test_experiment_lambda_decay(capsys, tmp_path):
 def test_experiment_wm_table_with_config(capsys, tmp_path):
     cfg = {"alpha_list": [0.5], "c_list": [15.707963267948966],
            "N_list": [95], "s_list": [0.25, 1.0]}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "experiment", "--name", "wm-table",
-                           "--config", str(cfg_path),
-                           "--out-dir", str(tmp_path / "reports"),
-                           "--cache-dir", str(tmp_path / "cache"))
+    code, out, _ = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "reports"),
+        "--cache-dir", str(tmp_path / "cache"), name="wm-table")
     assert code == 0
     assert "reports written" in out
     assert "(0.5, 0.25)" in out
-
-
-def _experiment_with_config(capsys, tmp_path, cfg, *flags):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    return run_cli(capsys, "experiment", "--name", "lambda-decay",
-                   "--config", str(cfg_path), *flags)
 
 
 def _written_config(root):
@@ -400,10 +461,8 @@ def test_ignored_flag_and_config_key_exit_1(capsys, tmp_path):
 def test_grid_the_scenario_does_not_sweep_exits_1(capsys, tmp_path, name, grid):
     cfg = dict(alpha_list=[1.0], c_list=[1.0], N_list=[4], s_list=[1.0])
     cfg[grid] = cfg[grid] * 2
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
-                           str(cfg_path), "--out-dir", str(tmp_path / "r"))
+    code, _, err = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "r"), name=name)
     assert code == 1
     assert grid in err
     assert not (tmp_path / "r").exists()
@@ -421,10 +480,8 @@ def test_field_the_scenario_does_not_read_exits_1(capsys, tmp_path, name,
     if name != "lambda-decay":
         cfg.update(N_list=[4], s_list=[1.0])
     cfg[field] = value
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
-                           str(cfg_path), "--out-dir", str(tmp_path / "r"))
+    code, _, err = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "r"), name=name)
     assert code == 1
     assert f"does not read {field}" in err
     assert not (tmp_path / "r").exists()
@@ -450,11 +507,9 @@ BROWNIAN_CFG = {"alpha_list": [1.5], "c_list": [2.0], "N_list": [4], "s_list": [
 ])
 def test_config_field_out_of_range_exits_1(capsys, tmp_path, name, cfg, flags, field):
     # each field's type and range is checked before any report or cache exists
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "experiment", "--name", name, "--config",
-                             str(cfg_path), "--out-dir", str(tmp_path / "r"),
-                             "--cache-dir", str(tmp_path / "cache"), *flags)
+    code, out, err = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "r"),
+        "--cache-dir", str(tmp_path / "cache"), *flags, name=name)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field} takes ")
@@ -468,11 +523,9 @@ def test_config_field_out_of_range_exits_1(capsys, tmp_path, name, cfg, flags, f
 ])
 def test_brownian_last_seed_out_of_range_exits_1(capsys, tmp_path, cfg, flags):
     # refused by the config, before the report directory exists
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, err = run_cli(capsys, "experiment", "--name", "brownian", "--config",
-                             str(cfg_path), "--out-dir", str(tmp_path / "r"),
-                             "--cache-dir", str(tmp_path / "cache"), *flags)
+    code, out, err = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "r"),
+        "--cache-dir", str(tmp_path / "cache"), *flags, name="brownian")
     assert code == 1
     assert out == ""
     assert err == ("error: brownian seeds run from seed to seed + n_seeds - 1 = "
@@ -484,10 +537,7 @@ def test_brownian_last_seed_out_of_range_exits_1(capsys, tmp_path, cfg, flags):
 def test_config_paths_accepted(capsys, tmp_path):
     # a null cache_dir keeps the default; false turns the cache off
     cfg = dict(LAMBDA_CFG, output_dir=str(tmp_path / "r"), cache=False, cache_dir=None)
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, out, _ = run_cli(capsys, "experiment", "--name", "lambda-decay",
-                           "--config", str(cfg_path))
+    code, out, _ = _experiment_with_config(capsys, tmp_path, cfg)
     assert code == 0
     assert out.startswith(f"reports written to {tmp_path / 'r'}")
 
@@ -503,11 +553,9 @@ def test_project_brownian_seed_out_of_range_exits_1(capsys, cache_args):
 @pytest.mark.parametrize("name", ["wm-table", "brownian"])
 def test_empty_s_list_exits_1(capsys, tmp_path, name):
     cfg = {"alpha_list": [0.5], "c_list": [2.0], "N_list": [6], "s_list": []}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "experiment", "--name", name, "--config",
-                           str(cfg_path), "--out-dir", str(tmp_path / "r"),
-                           "--cache-dir", str(tmp_path / "cache"))
+    code, _, err = _experiment_with_config(
+        capsys, tmp_path, cfg, "--out-dir", str(tmp_path / "r"),
+        "--cache-dir", str(tmp_path / "cache"), name=name)
     assert code == 1
     assert "s_list" in err
     assert not (tmp_path / "r").exists()

@@ -156,6 +156,13 @@ class TestSpectrum:
             spectral.compute_spectrum(b)
         assert "truncation" not in str(info.value)
 
+    def test_zero_mu_refused(self):
+        # at c = 1e-12, mu_24 underflows to 0 and its probe sums are 0 too:
+        # the comparisons held vacuously, and the floor over |mu| divided by 0
+        b = B.build_basis(0.5, 1e-12, 40)
+        with pytest.raises(ConsistencyError, match=r"= 0.000e\+00 at n=24 underflowed"):
+            spectral.compute_spectrum(b)
+
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
     # every probe argument of every n goes through one batched Bessel
