@@ -10,8 +10,8 @@ from functools import lru_cache, partial, wraps
 
 import numpy as np
 
-from . import specfun, spectral
-from .basis import decay_regime_multiplier
+from . import backend, specfun, spectral
+from .basis import _is_integer, decay_regime_multiplier
 from .errors import DomainError
 
 __all__ = [
@@ -299,7 +299,10 @@ class ProjectionResult:
 
 
 def _check_N(basis, N):
-    """A projection order N counts basis functions: it must lie in 1..nmax."""
+    """A projection order N counts basis functions: it must be an integer in
+    1..nmax."""
+    if not _is_integer(N):
+        raise DomainError(f"N={N!r} must be an integer in 1..nmax={basis.nmax}")
     if not 1 <= N <= basis.nmax:
         raise DomainError(f"N={N} must lie in 1..nmax={basis.nmax}")
 
@@ -329,7 +332,7 @@ def project(basis, f, N, quad_order=None):
                           f"got {quad_order!r}")
     rule = specfun.gauss_jacobi(basis.alpha, quad_order)
     fvals = f(rule.nodes)
-    tab = basis.psi_table(rule.nodes, range(N))
+    tab = _rule_psi(basis, rule, N)
     coeffs = tab @ (rule.weights * fvals)
     res_order = max(quad_order, m + 64)
     if res_order == quad_order:
@@ -337,12 +340,21 @@ def project(basis, f, N, quad_order=None):
     else:
         res_rule = specfun.gauss_jacobi(basis.alpha, res_order)
         res_f = f(res_rule.nodes)
-        res_tab = basis.psi_table(res_rule.nodes, range(N))
+        res_tab = _rule_psi(basis, res_rule, N)
     resid = res_f - coeffs @ res_tab
     l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
                                              np.abs(resid) ** 2))), 0.0))
     sup = float(np.max(np.abs(f(_SUP_GRID) - _sup_grid_values(basis, coeffs))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
+
+
+def _rule_psi(basis, rule, N):
+    """psi_n, n < N, at the nodes of a Gauss rule, shape (N, rule.order):
+    ``basis.psi_table(rule.nodes, range(N))`` bit for bit, summed over the
+    rule's memoised Jacobi rows (:func:`specfun._rule_rows`) in place of a
+    fresh recurrence."""
+    rows = specfun._rule_rows(rule.alpha, rule.order, 2 * basis.trunc - 1)
+    return backend.table_series(basis._beta_matrix(range(N)), rows)[0]
 
 
 def _sup_grid_values(basis, coeffs):
@@ -579,6 +591,8 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
 
 def periodic_coefficient(basis, k, n):
     """<e^{i k pi x}, psi_n> in L2(w_a), via the exact transform expansion."""
+    if not _is_integer(n):
+        raise DomainError(f"basis index {n!r} is not an integer")
     if not 0 <= n < basis.nmax:
         raise DomainError(f"basis index {n} out of range")
     row = basis.beta[n]

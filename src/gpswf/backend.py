@@ -1,6 +1,6 @@
 """Numerical kernels: symmetric tridiagonal eigenvalues, the forward
 recurrence of the orthonormal Jacobi polynomials and the series summed over
-it, and Bessel J ladders.
+it or over its stored rows, and Bessel J ladders.
 
 Every kernel has this one NumPy implementation.  All tridiagonal eigenvalue
 work in the package (basis ``chi_n`` and Gauss-rule nodes) goes through
@@ -133,13 +133,32 @@ def jacobi_series(coef, rec, p0, x, nderiv=0):
     """
     coef = np.asarray(coef, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((nderiv + 1,) + coef.shape[1:] + x.shape)
+    blocks = _jacobi_rows(rec, p0, coef.shape[0] - 1, x, nderiv, _SERIES_ROWS)
+    return _sum_blocks(coef, blocks, (nderiv + 1,) + coef.shape[1:] + x.shape)
+
+
+def table_series(coef, table):
+    """:func:`jacobi_series` at nderiv 0 from stored rows, ``table[k, i] =
+    Jt_k(x_i)`` with one row k per row of ``coef`` (a
+    :func:`specfun.jacobi_table`), summed in the same blocks of
+    ``_SERIES_ROWS`` rows, so bitwise the same."""
+    coef = np.asarray(coef, dtype=float)
+    blocks = ((k0, table[None, k0:k0 + _SERIES_ROWS])
+              for k0 in range(0, coef.shape[0], _SERIES_ROWS))
+    return _sum_blocks(coef, blocks, (1,) + coef.shape[1:] + table.shape[1:])
+
+
+def _sum_blocks(coef, blocks, shape):
+    """The series of shape ``shape`` = (nderiv + 1, ..., len(x)) from the
+    blocks ``(k0, rows)`` of :func:`_jacobi_rows`: block by block, each
+    derivative order adds ``coef[k0:k0 + len(block)].T @ rows[d]``."""
+    out = np.zeros(shape)
     # one buffer for every block's product: a fresh one per block leaves
     # freed heap that malloc keeps resident (+0.9 MB peak RSS in brownian)
-    part = np.empty(out.shape[1:])
-    for k0, rows in _jacobi_rows(rec, p0, coef.shape[0] - 1, x, nderiv, _SERIES_ROWS):
+    part = np.empty(shape[1:])
+    for k0, rows in blocks:
         block = coef[k0:k0 + rows.shape[1]].T
-        for d in range(nderiv + 1):
+        for d in range(shape[0]):
             out[d] += np.matmul(block, rows[d], out=part)
     return out
 

@@ -65,6 +65,11 @@ def assemble_eigensystem(alpha, c, M, parity):
     return SymTridiag(diag, offdiag)
 
 
+def _is_integer(n):
+    """Whether n is one Python or NumPy integer, not a bool."""
+    return type(n) is int or isinstance(n, np.integer)
+
+
 @dataclass(frozen=True, eq=False)
 class GpswfBasis:
     """Eigenpairs (chi_n, beta^n) of a fixed (alpha, c) family.
@@ -98,7 +103,7 @@ class GpswfBasis:
     def _check_index(self, n):
         """``n``, one index or a sequence of them, as a 1-d integer array; one
         that is not an integer in 0..nmax-1 raises IndexError."""
-        if type(n) is int or isinstance(n, np.integer):  # one index: no array pass
+        if _is_integer(n):  # one index: no array pass
             if 0 <= n < self.nmax:
                 return np.array([n], dtype=np.intp)
             raise IndexError(f"basis index out of range 0..{self.nmax - 1}: {n!r}")
@@ -302,8 +307,11 @@ def build_basis(alpha, c, nmax):
         chi = _merge_parities(*spectra, nmax)
         # n of parity p is column n // 2 of that parity's spectrum
         beta = np.empty((nmax, M))
-        for p, (t, s) in enumerate(zip(tris, spectra)):
-            beta[p::2] = _recurrence_vectors(t, s[:(nmax - p + 1) // 2]).T
+        # a march that overflows (c below about 1e-63) leaves a non-finite
+        # tail, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, (t, s) in enumerate(zip(tris, spectra)):
+                beta[p::2] = _recurrence_vectors(t, s[:(nmax - p + 1) // 2]).T
         tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
         worst = int(np.argmax(tails))  # the first NaN, if there is one
         if tails[worst] <= _TAIL_TOL:

@@ -279,17 +279,20 @@ def _probe_floors(basis, rows, vals):
 
     The largest |beta_k t_k| is taken as the largest |beta_k| |t_k|, which is
     the same product bit for bit, over blocks of ``_FLOOR_BLOCK`` n of one
-    parity.  psi_n(x*) = 0 gives an infinite floor, which ranks last.
+    parity.  psi_n(x*) = 0, or a candidate whose terms are not all finite,
+    gives an infinite floor, which ranks last.
     """
     peaks = np.empty(vals.shape)
     abs_beta = np.abs(basis.beta)
-    for p in (0, 1):
-        abs_rows = np.abs(rows[:, p::2])
-        for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
-            block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
-            peaks[block] = np.max(abs_beta[block, None, :] * abs_rows, axis=2)
-    with np.errstate(divide="ignore"):
-        return 1024.0 * np.finfo(float).eps * peaks / np.abs(vals)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p in (0, 1):
+            abs_rows = np.abs(rows[:, p::2])
+            for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
+                block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
+                peaks[block] = np.max(abs_beta[block, None, :] * abs_rows, axis=2)
+        floors = 1024.0 * np.finfo(float).eps * peaks / np.abs(vals)
+    floors[:, ~np.isfinite(rows).all(axis=1)] = np.inf
+    return floors
 
 
 def compute_spectrum(basis):
@@ -314,7 +317,10 @@ def compute_spectrum(basis):
     # and candidate ranking
     vals = basis.psi(ns, _PROBE_X, 0)[0]
     at0 = basis_mod._psi_at0(basis)
-    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
+    # from about alpha 100 the terms at the smallest candidates pass the
+    # largest double; those candidates get an infinite floor
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
     floors = _probe_floors(basis, rows, vals)
     ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
     entries = []

@@ -198,6 +198,18 @@ def entries(tmp):
         yield (f"cosine_transform_table at build_basis(1.5, 5 pi, 91), k_max={k_max}, "
                f"N=91"), _sha(approx.cosine_transform_table(b, k_max, 91))
 
+    # project at the sizes the CLI entries miss: one row (a one-row matrix
+    # product), every row, and a coefficient rule apart from the residual rule
+    b = bases[0.5, PI5, 96]
+    m = max(b.trunc, b.nmax + math.ceil(b.c) + 40)
+    for fn, f in (("wm:s=1,lambda=2", approx.weierstrass_mandelbrot(1.0, 2.0)),
+                  ("periodic:k=7", approx.periodic_exponential(7))):
+        for N, quad_order in ((1, None), (b.nmax, None), (60, m + 32)):
+            pr = approx.project(b, f, N, quad_order)
+            yield (f"project(build_basis(0.5, 5 pi, 96), {fn}, N={N}, "
+                   f"quad_order={quad_order})"), _sha(
+                       pr.coefficients.tobytes(), repr((pr.l2w_error, pr.sup_error)))
+
 
 def moved(old, new):
     """(name, old hash, new hash) of every entry that differs, in the order

@@ -273,12 +273,80 @@ class TestProjection:
             with pytest.raises(DomainError, match=rf"^N={N} must lie in 1\.\.nmax=10$"):
                 call()
 
+    def test_order_must_be_an_integer(self):
+        # a float N is refused by name, not by range() as a bare TypeError;
+        # a NumPy integer is an integer
+        b = B.build_basis(0.5, 2.0, 10)
+        f = approx.periodic_exponential(1)
+        with pytest.raises(DomainError, match=r"^N=6\.0 must be an integer in 1\.\.nmax=10$"):
+            approx.project(b, f, 6.0)
+        assert approx.project(b, f, np.int64(6)).coefficients.size == 6
+
     def test_range_and_config_errors(self, basis_05_2):
         f = approx.brownian(1.5, seed=3, K=10)
         with pytest.raises(DomainError):
             approx.project(basis_05_2, f, basis_05_2.nmax + 5)
         with pytest.raises(DomainError):
             approx.project(basis_05_2, f, 4, quad_order=8)
+
+
+@pytest.fixture(scope="module")
+def basis_proj():
+    # the projection benchmark's alpha-0.5 basis: trunc 89, nmax 96
+    return B.build_basis(0.5, 5 * math.pi, 96)
+
+
+class TestRuleRowsMemo:
+    """``project`` reads psi at its Gauss nodes from the memoised Jacobi rows
+    of its rules (``specfun._rule_rows``), summed as ``jacobi_series`` sums."""
+
+    @pytest.mark.parametrize("N", [1, 2, 60, 96])
+    @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
+    @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(1.0, 2.0),
+                                        approx.periodic_exponential(7)],
+                             ids=["real", "complex"])
+    def test_cold_and_warm_memo_give_the_same_bytes(self, basis_proj, N, extra, target):
+        b = basis_proj
+        # m + 32 takes a coefficient rule apart from the m + 64 residual rule
+        quad_order = None if extra is None else (
+            max(b.trunc, b.nmax + math.ceil(b.c) + 40) + extra)
+        specfun._rule_rows.cache_clear()
+        cold = approx.project(b, target, N, quad_order)
+        warm = approx.project(b, target, N, quad_order)
+        assert specfun._rule_rows.cache_info().hits >= 1
+        assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
+        assert (cold.l2w_error, cold.sup_error) == (warm.l2w_error, warm.sup_error)
+        assert np.iscomplexobj(cold.coefficients) == (target.kind == "periodic_exponential")
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 60, 96])
+    def test_psi_is_bitwise_the_recurrence_table(self, basis_proj, N):
+        # N = 1 is a one-row matrix product, another BLAS path; the rules
+        # are m + 32 and m + 64 nodes
+        for quad_order in (184, 216):
+            rule = specfun.gauss_jacobi(basis_proj.alpha, quad_order)
+            ref = basis_proj.psi_table(rule.nodes, range(N))
+            assert approx._rule_psi(basis_proj, rule, N).tobytes() == ref.tobytes()
+
+    def test_table_is_read_only(self, basis_proj):
+        rows = specfun._rule_rows(0.5, 216, 2 * basis_proj.trunc - 1)
+        assert rows.shape == (2 * basis_proj.trunc, 216)
+        assert not rows.flags.writeable
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
+
+    def test_lru_evicts_beyond_its_size(self):
+        memo = specfun._rule_rows
+        memo.cache_clear()
+        size = memo.cache_info().maxsize
+        keys = [(0.5, 40 + i, 9) for i in range(size + 1)]
+        first = memo(*keys[0])
+        for key in keys[1:]:
+            memo(*key)
+        assert memo.cache_info().currsize == size
+        misses = memo.cache_info().misses
+        again = memo(*keys[0])  # evicted: computed anew, to the same bytes
+        assert memo.cache_info().misses == misses + 1
+        assert again is not first and again.tobytes() == first.tobytes()
 
 
 class TestWmCoefficients:
@@ -578,6 +646,12 @@ class TestPeriodicCoefficients:
                                  np.exp(1j * k * math.pi * rule.nodes)
                                  * b.psi(n, rule.nodes, 0)[0]))
             assert abs(mine - ref) <= 1e-10
+
+    def test_index_must_be_an_integer(self, basis_05_2):
+        with pytest.raises(DomainError, match=r"^basis index 5\.0 is not an integer$"):
+            approx.periodic_coefficient(basis_05_2, 3, 5.0)
+        assert approx.periodic_coefficient(basis_05_2, 3, np.int64(5)) == (
+            approx.periodic_coefficient(basis_05_2, 3, 5))
 
     def test_conjugate_symmetry(self, basis_05_2):
         v = approx.periodic_coefficient(basis_05_2, 2, 6)

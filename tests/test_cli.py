@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,40 @@ def test_transform_factor_past_the_largest_double_exits_1(capsys, tmp_path, monk
     if shown:
         assert out == "" and err.startswith("error: ") and shown in err
         assert not list(tmp_path.rglob("*.csv"))
+
+
+def run_cli_warned(capsys, *argv):
+    """``run_cli`` with the messages of every warning the call raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run_cli(capsys, *argv)
+    return result, [str(w.message) for w in caught]
+
+
+def test_overflowed_probe_terms_warn_nothing(capsys):
+    # at alpha 110 the terms at the smallest probes pass the largest double;
+    # those probes rank last by their infinite floor, silently, and the
+    # table is pinned byte for byte
+    result, warned = run_cli_warned(capsys, "spectrum", "--alpha", "110", "--c", "5",
+                                    "--nmax", "4", "--no-cache")
+    assert warned == []
+    assert result == (0, (
+        "n  chi                 mu_abs              mu_phase       lambda            \n"
+        "0  1.120520698637e-01  1.683811344237e-01  +1.000+0.000j  2.256196900434e-02\n"
+        "1  2.223331725019e+02  3.773515935985e-03  +0.000+1.000j  1.133137240347e-05\n"
+        "2  4.465484303593e+02  8.344122440669e-05  -1.000+0.000j  5.540532063039e-09\n"
+        "3  6.727580307687e+02  1.820776832093e-06  +0.000-1.000j  2.638174835062e-12\n"),
+        "")
+
+
+def test_overflowed_march_prints_only_its_refusal(capsys, cache_args):
+    result, warned = run_cli_warned(capsys, "spectrum", "--alpha", "0.5", "--c", "1e-70",
+                                    "--nmax", "4", *cache_args)
+    assert warned == []
+    assert result == (2, "", (
+        "numerical-consistency failure: coefficient tail mass nan at n=0, truncation "
+        "order 42: the eigenvector march overflowed at c=1e-70, whose off-diagonals "
+        "fall to 2.500e-141\n"))
 
 
 @pytest.mark.parametrize("argv, shown", [

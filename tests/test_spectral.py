@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import oracles
@@ -162,6 +163,23 @@ class TestSpectrum:
         b = B.build_basis(0.5, 1e-12, 40)
         with pytest.raises(ConsistencyError, match=r"= 0.000e\+00 at n=24 underflowed"):
             spectral.compute_spectrum(b)
+
+    def test_non_finite_candidate_gets_an_infinite_floor(self, basis_05_2):
+        # a candidate whose terms passed the largest double ranks last by
+        # rule, whether a term is inf or NaN, and with no NumPy warning
+        b = basis_05_2
+        rows = spectral._fc_term_rows(b.alpha, 2 * b.trunc - 1, b.c * spectral._PROBE_X)
+        vals = b.psi(range(b.nmax), spectral._PROBE_X, 0)[0]
+        ref = spectral._probe_floors(b, rows, vals)
+        rows[3, 0], rows[5, 7], rows[6] = math.inf, math.nan, 0.0
+        # odd orders inf, even orders 0: the even n would read a floor of 0
+        rows[6, 1::2] = math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floors = spectral._probe_floors(b, rows, vals)
+        assert np.all(floors[:, [3, 5, 6]] == math.inf)
+        keep = np.setdiff1d(np.arange(rows.shape[0]), [3, 5, 6])
+        assert floors[:, keep].tobytes() == ref[:, keep].tobytes()
 
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
