@@ -81,9 +81,34 @@ def _check_terms(K):
         raise DomainError(f"K must lie in 1..{_MAX_TERMS}, got {K!r}")
 
 
-# The sup-error grid: 2001 equispaced points of the open interval (-1, 1).
+def _drop_repeats(sorted_values):
+    """The mask of the first of each run of equal values in a sorted array:
+    with it a sort gives ``np.unique``, which imports ``numpy.ma``."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def _distinct_abs(x):
+    """The distinct |x_i| ascending, and the index of each |x_i| among them."""
+    ax = np.abs(x)
+    order = np.argsort(ax, kind="stable")
+    first = _drop_repeats(ax[order])
+    index = np.empty(x.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ax[order][first], index
+
+
+# The sup-error grid: 2001 equispaced points of the open interval (-1, 1);
+# its 1416 distinct |x| (585 negative points mirror a positive one exactly,
+# 415 lie one ulp off), the index of each point's |x| among them, and its
+# sign.
 _SUP_GRID = np.linspace(-1.0, 1.0, 2003)[1:-1]
-_SUP_GRID.setflags(write=False)
+_SUP_ABS, _SUP_INDEX = _distinct_abs(_SUP_GRID)
+_SUP_SIGN = np.sign(_SUP_GRID)
+for _a in (_SUP_GRID, _SUP_ABS, _SUP_INDEX, _SUP_SIGN):
+    _a.setflags(write=False)
+del _a
 
 
 def _cos_series_grid(coefs, m):
@@ -358,13 +383,44 @@ def _rule_psi(basis, rule, N):
 
 
 def _sup_grid_values(basis, coeffs):
-    """S_N f = sum_n coeffs_n psi_n on ``_SUP_GRID`` as one Jacobi series in
-    g = sum_n coeffs_n beta^n: one column, or the real and imaginary part of
-    complex coefficients as two, so no N x 2001 psi table is built."""
+    """S_N f = sum_n coeffs_n psi_n on ``_SUP_GRID`` as E(|x|) + sign(x) O(|x|).
+
+    psi_n has the parity of n, so E sums g_{2i} = sum_{n even} coeffs_n
+    beta[n, i] over the even-order rows Jt_{2i}(|x|) of :func:`_sup_rows`,
+    and O sums g_{2j+1} = sum_{n odd} coeffs_n beta[n, j] over the odd-order
+    rows stepped from them (:func:`backend._odd_rows`), 32 at a time.  The
+    real and imaginary part of complex coefficients are two columns, so no
+    N x 2001 psi table is built."""
     complex_ = np.iscomplexobj(coeffs)
     parts = np.stack([coeffs.real, coeffs.imag], axis=1) if complex_ else coeffs[:, None]
-    vals = basis._series(basis._beta_matrix(range(coeffs.size)) @ parts, _SUP_GRID)[0]
+    # g of each parity, from a contiguous copy of its coefficient rows: the
+    # product over the strided view rounds otherwise (README, sup error)
+    n = coeffs.size
+    g_even, g_odd = (basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2])
+                     for p in (0, 1))
+    even = _sup_rows(basis.alpha, basis.trunc)
+    rec = specfun.jacobi_recurrence(basis.alpha, 2 * basis.trunc + 2)
+    e = backend.table_series(g_even, even)[0]
+    o = backend._sum_blocks(g_odd, backend._odd_rows(rec, even, _SUP_ABS),
+                            (1,) + e.shape)[0]
+    vals = e[:, _SUP_INDEX] + _SUP_SIGN * o[:, _SUP_INDEX]
     return vals[0] + 1j * vals[1] if complex_ else vals[0]
+
+
+# The even-order Jacobi rows at the distinct |x| of the sup grid: 8 trunc 1416
+# bytes per entry, 1.0 MB at trunc 89 and 9.0 MB at trunc 795
+@lru_cache(maxsize=4)
+def _sup_rows(alpha, trunc):
+    """Jt_{2i}(u), i < trunc, at u = ``_SUP_ABS``, shape (trunc, 1416),
+    read-only: the even rows of one recurrence per (alpha, trunc), bitwise
+    the rows it yields."""
+    rec = specfun.jacobi_recurrence(alpha, 2 * trunc + 2)
+    out = np.empty((trunc, _SUP_ABS.size))
+    for k0, rows in backend._jacobi_rows(rec, specfun.jacobi_norm0(alpha),
+                                         2 * trunc - 2, _SUP_ABS, 0, 64):
+        out[k0 // 2:k0 // 2 + (rows.shape[1] + 1) // 2] = rows[0, 0::2]
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +570,8 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
     iu, ju = np.triu_indices(K)
     diff = np.abs(freqs[iu] - freqs[ju])
     sums = freqs[iu] + freqs[ju]
-    u, w = _wm_pair_transforms(alpha, lam, np.unique(np.concatenate([diff, sums])))
+    args = np.sort(np.concatenate([diff, sums]))
+    u, w = _wm_pair_transforms(alpha, lam, args[_drop_repeats(args)])
     # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2, row by row over
     # i <= j as np.triu_indices orders them
     prods = (0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])).tolist()

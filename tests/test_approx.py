@@ -1,6 +1,9 @@
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -245,20 +248,30 @@ class TestProjection:
         assert pr.sup_error == pytest.approx(ref, abs=1e-13)
 
     def test_sup_error_builds_no_psi_table(self, basis_wm, monkeypatch):
-        # S_N f on the sup grid is one series: one column for a real target,
-        # two (real and imaginary part) for a complex one, never N columns
-        columns = []
-        series = backend.jacobi_series
+        # a warm project sums S_N f on the sup grid over the memoised
+        # even-order rows at its distinct |x| (and its Gauss nodes' rows):
+        # it builds no N x 2001 psi table and runs no recurrence, least of
+        # all one over the 2001 grid points
+        targets = [approx.weierstrass_mandelbrot(0.5, 2.0, K=8),
+                   approx.periodic_exponential(3)]
+        for f in targets:
+            approx.project(basis_wm, f, 20)
+        points, tables = [], []
+        rows, psi = backend._jacobi_rows, B.GpswfBasis.psi
 
-        def counting(coef, rec, p0, x, nderiv=0):
-            if np.size(x) == approx._SUP_GRID.size:
-                columns.append(np.shape(coef)[1])
-            return series(coef, rec, p0, x, nderiv)
+        def counting_rows(rec, p0, kmax, x, nderiv, chunk):
+            points.append(x.size)
+            return rows(rec, p0, kmax, x, nderiv, chunk)
 
-        monkeypatch.setattr(backend, "jacobi_series", counting)
-        approx.project(basis_wm, approx.weierstrass_mandelbrot(0.5, 2.0, K=8), 20)
-        approx.project(basis_wm, approx.periodic_exponential(3), 20)
-        assert columns == [1, 2]
+        def counting_psi(self, n, x, nderiv=0):
+            tables.append(np.size(x))
+            return psi(self, n, x, nderiv)
+
+        monkeypatch.setattr(backend, "_jacobi_rows", counting_rows)
+        monkeypatch.setattr(B.GpswfBasis, "psi", counting_psi)
+        for f in targets:
+            approx.project(basis_wm, f, 20)
+        assert points == [] and tables == []
 
     @pytest.mark.parametrize("N", [0, 12])
     def test_every_order_taker_checks_n_alike(self, N):
@@ -349,6 +362,85 @@ class TestRuleRowsMemo:
         assert again is not first and again.tobytes() == first.tobytes()
 
 
+class TestSupGridSeries:
+    """``project`` sums S_N f on the sup grid by parity, E(|x|) + sign(x)
+    O(|x|): E over the even-order rows that ``approx._sup_rows`` keeps at
+    the grid's distinct |x|, O over the odd-order rows stepped from them."""
+
+    def test_distinct_abs_rebuild_the_grid(self):
+        u = approx._SUP_ABS
+        assert u.size == 1416 and np.all(np.diff(u) > 0.0)
+        assert np.array_equal(u[approx._SUP_INDEX], np.abs(approx._SUP_GRID))
+        assert np.array_equal(approx._SUP_SIGN * u[approx._SUP_INDEX], approx._SUP_GRID)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5, 5.0])
+    def test_matches_one_recurrence_series(self, alpha):
+        # against jacobi_series over all 2 trunc Jacobi indices at the 2001
+        # points, which sums the same terms in another order: within 1e-14
+        # of max(1, max|S|) (1.2e-15 at worst over these draws)
+        b = B.build_basis(alpha, 5 * math.pi, 96)
+        rec = specfun.jacobi_recurrence(alpha, 2 * b.trunc + 2)
+        rng = np.random.default_rng(11)
+        for N in (1, 2, 17, 60, 96):
+            coeffs = rng.standard_normal(N)
+            if N == 17:
+                coeffs = coeffs + 1j * rng.standard_normal(N)
+            g = np.stack([coeffs.real, coeffs.imag], axis=1)
+            ref = backend.jacobi_series(b.full_coefficients(range(N)).T @ g, rec,
+                                        specfun.jacobi_norm0(alpha), approx._SUP_GRID)[0]
+            ref = ref[0] + 1j * ref[1]
+            got = approx._sup_grid_values(b, coeffs)
+            assert np.iscomplexobj(got) == (N == 17)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+    def test_rows_are_the_recurrence_rows(self, basis_proj):
+        # the kept rows, and the odd ones stepped from them, are bitwise the
+        # rows one recurrence yields at the distinct |x|
+        b = basis_proj
+        approx._sup_rows.cache_clear()
+        even = approx._sup_rows(b.alpha, b.trunc)
+        assert even.shape == (b.trunc, 1416)
+        assert not even.flags.writeable
+        with pytest.raises(ValueError):
+            even[0, 0] = 0.0
+        full = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, approx._SUP_ABS)
+        assert even.tobytes() == full[0::2].tobytes()
+        rec = specfun.jacobi_recurrence(b.alpha, 2 * b.trunc + 2)
+        odd = np.concatenate([rows[0] for _, rows in
+                              backend._odd_rows(rec, even, approx._SUP_ABS)])
+        assert odd.tobytes() == full[1::2].tobytes()
+
+    @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(1.0, 2.0),
+                                        approx.periodic_exponential(7)],
+                             ids=["real", "complex"])
+    def test_cold_and_warm_memo_give_the_same_bytes(self, basis_proj, target):
+        memo = approx._sup_rows
+        key = (basis_proj.alpha, basis_proj.trunc)
+        memo.cache_clear()
+        cold = approx.project(basis_proj, target, 60)
+        warm = approx.project(basis_proj, target, 60)
+        assert memo.cache_info().hits >= 1
+        assert cold.sup_error == warm.sup_error
+        kept = memo(*key)
+        memo.cache_clear()
+        assert memo(*key).tobytes() == kept.tobytes()
+
+    def test_lru_evicts_beyond_its_size(self):
+        memo = approx._sup_rows
+        memo.cache_clear()
+        size = memo.cache_info().maxsize
+        assert size == 4
+        keys = [(0.5, 3 + i) for i in range(size + 1)]
+        first = memo(*keys[0])
+        for key in keys[1:]:
+            memo(*key)
+        assert memo.cache_info().currsize == size
+        misses = memo.cache_info().misses
+        again = memo(*keys[0])  # evicted: computed anew, to the same bytes
+        assert memo.cache_info().misses == misses + 1
+        assert again is not first and again.tobytes() == first.tobytes()
+
+
 class TestWmCoefficients:
     def test_even_coefficients_vanish(self, basis_wm):
         for n in range(0, 22, 2):
@@ -397,6 +489,17 @@ class TestWmCoefficients:
                             quad_order=max(basis_wm.trunc + 64, 400))
         err = approx.wm_projection_error(basis_wm, 1.0, 2.0, 20, K=K)
         assert err == pytest.approx(pr.l2w_error, rel=1e-6)
+
+    def test_projection_error_leaves_numpy_ma_unloaded(self):
+        # the distinct pair arguments come from a sort, not np.unique, which
+        # imports numpy.ma into every wm-table process
+        code = ("import sys; from gpswf import approx, basis; "
+                "approx.wm_projection_error(basis.build_basis(0.5, 2.0, 16), 0.5, 2.0, 15); "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(approx.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     def test_rows_from_one_cached_ladder(self, basis_wm, monkeypatch):
         approx._wm_term_rows.cache_clear()
