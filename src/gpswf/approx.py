@@ -387,10 +387,9 @@ def _sup_grid_values(basis, coeffs):
 
     psi_n has the parity of n, so E sums g_{2i} = sum_{n even} coeffs_n
     beta[n, i] over the even-order rows Jt_{2i}(|x|) of :func:`_sup_rows`,
-    and O sums g_{2j+1} = sum_{n odd} coeffs_n beta[n, j] over the odd-order
-    rows stepped from them (:func:`backend._odd_rows`), 32 at a time.  The
-    real and imaginary part of complex coefficients are two columns, so no
-    N x 2001 psi table is built."""
+    and O sums g_{2j+1} = sum_{n odd} coeffs_n beta[n, j] over its odd-order
+    rows Jt_{2j+1}(|x|).  The real and imaginary part of complex
+    coefficients are two columns, so no N x 2001 psi table is built."""
     complex_ = np.iscomplexobj(coeffs)
     parts = np.stack([coeffs.real, coeffs.imag], axis=1) if complex_ else coeffs[:, None]
     # g of each parity, from a contiguous copy of its coefficient rows: the
@@ -398,27 +397,29 @@ def _sup_grid_values(basis, coeffs):
     n = coeffs.size
     g_even, g_odd = (basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2])
                      for p in (0, 1))
-    even = _sup_rows(basis.alpha, basis.trunc)
-    rec = specfun.jacobi_recurrence(basis.alpha, 2 * basis.trunc + 2)
+    even, odd = _sup_rows(basis.alpha, basis.trunc)
     e = backend.table_series(g_even, even)[0]
-    o = backend._sum_blocks(g_odd, backend._odd_rows(rec, even, _SUP_ABS),
-                            (1,) + e.shape)[0]
+    o = backend.table_series(g_odd, odd)[0]
     vals = e[:, _SUP_INDEX] + _SUP_SIGN * o[:, _SUP_INDEX]
     return vals[0] + 1j * vals[1] if complex_ else vals[0]
 
 
-# The even-order Jacobi rows at the distinct |x| of the sup grid: 8 trunc 1416
-# bytes per entry, 1.0 MB at trunc 89 and 9.0 MB at trunc 795
+# The Jacobi rows at the distinct |x| of the sup grid: 16 trunc 1416 bytes per
+# entry, 2.0 MB at trunc 89 and 18.0 MB at trunc 795
 @lru_cache(maxsize=4)
 def _sup_rows(alpha, trunc):
-    """Jt_{2i}(u), i < trunc, at u = ``_SUP_ABS``, shape (trunc, 1416),
-    read-only: the even rows of one recurrence per (alpha, trunc), bitwise
-    the rows it yields."""
+    """Jt_k(u), k < 2 trunc, at u = ``_SUP_ABS`` by parity, shape (2, trunc,
+    1416), read-only: ``[0, i]`` is Jt_{2i} and ``[1, i]`` is Jt_{2i+1}, the
+    rows of one recurrence per (alpha, trunc), bitwise as it yields them."""
     rec = specfun.jacobi_recurrence(alpha, 2 * trunc + 2)
-    out = np.empty((trunc, _SUP_ABS.size))
+    out = np.empty((2, trunc, _SUP_ABS.size))
+    # an even chunk starts every block at an even order, so its rows
+    # alternate parity from the first
     for k0, rows in backend._jacobi_rows(rec, specfun.jacobi_norm0(alpha),
-                                         2 * trunc - 2, _SUP_ABS, 0, 64):
-        out[k0 // 2:k0 // 2 + (rows.shape[1] + 1) // 2] = rows[0, 0::2]
+                                         2 * trunc - 1, _SUP_ABS, 0, 64):
+        i = k0 // 2
+        for p in (0, 1):
+            out[p, i:i + rows.shape[1] // 2] = rows[0, p::2]
     out.setflags(write=False)
     return out
 

@@ -12,8 +12,8 @@ same values.  At one point (x = 0 for the sign convention and psi_n(0)) it
 steps in Python floats; at several points (probes, grids, Gauss nodes) it
 writes each step into its output row with ``out=`` ufuncs.  At these sizes
 both cost NumPy call overhead rather than arithmetic, which is what they
-cut.  :func:`_odd_rows` takes the same step from stored even-order rows to
-the odd-order ones between them.
+cut.  Callers that keep rows (the Gauss-node and sup-grid memos) sum over
+them with :func:`table_series`, in the same blocks.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
@@ -116,27 +116,6 @@ def _jacobi_rows_one(recs, p0, kmax, x, nderiv, chunk):
     table = np.array(vals).reshape(kmax + 1, nderiv + 1).T.copy()[:, :, None]
     for k0 in range(0, kmax + 1, chunk):
         yield k0, table[:, k0:k0 + chunk]
-
-
-def _odd_rows(rec, even, x):
-    """``Jt_{2j+1}(x)``, j = 0..len(even)-1, from the stored even-order rows
-    ``even[j] = Jt_{2j}(x)``: each is the step ``(x Jt_{2j} - rec[2j]
-    Jt_{2j-1}) / rec[2j+1]`` of :func:`_jacobi_rows`, in its operations and
-    order, so bitwise the row the recurrence yields.  Yields ``(j0, rows)``
-    blocks of ``_SERIES_ROWS`` rows, shaped (1, <= 32, len(x)) as
-    :func:`_sum_blocks` reads them."""
-    recs = rec.tolist()
-    prev = np.zeros(x.size)
-    tmp = np.empty(x.size)
-    for j0 in range(0, even.shape[0], _SERIES_ROWS):
-        rows = np.empty((1, min(_SERIES_ROWS, even.shape[0] - j0), x.size))
-        for i, row in enumerate(rows[0]):
-            j = j0 + i
-            np.multiply(x, even[j], out=row)
-            row -= np.multiply(recs[2 * j], prev, out=tmp)
-            row /= recs[2 * j + 1]
-            prev = row
-        yield j0, rows
 
 
 # Rows of the recurrence alive at once in jacobi_series: (nderiv+1) * 32 *

@@ -209,6 +209,14 @@ def entries(tmp):
             yield (f"project(build_basis(0.5, 5 pi, 96), {fn}, N={N}, "
                    f"quad_order={quad_order})"), _sha(
                        pr.coefficients.tobytes(), repr((pr.l2w_error, pr.sup_error)))
+    # and at alpha 5, where Jt_k(1) grows like k^5.5 and the sup error shows
+    # the order in which its series is summed
+    b = B.build_basis(5.0, PI20, 96)
+    for fn, f in (("wm:s=0.5,lambda=2,K=8", approx.weierstrass_mandelbrot(0.5, 2.0, K=8)),
+                  ("periodic:k=3", approx.periodic_exponential(3))):
+        pr = approx.project(b, f, 60)
+        yield f"project(build_basis(5.0, 20 pi, 96), {fn}, N=60)", _sha(
+            pr.coefficients.tobytes(), repr((pr.l2w_error, pr.sup_error)))
 
 
 def moved(old, new):

@@ -364,8 +364,8 @@ class TestRuleRowsMemo:
 
 class TestSupGridSeries:
     """``project`` sums S_N f on the sup grid by parity, E(|x|) + sign(x)
-    O(|x|): E over the even-order rows that ``approx._sup_rows`` keeps at
-    the grid's distinct |x|, O over the odd-order rows stepped from them."""
+    O(|x|), over the even- and odd-order rows that ``approx._sup_rows``
+    keeps at the grid's distinct |x|."""
 
     def test_distinct_abs_rebuild_the_grid(self):
         u = approx._SUP_ABS
@@ -394,21 +394,18 @@ class TestSupGridSeries:
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
     def test_rows_are_the_recurrence_rows(self, basis_proj):
-        # the kept rows, and the odd ones stepped from them, are bitwise the
-        # rows one recurrence yields at the distinct |x|
+        # both parities are kept read-only, each a contiguous block, and are
+        # bitwise the rows one recurrence yields at the distinct |x|
         b = basis_proj
         approx._sup_rows.cache_clear()
-        even = approx._sup_rows(b.alpha, b.trunc)
-        assert even.shape == (b.trunc, 1416)
-        assert not even.flags.writeable
-        with pytest.raises(ValueError):
-            even[0, 0] = 0.0
+        even, odd = approx._sup_rows(b.alpha, b.trunc)
         full = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, approx._SUP_ABS)
-        assert even.tobytes() == full[0::2].tobytes()
-        rec = specfun.jacobi_recurrence(b.alpha, 2 * b.trunc + 2)
-        odd = np.concatenate([rows[0] for _, rows in
-                              backend._odd_rows(rec, even, approx._SUP_ABS)])
-        assert odd.tobytes() == full[1::2].tobytes()
+        for rows, ref in ((even, full[0::2]), (odd, full[1::2])):
+            assert rows.shape == (b.trunc, 1416) and rows.flags.c_contiguous
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+            assert rows.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(1.0, 2.0),
                                         approx.periodic_exponential(7)],
@@ -423,7 +420,8 @@ class TestSupGridSeries:
         assert cold.sup_error == warm.sup_error
         kept = memo(*key)
         memo.cache_clear()
-        assert memo(*key).tobytes() == kept.tobytes()
+        for parity in (0, 1):
+            assert memo(*key)[parity].tobytes() == kept[parity].tobytes()
 
     def test_lru_evicts_beyond_its_size(self):
         memo = approx._sup_rows
@@ -438,7 +436,33 @@ class TestSupGridSeries:
         misses = memo.cache_info().misses
         again = memo(*keys[0])  # evicted: computed anew, to the same bytes
         assert memo.cache_info().misses == misses + 1
-        assert again is not first and again.tobytes() == first.tobytes()
+        assert again is not first
+        for parity in (0, 1):
+            assert again[parity].tobytes() == first[parity].tobytes()
+
+    @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(0.5, 2.0, K=8),
+                                        approx.periodic_exponential(3)],
+                             ids=["wm", "periodic"])
+    def test_near_the_series_in_long_double(self, target):
+        # at alpha 5, Jt_k(1) grows like k^5.5, so the order of summation
+        # shows: the route lands 2.3e-13 (wm) and 1.3e-13 (periodic) from
+        # the same series, coeffs . beta then sum_k g_k Jt_k, summed in long
+        # double over the same recurrence coefficients; a sum of N rounded
+        # psi_n, coeffs @ psi_table, lands 4.2e-12 to 5.7e-12 from it
+        assert np.finfo(np.longdouble).nmant >= 63
+        b = B.build_basis(5.0, 20 * math.pi, 96)
+        coeffs = approx.project(b, target, 60).coefficients
+        got = approx._sup_grid_values(b, coeffs)
+        rec = specfun.jacobi_recurrence(b.alpha, 2 * b.trunc + 2).astype(np.longdouble)
+        x = approx._SUP_GRID.astype(np.longdouble)
+        g = coeffs.astype(np.clongdouble) @ b.full_coefficients(range(60))
+        prev, cur = np.zeros_like(x), np.full_like(x, specfun.jacobi_norm0(b.alpha))
+        ref = g[0] * cur
+        for k in range(1, g.size):
+            prev, cur = cur, (x * cur - rec[k - 1] * prev) / rec[k]
+            ref += g[k] * cur
+        err = np.max(np.abs(got - ref))
+        assert err <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
 class TestWmCoefficients:
