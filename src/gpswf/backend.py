@@ -10,10 +10,12 @@ computes eigenvectors.
 The Jacobi recurrence :func:`_jacobi_rows` has two paths with bitwise the
 same values.  At one point (x = 0 for the sign convention and psi_n(0)) it
 steps in Python floats; at several points (probes, grids, Gauss nodes) it
-writes each step into its output row with ``out=`` ufuncs.  At these sizes
-both cost NumPy call overhead rather than arithmetic, which is what they
-cut.  Callers that keep rows (the Gauss-node and sup-grid memos) sum over
-them with :func:`table_series`, in the same blocks.
+writes each step into its output rows with ``out=`` ufuncs, taking a
+block's row views from one list per derivative order rather than indexing
+them step by step.  At these sizes both cost NumPy call overhead rather
+than arithmetic, which is what they cut.  Callers that keep rows (the
+Gauss-node and sup-grid memos) sum over them with :func:`table_series`, in
+the same blocks.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
@@ -68,8 +70,9 @@ def _jacobi_rows(rec, p0, kmax, x, nderiv, chunk):
     Jt_{k-1}) / rec[k+1]``, with ``rec`` read as Python floats.  One point
     steps in Python floats, which round each operation as NumPy does (no
     FMA) without its per-call overhead.  Several points step one derivative
-    order at a time with ``out=`` ufuncs on 1-d row views: each step writes
-    its row of the block in place, with one scratch vector, and the next
+    order at a time with ``out=`` ufuncs on 1-d row views, made once per
+    block: each step writes its rows of the block in place, with one
+    scratch vector, and ``prev`` and ``cur`` are per-order vectors; the next
     block's first steps read the last rows of the one before, so a caller
     must not write to a block before asking for the next.
     """
@@ -77,25 +80,23 @@ def _jacobi_rows(rec, p0, kmax, x, nderiv, chunk):
     if x.size == 1:
         yield from _jacobi_rows_one(recs, p0, kmax, x.item(), nderiv, chunk)
         return
-    prev = np.zeros((nderiv + 1, x.size))
-    cur = np.zeros((nderiv + 1, x.size))
-    cur[0] = p0
+    prev = [np.zeros(x.size) for _ in range(nderiv + 1)]
+    cur = [np.full(x.size, p0, dtype=float)] + prev[1:]
     tmp = np.empty(x.size)
     for k0 in range(0, kmax + 1, chunk):
         rows = np.empty((nderiv + 1, min(chunk, kmax + 1 - k0), x.size))
-        for i in range(rows.shape[1]):
-            k = k0 + i
+        # one tuple of row views per step: rows[d, i] for every order d
+        for k, step in enumerate(zip(*map(list, rows)), k0):
             if k == 0:
                 rows[:, 0] = cur
                 continue
-            for d in range(nderiv + 1):
-                row = rows[d, i]
+            for d, row in enumerate(step):
                 np.multiply(x, cur[d], out=row)
                 if d:
                     row += np.multiply(float(d), cur[d - 1], out=tmp)
                 row -= np.multiply(recs[k - 1], prev[d], out=tmp)
                 row /= recs[k]
-            prev, cur = cur, rows[:, i]
+            prev, cur = cur, step
         yield k0, rows
 
 

@@ -308,7 +308,8 @@ def compute_spectrum(basis):
     the phase convention disagrees with quadrature, when a lambda exceeds 1,
     and when log lambda increases by more than 1e-12 (the log form of a
     1e-12 relative rise, which stays strict where lambda underflows).
-    The checks run n by n, so the first n that fails one raises.
+    The checks run over all n at once; the first n that fails one raises,
+    with the probe checked before lambda <= 1 and that before the decrease.
     """
     _check_phase(basis)
     ns = range(basis.nmax)
@@ -323,45 +324,58 @@ def compute_spectrum(basis):
         rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
     floors = _probe_floors(basis, rows, vals)
     ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
-    entries = []
-    prev_log_lam = None
-    for n in ns:
-        p = n % 2
-        mu = _mu_from_boundary(basis, n, at0[:, n])
-        mu_abs = abs(mu)
-        keep = ranked[n]
-        # psi_n's coefficients vanish off its parity: sum only its orders
-        terms = (basis.beta[n] * rows[keep, p::2]).tolist()
-        devs = np.array([abs(_fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])])
-        kept_floors = floors[n, keep]
-        spread, floor = float(devs.max()), float(kept_floors[-1])
-        # a mu of 0 with sums of 0 would pass the comparisons vacuously
-        if (mu_abs == 0.0 or floor > _PROBE_TOL * mu_abs
-                or np.any(devs > _PROBE_TOL * mu_abs + kept_floors)):
-            if mu_abs < np.finfo(float).tiny:  # subnormal or zero
-                raise ConsistencyError(
-                    f"|mu_n| = {mu_abs:.3e} at n={n} underflowed below the smallest "
-                    f"normal double, so the probes cannot check it (absolute "
-                    f"spread {spread:.3e}, floor {floor:.3e})")
+    # psi_n's coefficients vanish off its parity: each n sums only its
+    # orders, exactly rounded as in _fc_sum, the products gathered for
+    # blocks of _FLOOR_BLOCK n of one parity and read as one list per n
+    sums = np.empty(ranked.shape)
+    for p in (0, 1):
+        for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
+            block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
+            prods = basis.beta[block, None, :] * rows[ranked[block], p::2]
+            sums[block] = [list(map(math.fsum, n_prods.tolist())) for n_prods in prods]
+    # scalar expressions: mu_phase prints its sign of zero, and an array
+    # square may round differently from pow
+    mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]
+    mu_abs = [abs(mu) for mu in mus]
+    lams = [basis.c / (2.0 * math.pi) * a ** 2 for a in mu_abs]
+    log_lams = [_log_lambda(a, basis.c) for a in mu_abs]
+    # an even (odd) n's sums are mu's real (imaginary) part times psi_n(x*)
+    # and the other parts are zero, so this is |ratio - mu| bit for bit
+    on_axis = np.array([mu.imag if n % 2 else mu.real for n, mu in zip(ns, mus)])
+    kept = (np.arange(basis.nmax)[:, None], ranked)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        devs = np.abs(sums / vals[kept] - on_axis[:, None])
+    kept_floors = floors[kept]
+    spread, floor = devs.max(axis=1).tolist(), kept_floors[:, -1].tolist()
+    # a mu of 0 with sums of 0 would pass the comparisons vacuously
+    tol = _PROBE_TOL * np.array(mu_abs)
+    probe_bad = ((np.array(mu_abs) == 0.0) | (kept_floors[:, -1] > tol)
+                 | np.any(devs > tol[:, None] + kept_floors, axis=1))
+    lam_bad = np.array(lams) > 1.0 + 1e-9
+    log_lam = np.array(log_lams)
+    rising = np.r_[False, log_lam[1:] > log_lam[:-1] + 1e-12]
+    failed = np.flatnonzero(probe_bad | lam_bad | rising)
+    if failed.size:
+        n = int(failed[0])
+        if probe_bad[n] and mu_abs[n] < np.finfo(float).tiny:  # subnormal or zero
             raise ConsistencyError(
-                f"mu probe spread {spread / mu_abs:.3e} (floor {floor / mu_abs:.3e}) "
-                f"exceeds {_PROBE_TOL:.1e} at n={n} (insufficient truncation?)")
-        # scalar expressions: an array square may round differently from pow
-        lam = basis.c / (2.0 * math.pi) * mu_abs ** 2
-        log_lam = _log_lambda(mu_abs, basis.c)
-        if lam > 1.0 + 1e-9:
-            raise ConsistencyError(f"lambda_{n} = {lam!r} exceeds 1")
-        if prev_log_lam is not None and log_lam > prev_log_lam + 1e-12:
-            raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
-        prev_log_lam = log_lam
-        phase = mu / mu_abs if mu_abs > 0.0 else complex(1.0)
-        bound = decay_bound_check(n, mu_abs, basis.alpha, basis.c)
-        entries.append(SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs,
-                                     mu_phase=phase, lam=lam, log_lam=log_lam,
-                                     bound=bound,
-                                     probe_spread=spread,
-                                     probe_floor=floor / mu_abs))
-    return entries
+                f"|mu_n| = {mu_abs[n]:.3e} at n={n} underflowed below the smallest "
+                f"normal double, so the probes cannot check it (absolute "
+                f"spread {spread[n]:.3e}, floor {floor[n]:.3e})")
+        if probe_bad[n]:
+            raise ConsistencyError(
+                f"mu probe spread {spread[n] / mu_abs[n]:.3e} (floor "
+                f"{floor[n] / mu_abs[n]:.3e}) exceeds {_PROBE_TOL:.1e} at n={n} "
+                f"(insufficient truncation?)")
+        if lam_bad[n]:
+            raise ConsistencyError(f"lambda_{n} = {lams[n]!r} exceeds 1")
+        raise ConsistencyError(f"lambda sequence not decreasing at n={n}")
+    return [SpectrumEntry(n=n, chi=float(basis.chi[n]), mu_abs=mu_abs[n],
+                          mu_phase=mus[n] / mu_abs[n] if mu_abs[n] > 0.0 else complex(1.0),
+                          lam=lams[n], log_lam=log_lams[n],
+                          bound=decay_bound_check(n, mu_abs[n], basis.alpha, basis.c),
+                          probe_spread=spread[n], probe_floor=floor[n] / mu_abs[n])
+            for n in ns]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import gpswf
@@ -232,9 +232,11 @@ _FN_SPECS = st.one_of(
 
 
 # at an extreme s, k**s and lambda**((s-2) k) overflow to inf and the term's
-# amplitude to 0, its limit; NumPy warns on the way
+# amplitude to 0, its limit; NumPy warns on the way.  No shrink phase: when
+# project raises on every input, shrinking alone takes minutes
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(_FN_SPECS)
 def test_fn_spec_exits_0_only_with_finite_numbers(spec):
     # finite but extreme parameters are refused, or projected to finite

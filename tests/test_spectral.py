@@ -264,10 +264,30 @@ def test_one_pass_spectrum_matches_per_n_evaluation(alpha, c, nmax):
         assert e.probe_floor == pytest.approx(floors[-1] / abs(mu), rel=16 * EPS)
 
 
+@pytest.mark.parametrize("alpha,c,nmax", [(0.5, 2.0, 24), (2.5, 20 * math.pi, 93)])
+def test_probe_checks_equal_the_per_n_complex_form(alpha, c, nmax):
+    # the whole-array checks compare each sum on mu's axis; per n, the
+    # complex abs(sum / psi_n(x*) - mu) over the same kept candidates gives
+    # the same doubles
+    b = B.build_basis(alpha, c, nmax)
+    rows = spectral._fc_term_rows(b.alpha, 2 * b.trunc - 1, b.c * spectral._PROBE_X)
+    vals = b.psi(range(b.nmax), spectral._PROBE_X, 0)[0]
+    floors = spectral._probe_floors(b, rows, vals)
+    ranked = np.argsort(floors, axis=1)[:, :spectral._N_PROBES]
+    at0 = B._psi_at0(b)
+    for e in spectral.compute_spectrum(b):
+        n, p, keep = e.n, e.n % 2, ranked[e.n]
+        mu = spectral._mu_from_boundary(b, n, at0[:, n])
+        terms = (b.beta[n] * rows[keep, p::2]).tolist()
+        devs = [abs(spectral._fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])]
+        assert e.probe_spread == max(devs)
+        assert e.probe_floor == float(floors[n, keep[-1]]) / abs(mu)
+
+
 @pytest.mark.parametrize("rows", [(1,), (9, 6), (11, 3), (20,)])
 def test_perturbed_rows_raise_at_the_first_n(basis_05_2, rows):
-    # the checks still run n by n: the first perturbed n raises (the golden
-    # file pins each message)
+    # the first perturbed n raises, whatever fails after it (the golden file
+    # pins each message)
     beta = np.array(basis_05_2.beta)
     for n in rows:
         beta[n, 1] += 0.01  # mix a neighboring mode into one eigenvector
@@ -276,20 +296,73 @@ def test_perturbed_rows_raise_at_the_first_n(basis_05_2, rows):
         spectral.compute_spectrum(dataclasses.replace(basis_05_2, beta=beta))
 
 
-def test_spectrum_peak_memory_stays_small():
-    # the floor product runs in blocks of n: all n at once would hold
-    # nmax x 32 x trunc doubles (2.3 MB here) per temporary
-    b = B.build_basis(2.5, 20 * math.pi, 93)
+def _swapped_beta(basis, perturbed):
+    """beta with rows 4 and 6 swapped, then a neighbouring mode mixed into
+    each row of ``perturbed``."""
+    beta = np.array(basis.beta)
+    beta[[4, 6]] = beta[[6, 4]]
+    for n in perturbed:
+        beta[n, 1] += 0.01
+        beta[n] /= np.linalg.norm(beta[n])
+    return beta
+
+
+@pytest.mark.parametrize("perturbed,match", [
+    ((), r"^lambda sequence not decreasing at n=5$"),
+    ((9,), r"^lambda sequence not decreasing at n=5$"),
+    ((3,), r"^mu probe spread .* at n=3 "),
+])
+def test_first_failing_n_raises_whichever_check_fails(basis_05_2, perturbed, match):
+    # psi_4 carries psi_6's coefficients: its probes agree on mu_6, and the
+    # rise from lambda_4 to lambda_5 fails the decreasing check at n=5; a
+    # probe failure at a later n does not raise first, one at an earlier n does
+    bad = dataclasses.replace(basis_05_2, beta=_swapped_beta(basis_05_2, perturbed))
+    with pytest.raises(ConsistencyError, match=match):
+        spectral.compute_spectrum(bad)
+
+
+def test_lambda_above_one_raises_before_its_rise(basis_05_2, monkeypatch):
+    # psi_3'(0) nearly cancels, so mu_3 from the boundary identity grows a
+    # thousandfold: at n=3 the probes fail first; with them passed, lambda_3
+    # both exceeds 1 and rises from lambda_2, and lambda <= 1 is named
+    d = specfun.jacobi_table(0.5, 3, np.array([0.0]), nderiv=1)[1, :, 0]
+    beta = np.array(basis_05_2.beta)
+    beta[3] = 0.0
+    beta[3, :2] = d[3], -0.999 * d[1]
+    beta[3] /= np.linalg.norm(beta[3])
+    bad = dataclasses.replace(basis_05_2, beta=beta)
+    with pytest.raises(ConsistencyError, match=r"^mu probe spread .* at n=3 "):
+        spectral.compute_spectrum(bad)
+    monkeypatch.setattr(spectral, "_PROBE_TOL", math.inf)
+    with pytest.raises(ConsistencyError, match=r"^lambda_3 = .* exceeds 1$"):
+        spectral.compute_spectrum(bad)
+
+
+def _warm_spectrum_peak(b):
+    """tracemalloc peak of compute_spectrum(b) with its Gauss rule warm and
+    the x = 0 values and transform terms cold, in bytes."""
     spectral.compute_spectrum(b)
     B._psi_at0.cache_clear()
     spectral._fc_terms.cache_clear()
     tracemalloc.start()
     try:
         spectral.compute_spectrum(b)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
+
+
+def test_spectrum_peak_memory_stays_small():
+    # the floor product runs in blocks of n: all n at once would hold
+    # nmax x 32 x trunc doubles (2.3 MB here) per temporary
+    assert _warm_spectrum_peak(B.build_basis(2.5, 20 * math.pi, 93)) < 1_000_000
+
+
+def test_probe_gather_stays_blocked():
+    # the kept candidates' terms are gathered in blocks of n too: every n of
+    # one parity at once would hold nmax/2 x 5 x trunc doubles (0.9 MB here)
+    # per temporary
+    assert _warm_spectrum_peak(B.build_basis(0.5, 200.0, 230)) < 1_800_000
 
 
 class TestDecayBounds:
