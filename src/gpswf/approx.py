@@ -443,10 +443,22 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     for lo in range(0, K, _EVAL_BLOCK):
         hi = min(lo + _EVAL_BLOCK, K)
         rows = _wm_term_rows(basis.alpha, kmax, lam, lo, hi)
-        for k in np.arange(lo, hi):
-            # Im of the transform value for odd-parity coefficient vectors
-            out[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k - lo])
+        # Im of the transform value for odd-parity coefficient vectors, one
+        # term per k; scalar powers, since a vectorised pow may round
+        # differently
+        amps = np.array([float(lam ** (-(2.0 - s) * k)) for k in np.arange(lo, hi)])
+        terms = amps[:, None] * _row_products(coefs, rows)
+        # the running sum from out, adding the terms in the order of k
+        out[1::2] = np.cumsum(np.concatenate([out[None, 1::2], terms]), axis=0)[-1]
     return out
+
+
+def _row_products(coefs, rows):
+    """``coefs @ row`` for every row of ``rows``, as one stacked matrix-vector
+    product: NumPy runs it as the same gemv per row, so each result is
+    bitwise the row's own product, where ``rows @ coefs.T`` (a gemm) may
+    round differently."""
+    return np.matmul(coefs, rows[:, :, None])[:, :, 0]
 
 
 def _grown_lru(maxsize, nkey):
@@ -512,14 +524,18 @@ def _cos_transforms(alpha, u):
     call; W(0) is the weight mass.  A W(u_i) that is not a finite double
     raises DomainError, naming alpha and u_i."""
     u = np.asarray(u, dtype=float)
-    bessel = specfun.bessel_j(alpha + 0.5, u).tolist()
+    bessel = specfun.bessel_j(alpha + 0.5, u)
     try:
         gamma = math.exp(specfun.ln_gamma(alpha + 1.0))
     except OverflowError:
         gamma = math.inf  # refused below, at the first u > 0
-    w = np.array([spectral._fc_pref(alpha, uk) * gamma * jv if uk
-                  else specfun.weight_mass(alpha)
-                  for uk, jv in zip(u.tolist(), bessel)])
+    # the prefactor per argument (a vectorised pow may round differently),
+    # then pref * gamma * J as arrays, in the scalar expression's order
+    pos = u != 0.0
+    pref = np.array([spectral._fc_pref(alpha, uk) for uk in u[pos].tolist()])
+    w = np.full(u.size, specfun.weight_mass(alpha))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w[pos] = pref * gamma * bessel[pos]
     bad = ~np.isfinite(w)
     if bad.any():
         raise DomainError(f"the cosine transform W(u) is not a finite double at "
@@ -602,15 +618,25 @@ def cosine_transform_table(basis, k_max, N):
     noise gets amplified by the endpoint growth of psi_n).
     """
     _check_N(basis, N)
+    if not (_is_integer(k_max) and k_max >= 1):
+        raise DomainError(f"k_max={k_max!r} must be an integer >= 1")
     coefs = basis.full_coefficients(range(0, N, 2))
     kmax = coefs.shape[1] - 1
     table = np.zeros((k_max, N))
     block = 256  # frequencies per batched ladder; bounds its memory
     for lo in range(0, k_max, block):
         u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
-        for i, terms in enumerate(spectral._fc_term_rows(basis.alpha, kmax, u)):
-            table[lo + i, 0::2] = coefs @ terms
+        rows = spectral._fc_term_rows(basis.alpha, kmax, u)
+        table[lo:lo + u.size, 0::2] = _row_products(coefs, rows)
     return table
+
+
+def _amplitudes(weighted_amplitudes):
+    """The y_k of a cosine series as floats; a series needs at least one."""
+    y = np.asarray(weighted_amplitudes, dtype=float)
+    if y.size < 1:
+        raise DomainError("a cosine series needs at least one amplitude y_k")
+    return y
 
 
 def cosine_series_norm2(alpha, weighted_amplitudes):
@@ -620,7 +646,7 @@ def cosine_series_norm2(alpha, weighted_amplitudes):
     The autocorrelation and the self-convolution of y come from one
     zero-padded real FFT of length L >= 2K - 1, O(K log K) in place of two
     O(K^2) direct products."""
-    y = np.asarray(weighted_amplitudes, dtype=float)
+    y = _amplitudes(weighted_amplitudes)
     K = y.size
     w = _cos_transform_table(alpha, 2 * K)
     L = 1 << (2 * K - 2).bit_length()  # the smallest power of two >= 2K - 1
@@ -637,11 +663,18 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
 
     Returns (coefficients, l2w_error).  ``weighted_amplitudes`` are the y_k
     (amplitude over k^s already applied).  The error uses Parseval in the
-    orthonormal basis with ||f||^2 from :func:`cosine_series_norm2`.
+    orthonormal basis with ||f||^2 from :func:`cosine_series_norm2`.  A
+    ``table`` from :func:`cosine_transform_table` needs one row per y_k and
+    at least N columns.
     """
-    y = np.asarray(weighted_amplitudes, dtype=float)
+    y = _amplitudes(weighted_amplitudes)
+    _check_N(basis, N)
     if table is None:
         table = cosine_transform_table(basis, y.size, N)
+    shape = np.shape(table)
+    if len(shape) != 2 or shape[0] != y.size or shape[1] < N:
+        raise DomainError(f"a table of shape {shape} does not serve {y.size} "
+                          f"amplitudes at N={N}: it needs shape ({y.size}, >= {N})")
     coeffs = y @ table[:, :N]
     err2 = cosine_series_norm2(basis.alpha, y) - float(np.sum(coeffs ** 2))
     return coeffs, math.sqrt(max(err2, 0.0))
@@ -653,12 +686,18 @@ def periodic_coefficient(basis, k, n):
         raise DomainError(f"basis index {n!r} is not an integer")
     if not 0 <= n < basis.nmax:
         raise DomainError(f"basis index {n} out of range")
+    try:
+        u = abs(k) * math.pi
+    except OverflowError:
+        u = math.inf
+    if not math.isfinite(u):
+        raise DomainError(f"the frequency |k| pi is not a finite double at k={k!r}")
     row = basis.beta[n]
     if k == 0:
         if n % 2 == 1:
             return 0.0j
         return complex(row[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    val = spectral._fc_series(basis.alpha, row, n % 2, abs(k) * math.pi)
+    val = spectral._fc_series(basis.alpha, row, n % 2, u)
     if k < 0:
         val = val.conjugate()
     return val

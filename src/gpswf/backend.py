@@ -19,17 +19,20 @@ the same blocks.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
-alone.  Arguments in the upward regime share one vectorised recurrence, which
+alone.  One array expression splits the arguments between the regimes.
+Arguments in the upward regime share one vectorised recurrence, which
 starts from one array Hankel sum per start order, its phase from libm's
 ``cos`` and ``sin`` of x, which reduce every double exactly.  Miller-regime
-arguments run in blocks of ``_MILLER_BLOCK`` through one array backward
-recurrence, in which each column starts at its own order and rescales on its
-own, so every step is the same IEEE operations as the one-argument recurrence
-:func:`_ladder_miller`; a block of fewer than ``_MILLER_LONE`` arguments runs
-that recurrence per argument instead.  The closing normalisation stays a
-per-element ``math.log``/``math.exp`` pass.  A block's work arrays hold at
-most (jtop + 7 count) * 32 doubles, 0.85 MB at count 394.  Both Miller paths
-read one memoised table of Neumann coefficients per base order.
+arguments run in blocks through one array backward recurrence each, in which
+each column starts at its own order and rescales on its own, so every step is
+the same IEEE operations as the one-argument recurrence
+:func:`_ladder_miller`; a set of fewer than ``_MILLER_LONE`` arguments runs
+that recurrence per argument instead.  A block's work arrays hold (jtop + 7
+count) doubles per argument, so the blocks are sized in bytes: as many
+arguments as fit in ``_MILLER_BYTES`` (0.85 MB), never fewer than
+``_MILLER_MIN`` (32), split evenly.  The closing normalisation stays a
+per-element ``math.log``/``math.exp`` pass.  Both Miller paths read one
+memoised table of Neumann coefficients per base order.
 """
 
 import math
@@ -378,7 +381,9 @@ def _ladder_upward(nu0, count, xs):
 
 
 def _upward_regime(nu0, count, x):
-    return x > _MILLER_X_MAX and not nu0 + count - 1 > 0.88 * x
+    """Which arguments of the array ``x`` take the upward recurrence: x past
+    ``_MILLER_X_MAX`` with every order at most 0.88 x."""
+    return (x > _MILLER_X_MAX) & ~(nu0 + count - 1 > 0.88 * x)
 
 
 def _ladder_zero(nu0, count):
@@ -388,14 +393,29 @@ def _ladder_zero(nu0, count):
     return ladder
 
 
-# Arguments per batched Miller recurrence: its work arrays hold at most
-# (jtop + 7 count) x 32 doubles, and larger blocks raised peak RSS for little
-# further speed.
-_MILLER_BLOCK = 32
+# Bytes a batched Miller recurrence may hold: its work arrays take (jtop + 7
+# count) doubles per argument, and a block takes as many arguments as fit,
+# but never fewer than _MILLER_MIN.
+_MILLER_BYTES = 850_000
+_MILLER_MIN = 32
 # Below this many arguments a block runs _ladder_miller per argument: at
 # count 181, 9 arguments (x = 1..256) took 3.5 ms as a block and 1.4 ms
 # alone, and 32 about tie (timings in README).
 _MILLER_LONE = 16
+
+
+def _miller_blocks(count, tops):
+    """Bounds ``(lo, hi)`` of the blocks of Miller arguments, sorted by
+    descending start order ``tops``: as few blocks as hold every argument
+    within ``_MILLER_BYTES`` at the largest start order (or ``_MILLER_MIN``
+    arguments each), split evenly, so each block but a lone set of fewer
+    than ``_MILLER_LONE`` arguments runs as one array recurrence."""
+    if not tops:
+        return []
+    width = max(_MILLER_MIN, _MILLER_BYTES // (8 * (tops[0] + 7 * count)))
+    nblocks = -(-len(tops) // width)
+    bounds = [len(tops) * i // nblocks for i in range(nblocks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def bessel_ladder(nu0, count, x):
@@ -403,23 +423,23 @@ def bessel_ladder(nu0, count, x):
     of x_i >= 0, as an array of shape (len(x), count).  Row i is bitwise the
     same whatever other arguments share the call.
 
-    Miller-regime arguments are sorted by start order and run in blocks of
-    ``_MILLER_BLOCK`` through one array recurrence each; a block of fewer
-    than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per argument,
-    which is faster there (a lone argument by about ten times).  Upward-regime
-    arguments share one array Hankel start and one recurrence.
+    Miller-regime arguments are sorted by start order and run in the blocks
+    of :func:`_miller_blocks` through one array recurrence each; a block of
+    fewer than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per
+    argument, which is faster there (a lone argument by about ten times).
+    Upward-regime arguments share one array Hankel start and one recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.tolist()
     out = np.empty((x.size, count))
-    up = np.array([_upward_regime(nu0, count, xi) for xi in xs], dtype=bool)
+    up = _upward_regime(nu0, count, x)
     zero = x == 0.0
     out[zero] = _ladder_zero(nu0, count)
     miller = np.flatnonzero(~up & ~zero).tolist()
     tops = {i: _miller_top(nu0, count, xs[i]) for i in miller}
     miller.sort(key=tops.get, reverse=True)
-    for lo in range(0, len(miller), _MILLER_BLOCK):
-        block = miller[lo:lo + _MILLER_BLOCK]
+    for lo, hi in _miller_blocks(count, [tops[i] for i in miller]):
+        block = miller[lo:hi]
         if len(block) < _MILLER_LONE:
             for i in block:
                 out[i] = _ladder_miller(nu0, count, xs[i])

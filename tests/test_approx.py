@@ -649,6 +649,23 @@ class TestSharedTransformsOracle:
             assert (approx._wm_term_rows(0.5, kmax, 1.03, lo, hi).tobytes()
                     == _fresh_term_rows(0.5, kmax, 1.03, lo, hi).tobytes())
 
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_wm_coefficients_equal_the_per_k_loop(self, basis_wm, s):
+        # the stacked products and the running sum over k, across both
+        # _EVAL_BLOCK blocks of lambda 1.03, against one product and one
+        # add per term in the order of k
+        lam, N = 1.03, 24
+        K = approx.wm_truncation(s, lam)
+        assert K > approx._EVAL_BLOCK
+        coefs = basis_wm.full_coefficients(range(1, N, 2))
+        rows = _fresh_term_rows(basis_wm.alpha, coefs.shape[1] - 1, lam, 0, K)
+        ref = np.zeros(N)
+        for k in np.arange(K):
+            ref[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k])
+        _clear_wm_caches()
+        got = approx.wm_all_coefficients(basis_wm, s, lam, N)
+        assert got.tobytes() == ref.tobytes()
+
     @pytest.mark.parametrize("k_max", [1, 255, 256, 257, 4000])
     def test_cosine_table_across_batches(self, brownian_table, k_max):
         # a row reads the same whichever 256-frequency batch computes it
@@ -734,6 +751,17 @@ class TestCosineSeries:
         with pytest.raises(ValueError):
             w[0] = 0.0
 
+    @pytest.mark.parametrize("alpha", [0.1, 2.0])
+    def test_transforms_equal_the_scalar_expression(self, alpha):
+        # the array products against the Python-float expression per
+        # argument; at these alphas a vectorised pow for the prefactor
+        # rounds some of these arguments differently
+        u = np.concatenate([np.arange(301) * math.pi, np.geomspace(1e-3, 1e5, 500)])
+        gamma = math.exp(math.lgamma(alpha + 1.0))
+        ref = np.array([spectral._fc_pref(alpha, v) * gamma * specfun.bessel_j(alpha + 0.5, v)
+                        if v else specfun.weight_mass(alpha) for v in u.tolist()])
+        assert approx._cos_transforms(alpha, u).tobytes() == ref.tobytes()
+
     def test_cosine_transform_table_bitwise(self, basis_05_2):
         b = basis_05_2
         table = approx.cosine_transform_table(b, 300, 6)
@@ -743,6 +771,61 @@ class TestCosineSeries:
             ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)
             assert table[k - 1, [0, 2, 4]].tobytes() == ref.tobytes()
         assert not np.any(table[:, 1::2])
+
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_cosine_table_rows_equal_per_row_products(self, alpha):
+        # the projection bases: every row of the stacked product is the
+        # row's own coefs @ terms, which a gemm (terms @ coefs.T) is not
+        b = B.build_basis(alpha, 5 * math.pi, 96)
+        table = approx.cosine_transform_table(b, 4000, 91)
+        coefs = b.full_coefficients(range(0, 91, 2))
+        rows = spectral._fc_term_rows(alpha, coefs.shape[1] - 1,
+                                      np.arange(1, 4001) * math.pi)
+        ref = np.array([coefs @ terms for terms in rows])
+        assert table[:, 0::2].tobytes() == ref.tobytes()
+        assert not np.any(table[:, 1::2])
+
+    def test_projection_refuses_a_table_of_another_shape(self):
+        # a table must have one row per amplitude and at least N columns: a
+        # 10-column table at N = 15 read 10 coefficients and an l2w error
+        # of 0.107 where the true one is 0.0368
+        b = B.build_basis(0.5, 5 * math.pi, 20)
+        y = 1.0 / np.arange(1, 51) ** 2
+        _, err = approx.cosine_series_projection(b, y, 15)
+        assert err == pytest.approx(0.0368, abs=1e-4)
+        wide = approx.cosine_transform_table(b, 50, 20)
+        coeffs, wide_err = approx.cosine_series_projection(b, y, 15, table=wide)
+        assert coeffs.size == 15 and wide_err == pytest.approx(err, rel=1e-12)
+        narrow = approx.cosine_transform_table(b, 50, 10)
+        with pytest.raises(DomainError, match=r"shape \(50, 10\) .* \(50, >= 15\)"):
+            approx.cosine_series_projection(b, y, 15, table=narrow)
+
+    @pytest.mark.parametrize("k_max", [40, 60])
+    def test_projection_refuses_a_table_of_other_rows(self, k_max):
+        b = B.build_basis(0.5, 5 * math.pi, 20)
+        y = 1.0 / np.arange(1, 51) ** 2
+        table = approx.cosine_transform_table(b, k_max, 15)
+        with pytest.raises(DomainError, match=rf"shape \({k_max}, 15\) .* \(50, >= 15\)"):
+            approx.cosine_series_projection(b, y, 15, table=table)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda b: approx.cosine_transform_table(b, -1, 4), r"^k_max=-1 must be an integer >= 1$"),
+    (lambda b: approx.cosine_transform_table(b, 0, 4), r"^k_max=0 must be"),
+    (lambda b: approx.cosine_transform_table(b, 2.5, 4), r"^k_max=2\.5 must be"),
+    (lambda b: approx.cosine_series_norm2(b.alpha, []), "at least one amplitude"),
+    (lambda b: approx.cosine_series_projection(b, [], 4), "at least one amplitude"),
+    (lambda b: approx.periodic_coefficient(b, 10 ** 400, 3), r"not a finite double at k=10{400}$"),
+    (lambda b: approx.periodic_coefficient(b, -10 ** 400, 2), r"not a finite double at k=-10{400}$"),
+    (lambda b: approx.periodic_coefficient(b, math.inf, 3), r"not a finite double at k=inf$"),
+], ids=["k_max_negative", "k_max_zero", "k_max_float", "norm_empty",
+        "projection_empty", "k_past_double", "k_past_double_negative", "k_inf"])
+def test_transform_edges_raise_domain_error(basis_05_2, call, match):
+    # each names the argument, as _check_N does, not a bare ValueError,
+    # TypeError, IndexError or OverflowError from NumPy or float()
+    with pytest.raises(DomainError, match=match):
+        call(basis_05_2)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])

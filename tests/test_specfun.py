@@ -146,34 +146,66 @@ class TestBesselJ:
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
     # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and reaches
     # arguments far past 2^53, where libm's reduction of x mod 2 pi is the
-    # whole phase; the 75 Miller arguments in (0, 370] fill several batched
-    # blocks, each mixing start orders more than 100 apart, and rescale at
-    # different steps (the recurrence grows by about 2 nu / x per step)
+    # whole phase
     LADDER_X = (0.0, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
                 454.0, 1000.0, 5000.0, 8000.0 * math.pi, 2.0 ** 41, 1e40, 1e60,
                 1e300) + tuple(np.geomspace(0.01, 360.0, 70))
+    # with these, the Miller arguments in (0, 370] fill several batched
+    # blocks at every count (a block at count 1 takes about 160 of them),
+    # each mixing start orders more than 100 apart, and rescale at different
+    # steps (the recurrence grows by about 2 nu / x per step)
+    MILLER_FILL = tuple(np.geomspace(0.02, 350.0, 300))
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
+    @pytest.mark.parametrize("count", [1, 2, 400])
+    def test_regime_mask_equals_scalar_rule(self, nu0, count):
+        scalar = [x > 370.0 and not nu0 + count - 1 > 0.88 * x for x in self.LADDER_X]
+        assert scalar.count(True) >= 5 and scalar.count(False) >= 70
+        mask = backend._upward_regime(nu0, count, np.array(self.LADDER_X))
+        assert mask.tolist() == scalar
 
     @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25])
     @pytest.mark.parametrize("count", [1, 2, 400])
     def test_batched_ladder_bitwise_equals_scalar(self, nu0, count):
-        miller = [x for x in self.LADDER_X
-                  if 0.0 < x and not backend._upward_regime(nu0, count, x)]
-        tops = sorted((backend._miller_top(nu0, count, x) for x in miller),
+        x = np.array(self.LADDER_X + self.MILLER_FILL)
+        miller = x[(x > 0.0) & ~backend._upward_regime(nu0, count, x)].tolist()
+        tops = sorted((backend._miller_top(nu0, count, v) for v in miller),
                       reverse=True)
-        blocks = [tops[i:i + backend._MILLER_BLOCK]
-                  for i in range(0, len(tops), backend._MILLER_BLOCK)]
-        assert len(blocks) >= 3
+        blocks = [tops[lo:hi] for lo, hi in backend._miller_blocks(count, tops)]
+        assert len(blocks) >= 3 and min(map(len, blocks)) >= backend._MILLER_LONE
         assert max(b[0] - b[-1] for b in blocks) > 100
-        rows = backend.bessel_ladder(nu0, count, np.array(self.LADDER_X))
-        assert rows.shape == (len(self.LADDER_X), count)
-        for x, row in zip(self.LADDER_X, rows):
-            assert row.tobytes() == backend.bessel_ladder(nu0, count, [x])[0].tobytes()
-            if x > 370.0 and nu0 + count - 1 <= 0.88 * x:
+        rows = backend.bessel_ladder(nu0, count, x)
+        assert rows.shape == (x.size, count)
+        for v, row in zip(x.tolist(), rows):
+            assert row.tobytes() == backend.bessel_ladder(nu0, count, [v])[0].tobytes()
+            if v > 370.0 and nu0 + count - 1 <= 0.88 * v:
                 # upward regime: the plain-float recurrence, step by step
-                ref = [oracles._hankel_j(nu0, x), oracles._hankel_j(nu0 + 1.0, x)]
+                ref = [oracles._hankel_j(nu0, v), oracles._hankel_j(nu0 + 1.0, v)]
                 for j in range(2, count):
-                    ref.append((2.0 * (nu0 + j - 1) / x) * ref[j - 1] - ref[j - 2])
+                    ref.append((2.0 * (nu0 + j - 1) / v) * ref[j - 1] - ref[j - 2])
                 assert row.tobytes() == np.array(ref[:count]).tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 194, 394, 1000])
+    def test_miller_blocks_fit_their_bytes(self, count):
+        # every block's work arrays, (jtop + 7 count) doubles per argument,
+        # fit in _MILLER_BYTES or are at most _MILLER_MIN arguments wide;
+        # the blocks split their arguments evenly, and two of them together
+        # would not fit
+        x = np.geomspace(0.01, 370.0, 700)
+        tops = sorted((backend._miller_top(0.25, count, v) for v in x.tolist()),
+                      reverse=True)
+        bounds = backend._miller_blocks(count, tops)
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(tops)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+        sizes = [hi - lo for lo, hi in bounds]
+        assert len(sizes) > 1 and max(sizes) - min(sizes) <= 1
+        for lo, hi in bounds:
+            column = 8 * (tops[lo] + 7 * count)
+            assert (hi - lo) * column <= max(backend._MILLER_BYTES,
+                                             backend._MILLER_MIN * column)
+        column = 8 * (tops[0] + 7 * count)
+        assert (sizes[0] + sizes[1]) * column > max(backend._MILLER_BYTES,
+                                                    backend._MILLER_MIN * column)
 
     def test_batched_orders_bitwise_equal_scalar(self):
         x = np.array([3.0, 371.5, 2222.0])
@@ -208,7 +240,7 @@ class TestUpwardStart:
     def test_upward_ladder_against_mpmath(self, nu0):
         orders = (0, 1, 5)
         x = np.array(self.MP_X)
-        assert all(backend._upward_regime(nu0, orders[-1] + 1, v) for v in self.MP_X)
+        assert backend._upward_regime(nu0, orders[-1] + 1, x).all()
         rows = backend.bessel_ladder(nu0, orders[-1] + 1, x)
         worst = 0.0
         with mp.workdps(30):
