@@ -365,7 +365,7 @@ def project(basis, f, N, quad_order=None):
     else:
         res_rule = specfun.gauss_jacobi(basis.alpha, res_order)
         res_f = f(res_rule.nodes)
-        res_tab = _rule_psi(basis, res_rule, N)
+        res_tab = _rule_psi(basis, res_rule, N, kind="residual_rows")
     resid = res_f - coeffs @ res_tab
     l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
                                              np.abs(resid) ** 2))), 0.0))
@@ -373,12 +373,13 @@ def project(basis, f, N, quad_order=None):
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
 
 
-def _rule_psi(basis, rule, N):
-    """psi_n, n < N, at the nodes of a Gauss rule, shape (N, rule.order):
-    ``basis.psi_table(rule.nodes, range(N))`` bit for bit, summed over the
-    rule's memoised Jacobi rows (:func:`specfun._rule_rows`) in place of a
-    fresh recurrence."""
-    rows = specfun._rule_rows(rule.alpha, rule.order, 2 * basis.trunc - 1)
+def _rule_psi(basis, rule, N, kind="rule_rows"):
+    """psi_n, n < N, at the nodes of a Gauss rule of the basis's weight, shape
+    (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit,
+    summed over the Jacobi rows at the nodes that the basis keeps under
+    ``kind`` for the last rule order, in place of a fresh recurrence."""
+    rows = basis._table(kind, rule.order, lambda: specfun.jacobi_table(
+        rule.alpha, 2 * basis.trunc - 1, rule.nodes))
     return backend.table_series(basis._beta_matrix(range(N)), rows)[0]
 
 
@@ -397,20 +398,17 @@ def _sup_grid_values(basis, coeffs):
     n = coeffs.size
     g_even, g_odd = (basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2])
                      for p in (0, 1))
-    even, odd = _sup_rows(basis.alpha, basis.trunc)
+    even, odd = basis._table("sup_rows", None, lambda: _sup_rows(basis.alpha, basis.trunc))
     e = backend.table_series(g_even, even)[0]
     o = backend.table_series(g_odd, odd)[0]
     vals = e[:, _SUP_INDEX] + _SUP_SIGN * o[:, _SUP_INDEX]
     return vals[0] + 1j * vals[1] if complex_ else vals[0]
 
 
-# The Jacobi rows at the distinct |x| of the sup grid: 16 trunc 1416 bytes per
-# entry, 2.0 MB at trunc 89 and 18.0 MB at trunc 795
-@lru_cache(maxsize=4)
 def _sup_rows(alpha, trunc):
     """Jt_k(u), k < 2 trunc, at u = ``_SUP_ABS`` by parity, shape (2, trunc,
-    1416), read-only: ``[0, i]`` is Jt_{2i} and ``[1, i]`` is Jt_{2i+1}, the
-    rows of one recurrence per (alpha, trunc), bitwise as it yields them."""
+    1416): ``[0, i]`` is Jt_{2i} and ``[1, i]`` is Jt_{2i+1}, the rows of one
+    recurrence, bitwise as it yields them."""
     rec = specfun.jacobi_recurrence(alpha, 2 * trunc + 2)
     out = np.empty((2, trunc, _SUP_ABS.size))
     # an even chunk starts every block at an even order, so its rows
@@ -420,7 +418,6 @@ def _sup_rows(alpha, trunc):
         i = k0 // 2
         for p in (0, 1):
             out[p, i:i + rows.shape[1] // 2] = rows[0, p::2]
-    out.setflags(write=False)
     return out
 
 

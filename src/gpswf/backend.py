@@ -13,9 +13,9 @@ steps in Python floats; at several points (probes, grids, Gauss nodes) it
 writes each step into its output rows with ``out=`` ufuncs, taking a
 block's row views from one list per derivative order rather than indexing
 them step by step.  At these sizes both cost NumPy call overhead rather
-than arithmetic, which is what they cut.  Callers that keep rows (the
-Gauss-node and sup-grid memos) sum over them with :func:`table_series`, in
-the same blocks.
+than arithmetic, which is what they cut.  Callers that keep rows (a
+basis's Gauss-node and sup-grid rows) sum over them with
+:func:`table_series`, in the same blocks.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get

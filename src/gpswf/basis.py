@@ -8,8 +8,7 @@ spectra merged.
 """
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,7 +78,8 @@ class GpswfBasis:
     2, ...; each row has unit Euclidean norm, the weighted L2 normalization
     of psi_n.  Construction checks the shapes of ``beta`` and ``chi`` (nmax,)
     (:class:`DomainError`) and keeps both read-only.  A basis compares and
-    hashes by identity.
+    hashes by identity, and keeps the tables derived from it alone
+    (:meth:`_table`), so they are freed with it.
     """
 
     alpha: float
@@ -99,6 +99,18 @@ class GpswfBasis:
                 raise DomainError(f"{name} has shape {value.shape}, expected {shape}")
             value.setflags(write=False)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_tables", {})
+
+    def _table(self, kind, key, make):
+        """``make()``, read-only if an array, kept in one slot per ``kind``
+        until ``key`` changes; a copy by ``dataclasses.replace`` or from
+        bytes starts with none."""
+        kept = self._tables.get(kind)
+        if kept is None or kept[0] != key:
+            kept = self._tables[kind] = (key, make())
+            if isinstance(kept[1], np.ndarray):
+                kept[1].setflags(write=False)
+        return kept[1]
 
     def _check_index(self, n):
         """``n``, one index or a sequence of them, as a 1-d integer array; one
@@ -328,21 +340,27 @@ def build_basis(alpha, c, nmax):
             f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
             f"above {_TAIL_TOL:.1e} at truncation order {M}",
             n=worst, tail_mass=float(tails[worst]))
-    _apply_sign_convention(alpha, M, beta)
-    return GpswfBasis(alpha=float(alpha), c=float(c), trunc=M, nmax=int(nmax),
-                      chi=chi, beta=beta)
+    return _apply_sign_convention(GpswfBasis(alpha=float(alpha), c=float(c), trunc=M,
+                                             nmax=int(nmax), chi=chi, beta=beta))
 
 
-def _apply_sign_convention(alpha, M, beta):
-    # even n: psi_n(0) > 0; odd n: psi_n'(0) > 0; if the value at 0 is
-    # numerically nil, fall back to the largest-|beta| coefficient positive
-    table = specfun.jacobi_table(alpha, 2 * M - 1, np.array([0.0]), nderiv=1)
-    s = np.empty(beta.shape[0])
-    for p in (0, 1):
-        s[p::2] = beta[p::2] @ table[p, p::2, 0]
+def _apply_sign_convention(basis):
+    """``basis`` with psi_n(0) > 0 at even n and psi_n'(0) > 0 at odd n, or
+    where that value is numerically nil, the largest-|beta| coefficient
+    positive.  The values at 0 (:func:`_psi_at0`) decide, and are kept on
+    the returned basis, flipped with their rows."""
+    at0, beta = np.array(_psi_at0(basis)), np.array(basis.beta)
+    s = at0[np.arange(basis.nmax) % 2, np.arange(basis.nmax)]
     nil = np.flatnonzero(np.abs(s) < 1e-13)
     s[nil] = beta[nil, np.argmax(np.abs(beta[nil]), axis=1)]
-    beta[s < 0.0] *= -1.0
+    flip = s < 0.0
+    beta[flip] *= -1.0
+    # 0.0 - x, not -x: a psi'(0) of exactly +0.0 at even n stays +0.0, as
+    # psi of the flipped row gives it
+    at0[:, flip] = 0.0 - at0[:, flip]
+    signed = replace(basis, beta=beta)
+    signed._table("psi_at0", None, lambda: at0)
+    return signed
 
 
 def chi_bracket(alpha, c, n):
@@ -429,27 +447,23 @@ def _estimate_grid(grid_size):
     return np.sin(0.5 * math.pi * np.linspace(0.0, 1.0, grid_size))
 
 
-@lru_cache(maxsize=1)
 def _psi_at0(basis):
     """psi_n(0) and psi_n'(0) for every n of the basis, shape (2, nmax),
-    read-only.  The spectrum's boundary identity and the local estimate's A^2
-    both read it, so one entry (2 nmax doubles) keyed on the basis's
-    identity serves both."""
-    at0 = basis.psi(range(basis.nmax), np.array([0.0]), 1)[:, :, 0]
-    at0.setflags(write=False)
-    return at0
+    read-only, kept on the basis: the sign convention, the spectrum's
+    boundary identity and the local estimate's A^2 all read it."""
+    return basis._table("psi_at0", None,
+                        lambda: basis.psi(range(basis.nmax), np.array([0.0]), 1)[:, :, 0])
 
 
-@lru_cache(maxsize=1)
 def _estimate_values(basis, grid_size):
     """q_n, the sampled sup, A_n^2 and B_n (:func:`moment_b`) for every n of
     the basis, one tuple of floats each.
 
-    :func:`local_estimate` is called once per n of one basis in turn, so one
-    entry, keyed on the basis's identity, serves them all.  The sup comes
-    from one (nmax, grid_size) array pass; A^2 stays a scalar expression per
-    n, since a scalar pow and an array square of the same double may differ
-    in the last bit.
+    :func:`local_estimate` is called once per n of one basis in turn, and
+    reads the tuples that the basis keeps for the last grid size.  The sup
+    comes from one (nmax, grid_size) array pass; A^2 stays a scalar
+    expression per n, since a scalar pow and an array square of the same
+    double may differ in the last bit.
     """
     ns = range(basis.nmax)
     x = _estimate_grid(grid_size)
@@ -487,7 +501,8 @@ def _check_grid_size(grid_size):
 def local_estimate(basis, n, grid_size=400):
     _check_grid_size(grid_size)
     basis._check_index(n)
-    q, sup, a_squared, moments = _estimate_values(basis, grid_size)
+    q, sup, a_squared, moments = basis._table(
+        "estimate", grid_size, lambda: _estimate_values(basis, grid_size))
     return LocalEstimateReport(n=n, q=q[n], sup_value=sup[n],
                                a_squared=a_squared[n], b_moment=moments[n],
                                bound_applicable=_improved_regime(basis.alpha, q[n]),

@@ -181,18 +181,6 @@ def _rule_cached(alpha, m):
     return QuadratureRule(alpha=alpha, order=m, nodes=nodes, weights=weights)
 
 
-# The Jacobi rows at a rule's nodes: 8 (kmax + 1) m bytes per entry, 0.31 MB
-# at the projection cells and 28.5 MB at (0.5, 1000, 1130)
-@lru_cache(maxsize=4)
-def _rule_rows(alpha, m, kmax):
-    """Jt_k, k = 0..kmax, at the nodes of ``gauss_jacobi(alpha, m)``, shape
-    (kmax + 1, m), read-only: :func:`jacobi_table` once per (alpha, m,
-    kmax)."""
-    table = jacobi_table(alpha, kmax, _rule_cached(alpha, m).nodes)
-    table.setflags(write=False)
-    return table
-
-
 def gauss_jacobi(alpha, m):
     """Gauss-Jacobi rule with m nodes for the weight (1 - x^2)^alpha."""
     alpha = _check_alpha(alpha)

@@ -16,6 +16,7 @@ It rewrites ``golden.json`` and prints each entry that moved, old -> new.
 """
 
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -57,6 +58,25 @@ def environment():
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(),
             "blas": f"{blas.get('name')} {blas.get('version')}"}
+
+
+def blas_threads():
+    """OpenBLAS's thread count in this process, or None where NumPy's BLAS
+    does not report one.  Not an environment field: the hashes hold at
+    OpenBLAS's default count on the recorded machine, and a few products
+    (the 2001-point ``psi_table``, ``project``'s complex residual) round
+    differently at 1 thread."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    # NumPy's wheels prefix and suffix OpenBLAS's symbols; a system build does not
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            return get()
+    return None
 
 
 def _sha(*parts):

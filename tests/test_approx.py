@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -309,9 +310,14 @@ def basis_proj():
     return B.build_basis(0.5, 5 * math.pi, 96)
 
 
+def _kept(basis, kind):
+    """(key, table) that ``basis`` keeps under ``kind``."""
+    return basis._tables[kind]
+
+
 class TestRuleRowsMemo:
-    """``project`` reads psi at its Gauss nodes from the memoised Jacobi rows
-    of its rules (``specfun._rule_rows``), summed as ``jacobi_series`` sums."""
+    """``project`` reads psi at its Gauss nodes from the Jacobi rows that the
+    basis keeps for its rules, summed as ``jacobi_series`` sums."""
 
     @pytest.mark.parametrize("N", [1, 2, 60, 96])
     @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
@@ -319,14 +325,16 @@ class TestRuleRowsMemo:
                                         approx.periodic_exponential(7)],
                              ids=["real", "complex"])
     def test_cold_and_warm_memo_give_the_same_bytes(self, basis_proj, N, extra, target):
-        b = basis_proj
-        # m + 32 takes a coefficient rule apart from the m + 64 residual rule
+        # a copy keeps no tables; m + 32 takes a coefficient rule apart from
+        # the m + 64 residual rule, whose rows the basis keeps apart
+        b = dataclasses.replace(basis_proj)
         quad_order = None if extra is None else (
             max(b.trunc, b.nmax + math.ceil(b.c) + 40) + extra)
-        specfun._rule_rows.cache_clear()
+        kinds = ["rule_rows"] + ([] if extra is None else ["residual_rows"])
         cold = approx.project(b, target, N, quad_order)
+        kept = [_kept(b, kind)[1] for kind in kinds]
         warm = approx.project(b, target, N, quad_order)
-        assert specfun._rule_rows.cache_info().hits >= 1
+        assert all(_kept(b, kind)[1] is rows for kind, rows in zip(kinds, kept))
         assert cold.coefficients.tobytes() == warm.coefficients.tobytes()
         assert (cold.l2w_error, cold.sup_error) == (warm.l2w_error, warm.sup_error)
         assert np.iscomplexobj(cold.coefficients) == (target.kind == "periodic_exponential")
@@ -341,25 +349,25 @@ class TestRuleRowsMemo:
             assert approx._rule_psi(basis_proj, rule, N).tobytes() == ref.tobytes()
 
     def test_table_is_read_only(self, basis_proj):
-        rows = specfun._rule_rows(0.5, 216, 2 * basis_proj.trunc - 1)
-        assert rows.shape == (2 * basis_proj.trunc, 216)
+        b = dataclasses.replace(basis_proj)
+        approx.project(b, approx.periodic_exponential(7), 60)
+        order, rows = _kept(b, "rule_rows")
+        assert order == 216 and rows.shape == (2 * b.trunc, 216)
         assert not rows.flags.writeable
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0
 
-    def test_lru_evicts_beyond_its_size(self):
-        memo = specfun._rule_rows
-        memo.cache_clear()
-        size = memo.cache_info().maxsize
-        keys = [(0.5, 40 + i, 9) for i in range(size + 1)]
-        first = memo(*keys[0])
-        for key in keys[1:]:
-            memo(*key)
-        assert memo.cache_info().currsize == size
-        misses = memo.cache_info().misses
-        again = memo(*keys[0])  # evicted: computed anew, to the same bytes
-        assert memo.cache_info().misses == misses + 1
-        assert again is not first and again.tobytes() == first.tobytes()
+    def test_rows_never_stale(self, basis_proj):
+        # alternate bases and rule orders: each psi table equals the
+        # recurrence's at that basis and rule, and the slot keeps the last
+        # order only
+        bases = [dataclasses.replace(basis_proj), B.build_basis(1.5, 5 * math.pi, 96)]
+        for i, quad_order in [(0, 184), (0, 216), (1, 216), (0, 184), (1, 250), (1, 216)]:
+            b = bases[i]
+            rule = specfun.gauss_jacobi(b.alpha, quad_order)
+            got = approx._rule_psi(b, rule, 7)
+            assert got.tobytes() == b.psi_table(rule.nodes, range(7)).tobytes()
+            assert _kept(b, "rule_rows")[0] == quad_order
 
 
 class TestSupGridSeries:
@@ -396,9 +404,9 @@ class TestSupGridSeries:
     def test_rows_are_the_recurrence_rows(self, basis_proj):
         # both parities are kept read-only, each a contiguous block, and are
         # bitwise the rows one recurrence yields at the distinct |x|
-        b = basis_proj
-        approx._sup_rows.cache_clear()
-        even, odd = approx._sup_rows(b.alpha, b.trunc)
+        b = dataclasses.replace(basis_proj)
+        approx._sup_grid_values(b, np.ones(3))
+        even, odd = _kept(b, "sup_rows")[1]
         full = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, approx._SUP_ABS)
         for rows, ref in ((even, full[0::2]), (odd, full[1::2])):
             assert rows.shape == (b.trunc, 1416) and rows.flags.c_contiguous
@@ -411,34 +419,27 @@ class TestSupGridSeries:
                                         approx.periodic_exponential(7)],
                              ids=["real", "complex"])
     def test_cold_and_warm_memo_give_the_same_bytes(self, basis_proj, target):
-        memo = approx._sup_rows
-        key = (basis_proj.alpha, basis_proj.trunc)
-        memo.cache_clear()
-        cold = approx.project(basis_proj, target, 60)
-        warm = approx.project(basis_proj, target, 60)
-        assert memo.cache_info().hits >= 1
+        b = dataclasses.replace(basis_proj)
+        cold = approx.project(b, target, 60)
+        kept = _kept(b, "sup_rows")[1]
+        warm = approx.project(b, target, 60)
+        assert _kept(b, "sup_rows")[1] is kept
         assert cold.sup_error == warm.sup_error
-        kept = memo(*key)
-        memo.cache_clear()
+        fresh = approx._sup_rows(b.alpha, b.trunc)
         for parity in (0, 1):
-            assert memo(*key)[parity].tobytes() == kept[parity].tobytes()
+            assert fresh[parity].tobytes() == kept[parity].tobytes()
 
-    def test_lru_evicts_beyond_its_size(self):
-        memo = approx._sup_rows
-        memo.cache_clear()
-        size = memo.cache_info().maxsize
-        assert size == 4
-        keys = [(0.5, 3 + i) for i in range(size + 1)]
-        first = memo(*keys[0])
-        for key in keys[1:]:
-            memo(*key)
-        assert memo.cache_info().currsize == size
-        misses = memo.cache_info().misses
-        again = memo(*keys[0])  # evicted: computed anew, to the same bytes
-        assert memo.cache_info().misses == misses + 1
-        assert again is not first
-        for parity in (0, 1):
-            assert again[parity].tobytes() == first[parity].tobytes()
+    def test_rows_never_stale(self):
+        # alternate bases of other alpha and trunc: each sum equals the one
+        # from a copy that keeps no rows
+        bases = [B.build_basis(alpha, c, 12) for alpha, c in
+                 ((0.5, 2.0), (0.5, 30.0), (2.5, 10.0))]
+        assert len({b.trunc for b in bases}) == 3
+        coeffs = np.linspace(1.0, -0.5, 12)
+        for i in (0, 1, 2, 0, 2, 1):
+            got = approx._sup_grid_values(bases[i], coeffs)
+            ref = approx._sup_grid_values(dataclasses.replace(bases[i]), coeffs)
+            assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(0.5, 2.0, K=8),
                                         approx.periodic_exponential(3)],

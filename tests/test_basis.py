@@ -1,10 +1,12 @@
+import dataclasses
 import math
 
 import mpmath as mp
 import numpy as np
 import pytest
+from golden import record
 
-from gpswf import specfun
+from gpswf import experiments, specfun
 from gpswf import basis as B
 from gpswf.errors import ConsistencyError, DomainError, TruncationError
 
@@ -242,8 +244,9 @@ class TestBasisArrays:
             assert float(np.dot(vec, table[n % 2, n % 2::2, 0])) > 1e-13
         flipped = -np.array(b.beta)
         flipped[::3] *= -1.0
-        B._apply_sign_convention(0.5, b.trunc, flipped)
-        np.testing.assert_array_equal(flipped, b.beta)
+        signed = B._apply_sign_convention(dataclasses.replace(b, beta=flipped))
+        np.testing.assert_array_equal(signed.beta, b.beta)
+        assert B._psi_at0(signed).tobytes() == B._psi_at0(b).tobytes()
 
     def test_sign_falls_back_to_the_largest_coefficient(self):
         # an even row orthogonal to (Jt_0(0), Jt_2(0), Jt_4(0)) has psi(0) = 0:
@@ -252,8 +255,19 @@ class TestBasisArrays:
         v = np.array([ref[1], -ref[0], 0.0])
         v *= -np.sign(v[np.argmax(np.abs(v))]) / np.linalg.norm(v)
         beta = np.array([v, [1.0, 0.0, 0.0]])
-        B._apply_sign_convention(0.5, 3, beta)
-        np.testing.assert_array_equal(beta, [-v, [1.0, 0.0, 0.0]])
+        b = B.GpswfBasis(alpha=0.5, c=1.0, trunc=3, nmax=2, chi=[1.0, 2.0], beta=beta)
+        np.testing.assert_array_equal(B._apply_sign_convention(b).beta,
+                                      [-v, [1.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize("cell", record.BASIS_CELLS)
+    def test_built_and_loaded_bases_agree_at_zero(self, cell):
+        # build_basis keeps the values at 0 that decided the signs, flipped
+        # with their rows; a basis loaded from bytes evaluates them anew, to
+        # the same bytes (a psi'(0) of +0.0 at even n included)
+        b = B.build_basis(*cell)
+        loaded = experiments.basis_from_bytes(experiments.basis_to_bytes(b))
+        assert "psi_at0" in b._tables and not loaded._tables
+        assert B._psi_at0(loaded).tobytes() == B._psi_at0(b).tobytes()
 
 
 # The start order of the truncation rule at the sweep workload's corners
@@ -475,15 +489,15 @@ class TestBoundCheckers:
 
     def test_local_estimate_cache_never_stale(self):
         # alternate bases and grid sizes: each report must equal one computed
-        # with the cache emptied first, so the one-entry cache never serves a
-        # table of another basis or grid
+        # on a copy of the basis, so the one slot a basis keeps never serves
+        # a table of another grid
         bases = [B.build_basis(0.0, 1.0, 8), B.build_basis(0.5, 3.0, 8)]
         for b, grid_size, n in [(0, 400, 3), (0, 400, 4), (1, 400, 3), (1, 137, 5),
                                 (1, 137, 6), (0, 137, 5), (0, 400, 6), (1, 137, 2),
                                 (1, 400, 7)]:
             got = B.local_estimate(bases[b], n, grid_size)
-            B._estimate_values.cache_clear()
-            assert repr(got) == repr(B.local_estimate(bases[b], n, grid_size))
+            fresh = dataclasses.replace(bases[b])  # keeps no tables
+            assert repr(got) == repr(B.local_estimate(fresh, n, grid_size))
         assert (B.local_estimate(bases[1], np.int64(3)).sup_value
                 == B.local_estimate(bases[1], 3).sup_value)
         with pytest.raises(IndexError):

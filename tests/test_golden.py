@@ -2,8 +2,10 @@
 
 The file pins outputs bit for bit (see ``tests/golden/record.py`` for the
 entries and the one command that re-records them).  A moved hash fails
-naming the first entry that moved; so does an environment other than the
-recorded one, whose NumPy, libm or BLAS may round differently.
+naming the first entry that moved and the BLAS thread count it ran at; so
+does an environment other than the recorded one, whose NumPy, libm or BLAS
+may round differently.  The hashes hold at OpenBLAS's default thread count,
+not at 1 thread (``record.blas_threads``).
 """
 
 from golden import record
@@ -23,7 +25,7 @@ def test_environment_is_the_recorded_one():
 
 def test_every_entry_hashes_as_recorded(tmp_path):
     moved = record.moved(GOLDEN["entries"], dict(record.entries(tmp_path)))
-    assert not moved, _first(moved)
+    assert not moved, f"{_first(moved)}; BLAS threads: {record.blas_threads()}"
 
 
 def test_moved_names_the_first_differing_entry():

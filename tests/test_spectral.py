@@ -342,11 +342,11 @@ def _warm_spectrum_peak(b):
     """tracemalloc peak of compute_spectrum(b) with its Gauss rule warm and
     the x = 0 values and transform terms cold, in bytes."""
     spectral.compute_spectrum(b)
-    B._psi_at0.cache_clear()
+    fresh = dataclasses.replace(b)  # keeps no x = 0 values
     spectral._fc_terms.cache_clear()
     tracemalloc.start()
     try:
-        spectral.compute_spectrum(b)
+        spectral.compute_spectrum(fresh)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
