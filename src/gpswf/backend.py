@@ -24,15 +24,18 @@ Arguments in the upward regime share one vectorised recurrence, which
 starts from one array Hankel sum per start order, its phase from libm's
 ``cos`` and ``sin`` of x, which reduce every double exactly.  Miller-regime
 arguments run in blocks through one array backward recurrence each, in which
-each column starts at its own order and rescales on its own, so every step is
-the same IEEE operations as the one-argument recurrence
-:func:`_ladder_miller`; a set of fewer than ``_MILLER_LONE`` arguments runs
-that recurrence per argument instead.  A block's work arrays hold (jtop + 7
-count) doubles per argument, so the blocks are sized in bytes: as many
-arguments as fit in ``_MILLER_BYTES`` (0.85 MB), never fewer than
-``_MILLER_MIN`` (32), split evenly.  The closing normalisation stays a
-per-element ``math.log``/``math.exp`` pass.  Both Miller paths read one
-memoised table of Neumann coefficients per base order.
+each column starts at its own order and rescales on its own, at orders that
+are multiples of 8 for every column, so every step is the same IEEE
+operations as the one-argument recurrence :func:`_ladder_miller`; a set of
+fewer than ``_MILLER_LONE`` arguments runs that recurrence per argument
+instead.  The blocks are sized in bytes at (jtop + 7 count) doubles per
+argument, which bounds a block's work arrays: as many arguments as fit in
+``_MILLER_BYTES`` (0.85 MB), never fewer than ``_MILLER_MIN`` (32), split
+evenly.  The close scales each column by one double and each value by a
+power of two (:func:`_miller_close`), exactly rounded in NumPy as in Python
+floats.  Both Miller paths read one memoised table of Neumann coefficients
+per base order.  Arguments at most ``_SMALL_X`` (1e-8) take the leading
+series term instead (:func:`_ladder_small`).
 """
 
 import math
@@ -172,18 +175,24 @@ def _sum_blocks(coef, blocks, shape):
 # Bessel J ladders.
 #
 # bessel_ladder(nu0, count, x) returns J_{nu0 + j}(x_i), j = 0..count-1, one
-# row per argument x_i, for a base order nu0 in [-0.5, 0.5).  Two regimes:
-#   * Miller backward recurrence, normalized by the Neumann-type sum
+# row per argument x_i, for a base order nu0 in [-0.5, 0.5).  Three regimes:
+#   * Miller backward recurrence (Gautschi, SIAM Review 9, 1967), normalized
+#     by the Neumann-type sum
 #     (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k!  J_{nu+2k}(x),
 #     used whenever the top order is comparable to x or x is moderate;
 #   * Hankel asymptotics at the two bottom orders followed by upward
 #     recurrence, used when x is large and all orders sit well below x
-#     (upward recurrence is stable in the oscillatory regime).
+#     (upward recurrence is stable in the oscillatory regime);
+#   * the leading term of the ascending series, at 0 < x <= 1e-8.
 # ---------------------------------------------------------------------------
 
 _RESCALE_LOG2 = 600
 _RESCALE = 2.0 ** _RESCALE_LOG2
 _MILLER_X_MAX = 370.0
+# Arguments at most this take the leading series term (_ladder_small): at
+# smaller x the Miller recurrence may grow past the largest double between
+# two rescale tests
+_SMALL_X = 1e-8
 
 
 def _hankel_start(nu, xs, cos_x, sin_x):
@@ -246,72 +255,77 @@ def _neumann(nu0, jtop):
     return _neumann_table(nu0, size)
 
 
-def _miller_close(nu0, xs, vals, exps, neumann, scale):
+def _miller_close(nu0, xs, vals, marks, neumann, scale):
     """Normalise backward recurrences, one column per argument ``xs[i]``:
-    ``vals[j, i]`` at rescale count ``exps[j, i]`` is proportional to
-    J_{nu0+j}(xs[i]), and column i ended with Neumann sum ``neumann[i]`` at
-    rescale count ``scale[i]``.  Returns the ladders, shape (len(xs), count),
-    as a view of ``vals``; ``vals`` and ``exps`` are overwritten.
+    ``vals[j, i]`` is proportional to J_{nu0+j}(xs[i]) at the rescale count
+    ``marks[(j + 6) // 8, i]`` (see :func:`_ladder_miller`), and column i
+    ended with Neumann sum ``neumann[i]`` at rescale count ``scale[i]``.
+    Returns the ladders, shape (len(xs), count), as a view of ``vals``;
+    ``vals`` and ``marks`` are overwritten.
 
-    Only the logarithms and exponentials are per-element ``math.log`` and
-    ``math.exp`` calls: a vectorised log or exp may round differently, while
-    every other operation here is exactly rounded alike in NumPy.
+    sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j}(x) = vals[j] f
+    2^(600 (marks - scale)) with f = (x/2)^nu0 / neumann, one double per
+    column from libm's ``pow`` and one division.  f = m 2^e with 1/2 <= |m|
+    < 1 (``frexp``), so ``vals[j] m`` cannot overflow, and one ``ldexp``
+    applies 2^(e + 600 (marks - scale)), which rounds only a subnormal
+    result.  f is a Python float per column, and the array operations are
+    exactly rounded, so a block's column and a lone ladder close alike.
     """
-    # sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j} = vals[j]/neumann
-    # * (x/2)^nu0, with the scale bookkeeping folded in through log space.
-    log_norm = [nu0 * math.log(0.5 * x) - math.log(abs(n))
-                for x, n in zip(xs, neumann.tolist())]
-    buf = np.abs(vals)
-    keep = buf != 0.0
-    buf[~keep] = 1.0  # any value with a logarithm; these entries stay 0
-    t = _each(math.log, buf)
-    t += log_norm
-    exps -= scale
-    exps *= _RESCALE_LOG2
-    t += np.multiply(exps, math.log(2.0), out=buf)
-    keep &= ~(t < -745.0)
-    mag = _each(math.exp, t[keep])
-    del t
-    np.multiply(vals, np.copysign(1.0, neumann), out=buf)
-    np.copysign(mag, buf[keep], out=mag)
-    vals[...] = 0.0
-    vals[keep] = mag
-    return vals.T
-
-
-def _each(fn, a):
-    """fn applied to every element of a float array, one Python call each."""
-    return np.fromiter(map(fn, memoryview(a.ravel())), float, a.size).reshape(a.shape)
+    mant, expo = np.frexp([math.pow(0.5 * x, nu0) / n
+                           for x, n in zip(xs, neumann.tolist())])
+    marks -= scale
+    marks *= _RESCALE_LOG2
+    marks += expo
+    vals *= mant
+    return np.ldexp(vals, marks[(np.arange(len(vals)) + 6) >> 3], out=vals).T
 
 
 def _ladder_miller(nu0, count, x):
     """The backward recurrence at one argument, in Python floats: the path
-    of a lone Miller argument and the reference of :func:`_miller_block`."""
+    of a lone Miller argument and the reference of :func:`_miller_block`.
+
+    From v = 1e-30 at the start order :func:`_miller_top` down to order 0,
+    each step is v_{j-1} = (2 (nu0 + j) / x) v_j - v_{j+1}, and every even
+    order adds cf_{j/2} v_j to the Neumann sum.  Only at the orders j = 0 mod
+    8 does it test max(|v_j|, |v_{j+1}|) > 2^600; if so it divides v_j,
+    v_{j+1} (also where it is kept), the Neumann sum by 2^600 and counts
+    one rescale.  ``marks[k]`` is the count after the test at order 8k, so a
+    kept v_j is at count ``marks[(j + 6) // 8]``.
+
+    The tests suffice: M_j = max(|v_j|, |v_{j+1}|) obeys M_{j-1} <= (2 (nu0
+    + j) / x + 1) M_j, so between two tests M grows by at most the product
+    of that factor over 8 orders.  For x > ``_SMALL_X`` = 1e-8 and start
+    orders below 3e7 each factor is below 2^52.5 and the product below
+    2^420, so |v| stays below 2^1020 (the largest count the library asks
+    for is about 2 ``basis._M_CAP`` = 16384, plus the order's integer part).
+    """
     jtop = _miller_top(nu0, count, x)
     cf = _neumann(nu0, jtop)
     vals = [0.0] * count
-    exps = [0] * count
+    marks = [0] * ((count + 5) // 8 + 1)
     vp1 = 0.0          # order nu0 + j + 1
     v = 1e-30          # order nu0 + j
-    scale_count = 0
+    scale = 0
     neumann = 0.0
     for j in range(jtop, -1, -1):
-        if j < count:
-            vals[j] = v
-            exps[j] = scale_count
-        if j % 2 == 0:
-            neumann += cf[j >> 1] * v
-        if j > 0:
-            vm1 = (2.0 * (nu0 + j) / x) * v - vp1
-            vp1 = v
-            v = vm1
-            if abs(v) > _RESCALE:
+        if not j & 7:
+            if abs(v) > _RESCALE or abs(vp1) > _RESCALE:
                 v /= _RESCALE
                 vp1 /= _RESCALE
                 neumann /= _RESCALE
-                scale_count += 1
-    return _miller_close(nu0, [x], np.array(vals)[:, None], np.array(exps)[:, None],
-                         np.array([neumann]), np.array([scale_count]))[0]
+                scale += 1
+                if j + 1 < count:
+                    vals[j + 1] = vp1
+            if j >> 3 < len(marks):
+                marks[j >> 3] = scale
+        if j < count:
+            vals[j] = v
+        if not j & 1:
+            neumann += cf[j >> 1] * v
+        if j:
+            v, vp1 = (2.0 * (nu0 + j) / x) * v - vp1, v
+    return _miller_close(nu0, [x], np.array(vals)[:, None], np.array(marks)[:, None],
+                         np.array([neumann]), np.array([scale]))[0]
 
 
 def _miller_block(nu0, count, xs, tops):
@@ -320,9 +334,12 @@ def _miller_block(nu0, count, xs, tops):
     (len(xs), count).
 
     A column joins at its own start order with (v, vp1, neumann) = (1e-30,
-    0, 0) and rescales on its own, so it sees exactly the IEEE operations of
-    :func:`_ladder_miller` at its argument; before that it runs from the
-    block's start on values that its join discards.
+    0, 0) and rescales on its own at the test orders of
+    :func:`_ladder_miller`, which are the same for every column, so it sees
+    exactly the IEEE operations of :func:`_ladder_miller` at its argument;
+    before that it runs from the block's start on values that its join
+    discards.  The orders below ``count`` are written straight into their
+    rows, which a rescale then divides in place.
     """
     nb = len(xs)
     jtop = tops[0]
@@ -338,32 +355,34 @@ def _miller_block(nu0, count, xs, tops):
     neumann = np.zeros(nb)
     scale = np.zeros(nb, dtype=np.int64)
     step = np.empty(nb)
+    mag = np.empty(nb)
     vals = np.empty((count, nb))
-    exps = np.empty((count, nb), dtype=np.int64)
+    marks = np.empty(((count + 5) // 8 + 1, nb), dtype=np.int64)
     for j in range(jtop, -1, -1):
         cols = joins.get(j)
-        if cols is not None:
+        if cols is not None:  # every column has joined before order count
             v[cols] = 1e-30
             vp1[cols] = 0.0
             neumann[cols] = 0.0
             scale[cols] = 0
-        if j < count:  # every column has joined: tops[i] > count
-            vals[j] = v
-            exps[j] = scale
-        if j % 2 == 0:
-            neumann += np.multiply(cf[j >> 1], v, out=step)
-        if j > 0:
-            np.multiply(fac[j], v, out=step)
-            np.subtract(step, vp1, out=vp1)   # vp1 now holds order j - 1
-            v, vp1 = vp1, v
-            np.abs(v, out=step)
-            if np.maximum.reduce(step) > _RESCALE:
-                big = step > _RESCALE
+        if not j & 7:
+            np.maximum(np.abs(v, out=step), np.abs(vp1, out=mag), out=mag)
+            if np.maximum.reduce(mag) > _RESCALE:
+                big = mag > _RESCALE
                 v[big] /= _RESCALE
                 vp1[big] /= _RESCALE
                 neumann[big] /= _RESCALE
                 scale[big] += 1
-    return _miller_close(nu0, xs, vals, exps, neumann, scale)
+            if j >> 3 < len(marks):
+                marks[j >> 3] = scale
+        if not j & 1:
+            neumann += np.multiply(cf[j >> 1], v, out=step)
+        if j:
+            np.multiply(fac[j], v, out=step)
+            nxt = vals[j - 1] if j <= count else vp1
+            np.subtract(step, vp1, out=nxt)
+            v, vp1 = nxt, v
+    return _miller_close(nu0, xs, vals, marks, neumann, scale)
 
 
 def _ladder_upward(nu0, count, xs):
@@ -393,9 +412,25 @@ def _ladder_zero(nu0, count):
     return ladder
 
 
-# Bytes a batched Miller recurrence may hold: its work arrays take (jtop + 7
-# count) doubles per argument, and a block takes as many arguments as fit,
-# but never fewer than _MILLER_MIN.
+def _ladder_small(nu0, count, x):
+    """The ladder at 0 < x <= ``_SMALL_X`` from the leading series term
+    (x/2)^nu / Gamma(nu + 1), nu = nu0 + j, in Python floats.  The next term
+    is (x/2)^2 / (nu + 1) <= eps/4 of it, as (x/2)^2 < eps/8.  The power is
+    x^nu 2^-nu, so that a subnormal x/2, which may round to 0, never meets a
+    negative nu."""
+    ladder = np.zeros(count)
+    for j in range(count):
+        nu = nu0 + j
+        term = math.pow(x, nu) * (math.pow(2.0, -nu) / math.gamma(nu + 1.0))
+        if term == 0.0:
+            break  # each order is below 1e-8 of the one before
+        ladder[j] = term
+    return ladder
+
+
+# Bytes a batched Miller recurrence may hold: its work arrays take at most
+# (jtop + 7 count) doubles per argument, and a block takes as many arguments
+# as fit, but never fewer than _MILLER_MIN.
 _MILLER_BYTES = 850_000
 _MILLER_MIN = 32
 # Below this many arguments a block runs _ladder_miller per argument: at
@@ -428,6 +463,7 @@ def bessel_ladder(nu0, count, x):
     fewer than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per
     argument, which is faster there (a lone argument by about ten times).
     Upward-regime arguments share one array Hankel start and one recurrence.
+    Arguments in (0, ``_SMALL_X``] take :func:`_ladder_small` one by one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.tolist()
@@ -435,7 +471,9 @@ def bessel_ladder(nu0, count, x):
     up = _upward_regime(nu0, count, x)
     zero = x == 0.0
     out[zero] = _ladder_zero(nu0, count)
-    miller = np.flatnonzero(~up & ~zero).tolist()
+    for i in np.flatnonzero(~zero & (x <= _SMALL_X)).tolist():
+        out[i] = _ladder_small(nu0, count, xs[i])
+    miller = np.flatnonzero(~up & (x > _SMALL_X)).tolist()
     tops = {i: _miller_top(nu0, count, xs[i]) for i in miller}
     miller.sort(key=tops.get, reverse=True)
     for lo, hi in _miller_blocks(count, [tops[i] for i in miller]):

@@ -461,9 +461,8 @@ def _estimate_values(basis, grid_size):
 
     :func:`local_estimate` is called once per n of one basis in turn, and
     reads the tuples that the basis keeps for the last grid size.  The sup
-    comes from one (nmax, grid_size) array pass; A^2 stays a scalar
-    expression per n, since a scalar pow and an array square of the same
-    double may differ in the last bit.
+    comes from one (nmax, grid_size) array pass, and A^2 from one array
+    expression whose squares are ``x * x``, correctly rounded.
     """
     ns = range(basis.nmax)
     x = _estimate_grid(grid_size)
@@ -479,8 +478,7 @@ def _estimate_values(basis, grid_size):
     psi **= 2
     curve *= psi
     at0 = _psi_at0(basis)
-    chi = basis.chi.tolist()
-    a_squared = tuple(float(at0[0, n] ** 2 + at0[1, n] ** 2 / chi[n]) for n in ns)
+    a_squared = tuple((at0[0] * at0[0] + at0[1] * at0[1] / basis.chi).tolist())
     return (tuple(q.tolist()), tuple(np.max(curve, axis=1).tolist()), a_squared,
             tuple(moments.tolist()))
 

@@ -333,11 +333,12 @@ def compute_spectrum(basis):
             block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
             prods = basis.beta[block, None, :] * rows[ranked[block], p::2]
             sums[block] = [list(map(math.fsum, n_prods.tolist())) for n_prods in prods]
-    # scalar expressions: mu_phase prints its sign of zero, and an array
-    # square may round differently from pow
+    # mu per n as a Python complex, since mu_phase prints its sign of zero;
+    # lambda squares |mu| as an array, x * x, which is correctly rounded
     mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]
     mu_abs = [abs(mu) for mu in mus]
-    lams = [basis.c / (2.0 * math.pi) * a ** 2 for a in mu_abs]
+    mu_arr = np.array(mu_abs)
+    lams = (basis.c / (2.0 * math.pi) * (mu_arr * mu_arr)).tolist()
     log_lams = [_log_lambda(a, basis.c) for a in mu_abs]
     # an even (odd) n's sums are mu's real (imaginary) part times psi_n(x*)
     # and the other parts are zero, so this is |ratio - mu| bit for bit

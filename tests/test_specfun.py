@@ -6,7 +6,7 @@ import oracles
 import pytest
 from scipy.special import eval_jacobi, jv
 
-from gpswf import backend, specfun, spectral
+from gpswf import backend, basis, specfun, spectral
 from gpswf.errors import DomainError
 
 
@@ -146,8 +146,10 @@ class TestBesselJ:
     # straddles the Miller/upward switch at x = 370 and, for 400 orders, the
     # top-order switch nu0 + count - 1 > 0.88 x near x = 453, and reaches
     # arguments far past 2^53, where libm's reduction of x mod 2 pi is the
-    # whole phase
-    LADDER_X = (0.0, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
+    # whole phase; at 1.5e-8 the Miller recurrence grows by about 2^30 an
+    # order, so |v| passes 2^600 orders before the test that rescales it
+    # (test_miller_values_stay_below_the_overflow)
+    LADDER_X = (0.0, 1.5e-8, 1e-3, 5.0, 120.0, 369.9, 370.0, 370.1, 400.0, 452.0, 453.0,
                 454.0, 1000.0, 5000.0, 8000.0 * math.pi, 2.0 ** 41, 1e40, 1e60,
                 1e300) + tuple(np.geomspace(0.01, 360.0, 70))
     # with these, the Miller arguments in (0, 370] fill several batched
@@ -250,6 +252,100 @@ class TestUpwardStart:
                     ref = mp.besselj(nu0 + j, v)
                     worst = max(worst, float(abs(mp.mpf(row[j]) - ref)) / envelope)
         assert worst <= 1e-15
+
+
+class TestSmallArguments:
+    """0 < x <= 1e-8 takes the leading series term, and the Miller
+    recurrence just above it stays inside the doubles."""
+
+    @pytest.mark.parametrize("x", [1e-8, 1e-20, 1e-128, 1e-300, 5e-324])
+    def test_leading_term_against_mpmath(self, x):
+        # bessel_j(0.25, 1e-128) was nan and bessel_j(0, 5e-324) raised
+        # ValueError; a subnormal value is held to one smallest subnormal
+        with mp.workdps(30):
+            for nu in (-0.5, 0.0, 0.25, 1.0, 2.5):
+                ref = mp.besselj(nu, x)
+                got = specfun.bessel_j(nu, x)
+                assert abs(mp.mpf(got) - ref) <= 4 * _EPS * abs(ref) + 5e-324, (nu, got)
+
+    def test_transform_at_tiny_c_is_finite(self):
+        # was nan+nanj; J_2(5e-301) underflows before (2/u)^(a+1/2) scales
+        # it back, so the value is 0 where the true one is 3.1e-301
+        assert spectral.fc_on_jacobi(0.5, 1e-300, 1, 0.5) == 0.0j
+        assert spectral.fc_on_jacobi(0.5, 1e-20, 1, 0.5).imag == pytest.approx(
+            3.133285343288749e-21, rel=1e-15)
+
+    def test_miller_values_stay_below_the_overflow(self):
+        # the largest count: 2 x the truncation cap, plus the integer part
+        # of orders up to alpha + 1/2 = 200; 16 arguments run as one block
+        count = 2 * basis._M_CAP + 200
+        x = np.geomspace(math.nextafter(1e-8, 1.0), 1e-6, 16)
+        assert backend._MILLER_LONE <= x.size
+        for nu0 in (-0.5, 0.25):
+            rows = backend.bessel_ladder(nu0, count, x)
+            assert np.isfinite(rows).all()
+            with mp.workdps(30):
+                for xi, row in zip(x.tolist(), rows):
+                    first = int(np.flatnonzero(row == 0.0)[0])
+                    assert not row[first:].any()
+                    assert mp.besselj(nu0 + first, xi) < 5e-324
+                    for j in range(first):
+                        ref = mp.besselj(nu0 + j, xi)
+                        assert abs(mp.mpf(row[j]) - ref) <= 16 * _EPS * ref + 5e-324
+        # between two rescale tests |v| passes 2^600 but stays below the
+        # docstring's bound 2^1020
+        assert 600 < _miller_peak_log2(0.25, count, x[0]) < 1020
+        for count in (1, 2, 400):
+            assert _miller_peak_log2(0.25, count, 1.5e-8) > 600
+
+
+_EPS = np.finfo(float).eps
+
+
+def _miller_peak_log2(nu0, count, x):
+    """log2 of the largest |v| that the backward recurrence of
+    :func:`backend._ladder_miller` holds between two rescale tests (orders
+    j = 0 mod 8, where it divides by 2^600 once max(|v_j|, |v_{j+1}|) >
+    2^600), from the same steps renormalised by frexp at every order."""
+    m, e = 1e-30, 0            # v_j = m 2^e
+    mp1, ep1 = 0.0, 0          # v_{j+1}
+    scale, peak = 0, -math.inf
+    for j in range(backend._miller_top(nu0, count, x), 0, -1):
+        size = max(math.log2(abs(m)) + e, math.log2(abs(mp1)) + ep1 if mp1 else -math.inf)
+        if j % 8:
+            peak = max(peak, size - 600 * scale)
+        elif size - 600 * scale > 600:
+            scale += 1
+        m, e, mp1, ep1 = *math.frexp((2.0 * (nu0 + j) / x) * m
+                                     - math.ldexp(mp1, ep1 - e)), mp1, e
+        e += ep1
+    return peak
+
+
+class TestMillerAccuracy:
+    def test_miller_ladders_against_mpmath(self):
+        # 400 Miller ladders, nu0 in {-0.5, 0, 0.25} or uniform, count below
+        # 200, x log-uniform on [1e-3, 369], three orders each, against the
+        # exact order nu0 + j (a rounded order moves J by up to about 240
+        # eps here).  The former per-element log/exp close read median 70
+        # and p90 211 eps; the power-of-two close reads 2.9 and 79, its tail
+        # at orders below x, near zeros of J.
+        rng = np.random.default_rng(0)
+        errs = []
+        with mp.workdps(30):
+            for _ in range(400):
+                nu0 = float(rng.choice([-0.5, 0.0, 0.25, rng.uniform(-0.5, 0.5)]))
+                count = int(rng.integers(1, 200))
+                x = float(10 ** rng.uniform(-3, math.log10(369)))
+                assert not backend._upward_regime(nu0, count, np.array([x]))[0]
+                row = backend.bessel_ladder(nu0, count, [x])[0]
+                for j in rng.choice(count, size=min(count, 3), replace=False).tolist():
+                    ref = mp.besselj(mp.mpf(nu0) + j, x)
+                    if abs(ref) > 1e-290:
+                        errs.append(float(abs(mp.mpf(row[j]) / ref - 1)) / _EPS)
+        median, p90 = np.percentile(errs, [50, 90])
+        assert len(errs) > 1000
+        assert median <= 10 and p90 <= 120, (median, p90)
 
 
 def test_small_miller_block_bitwise_lone():
