@@ -47,13 +47,15 @@ class TargetFunction:
     """A function on [-1, 1] with an evaluator and optional derivatives.
 
     ``derivative(x, order)`` must return the order-th derivative when
-    available (order 0 = the function itself).
+    available (order 0 = the function itself).  ``exact(basis, N)``, when
+    given, returns the closed-form <f, psi_n>, n < N, and ||f - S_N f||.
     """
 
     kind: str
     params: dict = field(repr=False)
     evaluator: object = field(repr=False)
     derivative: object = field(default=None, repr=False)
+    exact: object = field(default=None, repr=False)
 
     def __call__(self, x):
         return self.evaluator(np.asarray(x, dtype=float))
@@ -151,16 +153,14 @@ def _check_brownian_s(s):
 def brownian_from_coefficients(s, coefs):
     """Random-cosine-series path with explicitly supplied amplitudes X_k."""
     _check_brownian_s(s)
-    coefs = np.asarray(coefs, dtype=float)
-    if coefs.size < 1:
-        raise DomainError("need at least one coefficient")
-    k = np.arange(1, coefs.size + 1, dtype=float)
-    scaled = coefs / k ** s
+    coefs = _amplitudes(coefs)
+    scaled = coefs / np.arange(1.0, coefs.size + 1) ** s
     evaluator, derivative = _cos_series_eval(scaled)
     return TargetFunction(kind="brownian", evaluator=evaluator,
                           derivative=derivative,
                           params={"s": s, "K": coefs.size, "seed": None,
-                                  "amplitudes": coefs})
+                                  "amplitudes": coefs},
+                          exact=lambda basis, N: cosine_series_projection(basis, scaled, N))
 
 
 # one past the largest brownian seed: a Philox key is two 64-bit words
@@ -228,8 +228,13 @@ def weierstrass_mandelbrot(s, lam, K=None):
             out += np.sin(np.outer(x, freqs[lo:hi])) @ amps[lo:hi]
         return out
 
+    def exact(basis, N):
+        norm2 = wm_l2_norm_squared(basis.alpha, s, lam, K)
+        coeffs = wm_all_coefficients(basis, s, lam, N, K=K)
+        return coeffs, _parseval_error(norm2, coeffs)
+
     return TargetFunction(kind="weierstrass_mandelbrot", evaluator=evaluator,
-                          params={"s": s, "lambda": lam, "K": K})
+                          params={"s": s, "lambda": lam, "K": K}, exact=exact)
 
 
 def periodic_exponential(k):
@@ -340,35 +345,38 @@ _MAX_QUAD_ORDER = 2 ** 14
 def project(basis, f, N, quad_order=None):
     """Coefficients <f, psi_n> for n < N plus weighted-L2 and sup errors.
 
-    Coefficients use a Gauss rule with ``quad_order`` nodes (at least
-    m + 32, by default m + 64); the residual norm uses at least m + 64 nodes.
-    Here m = max(trunc, nmax + ceil(c) + 40), which holds the rules at the
-    sizes of the former truncation start order.  The sup
-    error is approximated on 2001 equispaced points of the open
-    interval: the weight (1-x^2)^a vanishes at the endpoints, so the method
-    does not control pointwise values exactly there.
+    ``wm`` and ``brownian`` take ``f.exact``, their closed form with the
+    error by Parseval, and no Gauss rule (a ``quad_order`` raises).  Other
+    targets take a rule of ``quad_order`` nodes (at least m + 32, by default
+    m + 64; m = max(trunc, nmax + ceil(c) + 40)), the residual one of at
+    least m + 64.  ``periodic`` stays there: Parseval cannot resolve an
+    error below about sqrt(eps) ||f||.  The sup error is the largest
+    |f - S_N f| on 2001 equispaced points of the open interval, only a lower
+    bound for a target the grid cannot resolve; the weight vanishes at the
+    endpoints, so the method does not control pointwise values there.
     """
     _check_N(basis, N)
-    m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
-    if quad_order is None:
-        quad_order = m + 64
-    if not m + 32 <= quad_order <= _MAX_QUAD_ORDER:
-        raise DomainError(f"quad_order must lie in {m + 32}..{_MAX_QUAD_ORDER}, "
-                          f"got {quad_order!r}")
-    rule = specfun.gauss_jacobi(basis.alpha, quad_order)
-    fvals = f(rule.nodes)
-    tab = _rule_psi(basis, rule, N)
-    coeffs = tab @ (rule.weights * fvals)
-    res_order = max(quad_order, m + 64)
-    if res_order == quad_order:
-        res_rule, res_f, res_tab = rule, fvals, tab
+    if f.exact is not None:
+        if quad_order is not None:
+            raise DomainError(f"quad_order={quad_order!r} sets a Gauss rule, which a "
+                              f"{f.kind} target does not take: it has a closed form")
+        coeffs, l2w = f.exact(basis, N)
     else:
-        res_rule = specfun.gauss_jacobi(basis.alpha, res_order)
-        res_f = f(res_rule.nodes)
-        res_tab = _rule_psi(basis, res_rule, N, kind="residual_rows")
-    resid = res_f - coeffs @ res_tab
-    l2w = math.sqrt(max(float(np.real(np.dot(res_rule.weights,
-                                             np.abs(resid) ** 2))), 0.0))
+        m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
+        quad_order = m + 64 if quad_order is None else quad_order
+        if not m + 32 <= quad_order <= _MAX_QUAD_ORDER:
+            raise DomainError(f"quad_order must lie in {m + 32}..{_MAX_QUAD_ORDER}, "
+                              f"got {quad_order!r}")
+        rule = specfun.gauss_jacobi(basis.alpha, quad_order)
+        fvals = f(rule.nodes)
+        tab = _rule_psi(basis, rule, N)
+        coeffs = tab @ (rule.weights * fvals)
+        if quad_order < m + 64:  # the residual takes a rule of m + 64 nodes
+            rule = specfun.gauss_jacobi(basis.alpha, m + 64)
+            fvals = f(rule.nodes)
+            tab = _rule_psi(basis, rule, N, kind="residual_rows")
+        resid = fvals - coeffs @ tab
+        l2w = math.sqrt(max(float(np.real(np.dot(rule.weights, np.abs(resid) ** 2))), 0.0))
     sup = float(np.max(np.abs(f(_SUP_GRID) - _sup_grid_values(basis, coeffs))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
 
@@ -596,13 +604,14 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
     return total
 
 
+def _parseval_error(norm2, coeffs):
+    """||f - S_N f|| in L2(w_a) by Parseval, from ||f||^2 and the real c_n."""
+    return math.sqrt(max(norm2 - float(np.sum(coeffs ** 2)), 0.0))
+
+
 def wm_projection_error(basis, s, lam, N, K=None):
     """||M - S_N M||_{L2(w_a)} via Parseval in the orthonormal basis."""
-    _check_N(basis, N)
-    K = _wm_terms(s, lam, K)
-    norm2 = wm_l2_norm_squared(basis.alpha, s, lam, K)
-    coeffs = wm_all_coefficients(basis, s, lam, N, K=K)
-    return math.sqrt(max(norm2 - float(np.sum(coeffs ** 2)), 0.0))
+    return weierstrass_mandelbrot(s, lam, K).exact(basis, N)[1]
 
 
 def cosine_transform_table(basis, k_max, N):
@@ -628,11 +637,11 @@ def cosine_transform_table(basis, k_max, N):
     return table
 
 
-def _amplitudes(weighted_amplitudes):
-    """The y_k of a cosine series as floats; a series needs at least one."""
-    y = np.asarray(weighted_amplitudes, dtype=float)
+def _amplitudes(amplitudes):
+    """The amplitudes of a cosine series as floats; it needs at least one."""
+    y = np.asarray(amplitudes, dtype=float)
     if y.size < 1:
-        raise DomainError("a cosine series needs at least one amplitude y_k")
+        raise DomainError("a cosine series needs at least one amplitude")
     return y
 
 
@@ -673,8 +682,7 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
         raise DomainError(f"a table of shape {shape} does not serve {y.size} "
                           f"amplitudes at N={N}: it needs shape ({y.size}, >= {N})")
     coeffs = y @ table[:, :N]
-    err2 = cosine_series_norm2(basis.alpha, y) - float(np.sum(coeffs ** 2))
-    return coeffs, math.sqrt(max(err2, 0.0))
+    return coeffs, _parseval_error(cosine_series_norm2(basis.alpha, y), coeffs)
 
 
 def periodic_coefficient(basis, k, n):
@@ -797,24 +805,26 @@ def _chi_tail_factor(basis, N, m):
     return acc
 
 
+def _errors(basis, f, N_list):
+    """The sorted ``N_list`` and ||f - S_N f||^2 and ||f - S_N f|| at each N,
+    from one projection at the largest: err_top^2 + sum |c_n|^2, N <= n < top."""
+    N_list = sorted(N_list)
+    proj = project(basis, f, N_list[-1])
+    err2 = [proj.l2w_error ** 2 + float(np.sum(np.abs(proj.coefficients[N:N_list[-1]]) ** 2))
+            for N in N_list]
+    return N_list, err2, [math.sqrt(max(e, 0.0)) for e in err2]
+
+
 def chi_tail_error_check(basis, f, m, N_list):
     """Ratio ||f - S_N f||^2 / (sum_{n>N} chi_n^(-2m) * ||f||^2_{m+2}) over N.
 
     A bounded, non-exploding ratio (and a log-log error slope <= -2m) is the
     checkable content; the constant in the estimate is generic.
     """
-    N_list = sorted(N_list)
-    n_top = N_list[-1]
-    proj = project(basis, f, n_top)
+    N_list, err2, errors = _errors(basis, f, N_list)
     norm2 = derivative_sobolev_norm(f, m + 2, basis.alpha)
-    errors, tails, ratios = [], [], []
-    err2_top = proj.l2w_error ** 2
-    for N in N_list:
-        err2 = err2_top + float(np.sum(np.abs(proj.coefficients[N:n_top]) ** 2))
-        tail = _chi_tail_factor(basis, N, m)
-        errors.append(math.sqrt(max(err2, 0.0)))
-        tails.append(tail)
-        ratios.append(err2 / (tail * norm2))
+    tails = [_chi_tail_factor(basis, N, m) for N in N_list]
+    ratios = [e / (t * norm2) for e, t in zip(err2, tails)]
     logs = np.log(np.maximum(errors, 1e-300))
     slope = float(np.polyfit(np.log(N_list), logs, 1)[0]) if len(N_list) > 1 else math.nan
     return TailRatioReport(N_list=tuple(N_list), errors=tuple(errors),
@@ -852,17 +862,10 @@ def projection_rate_check(basis, f, s, N_list, hs_norm):
     the algebraic term; the verdict is that the fitted rate is positive.
     Entries with N <= m_a c are flagged inapplicable.
     """
-    N_list = sorted(N_list)
+    N_list, _, errors = _errors(basis, f, N_list)
+    algebraic = [(1.0 + (N / 2.0) ** 2) ** (-0.5 * s) * hs_norm for N in N_list]
     threshold = decay_regime_multiplier(basis.alpha) * basis.c
-    n_top = N_list[-1]
-    proj = project(basis, f, n_top)
-    err2_top = proj.l2w_error ** 2
-    errors, algebraic, applicable = [], [], []
-    for N in N_list:
-        err2 = err2_top + float(np.sum(np.abs(proj.coefficients[N:n_top]) ** 2))
-        errors.append(math.sqrt(max(err2, 0.0)))
-        algebraic.append((1.0 + (N / 2.0) ** 2) ** (-0.5 * s) * hs_norm)
-        applicable.append(N > threshold)
+    applicable = [N > threshold for N in N_list]
     resid = [(n, e - a) for n, e, a, app in zip(N_list, errors, algebraic,
                                                 applicable) if app and e > a]
     if len(resid) >= 2:

@@ -421,23 +421,20 @@ def run_brownian(cfg=None, **overrides):
     table = approx.cosine_transform_table(b, k_terms, n_top + 1)
     xg = approx._SUP_GRID
     bulk = np.abs(xg) <= BULK_SUP_LIMIT
-    psi_grid = b.psi_table(xg, range(n_top))
     seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
 
     def one(seed):
         f = approx.brownian(s, seed, K=k_terms)
-        k = np.arange(1, k_terms + 1, dtype=float)
-        y = f.params["amplitudes"] / k ** s
+        y = f.params["amplitudes"] / np.arange(1.0, k_terms + 1) ** s
         coeffs = y @ table
         norm2 = approx.cosine_series_norm2(alpha, y)
         fx = f(xg)
-        out = []
+        out, sums = [], {}
         for N in sorted(cfg.N_list):
-            err2 = norm2 - float(np.sum(coeffs[:N] ** 2))
-            l2 = math.sqrt(max(err2, 0.0))
-            resid = np.abs(fx - coeffs[:N] @ psi_grid[:N])
-            out.append((seed, N, float(np.max(resid[bulk])), l2))
-        return out, fx, coeffs
+            sums[N] = approx._sup_grid_values(b, coeffs[:N])  # S_N f as project sums it
+            out.append((seed, N, float(np.max(np.abs(fx - sums[N])[bulk])),
+                        approx._parseval_error(norm2, coeffs[:N])))
+        return out, fx, sums
 
     results = _pool_map(one, seeds, cfg.threads)
     summary = []
@@ -451,11 +448,10 @@ def run_brownian(cfg=None, **overrides):
     _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
                summary)
     # sample curves for the first seed
-    _, fx0, coeffs0 = results[0]
+    _, fx0, sums0 = results[0]
     for N in sorted(cfg.N_list):
-        sx = coeffs0[:N] @ psi_grid[:N]
         rows = [[_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
-                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sx.tolist())]
+                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sums0[N].tolist())]
         name = f"samples_N{N}_seed{seeds[0]}.csv"
         _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
     medians = {N: _median(sup_by_n[N]) for N in cfg.N_list}

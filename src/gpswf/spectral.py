@@ -316,7 +316,7 @@ def compute_spectrum(basis):
     # every n at every candidate and at x = 0, the transform terms at every
     # candidate argument from one batched Bessel ladder, and every n's floors
     # and candidate ranking
-    vals = basis.psi(ns, _PROBE_X, 0)[0]
+    vals = basis.psi_table(_PROBE_X)
     at0 = basis_mod._psi_at0(basis)
     # from about alpha 100 the terms at the smallest candidates pass the
     # largest double; those candidates get an infinite floor

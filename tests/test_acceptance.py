@@ -3,6 +3,7 @@
 Run with  pytest tests/test_acceptance.py -s  to see the per-criterion lines.
 """
 
+import dataclasses
 import math
 import time
 
@@ -207,10 +208,11 @@ def test_criterion_08_brownian(tmp_path):
 
 
 def test_criterion_09_coefficient_cross_validation():
-    # (a) closed-form rough-function coefficients vs quadrature
+    # (a) closed-form rough-function coefficients vs quadrature: the target
+    # without its closed form takes project's Gauss rule
     b = B.build_basis(0.5, 5 * math.pi, 24)
     K = 8
-    f = approx.weierstrass_mandelbrot(1.0, 2.0, K=K)
+    f = dataclasses.replace(approx.weierstrass_mandelbrot(1.0, 2.0, K=K), exact=None)
     pr = approx.project(b, f, 22, quad_order=max(b.trunc + 64, 400))
     worst_rel = 0.0
     for n in range(1, 22, 2):

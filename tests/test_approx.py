@@ -296,6 +296,20 @@ class TestProjection:
             approx.project(b, f, 6.0)
         assert approx.project(b, f, np.int64(6)).coefficients.size == 6
 
+    @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(1.0, 2.0),
+                                        approx.brownian(1.5, seed=3, K=500)],
+                             ids=["wm", "brownian"])
+    def test_closed_form_target_builds_no_rule(self, basis_05_2, monkeypatch, target):
+        # coefficients and l2w_error are the closed form's, bitwise, and no
+        # Gauss rule is asked for
+        def no_rule(alpha, m):
+            raise AssertionError(f"gauss_jacobi({alpha}, {m})")
+
+        monkeypatch.setattr(specfun, "gauss_jacobi", no_rule)
+        pr = approx.project(basis_05_2, target, 12)
+        coeffs, l2w = target.exact(basis_05_2, 12)
+        assert pr.coefficients.tobytes() == coeffs.tobytes() and pr.l2w_error == l2w
+
     def test_range_and_config_errors(self, basis_05_2):
         f = approx.brownian(1.5, seed=3, K=10)
         with pytest.raises(DomainError):
@@ -321,12 +335,13 @@ class TestRuleRowsMemo:
 
     @pytest.mark.parametrize("N", [1, 2, 60, 96])
     @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
-    @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(1.0, 2.0),
-                                        approx.periodic_exponential(7)],
-                             ids=["real", "complex"])
+    @pytest.mark.parametrize("target", [
+        dataclasses.replace(approx.weierstrass_mandelbrot(1.0, 2.0), exact=None),
+        approx.periodic_exponential(7)], ids=["real", "complex"])
     def test_cold_and_warm_memo_give_the_same_bytes(self, basis_proj, N, extra, target):
         # a copy keeps no tables; m + 32 takes a coefficient rule apart from
-        # the m + 64 residual rule, whose rows the basis keeps apart
+        # the m + 64 residual rule, whose rows the basis keeps apart; the
+        # real target goes without its closed form, so it takes the rules
         b = dataclasses.replace(basis_proj)
         quad_order = None if extra is None else (
             max(b.trunc, b.nmax + math.ceil(b.c) + 40) + extra)
@@ -473,9 +488,10 @@ class TestWmCoefficients:
 
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_closed_form_matches_quadrature(self, basis_wm, s):
-        # identical K-term truncations on both routes
+        # identical K-term truncations on both routes; without its closed
+        # form the target takes project's Gauss rule
         K = 8
-        f = approx.weierstrass_mandelbrot(s, 2.0, K=K)
+        f = dataclasses.replace(approx.weierstrass_mandelbrot(s, 2.0, K=K), exact=None)
         pr = approx.project(basis_wm, f, 22,
                             quad_order=max(basis_wm.trunc + 64, 400))
         for n in range(1, 22, 2):
@@ -509,7 +525,7 @@ class TestWmCoefficients:
     def test_projection_error_parseval_route(self, basis_wm):
         # coefficient-space error equals the quadrature residual norm
         K = 8
-        f = approx.weierstrass_mandelbrot(1.0, 2.0, K=K)
+        f = dataclasses.replace(approx.weierstrass_mandelbrot(1.0, 2.0, K=K), exact=None)
         pr = approx.project(basis_wm, f, 20,
                             quad_order=max(basis_wm.trunc + 64, 400))
         err = approx.wm_projection_error(basis_wm, 1.0, 2.0, 20, K=K)

@@ -10,6 +10,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,43 @@ def test_project_subcommand(capsys, cache_args):
                            "--fn", "periodic:k=1", "--N", "8", *cache_args)
     assert code == 0
     assert "l2w_error=" in out
+
+
+def _closed_form_error(b, fn, N):
+    cfg = cli._parse_fn_spec(fn)
+    if cfg["kind"] == "wm":
+        return approx.wm_projection_error(b, float(cfg["s"]), float(cfg["lambda"]), N)
+    f = approx.brownian(float(cfg["s"]), int(cfg["seed"]))
+    y = f.params["amplitudes"] / np.arange(1.0, f.params["K"] + 1) ** f.params["s"]
+    return approx.cosine_series_projection(b, y, N)[1]
+
+
+@pytest.mark.parametrize("alpha", ["0.5", "1.5"])
+@pytest.mark.parametrize("fn, N", [("wm:s=1,lambda=2", 95),
+                                   ("brownian:s=1.5,seed=3", 60),
+                                   ("brownian:s=1.5,seed=7", 60)])
+def test_project_error_is_the_closed_form(capsys, monkeypatch, alpha, fn, N):
+    # wm and brownian take their closed-form coefficients: the printed
+    # l2w_error is Parseval's on the CLI's own basis, which a Gauss rule of
+    # m + 64 nodes missed by 2.8-13%
+    seen = []
+    project = approx.project
+    monkeypatch.setattr(approx, "project", lambda b, f, N, **kw: seen.append(
+        (b, project(b, f, N, **kw))) or seen[-1][1])
+    code, out, _ = run_cli(capsys, "project", "--alpha", alpha, "--c", repr(5 * math.pi),
+                           "--N", str(N), "--fn", fn, "--no-cache")
+    (b, pr), = seen
+    assert code == 0 and f"l2w_error={pr.l2w_error:.6e}" in out
+    assert pr.l2w_error == pytest.approx(_closed_form_error(b, fn, N), rel=1e-12)
+
+
+@pytest.mark.parametrize("fn", ["wm:s=1,lambda=2", "brownian:s=1.5,K=50"])
+def test_quad_order_with_a_closed_form_target_exits_1(capsys, cache_args, fn):
+    # the closed form builds no rule, so a rule size would change nothing
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2", "--N", "4",
+                             "--fn", fn, "--quad-order", "200", *cache_args)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: quad_order=200 ")
 
 
 def test_byte_identical_reruns(capsys, cache_args):
