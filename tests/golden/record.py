@@ -200,13 +200,17 @@ def entries(tmp):
         for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0))))
 
     # the wm-table scenario's CSV pins its errors; these are its coefficients
-    for alpha in (0.5, 1.5):
-        b = B.build_basis(alpha, PI5, 96)
+    proj = [B.build_basis(alpha, PI5, 96) for alpha in (0.5, 1.5)]
+    for b in proj:
         for s in (0.25, 1.0):
-            yield (f"wm_all_coefficients at build_basis({alpha}, 5 pi, 96), s={s}, "
+            yield (f"wm_all_coefficients at build_basis({b.alpha}, 5 pi, 96), s={s}, "
                    f"lambda=2, N=95"), _sha(approx.wm_all_coefficients(b, s, 2.0, 95))
-        yield (f"cosine_transform_table at build_basis({alpha}, 5 pi, 96), "
+        yield (f"cosine_transform_table at build_basis({b.alpha}, 5 pi, 96), "
                f"k_max=4000, N=91"), _sha(approx.cosine_transform_table(b, 4000, 91))
+    yield ("periodic_coefficient at build_basis(0.5 and 1.5, 5 pi, 96), "
+           "k in (-3, 1, 7, 64), n < 96"), _sha(np.array(
+               [approx.periodic_coefficient(b, k, n)
+                for b in proj for k in (-3, 1, 7, 64) for n in range(96)]))
     b = B.build_basis(0.5, PI5, 24)
     for K in (300, None, 1000):
         yield (f"wm_all_coefficients at build_basis(0.5, 5 pi, 24), s=0.5, "
