@@ -685,8 +685,25 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
     return coeffs, _parseval_error(cosine_series_norm2(basis.alpha, y), coeffs)
 
 
+def _periodic_sums(basis, u):
+    """The real transform sums int e^{iuy} psi_n(y) w_a(y) dy / i^(n mod 2)
+    of every n at u > 0, from one row of transform terms: psi_n's
+    coefficients vanish off its parity, so row n sums beta[n] times the terms
+    of n's parity.  The terms alternate in sign and their peak can tower over
+    the sum, so each sum is exactly rounded, which leaves the roundoff of the
+    terms themselves, about eps max |term|."""
+    terms = spectral._fc_terms(basis.alpha, 2 * basis.trunc - 1, u)
+    prods = np.empty(basis.beta.shape)
+    for p in (0, 1):
+        np.multiply(basis.beta[p::2], terms[p::2], out=prods[p::2])
+    return backend.fsum_rows(prods)
+
+
 def periodic_coefficient(basis, k, n):
-    """<e^{i k pi x}, psi_n> in L2(w_a), via the exact transform expansion."""
+    """<e^{i k pi x}, psi_n> in L2(w_a), via the exact transform expansion.
+
+    The sums of every n at the last |k| pi are kept on the basis, so the
+    nmax coefficients at one k take one exactly rounded pass."""
     if not _is_integer(n):
         raise DomainError(f"basis index {n!r} is not an integer")
     if not 0 <= n < basis.nmax:
@@ -697,12 +714,12 @@ def periodic_coefficient(basis, k, n):
         u = math.inf
     if not math.isfinite(u):
         raise DomainError(f"the frequency |k| pi is not a finite double at k={k!r}")
-    row = basis.beta[n]
     if k == 0:
         if n % 2 == 1:
             return 0.0j
-        return complex(row[0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    val = spectral._fc_series(basis.alpha, row, n % 2, u)
+        return complex(basis.beta[n, 0] * math.sqrt(specfun.weight_mass(basis.alpha)))
+    total = float(basis._table("periodic", u, lambda: _periodic_sums(basis, u))[n])
+    val = 1j * total if n % 2 else complex(total)
     if k < 0:
         val = val.conjugate()
     return val

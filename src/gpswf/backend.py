@@ -487,3 +487,96 @@ def bessel_ladder(nu0, count, x):
     if up.any():
         out[up] = _ladder_upward(nu0, count, x[up]).T
     return out
+
+
+# ---------------------------------------------------------------------------
+# Exactly rounded row sums.
+# ---------------------------------------------------------------------------
+
+# A certified row's sum is at least this in magnitude, so that half its
+# smaller gap is a normal double with room below it (see fsum_rows)
+_FSUM_TINY = 2.0 ** -900
+# A row of k entries is certified only if k max |x| is below this, so that no
+# partial sum of the tree or of math.fsum can overflow
+_FSUM_HUGE = 2.0 ** 1000
+
+
+def fsum_rows(rows):
+    """Each row's sum of the 2-D float array ``rows``, bit for bit
+    ``math.fsum(row)``, and raising what that raises.
+
+    A row of k entries is summed by a pairwise tree of TwoSums, s = a + b,
+    z = s - a, e = (a - (s - z)) + (b - z), each of which gives s + e = a + b
+    exactly in round to nearest, underflow included, as long as nothing
+    overflows (Knuth, *TAOCP* 2, 4.2.2).  The tree is stored as one array of
+    2k - 1 columns per row: node j sums columns 2j and 2j + 1 into column
+    k + j, so each level's sums are one ufunc call and all k - 1 errors are
+    one pass after them.  The row's exact sum is T = hi + sum e, with hi the
+    root.
+
+    Certificate.  lo = fl(sum e), in any order, is within g_n sum |e| of sum
+    e, g_n = n u / (1 - n u) with u = 2^-53 and n = k - 2 additions; this
+    holds with gradual underflow, where additions are exact (Higham,
+    *Accuracy and Stability*, 2002, 4.2).  delta = c S with S = fl(sum |e|)
+    and c = 4 w u, w the power of two above k, so c >= 2 g_k.  The factor 2
+    pays for S's own rounding: S >= (1 - g_n) sum |e| >= sum |e| / 2, so c S
+    >= g_n sum |e|.  c is a power of two, so fl(c S) is c S unless it is
+    subnormal, and then within 2^-1075 of it.  A second TwoSum gives r + f =
+    hi + lo exactly, so |T - r| <= |f| + delta + 2^-1075.  The gap below |r|,
+    |r| - pred(|r|), is the smaller of its two gaps to the neighbouring
+    doubles; call it 2h.  The row is certified when fl(2 fl(|f| + delta)) <
+    2h.  That test is exact: doubling is exact, rounding is monotone and 2h
+    is a double, so it implies |f| + delta < h in real numbers; all three are
+    multiples of 2^-1074, so |f| + delta <= h - 2^-1074 and |T - r| < h.  T
+    then lies strictly inside r's rounding interval, and every rounding to
+    nearest, fsum's included, returns r.  |r| >= 2^-900 keeps h a normal
+    double far above 2^-1074; k max |x| < 2^1000 keeps every partial sum of
+    the tree and of fsum, at most about 3 k max |x|, finite, so fsum cannot
+    raise on a certified row.
+
+    Every other row goes to ``math.fsum(row.tolist())``: a sum within
+    delta of a tie, r = 0 (whose sign fsum decides) or |r| < 2^-900, and
+    rows with an infinite or nan entry or with k max |x| >= 2^1000, where
+    fsum may raise ``OverflowError`` at a prefix sum that no subtree
+    reaches.  Rows go in order, so the first row that raises is the first
+    that ``math.fsum`` would raise on.
+    """
+    rows = np.asarray(rows, dtype=float)
+    m, k = rows.shape
+    if k == 0:
+        return np.zeros(m)
+    tree = np.empty((2 * k - 1, m))
+    tree[:k] = rows.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one bound for the whole array; only when it fails, one per row
+        big = not np.abs(tree[:k]).max() < _FSUM_HUGE / k
+        done = k
+        while done < 2 * k - 1:
+            top = k + done // 2
+            kids = slice(2 * (done - k), 2 * (top - k))
+            np.add(tree[kids][0::2], tree[kids][1::2], out=tree[done:top])
+            done = top
+        a, b, s = tree[0:2 * k - 2:2], tree[1:2 * k - 2:2], tree[k:]
+        z = s - a
+        e = s - z
+        np.subtract(a, e, out=e)
+        np.subtract(b, z, out=z)
+        e += z
+        hi = tree[-1]
+        lo = np.add.reduce(e, axis=0)
+        delta = np.add.reduce(np.abs(e, out=e), axis=0)
+        delta *= (1 << k.bit_length()) * 2.0 ** -51
+        r = hi + lo
+        z = r - hi
+        f = (hi - (r - z)) + (lo - z)
+        ar = np.abs(r)
+        bound = np.abs(f, out=f)
+        bound += delta
+        bound += bound
+        ok = (bound < ar - np.nextafter(ar, 0.0)) & (ar >= _FSUM_TINY)
+        if big:
+            ok &= np.max(np.abs(rows), axis=1) < _FSUM_HUGE / k
+    if not ok.all():
+        for i in np.flatnonzero(~ok).tolist():
+            r[i] = math.fsum(rows[i].tolist())
+    return r

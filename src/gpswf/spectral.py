@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import basis as basis_mod, specfun
+from . import backend, basis as basis_mod, specfun
 from .errors import ConsistencyError, DomainError
 
 __all__ = [
@@ -69,12 +69,46 @@ def _fc_term_rows(alpha, kmax, us):
 
     int e^{iuy} Jt_k(y) w_a(y) dy = i^(k mod 2) t_k, so a coefficient vector
     of one parity transforms to its dot product with t (times i if odd).  This
-    is the only place that knows the Bessel expansion of F_c.
+    is the only place that knows the Bessel expansion of F_c.  Arguments in
+    (0, ``backend._SMALL_X``] take :func:`_fc_small_row` instead.
     """
-    pref = np.array([_fc_pref(alpha, u) for u in np.asarray(us, float).tolist()])
+    us = np.asarray(us, dtype=float)
+    small = (us > 0.0) & (us <= backend._SMALL_X)
+    if small.any():
+        terms = np.empty((us.size, kmax + 1))
+        if not small.all():
+            terms[~small] = _fc_term_rows(alpha, kmax, us[~small])
+        terms[small] = [_fc_small_row(alpha, kmax, u) for u in us[small].tolist()]
+        return terms
+    pref = np.array([_fc_pref(alpha, u) for u in us.tolist()])
     terms = pref[:, None] * _signed_gammas(alpha, kmax)
     terms *= specfun.bessel_j_ladder(alpha + 0.5, kmax, us)
     return terms
+
+
+def _fc_small_row(alpha, kmax, u):
+    """The terms at 0 < u <= ``backend._SMALL_X``, where the ladder gives J
+    its leading series term (u/2)^nu / Gamma(nu + 1).  The prefactor cancels
+    all of (u/2)^(k+a+1/2) but (u/2)^k, so
+
+        t_k = s_k gamma_k sqrt(pi) (u/2)^k / Gamma(k + a + 3/2),
+
+    formed in Python floats without the Bessel factor, which underflows
+    where the term is still a double (J_2(5e-301) against t_1 ~ 3e-301).
+    The row stops at the first power that underflows; the orders after it
+    are smaller by (u/2)^2 or more."""
+    signed = _signed_gammas(alpha, kmax).tolist()
+    row = np.zeros(kmax + 1)
+    for k in range(kmax + 1):
+        power = math.pow(0.5 * u, k)
+        if power == 0.0:
+            break
+        try:
+            row[k] = signed[k] * (math.sqrt(math.pi) * power / math.gamma(k + alpha + 1.5))
+        except OverflowError:
+            raise DomainError(f"the transform factor Gamma(k+a+3/2) passes the largest "
+                              f"double at alpha={alpha!r}, k={k}") from None
+    return row
 
 
 @lru_cache(maxsize=256)
@@ -85,25 +119,6 @@ def _fc_terms(alpha, kmax, u):
     terms = _fc_term_rows(alpha, kmax, [u])[0]
     terms.setflags(write=False)
     return terms
-
-
-def _fc_sum(terms, parity):
-    """The transform value from its terms (``coef * t``) for a coefficient
-    vector of the given parity.  The terms alternate in sign and their peak
-    can tower over the sum, so the reduction is exactly rounded; the error
-    left is the roundoff of the terms themselves, about eps * max |term|.
-    ``math.fsum`` reads a list of floats about twice as fast as an array row,
-    and its exactly rounded value is the same either way."""
-    total = math.fsum(terms)
-    return 1j * total if parity else complex(total)
-
-
-def _fc_series(alpha, row, parity, u):
-    """int e^{iuy} psi(y) w_a(y) dy for psi = sum_i row_i Jt_{2i+parity} (a
-    row of a basis's beta) and u > 0; see :func:`_fc_sum`, whose exactly
-    rounded sum makes this the value over all Jacobi indices bit for bit."""
-    terms = _fc_terms(alpha, 2 * row.size - 1, u)
-    return _fc_sum((row * terms[parity::2]).tolist(), parity)
 
 
 def fc_on_jacobi(alpha, c, k, x):
@@ -325,14 +340,16 @@ def compute_spectrum(basis):
     floors = _probe_floors(basis, rows, vals)
     ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
     # psi_n's coefficients vanish off its parity: each n sums only its
-    # orders, exactly rounded as in _fc_sum, the products gathered for
-    # blocks of _FLOOR_BLOCK n of one parity and read as one list per n
+    # orders.  The terms alternate in sign and their peak can tower over the
+    # sum, so each sum is exactly rounded; the products are gathered for
+    # blocks of _FLOOR_BLOCK n of one parity, one fsum_rows call per block
     sums = np.empty(ranked.shape)
     for p in (0, 1):
         for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
             block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
             prods = basis.beta[block, None, :] * rows[ranked[block], p::2]
-            sums[block] = [list(map(math.fsum, n_prods.tolist())) for n_prods in prods]
+            sums[block] = backend.fsum_rows(
+                prods.reshape(-1, basis.trunc)).reshape(prods.shape[:2])
     # mu per n as a Python complex, since mu_phase prints its sign of zero;
     # lambda squares |mu| as an array, x * x, which is correctly rounded
     mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]

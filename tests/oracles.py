@@ -10,6 +10,8 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   the forms the library's FFT norm and one-series sup error replaced.
 * The one-argument Hankel sum with ``math.cos`` and ``math.sin``: the
   form the array Hankel start replaced.
+* The transform of one psi_n at one argument from ``math.fsum`` over a
+  list of its terms: the per-n form that ``backend.fsum_rows`` replaced.
 
 The other former implementations are gone: ``tests/golden/`` pins their
 inputs' outputs by sha256.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpswf import approx, specfun
+from gpswf import approx, specfun, spectral
 from gpswf.basis import build_basis, moment_b
 
 
@@ -138,3 +140,21 @@ def _hankel_j(nu, x):
     sin_w = math.sin(x) * cos_t - math.cos(x) * sin_t
     return math.sqrt(2.0 / (math.pi * x)) * (p * cos_w - q * sin_w)
 
+
+def fc_sum(terms, parity):
+    """The transform value from its terms (``coef * t``) for a coefficient
+    vector of the given parity.  The terms alternate in sign and their peak
+    can tower over the sum, so the reduction is exactly rounded; the error
+    left is the roundoff of the terms themselves, about eps * max |term|.
+    ``math.fsum`` reads a list of floats about twice as fast as an array row,
+    and its exactly rounded value is the same either way."""
+    total = math.fsum(terms)
+    return 1j * total if parity else complex(total)
+
+
+def fc_series(alpha, row, parity, u):
+    """int e^{iuy} psi(y) w_a(y) dy for psi = sum_i row_i Jt_{2i+parity} (a
+    row of a basis's beta) and u > 0; see :func:`fc_sum`, whose exactly
+    rounded sum makes this the value over all Jacobi indices bit for bit."""
+    terms = spectral._fc_terms(alpha, 2 * row.size - 1, u)
+    return fc_sum((row * terms[parity::2]).tolist(), parity)

@@ -885,6 +885,18 @@ class TestPeriodicCoefficients:
         w = approx.periodic_coefficient(basis_05_2, -2, 6)
         assert w == v.conjugate()
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_all_n_equal_the_per_n_sums(self, alpha):
+        # one exactly rounded pass over every n gives each n's math.fsum
+        # over its own terms, bit for bit, sign of zero included
+        b = B.build_basis(alpha, 5 * math.pi, 96)
+        for k in (-3, 1, 64):
+            for n in range(b.nmax):
+                ref = oracles.fc_series(b.alpha, b.beta[n], n % 2, abs(k) * math.pi)
+                ref = ref.conjugate() if k < 0 else ref
+                got = approx.periodic_coefficient(b, k, n)
+                assert repr(got) == repr(ref), (k, n)
+
     def test_geometric_decay_in_regime(self):
         # fixed k, increasing n with k <= 0.14 n and n >= m_a c
         b = B.build_basis(0.5, 5.0, 61)

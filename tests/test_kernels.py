@@ -1,13 +1,20 @@
 """Eigenvectors of the coefficient eigensystem: orthogonality, and agreement
 with a 60-digit mpmath oracle entry by entry and in the transform eigenvalue
-mu_n of the boundary identity."""
+mu_n of the boundary identity; the transform terms at the smallest
+arguments against the same oracle; and the exactly rounded row sums of
+``backend.fsum_rows`` against ``math.fsum``, bit for bit."""
 
 import math
+import re
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gpswf import backend
 from gpswf import basis as B
 from gpswf import spectral as S
 
@@ -179,3 +186,104 @@ def test_deep_n_mu_matches_mpmath_transform_ratio():
             mu = complex(image / psi)
             got = entries[n].mu_abs * entries[n].mu_phase
             assert abs(got - mu) <= 1e-12 * abs(mu), (n, abs(got - mu) / abs(mu))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5])
+@pytest.mark.parametrize("u", [1e-300, 1e-150, 1e-20, 1e-9])
+def test_small_argument_terms_against_mpmath(alpha, u):
+    # at u <= backend._SMALL_X each term is s_k gamma_k sqrt(pi) (u/2)^k /
+    # Gamma(k + a + 3/2), with no Bessel factor to underflow: within 16 eps
+    # of the closed form, and 0 only where that is below the smallest
+    # subnormal (measured: at most 6.9 eps)
+    assert u <= backend._SMALL_X
+    with mp.workdps(40):
+        for k in range(5):
+            ref = complex(_mp_fc_jacobi(alpha, k, mp.mpf(u)))
+            got = S.fc_on_jacobi(alpha, 2.0 * u, k, 0.5)
+            assert abs(got - ref) <= 16 * np.finfo(float).eps * abs(ref), (k, got, ref)
+            assert (got == 0.0) == (ref == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# backend.fsum_rows: each row's sum bit for bit math.fsum's, and the same
+# exception.  The rows are drawn by kind; numpy fills them from a drawn seed,
+# so a row of 300 costs one draw.
+# ---------------------------------------------------------------------------
+
+_MAX = sys.float_info.max
+
+
+def _spread(rng, size, lo, hi):
+    """Random signs and mantissas times 2^e, e uniform in [lo, hi]."""
+    return np.ldexp(rng.uniform(-1.0, 1.0, size), rng.integers(lo, hi + 1, size))
+
+
+def _tie(rng):
+    """b plus half of one of its gaps (a tie, the lower one half the upper
+    at a power of two), and maybe a tiny term of either sign that breaks it."""
+    b = float(_spread(rng, 1, -1000, 1000)[0])
+    if rng.random() < 0.5:
+        b = math.copysign(2.0 ** math.frexp(b)[1], b)
+    up = rng.random() < 0.5
+    half = 0.5 * abs(math.nextafter(b, math.inf if up else -math.inf) - b)
+    core = [b, half if up else -half]
+    if rng.random() < 0.7:
+        core.append(math.copysign(math.ldexp(half, -int(rng.integers(50, 120))),
+                                  rng.choice([-1.0, 1.0])))
+    return core
+
+
+def _row(kind, width, rng):
+    if kind == "spread":
+        lo = int(rng.integers(-1074, 1024))
+        return _spread(rng, width, lo, int(rng.integers(lo, 1024)))
+    if kind == "tie":
+        core = _tie(rng)
+    elif kind == "cancel":  # pairs x, -x, and maybe a subnormal or small rest
+        xs = _spread(rng, width // 2, -1074, 1023)
+        rest = [rng.choice([5e-324, -5e-324, 2.0 ** -1030, 1e-300, 1.0])] if width % 2 else []
+        core = list(xs) + list(-xs) + rest
+    elif kind == "zeros":
+        return rng.choice([0.0, -0.0], width)
+    elif kind == "special":  # inf, -inf or nan in a finite row
+        row = _spread(rng, width, -50, 50)
+        row[rng.integers(0, width, 3)] = rng.choice([math.inf, -math.inf, math.nan], 3)
+        return row
+    else:  # overflow: entries near the largest double
+        core = list(rng.choice([1.0, -1.0], width) * rng.uniform(0.3, 1.0, width) * _MAX)
+    row = np.zeros(width)
+    row[:min(width, len(core))] = core[:width]
+    return rng.permutation(row)
+
+
+@st.composite
+def _sum_rows(draw):
+    width = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kinds = st.sampled_from(["spread", "tie", "cancel", "zeros", "special", "overflow"])
+    return np.array([_row(draw(kinds), width, rng) for _ in range(draw(st.integers(1, 3)))])
+
+
+_S = 2.0 ** -107 - 2.0 ** -159
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sum_rows())
+@example(np.array([[1.0, 2.0 ** -53]]))  # a tie, to even
+@example(np.array([[1.0, -2.0 ** -54, -2.0 ** -130]]))  # below the tie under 1
+@example(np.array([[2.0 ** 600, 2.0 ** 547, 2.0 ** 400], [3.0, -(2.0 ** -52), 0.0]]))
+# lo = fl(sum e) misses the midpoint that sum e passes: only delta refuses it
+@example(np.array([[1.5, 2.0 ** -53 - 2.0 ** -106, 1.0, _S, -1.0, _S, 0.25, _S]]))
+@example(np.array([[0.0, -0.0], [-0.0, -0.0]]))
+@example(np.array([[1e308, 1e308, -1e308], [1.0, math.inf, -math.inf], [math.nan, 1.0, 2.0]]))
+# math.fsum overflows at a prefix sum that no subtree of the tree reaches
+@example(np.array([[6e307, -6e307, 6e307, 6e307, 6e307, -6e307, -6e307, -6e307, 1.0]]))
+@example(np.array([[5e-324, -1e-323, 2.0 ** -1022]]))
+def test_fsum_rows_is_math_fsum(rows):
+    try:
+        want = np.array([math.fsum(row) for row in rows.tolist()])
+    except (ValueError, OverflowError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            backend.fsum_rows(rows)
+    else:
+        assert backend.fsum_rows(rows).tobytes() == want.tobytes()

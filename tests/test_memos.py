@@ -7,15 +7,17 @@ used by the spectrum, the local estimate and ``project`` is freed with all
 it computed.
 """
 
+import dataclasses
 import gc
 import importlib
 import inspect
+import math
 import pkgutil
 import tracemalloc
 import weakref
 
 import gpswf
-from gpswf import approx, spectral, specfun
+from gpswf import approx, backend, spectral, specfun
 from gpswf import basis as B
 
 
@@ -44,6 +46,28 @@ def test_no_global_memo_takes_a_basis():
     assert not hasattr(specfun, "_rule_rows")
 
 
+def test_periodic_sums_live_on_the_basis(monkeypatch):
+    # the coefficients of every n at one |k| pi are one fsum_rows pass, kept
+    # in the basis's "periodic" slot and replaced when |k| pi changes
+    b = B.build_basis(0.5, 5.0, 20)
+    passes = []
+    fsum_rows = backend.fsum_rows
+    monkeypatch.setattr(backend, "fsum_rows", lambda rows: passes.append(rows.shape)
+                        or fsum_rows(rows))
+    first = [approx.periodic_coefficient(b, 3, n) for n in range(b.nmax)]
+    kept = b._tables["periodic"]
+    assert passes == [(b.nmax, b.trunc)] and kept[0] == 3 * math.pi
+    assert not kept[1].flags.writeable
+    assert [approx.periodic_coefficient(b, -3, n) for n in range(b.nmax)] == [
+        v.conjugate() for v in first]
+    assert len(passes) == 1 and b._tables["periodic"] is kept
+    approx.periodic_coefficient(b, 5, 0)
+    assert len(passes) == 2 and b._tables["periodic"][0] == 5 * math.pi
+    assert [approx.periodic_coefficient(b, 3, n) for n in range(b.nmax)] == first
+    assert len(passes) == 3
+    assert dataclasses.replace(b)._tables == {}
+
+
 def test_a_used_basis_is_collected():
     b = B.build_basis(0.5, 5.0, 20)
     spectral.compute_spectrum(b)
@@ -51,6 +75,7 @@ def test_a_used_basis_is_collected():
     approx.project(b, approx.periodic_exponential(3), 10)
     approx.project(b, approx.periodic_exponential(3), 10, quad_order=200)
     approx.wm_projection_error(b, 1.0, 2.0, 10)
+    approx.periodic_coefficient(b, 3, 4)
     ref = weakref.ref(b)
     del b
     gc.collect()

@@ -269,9 +269,12 @@ class TestSmallArguments:
                 assert abs(mp.mpf(got) - ref) <= 4 * _EPS * abs(ref) + 5e-324, (nu, got)
 
     def test_transform_at_tiny_c_is_finite(self):
-        # was nan+nanj; J_2(5e-301) underflows before (2/u)^(a+1/2) scales
-        # it back, so the value is 0 where the true one is 3.1e-301
-        assert spectral.fc_on_jacobi(0.5, 1e-300, 1, 0.5) == 0.0j
+        # was nan+nanj, then 0j: J_2(5e-301) underflows before (2/u)^(a+1/2)
+        # scales it back, so the term is formed without the Bessel factor
+        assert spectral.fc_on_jacobi(0.5, 1e-300, 1, 0.5).imag == pytest.approx(
+            3.1332853432887e-301, rel=1e-13)
+        assert spectral.fc_on_jacobi(0.5, 1e-150, 2, 0.5).real == pytest.approx(
+            -3.9166066791109e-302, rel=1e-13)
         assert spectral.fc_on_jacobi(0.5, 1e-20, 1, 0.5).imag == pytest.approx(
             3.133285343288749e-21, rel=1e-15)
 

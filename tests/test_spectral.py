@@ -242,7 +242,7 @@ def _per_n_probes(basis, n):
     for x, v in zip(xs, vals):
         u = basis.c * float(x)
         terms = coef * spectral._fc_terms(basis.alpha, coef.size - 1, u)
-        ratios.append(spectral._fc_series(basis.alpha, basis.beta[n], n % 2, u) / v)
+        ratios.append(oracles.fc_series(basis.alpha, basis.beta[n], n % 2, u) / v)
         floors.append(1024.0 * EPS * float(np.max(np.abs(terms))) / abs(v))
     keep = np.argsort(floors)[:5]
     return np.array(ratios)[keep], np.array(floors)[keep]
@@ -279,7 +279,7 @@ def test_probe_checks_equal_the_per_n_complex_form(alpha, c, nmax):
         n, p, keep = e.n, e.n % 2, ranked[e.n]
         mu = spectral._mu_from_boundary(b, n, at0[:, n])
         terms = (b.beta[n] * rows[keep, p::2]).tolist()
-        devs = [abs(spectral._fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])]
+        devs = [abs(oracles.fc_sum(t, p) / v - mu) for t, v in zip(terms, vals[n, keep])]
         assert e.probe_spread == max(devs)
         assert e.probe_floor == float(floors[n, keep[-1]]) / abs(mu)
 
