@@ -36,6 +36,13 @@ power of two (:func:`_miller_close`), exactly rounded in NumPy as in Python
 floats.  Both Miller paths read one memoised table of Neumann coefficients
 per base order.  Arguments at most ``_SMALL_X`` (1e-8) take the leading
 series term instead (:func:`_ladder_small`).
+
+:func:`fsum_rows` sums each row of an array exactly rounded, bit for bit
+``math.fsum``, in whole-array passes: a pairwise tree of error-free TwoSums
+splits every row into a root and its errors, and a rigorous bound on the
+errors' rounded sum certifies the result (Ogita, Rump & Oishi, SIAM J. Sci.
+Comput. 26, 2005).  A row it cannot certify, near a tie, tiny, zero or not
+finite, goes to ``math.fsum`` itself.
 """
 
 import math
@@ -508,11 +515,11 @@ def fsum_rows(rows):
     A row of k entries is summed by a pairwise tree of TwoSums, s = a + b,
     z = s - a, e = (a - (s - z)) + (b - z), each of which gives s + e = a + b
     exactly in round to nearest, underflow included, as long as nothing
-    overflows (Knuth, *TAOCP* 2, 4.2.2).  The tree is stored as one array of
-    2k - 1 columns per row: node j sums columns 2j and 2j + 1 into column
-    k + j, so each level's sums are one ufunc call and all k - 1 errors are
-    one pass after them.  The row's exact sum is T = hi + sum e, with hi the
-    root.
+    overflows (Knuth, *TAOCP* 2, 4.2.2).  The rows are summed as columns,
+    one level of the tree at a time: a level of w entries adds its first
+    w // 2 to its last w // 2, the middle entry of an odd level goes up as
+    it is, and the w // 2 errors go into one buffer of k - 1.  The row's
+    exact sum is T = hi + sum e, with hi the root.
 
     Certificate.  lo = fl(sum e), in any order, is within g_n sum |e| of sum
     e, g_n = n u / (1 - n u) with u = 2^-53 and n = k - 2 additions; this
@@ -545,26 +552,30 @@ def fsum_rows(rows):
     m, k = rows.shape
     if k == 0:
         return np.zeros(m)
-    tree = np.empty((2 * k - 1, m))
-    tree[:k] = rows.T
+    level = rows.T.copy()
+    errs = np.empty((k - 1, m))
+    sums = np.empty((k - k // 2, m))
+    z = np.empty((k // 2, m))
     with np.errstate(over="ignore", invalid="ignore"):
         # one bound for the whole array; only when it fails, one per row
-        big = not np.abs(tree[:k]).max() < _FSUM_HUGE / k
-        done = k
-        while done < 2 * k - 1:
-            top = k + done // 2
-            kids = slice(2 * (done - k), 2 * (top - k))
-            np.add(tree[kids][0::2], tree[kids][1::2], out=tree[done:top])
-            done = top
-        a, b, s = tree[0:2 * k - 2:2], tree[1:2 * k - 2:2], tree[k:]
-        z = s - a
-        e = s - z
-        np.subtract(a, e, out=e)
-        np.subtract(b, z, out=z)
-        e += z
-        hi = tree[-1]
-        lo = np.add.reduce(e, axis=0)
-        delta = np.add.reduce(np.abs(e, out=e), axis=0)
+        big = not max(level.max(), -level.min()) < _FSUM_HUGE / k
+        done, w = 0, k
+        while w > 1:
+            h = w // 2
+            a, b, s, zh, e = level[:h], level[w - h:w], sums[:h], z[:h], errs[done:done + h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=zh)
+            np.subtract(s, zh, out=e)
+            np.subtract(a, e, out=e)
+            np.subtract(b, zh, out=zh)
+            e += zh
+            if w % 2:  # the middle row goes up a level as it is
+                sums[h] = level[h]
+            level, sums = sums[:w - h], level
+            done, w = done + h, w - h
+        hi = level[0]
+        lo = np.add.reduce(errs, axis=0)
+        delta = np.add.reduce(np.abs(errs, out=errs), axis=0)
         delta *= (1 << k.bit_length()) * 2.0 ** -51
         r = hi + lo
         z = r - hi

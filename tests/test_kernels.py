@@ -273,7 +273,7 @@ _S = 2.0 ** -107 - 2.0 ** -159
 @example(np.array([[1.0, -2.0 ** -54, -2.0 ** -130]]))  # below the tie under 1
 @example(np.array([[2.0 ** 600, 2.0 ** 547, 2.0 ** 400], [3.0, -(2.0 ** -52), 0.0]]))
 # lo = fl(sum e) misses the midpoint that sum e passes: only delta refuses it
-@example(np.array([[1.5, 2.0 ** -53 - 2.0 ** -106, 1.0, _S, -1.0, _S, 0.25, _S]]))
+@example(np.array([[1.5, 1.0, -1.0, 0.25, 2.0 ** -53 - 2.0 ** -106, _S, _S, _S]]))
 @example(np.array([[0.0, -0.0], [-0.0, -0.0]]))
 @example(np.array([[1e308, 1e308, -1e308], [1.0, math.inf, -math.inf], [math.nan, 1.0, 2.0]]))
 # math.fsum overflows at a prefix sum that no subtree of the tree reaches
