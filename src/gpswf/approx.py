@@ -11,7 +11,7 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from . import backend, specfun, spectral
-from .basis import _is_integer, decay_regime_multiplier
+from .basis import _drop_repeats, _is_integer, _unfold, decay_regime_multiplier
 from .errors import DomainError
 
 __all__ = [
@@ -83,34 +83,9 @@ def _check_terms(K):
         raise DomainError(f"K must lie in 1..{_MAX_TERMS}, got {K!r}")
 
 
-def _drop_repeats(sorted_values):
-    """The mask of the first of each run of equal values in a sorted array:
-    with it a sort gives ``np.unique``, which imports ``numpy.ma``."""
-    first = np.ones(sorted_values.size, dtype=bool)
-    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
-    return first
-
-
-def _distinct_abs(x):
-    """The distinct |x_i| ascending, and the index of each |x_i| among them."""
-    ax = np.abs(x)
-    order = np.argsort(ax, kind="stable")
-    first = _drop_repeats(ax[order])
-    index = np.empty(x.size, dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return ax[order][first], index
-
-
-# The sup-error grid: 2001 equispaced points of the open interval (-1, 1);
-# its 1416 distinct |x| (585 negative points mirror a positive one exactly,
-# 415 lie one ulp off), the index of each point's |x| among them, and its
-# sign.
+# The sup-error grid: 2001 equispaced points of the open interval (-1, 1)
 _SUP_GRID = np.linspace(-1.0, 1.0, 2003)[1:-1]
-_SUP_ABS, _SUP_INDEX = _distinct_abs(_SUP_GRID)
-_SUP_SIGN = np.sign(_SUP_GRID)
-for _a in (_SUP_GRID, _SUP_ABS, _SUP_INDEX, _SUP_SIGN):
-    _a.setflags(write=False)
-del _a
+_SUP_GRID.setflags(write=False)
 
 
 def _cos_series_grid(coefs, m):
@@ -384,49 +359,33 @@ def project(basis, f, N, quad_order=None):
 def _rule_psi(basis, rule, N, kind="rule_rows"):
     """psi_n, n < N, at the nodes of a Gauss rule of the basis's weight, shape
     (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit,
-    summed over the Jacobi rows at the nodes that the basis keeps under
-    ``kind`` for the last rule order, in place of a fresh recurrence."""
-    rows = basis._table(kind, rule.order, lambda: specfun.jacobi_table(
-        rule.alpha, 2 * basis.trunc - 1, rule.nodes))
-    return backend.table_series(basis._beta_matrix(range(N)), rows)[0]
+    summed over the Jacobi rows at the nodes' distinct |x| that the basis
+    keeps under ``kind`` for the last rule order."""
+    index, neg, rows = basis._abs_rows(kind, rule.order, rule.nodes)
+    ns = np.arange(N)
+    return _unfold(ns, backend.table_series(basis._parity_coefficients(ns), rows),
+                   index, neg)[0]
 
 
 def _sup_grid_values(basis, coeffs):
     """S_N f = sum_n coeffs_n psi_n on ``_SUP_GRID`` as E(|x|) + sign(x) O(|x|).
 
     psi_n has the parity of n, so E sums g_{2i} = sum_{n even} coeffs_n
-    beta[n, i] over the even-order rows Jt_{2i}(|x|) of :func:`_sup_rows`,
-    and O sums g_{2j+1} = sum_{n odd} coeffs_n beta[n, j] over its odd-order
-    rows Jt_{2j+1}(|x|).  The real and imaginary part of complex
-    coefficients are two columns, so no N x 2001 psi table is built."""
+    beta[n, i] over the even-order rows Jt_{2i}(|x|) that the basis keeps at
+    the grid's distinct |x| (``GpswfBasis._abs_rows``), and O sums g_{2j+1}
+    = sum_{n odd} coeffs_n beta[n, j] over the odd-order rows Jt_{2j+1}(|x|).
+    The real and imaginary part of complex coefficients are two columns, so
+    no N x 2001 psi table is built."""
     complex_ = np.iscomplexobj(coeffs)
     parts = np.stack([coeffs.real, coeffs.imag], axis=1) if complex_ else coeffs[:, None]
     # g of each parity, from a contiguous copy of its coefficient rows: the
     # product over the strided view rounds otherwise (README, sup error)
     n = coeffs.size
-    g_even, g_odd = (basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2])
-                     for p in (0, 1))
-    even, odd = basis._table("sup_rows", None, lambda: _sup_rows(basis.alpha, basis.trunc))
-    e = backend.table_series(g_even, even)[0]
-    o = backend.table_series(g_odd, odd)[0]
-    vals = e[:, _SUP_INDEX] + _SUP_SIGN * o[:, _SUP_INDEX]
+    g = [basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2]) for p in (0, 1)]
+    index, neg, rows = basis._abs_rows("sup_rows", None, _SUP_GRID)
+    even, odd = (s[0][:, index] for s in backend.table_series(g, rows))
+    vals = even + np.negative(odd, out=odd, where=neg)
     return vals[0] + 1j * vals[1] if complex_ else vals[0]
-
-
-def _sup_rows(alpha, trunc):
-    """Jt_k(u), k < 2 trunc, at u = ``_SUP_ABS`` by parity, shape (2, trunc,
-    1416): ``[0, i]`` is Jt_{2i} and ``[1, i]`` is Jt_{2i+1}, the rows of one
-    recurrence, bitwise as it yields them."""
-    rec = specfun.jacobi_recurrence(alpha, 2 * trunc + 2)
-    out = np.empty((2, trunc, _SUP_ABS.size))
-    # an even chunk starts every block at an even order, so its rows
-    # alternate parity from the first
-    for k0, rows in backend._jacobi_rows(rec, specfun.jacobi_norm0(alpha),
-                                         2 * trunc - 1, _SUP_ABS, 0, 64):
-        i = k0 // 2
-        for p in (0, 1):
-            out[p, i:i + rows.shape[1] // 2] = rows[0, p::2]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +402,14 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
     out = np.zeros(N)
     if N < 2:
         return out
-    coefs = basis.full_coefficients(range(1, N, 2))
-    kmax = coefs.shape[1] - 1
     for lo in range(0, K, _EVAL_BLOCK):
         hi = min(lo + _EVAL_BLOCK, K)
-        rows = _wm_term_rows(basis.alpha, kmax, lam, lo, hi)
-        # Im of the transform value for odd-parity coefficient vectors, one
-        # term per k; scalar powers, since a vectorised pow may round
+        rows = _wm_term_rows(basis.alpha, 2 * basis.trunc - 1, lam, lo, hi)
+        # Im of the transform value of the odd n, one term per k, each over
+        # the odd orders; scalar powers, since a vectorised pow may round
         # differently
         amps = np.array([float(lam ** (-(2.0 - s) * k)) for k in np.arange(lo, hi)])
-        terms = amps[:, None] * _row_products(coefs, rows)
+        terms = amps[:, None] * _row_products(basis.beta[1:N:2], rows[:, 1::2])
         # the running sum from out, adding the terms in the order of k
         out[1::2] = np.cumsum(np.concatenate([out[None, 1::2], terms]), axis=0)[-1]
     return out
@@ -626,14 +583,12 @@ def cosine_transform_table(basis, k_max, N):
     _check_N(basis, N)
     if not (_is_integer(k_max) and k_max >= 1):
         raise DomainError(f"k_max={k_max!r} must be an integer >= 1")
-    coefs = basis.full_coefficients(range(0, N, 2))
-    kmax = coefs.shape[1] - 1
     table = np.zeros((k_max, N))
     block = 256  # frequencies per batched ladder; bounds its memory
     for lo in range(0, k_max, block):
         u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
-        rows = spectral._fc_term_rows(basis.alpha, kmax, u)
-        table[lo:lo + u.size, 0::2] = _row_products(coefs, rows)
+        rows = spectral._fc_term_rows(basis.alpha, 2 * basis.trunc - 1, u)
+        table[lo:lo + u.size, 0::2] = _row_products(basis.beta[0:N:2], rows[:, 0::2])
     return table
 
 

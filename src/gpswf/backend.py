@@ -13,9 +13,9 @@ steps in Python floats; at several points (probes, grids, Gauss nodes) it
 writes each step into its output rows with ``out=`` ufuncs, taking a
 block's row views from one list per derivative order rather than indexing
 them step by step.  At these sizes both cost NumPy call overhead rather
-than arithmetic, which is what they cut.  Callers that keep rows (a
-basis's Gauss-node and sup-grid rows) sum over them with
-:func:`table_series`, in the same blocks.
+than arithmetic, which is what they cut.  Each parity's series reads that
+parity's rows only.  Callers that keep rows (a basis's, at the distinct |x|
+of Gauss nodes and of the sup grid) sum over them with :func:`table_series`.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
 arguments, one row each, and every row is bitwise what the argument would get
@@ -137,45 +137,47 @@ def _jacobi_rows_one(recs, p0, kmax, x, nderiv, chunk):
 _SERIES_ROWS = 32
 
 
-def jacobi_series(coef, rec, p0, x, nderiv=0):
-    """``sum_k coef[k] * Jt_k(x)`` and its derivatives up to order ``nderiv``.
-
-    The ``Jt_k`` and ``rec``, of length ``>= len(coef)``, are those of
-    :func:`_jacobi_rows`; each block of ``_SERIES_ROWS`` rows is added to the
-    sum and dropped.  Returns an array of shape ``(nderiv + 1, len(x))``; a
-    coefficient matrix of shape ``(m, ncols)`` sums one series per column and
-    returns shape ``(nderiv + 1, ncols, len(x))``.
+def jacobi_series(coefs, rec, p0, x, nderiv=0):
+    """The series ``sum_i coefs[p][i, j] Jt_{2i+p}(x)`` of each parity p = 0,
+    1 and column j of ``coefs[p]``, shape (m_p, ncols_p), and derivatives up
+    to order ``nderiv``: a pair of arrays of shape (nderiv + 1, ncols_p,
+    len(x)).  The ``Jt_k`` and ``rec`` are those of :func:`_jacobi_rows`,
+    which runs once; each block of ``_SERIES_ROWS`` rows adds its rows of
+    parity p to that parity's sums and is dropped.
     """
-    coef = np.asarray(coef, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    blocks = _jacobi_rows(rec, p0, coef.shape[0] - 1, x, nderiv, _SERIES_ROWS)
-    return _sum_blocks(coef, blocks, (nderiv + 1,) + coef.shape[1:] + x.shape)
+    kmax = max(2 * c.shape[0] - 2 + p for p, c in enumerate(coefs))
+    blocks = ((k0 // 2, (rows[:, 0::2], rows[:, 1::2]))
+              for k0, rows in _jacobi_rows(rec, p0, kmax, x, nderiv, _SERIES_ROWS))
+    return _sum_blocks(coefs, blocks, nderiv + 1, x.size)
 
 
-def table_series(coef, table):
-    """:func:`jacobi_series` at nderiv 0 from stored rows, ``table[k, i] =
-    Jt_k(x_i)`` with one row k per row of ``coef`` (a
-    :func:`specfun.jacobi_table`), summed in the same blocks of
-    ``_SERIES_ROWS`` rows, so bitwise the same."""
-    coef = np.asarray(coef, dtype=float)
-    blocks = ((k0, table[None, k0:k0 + _SERIES_ROWS])
-              for k0 in range(0, coef.shape[0], _SERIES_ROWS))
-    return _sum_blocks(coef, blocks, (1,) + coef.shape[1:] + table.shape[1:])
+def table_series(coefs, tables):
+    """:func:`jacobi_series` at nderiv 0 from stored rows of each parity,
+    ``tables[p][i, j] = Jt_{2i+p}(x_j)`` (of a :func:`specfun.jacobi_table`),
+    summed in the same blocks of ``_SERIES_ROWS`` // 2 rows per parity, so
+    bitwise the same."""
+    half = _SERIES_ROWS // 2
+    blocks = ((i0, tuple(t[None, i0:i0 + half] for t in tables))
+              for i0 in range(0, max(c.shape[0] for c in coefs), half))
+    return _sum_blocks(coefs, blocks, 1, tables[0].shape[1])
 
 
-def _sum_blocks(coef, blocks, shape):
-    """The series of shape ``shape`` = (nderiv + 1, ..., len(x)) from the
-    blocks ``(k0, rows)`` of :func:`_jacobi_rows`: block by block, each
-    derivative order adds ``coef[k0:k0 + len(block)].T @ rows[d]``."""
-    out = np.zeros(shape)
-    # one buffer for every block's product: a fresh one per block leaves
-    # freed heap that malloc keeps resident (+0.9 MB peak RSS in brownian)
-    part = np.empty(shape[1:])
-    for k0, rows in blocks:
-        block = coef[k0:k0 + rows.shape[1]].T
-        for d in range(shape[0]):
-            out[d] += np.matmul(block, rows[d], out=part)
-    return out
+def _sum_blocks(coefs, blocks, nd, npts):
+    """The sums of each parity, shape (nd, ncols_p, npts), from blocks
+    ``(i0, (even rows, odd rows))``, the rows of each parity from index i0:
+    derivative order d of parity p adds ``coefs[p][i0:i0 + len].T @ rows[d]``."""
+    outs = [np.zeros((nd, c.shape[1], npts)) for c in coefs]
+    # one buffer per parity for every block's product: a fresh one per block
+    # leaves freed heap that malloc keeps resident (+0.9 MB RSS in brownian)
+    parts = [np.empty((c.shape[1], npts)) for c in coefs]
+    for i0, pair in blocks:
+        for coef, rows, out, part in zip(coefs, pair, outs, parts):
+            block = coef[i0:i0 + rows.shape[1]].T
+            if block.size:
+                for d in range(nd):
+                    out[d] += np.matmul(block, rows[d, :block.shape[1]], out=part)
+    return outs
 
 
 # ---------------------------------------------------------------------------

@@ -124,41 +124,42 @@ class GpswfBasis:
             raise IndexError(f"basis index out of range 0..{self.nmax - 1}: {n!r}")
         return np.atleast_1d(ns).astype(np.intp)
 
-    def full_coefficients(self, n):
-        """Coefficients over all Jacobi indices k = 0..2*trunc-1, zero off the
-        parity of n: a vector for one n, one row per n (C order) for a
-        sequence."""
-        rows = self._beta_matrix(n, order="F").T
-        return rows[0] if np.ndim(n) == 0 else rows
-
     def psi(self, n, x, nderiv=0):
         """psi_n and derivatives on an array of points; shape (nderiv+1, len(x)).
 
         ``n`` may also be a sequence of indices: the result then has shape
-        (nderiv+1, len(n), len(x)), from one :func:`backend.jacobi_series`
-        call over all of them.
+        (nderiv+1, len(n), len(x)).  One :func:`backend.jacobi_series` call
+        sums each parity's coefficients over that parity's rows at the
+        distinct |x|; the value at x is sign(x)^((n + d) mod 2) times that.
         """
-        out = self._series(self._beta_matrix(n), x, nderiv)
+        ns = self._check_index(n)
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        u, index = _distinct_abs(x)
+        rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
+        sums = backend.jacobi_series(self._parity_coefficients(ns), rec,
+                                     specfun.jacobi_norm0(self.alpha), u, nderiv)
+        out = _unfold(ns, sums, index, x < 0.0)
         return out[:, 0] if np.ndim(n) == 0 else out
 
-    def _beta_matrix(self, ns, order="C"):
-        """The beta^n of each n in ``ns`` (one index or a sequence) as the
-        columns of a (2 trunc, len(ns)) matrix over all Jacobi indices, in
-        memory order ``order``: row 2i + n mod 2 of column j holds
-        ``beta[ns[j], i]``, the rest is 0."""
-        ns = self._check_index(ns)
-        coef = np.zeros((2 * self.trunc, ns.size), order=order)
-        rows = ns % 2 + 2 * np.arange(self.trunc)[:, None]
-        coef[rows, np.arange(ns.size)] = self.beta[ns].T
-        return coef
+    def _parity_coefficients(self, ns):
+        """Per parity p, the beta rows of the n of ``ns`` of that parity as the
+        columns of a C-order matrix (:func:`backend.jacobi_series`): BLAS
+        rounds products over beta's own row layout differently at some x."""
+        return [np.take(self.beta.T, ns[ns % 2 == p], axis=1) for p in (0, 1)]
 
-    def _series(self, coef, x, nderiv=0):
-        """One Jacobi series per column of ``coef`` (2 trunc rows, all Jacobi
-        indices) on the points x: :func:`backend.jacobi_series` with this
-        basis's recurrence, shape (nderiv+1, ncols, len(x))."""
-        rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
-        return backend.jacobi_series(coef, rec, specfun.jacobi_norm0(self.alpha),
-                                     x, nderiv)
+    def _abs_rows(self, kind, key, x):
+        """(index, neg, rows), read-only, kept under ``kind`` for ``key``:
+        ``rows[p][i, j] = Jt_{2i+p}(u_j)`` at the distinct |x| u_j, the
+        index of each point's |x| among them, and where x < 0."""
+        def make():
+            u, index = _distinct_abs(x)
+            rows = specfun.jacobi_table(self.alpha, 2 * self.trunc - 1, u)
+            neg = x < 0.0
+            for a in (index, neg, rows):
+                a.setflags(write=False)
+            return index, neg, (rows[0::2], rows[1::2])
+
+        return self._table(kind, key, make)
 
     def psi_table(self, x, n_list=None, nderiv=0):
         """Values (and derivatives) of many psi_n on a node array at once:
@@ -166,6 +167,37 @@ class GpswfBasis:
         len(x)) when nderiv is 0."""
         out = self.psi(range(self.nmax) if n_list is None else n_list, x, nderiv)
         return out[0] if nderiv == 0 else out
+
+
+def _drop_repeats(sorted_values):
+    """The mask of the first of each run of equal values in a sorted array:
+    with it a sort gives ``np.unique``, which imports ``numpy.ma``."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=first[1:])
+    return first
+
+
+def _distinct_abs(x):
+    """The distinct |x_i| ascending, and the index of each |x_i| among them."""
+    ax = np.abs(x)
+    order = np.argsort(ax, kind="stable")
+    first = _drop_repeats(ax[order])
+    index = np.empty(x.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ax[order][first], index
+
+
+def _unfold(ns, sums, index, neg):
+    """The values at the points, shape (nderiv+1, len(ns), len(index)), of
+    each parity's ``sums`` at the distinct |x|: ``sums[p][d, j, index[i]]``,
+    negated where ``neg`` when p + d is odd."""
+    out = np.empty((sums[0].shape[0], ns.size, index.size))
+    for p, part in enumerate(sums):
+        vals = part[:, :, index]
+        for d in range(1 - p, vals.shape[0], 2):
+            np.negative(vals[d], out=vals[d], where=neg)
+        out[:, ns % 2 == p] = vals
+    return out
 
 
 def _merge_parities(chi_even, chi_odd, nmax):
@@ -514,14 +546,20 @@ def moment_b(basis, n):
     With psi = sum_k f_k Jt_k, the product x psi has the coefficients
     (x psi)_k = a_k f_{k-1} + a_{k+1} f_{k+1}; orthonormality of the Jt_k
     turns the integral into their sum of squares, one dot product per n.
+    f_{2i+p} = beta[n, i] at n's parity p: (x psi)_k lives on k = 2i - 1 + p,
+    i = 1 - p .. trunc.
     """
-    f = basis.full_coefficients(n)
-    m = f.shape[-1]
-    a = specfun.jacobi_recurrence(basis.alpha, m + 1)
-    g = np.zeros(f.shape[:-1] + (m + 1,))
-    g[..., 1:] += a[1:] * f
-    g[..., :m - 1] += a[1:m] * f[..., 1:]
-    sums = np.array([np.dot(row, row) for row in np.atleast_2d(g)])
+    ns = basis._check_index(n)
+    a = specfun.jacobi_recurrence(basis.alpha, 2 * basis.trunc + 2)
+    sums = np.empty(ns.size)
+    for p in (0, 1):
+        sel = ns % 2 == p
+        # beta rows between two zeros: from column 1 - p, columns c and c + 1
+        # hold f_{k-1} and f_{k+1} of k = 2c + 1 - p
+        f = np.zeros((np.count_nonzero(sel), basis.trunc + 2))
+        f[:, 1:-1] = basis.beta[ns[sel]]
+        g = a[1 - p:-1:2] * f[:, 1 - p:-1] + a[2 - p::2] * f[:, 2 - p:]
+        sums[sel] = [np.dot(row, row) for row in g]
     return float(sums[0]) if np.ndim(n) == 0 else sums
 
 

@@ -266,14 +266,17 @@ def _boundary_constants(alpha):
 
 
 def _check_phase(basis):
-    # one-off check of the i^k phase convention against direct quadrature
+    # one-off check of the i^k phase convention against direct quadrature,
+    # the closed forms from one ladder call over both x0
     rule = specfun.gauss_jacobi(basis.alpha, 80 + int(basis.c))
     table = specfun.jacobi_table(basis.alpha, 1, rule.nodes)
+    x0s = (0.37, 0.61)
+    terms = _fc_term_rows(basis.alpha, 1, [basis.c * x0 for x0 in x0s])
     for k in (0, 1):
-        for x0 in (0.37, 0.61):
+        for x0, row in zip(x0s, terms):
             direct = np.dot(rule.weights,
                             np.exp(1j * basis.c * x0 * rule.nodes) * table[k])
-            closed = fc_on_jacobi(basis.alpha, basis.c, k, x0)
+            closed = 1j ** k * float(row[k])
             if abs(direct - closed) > 1e-8 * max(1.0, abs(direct)):
                 raise ConsistencyError(
                     f"transform phase validation failed at k={k}: "

@@ -13,6 +13,14 @@ in CHANGES.md::
     PYTHONPATH=src python tests/golden/record.py
 
 It rewrites ``golden.json`` and prints each entry that moved, old -> new.
+The hashes say only that an entry moved.  To see by how much, dump every
+entry's parts as text in two trees and diff the files::
+
+    PYTHONPATH=src python tests/golden/record.py --values values.json
+
+This writes ``{name: [part, ...]}`` and leaves ``golden.json`` alone: a
+string part as it is, an array one value per line (``repr``), bytes as
+UTF-8 text, or as hex where they are not.
 """
 
 import contextlib
@@ -23,6 +31,7 @@ import io
 import json
 import math
 import platform
+import sys
 import tempfile
 from pathlib import Path
 
@@ -78,11 +87,32 @@ def blas_threads():
     return None
 
 
+def _bytes(part):
+    """The bytes of an entry part that its hash reads: a string's UTF-8, an
+    array's C-order buffer."""
+    if isinstance(part, str):
+        return part.encode()
+    return part.tobytes() if isinstance(part, np.ndarray) else part
+
+
 def _sha(*parts):
     h = hashlib.sha256()
     for part in parts:
-        h.update(part.encode() if isinstance(part, str) else part)
+        h.update(_bytes(part))
     return h.hexdigest()
+
+
+def _text(part):
+    """An entry part as text for ``--values``: an array one ``repr`` per
+    value, bytes as UTF-8 or else as hex."""
+    if isinstance(part, np.ndarray):
+        return "\n".join(map(repr, part.ravel().tolist()))
+    if isinstance(part, bytes):
+        try:
+            return part.decode()
+        except UnicodeDecodeError:
+            return part.hex()
+    return part
 
 
 def _cli(*argv):
@@ -123,7 +153,7 @@ def _sweep_op(alpha, c):
     entries = spectral.compute_spectrum(b)
     verdicts = [(B.chi_bracket(alpha, c, e.n), B.chi_lower_bound_check(b, e.n),
                  B.local_estimate(b, e.n)) for e in entries]
-    return _sha(_reprs(entries), _reprs(verdicts))
+    return _reprs(entries), _reprs(verdicts)
 
 
 def _march(cell):
@@ -135,29 +165,30 @@ def _march(cell):
         lam = B.eig_symtridiag(tri).values[:(nmax - p + 1) // 2]
         lower = np.concatenate([[0.0], tri.offdiag])
         upper = np.concatenate([tri.offdiag, [0.0]])
-        parts += [a.tobytes() for a in B._march(tri.diag, lower, upper, lam)]
-    return _sha(*parts)
+        parts += B._march(tri.diag, lower, upper, lam)
+    return tuple(parts)
 
 
 def entries(tmp):
-    """Every golden entry in order, as (name, sha256 hex digest); ``tmp`` is
-    an empty directory for the scenario reports."""
+    """Every golden entry in order, as (name, parts): the strings, bytes and
+    arrays whose sha256 (:func:`hashes`) the golden file pins; ``tmp`` is an
+    empty directory for the scenario reports."""
     for name in experiments.SCENARIOS:
         _cli("experiment", "--name", name, "--seed", 1, "--threads", 1, "--no-cache",
              "--out-dir", tmp)
         for path in sorted(Path(tmp, name).glob("*/*.csv")):
-            yield f"experiment {name}: {path.name}", _sha(path.read_bytes())
+            yield f"experiment {name}: {path.name}", (path.read_bytes(),)
 
     for alpha, c, nmax in CLI_CELLS:
         for command in ("spectrum", "bounds"):
             argv = (command, "--alpha", repr(alpha), "--c", repr(c), "--nmax", nmax,
                     "--format", "csv", "--no-cache")
-            yield f"gpswf {' '.join(map(str, argv))}", _sha(_cli(*argv))
+            yield f"gpswf {' '.join(map(str, argv))}", (_cli(*argv),)
     for alpha in (0.5, 1.5):
         for fn in PROJECT_FNS:
             argv = ("project", "--alpha", alpha, "--c", repr(PI5), "--N", 60, "--fn", fn,
                     "--format", "json", "--no-cache")
-            yield f"gpswf {' '.join(map(str, argv))}", _sha(_cli(*argv))
+            yield f"gpswf {' '.join(map(str, argv))}", (_cli(*argv),)
 
     for seed in (1, 2):
         for i, (alpha, c) in enumerate(_sweep_requests(seed)):
@@ -167,18 +198,18 @@ def entries(tmp):
     for cell in BASIS_CELLS:
         b = bases[cell]
         yield (f"build_basis{cell}: basis_to_bytes, psi_n(0), psi_n'(0)",
-               _sha(experiments.basis_to_bytes(b), B._psi_at0(b).tobytes()))
+               (experiments.basis_to_bytes(b), B._psi_at0(b)))
     for cell in BASIS_CELLS[:-1]:
         yield f"_march at build_basis{cell}'s start order", _march(cell)
     for cell in UNDERFLOW_CELLS:
-        yield f"compute_spectrum{cell} refusal", _sha(_refusal(bases[cell]))
+        yield f"compute_spectrum{cell} refusal", (_refusal(bases[cell]),)
 
     for cell in SPECTRUM_CELLS:
         b = bases[cell]
-        yield f"compute_spectrum{cell}", _sha(_reprs(spectral.compute_spectrum(b)))
+        yield f"compute_spectrum{cell}", (_reprs(spectral.compute_spectrum(b)),)
         for grid_size in (400, 137):
             yield (f"local_estimate at build_basis{cell}, grid_size {grid_size}",
-                   _sha(_reprs(B.local_estimate(b, n, grid_size) for n in range(b.nmax))))
+                   (_reprs(B.local_estimate(b, n, grid_size) for n in range(b.nmax)),))
     b = B.build_basis(0.5, 2.0, 24)
     for rows in PERTURBED_ROWS:
         beta = np.array(b.beta)
@@ -186,40 +217,40 @@ def entries(tmp):
             beta[n, 1] += 0.01
             beta[n] /= np.linalg.norm(beta[n])
         yield (f"compute_spectrum(0.5, 2.0, 24) refusal, rows {rows} perturbed",
-               _sha(_refusal(dataclasses.replace(b, beta=beta))))
-    yield "decay_bound_check grid", _sha(_reprs(
+               (_refusal(dataclasses.replace(b, beta=beta)),))
+    yield "decay_bound_check grid", (_reprs(
         spectral.decay_bound_check(n, mu_abs, alpha, 3.7)
         for alpha in (0.0, 0.25, 1.3, 2.5) for n in (1, 3, 9, 40, 200, 5000)
-        for mu_abs in (0.0, 1e-300, 1e-5, 0.4)))
+        for mu_abs in (0.0, 1e-300, 1e-5, 0.4)),)
     b = bases[0.5, 2.0, 16]
-    yield "beta_bound_check grid at build_basis(0.5, 2.0, 16)", _sha(_reprs(
+    yield "beta_bound_check grid at build_basis(0.5, 2.0, 16)", (_reprs(
         B.beta_bound_check(b, n, k, mu_abs, c_prime)
         for n in (0, 1, 6, 15, np.int64(9))
         for k in (0, 1, 2, 3, 16, 17, 2 * b.trunc - 2, 2 * b.trunc - 1, 2 * b.trunc,
                   2 * b.trunc + 1, 3 * b.trunc, -1, -2)
-        for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0))))
+        for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0))),)
 
     # the wm-table scenario's CSV pins its errors; these are its coefficients
     proj = [B.build_basis(alpha, PI5, 96) for alpha in (0.5, 1.5)]
     for b in proj:
         for s in (0.25, 1.0):
             yield (f"wm_all_coefficients at build_basis({b.alpha}, 5 pi, 96), s={s}, "
-                   f"lambda=2, N=95"), _sha(approx.wm_all_coefficients(b, s, 2.0, 95))
+                   f"lambda=2, N=95"), (approx.wm_all_coefficients(b, s, 2.0, 95),)
         yield (f"cosine_transform_table at build_basis({b.alpha}, 5 pi, 96), "
-               f"k_max=4000, N=91"), _sha(approx.cosine_transform_table(b, 4000, 91))
+               f"k_max=4000, N=91"), (approx.cosine_transform_table(b, 4000, 91),)
     yield ("periodic_coefficient at build_basis(0.5 and 1.5, 5 pi, 96), "
-           "k in (-3, 1, 7, 64), n < 96"), _sha(np.array(
+           "k in (-3, 1, 7, 64), n < 96"), (np.array(
                [approx.periodic_coefficient(b, k, n)
-                for b in proj for k in (-3, 1, 7, 64) for n in range(96)]))
+                for b in proj for k in (-3, 1, 7, 64) for n in range(96)]),)
     b = B.build_basis(0.5, PI5, 24)
     for K in (300, None, 1000):
         yield (f"wm_all_coefficients at build_basis(0.5, 5 pi, 24), s=0.5, "
-               f"lambda=1.03, N=12, K={K}"), _sha(approx.wm_all_coefficients(
-                   b, 0.5, 1.03, 12, K=K))
+               f"lambda=1.03, N=12, K={K}"), (approx.wm_all_coefficients(
+                   b, 0.5, 1.03, 12, K=K),)
     b = B.build_basis(1.5, PI5, 91)
     for k_max in (1, 255, 256, 257, 4000):
         yield (f"cosine_transform_table at build_basis(1.5, 5 pi, 91), k_max={k_max}, "
-               f"N=91"), _sha(approx.cosine_transform_table(b, k_max, 91))
+               f"N=91"), (approx.cosine_transform_table(b, k_max, 91),)
 
     # project at the sizes the CLI entries miss: one row (a one-row matrix
     # product), every row, and a coefficient rule apart from the residual
@@ -233,16 +264,23 @@ def entries(tmp):
                 f = dataclasses.replace(f, exact=None)
             pr = approx.project(b, f, N, quad_order)
             yield (f"project(build_basis(0.5, 5 pi, 96), {fn}, N={N}, "
-                   f"quad_order={quad_order})"), _sha(
-                       pr.coefficients.tobytes(), repr((pr.l2w_error, pr.sup_error)))
+                   f"quad_order={quad_order})"), (
+                       pr.coefficients, repr((pr.l2w_error, pr.sup_error)))
     # and at alpha 5, where Jt_k(1) grows like k^5.5 and the sup error shows
     # the order in which its series is summed
     b = B.build_basis(5.0, PI20, 96)
     for fn, f in (("wm:s=0.5,lambda=2,K=8", approx.weierstrass_mandelbrot(0.5, 2.0, K=8)),
                   ("periodic:k=3", approx.periodic_exponential(3))):
         pr = approx.project(b, f, 60)
-        yield f"project(build_basis(5.0, 20 pi, 96), {fn}, N=60)", _sha(
-            pr.coefficients.tobytes(), repr((pr.l2w_error, pr.sup_error)))
+        yield f"project(build_basis(5.0, 20 pi, 96), {fn}, N=60)", (
+            pr.coefficients, repr((pr.l2w_error, pr.sup_error)))
+
+
+def hashes(tmp):
+    """Every golden entry in order, as (name, sha256 hex digest of its
+    parts)."""
+    for name, parts in entries(tmp):
+        yield name, _sha(*parts)
 
 
 def moved(old, new):
@@ -256,9 +294,18 @@ def load():
     return json.loads(GOLDEN.read_text())
 
 
-def main():
+def main(argv):
+    if argv[:1] == ["--values"] and len(argv) == 2:
+        with tempfile.TemporaryDirectory() as tmp:
+            values = {name: [_text(part) for part in parts]
+                      for name, parts in entries(tmp)}
+        Path(argv[1]).write_text(json.dumps(values, indent=1) + "\n")
+        print(f"{len(values)} entries; wrote {argv[1]}")
+        return
+    if argv:
+        sys.exit("usage: record.py [--values FILE]")
     with tempfile.TemporaryDirectory() as tmp:
-        current = {"environment": environment(), "entries": dict(entries(tmp))}
+        current = {"environment": environment(), "entries": dict(hashes(tmp))}
     recorded = load() if GOLDEN.exists() else {"environment": {}, "entries": {}}
     GOLDEN.write_text(json.dumps(current, indent=1) + "\n")
     changes = [c for key in current for c in moved(recorded[key], current[key])]
@@ -268,4 +315,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -12,6 +12,8 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   form the array Hankel start replaced.
 * The transform of one psi_n at one argument from ``math.fsum`` over a
   list of its terms: the per-n form that ``backend.fsum_rows`` replaced.
+* psi_n's coefficients scattered over all Jacobi indices, zero off its
+  parity: the layout that the library's per-parity sums replaced.
 
 The other former implementations are gone: ``tests/golden/`` pins their
 inputs' outputs by sha256.
@@ -102,6 +104,17 @@ def cosine_series_norm2(alpha, weighted_amplitudes):
     pair = np.convolve(y, y, mode="full")  # index d holds sum_{j+k=d+2} y y
     norm2 += 0.5 * float(np.dot(pair, w_sum))
     return norm2
+
+
+def full_coefficients(basis, n):
+    """The coefficients of psi_n over all Jacobi indices k = 0..2 trunc - 1,
+    ``beta[n]`` on the parity of n and 0 off it: a vector for one n, one row
+    per n for a sequence."""
+    ns = basis._check_index(n)
+    rows = np.zeros((ns.size, 2 * basis.trunc))
+    for row, m in zip(rows, ns.tolist()):
+        row[m % 2::2] = basis.beta[m]
+    return rows[0] if np.ndim(n) == 0 else rows
 
 
 def sup_error_table(basis, f, coeffs):

@@ -255,7 +255,7 @@ def test_criterion_10_oracle_equivalence():
     vals, vecs = np.linalg.eigh(dense)
     for n in range(nmax):
         assert b.chi[n] == pytest.approx(vals[n], rel=1e-9)
-        mine = np.abs(b.full_coefficients(n))
+        mine = np.abs(oracles.full_coefficients(b, n))
         ref = np.abs(vecs[:, n])
         ref = ref / np.linalg.norm(ref)
         keep = min(mine.size, ref.size)  # tails beyond are ~1e-30

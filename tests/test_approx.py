@@ -228,7 +228,7 @@ class TestProjection:
             errs.append(pr.l2w_error)
             for n in range(N):
                 assert pr.coefficients[n] == pytest.approx(
-                    b.full_coefficients(n)[0], abs=1e-12)
+                    oracles.full_coefficients(b, n)[0], abs=1e-12)
         assert all(b2 <= a2 + 1e-15 for a2, b2 in zip(errs, errs[1:]))
 
     def test_parseval_inequality(self, basis_05_2):
@@ -364,13 +364,18 @@ class TestRuleRowsMemo:
             assert approx._rule_psi(basis_proj, rule, N).tobytes() == ref.tobytes()
 
     def test_table_is_read_only(self, basis_proj):
+        # the 216 nodes are symmetric: the rows of each parity are kept at
+        # their 108 distinct |x|, with the index and sign of every node
         b = dataclasses.replace(basis_proj)
         approx.project(b, approx.periodic_exponential(7), 60)
-        order, rows = _kept(b, "rule_rows")
-        assert order == 216 and rows.shape == (2 * b.trunc, 216)
-        assert not rows.flags.writeable
-        with pytest.raises(ValueError):
-            rows[0, 0] = 0.0
+        order, (index, neg, rows) = _kept(b, "rule_rows")
+        assert order == 216 and index.shape == neg.shape == (216,)
+        for table in (index, neg) + rows:
+            assert not table.flags.writeable
+        for parity_rows in rows:
+            assert parity_rows.shape == (b.trunc, 108)
+            with pytest.raises(ValueError):
+                parity_rows[0, 0] = 0.0
 
     def test_rows_never_stale(self, basis_proj):
         # alternate bases and rule orders: each psi table equals the
@@ -387,20 +392,27 @@ class TestRuleRowsMemo:
 
 class TestSupGridSeries:
     """``project`` sums S_N f on the sup grid by parity, E(|x|) + sign(x)
-    O(|x|), over the even- and odd-order rows that ``approx._sup_rows``
-    keeps at the grid's distinct |x|."""
+    O(|x|), over the even- and odd-order rows that the basis keeps at the
+    grid's distinct |x| (``GpswfBasis._abs_rows``)."""
 
-    def test_distinct_abs_rebuild_the_grid(self):
-        u = approx._SUP_ABS
+    def test_distinct_abs_rebuild_the_grid(self, basis_proj):
+        # 1416 distinct |x|: 585 negative points mirror a positive one
+        # exactly, 415 lie one ulp off
+        u, index = B._distinct_abs(approx._SUP_GRID)
         assert u.size == 1416 and np.all(np.diff(u) > 0.0)
-        assert np.array_equal(u[approx._SUP_INDEX], np.abs(approx._SUP_GRID))
-        assert np.array_equal(approx._SUP_SIGN * u[approx._SUP_INDEX], approx._SUP_GRID)
+        assert np.array_equal(u[index], np.abs(approx._SUP_GRID))
+        b = dataclasses.replace(basis_proj)
+        approx._sup_grid_values(b, np.ones(3))
+        kept_index, neg, _ = _kept(b, "sup_rows")[1]
+        assert np.array_equal(kept_index, index)
+        assert np.array_equal(np.where(neg, -u[index], u[index]), approx._SUP_GRID)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.5, 5.0])
     def test_matches_one_recurrence_series(self, alpha):
-        # against jacobi_series over all 2 trunc Jacobi indices at the 2001
-        # points, which sums the same terms in another order: within 1e-14
-        # of max(1, max|S|) (1.2e-15 at worst over these draws)
+        # against the series over all 2 trunc Jacobi indices summed at the
+        # 2001 points themselves, not at their |x|, which sums the same
+        # terms in another order: within 1e-14 of max(1, max|S|) (1.2e-15
+        # at worst over these draws)
         b = B.build_basis(alpha, 5 * math.pi, 96)
         rec = specfun.jacobi_recurrence(alpha, 2 * b.trunc + 2)
         rng = np.random.default_rng(11)
@@ -409,22 +421,25 @@ class TestSupGridSeries:
             if N == 17:
                 coeffs = coeffs + 1j * rng.standard_normal(N)
             g = np.stack([coeffs.real, coeffs.imag], axis=1)
-            ref = backend.jacobi_series(b.full_coefficients(range(N)).T @ g, rec,
-                                        specfun.jacobi_norm0(alpha), approx._SUP_GRID)[0]
+            full = oracles.full_coefficients(b, range(N)).T @ g
+            even, odd = backend.jacobi_series([full[0::2], full[1::2]], rec,
+                                              specfun.jacobi_norm0(alpha), approx._SUP_GRID)
+            ref = even[0] + odd[0]
             ref = ref[0] + 1j * ref[1]
             got = approx._sup_grid_values(b, coeffs)
             assert np.iscomplexobj(got) == (N == 17)
             assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
 
     def test_rows_are_the_recurrence_rows(self, basis_proj):
-        # both parities are kept read-only, each a contiguous block, and are
-        # bitwise the rows one recurrence yields at the distinct |x|
+        # both parities are kept read-only and are bitwise the rows one
+        # recurrence yields at the distinct |x|
         b = dataclasses.replace(basis_proj)
         approx._sup_grid_values(b, np.ones(3))
-        even, odd = _kept(b, "sup_rows")[1]
-        full = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, approx._SUP_ABS)
+        even, odd = _kept(b, "sup_rows")[1][2]
+        u = B._distinct_abs(approx._SUP_GRID)[0]
+        full = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, u)
         for rows, ref in ((even, full[0::2]), (odd, full[1::2])):
-            assert rows.shape == (b.trunc, 1416) and rows.flags.c_contiguous
+            assert rows.shape == (b.trunc, 1416)
             assert not rows.flags.writeable
             with pytest.raises(ValueError):
                 rows[0, 0] = 0.0
@@ -440,9 +455,9 @@ class TestSupGridSeries:
         warm = approx.project(b, target, 60)
         assert _kept(b, "sup_rows")[1] is kept
         assert cold.sup_error == warm.sup_error
-        fresh = approx._sup_rows(b.alpha, b.trunc)
+        fresh = dataclasses.replace(b)._abs_rows("sup_rows", None, approx._SUP_GRID)
         for parity in (0, 1):
-            assert fresh[parity].tobytes() == kept[parity].tobytes()
+            assert fresh[2][parity].tobytes() == kept[2][parity].tobytes()
 
     def test_rows_never_stale(self):
         # alternate bases of other alpha and trunc: each sum equals the one
@@ -471,7 +486,7 @@ class TestSupGridSeries:
         got = approx._sup_grid_values(b, coeffs)
         rec = specfun.jacobi_recurrence(b.alpha, 2 * b.trunc + 2).astype(np.longdouble)
         x = approx._SUP_GRID.astype(np.longdouble)
-        g = coeffs.astype(np.clongdouble) @ b.full_coefficients(range(60))
+        g = coeffs.astype(np.clongdouble) @ oracles.full_coefficients(b, range(60))
         prev, cur = np.zeros_like(x), np.full_like(x, specfun.jacobi_norm0(b.alpha))
         ref = g[0] * cur
         for k in range(1, g.size):
@@ -645,7 +660,7 @@ class TestSharedTransformsOracle:
         bases, ref = wm_table_cells
         _clear_wm_caches()
         for alpha, b in bases.items():
-            coefs = b.full_coefficients(range(1, 95, 2))
+            coefs = oracles.full_coefficients(b, range(1, 95, 2))
             kmax = coefs.shape[1] - 1
             for s in s_order:
                 K = approx.wm_truncation(s, 2.0)
@@ -660,7 +675,7 @@ class TestSharedTransformsOracle:
         K = approx.wm_truncation(0.5, 1.03)
         assert approx._EVAL_BLOCK < K < 2 * approx._EVAL_BLOCK
         _clear_wm_caches()
-        kmax = basis_wm.full_coefficients(range(1, 12, 2)).shape[1] - 1
+        kmax = oracles.full_coefficients(basis_wm, range(1, 12, 2)).shape[1] - 1
         for lo, hi in ((0, 100), (0, 512), (0, 40), (512, 600), (512, K),
                        (512, 530)):
             assert (approx._wm_term_rows(0.5, kmax, 1.03, lo, hi).tobytes()
@@ -669,16 +684,16 @@ class TestSharedTransformsOracle:
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_wm_coefficients_equal_the_per_k_loop(self, basis_wm, s):
         # the stacked products and the running sum over k, across both
-        # _EVAL_BLOCK blocks of lambda 1.03, against one product and one
-        # add per term in the order of k
+        # _EVAL_BLOCK blocks of lambda 1.03, against one product over the
+        # odd orders and one add per term in the order of k
         lam, N = 1.03, 24
         K = approx.wm_truncation(s, lam)
         assert K > approx._EVAL_BLOCK
-        coefs = basis_wm.full_coefficients(range(1, N, 2))
-        rows = _fresh_term_rows(basis_wm.alpha, coefs.shape[1] - 1, lam, 0, K)
+        coefs = basis_wm.beta[1:N:2]
+        rows = _fresh_term_rows(basis_wm.alpha, 2 * basis_wm.trunc - 1, lam, 0, K)
         ref = np.zeros(N)
         for k in np.arange(K):
-            ref[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k])
+            ref[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k, 1::2])
         _clear_wm_caches()
         got = approx.wm_all_coefficients(basis_wm, s, lam, N)
         assert got.tobytes() == ref.tobytes()
@@ -782,10 +797,10 @@ class TestCosineSeries:
     def test_cosine_transform_table_bitwise(self, basis_05_2):
         b = basis_05_2
         table = approx.cosine_transform_table(b, 300, 6)
-        coefs = np.stack([b.full_coefficients(n) for n in (0, 2, 4)])
-        kmax = coefs.shape[1] - 1
+        coefs = b.beta[[0, 2, 4]]
+        kmax = 2 * b.trunc - 1
         for k in (1, 64, 65, 117, 118, 300):
-            ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)
+            ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)[0::2]
             assert table[k - 1, [0, 2, 4]].tobytes() == ref.tobytes()
         assert not np.any(table[:, 1::2])
 
@@ -796,10 +811,10 @@ class TestCosineSeries:
         # row's own coefs @ terms, which a gemm (terms @ coefs.T) is not
         b = B.build_basis(alpha, 5 * math.pi, 96)
         table = approx.cosine_transform_table(b, 4000, 91)
-        coefs = b.full_coefficients(range(0, 91, 2))
-        rows = spectral._fc_term_rows(alpha, coefs.shape[1] - 1,
+        coefs = b.beta[0:91:2]
+        rows = spectral._fc_term_rows(alpha, 2 * b.trunc - 1,
                                       np.arange(1, 4001) * math.pi)
-        ref = np.array([coefs @ terms for terms in rows])
+        ref = np.array([coefs @ terms[0::2] for terms in rows])
         assert table[:, 0::2].tobytes() == ref.tobytes()
         assert not np.any(table[:, 1::2])
 

@@ -24,7 +24,7 @@ def test_environment_is_the_recorded_one():
 
 
 def test_every_entry_hashes_as_recorded(tmp_path):
-    moved = record.moved(GOLDEN["entries"], dict(record.entries(tmp_path)))
+    moved = record.moved(GOLDEN["entries"], dict(record.hashes(tmp_path)))
     assert not moved, f"{_first(moved)}; BLAS threads: {record.blas_threads()}"
 
 

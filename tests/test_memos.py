@@ -41,7 +41,7 @@ def test_no_global_memo_takes_a_basis():
     keyed = [name for name, memo in memos.items()
              if "basis" in inspect.signature(memo).parameters]
     assert not keyed, f"global memos keyed on a basis: {keyed}"
-    for table in (B._psi_at0, B._estimate_values, approx._sup_rows):
+    for table in (B._psi_at0, B._estimate_values, B.GpswfBasis._abs_rows):
         assert not hasattr(table, "cache_info")
     assert not hasattr(specfun, "_rule_rows")
 

@@ -184,7 +184,8 @@ class TestSpectrum:
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
     # every probe argument of every n goes through one batched Bessel
-    # ladder; only _check_phase's four transforms run the scalar one
+    # ladder; only _check_phase's two arguments, from one ladder call, run
+    # the scalar one
     calls = []
     scalar = backend._ladder_miller
 
@@ -195,7 +196,40 @@ def test_spectrum_probes_share_batched_ladders(monkeypatch):
     monkeypatch.setattr(backend, "_ladder_miller", counted)
     spectral._fc_terms.cache_clear()
     spectral.compute_spectrum(B.build_basis(1.0, 20 * math.pi, 93))
-    assert len(calls) <= 4
+    assert len(calls) <= 2
+
+
+def test_phase_check_refuses_a_wrong_phase(monkeypatch):
+    # s_1 flipped: the closed form of F_c Jt_1 takes the opposite sign from
+    # the quadrature, so the one-off phase check raises before any probe
+    b = B.build_basis(0.5, 5.0, 12)
+    spectral._check_phase(b)
+    gammas = spectral._signed_gammas
+
+    def flipped(alpha, kmax):
+        out = np.array(gammas(alpha, kmax))
+        out[1] = -out[1]
+        return out
+
+    monkeypatch.setattr(spectral, "_signed_gammas", flipped)
+    with pytest.raises(ConsistencyError, match="phase validation failed at k=1"):
+        spectral._check_phase(b)
+    with pytest.raises(ConsistencyError, match="phase validation failed at k=1"):
+        spectral.compute_spectrum(b)
+
+
+def test_spectrum_peak_memory_below_three_betas():
+    # at (0.5, 1000, 1130) beta holds 7.2 MB; psi at the probes reads it
+    # per parity, with no zero-interleaved copy, so the spectrum's traced
+    # peak, the phase check's Gauss rule included, stays below 3 beta
+    b = B.build_basis(0.5, 1000.0, 1130)
+    tracemalloc.start()
+    try:
+        spectral.compute_spectrum(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * b.beta.nbytes, peak / b.beta.nbytes
 
 
 @pytest.mark.parametrize("alpha,c,nmax", [(0.5, 10.0, 120), (0.0, 200.0, 230),
@@ -237,7 +271,7 @@ def _per_n_probes(basis, n):
     call at the 32 geometric candidates and one transform sum per candidate."""
     xs = np.geomspace(1e-3, 0.99, 32)
     vals = basis.psi(n, xs, 0)[0]
-    coef = basis.full_coefficients(n)
+    coef = oracles.full_coefficients(basis, n)
     ratios, floors = [], []
     for x, v in zip(xs, vals):
         u = basis.c * float(x)
