@@ -214,32 +214,45 @@ def _merge_parities(chi_even, chi_odd, nmax):
     return chi[:nmax]
 
 
-def _march(d, lower, upper, lam):
-    """Three-term recurrences of ``(T - lam) v = 0`` from both ends at once.
+def _march(tris, lam):
+    """Three-term recurrences of ``(T_p - lam) v = 0`` from both ends of both
+    parity blocks ``tris`` (of one order m) at once.
 
-    Row i reads ``lower[i] v[i-1] + (d[i] - lam) v[i] + upper[i] v[i+1] = 0``
-    with ``lower[0] = upper[-1] = 0``.  Direction 0 starts from ``v[-1] = 1``
-    and solves each row for ``v[i-1]``; direction 1 starts from ``v[0] = 1``
-    and solves each row for ``v[i+1]``.  Both run as one march over a state
-    of shape (2, len(lam)), one column per eigenvalue, each element through
-    the IEEE operations of its own one-direction march.  Returns mantissas
-    and exponents, ``v = mant * 2**(600 * exp)``, of shape (m, 2, len(lam)):
-    ``[:, 0]`` holds direction 0 by row, ``[::-1, 1]`` direction 1.
+    Row i of block p reads ``e[i-1] v[i-1] + (d[i] - lam) v[i] + e[i] v[i+1]
+    = 0``, with d and e the diagonal and off-diagonal of ``tris[p]`` and the
+    terms past either end dropped; ``lam`` (2, h) holds h eigenvalues of
+    each block.  Direction 0 starts from ``v[-1] = 1`` and solves each row
+    for ``v[i-1]``; direction 1 starts from ``v[0] = 1`` and solves each row
+    for ``v[i+1]``.  All four run as one march over a state of shape (2
+    directions, 2 parities, h), one column per eigenvalue, each element
+    through the IEEE operations of its own one-direction, one-parity march;
+    each step writes its row of the result in place, through row views
+    taken once from lists.  Returns mantissas and int16 exponents (counts
+    of rescales by 2**600), ``v = mant * 2**(600 * exp)``, of shape (m, 2,
+    2, h): ``[:, 0, p]`` holds direction 0 of block p by row, ``[::-1, 1,
+    p]`` direction 1.
     """
-    m = d.size
-    # coefficients of step i, shape (m, 2, 1): direction 1 reads the rows
-    # reversed, with the roles of lower and upper swapped
-    dd = np.stack([d, d[::-1]], axis=1)[:, :, None]
-    near = np.stack([upper, lower[::-1]], axis=1)[:, :, None]
-    far = np.stack([lower, upper[::-1]], axis=1)[:, :, None]
-    mant = np.empty((m, 2, lam.size))
-    expo = np.zeros((m, 2, lam.size), dtype=np.int64)
-    v_next = np.zeros((2, lam.size))
-    mant[m - 1] = 1.0
-    v = mant[m - 1]
-    scale = np.zeros((2, lam.size), dtype=np.int64)
-    t = np.empty((2, lam.size))
-    w = np.empty((2, lam.size))
+    d = np.stack([t.diag for t in tris], axis=1)
+    e = np.stack([t.offdiag for t in tris], axis=1)
+    zero = np.zeros((1, 2))
+    lower = np.concatenate([zero, e])   # coefficient of v[i-1] in row i
+    upper = np.concatenate([e, zero])   # coefficient of v[i+1] in row i
+    m = d.shape[0]
+    # coefficients of step i, shape (2, 2, 1) per row: direction 1 reads the
+    # rows reversed, with the roles of lower and upper swapped
+    dd = list(np.stack([d, d[::-1]], axis=1)[..., None])
+    near = list(np.stack([upper, lower[::-1]], axis=1)[..., None])
+    far = list(np.stack([lower, upper[::-1]], axis=1)[..., None])
+    shape = (2,) + lam.shape
+    mant = np.empty((m,) + shape)
+    expo = np.zeros((m,) + shape, dtype=np.int16)
+    rows, exps = list(mant), list(expo)
+    v_next = np.zeros(shape)
+    v = rows[m - 1]
+    v[...] = 1.0
+    scale = np.zeros(shape, dtype=np.int16)
+    t = np.empty(shape)
+    w = np.empty(shape)
     for i in range(m - 1, 0, -1):
         # v[i-1] = ((lam - d[i]) v[i] - upper[i] v[i+1]) / lower[i], written
         # straight into its row; the row stays the state of the next step
@@ -247,7 +260,7 @@ def _march(d, lower, upper, lam):
         t *= v
         np.multiply(near[i], v_next, out=w)
         t -= w
-        v, v_next = np.divide(t, far[i], out=mant[i - 1]), v
+        v, v_next = np.divide(t, far[i], out=rows[i - 1]), v
         np.abs(v, out=w)
         if np.maximum.reduce(w, axis=None, initial=0.0) > backend._RESCALE:
             big = w > backend._RESCALE
@@ -255,41 +268,71 @@ def _march(d, lower, upper, lam):
             # a fresh array: v_next is the row above, stored at its old scale
             v_next = np.where(big, v_next / backend._RESCALE, v_next)
             scale[big] += 1
-        expo[i - 1] = scale
+        exps[i - 1][...] = scale
     return mant, expo
 
 
-def _recurrence_vectors(tri, lam):
-    """Unit eigenvectors of the tridiagonal ``tri`` (positive off-diagonal)
-    for the eigenvalues ``lam``, as the columns of the returned array.
+def _recurrence_vectors(tris, spectra, nmax):
+    """beta of shape (nmax, m): row n is the unit eigenvector of the parity
+    block ``tris[n % 2]`` (positive off-diagonal) for the eigenvalue
+    ``spectra[n % 2][n // 2]``.
 
     Above its largest entries an eigenvector decays: there it is the minimal
     solution of the three-term recurrence, which marching up from the last
     row computes stably.  Below, it is the solution that grows upward from
     row 0, which marching down from row 0 computes stably.  :func:`_march`
-    runs both marches as one; they are spliced at the first local peak of
-    |v| seen from the last row, and every entry keeps its relative accuracy,
-    however small (Gautschi, SIAM Rev. 9, 1967).
+    runs both marches of both blocks as one, over ceil(nmax / 2) columns per
+    block: at odd nmax the odd block marches its next eigenvalue too, and
+    that column is dropped.  Each block's marches are spliced at the first
+    local peak of |v| seen from the last row (:func:`_splice`), and every
+    entry keeps its relative accuracy, however small (Gautschi, SIAM Rev. 9,
+    1967).
     """
-    d, e = tri.diag, tri.offdiag
-    m = d.size
-    lower = np.concatenate([[0.0], e])   # coefficient of v[i-1] in row i
-    upper = np.concatenate([e, [0.0]])   # coefficient of v[i+1] in row i
-    mant, expo = _march(d, lower, upper, lam)
+    h = (nmax + 1) // 2
+    mant, expo = _march(tris, np.stack([s[:h] for s in spectra]))
+    beta = np.empty((nmax, mant.shape[0]))
+    for p in (0, 1):
+        cols = (nmax - p + 1) // 2
+        beta[p::2] = _splice(mant[:, :, p, :cols], expo[:, :, p, :cols]).T
+    return beta
+
+
+def _splice(mant, expo):
+    """The unit vectors, as the columns of a C-order (m, ncols) array, that
+    join one block's two marches of :func:`_march` (``[:, 0]`` down from
+    the last row, ``[::-1, 1]`` up from row 0, shape (m, 2, ncols)) at the
+    largest row p whose predecessor is no larger than it.  Both marches are
+    scaled to 1 at p in place, and the upward one is copied over the
+    downward one below p, so at most two (m, ncols) blocks of floats live
+    beside them at once.
+    """
+    m, ncols = mant.shape[0], mant.shape[2]
     b_mant, b_exp = mant[:, 0], expo[:, 0]
     f_mant, f_exp = mant[::-1, 1], expo[::-1, 1]
+    size = np.abs(b_mant)
     with np.errstate(divide="ignore"):
-        size = np.log2(np.abs(b_mant)) + backend._RESCALE_LOG2 * b_exp
-    # peak: the largest row p whose predecessor p-1 is no larger than it
+        np.log2(size, out=size)
+    # widened first: 600 times an int16 exponent overflows int16
+    size += float(backend._RESCALE_LOG2) * b_exp
     flat = size[:-1] <= size[1:]
+    del size
     last = m - 2 - np.argmax(flat[::-1], axis=0)
     peak = np.where(flat.any(axis=0), last + 1, 0)
-    cols = np.arange(lam.size)
+    cols = np.arange(ncols)
+    for part in (f_mant, b_mant):
+        part /= part[peak, cols]
+    for part in (f_exp, b_exp):
+        part -= part[peak, cols]
     below = np.arange(m)[:, None] < peak
-    mant = np.where(below, f_mant / f_mant[peak, cols], b_mant / b_mant[peak, cols])
-    expo = np.where(below, f_exp - f_exp[peak, cols], b_exp - b_exp[peak, cols])
-    z = np.ldexp(mant, (backend._RESCALE_LOG2 * expo).astype(np.int32))
-    return z / np.linalg.norm(z, axis=0)
+    np.copyto(b_mant, f_mant, where=below)
+    np.copyto(b_exp, f_exp, where=below)
+    shift = b_exp.astype(np.int32)
+    shift *= backend._RESCALE_LOG2
+    z = np.ldexp(b_mant, shift)
+    del shift
+    # np.linalg.norm(z, axis=0), without its copy of z
+    z /= np.sqrt(np.add.reduce(z * z, axis=0))
+    return z
 
 
 # The truncation rule.  Cache entries are keyed on (alpha, c, nmax) alone, so
@@ -301,15 +344,18 @@ _M_CAP = 8192      # largest per-parity order reached by doubling
 
 
 def _start_order(c, nmax):
-    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 40``.
+    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 24``.
 
     By the bracket of :func:`chi_bracket` every kept chi_n is at most
     nmax(nmax + 2a + 1) + c^2, so above Jacobi degree K* ~ hypot(nmax, c)
     each diagonal entry of the coefficient matrix exceeds every kept chi and
-    the eigenvectors decay there.  Row i of a parity block is degree 2i + p,
-    so K* / 2 rows reach K*, and 40 more hold the decay.
+    the eigenvectors decay there, super-exponentially.  Row i of a parity
+    block is degree 2i + p, so K* / 2 rows reach K*, and 24 more hold the
+    decay: no cell of ``scripts/truncation_grid.py`` (alpha 0 to 100, c 0.5
+    to 1000, nmax 1 to 2001) needs more than 20, and the largest tail mass
+    at the start is 2e-33, where ``_TAIL_TOL`` accepts 1e-24.
     """
-    return math.ceil(math.hypot(nmax, c) / 2) + 40
+    return math.ceil(math.hypot(nmax, c) / 2) + 24
 
 
 def _truncation_orders(c, nmax):
@@ -349,13 +395,10 @@ def build_basis(alpha, c, nmax):
         tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
         spectra = [eig_symtridiag(t).values for t in tris]
         chi = _merge_parities(*spectra, nmax)
-        # n of parity p is column n // 2 of that parity's spectrum
-        beta = np.empty((nmax, M))
         # a march that overflows (c below about 1e-63) leaves a non-finite
         # tail, which is refused below
         with np.errstate(over="ignore", invalid="ignore"):
-            for p, (t, s) in enumerate(zip(tris, spectra)):
-                beta[p::2] = _recurrence_vectors(t, s[:(nmax - p + 1) // 2]).T
+            beta = _recurrence_vectors(tris, spectra, nmax)
         tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
         worst = int(np.argmax(tails))  # the first NaN, if there is one
         if tails[worst] <= _TAIL_TOL:

@@ -143,10 +143,11 @@ _HEADER = struct.Struct("<4sIddII")
 # 2: eigenvectors from the spliced recurrence, bottom entries relatively
 # accurate.  3: the truncation starts from the chi bracket,
 # ceil(hypot(nmax, c) / 2) + 40.  4: beta as one block, no per-row lengths.
+# 5: the start order is ceil(hypot(nmax, c) / 2) + 24.
 # Part of the cache key, so older entries are rebuilt once; bump it also when
 # the truncation rule of ``basis`` (its ``_TAIL_*`` and ``_M_CAP`` constants
 # or its start order) changes, as the key leaves M out.
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 def basis_to_bytes(b):

@@ -20,7 +20,13 @@ entry's parts as text in two trees and diff the files::
 
 This writes ``{name: [part, ...]}`` and leaves ``golden.json`` alone: a
 string part as it is, an array one value per line (``repr``), bytes as
-UTF-8 text, or as hex where they are not.
+UTF-8 text, or as hex where they are not.  Two such files compare with::
+
+    PYTHONPATH=src python tests/golden/record.py --compare OLD NEW
+
+which prints each entry that moved with its worst absolute and relative
+move over the numbers its text holds, or says where the text around them
+changed.
 """
 
 import contextlib
@@ -31,6 +37,7 @@ import io
 import json
 import math
 import platform
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -47,8 +54,8 @@ PI5, PI20 = 5 * math.pi, 20 * math.pi
 CLI_CELLS = [(0.0, math.pi, 34), (2.5, PI20, 93), (0.5, 10.0, 120)]
 PROJECT_FNS = ["brownian:s=1.5,seed=3", "wm:s=1,lambda=2", "wm:s=0.5,lambda=1.3,K=12",
                "periodic:k=7"]
-# the march rescales past 2**600 at (0, 5, 200), (0.5, 10, 240) and the two
-# c >= 200 cells; nmax 1 marches no odd column
+# the march rescales past 2**600 at (0, 5, 200), (0.5, 10, 240) and
+# (5, 1000, 1130); nmax 1 keeps no odd column
 BASIS_CELLS = [(0.5, 2.0, 1), (0.5, 2.0, 16), (0.25, 3.0, 50), (0.0, 5.0, 200),
                (0.5, 10.0, 240), (2.5, PI20, 93), (5.0, 200.0, 230), (5.0, 1000.0, 1130)]
 # cells whose spectrum underflows |mu_n| and is refused
@@ -157,16 +164,13 @@ def _sweep_op(alpha, c):
 
 
 def _march(cell):
+    """The march of both parity blocks at the start order, over
+    ceil(nmax / 2) eigenvalues of each, as ``build_basis`` runs it."""
     alpha, c, nmax = cell
     M = B._start_order(c, nmax)
-    parts = []
-    for p, parity in enumerate(("even", "odd")):
-        tri = B.assemble_eigensystem(alpha, c, M, parity)
-        lam = B.eig_symtridiag(tri).values[:(nmax - p + 1) // 2]
-        lower = np.concatenate([[0.0], tri.offdiag])
-        upper = np.concatenate([tri.offdiag, [0.0]])
-        parts += B._march(tri.diag, lower, upper, lam)
-    return tuple(parts)
+    tris = [B.assemble_eigensystem(alpha, c, M, parity) for parity in ("even", "odd")]
+    return B._march(tris, np.stack([B.eig_symtridiag(t).values[:(nmax + 1) // 2]
+                                    for t in tris]))
 
 
 def entries(tmp):
@@ -294,6 +298,48 @@ def load():
     return json.loads(GOLDEN.read_text())
 
 
+_HEX = re.compile(r"[0-9a-f]{64,}")  # bytes that are not UTF-8 (_text)
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:nan|inf)")
+
+
+def _moves(old, new):
+    """The worst absolute and relative move between the numbers of two part
+    texts, or None where the text around them differs."""
+    if _HEX.fullmatch(old) or _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    worst_abs = worst_rel = 0.0
+    for a, b in zip(map(float, _NUMBER.findall(old)), map(float, _NUMBER.findall(new))):
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        diff = abs(a - b)
+        worst_abs = max(worst_abs, diff)
+        worst_rel = max(worst_rel, diff / max(abs(a), abs(b)))
+    return worst_abs, worst_rel
+
+
+def compare(old, new):
+    """One line per entry of two ``--values`` dumps that moved: its worst
+    absolute and relative move over every part, or which parts changed
+    beyond their numbers (a new array length, other text, other bytes)."""
+    lines = []
+    for name, parts in new.items():
+        was = old.get(name)
+        if was == parts:
+            continue
+        if was is None or len(was) != len(parts):
+            lines.append(f"{name}: only in NEW" if was is None else f"{name}: parts differ")
+            continue
+        moves = [_moves(a, b) for a, b in zip(was, parts)]
+        shown = [f"part {i}: text differs" for i, m in enumerate(moves) if m is None]
+        numeric = [m for m in moves if m is not None]
+        if numeric:
+            shown.insert(0, f"abs {max(m[0] for m in numeric):.2e}, "
+                            f"rel {max(m[1] for m in numeric):.2e}")
+        lines.append(f"{name}: {'; '.join(shown)}")
+    lines += [f"{name}: only in OLD" for name in old if name not in new]
+    return lines
+
+
 def main(argv):
     if argv[:1] == ["--values"] and len(argv) == 2:
         with tempfile.TemporaryDirectory() as tmp:
@@ -302,8 +348,13 @@ def main(argv):
         Path(argv[1]).write_text(json.dumps(values, indent=1) + "\n")
         print(f"{len(values)} entries; wrote {argv[1]}")
         return
+    if argv[:1] == ["--compare"] and len(argv) == 3:
+        old, new = (json.loads(Path(a).read_text()) for a in argv[1:])
+        lines = compare(old, new)
+        print("\n".join(lines + [f"{len(new)} entries, {len(lines)} moved"]))
+        return
     if argv:
-        sys.exit("usage: record.py [--values FILE]")
+        sys.exit("usage: record.py [--values FILE | --compare OLD NEW]")
     with tempfile.TemporaryDirectory() as tmp:
         current = {"environment": environment(), "entries": dict(hashes(tmp))}
     recorded = load() if GOLDEN.exists() else {"environment": {}, "entries": {}}

@@ -14,6 +14,9 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   list of its terms: the per-n form that ``backend.fsum_rows`` replaced.
 * psi_n's coefficients scattered over all Jacobi indices, zero off its
   parity: the layout that the library's per-parity sums replaced.
+* The eigenvector march and splice of one parity block, with int64
+  exponents: the form that the library's march of both blocks at once
+  replaced.
 
 The other former implementations are gone: ``tests/golden/`` pins their
 inputs' outputs by sha256.
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gpswf import approx, specfun, spectral
+from gpswf import approx, backend, specfun, spectral
 from gpswf.basis import build_basis, moment_b
 
 
@@ -171,3 +174,61 @@ def fc_series(alpha, row, parity, u):
     rounded sum makes this the value over all Jacobi indices bit for bit."""
     terms = spectral._fc_terms(alpha, 2 * row.size - 1, u)
     return fc_sum((row * terms[parity::2]).tolist(), parity)
+
+
+def march_one_parity(tri, lam):
+    """Both directions of the three-term recurrence of ``(T - lam) v = 0``
+    for one tridiagonal block ``tri``, as one march over a state of shape
+    (2, len(lam)).  Returns mantissas and int64 exponents, ``v = mant *
+    2**(600 * exp)``, of shape (m, 2, len(lam)): ``[:, 0]`` marched down
+    from ``v[-1] = 1`` by row, ``[::-1, 1]`` up from ``v[0] = 1``."""
+    d, e = tri.diag, tri.offdiag
+    lower = np.concatenate([[0.0], e])   # coefficient of v[i-1] in row i
+    upper = np.concatenate([e, [0.0]])   # coefficient of v[i+1] in row i
+    m = d.size
+    dd = np.stack([d, d[::-1]], axis=1)[:, :, None]
+    near = np.stack([upper, lower[::-1]], axis=1)[:, :, None]
+    far = np.stack([lower, upper[::-1]], axis=1)[:, :, None]
+    mant = np.empty((m, 2, lam.size))
+    expo = np.zeros((m, 2, lam.size), dtype=np.int64)
+    v_next = np.zeros((2, lam.size))
+    mant[m - 1] = 1.0
+    v = mant[m - 1]
+    scale = np.zeros((2, lam.size), dtype=np.int64)
+    t = np.empty((2, lam.size))
+    w = np.empty((2, lam.size))
+    for i in range(m - 1, 0, -1):
+        np.subtract(lam, dd[i], out=t)
+        t *= v
+        np.multiply(near[i], v_next, out=w)
+        t -= w
+        v, v_next = np.divide(t, far[i], out=mant[i - 1]), v
+        np.abs(v, out=w)
+        if np.maximum.reduce(w, axis=None, initial=0.0) > backend._RESCALE:
+            big = w > backend._RESCALE
+            v[big] /= backend._RESCALE
+            v_next = np.where(big, v_next / backend._RESCALE, v_next)
+            scale[big] += 1
+        expo[i - 1] = scale
+    return mant, expo
+
+
+def recurrence_vectors_one_parity(tri, lam):
+    """Unit eigenvectors of one tridiagonal block for the eigenvalues
+    ``lam``, as columns: :func:`march_one_parity` spliced at the largest row
+    whose predecessor is no larger than it, then normalized."""
+    m = tri.diag.size
+    mant, expo = march_one_parity(tri, lam)
+    b_mant, b_exp = mant[:, 0], expo[:, 0]
+    f_mant, f_exp = mant[::-1, 1], expo[::-1, 1]
+    with np.errstate(divide="ignore"):
+        size = np.log2(np.abs(b_mant)) + backend._RESCALE_LOG2 * b_exp
+    flat = size[:-1] <= size[1:]
+    last = m - 2 - np.argmax(flat[::-1], axis=0)
+    peak = np.where(flat.any(axis=0), last + 1, 0)
+    cols = np.arange(lam.size)
+    below = np.arange(m)[:, None] < peak
+    mant = np.where(below, f_mant / f_mant[peak, cols], b_mant / b_mant[peak, cols])
+    expo = np.where(below, f_exp - f_exp[peak, cols], b_exp - b_exp[peak, cols])
+    z = np.ldexp(mant, (backend._RESCALE_LOG2 * expo).astype(np.int32))
+    return z / np.linalg.norm(z, axis=0)

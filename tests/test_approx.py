@@ -232,10 +232,12 @@ class TestProjection:
         assert all(b2 <= a2 + 1e-15 for a2, b2 in zip(errs, errs[1:]))
 
     def test_parseval_inequality(self, basis_05_2):
+        # ||f||^2 from the exact cosine transforms: a Gauss rule of trunc + 64
+        # nodes aliases the 800 cosine modes and reads it low or high
         f = approx.brownian(1.5, seed=3, K=800)
         pr = approx.project(basis_05_2, f, basis_05_2.nmax)
-        rule = specfun.gauss_jacobi(basis_05_2.alpha, basis_05_2.trunc + 64)
-        norm2 = float(rule.integrate(f(rule.nodes) ** 2))
+        y = f.params["amplitudes"] / np.arange(1.0, 801.0) ** 1.5
+        norm2 = approx.cosine_series_norm2(basis_05_2.alpha, y)
         assert float(np.sum(np.abs(pr.coefficients) ** 2)) <= norm2 + 1e-10
 
     @pytest.mark.parametrize("target", [
@@ -476,10 +478,10 @@ class TestSupGridSeries:
                              ids=["wm", "periodic"])
     def test_near_the_series_in_long_double(self, target):
         # at alpha 5, Jt_k(1) grows like k^5.5, so the order of summation
-        # shows: the route lands 2.3e-13 (wm) and 1.3e-13 (periodic) from
+        # shows: the route lands 3.4e-13 (wm) and 4.3e-13 (periodic) from
         # the same series, coeffs . beta then sum_k g_k Jt_k, summed in long
         # double over the same recurrence coefficients; a sum of N rounded
-        # psi_n, coeffs @ psi_table, lands 4.2e-12 to 5.7e-12 from it
+        # psi_n, coeffs @ psi_table, lands 8.7e-13 to 1.1e-12 from it
         assert np.finfo(np.longdouble).nmant >= 63
         b = B.build_basis(5.0, 20 * math.pi, 96)
         coeffs = approx.project(b, target, 60).coefficients
@@ -614,6 +616,16 @@ class TestWmCoefficients:
             approx.wm_all_coefficients(basis_wm, s, lam, 12, K=K)
         with pytest.raises(DomainError):
             approx.wm_projection_error(basis_wm, s, lam, 12, K=K)
+
+
+def test_wm_norm_refuses_more_terms_than_it_pairs():
+    # the default K of this spec is 107047, whose K (K + 1) / 2 pair indices
+    # alone took 10.7 GB; the exact norm refuses it, and any K past its cap,
+    # before it allocates anything, and project exits 1 with it
+    with pytest.raises(DomainError, match="K=107047 terms; it takes at most 1024"):
+        approx.wm_l2_norm_squared(0.5, -364628.0662452155, 1.0000000009130565, None)
+    with pytest.raises(DomainError, match="K=1025 terms"):
+        approx.wm_projection_error(B.build_basis(0.5, 2.0, 4), 0.5, 1.5, 3, K=1025)
 
 
 def _clear_wm_caches():

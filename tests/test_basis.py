@@ -157,21 +157,21 @@ class TestBuildBasis:
             B.build_basis(0.5, 30.0, 40)
 
     def test_start_past_cap_raises_before_assembly(self, monkeypatch):
-        # nmax 20000 starts at order 10041, past _M_CAP: no 10041^2 eigensolve
+        # nmax 20000 starts at order 10025, past _M_CAP: no 10025^2 eigensolve
         def no_assembly(*args):
             raise AssertionError("assembled a system past the cap")
 
         monkeypatch.setattr(B, "assemble_eigensystem", no_assembly)
-        with pytest.raises(TruncationError, match="start order 10041 .* past the truncation cap"):
+        with pytest.raises(TruncationError, match="start order 10025 .* past the truncation cap"):
             B.build_basis(0.5, 5.0, 20000)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_march_raises_at_the_first_order(self, monkeypatch):
         # c = 1e-70: off-diagonals of 2.5e-141 overflow the march at the start
-        # order 42, and no doubling mends a NaN tail (to 5376: 10 s, 475 MB)
-        assert B.build_basis(0.5, 1e-50, 4).trunc == 42  # finite at 1e-50
-        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((42, 84)))
-        with pytest.raises(TruncationError, match="order 42: the eigenvector march "
+        # order 26, and no doubling mends a NaN tail (they would run to 6656)
+        assert B.build_basis(0.5, 1e-50, 4).trunc == 26  # finite at 1e-50
+        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((26, 52)))
+        with pytest.raises(TruncationError, match="order 26: the eigenvector march "
                                                   "overflowed at c=1e-70"):
             B.build_basis(0.5, 1e-70, 4)
 
@@ -278,7 +278,10 @@ _RULE_CELLS = [(0.0, math.pi, 34), (2.5, math.pi, 34), (0.0, 20 * math.pi, 93),
                (2.5, 20 * math.pi, 93), (0.5, 5 * math.pi, 96),
                (1.5, 5 * math.pi, 96), (1.5, 5 * math.pi, 91),
                (2.5, 5 * math.pi, 40), (0.5, 200.0, 230), (5.0, 200.0, 250),
-               (0.5, 500.0, 250), (2.0, 300.0, 100)]
+               (0.5, 500.0, 250), (2.0, 300.0, 100),
+               # the largest tail masses at the start that scripts/truncation_grid.py
+               # found; each needs 20 and 19 rows past ceil(hypot(nmax, c) / 2)
+               (0.0, 50.0, 25), (0.0, 100.0, 50)]
 
 
 def _tail_passes(monkeypatch, alpha, c, nmax, M):
@@ -315,7 +318,52 @@ class TestTruncationRule:
                 hi = mid
             else:
                 lo = mid
-        assert start - hi <= 60
+        assert start - hi <= 44
+
+    @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
+    def test_tail_at_the_start_is_far_below_the_check(self, alpha, c, nmax):
+        # the start order passes with no doubling and with room to spare:
+        # at most 1e-30 of tail mass where the check accepts 1e-24
+        b = B.build_basis(alpha, c, nmax)
+        assert b.trunc == B._start_order(c, nmax)
+        assert np.max(np.sum(b.beta[:, -B._TAIL_BUFFER:] ** 2, axis=1)) <= 1e-30
+
+
+def _parity_blocks(alpha, c, nmax):
+    """The two parity blocks at the start order and their eigenvalues."""
+    M = B._start_order(c, nmax)
+    tris = [B.assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
+    return tris, [B.eig_symtridiag(t).values for t in tris]
+
+
+class TestJointMarch:
+    # odd and even nmax, nmax 1 (no odd column kept), and the last three
+    # cells, whose march rescales past 2**600
+    CELLS = [(0.5, 2.0, 1), (0.5, 2.0, 16), (5.0, 200.0, 231), (0.0, 5.0, 200),
+             (0.5, 10.0, 241), (0.0, 100.0, 301)]
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_equals_the_per_parity_march(self, cell):
+        nmax = cell[2]
+        tris, spectra = _parity_blocks(*cell)
+        mant, expo = B._march(tris, np.stack([s[:(nmax + 1) // 2] for s in spectra]))
+        assert expo.dtype == np.int16
+        assert expo.any() == (cell in self.CELLS[3:])
+        for p, (t, s) in enumerate(zip(tris, spectra)):
+            # the odd block's padding column (odd nmax) is not compared
+            cols = (nmax - p + 1) // 2
+            ref_mant, ref_expo = oracles.march_one_parity(t, s[:cols])
+            assert mant[:, :, p, :cols].tobytes() == ref_mant.tobytes()
+            assert np.array_equal(expo[:, :, p, :cols], ref_expo)
+
+    @pytest.mark.parametrize("cell", CELLS)
+    def test_vectors_equal_the_per_parity_splice(self, cell):
+        tris, spectra = _parity_blocks(*cell)
+        nmax = cell[2]
+        beta = B._recurrence_vectors(tris, spectra, nmax)
+        for p, (t, s) in enumerate(zip(tris, spectra)):
+            ref = oracles.recurrence_vectors_one_parity(t, s[:(nmax - p + 1) // 2])
+            assert beta[p::2].tobytes() == ref.T.tobytes()
 
 
 EPS = np.finfo(float).eps

@@ -372,7 +372,7 @@ def test_overflowed_march_prints_only_its_refusal(capsys, cache_args):
     assert warned == []
     assert result == (2, "", (
         "numerical-consistency failure: coefficient tail mass nan at n=0, truncation "
-        "order 42: the eigenvector march overflowed at c=1e-70, whose off-diagonals "
+        "order 26: the eigenvector march overflowed at c=1e-70, whose off-diagonals "
         "fall to 2.500e-141\n"))
 
 

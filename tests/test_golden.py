@@ -32,3 +32,13 @@ def test_moved_names_the_first_differing_entry():
     old = {"a": "1", "b": "2", "c": "3"}
     assert record.moved(old, {"a": "1", "b": "9", "c": "8"})[0] == ("b", "2", "9")
     assert record.moved(old, {"a": "1", "b": "2"}) == [("c", "3", None)]
+
+
+def test_compare_gives_each_moved_entry_its_worst_moves():
+    old = {"same": ["x=1.5"], "num": ["a 1.0 b 2.0e-3", "4\n8"], "text": ["n=3"],
+           "bytes": ["ab" * 40], "gone": ["1"]}
+    new = {"same": ["x=1.5"], "num": ["a 1.5 b 2.5e-3", "4\n8"], "text": ["n=3 x"],
+           "bytes": ["cd" * 40], "added": ["2"]}
+    assert record.compare(old, new) == [
+        "num: abs 5.00e-01, rel 3.33e-01", "text: part 0: text differs",
+        "bytes: part 0: text differs", "added: only in NEW", "gone: only in OLD"]
