@@ -1,16 +1,21 @@
 """How much room the truncation rule's start order leaves, over a grid of cells.
 
 For each (alpha, c, nmax) this builds the basis at the start order
-``basis._start_order(c, nmax)`` and reports:
+``basis._start_order(alpha, c, nmax)`` and reports:
 
 * ``tail``: the largest squared mass of the last ``_TAIL_BUFFER``
   coefficients of any kept eigenvector at the start order (the tail check
   accepts up to ``_TAIL_TOL``);
 * ``need``: the smallest per-parity order that passes the tail check, found
-  by bisection between ceil(nmax / 2) - 1 and the start;
+  by bisection between ceil(nmax / 2) - 1 and the start
+  (:func:`smallest_order`);
 * ``past``: need minus ceil(hypot(nmax, c) / 2), the rows past the turning
   degree K* ~ hypot(nmax, c) that the cell needs;
 * ``slack``: start minus need, the rows the start keeps beyond it;
+* ``spectrum``: whether ``compute_spectrum`` (its probe, lambda and decrease
+  checks) accepts the basis at the start order and at the former start
+  ceil(hypot(nmax, c) / 2) + 40: ``ok`` (both), ``refused`` (both),
+  ``LOST`` (only the former start) or ``gained`` (only the start);
 * whether ``build_basis`` had to double past the start.
 
 Run from the repository root::
@@ -19,25 +24,38 @@ Run from the repository root::
     PYTHONPATH=src python scripts/truncation_grid.py --quick    # a few cells
     PYTHONPATH=src python scripts/truncation_grid.py --cell 0 100 50
 
-Exits 1 if any cell doubles, that is, fails the tail check at its start.
-The default grid takes about two minutes on one core and about 100 MB.
+Exits 1 if any cell doubles, that is, fails the tail check at its start, or
+if any spectrum is LOST.  The default grid takes about four minutes on one
+core and about 100 MB.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
 import sys
 import time
 
-from gpswf import basis as B
-from gpswf.errors import ConsistencyError, TruncationError
+from gpswf import basis as B, spectral
+from gpswf.errors import ConsistencyError, GpswfError, TruncationError
 
-ALPHAS = (0.0, 0.5, 2.5, 10.0, 100.0)
+ALPHAS = (0.0, 0.5, 2.5, 5.0, 10.0, 30.0, 100.0)
 CS = (0.5, 3.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 NMAXES = (1, 2, 25, 50, 120, 400, 1130, 2001)
 QUICK = [(0.0, 50.0, 25), (0.0, 100.0, 50), (0.5, 2.0, 1), (2.5, 20 * math.pi, 93),
-         (0.5, 1000.0, 1130)]
+         (0.5, 1000.0, 1130), (89.7, 5.0, 100), (98.3, 5.0, 40), (110.0, 5.0, 20)]
+
+
+@contextlib.contextmanager
+def _only_order(M):
+    """``build_basis`` tries per-parity order M alone while this is open."""
+    saved = B._truncation_orders
+    B._truncation_orders = lambda *cell: iter((M,))
+    try:
+        yield
+    finally:
+        B._truncation_orders = saved
 
 
 def _tail(b):
@@ -48,33 +66,62 @@ def _tail(b):
 def _passes(alpha, c, nmax, M):
     """Whether ``build_basis`` accepts order M alone: its tail check, the
     interleave check and enough rows for nmax."""
-    saved = B._truncation_orders
-    B._truncation_orders = lambda c, nmax: iter((M,))
-    try:
-        B.build_basis(alpha, c, nmax)
-    except (TruncationError, ConsistencyError):
-        return False
-    finally:
-        B._truncation_orders = saved
+    with _only_order(M):
+        try:
+            B.build_basis(alpha, c, nmax)
+        except (TruncationError, ConsistencyError):
+            return False
     return True
 
 
-def survey(alpha, c, nmax):
-    start = B._start_order(c, nmax)
-    b = B.build_basis(alpha, c, nmax)
-    row = {"alpha": alpha, "c": c, "nmax": nmax, "start": start, "doubled": b.trunc != start,
-           "tail": None, "need": None, "past": None, "slack": None}
-    if row["doubled"]:
-        return row
-    lo, hi = max((nmax + 1) // 2 - 1, 1), start
+def smallest_order(alpha, c, nmax):
+    """The smallest per-parity order at or below the start order that
+    ``build_basis`` accepts alone, by bisection; each parity block needs
+    (nmax + 1) // 2 rows to hold its eigenvalues at all."""
+    lo, hi = max((nmax + 1) // 2 - 1, 1), B._start_order(alpha, c, nmax)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _passes(alpha, c, nmax, mid):
             hi = mid
         else:
             lo = mid
-    return {**row, "tail": _tail(b), "need": hi,
-            "past": hi - math.ceil(math.hypot(nmax, c) / 2), "slack": start - hi}
+    return hi
+
+
+def _spectrum_passes(b):
+    """Whether ``compute_spectrum`` accepts basis ``b``; a refusal for range
+    (a transform factor past the largest double) counts as refused too."""
+    try:
+        spectral.compute_spectrum(b)
+    except GpswfError:
+        return False
+    return True
+
+
+def _spectrum(alpha, c, nmax, b):
+    """The ``spectrum`` column: compute_spectrum at the start (basis ``b``)
+    and at the former start, built alone."""
+    now = _spectrum_passes(b)
+    with _only_order(math.ceil(math.hypot(nmax, c) / 2) + 40):
+        try:
+            was = _spectrum_passes(B.build_basis(alpha, c, nmax))
+        except GpswfError:
+            was = False
+    return {(True, True): "ok", (False, False): "refused",
+            (False, True): "LOST", (True, False): "gained"}[now, was]
+
+
+def survey(alpha, c, nmax):
+    start = B._start_order(alpha, c, nmax)
+    b = B.build_basis(alpha, c, nmax)
+    row = {"alpha": alpha, "c": c, "nmax": nmax, "start": start, "doubled": b.trunc != start,
+           "tail": None, "need": None, "past": None, "slack": None,
+           "spectrum": _spectrum(alpha, c, nmax, b)}
+    if row["doubled"]:
+        return row
+    need = smallest_order(alpha, c, nmax)
+    return {**row, "tail": _tail(b), "need": need,
+            "past": need - math.ceil(math.hypot(nmax, c) / 2), "slack": start - need}
 
 
 def _dash(value):
@@ -83,7 +130,7 @@ def _dash(value):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true", help="five cells only")
+    ap.add_argument("--quick", action="store_true", help="eight cells only")
     ap.add_argument("--cell", nargs=3, type=float, action="append",
                     metavar=("ALPHA", "C", "NMAX"), help="one cell (repeatable)")
     ap.add_argument("--json", metavar="FILE", help="write every row to FILE")
@@ -97,14 +144,15 @@ def main(argv=None):
     rows = []
     t0 = time.perf_counter()
     print(f"{'alpha':>6} {'c':>8} {'nmax':>5} {'start':>5} {'need':>5} {'past':>5} "
-          f"{'slack':>5} {'tail at start':>13}")
+          f"{'slack':>5} {'tail at start':>13} {'spectrum':>8}")
     for cell in cells:
         row = survey(*cell)
         rows.append(row)
         tail = "-" if row["tail"] is None else f"{row['tail']:.1e}"
         print(f"{row['alpha']:6g} {row['c']:8.4g} {row['nmax']:5d} {row['start']:5d} "
               f"{_dash(row['need']):>5} {_dash(row['past']):>5} {_dash(row['slack']):>5} "
-              f"{tail:>13}{'  doubled' if row['doubled'] else ''}", flush=True)
+              f"{tail:>13} {row['spectrum']:>8}{'  doubled' if row['doubled'] else ''}",
+              flush=True)
     ok = [r for r in rows if not r["doubled"]]
     bad = len(rows) - len(ok)
     summary = f"{len(rows)} cells in {time.perf_counter() - t0:.0f} s; {bad} doubled"
@@ -114,11 +162,14 @@ def main(argv=None):
                     f"{max(r['past'] for r in ok)} rows; smallest slack "
                     f"{min(r['slack'] for r in ok)}; worst tail {worst['tail']:.1e} at "
                     f"({worst['alpha']:g}, {worst['c']:g}, {worst['nmax']})")
+    counts = {k: sum(r["spectrum"] == k for r in rows)
+              for k in ("ok", "refused", "LOST", "gained")}
+    summary += "; spectrum " + ", ".join(f"{k} {v}" for k, v in counts.items())
     print(summary)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(rows, fh, indent=1)
-    return 1 if bad else 0
+    return 1 if bad or counts["LOST"] else 0
 
 
 if __name__ == "__main__":

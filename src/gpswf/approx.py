@@ -76,10 +76,6 @@ _MAX_TERMS = 10 ** 6
 # series terms per block of an evaluation, which bounds its memory to
 # _EVAL_BLOCK doubles per point
 _EVAL_BLOCK = 512
-# The most terms whose exact wm norm is formed: it pairs every two of them,
-# K (K + 1) / 2 pairs with a transform each where lambda is near 1 (about 14 s
-# and 190 MB at K = 1000); at K = 107047 the pair indices alone took 10.7 GB
-_MAX_NORM_TERMS = 1024
 
 
 def _check_terms(K):
@@ -518,14 +514,9 @@ def _cos_transform_table(alpha, jmax):
 
 
 def wm_l2_norm_squared(alpha, s, lam, K):
-    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised);
-    a K past ``_MAX_NORM_TERMS`` raises DomainError."""
-    K = _wm_terms(s, lam, K)
-    if K > _MAX_NORM_TERMS:
-        raise DomainError(f"the exact wm norm pairs every two of its K={K} terms; it "
-                          f"takes at most {_MAX_NORM_TERMS} (s={s!r}, lambda={lam!r})")
+    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised)."""
     # the memo sits behind a plain function, which perfbench's tracer wraps
-    return _wm_l2_norm_squared(alpha, s, lam, K)
+    return _wm_l2_norm_squared(alpha, s, lam, _wm_terms(s, lam, K))
 
 
 @_grown_lru(maxsize=8, nkey=2)

@@ -336,37 +336,49 @@ def _splice(mant, expo):
 
 
 # The truncation rule.  Cache entries are keyed on (alpha, c, nmax) alone, so
-# a change to any of these three, or to the start order below, must come with
-# a bump of ``experiments._FORMAT_VERSION``.
+# a change to any of these, or to the start order below, must come with a
+# bump of ``experiments._FORMAT_VERSION``.
 _TAIL_BUFFER = 8   # trailing coefficients whose squared mass is checked
 _TAIL_TOL = 1e-24  # largest squared tail mass accepted in any eigenvector
 _M_CAP = 8192      # largest per-parity order reached by doubling
+_SHORT_START_ALPHA = 5.0  # largest alpha whose start keeps 24 rows past K*/2, not 40
 
 
-def _start_order(c, nmax):
-    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 24``.
+def _start_order(alpha, c, nmax):
+    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2)`` plus 24
+    rows at alpha up to ``_SHORT_START_ALPHA``, plus 40 past it.
 
     By the bracket of :func:`chi_bracket` every kept chi_n is at most
     nmax(nmax + 2a + 1) + c^2, so above Jacobi degree K* ~ hypot(nmax, c)
     each diagonal entry of the coefficient matrix exceeds every kept chi and
     the eigenvectors decay there, super-exponentially.  Row i of a parity
-    block is degree 2i + p, so K* / 2 rows reach K*, and 24 more hold the
-    decay: no cell of ``scripts/truncation_grid.py`` (alpha 0 to 100, c 0.5
-    to 1000, nmax 1 to 2001) needs more than 20, and the largest tail mass
-    at the start is 2e-33, where ``_TAIL_TOL`` accepts 1e-24.
+    block is degree 2i + p, so K* / 2 rows reach K*, and the rows past it
+    hold the decay.  For the tail check 24 suffice: no cell of
+    ``scripts/truncation_grid.py`` (alpha 0 to 100, c 0.5 to 1000, nmax 1
+    to 2001) needs more than 20, and the largest tail mass at 24 rows is
+    2e-33, where ``_TAIL_TOL`` accepts 1e-24.  The probe check of
+    :func:`spectral.compute_spectrum` sees further at large alpha: psi_n
+    near x = +-1 sums Jt_k(x), which grow like k^(alpha + 1/2), so
+    coefficients far below the tail check still move a probe ratio (the
+    spectrum at (98.3, 5, 40) needs 29 rows), and where that check sits at
+    its tolerance its verdict turns on the roundings that the order sets,
+    at alpha down to 7.5 at c = 1000.  Past ``_SHORT_START_ALPHA`` the start
+    keeps the former 40 rows, so the basis and each verdict there are those
+    of the former rule.
     """
-    return math.ceil(math.hypot(nmax, c) / 2) + 24
+    rows = 24 if alpha <= _SHORT_START_ALPHA else 40
+    return math.ceil(math.hypot(nmax, c) / 2) + rows
 
 
-def _truncation_orders(c, nmax):
+def _truncation_orders(alpha, c, nmax):
     """Per-parity truncation orders that :func:`build_basis` tries, in order:
     :func:`_start_order`, then doublings while they stay within ``_M_CAP``.
     A start past the cap raises TruncationError before any order is tried.
     """
-    m = _start_order(c, nmax)
+    m = _start_order(alpha, c, nmax)
     if m > _M_CAP:
-        raise TruncationError(f"start order {m} for c={c!r}, nmax={nmax} is past "
-                              f"the truncation cap {_M_CAP}")
+        raise TruncationError(f"start order {m} for alpha={alpha!r}, c={c!r}, "
+                              f"nmax={nmax} is past the truncation cap {_M_CAP}")
     yield m
     while 2 * m <= _M_CAP:
         m *= 2
@@ -387,7 +399,7 @@ def build_basis(alpha, c, nmax):
         raise DomainError(f"basis construction requires c > 0, got {c!r}")
     if nmax < 1:
         raise DomainError(f"nmax must be >= 1, got {nmax!r}")
-    for M in _truncation_orders(c, nmax):
+    for M in _truncation_orders(alpha, c, nmax):
         if M < (nmax + 1) // 2:
             raise TruncationError(
                 f"truncation order {M} gives fewer than {(nmax + 1) // 2} "

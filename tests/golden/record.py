@@ -167,7 +167,7 @@ def _march(cell):
     """The march of both parity blocks at the start order, over
     ceil(nmax / 2) eigenvalues of each, as ``build_basis`` runs it."""
     alpha, c, nmax = cell
-    M = B._start_order(c, nmax)
+    M = B._start_order(alpha, c, nmax)
     tris = [B.assemble_eigensystem(alpha, c, M, parity) for parity in ("even", "odd")]
     return B._march(tris, np.stack([B.eig_symtridiag(t).values[:(nmax + 1) // 2]
                                     for t in tris]))

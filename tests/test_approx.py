@@ -618,16 +618,6 @@ class TestWmCoefficients:
             approx.wm_projection_error(basis_wm, s, lam, 12, K=K)
 
 
-def test_wm_norm_refuses_more_terms_than_it_pairs():
-    # the default K of this spec is 107047, whose K (K + 1) / 2 pair indices
-    # alone took 10.7 GB; the exact norm refuses it, and any K past its cap,
-    # before it allocates anything, and project exits 1 with it
-    with pytest.raises(DomainError, match="K=107047 terms; it takes at most 1024"):
-        approx.wm_l2_norm_squared(0.5, -364628.0662452155, 1.0000000009130565, None)
-    with pytest.raises(DomainError, match="K=1025 terms"):
-        approx.wm_projection_error(B.build_basis(0.5, 2.0, 4), 0.5, 1.5, 3, K=1025)
-
-
 def _clear_wm_caches():
     for cached in (approx._wm_l2_norm_squared, approx._wm_pair_transforms,
                    approx._wm_term_rows):

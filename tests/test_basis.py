@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import math
+import pathlib
 
 import mpmath as mp
 import numpy as np
@@ -9,7 +11,8 @@ from golden import record
 
 from gpswf import experiments, specfun
 from gpswf import basis as B
-from gpswf.errors import ConsistencyError, DomainError, TruncationError
+from gpswf.errors import DomainError, TruncationError
+from gpswf.spectral import compute_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +155,7 @@ class TestBuildBasis:
 
     def test_truncation_cap_error(self, monkeypatch):
         # orders far too short for c = 30: every one leaves tail mass behind
-        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((24, 28)))
+        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((24, 28)))
         with pytest.raises(TruncationError, match="truncation order 28"):
             B.build_basis(0.5, 30.0, 40)
 
@@ -170,21 +173,21 @@ class TestBuildBasis:
         # c = 1e-70: off-diagonals of 2.5e-141 overflow the march at the start
         # order 26, and no doubling mends a NaN tail (they would run to 6656)
         assert B.build_basis(0.5, 1e-50, 4).trunc == 26  # finite at 1e-50
-        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((26, 52)))
+        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((26, 52)))
         with pytest.raises(TruncationError, match="order 26: the eigenvector march "
                                                   "overflowed at c=1e-70"):
             B.build_basis(0.5, 1e-70, 4)
 
     def test_order_short_of_nmax_names_it(self, monkeypatch):
         # 2 rows per parity cannot hold the 17 even n of nmax 34
-        monkeypatch.setattr(B, "_truncation_orders", lambda c, nmax: iter((2,)))
+        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((2,)))
         with pytest.raises(TruncationError, match="truncation order 2 "):
             B.build_basis(0.0, math.pi, 34)
 
     def test_short_start_grows_and_passes(self, monkeypatch):
         # a start below the smallest passing order (167 here) doubles once
         ref = B.build_basis(0.5, 200.0, 230)
-        monkeypatch.setattr(B, "_start_order", lambda c, nmax: 120)
+        monkeypatch.setattr(B, "_start_order", lambda *cell: 120)
         b = B.build_basis(0.5, 200.0, 230)
         assert b.trunc == 240
         assert max(float(np.sum(v[-8:] ** 2)) for v in b.beta) <= 1e-24
@@ -284,21 +287,25 @@ _RULE_CELLS = [(0.0, math.pi, 34), (2.5, math.pi, 34), (0.0, 20 * math.pi, 93),
                (0.0, 50.0, 25), (0.0, 100.0, 50)]
 
 
-def _tail_passes(monkeypatch, alpha, c, nmax, M):
-    with monkeypatch.context() as m:
-        m.setattr(B, "_truncation_orders", lambda c, nmax: iter((M,)))
-        try:
-            B.build_basis(alpha, c, nmax)
-        except (TruncationError, ConsistencyError):
-            return False
-    return True
+def _load_script(name):
+    """The module of ``scripts/<name>.py``, which is not a package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+truncation_grid = _load_script("truncation_grid")
 
 
 class TestTruncationRule:
     @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
     def test_start_needs_no_growth_and_keeps_chi(self, alpha, c, nmax):
         b = B.build_basis(alpha, c, nmax)
-        assert b.trunc == B._start_order(c, nmax)
+        assert b.trunc == B._start_order(alpha, c, nmax)
+        # room to spare: at most 1e-30 of tail mass where the check accepts 1e-24
+        assert np.max(np.sum(b.beta[:, -B._TAIL_BUFFER:] ** 2, axis=1)) <= 1e-30
         # the former start order, nmax + ceil(c) + 40, as a dense oracle
         old = nmax + math.ceil(c) + 40
         dense = np.sort(np.concatenate([
@@ -307,31 +314,23 @@ class TestTruncationRule:
         np.testing.assert_allclose(b.chi, dense, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
-    def test_start_is_tight(self, monkeypatch, alpha, c, nmax):
-        # bisect the smallest order that passes the tail check; each parity
-        # block needs (nmax + 1) // 2 rows to hold its eigenvalues at all
-        start = B._start_order(c, nmax)
-        lo, hi = (nmax + 1) // 2 - 1, start
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _tail_passes(monkeypatch, alpha, c, nmax, mid):
-                hi = mid
-            else:
-                lo = mid
-        assert start - hi <= 44
+    def test_start_is_tight(self, alpha, c, nmax):
+        need = truncation_grid.smallest_order(alpha, c, nmax)
+        assert B._start_order(alpha, c, nmax) - need <= 44
 
-    @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
-    def test_tail_at_the_start_is_far_below_the_check(self, alpha, c, nmax):
-        # the start order passes with no doubling and with room to spare:
-        # at most 1e-30 of tail mass where the check accepts 1e-24
+    # the spectrum of each cell is refused at ceil(hypot(nmax, c) / 2) + 24
+    # rows (its probe check needs 25 to 27) and passes at the former + 40
+    @pytest.mark.parametrize("alpha,c,nmax", [(89.7, 5.0, 100), (98.3, 5.0, 40),
+                                              (110.0, 5.0, 20)])
+    def test_large_alpha_keeps_the_former_start_and_its_spectrum(self, alpha, c, nmax):
         b = B.build_basis(alpha, c, nmax)
-        assert b.trunc == B._start_order(c, nmax)
-        assert np.max(np.sum(b.beta[:, -B._TAIL_BUFFER:] ** 2, axis=1)) <= 1e-30
+        assert b.trunc == math.ceil(math.hypot(nmax, c) / 2) + 40
+        assert len(compute_spectrum(b)) == nmax
 
 
 def _parity_blocks(alpha, c, nmax):
     """The two parity blocks at the start order and their eigenvalues."""
-    M = B._start_order(c, nmax)
+    M = B._start_order(alpha, c, nmax)
     tris = [B.assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
     return tris, [B.eig_symtridiag(t).values for t in tris]
 

@@ -142,12 +142,12 @@ class TestCache:
         # nmax + ceil(c) + 40; under version 5 they miss and are rebuilt
         with monkeypatch.context() as m:
             m.setattr(X, "_FORMAT_VERSION", 2)
-            m.setattr(B, "_start_order", lambda c, nmax: nmax + math.ceil(c) + 40)
+            m.setattr(B, "_start_order", lambda alpha, c, nmax: nmax + math.ceil(c) + 40)
             assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 50
         assert X._FORMAT_VERSION == 5
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         got = X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir)
-        assert got.trunc == B._start_order(2.0, 8) == 29
+        assert got.trunc == B._start_order(0.5, 2.0, 8) == 29
         assert X.cache_get(0.5, 2.0, 8, cache_dir).trunc == 29
         assert len(X.cache_ls(cache_dir)) == 2
 
@@ -157,7 +157,7 @@ class TestCache:
         with monkeypatch.context() as m:
             m.setattr(X, "_FORMAT_VERSION", 4)
             m.setattr(B, "_start_order",
-                      lambda c, nmax: math.ceil(math.hypot(nmax, c) / 2) + 40)
+                      lambda alpha, c, nmax: math.ceil(math.hypot(nmax, c) / 2) + 40)
             assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 45
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 29
