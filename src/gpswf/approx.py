@@ -2,7 +2,6 @@
 weighted Sobolev norms, and approximation-rate checkers."""
 
 import math
-import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -184,9 +183,19 @@ def _wm_terms(s, lam, K):
     if K is None:
         K = wm_truncation(s, lam)
     _check_terms(K)
-    if (K - 1) * math.log(lam) > math.log(sys.float_info.max):
-        raise DomainError(f"lambda^(K-1) overflows a double at K={K}, lambda={lam!r}")
+    _check_wm_power(lam, K, 1.0, "lambda^(K-1)")
     return K
+
+
+def _check_wm_power(lam, K, scale, what):
+    """Raise DomainError, naming ``what``, K and lam, unless scale *
+    lam^(K-1), a NumPy power as the series forms its frequencies, is a
+    finite double.  A test on (K - 1) ln lam against ln(DBL_MAX) passes lam 2 at
+    K 1025, where both logs are the same double and 2^1024 overflows."""
+    with np.errstate(over="ignore"):
+        top = scale * float(lam ** np.int64(K - 1))
+    if not math.isfinite(top):
+        raise DomainError(f"{what} overflows a double at K={K}, lambda={lam!r}")
 
 
 def weierstrass_mandelbrot(s, lam, K=None):
@@ -513,10 +522,31 @@ def _cos_transform_table(alpha, jmax):
     return w
 
 
+# The exact wm norm holds about _WM_PAIR_BYTES bytes per pair i <= j < K at
+# its peak (482 under tracemalloc at K 300 and 600, lambda 1.0001): the
+# pair indices, arguments and products as arrays and as Python lists, and
+# the transforms at the distinct pair arguments.  A K whose K(K+1)/2 pairs
+# would pass _WM_NORM_BYTES, K past _WM_NORM_MAX_K = 2110, is refused
+# before any of them is built; K 2000 needs about 0.96 GB.
+_WM_PAIR_BYTES = 482
+_WM_NORM_BYTES = 2 ** 30
+_WM_NORM_MAX_K = (math.isqrt(8 * (_WM_NORM_BYTES // _WM_PAIR_BYTES) + 1) - 1) // 2
+
+
 def wm_l2_norm_squared(alpha, s, lam, K):
-    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised)."""
+    """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised).
+
+    Its pair sums reach 2 lam^(K-1), and its pairs take about
+    ``_WM_PAIR_BYTES`` each: a K where either passes what a double or
+    ``_WM_NORM_BYTES`` holds raises DomainError."""
+    K = _wm_terms(s, lam, K)
+    _check_wm_power(lam, K, 2.0, "the pair sum 2 lambda^(K-1)")
+    if K > _WM_NORM_MAX_K:
+        raise DomainError(f"the exact wm norm takes K <= {_WM_NORM_MAX_K}, got K={K}: its "
+                          f"K(K+1)/2 pairs take about {_WM_PAIR_BYTES} bytes each, "
+                          f"at most {_WM_NORM_BYTES >> 20} MiB in all")
     # the memo sits behind a plain function, which perfbench's tracer wraps
-    return _wm_l2_norm_squared(alpha, s, lam, _wm_terms(s, lam, K))
+    return _wm_l2_norm_squared(alpha, s, lam, K)
 
 
 @_grown_lru(maxsize=8, nkey=2)

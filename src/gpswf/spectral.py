@@ -265,22 +265,50 @@ def _boundary_constants(alpha):
             float(specfun.jacobi_recurrence(alpha, 2)[1]))
 
 
+# the phase check's points x0 and Jacobi indices k
+_PHASE_X = (0.37, 0.61)
+_PHASE_K = (0, 1)
+
+
+def _phase_rule_order(c):
+    """Nodes of :func:`_check_phase`'s Gauss-Jacobi rule at bandwidth c.
+
+    Its integrand e^{iuy} Jt_k(y) w_a(y), k <= 1, u = c x0 <= 0.61 c, is
+    resolved to 1e-13 by about u/2 + 5 u^(1/3) nodes; ceil(c/2) + 32 is at
+    least u/2 + 0.195 c + 32 at both x0, far past that.  A rule of about
+    c/2 nodes, not c, keeps the rule's dense eigensolve and m x m
+    Christoffel table from setting the cold cost and memory peak of
+    :func:`compute_spectrum` at large c."""
+    return 32 + math.ceil(c / 2)
+
+
+def _phase_quadratures(alpha, c, m):
+    """int e^{i c x0 y} Jt_k(y) w_a(y) dy by the m-node Gauss-Jacobi rule,
+    indexed [k, x0] over ``_PHASE_K`` and ``_PHASE_X``."""
+    rule = specfun.gauss_jacobi(alpha, m)
+    table = specfun.jacobi_table(alpha, 1, rule.nodes)
+    return np.array([[np.dot(rule.weights, np.exp(1j * c * x0 * rule.nodes) * table[k])
+                      for x0 in _PHASE_X] for k in _PHASE_K])
+
+
+def _phase_closed_forms(alpha, c):
+    """The closed forms i^k t_k(c x0) of :func:`_phase_quadratures`, as
+    Python complex numbers indexed [k][x0], from one ladder call over both
+    x0."""
+    terms = _fc_term_rows(alpha, 1, [c * x0 for x0 in _PHASE_X])
+    return [[1j ** k * float(row[k]) for row in terms] for k in _PHASE_K]
+
+
 def _check_phase(basis):
-    # one-off check of the i^k phase convention against direct quadrature,
-    # the closed forms from one ladder call over both x0
-    rule = specfun.gauss_jacobi(basis.alpha, 80 + int(basis.c))
-    table = specfun.jacobi_table(basis.alpha, 1, rule.nodes)
-    x0s = (0.37, 0.61)
-    terms = _fc_term_rows(basis.alpha, 1, [basis.c * x0 for x0 in x0s])
-    for k in (0, 1):
-        for x0, row in zip(x0s, terms):
-            direct = np.dot(rule.weights,
-                            np.exp(1j * basis.c * x0 * rule.nodes) * table[k])
-            closed = 1j ** k * float(row[k])
-            if abs(direct - closed) > 1e-8 * max(1.0, abs(direct)):
+    # one-off check of the i^k phase convention against direct quadrature
+    direct = _phase_quadratures(basis.alpha, basis.c, _phase_rule_order(basis.c))
+    closed_forms = _phase_closed_forms(basis.alpha, basis.c)
+    for k in _PHASE_K:
+        for d, closed in zip(direct[k], closed_forms[k]):
+            if abs(d - closed) > 1e-8 * max(1.0, abs(d)):
                 raise ConsistencyError(
                     f"transform phase validation failed at k={k}: "
-                    f"quadrature {direct:.3e} vs closed form {closed:.3e}")
+                    f"quadrature {d:.3e} vs closed form {closed:.3e}")
 
 
 # n of one parity per block of the probe floors: the block's product holds

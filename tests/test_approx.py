@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -104,6 +105,47 @@ class TestCorpus:
             approx.weierstrass_mandelbrot(0.5, 0.9)
         with pytest.raises(DomainError):
             approx.weierstrass_mandelbrot(1.2, 2.0)
+
+    def test_wm_overflow_edge_at_lambda_2(self):
+        # 1024 ln 2 and ln(DBL_MAX) are the same double, yet 2^1024
+        # overflows: K 1025 is refused at every entry point, naming K and
+        # lambda; at K 1024 the series and its coefficients are finite and
+        # the norm, whose pair sum 2 * 2^1023 overflows, is refused
+        b = B.build_basis(0.5, 5.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = approx.weierstrass_mandelbrot(0.5, 2.0, 1024)
+            assert np.all(np.isfinite(f(np.array([0.0, 0.3, 1.0]))))
+            assert np.all(np.isfinite(approx.wm_all_coefficients(b, 0.5, 2.0, 12, K=1024)))
+            with pytest.raises(DomainError, match=r"K=1024, lambda=2\.0"):
+                approx.wm_l2_norm_squared(0.5, 0.5, 2.0, 1024)
+            with pytest.raises(DomainError, match=r"K=1024, lambda=2\.0"):
+                approx.wm_projection_error(b, 0.5, 2.0, 12, K=1024)
+            for call in (lambda: approx.weierstrass_mandelbrot(0.5, 2.0, 1025),
+                         lambda: approx.wm_all_coefficients(b, 0.5, 2.0, 12, K=1025),
+                         lambda: approx.wm_l2_norm_squared(0.5, 0.5, 2.0, 1025),
+                         lambda: approx.wm_projection_error(b, 0.5, 2.0, 12, K=1025)):
+                with pytest.raises(DomainError, match=r"K=1025, lambda=2\.0"):
+                    call()
+
+    def test_wm_norm_refuses_past_its_pair_bound(self, monkeypatch):
+        # K 2000 stays inside the bound; past it, and at the default K
+        # 107047 of the wm spec below, the norm is refused before any pair
+        # array is built
+        pairs = approx._WM_NORM_BYTES // approx._WM_PAIR_BYTES
+        kmax = approx._WM_NORM_MAX_K
+        assert 2000 <= kmax and kmax * (kmax + 1) // 2 <= pairs < (kmax + 1) * (kmax + 2) // 2
+
+        def no_pairs(*args):
+            raise AssertionError("built the pair indices")
+
+        monkeypatch.setattr(np, "triu_indices", no_pairs)
+        with pytest.raises(DomainError, match=f"K <= {kmax}, got K={kmax + 1}"):
+            approx.wm_l2_norm_squared(0.5, 0.5, 1.0001, kmax + 1)
+        f = approx.weierstrass_mandelbrot(-364628.0662452155, 1.0000000009130565)
+        assert f.params["K"] == 107047
+        with pytest.raises(DomainError, match="got K=107047"):
+            f.exact(B.build_basis(0.5, 2.0, 3), 3)
 
     def test_user_sampled_interpolates(self):
         grid = np.linspace(-1, 1, 21)

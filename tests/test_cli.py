@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import gpswf
@@ -276,6 +276,7 @@ _FN_SPECS = st.one_of(
 @settings(max_examples=200, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(_FN_SPECS)
+@example("wm:s=-364628.0662452155,lambda=1.0000000009130565")  # K 107047
 def test_fn_spec_exits_0_only_with_finite_numbers(spec):
     # finite but extreme parameters are refused, or projected to finite
     # coefficients and errors
@@ -287,6 +288,25 @@ def test_fn_spec_exits_0_only_with_finite_numbers(spec):
         assert not re.search("nan|inf", out.getvalue() + err.getvalue()), spec
     else:
         assert code == 1 and err.getvalue().startswith("error: "), spec
+
+
+@pytest.mark.parametrize("fn, K", [
+    ("wm:s=-364628.0662452155,lambda=1.0000000009130565", 107047),
+    ("wm:s=0.5,lambda=1.0001", 242919),
+    ("wm:s=1,lambda=1.1,K=2111", 2111),
+])
+def test_project_wm_norm_past_its_pair_bound_exits_1(capsys, cache_args, monkeypatch, fn, K):
+    # refused before the exact norm builds its K(K+1)/2 pairs (10.7 GiB of
+    # pair indices alone at K 107047), with an error line, not a traceback
+    def no_pairs(*args):
+        raise AssertionError("built the pair indices")
+
+    monkeypatch.setattr(np, "triu_indices", no_pairs)
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
+                             "--fn", fn, "--N", "3", *cache_args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and f"got K={K}:" in err
 
 
 @pytest.mark.parametrize("argv", [

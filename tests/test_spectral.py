@@ -218,10 +218,38 @@ def test_phase_check_refuses_a_wrong_phase(monkeypatch):
         spectral.compute_spectrum(b)
 
 
-def test_spectrum_peak_memory_below_three_betas():
-    # at (0.5, 1000, 1130) beta holds 7.2 MB; psi at the probes reads it
-    # per parity, with no zero-interleaved copy, so the spectrum's traced
-    # peak, the phase check's Gauss rule included, stays below 3 beta
+@pytest.mark.parametrize("alpha,c,nmax,order", [(0.5, 5.0, 12, 35),
+                                                 (1.0, 20 * math.pi, 93, 64)])
+def test_phase_check_rule_order(monkeypatch, alpha, c, nmax, order):
+    # the phase check asks for ceil(c/2) + 32 nodes, not the former 80 + c
+    b = B.build_basis(alpha, c, nmax)
+    calls = []
+    rule = specfun.gauss_jacobi
+
+    def recorded(*args):
+        calls.append(args)
+        return rule(*args)
+
+    monkeypatch.setattr(specfun, "gauss_jacobi", recorded)
+    spectral._check_phase(b)
+    assert calls == [(alpha, order)]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.5, 30.0])
+def test_phase_rule_agrees_with_the_former_rule(alpha):
+    # the four quadratures of the phase check at ceil(c/2) + 32 nodes equal
+    # those of the former 80 + int(c) nodes to 1e-13 on the check's scale
+    for c in (1e-3, math.pi, 20 * math.pi, 200.0, 1000.0):
+        new = spectral._phase_quadratures(alpha, c, spectral._phase_rule_order(c))
+        old = spectral._phase_quadratures(alpha, c, 80 + int(c))
+        assert np.all(np.abs(new - old) <= 1e-13 * np.maximum(1.0, np.abs(old))), c
+
+
+def test_spectrum_peak_memory_below_two_and_a_quarter_betas():
+    # at (0.5, 1000, 1130) beta holds 7.0 MB; psi at the probes reads it
+    # per parity, with no zero-interleaved copy, and the phase check's
+    # Gauss rule has 532 nodes, so the spectrum's traced peak stays below
+    # 2.25 beta (2.01 measured; 2.65 with the former 1080-node rule)
     b = B.build_basis(0.5, 1000.0, 1130)
     tracemalloc.start()
     try:
@@ -229,7 +257,7 @@ def test_spectrum_peak_memory_below_three_betas():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * b.beta.nbytes, peak / b.beta.nbytes
+    assert peak < 2.25 * b.beta.nbytes, peak / b.beta.nbytes
 
 
 @pytest.mark.parametrize("alpha,c,nmax", [(0.5, 10.0, 120), (0.0, 200.0, 230),
