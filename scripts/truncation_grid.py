@@ -1,7 +1,7 @@
 """How much room the truncation rule's start order leaves, over a grid of cells.
 
 For each (alpha, c, nmax) this builds the basis at the start order
-``basis._start_order(alpha, c, nmax)`` and reports:
+``basis._start_order(c, nmax)`` and reports:
 
 * ``tail``: the largest squared mass of the last ``_TAIL_BUFFER``
   coefficients of any kept eigenvector at the start order (the tail check
@@ -16,6 +16,10 @@ For each (alpha, c, nmax) this builds the basis at the start order
   checks) accepts the basis at the start order and at the former start
   ceil(hypot(nmax, c) / 2) + 40: ``ok`` (both), ``refused`` (both),
   ``LOST`` (only the former start) or ``gained`` (only the start);
+* ``spread`` and ``floor``: the probe check's margin at the start, the worst
+  |ratio - mu| / |mu| and the worst kept floor over |mu| of any n, against
+  ``spectral._PROBE_TOL`` (1e-8); for a probe refusal, those of the n that
+  failed;
 * whether ``build_basis`` had to double past the start.
 
 Run from the repository root::
@@ -34,6 +38,7 @@ import contextlib
 import itertools
 import json
 import math
+import re
 import sys
 import time
 
@@ -43,8 +48,14 @@ from gpswf.errors import ConsistencyError, GpswfError, TruncationError
 ALPHAS = (0.0, 0.5, 2.5, 5.0, 10.0, 30.0, 100.0)
 CS = (0.5, 3.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
 NMAXES = (1, 2, 25, 50, 120, 400, 1130, 2001)
+# the first five cells probe the tail check; the rest are cells whose probe
+# verdict once turned on the order alone
 QUICK = [(0.0, 50.0, 25), (0.0, 100.0, 50), (0.5, 2.0, 1), (2.5, 20 * math.pi, 93),
-         (0.5, 1000.0, 1130), (89.7, 5.0, 100), (98.3, 5.0, 40), (110.0, 5.0, 20)]
+         (0.5, 1000.0, 1130), (98.3, 5.0, 40), (110.0, 5.0, 20), (89.7, 5.0, 100),
+         (118.5, 5.0, 20), (130.0, 5.0, 20), (101.7, 5.0, 40), (105.0, 5.0, 40),
+         (90.8, 5.0, 100), (95.0, 5.0, 100), (42.0, 50.0, 4), (8.5, 500.0, 1),
+         (30.0, 200.0, 230), (60.0, 20 * math.pi, 93), (30.0, 20 * math.pi, 93)]
+_REFUSAL = re.compile(r"spread ([0-9.e+-]+) \(floor ([0-9.e+-]+)\)")
 
 
 @contextlib.contextmanager
@@ -78,7 +89,7 @@ def smallest_order(alpha, c, nmax):
     """The smallest per-parity order at or below the start order that
     ``build_basis`` accepts alone, by bisection; each parity block needs
     (nmax + 1) // 2 rows to hold its eigenvalues at all."""
-    lo, hi = max((nmax + 1) // 2 - 1, 1), B._start_order(alpha, c, nmax)
+    lo, hi = max((nmax + 1) // 2 - 1, 1), B._start_order(c, nmax)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _passes(alpha, c, nmax, mid):
@@ -88,35 +99,39 @@ def smallest_order(alpha, c, nmax):
     return hi
 
 
-def _spectrum_passes(b):
-    """Whether ``compute_spectrum`` accepts basis ``b``; a refusal for range
-    (a transform factor past the largest double) counts as refused too."""
+def _spectrum_margin(b):
+    """Whether ``compute_spectrum`` accepts basis ``b``, with the probe
+    check's worst spread and floor over |mu| (None where another check
+    refused it); any refusal counts as refused."""
     try:
-        spectral.compute_spectrum(b)
-    except GpswfError:
-        return False
-    return True
+        entries = spectral.compute_spectrum(b)
+    except GpswfError as exc:
+        found = _REFUSAL.search(str(exc))
+        return False, *(map(float, found.groups()) if found else (None, None))
+    return (True, max(e.probe_spread / e.mu_abs for e in entries),
+            max(e.probe_floor for e in entries))
 
 
 def _spectrum(alpha, c, nmax, b):
-    """The ``spectrum`` column: compute_spectrum at the start (basis ``b``)
-    and at the former start, built alone."""
-    now = _spectrum_passes(b)
+    """The ``spectrum``, ``spread`` and ``floor`` columns: compute_spectrum
+    at the start (basis ``b``) and at the former start, built alone."""
+    now, spread, floor = _spectrum_margin(b)
     with _only_order(math.ceil(math.hypot(nmax, c) / 2) + 40):
         try:
-            was = _spectrum_passes(B.build_basis(alpha, c, nmax))
+            was = _spectrum_margin(B.build_basis(alpha, c, nmax))[0]
         except GpswfError:
             was = False
-    return {(True, True): "ok", (False, False): "refused",
-            (False, True): "LOST", (True, False): "gained"}[now, was]
+    verdict = {(True, True): "ok", (False, False): "refused",
+               (False, True): "LOST", (True, False): "gained"}[now, was]
+    return {"spectrum": verdict, "spread": spread, "floor": floor}
 
 
 def survey(alpha, c, nmax):
-    start = B._start_order(alpha, c, nmax)
+    start = B._start_order(c, nmax)
     b = B.build_basis(alpha, c, nmax)
     row = {"alpha": alpha, "c": c, "nmax": nmax, "start": start, "doubled": b.trunc != start,
            "tail": None, "need": None, "past": None, "slack": None,
-           "spectrum": _spectrum(alpha, c, nmax, b)}
+           **_spectrum(alpha, c, nmax, b)}
     if row["doubled"]:
         return row
     need = smallest_order(alpha, c, nmax)
@@ -124,13 +139,13 @@ def survey(alpha, c, nmax):
             "past": need - math.ceil(math.hypot(nmax, c) / 2), "slack": start - need}
 
 
-def _dash(value):
-    return "-" if value is None else value
+def _dash(value, spec=""):
+    return "-" if value is None else format(value, spec)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--quick", action="store_true", help="eight cells only")
+    ap.add_argument("--quick", action="store_true", help="nineteen cells only")
     ap.add_argument("--cell", nargs=3, type=float, action="append",
                     metavar=("ALPHA", "C", "NMAX"), help="one cell (repeatable)")
     ap.add_argument("--json", metavar="FILE", help="write every row to FILE")
@@ -144,15 +159,16 @@ def main(argv=None):
     rows = []
     t0 = time.perf_counter()
     print(f"{'alpha':>6} {'c':>8} {'nmax':>5} {'start':>5} {'need':>5} {'past':>5} "
-          f"{'slack':>5} {'tail at start':>13} {'spectrum':>8}")
+          f"{'slack':>5} {'tail at start':>13} {'spectrum':>8} {'spread':>8} {'floor':>8}"
+          f"  (probe tolerance {spectral._PROBE_TOL:.0e})")
     for cell in cells:
         row = survey(*cell)
         rows.append(row)
-        tail = "-" if row["tail"] is None else f"{row['tail']:.1e}"
         print(f"{row['alpha']:6g} {row['c']:8.4g} {row['nmax']:5d} {row['start']:5d} "
               f"{_dash(row['need']):>5} {_dash(row['past']):>5} {_dash(row['slack']):>5} "
-              f"{tail:>13} {row['spectrum']:>8}{'  doubled' if row['doubled'] else ''}",
-              flush=True)
+              f"{_dash(row['tail'], '.1e'):>13} {row['spectrum']:>8} "
+              f"{_dash(row['spread'], '.1e'):>8} {_dash(row['floor'], '.1e'):>8}"
+              f"{'  doubled' if row['doubled'] else ''}", flush=True)
     ok = [r for r in rows if not r["doubled"]]
     bad = len(rows) - len(ok)
     summary = f"{len(rows)} cells in {time.perf_counter() - t0:.0f} s; {bad} doubled"

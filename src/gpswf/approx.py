@@ -472,18 +472,11 @@ def _wm_term_rows(kept, alpha, kmax, lam, lo, hi):
     asked (at most ``lo + _EVAL_BLOCK``); a larger hi adds the rows it lacks
     from one ladder call, so every N and s at one basis and lam share one
     block.  Each row is bitwise independent of its batch.  The powers take
-    NumPy integers k: a Python int exponent may round lam^k differently.
-    Every term enters the coefficients, so a row whose finite factors
-    multiply past the largest double raises DomainError."""
+    NumPy integers k: a Python int exponent may round lam^k differently."""
     have = lo if kept is None else lo + len(kept)
     if hi > have:
         us = [float(lam ** k) for k in np.arange(have, hi)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = spectral._fc_term_rows(alpha, kmax, us)
-        bad = ~np.isfinite(new).all(axis=1)
-        if bad.any():
-            raise DomainError(f"the transform terms pass the largest double at "
-                              f"alpha={alpha!r}, u={us[int(np.argmax(bad))]!r}")
+        new = spectral._fc_term_rows(alpha, kmax, us)
         kept = new if kept is None else np.concatenate([kept, new])
         kept.setflags(write=False)
     return kept, kept[:hi - lo]
@@ -495,18 +488,16 @@ def _cos_transforms(alpha, u):
     call; W(0) is the weight mass.  A W(u_i) that is not a finite double
     raises DomainError, naming alpha and u_i."""
     u = np.asarray(u, dtype=float)
-    bessel = specfun.bessel_j(alpha + 0.5, u)
-    try:
-        gamma = math.exp(specfun.ln_gamma(alpha + 1.0))
-    except OverflowError:
-        gamma = math.inf  # refused below, at the first u > 0
-    # the prefactor per argument (a vectorised pow may round differently),
-    # then pref * gamma * J as arrays, in the scalar expression's order
     pos = u != 0.0
-    pref = np.array([spectral._fc_pref(alpha, uk) for uk in u[pos].tolist()])
     w = np.full(u.size, specfun.weight_mass(alpha))
+    # the prefactor per argument, libm's pow on a NumPy scalar (a vectorised
+    # pow may round differently), then pref * gamma * J as arrays, in the
+    # scalar expression's order; a factor past the largest double is inf
     with np.errstate(over="ignore", invalid="ignore"):
-        w[pos] = pref * gamma * bessel[pos]
+        gamma = np.exp(np.float64(specfun.ln_gamma(alpha + 1.0)))
+        pref = [math.sqrt(math.pi) * np.float64(2.0 / v) ** (alpha + 0.5)
+                for v in u[pos].tolist()]
+        w[pos] = np.array(pref) * gamma * specfun.bessel_j(alpha + 0.5, u)[pos]
     bad = ~np.isfinite(w)
     if bad.any():
         raise DomainError(f"the cosine transform W(u) is not a finite double at "

@@ -17,25 +17,25 @@ than arithmetic, which is what they cut.  Each parity's series reads that
 parity's rows only.  Callers that keep rows (a basis's, at the distinct |x|
 of Gauss nodes and of the sup grid) sum over them with :func:`table_series`.
 
-:func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` at an array of
-arguments, one row each, and every row is bitwise what the argument would get
-alone.  One array expression splits the arguments between the regimes.
-Arguments in the upward regime share one vectorised recurrence, which
-starts from one array Hankel sum per start order, its phase from libm's
-``cos`` and ``sin`` of x, which reduce every double exactly.  Miller-regime
-arguments run in blocks through one array backward recurrence each, in which
-each column starts at its own order and rescales on its own, at orders that
-are multiples of 8 for every column, so every step is the same IEEE
-operations as the one-argument recurrence :func:`_ladder_miller`; a set of
-fewer than ``_MILLER_LONE`` arguments runs that recurrence per argument
-instead.  The blocks are sized in bytes at (jtop + 7 count) doubles per
-argument, which bounds a block's work arrays: as many arguments as fit in
-``_MILLER_BYTES`` (0.85 MB), never fewer than ``_MILLER_MIN`` (32), split
-evenly.  The close scales each column by one double and each value by a
-power of two (:func:`_miller_close`), exactly rounded in NumPy as in Python
-floats.  Both Miller paths read one memoised table of Neumann coefficients
-per base order.  Arguments at most ``_SMALL_X`` (1e-8) take the leading
-series term instead (:func:`_ladder_small`).
+:func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` times (2/x)^nu0 at
+an array of arguments, one row each of mantissas and integer exponents, and
+every row is bitwise what the argument would get alone.  One array expression
+splits the arguments between the regimes.  Arguments in the upward regime
+share one vectorised recurrence, which starts from one array Hankel sum per
+start order, its phase from libm's ``cos`` and ``sin`` of x, which reduce
+every double exactly.  Miller-regime arguments run in blocks through one array
+backward recurrence each, in which each column starts at its own order and
+rescales on its own, at orders that are multiples of 8 for every column, so
+every step is the same IEEE operations as the one-argument recurrence
+:func:`_ladder_miller`; a set of fewer than ``_MILLER_LONE`` arguments runs
+that recurrence per argument instead.  The blocks are sized in bytes at (jtop
++ 7 count) doubles per argument, which bounds a block's work arrays: as many
+arguments as fit in ``_MILLER_BYTES`` (0.85 MB), never fewer than
+``_MILLER_MIN`` (32), split evenly.  The close divides each value by its
+column's Neumann sum (:func:`_miller_close`), exactly rounded in NumPy as in
+Python floats.  Both Miller paths read one memoised table of Neumann
+coefficients per base order.  Arguments at most ``_SMALL_X`` (1e-8) take the
+leading series term instead (:func:`_ladder_small`).
 
 :func:`fsum_rows` sums each row of an array exactly rounded, bit for bit
 ``math.fsum``, in whole-array passes: a pairwise tree of error-free TwoSums
@@ -183,8 +183,9 @@ def _sum_blocks(coefs, blocks, nd, npts):
 # ---------------------------------------------------------------------------
 # Bessel J ladders.
 #
-# bessel_ladder(nu0, count, x) returns J_{nu0 + j}(x_i), j = 0..count-1, one
-# row per argument x_i, for a base order nu0 in [-0.5, 0.5).  Three regimes:
+# bessel_ladder(nu0, count, x) returns J_{nu0 + j}(x_i) (2/x_i)^nu0, j =
+# 0..count-1, one row per argument x_i, for a base order nu0 in [-0.5, 0.5),
+# as mantissas and integer exponents.  Three regimes:
 #   * Miller backward recurrence (Gautschi, SIAM Review 9, 1967), normalized
 #     by the Neumann-type sum
 #     (x/2)^nu = sum_k (nu + 2k) Gamma(nu + k) / k!  J_{nu+2k}(x),
@@ -192,7 +193,7 @@ def _sum_blocks(coefs, blocks, nd, npts):
 #   * Hankel asymptotics at the two bottom orders followed by upward
 #     recurrence, used when x is large and all orders sit well below x
 #     (upward recurrence is stable in the oscillatory regime);
-#   * the leading term of the ascending series, at 0 < x <= 1e-8.
+#   * the leading term of the ascending series, at 0 <= x <= 1e-8.
 # ---------------------------------------------------------------------------
 
 _RESCALE_LOG2 = 600
@@ -236,7 +237,7 @@ def _hankel_start(nu, xs, cos_x, sin_x):
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cos_w = cos_x * cos_t + sin_x * sin_t
     sin_w = sin_x * cos_t - cos_x * sin_t
-    return np.sqrt(2.0 / (math.pi * xs)) * (p * cos_w - q * sin_w)
+    return np.sqrt(2.0 / math.pi / xs) * (p * cos_w - q * sin_w)
 
 
 def _miller_top(nu0, count, x):
@@ -264,29 +265,25 @@ def _neumann(nu0, jtop):
     return _neumann_table(nu0, size)
 
 
-def _miller_close(nu0, xs, vals, marks, neumann, scale):
-    """Normalise backward recurrences, one column per argument ``xs[i]``:
-    ``vals[j, i]`` is proportional to J_{nu0+j}(xs[i]) at the rescale count
-    ``marks[(j + 6) // 8, i]`` (see :func:`_ladder_miller`), and column i
-    ended with Neumann sum ``neumann[i]`` at rescale count ``scale[i]``.
-    Returns the ladders, shape (len(xs), count), as a view of ``vals``;
-    ``vals`` and ``marks`` are overwritten.
+def _miller_close(vals, marks, neumann, scale):
+    """Normalise backward recurrences, one column per argument: ``vals[j,
+    i]`` is proportional to J_{nu0+j}(x_i) at the rescale count ``marks[(j +
+    6) // 8, i]`` (see :func:`_ladder_miller`), and column i ended with
+    Neumann sum ``neumann[i]`` at rescale count ``scale[i]``.  Returns the
+    mantissas (a view of ``vals``) and exponents, shape (len(neumann),
+    count); ``vals`` and ``marks`` are overwritten.
 
-    sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j}(x) = vals[j] f
-    2^(600 (marks - scale)) with f = (x/2)^nu0 / neumann, one double per
-    column from libm's ``pow`` and one division.  f = m 2^e with 1/2 <= |m|
-    < 1 (``frexp``), so ``vals[j] m`` cannot overflow, and one ``ldexp``
-    applies 2^(e + 600 (marks - scale)), which rounds only a subnormal
-    result.  f is a Python float per column, and the array operations are
-    exactly rounded, so a block's column and a lone ladder close alike.
+    sum_k cf_k J_{nu0+2k}(x) = (x/2)^nu0, so J_{nu0+j}(x) (2/x)^nu0 = vals[j]
+    / neumann 2^(600 (marks - scale)), with no power of x.  With neumann = m
+    2^e, 1/2 <= |m| < 1 (``frexp``), the mantissa vals[j] / m cannot overflow
+    and is rounded once, in NumPy as in Python floats.
     """
-    mant, expo = np.frexp([math.pow(0.5 * x, nu0) / n
-                           for x, n in zip(xs, neumann.tolist())])
+    mant, expo = np.frexp(neumann)
     marks -= scale
     marks *= _RESCALE_LOG2
-    marks += expo
-    vals *= mant
-    return np.ldexp(vals, marks[(np.arange(len(vals)) + 6) >> 3], out=vals).T
+    marks -= expo
+    vals /= mant
+    return vals.T, marks[(np.arange(len(vals)) + 6) >> 3].T
 
 
 def _ladder_miller(nu0, count, x):
@@ -333,14 +330,16 @@ def _ladder_miller(nu0, count, x):
             neumann += cf[j >> 1] * v
         if j:
             v, vp1 = (2.0 * (nu0 + j) / x) * v - vp1, v
-    return _miller_close(nu0, [x], np.array(vals)[:, None], np.array(marks)[:, None],
-                         np.array([neumann]), np.array([scale]))[0]
+    mant, expo = _miller_close(np.array(vals)[:, None],
+                               np.array(marks, dtype=np.int32)[:, None],
+                               np.array([neumann]), np.array([scale]))
+    return mant[0], expo[0]
 
 
 def _miller_block(nu0, count, xs, tops):
     """Backward recurrences at the arguments ``xs``, sorted by descending
-    start order ``tops``, as one array recurrence; returns shape
-    (len(xs), count).
+    start order ``tops``, as one array recurrence; returns the ladders of
+    :func:`_miller_close`.
 
     A column joins at its own start order with (v, vp1, neumann) = (1e-30,
     0, 0) and rescales on its own at the test orders of
@@ -362,11 +361,11 @@ def _miller_block(nu0, count, xs, tops):
     v = np.full(nb, 1e-30)
     vp1 = np.zeros(nb)
     neumann = np.zeros(nb)
-    scale = np.zeros(nb, dtype=np.int64)
+    scale = np.zeros(nb, dtype=np.int32)
     step = np.empty(nb)
     mag = np.empty(nb)
     vals = np.empty((count, nb))
-    marks = np.empty(((count + 5) // 8 + 1, nb), dtype=np.int64)
+    marks = np.empty(((count + 5) // 8 + 1, nb), dtype=np.int32)
     for j in range(jtop, -1, -1):
         cols = joins.get(j)
         if cols is not None:  # every column has joined before order count
@@ -391,13 +390,15 @@ def _miller_block(nu0, count, xs, tops):
             nxt = vals[j - 1] if j <= count else vp1
             np.subtract(step, vp1, out=nxt)
             v, vp1 = nxt, v
-    return _miller_close(nu0, xs, vals, marks, neumann, scale)
+    return _miller_close(vals, marks, neumann, scale)
 
 
 def _ladder_upward(nu0, count, xs):
     """Ladders at an array of arguments in the upward regime, one row per
     order (shape (count, len(xs))), so each step is one contiguous vector op
-    and every argument sees the same IEEE operations as it would alone."""
+    and every argument sees the same IEEE operations as it would alone; the
+    values are J_{nu0+j}(x) (x/2)^-nu0, which NumPy's power rounds alike in
+    any batch."""
     lad = np.empty((count, xs.size))
     cos_x, sin_x = np.cos(xs), np.sin(xs)
     lad[0] = _hankel_start(nu0, xs, cos_x, sin_x)
@@ -405,6 +406,7 @@ def _ladder_upward(nu0, count, xs):
         lad[1] = _hankel_start(nu0 + 1.0, xs, cos_x, sin_x)
         for j in range(2, count):
             lad[j] = (2.0 * (nu0 + j - 1) / xs) * lad[j - 1] - lad[j - 2]
+    lad *= np.power(0.5 * xs, -nu0)
     return lad
 
 
@@ -414,27 +416,23 @@ def _upward_regime(nu0, count, x):
     return (x > _MILLER_X_MAX) & ~(nu0 + count - 1 > 0.88 * x)
 
 
-def _ladder_zero(nu0, count):
-    ladder = np.zeros(count)
-    if nu0 == 0.0:
-        ladder[0] = 1.0
-    return ladder
-
-
 def _ladder_small(nu0, count, x):
-    """The ladder at 0 < x <= ``_SMALL_X`` from the leading series term
-    (x/2)^nu / Gamma(nu + 1), nu = nu0 + j, in Python floats.  The next term
-    is (x/2)^2 / (nu + 1) <= eps/4 of it, as (x/2)^2 < eps/8.  The power is
-    x^nu 2^-nu, so that a subnormal x/2, which may round to 0, never meets a
-    negative nu."""
-    ladder = np.zeros(count)
-    for j in range(count):
-        nu = nu0 + j
-        term = math.pow(x, nu) * (math.pow(2.0, -nu) / math.gamma(nu + 1.0))
-        if term == 0.0:
-            break  # each order is below 1e-8 of the one before
-        ladder[j] = term
-    return ladder
+    """The ladder at 0 <= x <= ``_SMALL_X`` from the leading series term
+    (x/2)^nu / Gamma(nu + 1), nu = nu0 + j; the next term is (x/2)^2 / (nu +
+    1) <= eps/4 of it, as (x/2)^2 < eps/8.  Scaled, it is (x/2)^j / Gamma(nu +
+    1), a product of factors (x/2) / (nu0 + j) in Python floats, renormalised
+    at each, with x/2 = m 2^(e - 1) from x = m 2^e; at x = 0 only j = 0 is
+    left."""
+    mant, expo = np.zeros(count), np.zeros(count, dtype=np.int32)
+    m, e = math.frexp(x)
+    v, ev = math.frexp(1.0 / math.gamma(nu0 + 1.0))
+    mant[0], expo[0] = v, ev
+    if x:
+        for j in range(1, count):
+            v, dv = math.frexp(v * m / (nu0 + j))
+            ev += dv + e - 1
+            mant[j], expo[j] = v, ev
+    return mant, expo
 
 
 # Bytes a batched Miller recurrence may hold: its work arrays take at most
@@ -463,25 +461,25 @@ def _miller_blocks(count, tops):
 
 
 def bessel_ladder(nu0, count, x):
-    """J_{nu0+j}(x_i), j = 0..count-1, for nu0 in [-0.5, 0.5) and an array
-    of x_i >= 0, as an array of shape (len(x), count).  Row i is bitwise the
-    same whatever other arguments share the call.
+    """J_{nu0+j}(x_i) (2/x_i)^nu0, j = 0..count-1, for nu0 in [-0.5, 0.5) and
+    an array of x_i >= 0, as mantissas and integer exponents, each of shape
+    (len(x), count), the value ``mant * 2**expo``: no regime forms J or
+    (2/x)^nu0 as a double, so none under- or overflows.  Row i is bitwise
+    the same whatever other arguments share the call.
 
     Miller-regime arguments are sorted by start order and run in the blocks
     of :func:`_miller_blocks` through one array recurrence each; a block of
     fewer than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per
     argument, which is faster there (a lone argument by about ten times).
     Upward-regime arguments share one array Hankel start and one recurrence.
-    Arguments in (0, ``_SMALL_X``] take :func:`_ladder_small` one by one.
+    Arguments in [0, ``_SMALL_X``] take :func:`_ladder_small` one by one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xs = x.tolist()
-    out = np.empty((x.size, count))
+    mant, expo = np.empty((x.size, count)), np.zeros((x.size, count), dtype=np.int32)
     up = _upward_regime(nu0, count, x)
-    zero = x == 0.0
-    out[zero] = _ladder_zero(nu0, count)
-    for i in np.flatnonzero(~zero & (x <= _SMALL_X)).tolist():
-        out[i] = _ladder_small(nu0, count, xs[i])
+    for i in np.flatnonzero(x <= _SMALL_X).tolist():
+        mant[i], expo[i] = _ladder_small(nu0, count, xs[i])
     miller = np.flatnonzero(~up & (x > _SMALL_X)).tolist()
     tops = {i: _miller_top(nu0, count, xs[i]) for i in miller}
     miller.sort(key=tops.get, reverse=True)
@@ -489,13 +487,13 @@ def bessel_ladder(nu0, count, x):
         block = miller[lo:hi]
         if len(block) < _MILLER_LONE:
             for i in block:
-                out[i] = _ladder_miller(nu0, count, xs[i])
+                mant[i], expo[i] = _ladder_miller(nu0, count, xs[i])
         else:
-            out[block] = _miller_block(nu0, count, [xs[i] for i in block],
-                                       [tops[i] for i in block])
+            mant[block], expo[block] = _miller_block(nu0, count, [xs[i] for i in block],
+                                                     [tops[i] for i in block])
     if up.any():
-        out[up] = _ladder_upward(nu0, count, x[up]).T
-    return out
+        mant[up] = _ladder_upward(nu0, count, x[up]).T
+    return mant, expo
 
 
 # ---------------------------------------------------------------------------

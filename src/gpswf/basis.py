@@ -341,12 +341,10 @@ def _splice(mant, expo):
 _TAIL_BUFFER = 8   # trailing coefficients whose squared mass is checked
 _TAIL_TOL = 1e-24  # largest squared tail mass accepted in any eigenvector
 _M_CAP = 8192      # largest per-parity order reached by doubling
-_SHORT_START_ALPHA = 5.0  # largest alpha whose start keeps 24 rows past K*/2, not 40
 
 
-def _start_order(alpha, c, nmax):
-    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2)`` plus 24
-    rows at alpha up to ``_SHORT_START_ALPHA``, plus 40 past it.
+def _start_order(c, nmax):
+    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 24``.
 
     By the bracket of :func:`chi_bracket` every kept chi_n is at most
     nmax(nmax + 2a + 1) + c^2, so above Jacobi degree K* ~ hypot(nmax, c)
@@ -357,17 +355,12 @@ def _start_order(alpha, c, nmax):
     ``scripts/truncation_grid.py`` (alpha 0 to 100, c 0.5 to 1000, nmax 1
     to 2001) needs more than 20, and the largest tail mass at 24 rows is
     2e-33, where ``_TAIL_TOL`` accepts 1e-24.  The probe check of
-    :func:`spectral.compute_spectrum` sees further at large alpha: psi_n
-    near x = +-1 sums Jt_k(x), which grow like k^(alpha + 1/2), so
-    coefficients far below the tail check still move a probe ratio (the
-    spectrum at (98.3, 5, 40) needs 29 rows), and where that check sits at
-    its tolerance its verdict turns on the roundings that the order sets,
-    at alpha down to 7.5 at c = 1000.  Past ``_SHORT_START_ALPHA`` the start
-    keeps the former 40 rows, so the basis and each verdict there are those
-    of the former rule.
+    :func:`spectral.compute_spectrum` needs no more at any alpha: its floor
+    counts the rounding of psi_n(x*) near x = +-1, where the Jacobi rows
+    grow like k^(alpha + 1/2), and the transform terms keep their digits
+    where the Bessel factor alone would underflow.
     """
-    rows = 24 if alpha <= _SHORT_START_ALPHA else 40
-    return math.ceil(math.hypot(nmax, c) / 2) + rows
+    return math.ceil(math.hypot(nmax, c) / 2) + 24
 
 
 def _truncation_orders(alpha, c, nmax):
@@ -375,7 +368,7 @@ def _truncation_orders(alpha, c, nmax):
     :func:`_start_order`, then doublings while they stay within ``_M_CAP``.
     A start past the cap raises TruncationError before any order is tried.
     """
-    m = _start_order(alpha, c, nmax)
+    m = _start_order(c, nmax)
     if m > _M_CAP:
         raise TruncationError(f"start order {m} for alpha={alpha!r}, c={c!r}, "
                               f"nmax={nmax} is past the truncation cap {_M_CAP}")
@@ -539,7 +532,7 @@ def _psi_at0(basis):
     read-only, kept on the basis: the sign convention, the spectrum's
     boundary identity and the local estimate's A^2 all read it."""
     return basis._table("psi_at0", None,
-                        lambda: basis.psi(range(basis.nmax), np.array([0.0]), 1)[:, :, 0])
+                        lambda: basis.psi_table(np.array([0.0]), nderiv=1)[:, :, 0])
 
 
 def _estimate_values(basis, grid_size):

@@ -143,11 +143,12 @@ _HEADER = struct.Struct("<4sIddII")
 # 2: eigenvectors from the spliced recurrence, bottom entries relatively
 # accurate.  3: the truncation starts from the chi bracket,
 # ceil(hypot(nmax, c) / 2) + 40.  4: beta as one block, no per-row lengths.
-# 5: the start order is ceil(hypot(nmax, c) / 2) + 24.
+# 5: the start order is ceil(hypot(nmax, c) / 2) + 24 up to alpha 5, + 40
+# past it.  6: + 24 at every alpha.
 # Part of the cache key, so older entries are rebuilt once; bump it also when
 # the truncation rule of ``basis`` (its ``_TAIL_*`` and ``_M_CAP`` constants
 # or its start order) changes, as the key leaves M out.
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 
 def basis_to_bytes(b):

@@ -72,22 +72,33 @@ def _split_order(nu):
 
 
 def bessel_j_ladder(nu, kmax, x):
-    """J_{nu+j}(x_i), j = 0..kmax, for an array of x_i, one row per argument,
-    from :func:`backend.bessel_ladder`; a row does not depend on the other
-    arguments of the call."""
+    """J_{nu+j}(x_i) (2/x_i)^b, j = 0..kmax, b the base order of
+    :func:`_split_order`, for an array of x_i, one row per argument, as the
+    mantissas and exponents of :func:`backend.bessel_ladder`; a row does not
+    depend on the other arguments of the call."""
     base, shift = _split_order(nu)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     bad = np.flatnonzero(~(np.isfinite(x) & (x >= 0.0)))
     if bad.size:
         raise DomainError("bessel argument must be finite and >= 0, "
                           f"got {float(x.flat[bad[0]])!r}")
-    return backend.bessel_ladder(base, shift + kmax + 1, x)[:, shift:]
+    mant, expo = backend.bessel_ladder(base, shift + kmax + 1, x)
+    return mant[:, shift:], expo[:, shift:]
 
 
 def bessel_j(nu, x):
     """J_nu(x) for real order nu >= -1/2 and x >= 0: a float for a scalar x,
-    an array for an array of x."""
-    col = bessel_j_ladder(nu, 0, x)[:, 0]
+    an array for an array of x; +inf at x = 0 for nu < 0.  The ladder's value
+    times (x/2)^b as x^b 2^-b, so that a subnormal x/2 never rounds."""
+    base, _ = _split_order(nu)
+    mant, expo = bessel_j_ladder(nu, 0, x)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore"):
+        lead = np.power(xs, base) * 2.0 ** -base
+    # at x = 0 the ladder holds 1 / Gamma(b + 1) at order b and 0 above
+    lead[xs == 0.0] = math.inf if nu < 0.0 else float(nu == 0.0)
+    lead, shift = np.frexp(lead)
+    col = np.ldexp(mant[:, 0] * lead, expo[:, 0] + shift)
     return col if np.ndim(x) else float(col[0])
 
 

@@ -33,33 +33,49 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def _signed_gammas(alpha, kmax):
-    """s_k gamma_k for k = 0..kmax, where gamma_k = Gamma(k+a+1) / (Gamma(k+1)
-    sqrt(h_k)) and s_k = +1 for k mod 4 in {0, 1}, -1 otherwise."""
-    k = np.arange(kmax + 1, dtype=float)
-    lg = np.vectorize(math.lgamma)
-    with np.errstate(over="ignore"):
-        out = np.exp(-(alpha + 0.5) * math.log(2.0)
-                     + 0.5 * (np.log(2.0 * k + 2.0 * alpha + 1.0)
-                              + lg(k + 2.0 * alpha + 1.0) - lg(k + 1.0)))
-    if out[-1] == math.inf:  # gamma_k grows with k
-        raise DomainError(f"the transform factor gamma_k passes the largest double "
-                          f"at alpha={alpha!r}, k={int(np.argmax(out == math.inf))}")
-    out[k % 4 >= 2] *= -1.0
-    out.setflags(write=False)
-    return out
+    """s_k sqrt(pi) gamma_k, k = 0..kmax, as mantissas and exponents, where
+    gamma_k = Gamma(k+a+1) / (Gamma(k+1) sqrt(h_k)) and s_k = +1 for k mod 4
+    in {0, 1}, -1 otherwise.  pi gamma_k^2 = pi (2k + z) Q_k 2^-z, z = 2a + 1,
+    and Q_k = Gamma(k + z) / k! is a product renormalised at each factor:
+    Gamma(f) f (f + 1) ... (z - 1) with f = z - n in [1, 2), then (k + z - 1) / k."""
+    z = 2.0 * alpha + 1.0
+    n = max(math.floor(z) - 1, 0)
+    f = z - n
+    m, e = 1.0, 0
+    mant, expo = np.empty(n + kmax + 1), np.empty(n + kmax + 1, dtype=np.int32)
+    factors = ([math.gamma(f)] + [f + j for j in range(n)]
+               + [(k + z - 1.0) / k for k in range(1, kmax + 1)])
+    for i, factor in enumerate(factors):
+        m, de = math.frexp(m * factor)
+        e += de
+        mant[i], expo[i] = m, e
+    # pi 2^-z = pi 2^(1 - f) 2^-(n + 1); an odd exponent moves a factor 2
+    # into the mantissa, so that the square root halves an even one
+    k = np.arange(kmax + 1)
+    mant, de = np.frexp(mant[n:] * (math.pi * math.pow(2.0, 1.0 - f) * (2.0 * k + z)))
+    expo = expo[n:] + de - (n + 1)
+    mant *= 1.0 + (expo & 1)
+    expo >>= 1
+    np.sqrt(mant, out=mant)
+    mant[k % 4 >= 2] *= -1.0
+    for a in (mant, expo):
+        a.setflags(write=False)
+    return mant, expo
 
 
-def _fc_pref(alpha, u):
-    # a Python-float expression per argument: a vectorised pow may round
-    # differently
-    try:
-        pref = math.sqrt(math.pi) * (2.0 / u) ** (alpha + 0.5)
-    except OverflowError:
-        pref = math.inf
-    if pref == math.inf:
-        raise DomainError(f"the transform factor (2/u)^(alpha+1/2) passes the largest "
-                          f"double at alpha={alpha!r}, u={u!r}")
-    return pref
+def _mantissa_power(m, s):
+    """m^s for mantissas m in [1/2, 1) and an integer s >= 0, as mantissas and
+    exponents, by binary powering renormalised at each product."""
+    out, out_e = np.ones_like(m), np.zeros(m.shape, dtype=np.int32)
+    sq, sq_e = m, np.zeros(m.shape, dtype=np.int32)
+    while s:
+        if s & 1:
+            out, de = np.frexp(out * sq)
+            out_e += de + sq_e
+        s >>= 1
+        sq, de = np.frexp(sq * sq)
+        sq_e = 2 * sq_e + de
+    return out, out_e
 
 
 def _fc_term_rows(alpha, kmax, us):
@@ -69,46 +85,24 @@ def _fc_term_rows(alpha, kmax, us):
 
     int e^{iuy} Jt_k(y) w_a(y) dy = i^(k mod 2) t_k, so a coefficient vector
     of one parity transforms to its dot product with t (times i if odd).  This
-    is the only place that knows the Bessel expansion of F_c.  Arguments in
-    (0, ``backend._SMALL_X``] take :func:`_fc_small_row` instead.
+    is the only place that knows the Bessel expansion of F_c.
+
+    The ladder gives J (2/u)^b, with a + 1/2 = b + s for an integer s, so
+    (2/u)^s is left: m^-s 2^(s (1 - e)) for u = m 2^e.  Every factor is a
+    mantissa with an exponent, and each term is rounded to a double once, so
+    it is 0 or subnormal only where t_k is (|t_k| <= sqrt(m0) by Cauchy-Schwarz).
     """
     us = np.asarray(us, dtype=float)
-    small = (us > 0.0) & (us <= backend._SMALL_X)
-    if small.any():
-        terms = np.empty((us.size, kmax + 1))
-        if not small.all():
-            terms[~small] = _fc_term_rows(alpha, kmax, us[~small])
-        terms[small] = [_fc_small_row(alpha, kmax, u) for u in us[small].tolist()]
-        return terms
-    pref = np.array([_fc_pref(alpha, u) for u in us.tolist()])
-    terms = pref[:, None] * _signed_gammas(alpha, kmax)
-    terms *= specfun.bessel_j_ladder(alpha + 0.5, kmax, us)
-    return terms
-
-
-def _fc_small_row(alpha, kmax, u):
-    """The terms at 0 < u <= ``backend._SMALL_X``, where the ladder gives J
-    its leading series term (u/2)^nu / Gamma(nu + 1).  The prefactor cancels
-    all of (u/2)^(k+a+1/2) but (u/2)^k, so
-
-        t_k = s_k gamma_k sqrt(pi) (u/2)^k / Gamma(k + a + 3/2),
-
-    formed in Python floats without the Bessel factor, which underflows
-    where the term is still a double (J_2(5e-301) against t_1 ~ 3e-301).
-    The row stops at the first power that underflows; the orders after it
-    are smaller by (u/2)^2 or more."""
-    signed = _signed_gammas(alpha, kmax).tolist()
-    row = np.zeros(kmax + 1)
-    for k in range(kmax + 1):
-        power = math.pow(0.5 * u, k)
-        if power == 0.0:
-            break
-        try:
-            row[k] = signed[k] * (math.sqrt(math.pi) * power / math.gamma(k + alpha + 1.5))
-        except OverflowError:
-            raise DomainError(f"the transform factor Gamma(k+a+3/2) passes the largest "
-                              f"double at alpha={alpha!r}, k={k}") from None
-    return row
+    _, s = specfun._split_order(alpha + 0.5)
+    mant, expo = specfun.bessel_j_ladder(alpha + 0.5, kmax, us)
+    g_mant, g_expo = _signed_gammas(alpha, kmax)
+    m, e = np.frexp(us)
+    p_mant, p_expo = _mantissa_power(m, s)
+    expo += g_expo
+    expo += (s * (1 - e) - p_expo)[:, None]
+    mant *= g_mant
+    mant /= p_mant[:, None]
+    return np.ldexp(mant, expo)
 
 
 @lru_cache(maxsize=256)
@@ -168,8 +162,14 @@ def lambda_decay_constant(alpha):
 @lru_cache(maxsize=64)
 def _log_decay_constants(alpha):
     """log k_a and log K_a, which :func:`decay_bound_check` reads on every
-    call (:func:`lambda_bound_tail` makes up to ``_TAIL_MAX_TERMS`` of them)."""
-    return math.log(mu_decay_constant(alpha)), math.log(lambda_decay_constant(alpha))
+    call (:func:`lambda_bound_tail` makes up to ``_TAIL_MAX_TERMS`` of them);
+    from alpha 170.7, where Gamma(alpha + 1) passes the largest double, the
+    constants are refused."""
+    try:
+        return math.log(mu_decay_constant(alpha)), math.log(lambda_decay_constant(alpha))
+    except OverflowError:
+        raise DomainError(f"the decay constant K_a passes the largest double at "
+                          f"alpha={alpha!r}") from None
 
 
 def _log_mu(mu_abs):
@@ -317,28 +317,28 @@ def _check_phase(basis):
 _FLOOR_BLOCK = 16
 
 
-def _probe_floors(basis, rows, vals):
+def _probe_floors(basis, rows, vals, mu_abs, norms):
     """The roundoff floor of every candidate of every n, shape (nmax, 32):
-    1024 eps times the largest |term| of the candidate's transform sum, over
-    |psi_n(x*)| (``vals``); ``rows`` holds the transform terms of every
-    candidate over all Jacobi indices.
-
-    The largest |beta_k t_k| is taken as the largest |beta_k| |t_k|, which is
-    the same product bit for bit, over blocks of ``_FLOOR_BLOCK`` n of one
-    parity.  psi_n(x*) = 0, or a candidate whose terms are not all finite,
-    gives an infinite floor, which ranks last.
+    1024 eps times two parts, over |psi_n(x*)| (``vals``).  The largest
+    |term| of the candidate's transform sum counts its cancellation
+    (``rows``: the terms of every candidate over all Jacobi indices).
+    |mu_n| times the norm of the Jacobi rows Jt_k(x*) of n's parity
+    (``norms[p]``) counts psi_n(x*)'s own: beta_n has unit norm, so by
+    Cauchy-Schwarz that norm bounds sum_k |beta_k Jt_k(x*)|.  The largest
+    |beta_k t_k| is taken as the largest |beta_k| |t_k|, which is the same
+    product bit for bit, over blocks of ``_FLOOR_BLOCK`` n of one parity.
+    psi_n(x*) = 0 gives an infinite floor, which ranks last.
     """
     peaks = np.empty(vals.shape)
     abs_beta = np.abs(basis.beta)
+    for p in (0, 1):
+        abs_rows = np.abs(rows[:, p::2])
+        for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
+            block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
+            peaks[block] = np.max(abs_beta[block, None, :] * abs_rows, axis=2)
+        peaks[p::2] += mu_abs[p::2, None] * norms[p]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p in (0, 1):
-            abs_rows = np.abs(rows[:, p::2])
-            for lo in range(p, basis.nmax, 2 * _FLOOR_BLOCK):
-                block = slice(lo, lo + 2 * _FLOOR_BLOCK, 2)
-                peaks[block] = np.max(abs_beta[block, None, :] * abs_rows, axis=2)
-        floors = 1024.0 * np.finfo(float).eps * peaks / np.abs(vals)
-    floors[:, ~np.isfinite(rows).all(axis=1)] = np.inf
-    return floors
+        return 1024.0 * np.finfo(float).eps * peaks / np.abs(vals)
 
 
 def compute_spectrum(basis):
@@ -347,28 +347,38 @@ def compute_spectrum(basis):
     The primary value comes from the exact boundary identity at x = 0, which
     stays fully accurate however small mu_n gets.  It is then checked against
     the ratios (F_c psi_n)(x*) / psi_n(x*) at the candidates x* where the
-    alternating Bessel sum has the smallest roundoff floor (1024 eps times its
-    largest term over |psi_n(x*)|).  A consistency error is raised when the
-    worst kept floor exceeds ``_PROBE_TOL`` relative (the check would be
-    vacuous), when a ratio misses mu by more than that plus its floor, when
-    the phase convention disagrees with quadrature, when a lambda exceeds 1,
-    and when log lambda increases by more than 1e-12 (the log form of a
-    1e-12 relative rise, which stays strict where lambda underflows).
-    The checks run over all n at once; the first n that fails one raises,
-    with the probe checked before lambda <= 1 and that before the decrease.
+    ratio has the smallest roundoff floor (:func:`_probe_floors`: the
+    alternating Bessel sum's largest term and psi_n(x*)'s own rounding).  A
+    consistency error is raised when the worst kept floor exceeds
+    ``_PROBE_TOL`` relative (the check would be vacuous), when a ratio misses
+    mu by more than that plus its floor, when the phase convention disagrees
+    with quadrature, when a lambda exceeds 1, and when log lambda increases
+    by more than 1e-12 (the log form of a 1e-12 relative rise, which stays
+    strict where lambda underflows).  The checks run over all n at once; the
+    first n that fails one raises, with the probe checked before lambda <= 1
+    and that before the decrease.
     """
     _check_phase(basis)
     ns = range(basis.nmax)
-    # every n at every candidate and at x = 0, the transform terms at every
-    # candidate argument from one batched Bessel ladder, and every n's floors
-    # and candidate ranking
-    vals = basis.psi_table(_PROBE_X)
+    # the Jacobi rows at the candidates give every psi_n(x*), bitwise
+    # GpswfBasis.psi_table's, and each parity's row norms
+    table = specfun.jacobi_table(basis.alpha, 2 * basis.trunc - 1, _PROBE_X)
+    parts = (table[0::2], table[1::2])
+    vals = np.empty((basis.nmax, _PROBE_X.size))
+    for p, part in enumerate(backend.table_series(
+            basis._parity_coefficients(np.arange(basis.nmax)), parts)):
+        vals[p::2] = part[0]
+    norms = [np.sqrt(np.einsum("kj,kj->j", part, part)) for part in parts]
     at0 = basis_mod._psi_at0(basis)
-    # from about alpha 100 the terms at the smallest candidates pass the
-    # largest double; those candidates get an infinite floor
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
-    floors = _probe_floors(basis, rows, vals)
+    # mu per n as a Python complex, since mu_phase prints its sign of zero;
+    # lambda squares |mu| as an array, x * x, which is correctly rounded
+    mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]
+    mu_abs = [abs(mu) for mu in mus]
+    mu_arr = np.array(mu_abs)
+    # the transform terms at every candidate argument from one batched
+    # Bessel ladder, and every n's floors and candidate ranking
+    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
+    floors = _probe_floors(basis, rows, vals, mu_arr, norms)
     ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
     # psi_n's coefficients vanish off its parity: each n sums only its
     # orders.  The terms alternate in sign and their peak can tower over the
@@ -381,11 +391,6 @@ def compute_spectrum(basis):
             prods = basis.beta[block, None, :] * rows[ranked[block], p::2]
             sums[block] = backend.fsum_rows(
                 prods.reshape(-1, basis.trunc)).reshape(prods.shape[:2])
-    # mu per n as a Python complex, since mu_phase prints its sign of zero;
-    # lambda squares |mu| as an array, x * x, which is correctly rounded
-    mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]
-    mu_abs = [abs(mu) for mu in mus]
-    mu_arr = np.array(mu_abs)
     lams = (basis.c / (2.0 * math.pi) * (mu_arr * mu_arr)).tolist()
     log_lams = [_log_lambda(a, basis.c) for a in mu_abs]
     # an even (odd) n's sums are mu's real (imaginary) part times psi_n(x*)
@@ -397,8 +402,8 @@ def compute_spectrum(basis):
     kept_floors = floors[kept]
     spread, floor = devs.max(axis=1).tolist(), kept_floors[:, -1].tolist()
     # a mu of 0 with sums of 0 would pass the comparisons vacuously
-    tol = _PROBE_TOL * np.array(mu_abs)
-    probe_bad = ((np.array(mu_abs) == 0.0) | (kept_floors[:, -1] > tol)
+    tol = _PROBE_TOL * mu_arr
+    probe_bad = ((mu_arr == 0.0) | (kept_floors[:, -1] > tol)
                  | np.any(devs > tol[:, None] + kept_floors, axis=1))
     lam_bad = np.array(lams) > 1.0 + 1e-9
     log_lam = np.array(log_lams)

@@ -154,7 +154,7 @@ def _hankel_j(nu, x):
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cos_w = math.cos(x) * cos_t + math.sin(x) * sin_t
     sin_w = math.sin(x) * cos_t - math.cos(x) * sin_t
-    return math.sqrt(2.0 / (math.pi * x)) * (p * cos_w - q * sin_w)
+    return math.sqrt(2.0 / math.pi / x) * (p * cos_w - q * sin_w)
 
 
 def fc_sum(terms, parity):

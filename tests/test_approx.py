@@ -833,8 +833,9 @@ class TestCosineSeries:
         # argument; at these alphas a vectorised pow for the prefactor
         # rounds some of these arguments differently
         u = np.concatenate([np.arange(301) * math.pi, np.geomspace(1e-3, 1e5, 500)])
-        gamma = math.exp(math.lgamma(alpha + 1.0))
-        ref = np.array([spectral._fc_pref(alpha, v) * gamma * specfun.bessel_j(alpha + 0.5, v)
+        gamma = np.exp(np.float64(math.lgamma(alpha + 1.0)))
+        ref = np.array([math.sqrt(math.pi) * (2.0 / v) ** (alpha + 0.5) * gamma
+                        * specfun.bessel_j(alpha + 0.5, v)
                         if v else specfun.weight_mass(alpha) for v in u.tolist()])
         assert approx._cos_transforms(alpha, u).tobytes() == ref.tobytes()
 

@@ -303,7 +303,7 @@ class TestTruncationRule:
     @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
     def test_start_needs_no_growth_and_keeps_chi(self, alpha, c, nmax):
         b = B.build_basis(alpha, c, nmax)
-        assert b.trunc == B._start_order(alpha, c, nmax)
+        assert b.trunc == B._start_order(c, nmax)
         # room to spare: at most 1e-30 of tail mass where the check accepts 1e-24
         assert np.max(np.sum(b.beta[:, -B._TAIL_BUFFER:] ** 2, axis=1)) <= 1e-30
         # the former start order, nmax + ceil(c) + 40, as a dense oracle
@@ -316,21 +316,27 @@ class TestTruncationRule:
     @pytest.mark.parametrize("alpha,c,nmax", _RULE_CELLS)
     def test_start_is_tight(self, alpha, c, nmax):
         need = truncation_grid.smallest_order(alpha, c, nmax)
-        assert B._start_order(alpha, c, nmax) - need <= 44
+        assert B._start_order(c, nmax) - need <= 44
 
-    # the spectrum of each cell is refused at ceil(hypot(nmax, c) / 2) + 24
-    # rows (its probe check needs 25 to 27) and passes at the former + 40
-    @pytest.mark.parametrize("alpha,c,nmax", [(89.7, 5.0, 100), (98.3, 5.0, 40),
-                                              (110.0, 5.0, 20)])
-    def test_large_alpha_keeps_the_former_start_and_its_spectrum(self, alpha, c, nmax):
-        b = B.build_basis(alpha, c, nmax)
-        assert b.trunc == math.ceil(math.hypot(nmax, c) / 2) + 40
-        assert len(compute_spectrum(b)) == nmax
+    # cells whose probe verdict turned on the order alone, through terms
+    # whose Bessel factor underflowed and psi_n(x*)'s own rounding near x = 1:
+    # each spectrum passes at 24, 40, 41 and 50 rows past ceil(hypot(nmax, c) / 2)
+    @pytest.mark.parametrize("alpha,c,nmax", [(98.3, 5.0, 40), (110.0, 5.0, 20),
+                                              (89.7, 5.0, 100), (42.0, 50.0, 4),
+                                              (60.0, 20 * math.pi, 93),
+                                              (30.0, 20 * math.pi, 93), (30.0, 200.0, 230)])
+    def test_spectrum_verdict_does_not_turn_on_the_order(self, monkeypatch, alpha, c, nmax):
+        for rows in (24, 40, 41, 50):
+            M = math.ceil(math.hypot(nmax, c) / 2) + rows
+            monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((M,)))
+            b = B.build_basis(alpha, c, nmax)
+            assert b.trunc == M
+            assert len(compute_spectrum(b)) == nmax, rows
 
 
 def _parity_blocks(alpha, c, nmax):
     """The two parity blocks at the start order and their eigenvalues."""
-    M = B._start_order(alpha, c, nmax)
+    M = B._start_order(c, nmax)
     tris = [B.assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
     return tris, [B.eig_symtridiag(t).values for t in tris]
 

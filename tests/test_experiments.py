@@ -139,25 +139,25 @@ class TestCache:
 
     def test_version_2_entry_rebuilt_at_the_bracket_start(self, cache_dir, monkeypatch):
         # version 2 entries hold bases at the former start order,
-        # nmax + ceil(c) + 40; under version 5 they miss and are rebuilt
+        # nmax + ceil(c) + 40; under version 6 they miss and are rebuilt
         with monkeypatch.context() as m:
             m.setattr(X, "_FORMAT_VERSION", 2)
-            m.setattr(B, "_start_order", lambda alpha, c, nmax: nmax + math.ceil(c) + 40)
+            m.setattr(B, "_start_order", lambda c, nmax: nmax + math.ceil(c) + 40)
             assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 50
-        assert X._FORMAT_VERSION == 5
+        assert X._FORMAT_VERSION == 6
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         got = X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir)
-        assert got.trunc == B._start_order(0.5, 2.0, 8) == 29
+        assert got.trunc == B._start_order(2.0, 8) == 29
         assert X.cache_get(0.5, 2.0, 8, cache_dir).trunc == 29
         assert len(X.cache_ls(cache_dir)) == 2
 
     def test_version_4_entry_rebuilt_at_the_shorter_start(self, cache_dir, monkeypatch):
         # version 4 entries hold bases 16 rows per parity longer, at
-        # ceil(hypot(nmax, c) / 2) + 40; under version 5 they miss
+        # ceil(hypot(nmax, c) / 2) + 40; under version 6 they miss
         with monkeypatch.context() as m:
             m.setattr(X, "_FORMAT_VERSION", 4)
             m.setattr(B, "_start_order",
-                      lambda alpha, c, nmax: math.ceil(math.hypot(nmax, c) / 2) + 40)
+                      lambda c, nmax: math.ceil(math.hypot(nmax, c) / 2) + 40)
             assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 45
         assert X.cache_get(0.5, 2.0, 8, cache_dir) is None
         assert X.get_basis(0.5, 2.0, 8, cache_dir=cache_dir).trunc == 29

