@@ -123,9 +123,10 @@ def fc_on_jacobi(alpha, c, k, x):
         raise DomainError(f"bandwidth c must be > 0, got {c!r}")
     if abs(x) > 1.0 + 8.0 * np.finfo(float).eps:
         raise DomainError("transform evaluation requires |x| <= 1")
-    if x == 0.0:
+    u = c * abs(x)
+    if u == 0.0:  # x = 0, or c |x| below the smallest subnormal
         return complex(math.sqrt(specfun.weight_mass(alpha))) if k == 0 else 0.0j
-    val = 1j ** (k % 2) * float(_fc_terms(alpha, k, c * abs(x))[k])
+    val = 1j ** (k % 2) * float(_fc_terms(alpha, k, u)[k])
     # parity: (F_c Jt_k)(-x) = (-1)^k (F_c Jt_k)(x)
     if x < 0.0 and k % 2 == 1:
         val = -val
@@ -360,10 +361,9 @@ def compute_spectrum(basis):
     """
     _check_phase(basis)
     ns = range(basis.nmax)
-    # the Jacobi rows at the candidates give every psi_n(x*), bitwise
-    # GpswfBasis.psi_table's, and each parity's row norms
-    table = specfun.jacobi_table(basis.alpha, 2 * basis.trunc - 1, _PROBE_X)
-    parts = (table[0::2], table[1::2])
+    # the basis's Jacobi rows at the candidates (ascending, so in their order)
+    # give every psi_n(x*), bitwise psi_table's, and each parity's row norms
+    _, _, parts = basis._abs_rows("probe_rows", None, _PROBE_X)
     vals = np.empty((basis.nmax, _PROBE_X.size))
     for p, part in enumerate(backend.table_series(
             basis._parity_coefficients(np.arange(basis.nmax)), parts)):

@@ -515,6 +515,29 @@ class TestSupGridSeries:
             ref = approx._sup_grid_values(dataclasses.replace(bases[i]), coeffs)
             assert got.tobytes() == ref.tobytes()
 
+    def test_large_alpha_sums_are_not_rounding_noise(self):
+        # the brownian scenario's cell at alpha 160, c 5 pi, N 46: S_N f
+        # reaches 2.2e25 on |x| <= 0.995, where the weight (1 - x^2)^160 is
+        # below 1e-320, so the weighted projection does not bound it there.
+        # That size is the series' own: the psi_table route sums the same
+        # series in another order and lands within 3.9e-16 of it, and the
+        # rounding floor eps max_x sum_k |g_k Jt_k(x)| is 1.2e10 (measured)
+        b = B.build_basis(160.0, 5 * math.pi, 47)
+        f = approx.brownian(1.5, 0, K=4000)
+        y = f.params["amplitudes"] / np.arange(1.0, 4001) ** 1.5
+        coeffs = y @ approx.cosine_transform_table(b, 4000, 46)
+        bulk = np.abs(approx._SUP_GRID) <= 0.995
+        got = approx._sup_grid_values(b, coeffs)[bulk]
+        size = np.max(np.abs(got))
+        assert size > 1e24
+        ref = coeffs @ b.psi_table(approx._SUP_GRID, range(46))[:, bulk]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * size
+        g = [np.abs(b.beta[p:46:2].T @ coeffs[p::2]) for p in (0, 1)]
+        u = B._distinct_abs(approx._SUP_GRID)[0]
+        rows = np.abs(specfun.jacobi_table(b.alpha, 2 * b.trunc - 1, u))
+        floor = np.finfo(float).eps * np.max(g[0] @ rows[0::2] + g[1] @ rows[1::2])
+        assert floor <= 1e-12 * size
+
     @pytest.mark.parametrize("target", [approx.weierstrass_mandelbrot(0.5, 2.0, K=8),
                                         approx.periodic_exponential(3)],
                              ids=["wm", "periodic"])

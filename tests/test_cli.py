@@ -331,14 +331,15 @@ def test_bounds_checks_the_grid_before_the_basis(capsys, monkeypatch):
         1, "", "error: grid_size must lie in 100..100000, got 50\n")
 
 
-# at alpha 110, products of finite factors overflow at the smallest probes,
-# which the probe check ranks last; NumPy warns on the way
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# Which large-alpha runs exit 1: only where a factor that is still a double
+# passes the largest double (the name is the one the refusals had when every
+# case here exited 1).  The transform terms carry (2/u)^(alpha+1/2) and
+# gamma_k as exponents, so the rest run
 @pytest.mark.parametrize("name, cfg, shown", [
-    # the transform terms carry (2/u)^(alpha+1/2) and gamma_k as exponents:
     # the spectrum at the smallest probe u = 1e-3 c, which refused alpha 118,
-    # and the scenarios at alpha 160 (gamma_k past k = 33) run
+    # and the scenarios at alpha 160 (gamma_k past k = 33) run; brownian's
+    # sup errors there are true sums (tests/test_approx.py,
+    # test_large_alpha_sums_are_not_rounding_noise)
     ("spectrum", "118", None),
     ("spectrum", "110", None),
     # W(1) of the exact wm norm keeps its factors as doubles
