@@ -1,5 +1,5 @@
-"""Spectral projection onto the wave-function basis, test-function corpus,
-weighted Sobolev norms, and approximation-rate checkers."""
+"""Spectral projection onto the wave-function basis, the test-function
+corpus, and the closed-form coefficients and norms of its series."""
 
 import math
 import threading
@@ -10,13 +10,12 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from . import backend, specfun, spectral
-from .basis import _drop_repeats, _is_integer, _unfold, decay_regime_multiplier
+from .basis import _drop_repeats, _is_integer, _unfold
 from .errors import DomainError
 
 __all__ = [
     "TargetFunction",
     "ProjectionResult",
-    "SobolevNorm",
     "GAUSSIAN_GENERATOR",
     "brownian",
     "brownian_from_coefficients",
@@ -32,10 +31,6 @@ __all__ = [
     "cosine_series_norm2",
     "cosine_series_projection",
     "periodic_coefficient",
-    "sobolev_norm",
-    "derivative_sobolev_norm",
-    "chi_tail_error_check",
-    "projection_rate_check",
 ]
 
 GAUSSIAN_GENERATOR = "philox4x64-boxmuller"
@@ -43,17 +38,13 @@ GAUSSIAN_GENERATOR = "philox4x64-boxmuller"
 
 @dataclass(frozen=True)
 class TargetFunction:
-    """A function on [-1, 1] with an evaluator and optional derivatives.
-
-    ``derivative(x, order)`` must return the order-th derivative when
-    available (order 0 = the function itself).  ``exact(basis, N)``, when
+    """A function on [-1, 1] with an evaluator.  ``exact(basis, N)``, when
     given, returns the closed-form <f, psi_n>, n < N, and ||f - S_N f||.
     """
 
     kind: str
     params: dict = field(repr=False)
     evaluator: object = field(repr=False)
-    derivative: object = field(default=None, repr=False)
     exact: object = field(default=None, repr=False)
 
     def __call__(self, x):
@@ -78,6 +69,8 @@ _EVAL_BLOCK = 512
 
 
 def _check_terms(K):
+    if not _is_integer(K):
+        raise DomainError(f"K must be an integer, got {K!r}")
     if not 1 <= K <= _MAX_TERMS:
         raise DomainError(f"K must lie in 1..{_MAX_TERMS}, got {K!r}")
 
@@ -102,21 +95,18 @@ def _cos_series_grid(coefs, m):
 def _cos_series_eval(coefs):
     k = np.arange(1, coefs.size + 1, dtype=float)
 
-    def derivative(x, order):
+    def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # the equispaced open grid (as np.linspace builds it) takes the FFT
-        if (order == 0 and x.ndim == 1
-                and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1])):
+        if x.ndim == 1 and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1]):
             return _cos_series_grid(coefs, x.size)
-        scaled = coefs * (math.pi * k) ** order
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, _EVAL_BLOCK):
             hi = min(lo + _EVAL_BLOCK, coefs.size)
-            out += scaled[lo:hi] @ np.cos(
-                math.pi * np.outer(k[lo:hi], x) + 0.5 * math.pi * order)
+            out += coefs[lo:hi] @ np.cos(math.pi * np.outer(k[lo:hi], x))
         return out
 
-    return (lambda x: derivative(x, 0)), derivative
+    return evaluator
 
 
 def _check_brownian_s(s):
@@ -129,9 +119,7 @@ def brownian_from_coefficients(s, coefs):
     _check_brownian_s(s)
     coefs = _amplitudes(coefs)
     scaled = coefs / np.arange(1.0, coefs.size + 1) ** s
-    evaluator, derivative = _cos_series_eval(scaled)
-    return TargetFunction(kind="brownian", evaluator=evaluator,
-                          derivative=derivative,
+    return TargetFunction(kind="brownian", evaluator=_cos_series_eval(scaled),
                           params={"s": s, "K": coefs.size, "seed": None,
                                   "amplitudes": coefs},
                           exact=lambda basis, N: cosine_series_projection(basis, scaled, N))
@@ -151,8 +139,9 @@ def brownian(s, seed, K=4000):
     """
     _check_terms(K)
     _check_brownian_s(s)
-    if not 0 <= seed < SEED_END:
-        raise DomainError(f"brownian seed must lie in 0..2**128-1, got {seed!r}")
+    if not (0 <= seed < SEED_END and seed == int(seed)):
+        raise DomainError(f"brownian seed must lie in 0..2**128-1 as a whole number, "
+                          f"got {seed!r}")
     f = brownian_from_coefficients(s, _gaussian_samples(seed, K))
     f.params.update({"seed": int(seed), "generator": GAUSSIAN_GENERATOR})
     return f
@@ -229,25 +218,29 @@ def periodic_exponential(k):
         kpi = math.inf
     if not math.isfinite(kpi):
         raise DomainError(f"k pi must be finite, got k={k!r}")
+    if k != int(k):
+        raise DomainError(f"periodic_exponential takes a whole number k, got {k!r}")
 
     def evaluator(x):
         return np.exp(1j * kpi * np.asarray(x, dtype=float))
 
-    def derivative(x, order):
-        return (1j * kpi) ** order * evaluator(x)
-
     return TargetFunction(kind="periodic_exponential", evaluator=evaluator,
-                          derivative=derivative, params={"k": int(k)})
+                          params={"k": int(k)})
 
 
 def user_sampled(grid, values):
-    """Piecewise-linear interpolant of samples on a grid covering [-1, 1]."""
+    """Piecewise-linear interpolant of samples on a grid covering [-1, 1]:
+    finite, strictly increasing, from at most -1 to at least 1."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if grid.ndim != 1 or grid.size != values.size or grid.size < 2:
         raise DomainError("grid and values must be 1-D arrays of equal length >= 2")
     if not np.all(np.isfinite(values)):
         raise DomainError("sampled values must be finite")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)
+            and grid[0] <= -1.0 and grid[-1] >= 1.0):
+        raise DomainError("the sample grid must be finite, strictly increasing and "
+                          f"cover [-1, 1], got {float(grid[0])!r}..{float(grid[-1])!r}")
 
     def evaluator(x):
         return np.interp(np.asarray(x, dtype=float), grid, values)
@@ -700,178 +693,3 @@ def periodic_coefficient(basis, k, n):
         val = val.conjugate()
     return val
 
-
-# ---------------------------------------------------------------------------
-# Weighted Sobolev norms (coefficient characterizations).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SobolevNorm:
-    """Value of the displayed coefficient sum (a squared-norm style quantity)."""
-
-    s: float
-    value: float
-    style: str
-
-
-def sobolev_norm(coeffs, s, style="jacobi_coefficient", alpha=None, k_values=None):
-    """Coefficient-weighted Sobolev sum.
-
-    jacobi_coefficient: sum_n (1 + (n(n+2a+1))^(2s)) |v_n|^2   (0^0 := 1)
-    periodic_fourier:   sum_k (1 + (k pi)^2)^s |b_k|^2
-    """
-    if s < 0.0:
-        raise DomainError("smoothness exponent must be >= 0")
-    coeffs = np.asarray(coeffs)
-    with np.errstate(over="ignore"):  # overflow handled by the finite check
-        mags = np.abs(coeffs) ** 2
-    if style == "jacobi_coefficient":
-        if alpha is None:
-            raise DomainError("jacobi_coefficient style requires alpha")
-        n = np.arange(coeffs.size, dtype=float)
-        base = n * (n + 2.0 * alpha + 1.0)
-        weights = 1.0 + base ** (2.0 * s)
-    elif style == "periodic_fourier":
-        if k_values is None:
-            raise DomainError("periodic_fourier style requires k_values")
-        k = np.asarray(k_values, dtype=float)
-        if k.size != coeffs.size:
-            raise DomainError("k_values must match coefficient count")
-        weights = (1.0 + (math.pi * k) ** 2) ** s
-    else:
-        raise DomainError(f"unknown Sobolev style {style!r}")
-    value = float(np.dot(weights, mags))
-    if not math.isfinite(value):
-        raise DomainError("weighted Sobolev sum overflowed")
-    return SobolevNorm(s=float(s), value=value, style=style)
-
-
-# nodes of the Gauss rule of derivative_sobolev_norm
-_SOBOLEV_QUAD_ORDER = 500
-
-
-def derivative_sobolev_norm(f, r, alpha):
-    """sum_{j=0}^{r} ||f^(j)||^2 in L2(w_a); needs analytic derivatives."""
-    if f.derivative is None:
-        raise DomainError(f"corpus function {f.kind!r} has no derivatives")
-    rule = specfun.gauss_jacobi(alpha, _SOBOLEV_QUAD_ORDER)
-    total = 0.0
-    for j in range(r + 1):
-        vals = f.derivative(rule.nodes, j)
-        total += float(np.real(rule.integrate(np.abs(vals) ** 2)))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Approximation-rate checkers.  The generic constants in the underlying
-# estimates are never asserted numerically; the checks are structural
-# (bounded ratios, negative fitted exponents).
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailRatioReport:
-    N_list: tuple
-    errors: tuple
-    tail_factors: tuple
-    ratios: tuple
-    slope: float
-    norm_squared: float
-
-    @property
-    def max_ratio(self):
-        return max(self.ratios)
-
-
-def _chi_tail_factor(basis, N, m):
-    # sum_{n > N} chi_n^(-2m), extending past nmax with the lower bound
-    # chi_n >= n(n+2a+1)
-    acc = 0.0
-    for n in range(N + 1, basis.nmax):
-        acc += math.exp(-2.0 * m * math.log(float(basis.chi[n])))
-    n = max(basis.nmax, N + 1)
-    while True:
-        term = math.exp(-2.0 * m * math.log(n * (n + 2.0 * basis.alpha + 1.0)))
-        acc += term
-        if term < 1e-14 * acc or n > 10 ** 6:
-            break
-        n += 1
-    return acc
-
-
-def _errors(basis, f, N_list):
-    """The sorted ``N_list`` and ||f - S_N f||^2 and ||f - S_N f|| at each N,
-    from one projection at the largest: err_top^2 + sum |c_n|^2, N <= n < top."""
-    N_list = sorted(N_list)
-    proj = project(basis, f, N_list[-1])
-    err2 = [proj.l2w_error ** 2 + float(np.sum(np.abs(proj.coefficients[N:N_list[-1]]) ** 2))
-            for N in N_list]
-    return N_list, err2, [math.sqrt(max(e, 0.0)) for e in err2]
-
-
-def chi_tail_error_check(basis, f, m, N_list):
-    """Ratio ||f - S_N f||^2 / (sum_{n>N} chi_n^(-2m) * ||f||^2_{m+2}) over N.
-
-    A bounded, non-exploding ratio (and a log-log error slope <= -2m) is the
-    checkable content; the constant in the estimate is generic.
-    """
-    N_list, err2, errors = _errors(basis, f, N_list)
-    norm2 = derivative_sobolev_norm(f, m + 2, basis.alpha)
-    tails = [_chi_tail_factor(basis, N, m) for N in N_list]
-    ratios = [e / (t * norm2) for e, t in zip(err2, tails)]
-    logs = np.log(np.maximum(errors, 1e-300))
-    slope = float(np.polyfit(np.log(N_list), logs, 1)[0]) if len(N_list) > 1 else math.nan
-    return TailRatioReport(N_list=tuple(N_list), errors=tuple(errors),
-                           tail_factors=tuple(tails), ratios=tuple(ratios),
-                           slope=slope, norm_squared=norm2)
-
-
-@dataclass(frozen=True)
-class RateReport:
-    N_list: tuple
-    errors: tuple
-    algebraic: tuple
-    applicable: tuple
-    fitted_amplitude: float
-    fitted_rate: float
-
-    @property
-    def rate_positive(self):
-        return self.fitted_rate > 0.0
-
-    @property
-    def holds(self):
-        return all(
-            (not app) or err <= alg + self.fitted_amplitude
-            * math.exp(-min(self.fitted_rate * n, 700.0)) + 1e-12
-            for n, err, alg, app in zip(self.N_list, self.errors,
-                                        self.algebraic, self.applicable))
-
-
-def projection_rate_check(basis, f, s, N_list, hs_norm):
-    """Check err_N <= (1 + (N/2)^2)^(-s/2) ||f||_{H^s} + A e^{-aN}.
-
-    ``hs_norm`` is the (unsquared) smoothness norm of f.  The exponential
-    part has generic constants, so (A, a) are fitted to the residuals above
-    the algebraic term; the verdict is that the fitted rate is positive.
-    Entries with N <= m_a c are flagged inapplicable.
-    """
-    N_list, _, errors = _errors(basis, f, N_list)
-    algebraic = [(1.0 + (N / 2.0) ** 2) ** (-0.5 * s) * hs_norm for N in N_list]
-    threshold = decay_regime_multiplier(basis.alpha) * basis.c
-    applicable = [N > threshold for N in N_list]
-    resid = [(n, e - a) for n, e, a, app in zip(N_list, errors, algebraic,
-                                                applicable) if app and e > a]
-    if len(resid) >= 2:
-        ns = np.array([r[0] for r in resid], dtype=float)
-        ls = np.log([r[1] for r in resid])
-        slope = np.polyfit(ns, ls, 1)[0]
-        a_rate = -float(slope)
-        amp = float(np.max(np.exp(ls + a_rate * ns)))
-    elif len(resid) == 1:
-        # one point cannot pin a rate; report it flat so the caller sees it
-        a_rate, amp = 0.0, resid[0][1]
-    else:
-        a_rate, amp = math.inf, 0.0
-    return RateReport(N_list=tuple(N_list), errors=tuple(errors),
-                      algebraic=tuple(algebraic), applicable=tuple(applicable),
-                      fitted_amplitude=amp, fitted_rate=a_rate)

@@ -20,15 +20,12 @@ __all__ = [
     "GpswfBasis",
     "LocalEstimateReport",
     "ChiBoundVerdict",
-    "BetaBoundVerdict",
     "assemble_eigensystem",
     "build_basis",
     "chi_bracket",
     "chi_lower_bound_check",
     "improved_chi_constant",
-    "beta_bound_constant",
     "decay_regime_multiplier",
-    "beta_bound_check",
     "local_estimate",
 ]
 
@@ -611,63 +608,8 @@ def moment_b(basis, n):
     return float(sums[0]) if np.ndim(n) == 0 else sums
 
 
-def beta_bound_constant(alpha):
-    """C_a = 2^a (3/2)^(3/4) (3/2 + 2a)^(3/4 + a) / e^(2a + 3/2)."""
-    return math.exp(alpha * math.log(2.0) + 0.75 * math.log(1.5)
-                    + (0.75 + alpha) * math.log(1.5 + 2.0 * alpha)
-                    - (2.0 * alpha + 1.5))
-
-
 def decay_regime_multiplier(alpha):
     """m_a = 4.13 (1.28 + (2a+1)/1.9)^0.55, the N/c threshold for the
     exponential coefficient-decay regime."""
     return 4.13 * (1.28 + (2.0 * alpha + 1.0) / 1.9) ** 0.55
 
-
-@dataclass(frozen=True)
-class BetaBoundVerdict:
-    n: int
-    k: int
-    q: float
-    c_alpha: float
-    log_bound: float
-    log_beta: float
-    margin: float
-    applicable_q: bool
-    condition_value: float
-    condition_ok: bool | None
-    regime: bool
-
-    @property
-    def holds(self):
-        return self.margin >= 0.0
-
-
-def beta_bound_check(basis, n, k, mu_abs, c_prime=None):
-    """Check |beta_k^n| <= C_a (2 sqrt(chi_n)/c)^k |mu_n| (log space).
-
-    The applicability condition k(k+2a+1) + C'_a c^2 <= chi_n involves an
-    unspecified constant C'_a; pass ``c_prime`` to evaluate it, otherwise the
-    condition value k(k+2a+1) is only reported.  Also flags the regime
-    k <= n/1.9 and n >= m_a c of the exponential decay estimate.
-    """
-    basis._check_index(n)
-    chi = float(basis.chi[n])
-    q = basis.c ** 2 / chi
-    # beta_k^n is row n's entry k // 2 at the parity of n, and 0 elsewhere
-    on_row = k % 2 == n % 2 and k < 2 * basis.trunc
-    beta_k = abs(float(basis.beta[n, k // 2])) if on_row else 0.0
-    c_alpha = beta_bound_constant(basis.alpha)
-    log_bound = (math.log(c_alpha) + k * (math.log(2.0 * math.sqrt(chi)) - math.log(basis.c))
-                 + math.log(mu_abs)) if mu_abs > 0.0 else -math.inf
-    log_beta = math.log(beta_k) if beta_k > 0.0 else -math.inf
-    condition_value = k * (k + 2.0 * basis.alpha + 1.0)
-    condition_ok = None
-    if c_prime is not None:
-        condition_ok = condition_value + c_prime * basis.c ** 2 <= chi
-    regime = (k <= n / 1.9) and (n >= decay_regime_multiplier(basis.alpha) * basis.c)
-    margin = log_bound - log_beta  # +inf when beta_k is exactly zero
-    return BetaBoundVerdict(n=n, k=k, q=q, c_alpha=c_alpha, log_bound=log_bound,
-                            log_beta=log_beta, margin=margin,
-                            applicable_q=q < 1.0, condition_value=condition_value,
-                            condition_ok=condition_ok, regime=regime)

@@ -226,13 +226,6 @@ def entries(tmp):
         spectral.decay_bound_check(n, mu_abs, alpha, 3.7)
         for alpha in (0.0, 0.25, 1.3, 2.5) for n in (1, 3, 9, 40, 200, 5000)
         for mu_abs in (0.0, 1e-300, 1e-5, 0.4)),)
-    b = bases[0.5, 2.0, 16]
-    yield "beta_bound_check grid at build_basis(0.5, 2.0, 16)", (_reprs(
-        B.beta_bound_check(b, n, k, mu_abs, c_prime)
-        for n in (0, 1, 6, 15, np.int64(9))
-        for k in (0, 1, 2, 3, 16, 17, 2 * b.trunc - 2, 2 * b.trunc - 1, 2 * b.trunc,
-                  2 * b.trunc + 1, 3 * b.trunc, -1, -2)
-        for mu_abs, c_prime in ((1e-3, None), (0.0, 1.0))),)
 
     # the wm-table scenario's CSV pins its errors; these are its coefficients
     proj = [B.build_basis(alpha, PI5, 96) for alpha in (0.5, 1.5)]

@@ -70,6 +70,23 @@ class TestCorpus:
             with pytest.raises(DomainError, match="seed"):
                 approx.brownian(1.5, seed=seed, K=10)
         assert approx.brownian(1.5, seed=2 ** 128 - 1, K=10).params["seed"] == 2 ** 128 - 1
+        with pytest.raises(DomainError, match="K must be an integer, got 10.5"):
+            approx.brownian(1.5, 1, K=10.5)
+        assert approx.brownian(1.5, 1, K=np.int64(12)).params["K"] == 12
+
+    def test_builders_record_what_they_evaluate(self):
+        # a k or seed that is not a whole number is refused, not truncated
+        with pytest.raises(DomainError, match="whole number k, got 2.5"):
+            approx.periodic_exponential(2.5)
+        with pytest.raises(DomainError, match="whole number, got 1.7"):
+            approx.brownian(1.5, 1.7, K=10)
+        x = np.linspace(-1.0, 1.0, 9)
+        f = approx.periodic_exponential(3.0)
+        assert f.params == {"k": 3}
+        np.testing.assert_array_equal(f(x), approx.periodic_exponential(3)(x))
+        g = approx.brownian(1.5, 3.0, K=10)
+        assert g.params["seed"] == 3
+        np.testing.assert_array_equal(g(x), approx.brownian(1.5, 3, K=10)(x))
 
     def test_wm_blocked_evaluation_matches_one_product(self):
         # more terms than one evaluation block
@@ -152,6 +169,17 @@ class TestCorpus:
         f = approx.user_sampled(grid, grid ** 2)
         assert f(np.array([0.5]))[0] == pytest.approx(0.25, abs=3e-3)
 
+    @pytest.mark.parametrize("grid", [
+        np.linspace(1, -1, 21),  # reversed: np.interp would read f(0.5) = 1
+        np.linspace(0, 0.5, 21),  # short of [-1, 1]: it would be clamped
+        np.linspace(-1, 0.99, 21),
+        np.r_[-1.0, np.nan, 1.0],
+        np.r_[-np.inf, 0.0, 1.0],
+        np.r_[-1.0, 0.0, 0.0, 1.0]])  # a repeated node
+    def test_user_sampled_refuses_a_grid_off_its_contract(self, grid):
+        with pytest.raises(DomainError, match="strictly increasing and cover"):
+            approx.user_sampled(grid, np.ones(grid.size))
+
     def test_target_from_config(self):
         f = approx.target_from_config({"kind": "periodic", "k": 3})
         assert np.iscomplexobj(f(np.array([0.3])))
@@ -172,14 +200,12 @@ def _cos_amplitudes(f):
     return f.params["amplitudes"] / np.arange(1, f.params["K"] + 1.0) ** f.params["s"]
 
 
-def _blocked_sum(y, x, order=0):
+def _blocked_sum(y, x):
     # the direct cosine sum in 512-frequency blocks, as the generic path does
     k = np.arange(1, y.size + 1, dtype=float)
-    scaled = y * (math.pi * k) ** order
     out = np.zeros(x.size)
     for lo in range(0, y.size, 512):
-        out += scaled[lo:lo + 512] @ np.cos(
-            math.pi * np.outer(k[lo:lo + 512], x) + 0.5 * math.pi * order)
+        out += y[lo:lo + 512] @ np.cos(math.pi * np.outer(k[lo:lo + 512], x))
     return out
 
 
@@ -234,17 +260,6 @@ class TestGridEvaluation:
         nudged[57] = np.nextafter(nudged[57], 2.0)
         for x in (nudged, specfun.gauss_jacobi(0.5, 120).nodes):
             np.testing.assert_array_equal(f(x), _blocked_sum(y, x))
-
-    def test_derivative_order0_is_the_evaluator(self):
-        f = approx.brownian(1.5, seed=3, K=700)
-        y = _cos_amplitudes(f)
-        grid = np.linspace(-1.0, 1.0, 301)[1:-1]
-        gauss = specfun.gauss_jacobi(1.0, 90).nodes
-        for x in (grid, gauss, np.array([0.3]), approx._SUP_GRID):
-            np.testing.assert_array_equal(f.derivative(x, 0), f(x))
-        # higher orders keep the direct sum, on the grid too
-        for x in (grid, gauss):
-            np.testing.assert_array_equal(f.derivative(x, 2), _blocked_sum(y, x, 2))
 
 
 class TestProjection:
@@ -669,10 +684,11 @@ class TestWmCoefficients:
                                          (0.5, math.nan, 12), (0.5, 2.0, -3),
                                          (1.5, 2.0, 12), (-math.inf, 2.0, 5),
                                          (math.nan, 2.0, 5), (-math.inf, 2.0, None),
-                                         (1.0, math.inf, None), (1.0, math.inf, 5)])
+                                         (1.0, math.inf, None), (1.0, math.inf, 5),
+                                         (0.5, 2.0, 2.5)])
     def test_domain(self, basis_wm, s, lam, K):
-        # lambda <= 1, s > 1, either not finite, and K outside 1.._MAX_TERMS,
-        # as in weierstrass_mandelbrot
+        # lambda <= 1, s > 1, either not finite, and K outside 1.._MAX_TERMS
+        # or not an integer, as in weierstrass_mandelbrot
         with pytest.raises(DomainError):
             approx.weierstrass_mandelbrot(s, lam, K)
         with pytest.raises(DomainError):
@@ -989,109 +1005,3 @@ class TestPeriodicCoefficients:
                          for n in ns])
         slope = np.polyfit(ns, np.log(np.maximum(mags, 1e-300)), 1)[0]
         assert slope < 0.0
-
-
-class TestSobolevNorms:
-    def test_single_jacobi_mode(self):
-        coeffs = np.zeros(6)
-        coeffs[5] = 1.0
-        out = approx.sobolev_norm(coeffs, 1.0, "jacobi_coefficient", alpha=0.0)
-        assert out.value == pytest.approx(1.0 + (5 * 6) ** 2, rel=1e-15)
-
-    def test_single_periodic_mode(self):
-        out = approx.sobolev_norm(np.array([1.0]), 1.0, "periodic_fourier",
-                                  k_values=[1])
-        assert out.value == pytest.approx(1.0 + math.pi ** 2, rel=1e-15)
-
-    def test_s0_doubles_jacobi_mass(self):
-        out = approx.sobolev_norm(np.array([1.0, 2.0]), 0.0,
-                                  "jacobi_coefficient", alpha=0.3)
-        assert out.value == pytest.approx(10.0, rel=1e-15)
-
-    def test_s0_periodic_is_plain_mass(self):
-        out = approx.sobolev_norm(np.array([1.0, 2.0]), 0.0,
-                                  "periodic_fourier", k_values=[0, 4])
-        assert out.value == pytest.approx(5.0, rel=1e-15)
-
-    def test_dominates_l2(self):
-        rng = np.random.default_rng(0)
-        coeffs = rng.normal(size=12)
-        l2 = float(np.sum(coeffs ** 2))
-        for s in (0.0, 0.5, 1.5):
-            out = approx.sobolev_norm(coeffs, s, "jacobi_coefficient", alpha=0.7)
-            assert out.value >= l2
-
-    def test_magnitude_error(self):
-        with pytest.raises(DomainError):
-            approx.sobolev_norm(np.full(400, 1e200), 3.0,
-                                "jacobi_coefficient", alpha=0.0)
-
-    def test_derivative_norm_exponential_mode(self):
-        # f = e^{i pi x}: ||f^(j)||^2 = pi^(2j) * mass(alpha)
-        alpha = 0.5
-        f = approx.periodic_exponential(1)
-        val = approx.derivative_sobolev_norm(f, 2, alpha)
-        mass = specfun.weight_mass(alpha)
-        ref = mass * (1.0 + math.pi ** 2 + math.pi ** 4)
-        assert val == pytest.approx(ref, rel=1e-12)
-
-
-def jacobi_mode_target(alpha, k):
-    def ev(x):
-        return specfun.jacobi_table(alpha, k, np.asarray(x, float))[k]
-
-    def dv(x, order):
-        tab = specfun.jacobi_table(alpha, k, np.asarray(x, float),
-                                   nderiv=max(order, 1))
-        return tab[order][k]
-
-    return approx.TargetFunction(kind="jacobi_mode", params={"k": k},
-                                 evaluator=ev, derivative=dv)
-
-
-class TestRateCheckers:
-    def test_tail_ratio_bounded_for_smooth_mode(self, basis_05_2):
-        f = jacobi_mode_target(basis_05_2.alpha, 4)
-        rep = approx.chi_tail_error_check(basis_05_2, f, 1,
-                                          [5, 7, 9, 11, 13, 15])
-        assert rep.max_ratio <= 10.0
-        assert all(t2 < t1 for t1, t2 in zip(rep.tail_factors,
-                                             rep.tail_factors[1:]))
-        assert rep.slope <= -2.0 + 0.2
-
-    def test_rate_check_entire_function(self):
-        b = B.build_basis(0.5, 2.0, 40)
-        f = approx.periodic_exponential(1)
-        hs = math.sqrt(approx.sobolev_norm(
-            np.array([math.sqrt(2.0)]), 2.0, "periodic_fourier",
-            k_values=[1]).value)
-        rep = approx.projection_rate_check(b, f, 2.0, [8, 12, 16, 20, 28, 36], hs)
-        assert rep.rate_positive
-        assert rep.holds
-
-    def test_rate_check_regime_gate(self):
-        b = B.build_basis(0.5, 2.0, 40)
-        thr = B.decay_regime_multiplier(b.alpha) * b.c
-        f = approx.periodic_exponential(1)
-        rep = approx.projection_rate_check(b, f, 2.0, [2, 3, 30], 1.0)
-        for N, app in zip(rep.N_list, rep.applicable):
-            assert app == (N > thr)
-
-    def test_rate_check_rough_series_algebraic_regime(self):
-        # random cosine series: the algebraic term dominates at moderate N
-        b = B.build_basis(1.5, 2.0, 40)
-        f = approx.brownian(1.5, seed=11, K=400)
-        amps = f.params["amplitudes"]
-        k = np.arange(1, 401, dtype=float)
-        b_coeffs = np.concatenate([[0.0], amps / k ** 1.5 / math.sqrt(2.0)])
-        # b_k(f) = (1/sqrt(2)) int f e^{-i pi k x} = X_k / (sqrt(2) k^s), both signs
-        k_values = np.concatenate([np.arange(0, 401), -np.arange(1, 401)])
-        coeffs = np.concatenate([b_coeffs, b_coeffs[1:]])
-        s = 0.9  # below the regularity ceiling s - 1/2 = 1
-        hs = math.sqrt(approx.sobolev_norm(coeffs, s, "periodic_fourier",
-                                           k_values=k_values).value)
-        rep = approx.projection_rate_check(b, f, s, [14, 18, 24, 30, 36], hs)
-        assert rep.holds
-        for err, alg, app in zip(rep.errors, rep.algebraic, rep.applicable):
-            if app:
-                assert err <= alg  # dominated by the algebraic term

@@ -556,56 +556,13 @@ class TestBoundCheckers:
         with pytest.raises(IndexError):
             B.local_estimate(bases[0], -1)
 
-    def test_beta_bound_check_reads_beta_like_full_coefficients(self, basis_05_2):
-        # k at and off the parity of n, past the last coefficient and
-        # negative (an index from the end, as before); the golden file pins
-        # the other fields
-        b = basis_05_2
-        ks = (0, 1, 2, 3, 16, 17, 2 * b.trunc - 2, 2 * b.trunc - 1, 2 * b.trunc,
-              2 * b.trunc + 1, 3 * b.trunc, -1, -2)
-        for n in (0, 1, 6, 15, np.int64(9)):
-            coefs = oracles.full_coefficients(b, n)
-            for k in ks:
-                beta_k = abs(float(coefs[k])) if k < coefs.size else 0.0
-                want = math.log(beta_k) if beta_k > 0.0 else -math.inf
-                assert B.beta_bound_check(b, n, k, 1e-3).log_beta == want
-        with pytest.raises(IndexError):
-            B.beta_bound_check(b, -1, 2, 1e-3)
-
     @pytest.mark.parametrize("n", [-1, 10])
     def test_checkers_refuse_index_out_of_range(self, n):
         # the index is checked before chi is read: -1 must not wrap to the last n
         b = B.build_basis(0.0, 3.0, 10)
         with pytest.raises(IndexError, match=r"basis index out of range 0\.\.9"):
             B.chi_lower_bound_check(b, n)
-        with pytest.raises(IndexError, match=r"basis index out of range 0\.\.9"):
-            B.beta_bound_check(b, n, 2, 1e-3)
-
-    def test_beta_bound_constant(self):
-        # C_0 = (3/2)^(3/2) e^(-3/2)
-        assert B.beta_bound_constant(0.0) == pytest.approx(
-            0.40991627894186, rel=1e-12)
 
     def test_regime_multiplier(self):
         assert B.decay_regime_multiplier(0.0) == pytest.approx(
             5.717241989669045, rel=1e-12)
-
-    def test_beta_bound_full_pipeline(self):
-        from gpswf.spectral import compute_spectrum
-
-        b = B.build_basis(0.5, 5.0, 41)
-        entries = compute_spectrum(b)
-        v = B.beta_bound_check(b, 40, 16, entries[40].mu_abs)
-        assert v.applicable_q
-        assert v.regime  # k=16 <= 40/1.9 and 40 >= m_a * 5
-        assert v.holds and v.margin > 0
-        # margins shrink monotonically toward small k; the checker reports
-        # them rather than asserting (the applicability constant in the
-        # condition k(k+2a+1) + C' c^2 <= chi_n is not pinned down)
-        margins = [B.beta_bound_check(b, 40, k, entries[40].mu_abs).margin
-                   for k in range(0, 18, 2)]
-        assert all(m2 > m1 for m1, m2 in zip(margins, margins[1:]))
-        v2 = B.beta_bound_check(b, 40, 16, entries[40].mu_abs, c_prime=1.0)
-        assert v2.condition_ok is True
-        v3 = B.beta_bound_check(b, 40, 16, entries[40].mu_abs, c_prime=100.0)
-        assert v3.condition_ok is False

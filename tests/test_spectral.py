@@ -80,6 +80,16 @@ class TestFcOnJacobi:
             spectral.fc_on_jacobi(0.5, -1.0, 0, 0.3)
         with pytest.raises(DomainError):
             spectral.fc_on_jacobi(0.5, 2.0, 0, 1.4)
+        # k = -1 would index from the end, 2.5 fails inside numpy, and a NaN
+        # x passes any |x| <= 1 test by comparison
+        for k in (-1, 2.5, True):
+            with pytest.raises(DomainError, match=f"order k must be an integer >= 0, got {k}"):
+                spectral.fc_on_jacobi(0.5, 2.0, k, 0.3)
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"finite x with \\|x\\| <= 1, got x={x}"):
+                spectral.fc_on_jacobi(0.5, 2.0, 1, x)
+        assert spectral.fc_on_jacobi(0.5, 2.0, np.int64(3), 0.3) == \
+            spectral.fc_on_jacobi(0.5, 2.0, 3, 0.3)
 
 
 def test_fc_terms_are_read_only():
