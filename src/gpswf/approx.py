@@ -10,8 +10,9 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from . import backend, specfun, spectral
-from .basis import _drop_repeats, _is_integer, _unfold
+from .basis import _drop_repeats, _unfold
 from .errors import DomainError
+from .specfun import _is_integer
 
 __all__ = [
     "TargetFunction",
@@ -250,8 +251,11 @@ def user_sampled(grid, values):
 
 
 def _whole(value):
-    # a float or string that is not a whole number is an error, not truncated
-    if int(value) != float(value):
+    # an integer as itself, a string as int() parses it, a float only when it
+    # is a whole number: none is truncated or rounded through a double
+    if isinstance(value, (int, str, np.integer)):
+        return int(value)
+    if not float(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
@@ -341,7 +345,7 @@ def project(basis, f, N, quad_order=None):
     else:
         m = max(basis.trunc, basis.nmax + math.ceil(basis.c) + 40)
         quad_order = m + 64 if quad_order is None else quad_order
-        if not m + 32 <= quad_order <= _MAX_QUAD_ORDER:
+        if not (_is_integer(quad_order) and m + 32 <= quad_order <= _MAX_QUAD_ORDER):
             raise DomainError(f"quad_order must lie in {m + 32}..{_MAX_QUAD_ORDER}, "
                               f"got {quad_order!r}")
         rule = specfun.gauss_jacobi(basis.alpha, quad_order)
@@ -408,9 +412,8 @@ def wm_all_coefficients(basis, s, lam, N, K=None):
         hi = min(lo + _EVAL_BLOCK, K)
         rows = _wm_term_rows(basis.alpha, 2 * basis.trunc - 1, lam, lo, hi)
         # Im of the transform value of the odd n, one term per k, each over
-        # the odd orders; scalar powers, since a vectorised pow may round
-        # differently
-        amps = np.array([float(lam ** (-(2.0 - s) * k)) for k in np.arange(lo, hi)])
+        # the odd orders, at the evaluator's amplitudes
+        amps = lam ** (-(2.0 - s) * np.arange(lo, hi))
         terms = amps[:, None] * _row_products(basis.beta[1:N:2], rows[:, 1::2])
         # the running sum from out, adding the terms in the order of k
         out[1::2] = np.cumsum(np.concatenate([out[None, 1::2], terms]), axis=0)[-1]
@@ -464,12 +467,10 @@ def _wm_term_rows(kept, alpha, kmax, lam, lo, hi):
     One table per (alpha, kmax, lam, lo) holds the rows up to the largest hi
     asked (at most ``lo + _EVAL_BLOCK``); a larger hi adds the rows it lacks
     from one ladder call, so every N and s at one basis and lam share one
-    block.  Each row is bitwise independent of its batch.  The powers take
-    NumPy integers k: a Python int exponent may round lam^k differently."""
+    block.  Each row is bitwise independent of its batch."""
     have = lo if kept is None else lo + len(kept)
     if hi > have:
-        us = [float(lam ** k) for k in np.arange(have, hi)]
-        new = spectral._fc_term_rows(alpha, kmax, us)
+        new = spectral._fc_term_rows(alpha, kmax, lam ** np.arange(have, hi))
         kept = new if kept is None else np.concatenate([kept, new])
         kept.setflags(write=False)
     return kept, kept[:hi - lo]
@@ -483,14 +484,10 @@ def _cos_transforms(alpha, u):
     u = np.asarray(u, dtype=float)
     pos = u != 0.0
     w = np.full(u.size, specfun.weight_mass(alpha))
-    # the prefactor per argument, libm's pow on a NumPy scalar (a vectorised
-    # pow may round differently), then pref * gamma * J as arrays, in the
-    # scalar expression's order; a factor past the largest double is inf
     with np.errstate(over="ignore", invalid="ignore"):
         gamma = np.exp(np.float64(specfun.ln_gamma(alpha + 1.0)))
-        pref = [math.sqrt(math.pi) * np.float64(2.0 / v) ** (alpha + 0.5)
-                for v in u[pos].tolist()]
-        w[pos] = np.array(pref) * gamma * specfun.bessel_j(alpha + 0.5, u)[pos]
+        pref = math.sqrt(math.pi) * np.power(2.0 / u[pos], alpha + 0.5)
+        w[pos] = pref * gamma * specfun.bessel_j(alpha + 0.5, u)[pos]
     bad = ~np.isfinite(w)
     if bad.any():
         raise DomainError(f"the cosine transform W(u) is not a finite double at "
@@ -506,12 +503,12 @@ def _cos_transform_table(alpha, jmax):
     return w
 
 
-# The exact wm norm holds about _WM_PAIR_BYTES bytes per pair i <= j < K at
-# its peak (482 under tracemalloc at K 300 and 600, lambda 1.0001): the
-# pair indices, arguments and products as arrays and as Python lists, and
-# the transforms at the distinct pair arguments.  A K whose K(K+1)/2 pairs
-# would pass _WM_NORM_BYTES, K past _WM_NORM_MAX_K = 2110, is refused
-# before any of them is built; K 2000 needs about 0.96 GB.
+# The exact wm norm holds the pair indices, arguments, products and terms of
+# every pair i <= j < K at its peak, and the transforms at the distinct pair
+# arguments: 545 bytes per pair under tracemalloc (K 300 and 600, lambda
+# 1.0001), above the _WM_PAIR_BYTES the bound takes (ROADMAP item 33).  A K
+# whose K(K+1)/2 pairs at _WM_PAIR_BYTES each pass _WM_NORM_BYTES, K past
+# _WM_NORM_MAX_K = 2110, is refused before any is built; K 2000 takes 1.1 GB.
 _WM_PAIR_BYTES = 482
 _WM_NORM_BYTES = 2 ** 30
 _WM_NORM_MAX_K = (math.isqrt(8 * (_WM_NORM_BYTES // _WM_PAIR_BYTES) + 1) - 1) // 2
@@ -567,12 +564,11 @@ def _wm_l2_norm_squared(alpha, s, lam, K):
     u, w = _wm_pair_transforms(alpha, lam, args[_drop_repeats(args)])
     # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2, row by row over
     # i <= j as np.triu_indices orders them
-    prods = (0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])).tolist()
-    amps = (lam ** (-(2.0 - s) * np.arange(K))).tolist()
-    total = 0.0
-    for i, j, p in zip(iu.tolist(), ju.tolist(), prods):
-        total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * p
-    return total
+    prods = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])
+    amps = lam ** (-(2.0 - s) * np.arange(K))
+    terms = np.where(iu == ju, 1.0, 2.0) * amps[iu] * amps[ju] * prods
+    # cumsum adds in sequence, where np.sum adds pairwise
+    return float(np.cumsum(terms)[-1])
 
 
 def _parseval_error(norm2, coeffs):

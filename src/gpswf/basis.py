@@ -15,6 +15,7 @@ import numpy as np
 from . import backend, specfun
 from .eigensolver import SymTridiag, eig_symtridiag
 from .errors import ConsistencyError, DomainError, TruncationError
+from .specfun import _is_integer
 
 __all__ = [
     "GpswfBasis",
@@ -59,11 +60,6 @@ def assemble_eigensystem(alpha, c, M, parity):
     ki = k.astype(int)[:-1]
     offdiag = c2 * a[ki + 1] * a[ki + 2]
     return SymTridiag(diag, offdiag)
-
-
-def _is_integer(n):
-    """Whether n is one Python or NumPy integer, not a bool."""
-    return type(n) is int or isinstance(n, np.integer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,8 +383,8 @@ def build_basis(alpha, c, nmax):
         raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
     if not math.isfinite(c) or c <= 0.0:
         raise DomainError(f"basis construction requires c > 0, got {c!r}")
-    if nmax < 1:
-        raise DomainError(f"nmax must be >= 1, got {nmax!r}")
+    if not (_is_integer(nmax) and nmax >= 1):
+        raise DomainError(f"nmax must be an integer >= 1, got {nmax!r}")
     for M in _truncation_orders(alpha, c, nmax):
         if M < (nmax + 1) // 2:
             raise TruncationError(
@@ -569,7 +565,7 @@ _MAX_GRID_SIZE = 10 ** 5
 def _check_grid_size(grid_size):
     """The local estimate's grid range, which ``gpswf bounds`` checks before
     it builds anything."""
-    if not 100 <= grid_size <= _MAX_GRID_SIZE:
+    if not (_is_integer(grid_size) and 100 <= grid_size <= _MAX_GRID_SIZE):
         raise DomainError(f"grid_size must lie in 100..{_MAX_GRID_SIZE}, got {grid_size!r}")
 
 

@@ -47,6 +47,11 @@ def gamma_bracket(x):
             math.exp(0.5 * math.log(2.0 * math.pi) + core))
 
 
+def _is_integer(n):
+    """Whether n is one Python or NumPy integer, not a bool."""
+    return type(n) is int or isinstance(n, np.integer)
+
+
 def _check_alpha(alpha):
     """The weight exponent as a float; w_a needs a finite a > -1."""
     if not math.isfinite(alpha) or alpha <= -1.0:
@@ -65,8 +70,8 @@ def weight_mass(alpha):
 
 def _split_order(nu):
     """(base, shift) with nu = base + shift, base in [-1/2, 1/2), shift >= 0."""
-    if nu < -0.5:
-        raise DomainError(f"bessel order must be >= -1/2, got {nu!r}")
+    if not (math.isfinite(nu) and nu >= -0.5):
+        raise DomainError(f"bessel order must be finite and >= -1/2, got {nu!r}")
     base = nu - math.floor(nu + 0.5)
     return base, int(round(nu - base))
 
@@ -195,6 +200,6 @@ def _rule_cached(alpha, m):
 def gauss_jacobi(alpha, m):
     """Gauss-Jacobi rule with m nodes for the weight (1 - x^2)^alpha."""
     alpha = _check_alpha(alpha)
-    if int(m) < 1:
-        raise DomainError(f"quadrature order must be >= 1, got {m!r}")
+    if not (_is_integer(m) and m >= 1):
+        raise DomainError(f"quadrature order m must be an integer >= 1, got {m!r}")
     return _rule_cached(alpha, int(m))

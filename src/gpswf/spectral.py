@@ -121,7 +121,8 @@ def fc_on_jacobi(alpha, c, k, x):
     survives, with value int Jt_0 w_a = sqrt(m0)."""
     if not math.isfinite(c) or c <= 0.0:
         raise DomainError(f"bandwidth c must be > 0, got {c!r}")
-    if not (basis_mod._is_integer(k) and k >= 0):
+    alpha = specfun._check_alpha(alpha)
+    if not (specfun._is_integer(k) and k >= 0):
         raise DomainError(f"the Jacobi order k must be an integer >= 0, got {k!r}")
     if not (math.isfinite(x) and abs(x) <= 1.0 + 8.0 * np.finfo(float).eps):
         raise DomainError(f"transform evaluation requires a finite x with |x| <= 1, "

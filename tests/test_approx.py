@@ -191,9 +191,15 @@ class TestCorpus:
                 approx.target_from_config({"kind": kind})
         # unknown key, missing key, unparsable value, truncated integer
         for bad in ({"kind": "brownian", "s": 1.5, "sed": 3}, {"kind": "wm", "s": 1.0},
-                    {"kind": "brownian", "s": "abc"}, {"kind": "periodic", "k": 1.5}):
+                    {"kind": "brownian", "s": "abc"}, {"kind": "periodic", "k": 1.5},
+                    {"kind": "periodic", "k": "2.5"}, {"kind": "periodic", "k": 2.5}):
             with pytest.raises(DomainError):
                 approx.target_from_config(bad)
+        # a whole number past 2^53, as an int or a string, is read exactly
+        for seed in (2 ** 60 + 1, "1152921504606846977"):
+            h = approx.target_from_config({"kind": "brownian", "s": 1.5, "seed": seed, "K": 5})
+            assert h.params["seed"] == 2 ** 60 + 1
+        assert approx.target_from_config({"kind": "periodic", "k": 3.0}).params["k"] == 3
 
 
 def _cos_amplitudes(f):
@@ -375,6 +381,13 @@ class TestProjection:
             approx.project(basis_05_2, f, basis_05_2.nmax + 5)
         with pytest.raises(DomainError):
             approx.project(basis_05_2, f, 4, quad_order=8)
+        # a rule order that is not an integer is refused, not truncated
+        g = approx.periodic_exponential(3)
+        for q in (122.5, "122"):
+            with pytest.raises(DomainError, match=f"quad_order must lie in 90..16384, got {q!r}"):
+                approx.project(basis_05_2, g, 4, quad_order=q)
+        assert (approx.project(basis_05_2, g, 4, quad_order=np.int64(122)).coefficients.tobytes()
+                == approx.project(basis_05_2, g, 4).coefficients.tobytes())
 
 
 @pytest.fixture(scope="module")
@@ -619,6 +632,16 @@ class TestWmCoefficients:
                 ref += (1.0 if i == j else 2.0) * amps[i] * amps[j] * val
         assert approx.wm_l2_norm_squared(alpha, s, 2.0, K) == ref
 
+    @pytest.mark.parametrize("s,lam,K", [(1.0, 1.3, 12), (0.5, 1.0001, 300),
+                                         (0.5, 1.03, 694)])
+    def test_norm_bitwise_equals_the_pair_loop(self, s, lam, K):
+        # the array product and running sum against one add per pair, both
+        # over the same kept transforms
+        _clear_wm_caches()
+        got = approx.wm_l2_norm_squared(0.5, s, lam, K)
+        assert np.float64(got).tobytes() == np.float64(
+            oracles.wm_l2_norm_squared(0.5, s, lam, K)).tobytes()
+
     def test_projection_error_parseval_route(self, basis_wm):
         # coefficient-space error equals the quadrature residual norm
         K = 8
@@ -706,8 +729,8 @@ def _clear_wm_caches():
 
 
 def _fresh_term_rows(alpha, kmax, lam, lo, hi):
-    # the rows from one uncached ladder call
-    return spectral._fc_term_rows(alpha, kmax, [float(lam ** k) for k in np.arange(lo, hi)])
+    # the rows from one uncached ladder call at the evaluator's frequencies
+    return spectral._fc_term_rows(alpha, kmax, lam ** np.arange(lo, hi))
 
 
 @pytest.fixture(scope="module")
@@ -768,15 +791,18 @@ class TestSharedTransformsOracle:
     def test_wm_coefficients_equal_the_per_k_loop(self, basis_wm, s):
         # the stacked products and the running sum over k, across both
         # _EVAL_BLOCK blocks of lambda 1.03, against one product over the
-        # odd orders and one add per term in the order of k
+        # odd orders and one add per term in the order of k; the amplitudes
+        # are the evaluator's, where a scalar pow rounds some of them
+        # differently
         lam, N = 1.03, 24
         K = approx.wm_truncation(s, lam)
         assert K > approx._EVAL_BLOCK
         coefs = basis_wm.beta[1:N:2]
         rows = _fresh_term_rows(basis_wm.alpha, 2 * basis_wm.trunc - 1, lam, 0, K)
+        amps = lam ** (-(2.0 - s) * np.arange(K))
         ref = np.zeros(N)
-        for k in np.arange(K):
-            ref[1::2] += float(lam ** (-(2.0 - s) * k)) * (coefs @ rows[k, 1::2])
+        for k in range(K):
+            ref[1::2] += amps[k] * (coefs @ rows[k, 1::2])
         _clear_wm_caches()
         got = approx.wm_all_coefficients(basis_wm, s, lam, N)
         assert got.tobytes() == ref.tobytes()
@@ -869,13 +895,14 @@ class TestCosineSeries:
     @pytest.mark.parametrize("alpha", [0.1, 2.0])
     def test_transforms_equal_the_scalar_expression(self, alpha):
         # the array products against the Python-float expression per
-        # argument; at these alphas a vectorised pow for the prefactor
-        # rounds some of these arguments differently
+        # argument, after one array pow for every prefactor
         u = np.concatenate([np.arange(301) * math.pi, np.geomspace(1e-3, 1e5, 500)])
         gamma = np.exp(np.float64(math.lgamma(alpha + 1.0)))
-        ref = np.array([math.sqrt(math.pi) * (2.0 / v) ** (alpha + 0.5) * gamma
-                        * specfun.bessel_j(alpha + 0.5, v)
-                        if v else specfun.weight_mass(alpha) for v in u.tolist()])
+        pref = np.ones(u.size)
+        pref[1:] = math.sqrt(math.pi) * np.power(2.0 / u[1:], alpha + 0.5)
+        ref = np.array([p * gamma * specfun.bessel_j(alpha + 0.5, v)
+                        if v else specfun.weight_mass(alpha)
+                        for p, v in zip(pref.tolist(), u.tolist())])
         assert approx._cos_transforms(alpha, u).tobytes() == ref.tobytes()
 
     def test_cosine_transform_table_bitwise(self, basis_05_2):

@@ -104,6 +104,10 @@ class TestBuildBasis:
             assert abs(abs(full[n]) - 1.0) < 1e-8
         with pytest.raises(DomainError):
             B.build_basis(alpha, 0.0, 4)
+        for nmax in (5.5, 6.0, True, "5"):
+            with pytest.raises(DomainError, match=f"nmax must be an integer >= 1, got {nmax!r}"):
+                B.build_basis(0.5, 5.0, nmax)
+        assert B.build_basis(0.5, 5.0, np.int64(5)).nmax == 5
 
     def test_dense_oracle_alpha0(self):
         # dense full-coupling matrix at larger truncation, generic solver
@@ -539,6 +543,9 @@ class TestBoundCheckers:
         b = B.build_basis(0.0, 1.0, 2)
         with pytest.raises(DomainError):
             B.local_estimate(b, 0, grid_size=50)
+        with pytest.raises(DomainError, match="grid_size must lie in 100..100000, got 400.5"):
+            B.local_estimate(b, 0, grid_size=400.5)
+        assert B.local_estimate(b, 0, np.int64(400)) == B.local_estimate(b, 0, 400)
 
     def test_local_estimate_cache_never_stale(self):
         # alternate bases and grid sizes: each report must equal one computed

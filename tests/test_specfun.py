@@ -131,6 +131,11 @@ class TestBesselJ:
             specfun.bessel_j(1.0, -2.0)
         with pytest.raises(DomainError):
             specfun.bessel_j_ladder(1.0, 3, [1.0, -2.0])
+        for nu in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"bessel order must be finite and >= -1/2, got {nu}"):
+                specfun.bessel_j(nu, 1.0)
+            with pytest.raises(DomainError, match=f"bessel order must be finite and >= -1/2, got {nu}"):
+                specfun.bessel_j_ladder(nu, 2, [1.0])
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-1.0, "-1.0")])
@@ -597,3 +602,8 @@ class TestGaussJacobi:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.gauss_jacobi(0.5, 0)
+        # a node count that is not an integer is refused, not truncated
+        for m in (2.5, "5", True, math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"order m must be an integer >= 1, got {m!r}"):
+                specfun.gauss_jacobi(0.5, m)
+        assert specfun.gauss_jacobi(0.5, np.int64(5)) is specfun.gauss_jacobi(0.5, 5)

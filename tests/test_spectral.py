@@ -90,6 +90,10 @@ class TestFcOnJacobi:
                 spectral.fc_on_jacobi(0.5, 2.0, 1, x)
         assert spectral.fc_on_jacobi(0.5, 2.0, np.int64(3), 0.3) == \
             spectral.fc_on_jacobi(0.5, 2.0, 3, 0.3)
+        # alpha is named, not the Bessel order it sets
+        for alpha in (math.nan, math.inf, -2.0):
+            with pytest.raises(DomainError, match=f"alpha must be finite and > -1, got {alpha}"):
+                spectral.fc_on_jacobi(alpha, 1.0, 0, 0.5)
 
 
 def test_fc_terms_are_read_only():
