@@ -20,7 +20,8 @@ For each (alpha, c, nmax) this builds the basis at the start order
   |ratio - mu| / |mu| and the worst kept floor over |mu| of any n, against
   ``spectral._PROBE_TOL`` (1e-8); for a probe refusal, those of the n that
   failed;
-* whether ``build_basis`` had to double past the start.
+* ``refused``: the refusal of a cell whose start order ``build_basis``
+  refuses (its tail or interleave check); such a cell has no other column.
 
 Run from the repository root::
 
@@ -28,9 +29,8 @@ Run from the repository root::
     PYTHONPATH=src python scripts/truncation_grid.py --quick    # a few cells
     PYTHONPATH=src python scripts/truncation_grid.py --cell 0 100 50
 
-Exits 1 if any cell doubles, that is, fails the tail check at its start, or
-if any spectrum is LOST.  The default grid takes about four minutes on one
-core and about 100 MB.
+Exits 1 if any cell is refused at its start, or if any spectrum is LOST.
+The default grid takes about four minutes on one core and about 100 MB.
 """
 
 import argparse
@@ -43,7 +43,7 @@ import sys
 import time
 
 from gpswf import basis as B, spectral
-from gpswf.errors import ConsistencyError, GpswfError, TruncationError
+from gpswf.errors import ConsistencyError, GpswfError
 
 ALPHAS = (0.0, 0.5, 2.5, 5.0, 10.0, 30.0, 100.0)
 CS = (0.5, 3.0, 20.0, 50.0, 100.0, 300.0, 1000.0)
@@ -60,13 +60,13 @@ _REFUSAL = re.compile(r"spread ([0-9.e+-]+) \(floor ([0-9.e+-]+)\)")
 
 @contextlib.contextmanager
 def _only_order(M):
-    """``build_basis`` tries per-parity order M alone while this is open."""
-    saved = B._truncation_orders
-    B._truncation_orders = lambda *cell: iter((M,))
+    """``build_basis`` builds at per-parity order M while this is open."""
+    saved = B._start_order
+    B._start_order = lambda *cell: M
     try:
         yield
     finally:
-        B._truncation_orders = saved
+        B._start_order = saved
 
 
 def _tail(b):
@@ -75,19 +75,19 @@ def _tail(b):
 
 
 def _passes(alpha, c, nmax, M):
-    """Whether ``build_basis`` accepts order M alone: its tail check, the
-    interleave check and enough rows for nmax."""
+    """Whether ``build_basis`` accepts order M: its tail check and the
+    interleave check."""
     with _only_order(M):
         try:
             B.build_basis(alpha, c, nmax)
-        except (TruncationError, ConsistencyError):
+        except ConsistencyError:
             return False
     return True
 
 
 def smallest_order(alpha, c, nmax):
     """The smallest per-parity order at or below the start order that
-    ``build_basis`` accepts alone, by bisection; each parity block needs
+    ``build_basis`` accepts, by bisection; each parity block needs
     (nmax + 1) // 2 rows to hold its eigenvalues at all."""
     lo, hi = max((nmax + 1) // 2 - 1, 1), B._start_order(c, nmax)
     while hi - lo > 1:
@@ -114,7 +114,7 @@ def _spectrum_margin(b):
 
 def _spectrum(alpha, c, nmax, b):
     """The ``spectrum``, ``spread`` and ``floor`` columns: compute_spectrum
-    at the start (basis ``b``) and at the former start, built alone."""
+    at the start (basis ``b``) and at the former start."""
     now, spread, floor = _spectrum_margin(b)
     with _only_order(math.ceil(math.hypot(nmax, c) / 2) + 40):
         try:
@@ -128,15 +128,16 @@ def _spectrum(alpha, c, nmax, b):
 
 def survey(alpha, c, nmax):
     start = B._start_order(c, nmax)
-    b = B.build_basis(alpha, c, nmax)
-    row = {"alpha": alpha, "c": c, "nmax": nmax, "start": start, "doubled": b.trunc != start,
-           "tail": None, "need": None, "past": None, "slack": None,
-           **_spectrum(alpha, c, nmax, b)}
-    if row["doubled"]:
-        return row
+    row = {"alpha": alpha, "c": c, "nmax": nmax, "start": start, "refused": None}
+    try:
+        b = B.build_basis(alpha, c, nmax)
+    except ConsistencyError as exc:
+        return {**row, "refused": str(exc), "tail": None, "need": None, "past": None,
+                "slack": None, "spectrum": None, "spread": None, "floor": None}
     need = smallest_order(alpha, c, nmax)
     return {**row, "tail": _tail(b), "need": need,
-            "past": need - math.ceil(math.hypot(nmax, c) / 2), "slack": start - need}
+            "past": need - math.ceil(math.hypot(nmax, c) / 2), "slack": start - need,
+            **_spectrum(alpha, c, nmax, b)}
 
 
 def _dash(value, spec=""):
@@ -166,12 +167,14 @@ def main(argv=None):
         rows.append(row)
         print(f"{row['alpha']:6g} {row['c']:8.4g} {row['nmax']:5d} {row['start']:5d} "
               f"{_dash(row['need']):>5} {_dash(row['past']):>5} {_dash(row['slack']):>5} "
-              f"{_dash(row['tail'], '.1e'):>13} {row['spectrum']:>8} "
+              f"{_dash(row['tail'], '.1e'):>13} {_dash(row['spectrum']):>8} "
               f"{_dash(row['spread'], '.1e'):>8} {_dash(row['floor'], '.1e'):>8}"
-              f"{'  doubled' if row['doubled'] else ''}", flush=True)
-    ok = [r for r in rows if not r["doubled"]]
+              f"{'  refused at the start: ' + row['refused'] if row['refused'] else ''}",
+              flush=True)
+    ok = [r for r in rows if not r["refused"]]
     bad = len(rows) - len(ok)
-    summary = f"{len(rows)} cells in {time.perf_counter() - t0:.0f} s; {bad} doubled"
+    summary = (f"{len(rows)} cells in {time.perf_counter() - t0:.0f} s; "
+               f"{bad} refused at the start")
     if ok:
         worst = max(ok, key=lambda r: r["tail"])
         summary += (f"; largest need past ceil(hypot(nmax, c) / 2): "

@@ -505,11 +505,12 @@ def _cos_transform_table(alpha, jmax):
 
 # The exact wm norm holds the pair indices, arguments, products and terms of
 # every pair i <= j < K at its peak, and the transforms at the distinct pair
-# arguments: 545 bytes per pair under tracemalloc (K 300 and 600, lambda
-# 1.0001), above the _WM_PAIR_BYTES the bound takes (ROADMAP item 33).  A K
-# whose K(K+1)/2 pairs at _WM_PAIR_BYTES each pass _WM_NORM_BYTES, K past
-# _WM_NORM_MAX_K = 2110, is refused before any is built; K 2000 takes 1.1 GB.
-_WM_PAIR_BYTES = 482
+# arguments: 545 and 546 bytes per pair under tracemalloc (K 300 and 600,
+# lambda 1.0001, alpha 0.5, from empty tables), which _WM_PAIR_BYTES rounds
+# up.  A K whose K(K+1)/2 pairs at _WM_PAIR_BYTES each pass _WM_NORM_BYTES,
+# K past _WM_NORM_MAX_K = 1957, is refused before any is built (ROADMAP
+# item 33).
+_WM_PAIR_BYTES = 560
 _WM_NORM_BYTES = 2 ** 30
 _WM_NORM_MAX_K = (math.isqrt(8 * (_WM_NORM_BYTES // _WM_PAIR_BYTES) + 1) - 1) // 2
 

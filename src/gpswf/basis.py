@@ -333,11 +333,11 @@ def _splice(mant, expo):
 # bump of ``experiments._FORMAT_VERSION``.
 _TAIL_BUFFER = 8   # trailing coefficients whose squared mass is checked
 _TAIL_TOL = 1e-24  # largest squared tail mass accepted in any eigenvector
-_M_CAP = 8192      # largest per-parity order reached by doubling
+_M_CAP = 8192      # largest per-parity start order built
 
 
 def _start_order(c, nmax):
-    """The first per-parity order tried: ``ceil(hypot(nmax, c) / 2) + 24``.
+    """The per-parity truncation order: ``ceil(hypot(nmax, c) / 2) + 24``.
 
     By the bracket of :func:`chi_bracket` every kept chi_n is at most
     nmax(nmax + 2a + 1) + c^2, so above Jacobi degree K* ~ hypot(nmax, c)
@@ -351,33 +351,22 @@ def _start_order(c, nmax):
     :func:`spectral.compute_spectrum` needs no more at any alpha: its floor
     counts the rounding of psi_n(x*) near x = +-1, where the Jacobi rows
     grow like k^(alpha + 1/2), and the transform terms keep their digits
-    where the Bessel factor alone would underflow.
+    where the Bessel factor alone would underflow.  The order is at least
+    (nmax + 1) // 2 + 24, so each parity block holds its kept eigenvalues.
     """
     return math.ceil(math.hypot(nmax, c) / 2) + 24
 
 
-def _truncation_orders(alpha, c, nmax):
-    """Per-parity truncation orders that :func:`build_basis` tries, in order:
-    :func:`_start_order`, then doublings while they stay within ``_M_CAP``.
-    A start past the cap raises TruncationError before any order is tried.
-    """
-    m = _start_order(c, nmax)
-    if m > _M_CAP:
-        raise TruncationError(f"start order {m} for alpha={alpha!r}, c={c!r}, "
-                              f"nmax={nmax} is past the truncation cap {_M_CAP}")
-    yield m
-    while 2 * m <= _M_CAP:
-        m *= 2
-        yield m
-
-
 def build_basis(alpha, c, nmax):
-    """Build a basis with nmax eigenpairs, choosing the truncation adaptively.
+    """Build a basis with nmax eigenpairs at the truncation order
+    :func:`_start_order`.
 
-    The per-parity truncation runs through :func:`_truncation_orders` until
-    the squared mass in the last ``_TAIL_BUFFER`` coefficients of every
-    retained eigenvector is below ``_TAIL_TOL``.  Eigenvalues come from
-    :func:`eig_symtridiag` (LAPACK), eigenvectors from the spliced recurrence of :func:`_recurrence_vectors`.
+    Each parity block is assembled and solved once.  The squared mass in the
+    last ``_TAIL_BUFFER`` coefficients of every retained eigenvector must be
+    at most ``_TAIL_TOL``, or TruncationError names the worst n; a start
+    order past ``_M_CAP`` raises DomainError before any assembly.
+    Eigenvalues come from :func:`eig_symtridiag` (LAPACK), eigenvectors from
+    the spliced recurrence of :func:`_recurrence_vectors`.
     """
     if not math.isfinite(alpha) or alpha < 0.0:
         raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
@@ -385,34 +374,26 @@ def build_basis(alpha, c, nmax):
         raise DomainError(f"basis construction requires c > 0, got {c!r}")
     if not (_is_integer(nmax) and nmax >= 1):
         raise DomainError(f"nmax must be an integer >= 1, got {nmax!r}")
-    for M in _truncation_orders(alpha, c, nmax):
-        if M < (nmax + 1) // 2:
-            raise TruncationError(
-                f"truncation order {M} gives fewer than {(nmax + 1) // 2} "
-                f"rows per parity for nmax={nmax}")
-        tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
-        spectra = [eig_symtridiag(t).values for t in tris]
-        chi = _merge_parities(*spectra, nmax)
-        # a march that overflows (c below about 1e-63) leaves a non-finite
-        # tail, which is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = _recurrence_vectors(tris, spectra, nmax)
-        tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
-        worst = int(np.argmax(tails))  # the first NaN, if there is one
-        if tails[worst] <= _TAIL_TOL:
-            break
-        if not math.isfinite(tails[worst]):
-            # a larger order repeats the overflow: refuse at the first
-            raise TruncationError(
-                f"coefficient tail mass {tails[worst]} at n={worst}, truncation "
-                f"order {M}: the eigenvector march overflowed at c={c!r}, whose "
-                f"off-diagonals fall to {min(t.offdiag.min() for t in tris):.3e}",
-                n=worst, tail_mass=float(tails[worst]))
-    else:
-        raise TruncationError(
-            f"coefficient tail mass {tails[worst]:.3e} at n={worst} still "
-            f"above {_TAIL_TOL:.1e} at truncation order {M}",
-            n=worst, tail_mass=float(tails[worst]))
+    M = _start_order(c, nmax)
+    if M > _M_CAP:
+        raise DomainError(f"start order {M} for alpha={alpha!r}, c={c!r}, nmax={nmax} "
+                          f"is past the truncation cap {_M_CAP}")
+    tris = [assemble_eigensystem(alpha, c, M, p) for p in ("even", "odd")]
+    spectra = [eig_symtridiag(t).values for t in tris]
+    chi = _merge_parities(*spectra, nmax)
+    # a march that overflows (c below about 1e-63 at small alpha and nmax)
+    # leaves a non-finite tail, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = _recurrence_vectors(tris, spectra, nmax)
+    tails = np.sum(beta[:, -_TAIL_BUFFER:] ** 2, axis=1)
+    worst = int(np.argmax(tails))  # the first NaN, if there is one
+    if not tails[worst] <= _TAIL_TOL:
+        why = (f"above {_TAIL_TOL:.1e}" if math.isfinite(tails[worst]) else
+               f"the eigenvector march overflowed at c={c!r}, whose off-diagonals "
+               f"fall to {min(t.offdiag.min() for t in tris):.3e}")
+        raise TruncationError(f"coefficient tail mass {tails[worst]:.3e} at n={worst}, "
+                              f"truncation order {M}: {why}",
+                              n=worst, tail_mass=float(tails[worst]))
     return _apply_sign_convention(GpswfBasis(alpha=float(alpha), c=float(c), trunc=M,
                                              nmax=int(nmax), chi=chi, beta=beta))
 

@@ -14,7 +14,7 @@ class ConsistencyError(GpswfError, RuntimeError):
 
 
 class TruncationError(ConsistencyError):
-    """Jacobi-coefficient tail mass not resolved at the truncation cap."""
+    """Jacobi-coefficient tail mass not resolved at the start order."""
 
     def __init__(self, message, n=None, tail_mass=None):
         super().__init__(message)

@@ -115,12 +115,18 @@ def _fc_terms(alpha, kmax, u):
     return terms
 
 
+def _check_bandwidth(c):
+    """Refuse a bandwidth c that is not finite and > 0 with DomainError, in
+    one chained comparison, which NaN fails."""
+    if not 0.0 < c < math.inf:
+        raise DomainError(f"bandwidth c must be > 0, got {c!r}")
+
+
 def fc_on_jacobi(alpha, c, k, x):
     """(F_c Jt_k)(x) = i^k sqrt(pi) (2/(c|x|))^(a+1/2) G(k+a+1)/(G(k+1) sqrt(h_k))
     J_{k+a+1/2}(c|x|), extended to x < 0 by parity; at x = 0 only k = 0
     survives, with value int Jt_0 w_a = sqrt(m0)."""
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"bandwidth c must be > 0, got {c!r}")
+    _check_bandwidth(c)
     alpha = specfun._check_alpha(alpha)
     if not (specfun._is_integer(k) and k >= 0):
         raise DomainError(f"the Jacobi order k must be an integer >= 0, got {k!r}")
@@ -194,8 +200,10 @@ def decay_bound_check(n, mu_abs, alpha, c):
     log lambda_n comes from |mu_n| (:func:`_log_lambda`), so the lambda
     margin stays finite where lambda_n itself underflows to 0.
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
-    verdict with infinite margins.
+    verdict with infinite margins.  A c that is not finite and > 0 raises
+    DomainError.
     """
+    _check_bandwidth(c)
     applicable = n > (math.e * c + 1.0) / 2.0
     if not applicable:
         return DecayVerdict(n=n, applicable=False, log_mu_bound=math.inf,
@@ -443,6 +451,7 @@ def compute_spectrum(basis):
 
 def kernel_trace(alpha, c):
     """Trace of the concentration operator: (c/2) (Gamma(a+1)/Gamma(a+3/2))^2."""
+    _check_bandwidth(c)
     return 0.5 * c * math.exp(2.0 * (specfun.ln_gamma(alpha + 1.0)
                                      - specfun.ln_gamma(alpha + 1.5)))
 
@@ -453,6 +462,7 @@ _TAIL_MAX_TERMS = 20000
 
 def lambda_bound_tail(alpha, c, n_from):
     """Upper bound on sum_{n >= n_from} lambda_n from the decay estimate."""
+    _check_bandwidth(c)
     n0 = int(max(n_from, math.floor((math.e * c + 1.0) / 2.0) + 1))
     if n0 > n_from:
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")

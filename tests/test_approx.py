@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -146,12 +147,12 @@ class TestCorpus:
                     call()
 
     def test_wm_norm_refuses_past_its_pair_bound(self, monkeypatch):
-        # K 2000 stays inside the bound; past it, and at the default K
-        # 107047 of the wm spec below, the norm is refused before any pair
-        # array is built
+        # past the bound (K 1957 at 560 bytes per pair, so K 2000 is
+        # refused), and at the default K 107047 of the wm spec below, the
+        # norm is refused before any pair array is built
         pairs = approx._WM_NORM_BYTES // approx._WM_PAIR_BYTES
         kmax = approx._WM_NORM_MAX_K
-        assert 2000 <= kmax and kmax * (kmax + 1) // 2 <= pairs < (kmax + 1) * (kmax + 2) // 2
+        assert kmax == 1957 and kmax * (kmax + 1) // 2 <= pairs < (kmax + 1) * (kmax + 2) // 2
 
         def no_pairs(*args):
             raise AssertionError("built the pair indices")
@@ -163,6 +164,21 @@ class TestCorpus:
         assert f.params["K"] == 107047
         with pytest.raises(DomainError, match="got K=107047"):
             f.exact(B.build_basis(0.5, 2.0, 3), 3)
+
+    def test_wm_norm_peak_stays_within_its_pair_bytes(self):
+        # the traced peak of the exact norm from empty tables, per pair: the
+        # rate the bound above charges must not understate it
+        K = 300
+        approx._wm_l2_norm_squared.cache_clear()
+        approx._wm_pair_transforms.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            approx._wm_l2_norm_squared(0.5, 0.5, 1.0001, K)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / (K * (K + 1) // 2) <= approx._WM_PAIR_BYTES
 
     def test_user_sampled_interpolates(self):
         grid = np.linspace(-1, 1, 21)

@@ -158,44 +158,45 @@ class TestBuildBasis:
             assert float(np.sum(basis_05_2.beta[n][-8:] ** 2)) <= 1e-24
 
     def test_truncation_cap_error(self, monkeypatch):
-        # orders far too short for c = 30: every one leaves tail mass behind
-        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((24, 28)))
-        with pytest.raises(TruncationError, match="truncation order 28"):
+        # an order far too short for c = 30 leaves tail mass behind: the one
+        # order is refused, after one assembly per parity
+        assembled = []
+
+        def counted(*args):
+            assembled.append(args)
+            return assemble(*args)
+
+        assemble = B.assemble_eigensystem
+        monkeypatch.setattr(B, "assemble_eigensystem", counted)
+        monkeypatch.setattr(B, "_start_order", lambda *cell: 24)
+        with pytest.raises(TruncationError, match=r"coefficient tail mass \S+ at n=\d+, "
+                                                  r"truncation order 24: above 1\.0e-24$") as err:
             B.build_basis(0.5, 30.0, 40)
+        assert [args[2:] for args in assembled] == [(24, "even"), (24, "odd")]
+        assert 0 <= err.value.n < 40 and err.value.tail_mass > B._TAIL_TOL
+        assert f"{err.value.tail_mass:.3e} at n={err.value.n}," in str(err.value)
 
     def test_start_past_cap_raises_before_assembly(self, monkeypatch):
-        # nmax 20000 starts at order 10025, past _M_CAP: no 10025^2 eigensolve
+        # nmax 20000 starts at order 10025, past _M_CAP: no 10025^2 eigensolve;
+        # the refusal turns on (c, nmax) alone, an input out of range
         def no_assembly(*args):
             raise AssertionError("assembled a system past the cap")
 
         monkeypatch.setattr(B, "assemble_eigensystem", no_assembly)
-        with pytest.raises(TruncationError, match="start order 10025 .* past the truncation cap"):
+        with pytest.raises(DomainError, match="start order 10025 .* past the truncation cap 8192"):
             B.build_basis(0.5, 5.0, 20000)
+        with pytest.raises(DomainError, match="start order 500025 .* past the truncation cap"):
+            B.build_basis(0.5, 1e6, 10)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowed_march_raises_at_the_first_order(self, monkeypatch):
+    def test_overflowed_march_raises_at_the_first_order(self):
         # c = 1e-70: off-diagonals of 2.5e-141 overflow the march at the start
-        # order 26, and no doubling mends a NaN tail (they would run to 6656)
+        # order 26, which is refused with the overflow named
         assert B.build_basis(0.5, 1e-50, 4).trunc == 26  # finite at 1e-50
-        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((26, 52)))
         with pytest.raises(TruncationError, match="order 26: the eigenvector march "
-                                                  "overflowed at c=1e-70"):
+                                                  "overflowed at c=1e-70") as err:
             B.build_basis(0.5, 1e-70, 4)
-
-    def test_order_short_of_nmax_names_it(self, monkeypatch):
-        # 2 rows per parity cannot hold the 17 even n of nmax 34
-        monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((2,)))
-        with pytest.raises(TruncationError, match="truncation order 2 "):
-            B.build_basis(0.0, math.pi, 34)
-
-    def test_short_start_grows_and_passes(self, monkeypatch):
-        # a start below the smallest passing order (167 here) doubles once
-        ref = B.build_basis(0.5, 200.0, 230)
-        monkeypatch.setattr(B, "_start_order", lambda *cell: 120)
-        b = B.build_basis(0.5, 200.0, 230)
-        assert b.trunc == 240
-        assert max(float(np.sum(v[-8:] ** 2)) for v in b.beta) <= 1e-24
-        np.testing.assert_allclose(b.chi, ref.chi, rtol=1e-12, atol=0)
+        assert err.value.n == 0 and math.isnan(err.value.tail_mass)
 
     def test_sign_convention(self, basis_05_2):
         for n in range(basis_05_2.nmax):
@@ -322,6 +323,15 @@ class TestTruncationRule:
         need = truncation_grid.smallest_order(alpha, c, nmax)
         assert B._start_order(c, nmax) - need <= 44
 
+    def test_grid_script_exits_1_on_a_refused_start(self, monkeypatch, capsys):
+        assert truncation_grid.main(["--cell", "0", "50", "25"]) == 0
+        assert "; 0 refused at the start;" in capsys.readouterr().out
+        monkeypatch.setattr(B, "_start_order", lambda *cell: 24)
+        assert truncation_grid.main(["--cell", "0", "50", "25"]) == 1
+        out = capsys.readouterr().out
+        assert "refused at the start: coefficient tail mass" in out
+        assert "; 1 refused at the start;" in out
+
     # cells whose probe verdict turned on the order alone, through terms
     # whose Bessel factor underflowed and psi_n(x*)'s own rounding near x = 1:
     # each spectrum passes at 24, 40, 41 and 50 rows past ceil(hypot(nmax, c) / 2)
@@ -332,7 +342,7 @@ class TestTruncationRule:
     def test_spectrum_verdict_does_not_turn_on_the_order(self, monkeypatch, alpha, c, nmax):
         for rows in (24, 40, 41, 50):
             M = math.ceil(math.hypot(nmax, c) / 2) + rows
-            monkeypatch.setattr(B, "_truncation_orders", lambda *cell: iter((M,)))
+            monkeypatch.setattr(B, "_start_order", lambda *cell: M)
             b = B.build_basis(alpha, c, nmax)
             assert b.trunc == M
             assert len(compute_spectrum(b)) == nmax, rows

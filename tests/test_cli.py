@@ -294,6 +294,7 @@ def test_fn_spec_exits_0_only_with_finite_numbers(spec):
     ("wm:s=-364628.0662452155,lambda=1.0000000009130565", 107047),
     ("wm:s=0.5,lambda=1.0001", 242919),
     ("wm:s=1,lambda=1.1,K=2111", 2111),
+    ("wm:s=1,lambda=1.1,K=1958", 1958),  # the first K past the bound
 ])
 def test_project_wm_norm_past_its_pair_bound_exits_1(capsys, cache_args, monkeypatch, fn, K):
     # refused before the exact norm builds its K(K+1)/2 pairs (10.7 GiB of
@@ -320,6 +321,14 @@ def test_size_past_its_cap_exits_1(capsys, cache_args, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "must lie in" in err
+
+
+def test_start_order_past_the_cap_exits_1(capsys, cache_args):
+    # the start order turns on (c, nmax) alone: an input out of range
+    assert run_cli(capsys, "spectrum", "--alpha", "0.5", "--c", "5", "--nmax", "20000",
+                   *cache_args) == (
+        1, "", "error: start order 10025 for alpha=0.5, c=5.0, nmax=20000 is past the "
+        "truncation cap 8192\n")
 
 
 def test_bounds_checks_the_grid_before_the_basis(capsys, monkeypatch):

@@ -76,8 +76,9 @@ class TestFcOnJacobi:
         assert v0 == pytest.approx(ref, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            spectral.fc_on_jacobi(0.5, -1.0, 0, 0.3)
+        for c in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"bandwidth c must be > 0, got {c}$"):
+                spectral.fc_on_jacobi(0.5, c, 0, 0.3)
         with pytest.raises(DomainError):
             spectral.fc_on_jacobi(0.5, 2.0, 0, 1.4)
         # k = -1 would index from the end, 2.5 fails inside numpy, and a NaN
@@ -148,6 +149,15 @@ class TestSpectrum:
         # (c/2)(G(1)/G(3/2))^2 = 2c/pi
         assert spectral.kernel_trace(0.0, 3.0) == pytest.approx(
             6.0 / math.pi, rel=1e-13)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -3.0, math.nan, math.inf])
+    def test_sums_refuse_a_bandwidth_not_finite_and_positive(self, c):
+        # the sums take the bandwidth that fc_on_jacobi takes: finite, > 0
+        for call in (lambda: spectral.decay_bound_check(5, 1e-3, 0.5, c),
+                     lambda: spectral.lambda_bound_tail(0.5, c, 5),
+                     lambda: spectral.kernel_trace(0.5, c)):
+            with pytest.raises(DomainError, match=f"bandwidth c must be > 0, got {c}$"):
+                call()
 
     def test_probe_failure_raises(self, basis_05_2):
         # artificially corrupt one coefficient vector: probes must disagree
