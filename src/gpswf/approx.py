@@ -10,7 +10,7 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from . import backend, specfun, spectral
-from .basis import _drop_repeats, _unfold
+from .basis import _unfold
 from .errors import DomainError
 from .specfun import _is_integer
 
@@ -503,73 +503,69 @@ def _cos_transform_table(alpha, jmax):
     return w
 
 
-# The exact wm norm holds the pair indices, arguments, products and terms of
-# every pair i <= j < K at its peak, and the transforms at the distinct pair
-# arguments: 545 and 546 bytes per pair under tracemalloc (K 300 and 600,
-# lambda 1.0001, alpha 0.5, from empty tables), which _WM_PAIR_BYTES rounds
-# up.  A K whose K(K+1)/2 pairs at _WM_PAIR_BYTES each pass _WM_NORM_BYTES,
-# K past _WM_NORM_MAX_K = 1957, is refused before any is built (ROADMAP
-# item 33).
-_WM_PAIR_BYTES = 560
-_WM_NORM_BYTES = 2 ** 30
-_WM_NORM_MAX_K = (math.isqrt(8 * (_WM_NORM_BYTES // _WM_PAIR_BYTES) + 1) - 1) // 2
+# the most bytes the pair table of the exact wm norm may take: K <= 2896
+_WM_TABLE_BYTES = 2 ** 26
 
 
 def wm_l2_norm_squared(alpha, s, lam, K):
     """Exact ||M_{s,lam}||^2 in L2(w_a) for the K-term truncation (memoised).
 
-    Its pair sums reach 2 lam^(K-1), and its pairs take about
-    ``_WM_PAIR_BYTES`` each: a K where either passes what a double or
-    ``_WM_NORM_BYTES`` holds raises DomainError."""
+    Its pair sums reach 2 lam^(K-1), and its pair table takes 8 K^2 bytes: a
+    K where either passes what a double or ``_WM_TABLE_BYTES`` holds raises
+    DomainError, before any transform is computed."""
     K = _wm_terms(s, lam, K)
     _check_wm_power(lam, K, 2.0, "the pair sum 2 lambda^(K-1)")
-    if K > _WM_NORM_MAX_K:
-        raise DomainError(f"the exact wm norm takes K <= {_WM_NORM_MAX_K}, got K={K}: its "
-                          f"K(K+1)/2 pairs take about {_WM_PAIR_BYTES} bytes each, "
-                          f"at most {_WM_NORM_BYTES >> 20} MiB in all")
+    if 8 * K * K > _WM_TABLE_BYTES:
+        raise DomainError(f"the exact wm norm takes K <= {math.isqrt(_WM_TABLE_BYTES // 8)}, "
+                          f"got K={K}: its pair table takes 8 K^2 bytes, at most "
+                          f"{_WM_TABLE_BYTES >> 20} MiB")
     # the memo sits behind a plain function, which perfbench's tracer wraps
     return _wm_l2_norm_squared(alpha, s, lam, K)
 
 
+def _pair_blocks(start, K):
+    # bounds (lo, hi) of the blocks of rows or columns of a K x K pair table:
+    # at most _EVAL_BLOCK^2 / 4 entries, at about 200 bytes per transform
+    step = max(1, _EVAL_BLOCK ** 2 // (4 * K))
+    return [(lo, min(lo + step, K)) for lo in range(start, K, step)]
+
+
 @_grown_lru(maxsize=8, nkey=2)
-def _wm_pair_transforms(kept, alpha, lam, u):
-    """(args, W(args)), read-only, over sorted distinct arguments that cover
-    the sorted distinct ``u``: one table per (alpha, lam), grown by the
-    arguments it lacks from one :func:`_cos_transforms` call.  The pair
-    arguments of a smaller K are a subset of a larger K's, so the table of
-    the largest K serves every s."""
-    if kept is None:
-        kept = (np.empty(0), np.empty(0))
-    missing = np.setdiff1d(u, kept[0], assume_unique=True)
-    if missing.size:
-        args = np.concatenate([kept[0], missing])
-        order = np.argsort(args)
-        kept = (args[order],
-                np.concatenate([kept[1], _cos_transforms(alpha, missing)])[order])
-        for a in kept:
-            a.setflags(write=False)
-    return kept, kept
+def _wm_pair_products(kept, alpha, lam, K):
+    """The K x K table P[i, j] = int sin(lam^i x) sin(lam^j x) w_a(x) dx =
+    (W(|lam^i - lam^j|) - W(lam^i + lam^j)) / 2 for i <= j, 0 below, read-only.
+    One table per (alpha, lam) grows by the columns j it lacks, each block of
+    them from one :func:`_cos_transforms` call; a smaller K reads its leading
+    K x K block."""
+    kept = np.zeros((0, 0)) if kept is None else kept
+    have = len(kept)
+    if K > have:
+        kept = np.pad(kept, (0, K - have))
+        freqs = lam ** np.arange(K)
+        for lo, hi in _pair_blocks(have, K):
+            upper = np.arange(hi)[:, None] <= np.arange(lo, hi)
+            fi = np.broadcast_to(freqs[:hi, None], upper.shape)[upper]
+            fj = np.broadcast_to(freqs[lo:hi], upper.shape)[upper]
+            w = _cos_transforms(alpha, np.concatenate([np.abs(fi - fj), fi + fj]))
+            kept[:hi, lo:hi][upper] = 0.5 * (w[:fi.size] - w[fi.size:])
+        kept.setflags(write=False)
+    return kept, kept[:K, :K]
 
 
 @lru_cache(maxsize=64)
 def _wm_l2_norm_squared(alpha, s, lam, K):
-    """Sums amps_i amps_j P[i, j] pairwise over i <= j < K, where P[i, j] =
-    int sin(lam^i x) sin(lam^j x) w_a(x) dx comes from the transforms at the
-    distinct arguments |lam^i - lam^j| and lam^i + lam^j, which
-    :func:`_wm_pair_transforms` keeps per (alpha, lam)."""
-    freqs = lam ** np.arange(K)
-    iu, ju = np.triu_indices(K)
-    diff = np.abs(freqs[iu] - freqs[ju])
-    sums = freqs[iu] + freqs[ju]
-    args = np.sort(np.concatenate([diff, sums]))
-    u, w = _wm_pair_transforms(alpha, lam, args[_drop_repeats(args)])
-    # int sin(ax) sin(bx) w = (cosT(|a-b|) - cosT(a+b)) / 2, row by row over
-    # i <= j as np.triu_indices orders them
-    prods = 0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])
+    """Sums ((1 or 2) amps_i) amps_j P[i, j] over the pairs i <= j < K of
+    :func:`_wm_pair_products`, row by row as a pair loop takes them, one
+    block of rows at a time with a running total."""
+    table = _wm_pair_products(alpha, lam, K)
     amps = lam ** (-(2.0 - s) * np.arange(K))
-    terms = np.where(iu == ju, 1.0, 2.0) * amps[iu] * amps[ju] * prods
-    # cumsum adds in sequence, where np.sum adds pairwise
-    return float(np.cumsum(terms)[-1])
+    total = np.empty(0)
+    for lo, hi in _pair_blocks(0, K):
+        i, j = np.arange(lo, hi)[:, None], np.arange(lo, K)
+        terms = np.where(i == j, 1.0, 2.0) * amps[i] * amps[j] * table[lo:hi, lo:]
+        # cumsum adds in sequence, where np.sum adds pairwise
+        total = np.cumsum(np.concatenate([total, terms[i <= j]]))[-1:]
+    return float(total[0])
 
 
 def _parseval_error(norm2, coeffs):
@@ -604,10 +600,11 @@ def cosine_transform_table(basis, k_max, N):
 
 
 def _amplitudes(amplitudes):
-    """The amplitudes of a cosine series as floats; it needs at least one."""
+    """A cosine series' amplitudes: a 1-D float array of at least one entry, all finite."""
     y = np.asarray(amplitudes, dtype=float)
-    if y.size < 1:
-        raise DomainError("a cosine series needs at least one amplitude")
+    if y.ndim != 1 or y.size < 1 or not np.isfinite(y).all():
+        raise DomainError(f"a cosine series needs at least one amplitude, all finite, "
+                          f"in a 1-D array; got shape {y.shape}")
     return y
 
 
@@ -680,6 +677,8 @@ def periodic_coefficient(basis, k, n):
         u = math.inf
     if not math.isfinite(u):
         raise DomainError(f"the frequency |k| pi is not a finite double at k={k!r}")
+    if not _is_integer(k):
+        raise DomainError(f"the frequency index k={k!r} is not an integer")
     if k == 0:
         if n % 2 == 1:
             return 0.0j

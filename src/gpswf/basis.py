@@ -47,8 +47,8 @@ def assemble_eigensystem(alpha, c, M, parity):
         raise DomainError(f"alpha must be > -1, got {alpha!r}")
     if not math.isfinite(c) or c < 0.0:
         raise DomainError(f"bandwidth c must be >= 0, got {c!r}")
-    if M < 2:
-        raise DomainError(f"truncation order must be >= 2, got {M!r}")
+    if not (_is_integer(M) and M >= 2):
+        raise DomainError(f"truncation order M must be an integer >= 2, got {M!r}")
     p = _PARITIES.get(parity)
     if p is None:
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")

@@ -194,16 +194,26 @@ def _log_lambda(mu_abs, c):
     return math.log(c / (2.0 * math.pi)) + 2.0 * _log_mu(mu_abs)
 
 
+def _check_index(n, name):
+    """Refuse an index n that is not an integer >= 0 with DomainError."""
+    if not (specfun._is_integer(n) and n >= 0):
+        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
+
+
 def decay_bound_check(n, mu_abs, alpha, c):
     """Super-exponential decay bounds on |mu_n| and lambda_n, in log space.
 
     log lambda_n comes from |mu_n| (:func:`_log_lambda`), so the lambda
     margin stays finite where lambda_n itself underflows to 0.
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
-    verdict with infinite margins.  A c that is not finite and > 0 raises
-    DomainError.
+    verdict with infinite margins.  A c that is not finite and > 0, an n
+    that is not an integer >= 0, or a modulus |mu_n| that is NaN, negative
+    or infinite raises DomainError.
     """
     _check_bandwidth(c)
+    _check_index(n, "n")
+    if not 0.0 <= mu_abs < math.inf:
+        raise DomainError(f"the modulus |mu_n| must be finite and >= 0, got {mu_abs!r}")
     applicable = n > (math.e * c + 1.0) / 2.0
     if not applicable:
         return DecayVerdict(n=n, applicable=False, log_mu_bound=math.inf,
@@ -461,8 +471,10 @@ _TAIL_MAX_TERMS = 20000
 
 
 def lambda_bound_tail(alpha, c, n_from):
-    """Upper bound on sum_{n >= n_from} lambda_n from the decay estimate."""
+    """Upper bound on sum_{n >= n_from} lambda_n from the decay estimate;
+    n_from must be an integer >= 0 past (e c + 1)/2."""
     _check_bandwidth(c)
+    _check_index(n_from, "n_from")
     n0 = int(max(n_from, math.floor((math.e * c + 1.0) / 2.0) + 1))
     if n0 > n_from:
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")

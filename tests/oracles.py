@@ -8,8 +8,9 @@ against.  pytest does not collect this file; test modules ``import oracles``.
 * The norm of a cosine series from the two direct O(K^2) products, and the
   sup error of a projection from the N x 2001 psi table on the sup grid:
   the forms the library's FFT norm and one-series sup error replaced.
-* The exact wm norm summed pair by pair in a Python loop over lists: the
-  form that the library's array product and running sum replaced.
+* The exact wm norm summed pair by pair in a Python loop over lists, each
+  row's transforms computed afresh: the form that the library's pair table
+  and blocked running sum replaced.
 * The one-argument Hankel sum with ``math.cos`` and ``math.sin``: the
   form the array Hankel start replaced.
 * The transform of one psi_n at one argument from ``math.fsum`` over a
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gpswf import approx, backend, specfun, spectral
-from gpswf.basis import _drop_repeats, build_basis, moment_b
+from gpswf.basis import build_basis, moment_b
 
 
 def concentration_kernel(alpha, u):
@@ -113,19 +114,19 @@ def cosine_series_norm2(alpha, weighted_amplitudes):
 
 def wm_l2_norm_squared(alpha, s, lam, K):
     """||M_{s,lam}||^2 in L2(w_a) for K terms: one add per pair i <= j < K
-    in np.triu_indices order, (1 or 2) amps_i amps_j P[i, j] from Python
-    floats, over the transforms the library keeps per (alpha, lam)."""
+    in row order, (1 or 2) amps_i amps_j P[i, j] from Python floats, with
+    each row's transforms from one ``approx._cos_transforms`` call over its
+    own pair arguments, not from the library's pair table."""
     freqs = lam ** np.arange(K)
-    iu, ju = np.triu_indices(K)
-    diff = np.abs(freqs[iu] - freqs[ju])
-    sums = freqs[iu] + freqs[ju]
-    args = np.sort(np.concatenate([diff, sums]))
-    u, w = approx._wm_pair_transforms(alpha, lam, args[_drop_repeats(args)])
-    prods = (0.5 * (w[np.searchsorted(u, diff)] - w[np.searchsorted(u, sums)])).tolist()
     amps = (lam ** (-(2.0 - s) * np.arange(K))).tolist()
     total = 0.0
-    for i, j, p in zip(iu.tolist(), ju.tolist(), prods):
-        total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * p
+    for i in range(K):
+        row = freqs[i:]
+        w = approx._cos_transforms(alpha, np.concatenate([np.abs(freqs[i] - row),
+                                                          freqs[i] + row]))
+        prods = (0.5 * (w[:row.size] - w[row.size:])).tolist()
+        for j, p in enumerate(prods, start=i):
+            total += (1.0 if i == j else 2.0) * amps[i] * amps[j] * p
     return total
 
 

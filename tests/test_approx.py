@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import math
 import os
 import subprocess
@@ -147,17 +148,17 @@ class TestCorpus:
                     call()
 
     def test_wm_norm_refuses_past_its_pair_bound(self, monkeypatch):
-        # past the bound (K 1957 at 560 bytes per pair, so K 2000 is
-        # refused), and at the default K 107047 of the wm spec below, the
-        # norm is refused before any pair array is built
-        pairs = approx._WM_NORM_BYTES // approx._WM_PAIR_BYTES
-        kmax = approx._WM_NORM_MAX_K
-        assert kmax == 1957 and kmax * (kmax + 1) // 2 <= pairs < (kmax + 1) * (kmax + 2) // 2
+        # past the bound (K 2896, whose table of 8 K^2 bytes fills 64 MiB),
+        # and at the default K 107047 of the wm spec below, the norm is
+        # refused before any transform is computed
+        kmax = math.isqrt(approx._WM_TABLE_BYTES // 8)
+        assert kmax == 2896
+        assert 8 * kmax ** 2 <= approx._WM_TABLE_BYTES < 8 * (kmax + 1) ** 2
 
-        def no_pairs(*args):
-            raise AssertionError("built the pair indices")
+        def no_transforms(*args):
+            raise AssertionError("computed a transform")
 
-        monkeypatch.setattr(np, "triu_indices", no_pairs)
+        monkeypatch.setattr(approx, "_cos_transforms", no_transforms)
         with pytest.raises(DomainError, match=f"K <= {kmax}, got K={kmax + 1}"):
             approx.wm_l2_norm_squared(0.5, 0.5, 1.0001, kmax + 1)
         f = approx.weierstrass_mandelbrot(-364628.0662452155, 1.0000000009130565)
@@ -166,19 +167,21 @@ class TestCorpus:
             f.exact(B.build_basis(0.5, 2.0, 3), 3)
 
     def test_wm_norm_peak_stays_within_its_pair_bytes(self):
-        # the traced peak of the exact norm from empty tables, per pair: the
-        # rate the bound above charges must not understate it
-        K = 300
-        approx._wm_l2_norm_squared.cache_clear()
-        approx._wm_pair_transforms.cache_clear()
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            approx._wm_l2_norm_squared(0.5, 0.5, 1.0001, K)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak / (K * (K + 1) // 2) <= approx._WM_PAIR_BYTES
+        # the traced peak of the exact norm from empty tables: the table's
+        # 8 K^2 bytes and one block of at most _EVAL_BLOCK^2 / 4 pairs, whose
+        # two transform arguments take at most 256 bytes each
+        block = 2 * 256 * (approx._EVAL_BLOCK ** 2 // 4)
+        for K in (300, 600):
+            approx._wm_l2_norm_squared.cache_clear()
+            approx._wm_pair_products.cache_clear()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                approx._wm_l2_norm_squared(0.5, 0.5, 1.0001, K)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * K * K + block, K
 
     def test_user_sampled_interpolates(self):
         grid = np.linspace(-1, 1, 21)
@@ -649,14 +652,26 @@ class TestWmCoefficients:
         assert approx.wm_l2_norm_squared(alpha, s, 2.0, K) == ref
 
     @pytest.mark.parametrize("s,lam,K", [(1.0, 1.3, 12), (0.5, 1.0001, 300),
-                                         (0.5, 1.03, 694)])
+                                         (0.5, 1.0001, 600), (0.5, 1.03, 694)])
     def test_norm_bitwise_equals_the_pair_loop(self, s, lam, K):
-        # the array product and running sum against one add per pair, both
-        # over the same kept transforms
+        # the pair table and blocked running sum against one add per pair
+        # over transforms computed row by row
         _clear_wm_caches()
         got = approx.wm_l2_norm_squared(0.5, s, lam, K)
         assert np.float64(got).tobytes() == np.float64(
             oracles.wm_l2_norm_squared(0.5, s, lam, K)).tobytes()
+
+    def test_norm_check_script_quick(self, capsys):
+        # scripts/wm_norm_check.py --quick: K <= 300 bitwise the pair loop
+        # within the peak bound, and the first K past the cap refused
+        path = Path(__file__).resolve().parents[1] / "scripts" / "wm_norm_check.py"
+        spec = importlib.util.spec_from_file_location("wm_norm_check", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert script.main(["--quick"]) == 0
+        out = capsys.readouterr().out
+        assert out.count(" yes ") == 3 and "got K=2897: its pair table" in out
+        assert "4 cells in" in out and "; 0 failed" in out
 
     def test_projection_error_parseval_route(self, basis_wm):
         # coefficient-space error equals the quadrature residual norm
@@ -668,8 +683,8 @@ class TestWmCoefficients:
         assert err == pytest.approx(pr.l2w_error, rel=1e-6)
 
     def test_projection_error_leaves_numpy_ma_unloaded(self):
-        # the distinct pair arguments come from a sort, not np.unique, which
-        # imports numpy.ma into every wm-table process
+        # the exact norm calls no np.unique, which imports numpy.ma into
+        # every wm-table process
         code = ("import sys; from gpswf import approx, basis; "
                 "approx.wm_projection_error(basis.build_basis(0.5, 2.0, 16), 0.5, 2.0, 15); "
                 "print('numpy.ma' in sys.modules)")
@@ -739,7 +754,7 @@ class TestWmCoefficients:
 
 
 def _clear_wm_caches():
-    for cached in (approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+    for cached in (approx._wm_l2_norm_squared, approx._wm_pair_products,
                    approx._wm_term_rows):
         cached.cache_clear()
 
@@ -770,7 +785,7 @@ def wm_table_cells():
 
 
 class TestSharedTransformsOracle:
-    """The WM pair transforms and term rows shared across s, and the cosine
+    """The WM pair table and term rows shared across s, and the cosine
     table in 256-frequency batches: a table grown, shrunk or evicted across
     calls reads bitwise what a fresh call gives.  ``tests/golden`` pins the
     values themselves."""
@@ -831,20 +846,38 @@ class TestSharedTransformsOracle:
                 == longer[:k_max].tobytes())
 
     def test_pair_table_grows_by_the_missing_arguments(self, monkeypatch):
+        # K 24, then the 561 pairs of the columns 24..40 that K 41 adds,
+        # two transform arguments each; K 27 reads the table as it is
         _clear_wm_caches()
         calls = []
         transforms = approx._cos_transforms
         monkeypatch.setattr(approx, "_cos_transforms",
                             lambda a, u: calls.append(len(u)) or transforms(a, u))
-
-        def args(K):
-            f = 2.0 ** np.arange(K)
-            return set(np.abs(np.subtract.outer(f, f)).ravel().tolist()
-                       + np.add.outer(f, f).ravel().tolist())
-
         for K in (24, 41, 27):
             approx.wm_l2_norm_squared(0.5, 0.5, 2.0, K)
-        assert calls == [len(args(24)), len(args(41) - args(24))]
+        assert calls == [2 * 24 * 25 // 2, 2 * (41 * 42 - 24 * 25) // 2]
+
+    def test_smaller_k_reads_the_pair_table_without_transforms(self, monkeypatch):
+        # after K 41 (s 1) at (0.5, lambda 2), the norms at s 0.25, 0.5 and
+        # 0.75 (K 24, 27 and 33) read the table's leading rows and columns,
+        # bitwise the norms from empty tables
+        cells = [(s, approx.wm_truncation(s, 2.0)) for s in (0.25, 0.5, 0.75)]
+        assert [K for _, K in cells] == [24, 27, 33]
+        fresh = {}
+        for s, K in cells:
+            _clear_wm_caches()
+            fresh[s] = approx.wm_l2_norm_squared(0.5, s, 2.0, K)
+        _clear_wm_caches()
+        approx.wm_l2_norm_squared(0.5, 1.0, 2.0, 41)
+
+        def no_transforms(*args):
+            raise AssertionError("computed a transform")
+
+        monkeypatch.setattr(approx, "_cos_transforms", no_transforms)
+        approx._wm_l2_norm_squared.cache_clear()
+        for s, K in cells:
+            got = approx.wm_l2_norm_squared(0.5, s, 2.0, K)
+            assert np.float64(got).tobytes() == np.float64(fresh[s]).tobytes(), s
 
     def test_grown_tables_under_threads(self):
         # eight threads grow and evict the tables of a four-key LRU; every
@@ -978,8 +1011,18 @@ class TestCosineSeries:
     (lambda b: approx.periodic_coefficient(b, 10 ** 400, 3), r"not a finite double at k=10{400}$"),
     (lambda b: approx.periodic_coefficient(b, -10 ** 400, 2), r"not a finite double at k=-10{400}$"),
     (lambda b: approx.periodic_coefficient(b, math.inf, 3), r"not a finite double at k=inf$"),
+    (lambda b: approx.periodic_coefficient(b, 2.5, 0), r"^the frequency index k=2\.5 is not"),
+    (lambda b: approx.periodic_coefficient(b, 3.0, 0), r"^the frequency index k=3\.0 is not"),
+    (lambda b: approx.periodic_coefficient(b, True, 3), r"^the frequency index k=True is not"),
+    (lambda b: approx.cosine_series_norm2(b.alpha, [[1.0, 2.0]]), r"1-D array; got shape \(1, 2\)$"),
+    (lambda b: approx.cosine_series_norm2(b.alpha, [1.0, math.inf]), "all finite"),
+    (lambda b: approx.cosine_series_norm2(b.alpha, [math.nan]), "all finite"),
+    (lambda b: approx.brownian_from_coefficients(1.5, [[1.0, 2.0]]), r"got shape \(1, 2\)$"),
+    (lambda b: approx.cosine_series_projection(b, [1.0, -math.inf], 4), "all finite"),
 ], ids=["k_max_negative", "k_max_zero", "k_max_float", "norm_empty",
-        "projection_empty", "k_past_double", "k_past_double_negative", "k_inf"])
+        "projection_empty", "k_past_double", "k_past_double_negative", "k_inf",
+        "k_fraction", "k_whole_float", "k_bool", "norm_2d", "norm_inf", "norm_nan",
+        "brownian_2d", "projection_inf"])
 def test_transform_edges_raise_domain_error(basis_05_2, call, match):
     # each names the argument, as _check_N does, not a bare ValueError,
     # TypeError, IndexError or OverflowError from NumPy or float()

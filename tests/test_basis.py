@@ -90,6 +90,11 @@ class TestAssembly:
             B.assemble_eigensystem(-2.0, 2.0, 8, "even")
         with pytest.raises(DomainError):
             B.assemble_eigensystem(0.5, 2.0, 8, "sideways")
+        # a whole float or a fraction once built floor(M) + 1 or M rows
+        for M in (2.5, 2.0, True, "3"):
+            with pytest.raises(DomainError, match="truncation order M must be an integer"):
+                B.assemble_eigensystem(0.5, 5.0, M, "even")
+        assert B.assemble_eigensystem(0.5, 5.0, np.int64(3), "even").diag.size == 3
 
 
 class TestBuildBasis:

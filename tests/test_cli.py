@@ -293,16 +293,16 @@ def test_fn_spec_exits_0_only_with_finite_numbers(spec):
 @pytest.mark.parametrize("fn, K", [
     ("wm:s=-364628.0662452155,lambda=1.0000000009130565", 107047),
     ("wm:s=0.5,lambda=1.0001", 242919),
-    ("wm:s=1,lambda=1.1,K=2111", 2111),
-    ("wm:s=1,lambda=1.1,K=1958", 1958),  # the first K past the bound
+    ("wm:s=1,lambda=1.1,K=2897", 2897),  # the first K past the bound
 ])
 def test_project_wm_norm_past_its_pair_bound_exits_1(capsys, cache_args, monkeypatch, fn, K):
-    # refused before the exact norm builds its K(K+1)/2 pairs (10.7 GiB of
-    # pair indices alone at K 107047), with an error line, not a traceback
-    def no_pairs(*args):
-        raise AssertionError("built the pair indices")
+    # refused before the exact norm computes any transform of its pair
+    # table (8 K^2 bytes, 85 GiB at K 107047), with an error line, not a
+    # traceback
+    def no_transforms(*args):
+        raise AssertionError("computed a transform")
 
-    monkeypatch.setattr(np, "triu_indices", no_pairs)
+    monkeypatch.setattr(approx, "_cos_transforms", no_transforms)
     code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
                              "--fn", fn, "--N", "3", *cache_args)
     assert code == 1
@@ -684,7 +684,7 @@ def test_import_leaves_the_thread_pool_unloaded():
 def test_two_threads_write_the_same_csvs(capsys, tmp_path, name):
     written = {}
     for threads in ("1", "2"):
-        for cached in (approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+        for cached in (approx._wm_l2_norm_squared, approx._wm_pair_products,
                        approx._wm_term_rows, approx._cos_transform_table):
             cached.cache_clear()
         out_dir = tmp_path / f"threads{threads}"

@@ -90,7 +90,7 @@ def test_projection_ops_enter_every_expected_layer():
     # cosine norm must stay on the path.
     tracing, workloads = _load("tracing"), _load("workloads")
     for cached in (spectral._fc_terms, approx._cos_transform_table,
-                   approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+                   approx._wm_l2_norm_squared, approx._wm_pair_products,
                    approx._wm_term_rows, specfun._rule_cached):
         cached.cache_clear()  # warm transforms and rules skip their layers
     tracer = tracing.Tracer()
@@ -120,7 +120,7 @@ def test_scenario_runs_enter_every_expected_layer(tmp_path):
     # basis up (cache_get), misses and stores it (cache_put)
     tracing = _load("tracing")
     for cached in (spectral._fc_terms, approx._cos_transform_table,
-                   approx._wm_l2_norm_squared, approx._wm_pair_transforms,
+                   approx._wm_l2_norm_squared, approx._wm_pair_products,
                    approx._wm_term_rows, specfun._rule_cached):
         cached.cache_clear()  # warm transforms and rules skip their layers
     tracer = tracing.Tracer()

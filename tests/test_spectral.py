@@ -159,6 +159,30 @@ class TestSpectrum:
             with pytest.raises(DomainError, match=f"bandwidth c must be > 0, got {c}$"):
                 call()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: spectral.decay_bound_check(20, math.nan, 0.5, 5.0), "modulus .* finite and >= 0"),
+        (lambda: spectral.decay_bound_check(20, -1.0, 0.5, 5.0), "modulus .* finite and >= 0"),
+        (lambda: spectral.decay_bound_check(20, math.inf, 0.5, 5.0), "modulus .* finite and >= 0"),
+        (lambda: spectral.decay_bound_check(20.5, 1e-3, 0.5, 5.0), "^n must be an integer >= 0"),
+        (lambda: spectral.decay_bound_check(20.0, 1e-3, 0.5, 5.0), "^n must be an integer >= 0"),
+        (lambda: spectral.decay_bound_check(True, 1e-3, 0.5, 5.0), "^n must be an integer >= 0"),
+        (lambda: spectral.decay_bound_check(-1, 1e-3, 0.5, 5.0), "^n must be an integer >= 0"),
+        (lambda: spectral.lambda_bound_tail(0.5, 5.0, math.nan), "^n_from must be an integer >= 0"),
+        (lambda: spectral.lambda_bound_tail(0.5, 5.0, 20.5), "^n_from must be an integer >= 0"),
+        (lambda: spectral.lambda_bound_tail(0.5, 5.0, -3), "^n_from must be an integer >= 0"),
+    ], ids=["mu_nan", "mu_negative", "mu_inf", "n_fraction", "n_whole_float", "n_bool",
+            "n_negative", "n_from_nan", "n_from_fraction", "n_from_negative"])
+    def test_checks_refuse_an_index_or_modulus_out_of_range(self, call, message):
+        # a NaN or negative modulus once read as log 0, with margins +inf
+        with pytest.raises(DomainError, match=message):
+            call()
+
+    def test_checks_take_numpy_integers_and_a_zero_modulus(self):
+        v = spectral.decay_bound_check(np.int64(20), 0.0, 0.5, 5.0)
+        assert v.applicable and v.margin_mu == v.margin_lambda == math.inf
+        assert spectral.lambda_bound_tail(0.5, 5.0, np.int64(20)) == \
+            spectral.lambda_bound_tail(0.5, 5.0, 20)
+
     def test_probe_failure_raises(self, basis_05_2):
         # artificially corrupt one coefficient vector: probes must disagree
         import dataclasses
