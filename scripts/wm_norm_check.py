@@ -24,8 +24,8 @@ Run from the repository root::
     PYTHONPATH=src python scripts/wm_norm_check.py --cell 0.5 0.5 1.0001 1000
 
 Exits 1 on a mismatch, a peak above its bound, or a cell past the cap that
-is not refused.  The default cells take about two minutes on one core, most
-of it the cap's traced run, and about 100 MB.
+is not refused.  The default cells take about 25 seconds on one core, most
+of it the pair-loop oracle and the cap's traced run, and about 100 MB.
 """
 
 import argparse

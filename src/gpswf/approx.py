@@ -525,7 +525,7 @@ def wm_l2_norm_squared(alpha, s, lam, K):
 
 def _pair_blocks(start, K):
     # bounds (lo, hi) of the blocks of rows or columns of a K x K pair table:
-    # at most _EVAL_BLOCK^2 / 4 entries, at about 200 bytes per transform
+    # at most _EVAL_BLOCK^2 / 4 entries, at 90-150 traced bytes per transform
     step = max(1, _EVAL_BLOCK ** 2 // (4 * K))
     return [(lo, min(lo + step, K)) for lo in range(start, K, step)]
 
@@ -615,6 +615,7 @@ def cosine_series_norm2(alpha, weighted_amplitudes):
     The autocorrelation and the self-convolution of y come from one
     zero-padded real FFT of length L >= 2K - 1, O(K log K) in place of two
     O(K^2) direct products."""
+    alpha = specfun._check_alpha(alpha)
     y = _amplitudes(weighted_amplitudes)
     K = y.size
     w = _cos_transform_table(alpha, 2 * K)

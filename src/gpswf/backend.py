@@ -23,19 +23,20 @@ every row is bitwise what the argument would get alone.  One array expression
 splits the arguments between the regimes.  Arguments in the upward regime
 share one vectorised recurrence, which starts from one array Hankel sum per
 start order, its phase from libm's ``cos`` and ``sin`` of x, which reduce
-every double exactly.  Miller-regime arguments run in blocks through one array
-backward recurrence each, in which each column starts at its own order and
-rescales on its own, at orders that are multiples of 8 for every column, so
-every step is the same IEEE operations as the one-argument recurrence
+every double exactly.  Miller-regime arguments, ordered by one stable argsort
+of their start orders (one array expression, :func:`_miller_top`), run in
+blocks of array slices through one array backward recurrence each, in which
+each run of equal start orders joins as one slice and each column rescales
+on its own, at orders that are multiples of 8 for every column, so every
+step is the same IEEE operations as the one-argument recurrence
 :func:`_ladder_miller`; a set of fewer than ``_MILLER_LONE`` arguments runs
 that recurrence per argument instead.  The blocks are sized in bytes at (jtop
 + 7 count) doubles per argument, which bounds a block's work arrays: as many
 arguments as fit in ``_MILLER_BYTES`` (0.85 MB), never fewer than
 ``_MILLER_MIN`` (32), split evenly.  The close divides each value by its
 column's Neumann sum (:func:`_miller_close`), exactly rounded in NumPy as in
-Python floats.  Both Miller paths read one memoised table of Neumann
-coefficients per base order.  Arguments at most ``_SMALL_X`` (1e-8) take the
-leading series term instead (:func:`_ladder_small`).
+Python floats, with one memoised table of Neumann coefficients per base
+order.  Arguments at most ``_SMALL_X`` (1e-8) take the leading series term.
 
 :func:`fsum_rows` sums each row of an array exactly rounded, bit for bit
 ``math.fsum``, in whole-array passes: a pairwise tree of error-free TwoSums
@@ -241,9 +242,9 @@ def _hankel_start(nu, xs, cos_x, sin_x):
 
 
 def _miller_top(nu0, count, x):
-    """Start order of the backward recurrence at argument x."""
-    nu_top = max(float(count + 1), 1.02 * x - nu0)
-    return int(math.ceil(nu_top + 12.0 * math.sqrt(x + 1.0) + 32.0))
+    """Start orders (int64) of the backward recurrence at the arguments x."""
+    return np.ceil(np.maximum(float(count + 1), 1.02 * x - nu0)
+                   + 12.0 * np.sqrt(x + 1.0) + 32.0).astype(np.int64)
 
 
 @lru_cache(maxsize=32)
@@ -286,13 +287,13 @@ def _miller_close(vals, marks, neumann, scale):
     return vals.T, marks[(np.arange(len(vals)) + 6) >> 3].T
 
 
-def _ladder_miller(nu0, count, x):
+def _ladder_miller(nu0, count, x, jtop):
     """The backward recurrence at one argument, in Python floats: the path
     of a lone Miller argument and the reference of :func:`_miller_block`.
 
-    From v = 1e-30 at the start order :func:`_miller_top` down to order 0,
-    each step is v_{j-1} = (2 (nu0 + j) / x) v_j - v_{j+1}, and every even
-    order adds cf_{j/2} v_j to the Neumann sum.  Only at the orders j = 0 mod
+    From v = 1e-30 at the start order ``jtop`` of :func:`_miller_top` down to
+    order 0, each step is v_{j-1} = (2 (nu0 + j) / x) v_j - v_{j+1}, and
+    every even order adds cf_{j/2} v_j to the Neumann sum.  Only at the orders j = 0 mod
     8 does it test max(|v_j|, |v_{j+1}|) > 2^600; if so it divides v_j,
     v_{j+1} (also where it is kept), the Neumann sum by 2^600 and counts
     one rescale.  ``marks[k]`` is the count after the test at order 8k, so a
@@ -305,7 +306,6 @@ def _ladder_miller(nu0, count, x):
     2^420, so |v| stays below 2^1020 (the largest count the library asks
     for is about 2 ``basis._M_CAP`` = 16384, plus the order's integer part).
     """
-    jtop = _miller_top(nu0, count, x)
     cf = _neumann(nu0, jtop)
     vals = [0.0] * count
     marks = [0] * ((count + 5) // 8 + 1)
@@ -337,27 +337,27 @@ def _ladder_miller(nu0, count, x):
 
 
 def _miller_block(nu0, count, xs, tops):
-    """Backward recurrences at the arguments ``xs``, sorted by descending
-    start order ``tops``, as one array recurrence; returns the ladders of
-    :func:`_miller_close`.
+    """Backward recurrences at the arguments ``xs``, an array sorted by
+    descending start order ``tops``, as one array recurrence; returns the
+    ladders of :func:`_miller_close`.
 
     A column joins at its own start order with (v, vp1, neumann) = (1e-30,
     0, 0) and rescales on its own at the test orders of
     :func:`_ladder_miller`, which are the same for every column, so it sees
     exactly the IEEE operations of :func:`_ladder_miller` at its argument;
     before that it runs from the block's start on values that its join
-    discards.  The orders below ``count`` are written straight into their
-    rows, which a rescale then divides in place.
+    discards; a run of equal start orders joins as one slice.  The orders
+    below ``count`` are written straight into their rows, which a rescale
+    then divides in place.
     """
-    nb = len(xs)
-    jtop = tops[0]
+    nb = xs.size
+    jtop = int(tops[0])
     cf = _neumann(nu0, jtop)
     # the step factors 2 (nu0 + j) / x, each one division as in the scalar
-    fac = np.divide(np.array([2.0 * (nu0 + j) for j in range(jtop + 1)])[:, None],
-                    np.array(xs))
-    joins = {}
-    for i, t in enumerate(tops):
-        joins.setdefault(t, []).append(i)
+    fac = np.divide((2.0 * (nu0 + np.arange(jtop + 1)))[:, None], xs)
+    # the runs of start orders after the first: order -> slice of columns
+    lo = np.flatnonzero(np.diff(tops)) + 1
+    joins = dict(zip(tops[lo].tolist(), map(slice, lo.tolist(), lo[1:].tolist() + [nb])))
     v = np.full(nb, 1e-30)
     vp1 = np.zeros(nb)
     neumann = np.zeros(nb)
@@ -452,9 +452,9 @@ def _miller_blocks(count, tops):
     within ``_MILLER_BYTES`` at the largest start order (or ``_MILLER_MIN``
     arguments each), split evenly, so each block but a lone set of fewer
     than ``_MILLER_LONE`` arguments runs as one array recurrence."""
-    if not tops:
+    if not tops.size:
         return []
-    width = max(_MILLER_MIN, _MILLER_BYTES // (8 * (tops[0] + 7 * count)))
+    width = max(_MILLER_MIN, _MILLER_BYTES // (8 * (int(tops[0]) + 7 * count)))
     nblocks = -(-len(tops) // width)
     bounds = [len(tops) * i // nblocks for i in range(nblocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -467,30 +467,29 @@ def bessel_ladder(nu0, count, x):
     (2/x)^nu0 as a double, so none under- or overflows.  Row i is bitwise
     the same whatever other arguments share the call.
 
-    Miller-regime arguments are sorted by start order and run in the blocks
-    of :func:`_miller_blocks` through one array recurrence each; a block of
-    fewer than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller` per
-    argument, which is faster there (a lone argument by about ten times).
+    Miller-regime arguments, in a stable argsort of their start orders, run
+    in the blocks of :func:`_miller_blocks` as one array recurrence each; a
+    block of fewer than ``_MILLER_LONE`` arguments runs :func:`_ladder_miller`
+    per argument, faster there (a lone argument by about ten times).
     Upward-regime arguments share one array Hankel start and one recurrence.
     Arguments in [0, ``_SMALL_X``] take :func:`_ladder_small` one by one.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    xs = x.tolist()
     mant, expo = np.empty((x.size, count)), np.zeros((x.size, count), dtype=np.int32)
     up = _upward_regime(nu0, count, x)
     for i in np.flatnonzero(x <= _SMALL_X).tolist():
-        mant[i], expo[i] = _ladder_small(nu0, count, xs[i])
-    miller = np.flatnonzero(~up & (x > _SMALL_X)).tolist()
-    tops = {i: _miller_top(nu0, count, xs[i]) for i in miller}
-    miller.sort(key=tops.get, reverse=True)
-    for lo, hi in _miller_blocks(count, [tops[i] for i in miller]):
+        mant[i], expo[i] = _ladder_small(nu0, count, float(x[i]))
+    miller = np.flatnonzero(~up & (x > _SMALL_X))
+    tops = _miller_top(nu0, count, x[miller])
+    order = np.argsort(-tops, kind="stable")
+    miller, tops = miller[order], tops[order]
+    for lo, hi in _miller_blocks(count, tops):
         block = miller[lo:hi]
-        if len(block) < _MILLER_LONE:
-            for i in block:
-                mant[i], expo[i] = _ladder_miller(nu0, count, xs[i])
+        if block.size < _MILLER_LONE:
+            for i, top in zip(block.tolist(), tops[lo:hi].tolist()):
+                mant[i], expo[i] = _ladder_miller(nu0, count, float(x[i]), top)
         else:
-            mant[block], expo[block] = _miller_block(nu0, count, [xs[i] for i in block],
-                                                     [tops[i] for i in block])
+            mant[block], expo[block] = _miller_block(nu0, count, x[block], tops[lo:hi])
     if up.any():
         mant[up] = _ladder_upward(nu0, count, x[up]).T
     return mant, expo

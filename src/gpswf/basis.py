@@ -15,7 +15,7 @@ import numpy as np
 from . import backend, specfun
 from .eigensolver import SymTridiag, eig_symtridiag
 from .errors import ConsistencyError, DomainError, TruncationError
-from .specfun import _is_integer
+from .specfun import _check_count, _is_integer
 
 __all__ = [
     "GpswfBasis",
@@ -126,6 +126,7 @@ class GpswfBasis:
         distinct |x|; the value at x is sign(x)^((n + d) mod 2) times that.
         """
         ns = self._check_index(n)
+        _check_count("nderiv", nderiv)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         u, index = _distinct_abs(x)
         rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)

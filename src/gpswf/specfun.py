@@ -2,6 +2,7 @@
 ``w_a(x) = (1 - x^2)^a`` on [-1, 1]."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,8 +26,10 @@ __all__ = [
 ]
 
 def ln_gamma(x):
-    """log Gamma(x) for finite x > 0."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x <= 0.0:
+    """log Gamma(x) for a finite real x > 0, a Python or NumPy number."""
+    if not isinstance(x, numbers.Real):
+        raise DomainError(f"ln_gamma requires a real number, got {type(x).__name__}")
+    if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"ln_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
 
@@ -52,6 +55,12 @@ def _is_integer(n):
     return type(n) is int or isinstance(n, np.integer)
 
 
+def _check_count(name, n):
+    """Refuse a count ``n`` that is not an integer >= 0."""
+    if not (_is_integer(n) and n >= 0):
+        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
+
+
 def _check_alpha(alpha):
     """The weight exponent as a float; w_a needs a finite a > -1."""
     if not math.isfinite(alpha) or alpha <= -1.0:
@@ -61,6 +70,7 @@ def _check_alpha(alpha):
 
 def weight_mass(alpha):
     """Total mass of the weight: int_{-1}^{1} (1-x^2)^a dx = sqrt(pi) G(a+1)/G(a+3/2)."""
+    alpha = _check_alpha(alpha)
     return math.exp(0.5 * math.log(math.pi) + ln_gamma(alpha + 1.0) - ln_gamma(alpha + 1.5))
 
 
@@ -69,10 +79,11 @@ def weight_mass(alpha):
 # ---------------------------------------------------------------------------
 
 def _split_order(nu):
-    """(base, shift) with nu = base + shift, base in [-1/2, 1/2), shift >= 0."""
+    """(base, shift) with nu = base + shift, base in [-1/2, 1/2) a Python
+    float, shift >= 0."""
     if not (math.isfinite(nu) and nu >= -0.5):
         raise DomainError(f"bessel order must be finite and >= -1/2, got {nu!r}")
-    base = nu - math.floor(nu + 0.5)
+    base = float(nu - math.floor(nu + 0.5))
     return base, int(round(nu - base))
 
 
@@ -82,7 +93,10 @@ def bessel_j_ladder(nu, kmax, x):
     mantissas and exponents of :func:`backend.bessel_ladder`; a row does not
     depend on the other arguments of the call."""
     base, shift = _split_order(nu)
+    _check_count("kmax", kmax)
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 1:
+        raise DomainError(f"bessel argument must be a number or a 1-d array, got shape {x.shape}")
     bad = np.flatnonzero(~(np.isfinite(x) & (x >= 0.0)))
     if bad.size:
         raise DomainError("bessel argument must be finite and >= 0, "
@@ -125,11 +139,12 @@ def _recurrence_cached(alpha, m):
 
 def jacobi_recurrence(alpha, m):
     """Coefficients a_k, k = 0..m-1, of ``x Jt_k = a_{k+1} Jt_{k+1} + a_k Jt_{k-1}``."""
-    return _recurrence_cached(float(alpha), int(m))
+    return _recurrence_cached(_check_alpha(alpha), int(m))
 
 
 def jacobi_norm0(alpha):
     """Jt_0(x) = 1/sqrt(h_0), h_0 the squared norm of the constant polynomial."""
+    alpha = _check_alpha(alpha)
     ln_h0 = ((2.0 * alpha + 1.0) * math.log(2.0) + 2.0 * ln_gamma(alpha + 1.0)
              - math.log(2.0 * alpha + 1.0) - ln_gamma(2.0 * alpha + 1.0))
     return math.exp(-0.5 * ln_h0)
@@ -141,6 +156,8 @@ def jacobi_table(alpha, kmax, x, nderiv=0):
     Returns shape (kmax+1, len(x)) for nderiv == 0, else
     (nderiv+1, kmax+1, len(x)).
     """
+    _check_count("kmax", kmax)
+    _check_count("nderiv", nderiv)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a = jacobi_recurrence(alpha, kmax + 2)
     _, out = next(backend._jacobi_rows(a, jacobi_norm0(alpha), kmax, x, nderiv,

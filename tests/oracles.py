@@ -13,6 +13,8 @@ against.  pytest does not collect this file; test modules ``import oracles``.
   and blocked running sum replaced.
 * The one-argument Hankel sum with ``math.cos`` and ``math.sin``: the
   form the array Hankel start replaced.
+* The one-argument start order of the Miller recurrence in ``math``: the
+  form the array start orders replaced.
 * The transform of one psi_n at one argument from ``math.fsum`` over a
   list of its terms: the per-n form that ``backend.fsum_rows`` replaced.
 * psi_n's coefficients scattered over all Jacobi indices, zero off its
@@ -176,6 +178,13 @@ def _hankel_j(nu, x):
     cos_w = math.cos(x) * cos_t + math.sin(x) * sin_t
     sin_w = math.sin(x) * cos_t - math.cos(x) * sin_t
     return math.sqrt(2.0 / math.pi / x) * (p * cos_w - q * sin_w)
+
+
+def miller_top(nu0, count, x):
+    """Start order of the backward recurrence at one argument x, in Python
+    floats and ``math``."""
+    nu_top = max(float(count + 1), 1.02 * x - nu0)
+    return int(math.ceil(nu_top + 12.0 * math.sqrt(x + 1.0) + 32.0))
 
 
 def fc_sum(terms, parity):

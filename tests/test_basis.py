@@ -466,6 +466,13 @@ class TestEvaluation:
             basis_05_2.psi(-1, np.array([0.0]))
         with pytest.raises(IndexError):
             basis_05_2.psi([0, 16], np.array([0.0]))
+        # nderiv -1 raised a bare IndexError and 2.5 a bare TypeError
+        for nderiv in (-1, 2.5, "1"):
+            with pytest.raises(DomainError, match=f"nderiv must be an integer >= 0, got {nderiv!r}"):
+                basis_05_2.psi(1, [0.2], nderiv)
+            with pytest.raises(DomainError, match=f"nderiv must be an integer >= 0, got {nderiv!r}"):
+                basis_05_2.psi_table([0.2], None, nderiv)
+        assert basis_05_2.psi(1, [0.2], np.int64(1)).shape == (2, 1)
 
     def test_one_index_fast_path(self, basis_05_2):
         # a Python or NumPy integer skips the array pass but gives the same

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath as mp
@@ -7,7 +8,7 @@ import oracles
 import pytest
 from scipy.special import eval_jacobi, jv
 
-from gpswf import backend, basis, specfun, spectral
+from gpswf import approx, backend, basis, specfun, spectral
 from gpswf.errors import DomainError
 
 
@@ -58,6 +59,39 @@ class TestLnGamma:
             specfun.ln_gamma(-1.0)
         with pytest.raises(DomainError):
             specfun.ln_gamma(float("nan"))
+        for x in (np.float32(0.0), np.int64(-2), np.float64(math.inf)):
+            with pytest.raises(DomainError, match=re.escape(f"finite x > 0, got {x!r}")):
+                specfun.ln_gamma(x)
+        # a value that is not a real number is named by its type
+        for x, kind in (("3", "str"), (None, "NoneType"), (1j, "complex"),
+                        (np.array([3.0]), "ndarray")):
+            with pytest.raises(DomainError, match=f"requires a real number, got {kind}"):
+                specfun.ln_gamma(x)
+
+    @pytest.mark.parametrize("kind", [np.int8, np.int64, np.uint16, np.float16, np.float32,
+                                      np.float64, np.longdouble])
+    def test_numpy_reals(self, kind):
+        # np.int64(3) was refused as "requires finite x > 0", and so was a
+        # float32 alpha by weight_mass, jacobi_norm0 and cosine_series_norm2
+        assert specfun.ln_gamma(kind(3)) == math.lgamma(3.0)
+        if kind in (np.float16, np.float32):
+            alpha = kind(0.3)
+            assert specfun.weight_mass(alpha) == specfun.weight_mass(float(alpha))
+            assert specfun.jacobi_norm0(alpha) == specfun.jacobi_norm0(float(alpha))
+            assert approx.cosine_series_norm2(alpha, [1.0, 0.5]) == \
+                approx.cosine_series_norm2(float(alpha), [1.0, 0.5])
+
+    def test_numpy_order_leaves_the_neumann_memo_alone(self):
+        # a float32 order used to run the Miller recurrence in float32, to
+        # nan, and memoise float32 Neumann coefficients under a key equal to
+        # the Python float's, so a later bessel_j(0.5, 3.0) read nan too
+        want = specfun.bessel_j(0.5, 3.0)
+        backend._neumann_table.cache_clear()
+        try:
+            assert specfun.bessel_j(np.float32(0.5), 3.0) == want
+            assert specfun.bessel_j(0.5, 3.0) == want
+        finally:
+            backend._neumann_table.cache_clear()
 
 
 class TestBesselJ:
@@ -136,6 +170,17 @@ class TestBesselJ:
                 specfun.bessel_j(nu, 1.0)
             with pytest.raises(DomainError, match=f"bessel order must be finite and >= -1/2, got {nu}"):
                 specfun.bessel_j_ladder(nu, 2, [1.0])
+        # kmax -5 and 2.5 raised bare ValueError and TypeError, True read as
+        # 1 and -1 gave an empty ladder
+        for kmax in (-5, -1, 2.5, True, "2"):
+            with pytest.raises(DomainError, match=f"kmax must be an integer >= 0, got {kmax!r}"):
+                specfun.bessel_j_ladder(0.5, kmax, [1.0])
+        assert specfun.bessel_j_ladder(0.5, np.int64(2), [1.0])[0].shape == (1, 3)
+        # a 2-d x raised a bare TypeError
+        with pytest.raises(DomainError, match=r"got shape \(1, 2\)"):
+            specfun.bessel_j_ladder(0.5, 3, [[1.0, 2.0]])
+        with pytest.raises(DomainError, match=r"got shape \(1, 2\)"):
+            specfun.bessel_j(0.5, np.array([[1.0, 2.0]]))
 
     @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"),
                                             (-1.0, "-1.0")])
@@ -178,9 +223,8 @@ class TestBesselJ:
     @pytest.mark.parametrize("count", [1, 2, 400])
     def test_batched_ladder_bitwise_equals_scalar(self, nu0, count):
         x = np.array(self.LADDER_X + self.MILLER_FILL)
-        miller = x[(x > 0.0) & ~backend._upward_regime(nu0, count, x)].tolist()
-        tops = sorted((backend._miller_top(nu0, count, v) for v in miller),
-                      reverse=True)
+        miller = x[(x > 0.0) & ~backend._upward_regime(nu0, count, x)]
+        tops = np.sort(backend._miller_top(nu0, count, miller))[::-1]
         blocks = [tops[lo:hi] for lo, hi in backend._miller_blocks(count, tops)]
         assert len(blocks) >= 3 and min(map(len, blocks)) >= backend._MILLER_LONE
         assert max(b[0] - b[-1] for b in blocks) > 100
@@ -198,6 +242,26 @@ class TestBesselJ:
                     ref.append((2.0 * (nu0 + j - 1) / v) * ref[j - 1] - ref[j - 2])
                 ref = np.array(ref[:count]) * np.power(0.5 * v, -nu0)
                 assert row.tobytes() == ref.tobytes() and not row_expo.any()
+        # 40 copies of one argument: one or two array blocks, whose columns
+        # all join at the block's start order
+        same = np.full(40, 7.5)
+        blocks = backend._miller_blocks(count, backend._miller_top(nu0, count, same))
+        assert min(hi - lo for lo, hi in blocks) >= backend._MILLER_LONE
+        mant, expo = backend.bessel_ladder(nu0, count, same)
+        lone = backend.bessel_ladder(nu0, count, same[:1])
+        assert mant.tobytes() == np.repeat(lone[0], 40, axis=0).tobytes()
+        assert expo.tobytes() == np.repeat(lone[1], 40, axis=0).tobytes()
+
+    @pytest.mark.parametrize("nu0", [-0.5, 0.0, 0.25, 0.3])
+    @pytest.mark.parametrize("count", [1, 2, 400, 2 * basis._M_CAP + 200])
+    def test_miller_top_equals_the_math_form(self, nu0, count):
+        # every point whose start order is an int64; the front end takes
+        # orders at Miller arguments only, x < (count + 1) / 0.88 or x <= 370
+        x = np.array(self.LADDER_X + self.MILLER_FILL)
+        x = x[x <= 2.0 ** 41]
+        want = [oracles.miller_top(nu0, count, v) for v in x.tolist()]
+        got = backend._miller_top(nu0, count, x)
+        assert got.dtype == np.int64 and got.tolist() == want
 
     @pytest.mark.parametrize("count", [1, 2, 194, 394, 1000])
     def test_miller_blocks_fit_their_bytes(self, count):
@@ -206,8 +270,7 @@ class TestBesselJ:
         # the blocks split their arguments evenly, and two of them together
         # would not fit
         x = np.geomspace(0.01, 370.0, 700)
-        tops = sorted((backend._miller_top(0.25, count, v) for v in x.tolist()),
-                      reverse=True)
+        tops = np.sort(backend._miller_top(0.25, count, x))[::-1]
         bounds = backend._miller_blocks(count, tops)
         assert bounds[0][0] == 0 and bounds[-1][1] == len(tops)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
@@ -403,8 +466,9 @@ def test_small_miller_block_bitwise_lone():
     # 9 Miller arguments: fewer than _MILLER_LONE, so each runs alone
     x = 2.0 ** np.arange(9)
     mant, expo = backend.bessel_ladder(0.25, 181, x)
+    tops = backend._miller_top(0.25, 181, x).tolist()
     for i, xi in enumerate(x.tolist()):
-        for got in (backend._ladder_miller(0.25, 181, xi),
+        for got in (backend._ladder_miller(0.25, 181, xi, tops[i]),
                     tuple(a[0] for a in backend.bessel_ladder(0.25, 181, [xi]))):
             assert mant[i].tobytes() == got[0].tobytes()
             assert expo[i].tobytes() == got[1].tobytes()
@@ -510,6 +574,20 @@ class TestJacobiNormalized:
     def test_domain(self):
         with pytest.raises(DomainError):
             specfun.gauss_jacobi(-1.5, 4)
+        # kmax -1 and 2.5 raised bare ValueError and TypeError
+        for kmax in (-1, 2.5, True):
+            with pytest.raises(DomainError, match=f"kmax must be an integer >= 0, got {kmax!r}"):
+                specfun.jacobi_table(0.5, kmax, [0.3])
+        for nderiv in (-1, 2.5):
+            with pytest.raises(DomainError, match=f"nderiv must be an integer >= 0, got {nderiv!r}"):
+                specfun.jacobi_table(0.5, 3, [0.3], nderiv)
+        # alpha -2 gave [0, nan, 2, nan] with a RuntimeWarning
+        for alpha in (-2.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=f"alpha must be finite and > -1, got {alpha!r}"):
+                specfun.jacobi_recurrence(alpha, 4)
+            with pytest.raises(DomainError, match="alpha must be finite and > -1"):
+                specfun.jacobi_table(alpha, 3, [0.3])
+        assert specfun.jacobi_table(0.5, np.int64(3), [0.3], np.int32(1)).shape == (2, 4, 1)
 
 
 def mp_gauss_jacobi_half(alpha, m, guesses):
