@@ -56,8 +56,11 @@ def _gaussian_samples(seed, count):
     # Box-Muller on top of the counter-based Philox stream; recorded in
     # reports as GAUSSIAN_GENERATOR so runs are reproducible by name+seed.
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
-    u1 = 1.0 - gen.random(count)
-    u2 = gen.random(count)
+    # one draw of 2 count: the stream is sequential, so its halves are the
+    # draws of count each that the generator's name stands for
+    u = gen.random(2 * count)
+    u1 = 1.0 - u[:count]
+    u2 = u[count:]
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
@@ -98,8 +101,11 @@ def _cos_series_eval(coefs):
 
     def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        # the equispaced open grid (as np.linspace builds it) takes the FFT
-        if x.ndim == 1 and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1]):
+        # the equispaced open grid (as np.linspace builds it) takes the FFT;
+        # at the sup grid's size the kept grid stands for the fresh one
+        grid = (_SUP_GRID if x.size == _SUP_GRID.size
+                else np.linspace(-1.0, 1.0, x.size + 2)[1:-1])
+        if x.ndim == 1 and np.array_equal(x, grid):
             return _cos_series_grid(coefs, x.size)
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, _EVAL_BLOCK):
@@ -119,11 +125,20 @@ def brownian_from_coefficients(s, coefs):
     """Random-cosine-series path with explicitly supplied amplitudes X_k."""
     _check_brownian_s(s)
     coefs = _amplitudes(coefs)
-    scaled = coefs / np.arange(1.0, coefs.size + 1) ** s
+    scaled = coefs / _powers(coefs.size, s)
     return TargetFunction(kind="brownian", evaluator=_cos_series_eval(scaled),
                           params={"s": s, "K": coefs.size, "seed": None,
                                   "amplitudes": coefs},
                           exact=lambda basis, N: cosine_series_projection(basis, scaled, N))
+
+
+@lru_cache(maxsize=4, typed=True)
+def _powers(K, s):
+    """k^s, k = 1..K, read-only; typed, so that an s of a NumPy type, whose
+    power may take its own dtype, keeps an entry of its own."""
+    powers = np.arange(1.0, K + 1) ** s
+    powers.setflags(write=False)
+    return powers
 
 
 # one past the largest brownian seed: a Philox key is two 64-bit words
@@ -364,13 +379,17 @@ def project(basis, f, N, quad_order=None):
 
 def _rule_psi(basis, rule, N, kind="rule_rows"):
     """psi_n, n < N, at the nodes of a Gauss rule of the basis's weight, shape
-    (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit,
-    summed over the Jacobi rows at the nodes' distinct |x| that the basis
-    keeps under ``kind`` for the last rule order."""
-    index, neg, rows = basis._abs_rows(kind, rule.order, rule.nodes)
-    ns = np.arange(N)
-    return _unfold(ns, backend.table_series(basis._parity_coefficients(ns), rows),
-                   index, neg)[0]
+    (N, rule.order), read-only: ``basis.psi_table(rule.nodes, range(N))`` bit
+    for bit, summed over the Jacobi rows at the nodes' distinct |x|, which
+    are dropped after.  The basis keeps the table under ``kind`` for the
+    last (rule order, N)."""
+    def make():
+        index, neg, rows = basis._rows_at_abs(rule.nodes)
+        ns = np.arange(N)
+        return _unfold(ns, backend.table_series(basis._parity_coefficients(ns), rows),
+                       index, neg)[0]
+
+    return basis._table(kind, (rule.order, N), make)
 
 
 def _sup_grid_values(basis, coeffs):
@@ -379,9 +398,9 @@ def _sup_grid_values(basis, coeffs):
     psi_n has the parity of n, so E sums g_{2i} = sum_{n even} coeffs_n
     beta[n, i] over the even-order rows Jt_{2i}(|x|) that the basis keeps at
     the grid's distinct |x| (``GpswfBasis._abs_rows``), and O sums g_{2j+1}
-    = sum_{n odd} coeffs_n beta[n, j] over the odd-order rows Jt_{2j+1}(|x|).
-    The real and imaginary part of complex coefficients are two columns, so
-    no N x 2001 psi table is built."""
+    = sum_{n odd} coeffs_n beta[n, j] over the odd-order rows Jt_{2j+1}(|x|),
+    one matrix product per parity.  The real and imaginary part of complex
+    coefficients are two columns, so no N x 2001 psi table is built."""
     complex_ = np.iscomplexobj(coeffs)
     parts = np.stack([coeffs.real, coeffs.imag], axis=1) if complex_ else coeffs[:, None]
     # g of each parity, from a contiguous copy of its coefficient rows: the
@@ -389,7 +408,7 @@ def _sup_grid_values(basis, coeffs):
     n = coeffs.size
     g = [basis.beta[p:n:2].T @ np.ascontiguousarray(parts[p::2]) for p in (0, 1)]
     index, neg, rows = basis._abs_rows("sup_rows", None, _SUP_GRID)
-    even, odd = (s[0][:, index] for s in backend.table_series(g, rows))
+    even, odd = ((gp.T @ rp)[:, index] for gp, rp in zip(g, rows))
     vals = even + np.negative(odd, out=odd, where=neg)
     return vals[0] + 1j * vals[1] if complex_ else vals[0]
 
@@ -492,14 +511,6 @@ def _cos_transforms(alpha, u):
     if bad.any():
         raise DomainError(f"the cosine transform W(u) is not a finite double at "
                           f"alpha={alpha!r}, u={u[bad][0].item()!r}")
-    return w
-
-
-@lru_cache(maxsize=8)
-def _cos_transform_table(alpha, jmax):
-    """W(j pi), j = 0..jmax, from :func:`_cos_transforms`, read-only."""
-    w = _cos_transforms(alpha, np.arange(jmax + 1) * math.pi)
-    w.setflags(write=False)
     return w
 
 
@@ -608,24 +619,58 @@ def _amplitudes(amplitudes):
     return y
 
 
+def _fft_length(K):
+    """The smallest power of two L >= 2K - 1: a length-L transform of K
+    amplitudes holds their products at every lag and sum without wrapping."""
+    return 1 << (2 * K - 2).bit_length()
+
+
+@lru_cache(maxsize=8)
+def _cos_spectra(alpha, K):
+    """The weights of :func:`cosine_series_norm2` at K amplitudes, read-only:
+    c_f (Omega_f +- Re Pi_f) / 2L and c_f Im Pi_f / L, f = 0..L/2, from one
+    :func:`_cos_transforms` call over W(j pi), j = 0..2K."""
+    w = _cos_transforms(alpha, np.arange(2 * K + 1) * math.pi)
+    L = _fft_length(K)
+    lags = np.zeros(L)  # W(|d| pi) at the circular lags d, |d| < K
+    lags[:K] = w[:K]
+    lags[L - K + 1:] = w[K - 1:0:-1]
+    omega = np.fft.rfft(lags).real
+    pi_ = np.fft.rfft(w[2:], L)  # W((d + 2) pi) at d = 0..2K-2
+    c = np.full(omega.size, 2.0)
+    c[0] = c[-1] = 1.0  # f = 0 and f = L/2; L = 1 has f = 0 alone
+    c /= 2 * L
+    weights = (c * (omega + pi_.real), c * (omega - pi_.real), 2.0 * c * pi_.imag)
+    for a in weights:
+        a.setflags(write=False)
+    return weights
+
+
 def cosine_series_norm2(alpha, weighted_amplitudes):
     """||sum_k y_k cos(k pi x)||^2 in L2(w_a), via exact cosine transforms:
     <cos(j pi .), cos(k pi .)>_w = (W(|j-k| pi) + W((j+k) pi)) / 2.
 
-    The autocorrelation and the self-convolution of y come from one
-    zero-padded real FFT of length L >= 2K - 1, O(K log K) in place of two
-    O(K^2) direct products."""
+    The double sum over j, k is a circular correlation of y with the lags'
+    W(|d| pi) plus the self-convolution of y against W((d + 2) pi); with
+    Y = rfft(y, L), L >= 2K - 1 so that nothing wraps, the correlation
+    theorem makes it one FFT of y (the discrete Wiener-Khinchin form):
+
+        ||f||^2 = (1/2L) sum_f c_f (|Y_f|^2 Omega_f + Re(Y_f^2 conj(Pi_f))),
+
+    Omega = rfft(omega), omega[0] = W(0), omega[d] = omega[L-d] = W(d pi)
+    for 1 <= d < K, 0 elsewhere (so Omega is real); Pi = rfft(pi),
+    pi[d] = W((d+2) pi) for 0 <= d <= 2K-2; c_f = 1 at f = 0 and f = L/2,
+    2 elsewhere.  Omega and Pi are kept per (alpha, K)
+    (:func:`_cos_spectra`), so a call takes one length-L FFT and three
+    dot products over the L/2 + 1 frequencies."""
     alpha = specfun._check_alpha(alpha)
     y = _amplitudes(weighted_amplitudes)
-    K = y.size
-    w = _cos_transform_table(alpha, 2 * K)
-    L = 1 << (2 * K - 2).bit_length()  # the smallest power of two >= 2K - 1
-    Y = np.fft.rfft(y, L)
-    auto = np.fft.irfft(Y * Y.conj(), L)[:K]  # lags 0..K-1
-    norm2 = 0.5 * float(auto[0] * w[0] + 2.0 * np.dot(auto[1:], w[1:K]))
-    pair = np.fft.irfft(Y * Y, L)[:2 * K - 1]  # index d holds sum_{j+k=d+2} y y
-    norm2 += 0.5 * float(np.dot(pair, w[2:]))
-    return norm2
+    plus, minus, cross = _cos_spectra(alpha, y.size)
+    Y = np.fft.rfft(y, _fft_length(y.size))
+    re, im = Y.real, Y.imag
+    # |Y|^2 Omega + Re(Y^2 conj Pi) = re^2 (Omega + Re Pi) + im^2 (Omega - Re Pi)
+    # + 2 re im Im Pi
+    return float(np.dot(re * re, plus) + np.dot(im * im, minus) + np.dot(re * im, cross))
 
 
 def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
@@ -663,11 +708,29 @@ def _periodic_sums(basis, u):
     return backend.fsum_rows(prods)
 
 
+def _periodic_values(basis, u):
+    """<e^{iux}, psi_n> of every n at u > 0, a tuple of Python complex
+    numbers: i^(n mod 2) times :func:`_periodic_sums`."""
+    return tuple(1j * total if n % 2 else complex(total)
+                 for n, total in enumerate(_periodic_sums(basis, u).tolist()))
+
+
 def periodic_coefficient(basis, k, n):
     """<e^{i k pi x}, psi_n> in L2(w_a), via the exact transform expansion.
 
-    The sums of every n at the last |k| pi are kept on the basis, so the
-    nmax coefficients at one k take one exactly rounded pass."""
+    The coefficients of every n at the last |k| pi are kept on the basis as
+    Python complex numbers, so the nmax coefficients at one k take one
+    exactly rounded pass; a negative k reads their conjugates.  A Python int
+    n in range and a Python int k whose |k| pi is the kept one read the kept
+    value at once; every other input takes the checks below."""
+    if type(n) is int and type(k) is int and 0 <= n < basis.nmax:
+        kept = basis._tables.get("periodic")
+        try:
+            hit = kept is not None and kept[0] == abs(k) * math.pi
+        except OverflowError:  # an int k past the largest double
+            hit = False
+        if hit:
+            return kept[1][n] if k > 0 else kept[1][n].conjugate()
     if not _is_integer(n):
         raise DomainError(f"basis index {n!r} is not an integer")
     if not 0 <= n < basis.nmax:
@@ -676,6 +739,8 @@ def periodic_coefficient(basis, k, n):
         u = abs(k) * math.pi
     except OverflowError:
         u = math.inf
+    except TypeError:  # not a number, such as "3"
+        raise DomainError(f"the frequency index k={k!r} is not an integer") from None
     if not math.isfinite(u):
         raise DomainError(f"the frequency |k| pi is not a finite double at k={k!r}")
     if not _is_integer(k):
@@ -684,9 +749,6 @@ def periodic_coefficient(basis, k, n):
         if n % 2 == 1:
             return 0.0j
         return complex(basis.beta[n, 0] * math.sqrt(specfun.weight_mass(basis.alpha)))
-    total = float(basis._table("periodic", u, lambda: _periodic_sums(basis, u))[n])
-    val = 1j * total if n % 2 else complex(total)
-    if k < 0:
-        val = val.conjugate()
-    return val
+    val = basis._table("periodic", u, lambda: _periodic_values(basis, u))[n]
+    return val.conjugate() if k < 0 else val
 

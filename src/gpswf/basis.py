@@ -142,18 +142,19 @@ class GpswfBasis:
         return [np.take(self.beta.T, ns[ns % 2 == p], axis=1) for p in (0, 1)]
 
     def _abs_rows(self, kind, key, x):
-        """(index, neg, rows), read-only, kept under ``kind`` for ``key``:
-        ``rows[p][i, j] = Jt_{2i+p}(u_j)`` at the distinct |x| u_j, the
-        index of each point's |x| among them, and where x < 0."""
-        def make():
-            u, index = _distinct_abs(x)
-            rows = specfun.jacobi_table(self.alpha, 2 * self.trunc - 1, u)
-            neg = x < 0.0
-            for a in (index, neg, rows):
-                a.setflags(write=False)
-            return index, neg, (rows[0::2], rows[1::2])
+        """:meth:`_rows_at_abs` of ``x``, kept under ``kind`` for ``key``."""
+        return self._table(kind, key, lambda: self._rows_at_abs(x))
 
-        return self._table(kind, key, make)
+    def _rows_at_abs(self, x):
+        """(index, neg, rows), read-only: ``rows[p][i, j] = Jt_{2i+p}(u_j)``
+        at the distinct |x| u_j, the index of each point's |x| among them,
+        and where x < 0."""
+        u, index = _distinct_abs(x)
+        rows = specfun.jacobi_table(self.alpha, 2 * self.trunc - 1, u)
+        neg = x < 0.0
+        for a in (index, neg, rows):
+            a.setflags(write=False)
+        return index, neg, (rows[0::2], rows[1::2])
 
     def psi_table(self, x, n_list=None, nderiv=0):
         """Values (and derivatives) of many psi_n on a node array at once:

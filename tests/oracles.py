@@ -98,12 +98,17 @@ def dchi_dc(alpha, c, n, h=None, nmax=None):
     return DchiDcRecord(analytic=analytic, finite_diff=fd)
 
 
+def _cos_transform_table(alpha, K):
+    """W(j pi), j = 0..2K, from one ``approx._cos_transforms`` call."""
+    return approx._cos_transforms(alpha, np.arange(2 * K + 1) * math.pi)
+
+
 def cosine_series_norm2(alpha, weighted_amplitudes):
     """||sum_k y_k cos(k pi x)||^2 in L2(w_a), via exact cosine transforms:
     <cos(j pi .), cos(k pi .)>_w = (W(|j-k| pi) + W((j+k) pi)) / 2."""
     y = np.asarray(weighted_amplitudes, dtype=float)
     K = y.size
-    w = approx._cos_transform_table(alpha, 2 * K)
+    w = _cos_transform_table(alpha, K)
     auto = np.correlate(y, y, mode="full")  # lags -(K-1)..K-1
     w_diff = w[:K]
     norm2 = 0.5 * float(auto[K - 1] * w_diff[0]
@@ -111,6 +116,23 @@ def cosine_series_norm2(alpha, weighted_amplitudes):
     w_sum = w[2:]
     pair = np.convolve(y, y, mode="full")  # index d holds sum_{j+k=d+2} y y
     norm2 += 0.5 * float(np.dot(pair, w_sum))
+    return norm2
+
+
+def cosine_series_norm2_three_ffts(alpha, weighted_amplitudes):
+    """The form the one-FFT ``approx.cosine_series_norm2`` replaced: the
+    autocorrelation and the self-convolution of y from the inverse FFTs of
+    |Y|^2 and Y^2, Y the zero-padded real FFT of length L >= 2K - 1, then
+    dotted with W(|j-k| pi) and W((j+k) pi)."""
+    y = np.asarray(weighted_amplitudes, dtype=float)
+    K = y.size
+    w = _cos_transform_table(alpha, K)
+    L = 1 << (2 * K - 2).bit_length()
+    Y = np.fft.rfft(y, L)
+    auto = np.fft.irfft(Y * Y.conj(), L)[:K]  # lags 0..K-1
+    norm2 = 0.5 * float(auto[0] * w[0] + 2.0 * np.dot(auto[1:], w[1:K]))
+    pair = np.fft.irfft(Y * Y, L)[:2 * K - 1]  # index d holds sum_{j+k=d+2} y y
+    norm2 += 0.5 * float(np.dot(pair, w[2:]))
     return norm2
 
 

@@ -32,6 +32,19 @@ def basis_wm():
 
 
 class TestCorpus:
+    def test_brownian_draws_and_powers(self):
+        # one draw of 2K uniforms is the two draws of K that the generator's
+        # name stands for; the powers k^s are kept read-only per (K, s)
+        K = 1000
+        gen = np.random.Generator(np.random.Philox(key=7))
+        u1, u2 = 1.0 - gen.random(K), gen.random(K)
+        ref = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        f = approx.brownian(1.5, seed=7, K=K)
+        assert f.params["amplitudes"].tobytes() == ref.tobytes()
+        powers = approx._powers(K, 1.5)
+        assert powers is approx._powers(K, 1.5) and not powers.flags.writeable
+        assert powers.tobytes() == (np.arange(1.0, K + 1) ** 1.5).tobytes()
+
     def test_brownian_deterministic(self):
         f1 = approx.brownian(1.5, seed=7, K=500)
         f2 = approx.brownian(1.5, seed=7, K=500)
@@ -421,8 +434,9 @@ def _kept(basis, kind):
 
 
 class TestRuleRowsMemo:
-    """``project`` reads psi at its Gauss nodes from the Jacobi rows that the
-    basis keeps for its rules, summed as ``jacobi_series`` sums."""
+    """``project`` reads psi at its Gauss nodes from the psi table that the
+    basis keeps for each rule kind, keyed by (rule order, N), summed once
+    over the nodes' Jacobi rows as ``jacobi_series`` sums."""
 
     @pytest.mark.parametrize("N", [1, 2, 60, 96])
     @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
@@ -455,30 +469,52 @@ class TestRuleRowsMemo:
             assert approx._rule_psi(basis_proj, rule, N).tobytes() == ref.tobytes()
 
     def test_table_is_read_only(self, basis_proj):
-        # the 216 nodes are symmetric: the rows of each parity are kept at
-        # their 108 distinct |x|, with the index and sign of every node
+        # the default rule has 216 nodes: the basis keeps psi_n, n < 60, at
+        # them, and not the Jacobi rows it summed them from
         b = dataclasses.replace(basis_proj)
         approx.project(b, approx.periodic_exponential(7), 60)
-        order, (index, neg, rows) = _kept(b, "rule_rows")
-        assert order == 216 and index.shape == neg.shape == (216,)
-        for table in (index, neg) + rows:
-            assert not table.flags.writeable
-        for parity_rows in rows:
-            assert parity_rows.shape == (b.trunc, 108)
-            with pytest.raises(ValueError):
-                parity_rows[0, 0] = 0.0
+        key, table = _kept(b, "rule_rows")
+        assert key == (216, 60) and table.shape == (60, 216)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        assert set(b._tables) == {"rule_rows", "sup_rows"}
 
     def test_rows_never_stale(self, basis_proj):
-        # alternate bases and rule orders: each psi table equals the
+        # alternate bases, rule orders and N: each psi table equals the
         # recurrence's at that basis and rule, and the slot keeps the last
-        # order only
+        # (order, N) only
         bases = [dataclasses.replace(basis_proj), B.build_basis(1.5, 5 * math.pi, 96)]
-        for i, quad_order in [(0, 184), (0, 216), (1, 216), (0, 184), (1, 250), (1, 216)]:
+        for i, quad_order, N in [(0, 184, 7), (0, 216, 7), (1, 216, 7), (0, 184, 7),
+                                 (1, 250, 7), (1, 216, 7), (1, 216, 12), (1, 216, 7)]:
             b = bases[i]
             rule = specfun.gauss_jacobi(b.alpha, quad_order)
-            got = approx._rule_psi(b, rule, 7)
-            assert got.tobytes() == b.psi_table(rule.nodes, range(7)).tobytes()
-            assert _kept(b, "rule_rows")[0] == quad_order
+            got = approx._rule_psi(b, rule, N)
+            assert got.tobytes() == b.psi_table(rule.nodes, range(N)).tobytes()
+            assert _kept(b, "rule_rows")[0] == (quad_order, N)
+
+    @pytest.mark.parametrize("N", [1, 7, 60])
+    def test_second_call_reads_the_kept_table(self, basis_proj, monkeypatch, N):
+        # bitwise psi_table on the first and the second call; the second
+        # makes no table_series pass and returns the kept table itself; a
+        # new N or rule order makes a new table
+        passes = []
+        table_series = backend.table_series
+        monkeypatch.setattr(backend, "table_series",
+                            lambda c, t: passes.append(len(c)) or table_series(c, t))
+        b = dataclasses.replace(basis_proj)
+        rule = specfun.gauss_jacobi(b.alpha, 216)
+        ref = b.psi_table(rule.nodes, range(N)).tobytes()
+        first = approx._rule_psi(b, rule, N)
+        assert first.tobytes() == ref and len(passes) == 1
+        second = approx._rule_psi(b, rule, N)
+        assert second is first and second.tobytes() == ref and len(passes) == 1
+        assert not second.flags.writeable
+        other = approx._rule_psi(b, rule, N + 1)
+        assert len(passes) == 2 and other.shape == (N + 1, 216)
+        assert other.tobytes() == b.psi_table(rule.nodes, range(N + 1)).tobytes()
+        rule = specfun.gauss_jacobi(b.alpha, 184)
+        assert approx._rule_psi(b, rule, N).shape == (N, 184) and len(passes) == 3
 
 
 class TestSupGridSeries:
@@ -550,6 +586,19 @@ class TestSupGridSeries:
         for parity in (0, 1):
             assert fresh[2][parity].tobytes() == kept[2][parity].tobytes()
 
+    @pytest.mark.parametrize("N", [1, 2, 59, 60])
+    def test_matches_the_psi_table_sum(self, basis_proj, N):
+        # one product per parity over the kept rows against the sum of N
+        # rounded psi_n on the grid, for real and complex coefficients
+        rng = np.random.default_rng(N)
+        psi = basis_proj.psi_table(approx._SUP_GRID, range(N))
+        for coeffs in (rng.standard_normal(N),
+                       rng.standard_normal(N) + 1j * rng.standard_normal(N)):
+            got = approx._sup_grid_values(basis_proj, coeffs)
+            ref = coeffs @ psi
+            assert np.iscomplexobj(got) == np.iscomplexobj(coeffs)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
     def test_rows_never_stale(self):
         # alternate bases of other alpha and trunc: each sum equals the one
         # from a copy that keeps no rows
@@ -590,7 +639,7 @@ class TestSupGridSeries:
                              ids=["wm", "periodic"])
     def test_near_the_series_in_long_double(self, target):
         # at alpha 5, Jt_k(1) grows like k^5.5, so the order of summation
-        # shows: the route lands 3.4e-13 (wm) and 4.3e-13 (periodic) from
+        # shows: the route lands 2.7e-13 (wm) and 4.3e-13 (periodic) from
         # the same series, coeffs . beta then sum_k g_k Jt_k, summed in long
         # double over the same recurrence coefficients; a sum of N rounded
         # psi_n, coeffs @ psi_table, lands 8.7e-13 to 1.1e-12 from it
@@ -934,12 +983,55 @@ class TestCosineSeries:
             quad(y[:25]), rel=1e-12)
 
     def test_transform_table_bitwise_equals_scalar(self):
-        # j pi crosses the Miller/upward switch at 370 near j = 118
-        w = approx._cos_transform_table(1.5, 300)
+        # the norm's W(j pi), j = 0..2K, come from one array call; j pi
+        # crosses the Miller/upward switch at 370 near j = 118
+        w = approx._cos_transforms(1.5, np.arange(301) * math.pi)
         ref = np.array([approx._cos_transforms(1.5, [j * math.pi])[0] for j in range(301)])
         assert w.tobytes() == ref.tobytes()
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+        for weights in approx._cos_spectra(1.5, 150):
+            with pytest.raises(ValueError):
+                weights[0] = 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_one_fft_norm_matches_the_three_fft_form(self, alpha):
+        # the correlation-theorem form against the inverse-FFT form it
+        # replaced (4.3e-16 relative at worst over these draws)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for K in (1, 2, 3, 4000, 4001):
+                for s in (1.5, 2.0):
+                    y = rng.standard_normal(K) / np.arange(1, K + 1) ** s
+                    ref = oracles.cosine_series_norm2_three_ffts(alpha, y)
+                    got = approx.cosine_series_norm2(alpha, y)
+                    assert abs(got - ref) <= 4e-15 * ref
+
+    @pytest.mark.parametrize("alpha", [0.0, 2.5])
+    def test_one_fft_norm_matches_the_pair_sum(self, alpha):
+        # the direct O(K^2) sum over pairs (j, k) of y_j y_k <cos j pi x,
+        # cos k pi x>_w, in Python floats (3.1e-16 relative at worst)
+        rng = np.random.default_rng(4)
+        for K in (1, 2, 3, 17, 64):
+            y = rng.standard_normal(K) / np.arange(1, K + 1) ** 1.5
+            w = approx._cos_transforms(alpha, np.arange(2 * K + 1) * math.pi).tolist()
+            ref = math.fsum(0.5 * yj * yk * (w[abs(j - k)] + w[j + k + 2])
+                            for j, yj in enumerate(y.tolist())
+                            for k, yk in enumerate(y.tolist()))
+            assert abs(approx.cosine_series_norm2(alpha, y) - ref) <= 1e-13 * ref
+
+    def test_spectra_are_kept_per_alpha_and_K(self, monkeypatch):
+        # one transform call per (alpha, K), in a memo of at most 8
+        approx._cos_spectra.cache_clear()
+        calls = []
+        transforms = approx._cos_transforms
+        monkeypatch.setattr(approx, "_cos_transforms",
+                            lambda a, u: calls.append(len(u)) or transforms(a, u))
+        y = np.random.default_rng(2).standard_normal(40)
+        first = approx.cosine_series_norm2(0.5, y)
+        assert approx.cosine_series_norm2(0.5, y) == first and calls == [81]
+        approx.cosine_series_norm2(0.5, y[:25])
+        approx.cosine_series_norm2(1.5, y)
+        assert calls == [81, 51, 81]
+        assert approx._cos_spectra.cache_info().maxsize == 8
 
     @pytest.mark.parametrize("alpha", [0.1, 2.0])
     def test_transforms_equal_the_scalar_expression(self, alpha):
@@ -1058,6 +1150,43 @@ class TestPeriodicCoefficients:
                                  np.exp(1j * k * math.pi * rule.nodes)
                                  * b.psi(n, rule.nodes, 0)[0]))
             assert abs(mine - ref) <= 1e-10
+
+    def test_warm_slot_equals_the_checked_path(self, monkeypatch):
+        # Python int n and k at the kept |k| pi read the kept values with no
+        # check; NumPy ints take the checks, and a copy that keeps nothing
+        # computes the same values; -k reads the conjugates
+        b = B.build_basis(0.5, 5.0, 20)
+        cold = [approx.periodic_coefficient(dataclasses.replace(b), np.int64(3), np.int32(n))
+                for n in range(b.nmax)]
+        approx.periodic_coefficient(b, 3, 0)
+        checks = []
+        is_integer = approx._is_integer
+        monkeypatch.setattr(approx, "_is_integer", lambda v: checks.append(v) or is_integer(v))
+        warm = [approx.periodic_coefficient(b, 3, n) for n in range(b.nmax)]
+        warm_neg = [approx.periodic_coefficient(b, -3, n) for n in range(b.nmax)]
+        assert not checks
+        assert warm == cold and warm_neg == [v.conjugate() for v in cold]
+        assert all(type(v) is complex for v in warm + warm_neg)
+        numpy = [approx.periodic_coefficient(b, np.int64(-3), np.int64(n)) for n in range(b.nmax)]
+        assert checks and numpy == warm_neg
+        assert approx.periodic_coefficient(b, 0, 4) == approx.periodic_coefficient(
+            dataclasses.replace(b), 0, 4)
+
+    def test_warm_slot_keeps_every_refusal(self):
+        b = B.build_basis(0.5, 5.0, 20)
+        approx.periodic_coefficient(b, 3, 1)
+        for k, n, match in [(3, 20, "basis index 20 out of range"),
+                            (3, -1, "basis index -1 out of range"),
+                            (-3, 2.5, "basis index 2.5 is not an integer"),
+                            (3, True, "basis index True is not an integer"),
+                            (3, np.int64(20), "basis index 20 out of range"),
+                            (3.0, 1, r"the frequency index k=3\.0 is not an integer"),
+                            ("3", 1, "the frequency index k='3' is not an integer"),
+                            (True, 1, "the frequency index k=True is not an integer"),
+                            (10 ** 400, 1, "not a finite double")]:
+            with pytest.raises(DomainError, match=match):
+                approx.periodic_coefficient(b, k, n)
+        assert b._tables["periodic"][0] == 3 * math.pi
 
     def test_index_must_be_an_integer(self, basis_05_2):
         with pytest.raises(DomainError, match=r"^basis index 5\.0 is not an integer$"):

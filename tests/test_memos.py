@@ -37,7 +37,8 @@ def _memos():
 def test_no_global_memo_takes_a_basis():
     memos = dict(_memos())
     # the walk sees both kinds of memo, so the check below is not vacuous
-    assert {"spectral._fc_terms", "approx._wm_term_rows"} <= memos.keys()
+    assert {"spectral._fc_terms", "approx._wm_term_rows", "approx._powers",
+            "approx._cos_spectra"} <= memos.keys()
     keyed = [name for name, memo in memos.items()
              if "basis" in inspect.signature(memo).parameters]
     assert not keyed, f"global memos keyed on a basis: {keyed}"
@@ -48,7 +49,8 @@ def test_no_global_memo_takes_a_basis():
 
 def test_periodic_sums_live_on_the_basis(monkeypatch):
     # the coefficients of every n at one |k| pi are one fsum_rows pass, kept
-    # in the basis's "periodic" slot and replaced when |k| pi changes
+    # in the basis's "periodic" slot as a tuple of Python complex numbers,
+    # i^n applied, and replaced when |k| pi changes
     b = B.build_basis(0.5, 5.0, 20)
     passes = []
     fsum_rows = backend.fsum_rows
@@ -57,7 +59,8 @@ def test_periodic_sums_live_on_the_basis(monkeypatch):
     first = [approx.periodic_coefficient(b, 3, n) for n in range(b.nmax)]
     kept = b._tables["periodic"]
     assert passes == [(b.nmax, b.trunc)] and kept[0] == 3 * math.pi
-    assert not kept[1].flags.writeable
+    assert isinstance(kept[1], tuple) and list(kept[1]) == first
+    assert all(type(v) is complex for v in kept[1])
     assert [approx.periodic_coefficient(b, -3, n) for n in range(b.nmax)] == [
         v.conjugate() for v in first]
     assert len(passes) == 1 and b._tables["periodic"] is kept

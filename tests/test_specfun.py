@@ -581,12 +581,24 @@ class TestJacobiNormalized:
         for nderiv in (-1, 2.5):
             with pytest.raises(DomainError, match=f"nderiv must be an integer >= 0, got {nderiv!r}"):
                 specfun.jacobi_table(0.5, 3, [0.3], nderiv)
-        # alpha -2 gave [0, nan, 2, nan] with a RuntimeWarning
-        for alpha in (-2.0, -1.0, math.nan):
-            with pytest.raises(DomainError, match=f"alpha must be finite and > -1, got {alpha!r}"):
-                specfun.jacobi_recurrence(alpha, 4)
-            with pytest.raises(DomainError, match="alpha must be finite and > -1"):
-                specfun.jacobi_table(alpha, 3, [0.3])
+        # alpha -2 gave [0, nan, 2, nan] with a RuntimeWarning; at -1/2 a_1
+        # is 0/0, and below it h_0 took the log of 2 alpha + 1 < 0 (a bare
+        # ValueError: math domain error); the weight itself takes alpha > -1
+        for alpha in (-2.0, -1.0, math.nan, math.inf, -0.75, -0.5):
+            msg = f"alpha must be finite and > -1/2 for the Jacobi recurrence, got {alpha!r}"
+            for call in (lambda: specfun.jacobi_recurrence(alpha, 4),
+                         lambda: specfun.jacobi_table(alpha, 3, [0.2]),
+                         lambda: specfun.jacobi_norm0(alpha)):
+                with pytest.raises(DomainError, match=re.escape(msg)):
+                    call()
+        assert specfun.weight_mass(-0.75) > 0.0
+        assert specfun.jacobi_recurrence(-0.49, 3).shape == (3,)
+        # m was read with int(): 2.5 gave two coefficients, -3 and 0 a bare
+        # IndexError
+        for m in (2.5, -3, 0, True, "4", None):
+            with pytest.raises(DomainError, match=re.escape(f"m must be an integer >= 1, got {m!r}")):
+                specfun.jacobi_recurrence(0.5, m)
+        assert specfun.jacobi_recurrence(0.5, np.int64(3)) is specfun.jacobi_recurrence(0.5, 3)
         assert specfun.jacobi_table(0.5, np.int64(3), [0.3], np.int32(1)).shape == (2, 4, 1)
 
 
@@ -684,4 +696,10 @@ class TestGaussJacobi:
         for m in (2.5, "5", True, math.nan, math.inf):
             with pytest.raises(DomainError, match=f"order m must be an integer >= 1, got {m!r}"):
                 specfun.gauss_jacobi(0.5, m)
+        # a_1 is 0/0 at alpha -1/2 ("matrix entries must be finite"), and
+        # -0.75 raised a bare ValueError: math domain error
+        for alpha in (-0.5, -0.75, -0.999):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"alpha must be finite and > -1/2 for the Jacobi recurrence, got {alpha!r}")):
+                specfun.gauss_jacobi(alpha, 5)
         assert specfun.gauss_jacobi(0.5, np.int64(5)) is specfun.gauss_jacobi(0.5, 5)
