@@ -101,11 +101,8 @@ def _cos_series_eval(coefs):
 
     def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        # the equispaced open grid (as np.linspace builds it) takes the FFT;
-        # at the sup grid's size the kept grid stands for the fresh one
-        grid = (_SUP_GRID if x.size == _SUP_GRID.size
-                else np.linspace(-1.0, 1.0, x.size + 2)[1:-1])
-        if x.ndim == 1 and np.array_equal(x, grid):
+        # the equispaced open grid (as np.linspace builds it) takes the FFT
+        if x.ndim == 1 and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1]):
             return _cos_series_grid(coefs, x.size)
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, _EVAL_BLOCK):
@@ -125,20 +122,11 @@ def brownian_from_coefficients(s, coefs):
     """Random-cosine-series path with explicitly supplied amplitudes X_k."""
     _check_brownian_s(s)
     coefs = _amplitudes(coefs)
-    scaled = coefs / _powers(coefs.size, s)
+    scaled = coefs / np.arange(1.0, coefs.size + 1) ** s
     return TargetFunction(kind="brownian", evaluator=_cos_series_eval(scaled),
                           params={"s": s, "K": coefs.size, "seed": None,
                                   "amplitudes": coefs},
                           exact=lambda basis, N: cosine_series_projection(basis, scaled, N))
-
-
-@lru_cache(maxsize=4, typed=True)
-def _powers(K, s):
-    """k^s, k = 1..K, read-only; typed, so that an s of a NumPy type, whose
-    power may take its own dtype, keeps an entry of its own."""
-    powers = np.arange(1.0, K + 1) ** s
-    powers.setflags(write=False)
-    return powers
 
 
 # one past the largest brownian seed: a Philox key is two 64-bit words
@@ -379,17 +367,22 @@ def project(basis, f, N, quad_order=None):
 
 def _rule_psi(basis, rule, N, kind="rule_rows"):
     """psi_n, n < N, at the nodes of a Gauss rule of the basis's weight, shape
-    (N, rule.order), read-only: ``basis.psi_table(rule.nodes, range(N))`` bit
-    for bit, summed over the Jacobi rows at the nodes' distinct |x|, which
-    are dropped after.  The basis keeps the table under ``kind`` for the
-    last (rule order, N)."""
+    (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit.
+
+    The basis keeps psi_n of every n < nmax at the nodes under ``kind`` for
+    the last rule order, summed once over the Jacobi rows at the nodes'
+    distinct |x|, which are dropped after; any N reads its first N rows, a
+    read-only view.  Below N = 4 a parity holds one n, whose one-column
+    product BLAS rounds apart from the same column of a wider one, so there
+    ``psi_table`` sums it afresh."""
     def make():
         index, neg, rows = basis._rows_at_abs(rule.nodes)
-        ns = np.arange(N)
+        ns = np.arange(basis.nmax)
         return _unfold(ns, backend.table_series(basis._parity_coefficients(ns), rows),
                        index, neg)[0]
 
-    return basis._table(kind, (rule.order, N), make)
+    table = basis._table(kind, rule.order, make)
+    return table[:N] if N >= 4 else basis.psi_table(rule.nodes, range(N))
 
 
 def _sup_grid_values(basis, coeffs):
@@ -721,17 +714,8 @@ def periodic_coefficient(basis, k, n):
     The coefficients of every n at the last |k| pi are kept on the basis as
     Python complex numbers, so the nmax coefficients at one k take one
     exactly rounded pass; a negative k reads their conjugates.  A Python int
-    n in range and a Python int k whose |k| pi is the kept one read the kept
-    value at once; every other input takes the checks below."""
-    if type(n) is int and type(k) is int and 0 <= n < basis.nmax:
-        kept = basis._tables.get("periodic")
-        try:
-            hit = kept is not None and kept[0] == abs(k) * math.pi
-        except OverflowError:  # an int k past the largest double
-            hit = False
-        if hit:
-            return kept[1][n] if k > 0 else kept[1][n].conjugate()
-    if not _is_integer(n):
+    passes each integer check on its type alone."""
+    if not (type(n) is int or _is_integer(n)):
         raise DomainError(f"basis index {n!r} is not an integer")
     if not 0 <= n < basis.nmax:
         raise DomainError(f"basis index {n} out of range")
@@ -743,7 +727,7 @@ def periodic_coefficient(basis, k, n):
         raise DomainError(f"the frequency index k={k!r} is not an integer") from None
     if not math.isfinite(u):
         raise DomainError(f"the frequency |k| pi is not a finite double at k={k!r}")
-    if not _is_integer(k):
+    if not (type(k) is int or _is_integer(k)):
         raise DomainError(f"the frequency index k={k!r} is not an integer")
     if k == 0:
         if n % 2 == 1:

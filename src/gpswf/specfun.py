@@ -61,10 +61,12 @@ def _check_count(name, n):
         raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
 
 
-def _check_alpha(alpha):
-    """The weight exponent as a float; w_a needs a finite a > -1."""
-    if not math.isfinite(alpha) or alpha <= -1.0:
-        raise DomainError(f"alpha must be finite and > -1, got {alpha!r}")
+def _check_alpha(alpha, lower=-1.0):
+    """The weight exponent as a float, finite and > ``lower``: w_a needs
+    a > -1; the Jacobi recurrence and h_0 divide by 2a + 1, and a_1 is 0/0
+    at a = -1/2, so they take a lower bound of -1/2."""
+    if not math.isfinite(alpha) or alpha <= lower:
+        raise DomainError(f"alpha must be finite and > {lower:g}, got {alpha!r}")
     return float(alpha)
 
 
@@ -137,27 +139,18 @@ def _recurrence_cached(alpha, m):
     return a
 
 
-def _check_jacobi_alpha(alpha):
-    """The weight exponent as a float; the recurrence and h_0 below divide by
-    2a + 1, and a_1 is 0/0 at a = -1/2, so they take a finite a > -1/2."""
-    if not (math.isfinite(alpha) and alpha > -0.5):
-        raise DomainError(f"alpha must be finite and > -1/2 for the Jacobi "
-                          f"recurrence, got {alpha!r}")
-    return float(alpha)
-
-
 def jacobi_recurrence(alpha, m):
     """Coefficients a_k, k = 0..m-1, of ``x Jt_k = a_{k+1} Jt_{k+1} + a_k Jt_{k-1}``;
     a finite alpha > -1/2 and an integer m >= 1."""
     if not (_is_integer(m) and m >= 1):
         raise DomainError(f"m must be an integer >= 1, got {m!r}")
-    return _recurrence_cached(_check_jacobi_alpha(alpha), int(m))
+    return _recurrence_cached(_check_alpha(alpha, -0.5), int(m))
 
 
 def jacobi_norm0(alpha):
     """Jt_0(x) = 1/sqrt(h_0), h_0 the squared norm of the constant polynomial;
     a finite alpha > -1/2."""
-    alpha = _check_jacobi_alpha(alpha)
+    alpha = _check_alpha(alpha, -0.5)
     ln_h0 = ((2.0 * alpha + 1.0) * math.log(2.0) + 2.0 * ln_gamma(alpha + 1.0)
              - math.log(2.0 * alpha + 1.0) - ln_gamma(2.0 * alpha + 1.0))
     return math.exp(-0.5 * ln_h0)
@@ -229,7 +222,7 @@ def _rule_cached(alpha, m):
 
 def gauss_jacobi(alpha, m):
     """Gauss-Jacobi rule with m nodes for the weight (1 - x^2)^alpha, alpha > -1/2."""
-    alpha = _check_jacobi_alpha(alpha)
+    alpha = _check_alpha(alpha, -0.5)
     if not (_is_integer(m) and m >= 1):
         raise DomainError(f"quadrature order m must be an integer >= 1, got {m!r}")
     return _rule_cached(alpha, int(m))

@@ -32,18 +32,15 @@ def basis_wm():
 
 
 class TestCorpus:
-    def test_brownian_draws_and_powers(self):
+    def test_brownian_one_draw_is_the_two(self):
         # one draw of 2K uniforms is the two draws of K that the generator's
-        # name stands for; the powers k^s are kept read-only per (K, s)
+        # name stands for
         K = 1000
         gen = np.random.Generator(np.random.Philox(key=7))
         u1, u2 = 1.0 - gen.random(K), gen.random(K)
         ref = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
         f = approx.brownian(1.5, seed=7, K=K)
         assert f.params["amplitudes"].tobytes() == ref.tobytes()
-        powers = approx._powers(K, 1.5)
-        assert powers is approx._powers(K, 1.5) and not powers.flags.writeable
-        assert powers.tobytes() == (np.arange(1.0, K + 1) ** 1.5).tobytes()
 
     def test_brownian_deterministic(self):
         f1 = approx.brownian(1.5, seed=7, K=500)
@@ -434,9 +431,9 @@ def _kept(basis, kind):
 
 
 class TestRuleRowsMemo:
-    """``project`` reads psi at its Gauss nodes from the psi table that the
-    basis keeps for each rule kind, keyed by (rule order, N), summed once
-    over the nodes' Jacobi rows as ``jacobi_series`` sums."""
+    """``project`` reads psi at its Gauss nodes from the psi table of every
+    n < nmax that the basis keeps for each rule kind, keyed by rule order,
+    summed once over the nodes' Jacobi rows as ``jacobi_series`` sums."""
 
     @pytest.mark.parametrize("N", [1, 2, 60, 96])
     @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
@@ -469,12 +466,12 @@ class TestRuleRowsMemo:
             assert approx._rule_psi(basis_proj, rule, N).tobytes() == ref.tobytes()
 
     def test_table_is_read_only(self, basis_proj):
-        # the default rule has 216 nodes: the basis keeps psi_n, n < 60, at
-        # them, and not the Jacobi rows it summed them from
+        # the default rule has 216 nodes: the basis keeps psi_n, n < nmax,
+        # at them, and not the Jacobi rows it summed them from
         b = dataclasses.replace(basis_proj)
         approx.project(b, approx.periodic_exponential(7), 60)
         key, table = _kept(b, "rule_rows")
-        assert key == (216, 60) and table.shape == (60, 216)
+        assert key == 216 and table.shape == (96, 216)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
@@ -483,7 +480,7 @@ class TestRuleRowsMemo:
     def test_rows_never_stale(self, basis_proj):
         # alternate bases, rule orders and N: each psi table equals the
         # recurrence's at that basis and rule, and the slot keeps the last
-        # (order, N) only
+        # order only
         bases = [dataclasses.replace(basis_proj), B.build_basis(1.5, 5 * math.pi, 96)]
         for i, quad_order, N in [(0, 184, 7), (0, 216, 7), (1, 216, 7), (0, 184, 7),
                                  (1, 250, 7), (1, 216, 7), (1, 216, 12), (1, 216, 7)]:
@@ -491,13 +488,14 @@ class TestRuleRowsMemo:
             rule = specfun.gauss_jacobi(b.alpha, quad_order)
             got = approx._rule_psi(b, rule, N)
             assert got.tobytes() == b.psi_table(rule.nodes, range(N)).tobytes()
-            assert _kept(b, "rule_rows")[0] == (quad_order, N)
+            assert _kept(b, "rule_rows")[0] == quad_order
 
     @pytest.mark.parametrize("N", [1, 7, 60])
     def test_second_call_reads_the_kept_table(self, basis_proj, monkeypatch, N):
-        # bitwise psi_table on the first and the second call; the second
-        # makes no table_series pass and returns the kept table itself; a
-        # new N or rule order makes a new table
+        # bitwise psi_table on the first and the second call; the first sums
+        # psi of every n < nmax, the second makes no table_series pass, and
+        # from N = 4 on reads a view of the kept table; a new rule order
+        # makes a new table
         passes = []
         table_series = backend.table_series
         monkeypatch.setattr(backend, "table_series",
@@ -508,13 +506,33 @@ class TestRuleRowsMemo:
         first = approx._rule_psi(b, rule, N)
         assert first.tobytes() == ref and len(passes) == 1
         second = approx._rule_psi(b, rule, N)
-        assert second is first and second.tobytes() == ref and len(passes) == 1
-        assert not second.flags.writeable
-        other = approx._rule_psi(b, rule, N + 1)
-        assert len(passes) == 2 and other.shape == (N + 1, 216)
-        assert other.tobytes() == b.psi_table(rule.nodes, range(N + 1)).tobytes()
+        assert second.tobytes() == ref and len(passes) == 1
+        table = _kept(b, "rule_rows")[1]
+        assert table.shape == (b.nmax, 216) and not table.flags.writeable
+        assert np.shares_memory(second, table) == (N >= 4)
         rule = specfun.gauss_jacobi(b.alpha, 184)
-        assert approx._rule_psi(b, rule, N).shape == (N, 184) and len(passes) == 3
+        assert approx._rule_psi(b, rule, N).shape == (N, 184) and len(passes) == 2
+
+    @pytest.mark.parametrize("quad_order", [184, 216])
+    def test_an_N_sweep_sums_once(self, basis_proj, monkeypatch, quad_order):
+        # the convergence study of project: every N on one basis reads the
+        # one kept table (N < 4 sums psi_table afresh), bit for bit
+        # psi_table(nodes, range(N)); one Jacobi table at the nodes and one
+        # table_series pass in all
+        b = dataclasses.replace(basis_proj)
+        rule = specfun.gauss_jacobi(b.alpha, quad_order)
+        refs = [b.psi_table(rule.nodes, range(N)).tobytes() for N in range(1, b.nmax + 1)]
+        tables, passes = [], []
+        jacobi_table, table_series = specfun.jacobi_table, backend.table_series
+        monkeypatch.setattr(specfun, "jacobi_table",
+                            lambda *a: tables.append(a[2].size) or jacobi_table(*a))
+        monkeypatch.setattr(backend, "table_series",
+                            lambda c, t: passes.append(len(c)) or table_series(c, t))
+        for N in (2, 4, 8, 12, 16, 60, 96, 1, 3, 59):
+            assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
+        assert tables == [quad_order // 2] and len(passes) == 1
+        for N in range(1, b.nmax + 1):
+            assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
 
 
 class TestSupGridSeries:
@@ -1151,24 +1169,19 @@ class TestPeriodicCoefficients:
                                  * b.psi(n, rule.nodes, 0)[0]))
             assert abs(mine - ref) <= 1e-10
 
-    def test_warm_slot_equals_the_checked_path(self, monkeypatch):
-        # Python int n and k at the kept |k| pi read the kept values with no
-        # check; NumPy ints take the checks, and a copy that keeps nothing
-        # computes the same values; -k reads the conjugates
+    def test_warm_slot_equals_a_cold_basis(self):
+        # Python and NumPy int n and k at the kept |k| pi read the values
+        # that a copy keeping nothing computes; -k reads the conjugates
         b = B.build_basis(0.5, 5.0, 20)
         cold = [approx.periodic_coefficient(dataclasses.replace(b), np.int64(3), np.int32(n))
                 for n in range(b.nmax)]
         approx.periodic_coefficient(b, 3, 0)
-        checks = []
-        is_integer = approx._is_integer
-        monkeypatch.setattr(approx, "_is_integer", lambda v: checks.append(v) or is_integer(v))
         warm = [approx.periodic_coefficient(b, 3, n) for n in range(b.nmax)]
         warm_neg = [approx.periodic_coefficient(b, -3, n) for n in range(b.nmax)]
-        assert not checks
         assert warm == cold and warm_neg == [v.conjugate() for v in cold]
         assert all(type(v) is complex for v in warm + warm_neg)
         numpy = [approx.periodic_coefficient(b, np.int64(-3), np.int64(n)) for n in range(b.nmax)]
-        assert checks and numpy == warm_neg
+        assert numpy == warm_neg
         assert approx.periodic_coefficient(b, 0, 4) == approx.periodic_coefficient(
             dataclasses.replace(b), 0, 4)
 

@@ -685,7 +685,7 @@ def test_two_threads_write_the_same_csvs(capsys, tmp_path, name):
     written = {}
     for threads in ("1", "2"):
         for cached in (approx._wm_l2_norm_squared, approx._wm_pair_products,
-                       approx._wm_term_rows, approx._cos_spectra, approx._powers):
+                       approx._wm_term_rows, approx._cos_spectra):
             cached.cache_clear()
         out_dir = tmp_path / f"threads{threads}"
         code, _, _ = run_cli(capsys, "experiment", "--name", name,

@@ -37,7 +37,7 @@ def _memos():
 def test_no_global_memo_takes_a_basis():
     memos = dict(_memos())
     # the walk sees both kinds of memo, so the check below is not vacuous
-    assert {"spectral._fc_terms", "approx._wm_term_rows", "approx._powers",
+    assert {"spectral._fc_terms", "approx._wm_term_rows",
             "approx._cos_spectra"} <= memos.keys()
     keyed = [name for name, memo in memos.items()
              if "basis" in inspect.signature(memo).parameters]

@@ -89,7 +89,7 @@ def test_projection_ops_enter_every_expected_layer():
     # each kind; a traced run counts set-up spans too.  The psi table and the
     # cosine norm must stay on the path.
     tracing, workloads = _load("tracing"), _load("workloads")
-    for cached in (spectral._fc_terms, approx._cos_spectra, approx._powers,
+    for cached in (spectral._fc_terms, approx._cos_spectra,
                    approx._wm_l2_norm_squared, approx._wm_pair_products,
                    approx._wm_term_rows, specfun._rule_cached):
         cached.cache_clear()  # warm transforms and rules skip their layers
@@ -119,7 +119,7 @@ def test_scenario_runs_enter_every_expected_layer(tmp_path):
     # in-process cache starts cold; on an empty disk cache each run looks its
     # basis up (cache_get), misses and stores it (cache_put)
     tracing = _load("tracing")
-    for cached in (spectral._fc_terms, approx._cos_spectra, approx._powers,
+    for cached in (spectral._fc_terms, approx._cos_spectra,
                    approx._wm_l2_norm_squared, approx._wm_pair_products,
                    approx._wm_term_rows, specfun._rule_cached):
         cached.cache_clear()  # warm transforms and rules skip their layers

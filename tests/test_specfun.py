@@ -585,7 +585,7 @@ class TestJacobiNormalized:
         # is 0/0, and below it h_0 took the log of 2 alpha + 1 < 0 (a bare
         # ValueError: math domain error); the weight itself takes alpha > -1
         for alpha in (-2.0, -1.0, math.nan, math.inf, -0.75, -0.5):
-            msg = f"alpha must be finite and > -1/2 for the Jacobi recurrence, got {alpha!r}"
+            msg = f"alpha must be finite and > -0.5, got {alpha!r}"
             for call in (lambda: specfun.jacobi_recurrence(alpha, 4),
                          lambda: specfun.jacobi_table(alpha, 3, [0.2]),
                          lambda: specfun.jacobi_norm0(alpha)):
@@ -700,6 +700,6 @@ class TestGaussJacobi:
         # -0.75 raised a bare ValueError: math domain error
         for alpha in (-0.5, -0.75, -0.999):
             with pytest.raises(DomainError, match=re.escape(
-                    f"alpha must be finite and > -1/2 for the Jacobi recurrence, got {alpha!r}")):
+                    f"alpha must be finite and > -0.5, got {alpha!r}")):
                 specfun.gauss_jacobi(alpha, 5)
         assert specfun.gauss_jacobi(0.5, np.int64(5)) is specfun.gauss_jacobi(0.5, 5)
