@@ -10,7 +10,6 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 
 from . import backend, specfun, spectral
-from .basis import _unfold
 from .errors import DomainError
 from .specfun import _is_integer
 
@@ -358,30 +357,23 @@ def project(basis, f, N, quad_order=None):
         if quad_order < m + 64:  # the residual takes a rule of m + 64 nodes
             rule = specfun.gauss_jacobi(basis.alpha, m + 64)
             fvals = f(rule.nodes)
-            tab = _rule_psi(basis, rule, N, kind="residual_rows")
+            tab = _rule_psi(basis, rule, N, kind="residual_psi")
         resid = fvals - coeffs @ tab
         l2w = math.sqrt(max(float(np.real(np.dot(rule.weights, np.abs(resid) ** 2))), 0.0))
     sup = float(np.max(np.abs(f(_SUP_GRID) - _sup_grid_values(basis, coeffs))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)
 
 
-def _rule_psi(basis, rule, N, kind="rule_rows"):
+def _rule_psi(basis, rule, N, kind="rule_psi"):
     """psi_n, n < N, at the nodes of a Gauss rule of the basis's weight, shape
     (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit.
 
-    The basis keeps psi_n of every n < nmax at the nodes under ``kind`` for
-    the last rule order, summed once over the Jacobi rows at the nodes'
-    distinct |x|, which are dropped after; any N reads its first N rows, a
+    The basis keeps ``psi_table(rule.nodes)``, psi_n of every n < nmax, under
+    ``kind`` for the last rule order; any N reads its first N rows, a
     read-only view.  Below N = 4 a parity holds one n, whose one-column
     product BLAS rounds apart from the same column of a wider one, so there
     ``psi_table`` sums it afresh."""
-    def make():
-        index, neg, rows = basis._rows_at_abs(rule.nodes)
-        ns = np.arange(basis.nmax)
-        return _unfold(ns, backend.table_series(basis._parity_coefficients(ns), rows),
-                       index, neg)[0]
-
-    table = basis._table(kind, rule.order, make)
+    table = basis._table(kind, rule.order, lambda: basis.psi_table(rule.nodes))
     return table[:N] if N >= 4 else basis.psi_table(rule.nodes, range(N))
 
 

@@ -14,9 +14,9 @@ writes each step into its output rows with ``out=`` ufuncs, taking a
 block's row views from one list per derivative order rather than indexing
 them step by step.  At these sizes both cost NumPy call overhead rather
 than arithmetic, which is what they cut.  Each parity's series reads that
-parity's rows only.  Callers that need psi_table's values from stored rows
-(a basis's, at the distinct |x| of Gauss nodes and of the probes) sum over
-them with :func:`table_series`.
+parity's rows only.  The spectrum's probe check, which also needs the
+rows themselves, sums psi_table's values over them with
+:func:`table_series`.
 
 :func:`bessel_ladder` gives the Bessel orders ``nu0 + j`` times (2/x)^nu0 at
 an array of arguments, one row each of mantissas and integer exponents, and

@@ -47,8 +47,7 @@ def assemble_eigensystem(alpha, c, M, parity):
         raise DomainError(f"alpha must be > -1, got {alpha!r}")
     if not math.isfinite(c) or c < 0.0:
         raise DomainError(f"bandwidth c must be >= 0, got {c!r}")
-    if not (_is_integer(M) and M >= 2):
-        raise DomainError(f"truncation order M must be an integer >= 2, got {M!r}")
+    _check_count("truncation order M", M, 2)
     p = _PARITIES.get(parity)
     if p is None:
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -142,19 +141,18 @@ class GpswfBasis:
         return [np.take(self.beta.T, ns[ns % 2 == p], axis=1) for p in (0, 1)]
 
     def _abs_rows(self, kind, key, x):
-        """:meth:`_rows_at_abs` of ``x``, kept under ``kind`` for ``key``."""
-        return self._table(kind, key, lambda: self._rows_at_abs(x))
+        """(index, neg, rows), read-only, kept under ``kind`` for ``key``:
+        ``rows[p][i, j] = Jt_{2i+p}(u_j)`` at the distinct |x| u_j, the index
+        of each point's |x| among them, and where x < 0."""
+        def make():
+            u, index = _distinct_abs(x)
+            rows = specfun.jacobi_table(self.alpha, 2 * self.trunc - 1, u)
+            neg = x < 0.0
+            for a in (index, neg, rows):
+                a.setflags(write=False)
+            return index, neg, (rows[0::2], rows[1::2])
 
-    def _rows_at_abs(self, x):
-        """(index, neg, rows), read-only: ``rows[p][i, j] = Jt_{2i+p}(u_j)``
-        at the distinct |x| u_j, the index of each point's |x| among them,
-        and where x < 0."""
-        u, index = _distinct_abs(x)
-        rows = specfun.jacobi_table(self.alpha, 2 * self.trunc - 1, u)
-        neg = x < 0.0
-        for a in (index, neg, rows):
-            a.setflags(write=False)
-        return index, neg, (rows[0::2], rows[1::2])
+        return self._table(kind, key, make)
 
     def psi_table(self, x, n_list=None, nderiv=0):
         """Values (and derivatives) of many psi_n on a node array at once:

@@ -55,10 +55,10 @@ def _is_integer(n):
     return type(n) is int or isinstance(n, np.integer)
 
 
-def _check_count(name, n):
-    """Refuse a count ``n`` that is not an integer >= 0."""
-    if not (_is_integer(n) and n >= 0):
-        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
+def _check_count(name, n, lower=0):
+    """Refuse a count ``n`` that is not an integer >= ``lower``."""
+    if not (_is_integer(n) and n >= lower):
+        raise DomainError(f"{name} must be an integer >= {lower}, got {n!r}")
 
 
 def _check_alpha(alpha, lower=-1.0):
@@ -142,8 +142,7 @@ def _recurrence_cached(alpha, m):
 def jacobi_recurrence(alpha, m):
     """Coefficients a_k, k = 0..m-1, of ``x Jt_k = a_{k+1} Jt_{k+1} + a_k Jt_{k-1}``;
     a finite alpha > -1/2 and an integer m >= 1."""
-    if not (_is_integer(m) and m >= 1):
-        raise DomainError(f"m must be an integer >= 1, got {m!r}")
+    _check_count("m", m, 1)
     return _recurrence_cached(_check_alpha(alpha, -0.5), int(m))
 
 
@@ -223,6 +222,5 @@ def _rule_cached(alpha, m):
 def gauss_jacobi(alpha, m):
     """Gauss-Jacobi rule with m nodes for the weight (1 - x^2)^alpha, alpha > -1/2."""
     alpha = _check_alpha(alpha, -0.5)
-    if not (_is_integer(m) and m >= 1):
-        raise DomainError(f"quadrature order m must be an integer >= 1, got {m!r}")
+    _check_count("quadrature order m", m, 1)
     return _rule_cached(alpha, int(m))

@@ -128,8 +128,7 @@ def fc_on_jacobi(alpha, c, k, x):
     survives, with value int Jt_0 w_a = sqrt(m0)."""
     _check_bandwidth(c)
     alpha = specfun._check_alpha(alpha)
-    if not (specfun._is_integer(k) and k >= 0):
-        raise DomainError(f"the Jacobi order k must be an integer >= 0, got {k!r}")
+    specfun._check_count("the Jacobi order k", k)
     if not (math.isfinite(x) and abs(x) <= 1.0 + 8.0 * np.finfo(float).eps):
         raise DomainError(f"transform evaluation requires a finite x with |x| <= 1, "
                           f"got x={x!r}")
@@ -194,12 +193,6 @@ def _log_lambda(mu_abs, c):
     return math.log(c / (2.0 * math.pi)) + 2.0 * _log_mu(mu_abs)
 
 
-def _check_index(n, name):
-    """Refuse an index n that is not an integer >= 0 with DomainError."""
-    if not (specfun._is_integer(n) and n >= 0):
-        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
-
-
 def decay_bound_check(n, mu_abs, alpha, c):
     """Super-exponential decay bounds on |mu_n| and lambda_n, in log space.
 
@@ -211,7 +204,7 @@ def decay_bound_check(n, mu_abs, alpha, c):
     or infinite raises DomainError.
     """
     _check_bandwidth(c)
-    _check_index(n, "n")
+    specfun._check_count("n", n)
     if not 0.0 <= mu_abs < math.inf:
         raise DomainError(f"the modulus |mu_n| must be finite and >= 0, got {mu_abs!r}")
     applicable = n > (math.e * c + 1.0) / 2.0
@@ -383,9 +376,11 @@ def compute_spectrum(basis):
     """
     _check_phase(basis)
     ns = range(basis.nmax)
-    # the basis's Jacobi rows at the candidates (ascending, so in their order)
-    # give every psi_n(x*), bitwise psi_table's, and each parity's row norms
-    _, _, parts = basis._abs_rows("probe_rows", None, _PROBE_X)
+    # the Jacobi rows at the candidates (positive and ascending, so the rows
+    # of psi_table's distinct |x|) give every psi_n(x*), bitwise psi_table's,
+    # and each parity's row norms
+    jac = specfun.jacobi_table(basis.alpha, 2 * basis.trunc - 1, _PROBE_X)
+    parts = (jac[0::2], jac[1::2])
     vals = np.empty((basis.nmax, _PROBE_X.size))
     for p, part in enumerate(backend.table_series(
             basis._parity_coefficients(np.arange(basis.nmax)), parts)):
@@ -474,7 +469,7 @@ def lambda_bound_tail(alpha, c, n_from):
     """Upper bound on sum_{n >= n_from} lambda_n from the decay estimate;
     n_from must be an integer >= 0 past (e c + 1)/2."""
     _check_bandwidth(c)
-    _check_index(n_from, "n_from")
+    specfun._check_count("n_from", n_from)
     n0 = int(max(n_from, math.floor((math.e * c + 1.0) / 2.0) + 1))
     if n0 > n_from:
         raise DomainError(f"tail bound needs n_from > (ec+1)/2; got {n_from}")

@@ -432,8 +432,8 @@ def _kept(basis, kind):
 
 class TestRuleRowsMemo:
     """``project`` reads psi at its Gauss nodes from the psi table of every
-    n < nmax that the basis keeps for each rule kind, keyed by rule order,
-    summed once over the nodes' Jacobi rows as ``jacobi_series`` sums."""
+    n < nmax that the basis keeps for each rule kind, keyed by rule order:
+    one ``psi_table`` at the nodes."""
 
     @pytest.mark.parametrize("N", [1, 2, 60, 96])
     @pytest.mark.parametrize("extra", [None, 32], ids=["default", "m+32"])
@@ -447,7 +447,7 @@ class TestRuleRowsMemo:
         b = dataclasses.replace(basis_proj)
         quad_order = None if extra is None else (
             max(b.trunc, b.nmax + math.ceil(b.c) + 40) + extra)
-        kinds = ["rule_rows"] + ([] if extra is None else ["residual_rows"])
+        kinds = ["rule_psi"] + ([] if extra is None else ["residual_psi"])
         cold = approx.project(b, target, N, quad_order)
         kept = [_kept(b, kind)[1] for kind in kinds]
         warm = approx.project(b, target, N, quad_order)
@@ -470,12 +470,12 @@ class TestRuleRowsMemo:
         # at them, and not the Jacobi rows it summed them from
         b = dataclasses.replace(basis_proj)
         approx.project(b, approx.periodic_exponential(7), 60)
-        key, table = _kept(b, "rule_rows")
+        key, table = _kept(b, "rule_psi")
         assert key == 216 and table.shape == (96, 216)
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
-        assert set(b._tables) == {"rule_rows", "sup_rows"}
+        assert set(b._tables) == {"rule_psi", "sup_rows"}
 
     def test_rows_never_stale(self, basis_proj):
         # alternate bases, rule orders and N: each psi table equals the
@@ -488,51 +488,59 @@ class TestRuleRowsMemo:
             rule = specfun.gauss_jacobi(b.alpha, quad_order)
             got = approx._rule_psi(b, rule, N)
             assert got.tobytes() == b.psi_table(rule.nodes, range(N)).tobytes()
-            assert _kept(b, "rule_rows")[0] == quad_order
+            assert _kept(b, "rule_psi")[0] == quad_order
 
     @pytest.mark.parametrize("N", [1, 7, 60])
     def test_second_call_reads_the_kept_table(self, basis_proj, monkeypatch, N):
         # bitwise psi_table on the first and the second call; the first sums
-        # psi of every n < nmax, the second makes no table_series pass, and
-        # from N = 4 on reads a view of the kept table; a new rule order
-        # makes a new table
-        passes = []
-        table_series = backend.table_series
-        monkeypatch.setattr(backend, "table_series",
-                            lambda c, t: passes.append(len(c)) or table_series(c, t))
+        # psi of every n < nmax in one jacobi_series pass, the second makes
+        # none and from N = 4 on reads a view of the kept table (below it,
+        # each call sums its N psi afresh); a new rule order makes a new table
         b = dataclasses.replace(basis_proj)
         rule = specfun.gauss_jacobi(b.alpha, 216)
         ref = b.psi_table(rule.nodes, range(N)).tobytes()
+        passes = _count_series(monkeypatch)
+        fresh = [N] if N < 4 else []
         first = approx._rule_psi(b, rule, N)
-        assert first.tobytes() == ref and len(passes) == 1
+        assert first.tobytes() == ref and passes == [b.nmax] + fresh
         second = approx._rule_psi(b, rule, N)
-        assert second.tobytes() == ref and len(passes) == 1
-        table = _kept(b, "rule_rows")[1]
+        assert second.tobytes() == ref and passes == [b.nmax] + 2 * fresh
+        table = _kept(b, "rule_psi")[1]
         assert table.shape == (b.nmax, 216) and not table.flags.writeable
         assert np.shares_memory(second, table) == (N >= 4)
         rule = specfun.gauss_jacobi(b.alpha, 184)
-        assert approx._rule_psi(b, rule, N).shape == (N, 184) and len(passes) == 2
+        assert approx._rule_psi(b, rule, N).shape == (N, 184)
+        assert passes == [b.nmax] + 2 * fresh + [b.nmax] + fresh
 
     @pytest.mark.parametrize("quad_order", [184, 216])
     def test_an_N_sweep_sums_once(self, basis_proj, monkeypatch, quad_order):
         # the convergence study of project: every N on one basis reads the
         # one kept table (N < 4 sums psi_table afresh), bit for bit
-        # psi_table(nodes, range(N)); one Jacobi table at the nodes and one
-        # table_series pass in all
+        # psi_table(nodes, range(N)); one jacobi_series pass over every
+        # n < nmax in all, and no Jacobi table at the nodes
         b = dataclasses.replace(basis_proj)
         rule = specfun.gauss_jacobi(b.alpha, quad_order)
         refs = [b.psi_table(rule.nodes, range(N)).tobytes() for N in range(1, b.nmax + 1)]
-        tables, passes = [], []
-        jacobi_table, table_series = specfun.jacobi_table, backend.table_series
+        tables = []
+        jacobi_table = specfun.jacobi_table
         monkeypatch.setattr(specfun, "jacobi_table",
                             lambda *a: tables.append(a[2].size) or jacobi_table(*a))
-        monkeypatch.setattr(backend, "table_series",
-                            lambda c, t: passes.append(len(c)) or table_series(c, t))
+        passes = _count_series(monkeypatch)
         for N in (2, 4, 8, 12, 16, 60, 96, 1, 3, 59):
             assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
-        assert tables == [quad_order // 2] and len(passes) == 1
+        assert tables == [] and passes == [b.nmax, 2, 1, 3]
         for N in range(1, b.nmax + 1):
             assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
+
+
+def _count_series(monkeypatch):
+    """A list that gets the number of psi_n each later
+    ``backend.jacobi_series`` call sums."""
+    passes = []
+    jacobi_series = backend.jacobi_series
+    monkeypatch.setattr(backend, "jacobi_series", lambda coefs, *a: passes.append(
+        sum(c.shape[1] for c in coefs)) or jacobi_series(coefs, *a))
+    return passes
 
 
 class TestSupGridSeries:
