@@ -236,8 +236,9 @@ def user_sampled(grid, values):
     finite, strictly increasing, from at most -1 to at least 1."""
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size != values.size or grid.size < 2:
-        raise DomainError("grid and values must be 1-D arrays of equal length >= 2")
+    if grid.ndim != 1 or grid.shape != values.shape or grid.size < 2:
+        raise DomainError("grid and values must be 1-D arrays of equal length >= 2, "
+                          f"got shapes {grid.shape} and {values.shape}")
     if not np.all(np.isfinite(values)):
         raise DomainError("sampled values must be finite")
     if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid) > 0.0)

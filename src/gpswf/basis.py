@@ -126,7 +126,7 @@ class GpswfBasis:
         """
         ns = self._check_index(n)
         _check_count("nderiv", nderiv)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = specfun._points(x, "psi points")
         u, index = _distinct_abs(x)
         rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
         sums = backend.jacobi_series(self._parity_coefficients(ns), rec,
@@ -357,6 +357,17 @@ def _start_order(c, nmax):
     return math.ceil(math.hypot(nmax, c) / 2) + 24
 
 
+def _check_basis_args(alpha, c, nmax):
+    """Refuse what :func:`build_basis` cannot build: an alpha that is not
+    finite and >= 0, a c not finite and > 0, an nmax not an integer >= 1.
+    The disk cache checks its keys with it too."""
+    if not math.isfinite(alpha) or alpha < 0.0:
+        raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
+    if not math.isfinite(c) or c <= 0.0:
+        raise DomainError(f"basis construction requires c > 0, got {c!r}")
+    _check_count("nmax", nmax, 1)
+
+
 def build_basis(alpha, c, nmax):
     """Build a basis with nmax eigenpairs at the truncation order
     :func:`_start_order`.
@@ -368,12 +379,7 @@ def build_basis(alpha, c, nmax):
     Eigenvalues come from :func:`eig_symtridiag` (LAPACK), eigenvectors from
     the spliced recurrence of :func:`_recurrence_vectors`.
     """
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise DomainError(f"basis construction requires alpha >= 0, got {alpha!r}")
-    if not math.isfinite(c) or c <= 0.0:
-        raise DomainError(f"basis construction requires c > 0, got {c!r}")
-    if not (_is_integer(nmax) and nmax >= 1):
-        raise DomainError(f"nmax must be an integer >= 1, got {nmax!r}")
+    _check_basis_args(alpha, c, nmax)
     M = _start_order(c, nmax)
     if M > _M_CAP:
         raise DomainError(f"start order {M} for alpha={alpha!r}, c={c!r}, nmax={nmax} "

@@ -198,7 +198,9 @@ class CacheEntry:
 
 def cache_key(alpha, c, nmax):
     """M is left out: ``build_basis`` derives it from (alpha, c, nmax), and
-    the entry records it."""
+    the entry records it.  Arguments that ``build_basis`` refuses are
+    refused here too, so no cache lookup answers for them."""
+    basis_mod._check_basis_args(alpha, c, nmax)
     text = (f"gpswf|{__version__}|v{_FORMAT_VERSION}|{float(alpha)!r}"
             f"|{float(c)!r}|{int(nmax)}")
     return hashlib.sha256(text.encode()).hexdigest()

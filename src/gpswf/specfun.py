@@ -61,6 +61,15 @@ def _check_count(name, n, lower=0):
         raise DomainError(f"{name} must be an integer >= {lower}, got {n!r}")
 
 
+def _points(x, what):
+    """``x``, a number or a 1-d array, as a 1-d float array; an array of
+    more dimensions raises DomainError naming ``what`` and its shape."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim > 1:
+        raise DomainError(f"{what} must be a number or a 1-d array, got shape {x.shape}")
+    return x
+
+
 def _check_alpha(alpha, lower=-1.0):
     """The weight exponent as a float, finite and > ``lower``: w_a needs
     a > -1; the Jacobi recurrence and h_0 divide by 2a + 1, and a_1 is 0/0
@@ -96,9 +105,7 @@ def bessel_j_ladder(nu, kmax, x):
     depend on the other arguments of the call."""
     base, shift = _split_order(nu)
     _check_count("kmax", kmax)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim > 1:
-        raise DomainError(f"bessel argument must be a number or a 1-d array, got shape {x.shape}")
+    x = _points(x, "bessel argument")
     bad = np.flatnonzero(~(np.isfinite(x) & (x >= 0.0)))
     if bad.size:
         raise DomainError("bessel argument must be finite and >= 0, "
@@ -163,7 +170,7 @@ def jacobi_table(alpha, kmax, x, nderiv=0):
     """
     _check_count("kmax", kmax)
     _check_count("nderiv", nderiv)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _points(x, "Jacobi points")
     a = jacobi_recurrence(alpha, kmax + 2)
     _, out = next(backend._jacobi_rows(a, jacobi_norm0(alpha), kmax, x, nderiv,
                                        kmax + 1))

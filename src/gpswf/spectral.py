@@ -159,12 +159,14 @@ class DecayVerdict:
 
 def mu_decay_constant(alpha):
     """k_a = (2/e)^(1 + a/2) pi sqrt(Gamma(a+1))."""
+    alpha = specfun._check_alpha(alpha)
     return ((2.0 / math.e) ** (1.0 + 0.5 * alpha) * math.pi
             * math.exp(0.5 * specfun.ln_gamma(alpha + 1.0)))
 
 
 def lambda_decay_constant(alpha):
     """K_a = (pi/2) (2/e)^(a+2) Gamma(a+1); equals k_a^2 / (2 pi)."""
+    alpha = specfun._check_alpha(alpha)
     return (0.5 * math.pi * (2.0 / math.e) ** (alpha + 2.0)
             * math.exp(specfun.ln_gamma(alpha + 1.0)))
 
@@ -457,6 +459,7 @@ def compute_spectrum(basis):
 def kernel_trace(alpha, c):
     """Trace of the concentration operator: (c/2) (Gamma(a+1)/Gamma(a+3/2))^2."""
     _check_bandwidth(c)
+    alpha = specfun._check_alpha(alpha)
     return 0.5 * c * math.exp(2.0 * (specfun.ln_gamma(alpha + 1.0)
                                      - specfun.ln_gamma(alpha + 1.5)))
 

@@ -1241,3 +1241,18 @@ class TestPeriodicCoefficients:
                          for n in ns])
         slope = np.polyfit(ns, np.log(np.maximum(mags, 1e-300)), 1)[0]
         assert slope < 0.0
+
+
+def test_user_sampled_refuses_two_dimensional_values():
+    # a (5, 1) array was accepted, and its evaluator failed on every call
+    with pytest.raises(DomainError, match=r"got shapes \(5,\) and \(5, 1\)"):
+        approx.user_sampled(np.linspace(-1.0, 1.0, 5), np.ones((5, 1)))
+
+
+def test_user_sampled_refuses_bad_shapes_and_values():
+    grid = np.linspace(-1.0, 1.0, 5)
+    for g, v in ((grid, np.ones(4)), (grid[:1], np.ones(1)), (grid[None], np.ones((1, 5)))):
+        with pytest.raises(DomainError, match="1-D arrays of equal length >= 2"):
+            approx.user_sampled(g, v)
+    with pytest.raises(DomainError, match="sampled values must be finite"):
+        approx.user_sampled(grid, [0.0, 1.0, math.inf, 1.0, 0.0])

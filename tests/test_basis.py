@@ -595,3 +595,13 @@ class TestBoundCheckers:
     def test_regime_multiplier(self):
         assert B.decay_regime_multiplier(0.0) == pytest.approx(
             5.717241989669045, rel=1e-12)
+
+
+def test_psi_table_refuses_two_dimensional_points(basis_05_2):
+    with pytest.raises(DomainError, match=r"psi points .* got shape \(2, 2\)"):
+        basis_05_2.psi_table(np.zeros((2, 2)))
+
+
+def test_assemble_eigensystem_refuses_a_negative_bandwidth():
+    with pytest.raises(DomainError, match="bandwidth c must be >= 0, got -1.0"):
+        B.assemble_eigensystem(0.5, -1.0, 4, "even")

@@ -695,3 +695,20 @@ def test_two_threads_write_the_same_csvs(capsys, tmp_path, name):
         assert code == 0
         written[threads] = {p.name: p.read_bytes() for p in out_dir.rglob("*.csv")}
     assert written["1"] and written["1"] == written["2"]
+
+
+def test_fn_item_and_config_refusals_exit_1(capsys, tmp_path):
+    # an --fn item with no "=", a config file that cannot be read and one
+    # whose JSON is not an object are each refused before anything runs
+    code, out, err = run_cli(capsys, "project", "--alpha", "0.5", "--c", "2",
+                             "--fn", "periodic:k", "--N", "4", "--no-cache")
+    assert (code, out) == (1, "")
+    assert "--fn item 'k' is not key=value with a new key" in err
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    for path, message in ((tmp_path / "missing.json", "cannot read config"),
+                          (listed, "must hold a JSON object")):
+        code, out, err = run_cli(capsys, "experiment", "--name", "lambda-decay",
+                                 "--config", str(path))
+        assert (code, out) == (1, "")
+        assert message in err and str(path) in err

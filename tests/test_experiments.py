@@ -338,3 +338,30 @@ class TestWmTable:
         assert rows[0] == "alpha,s,computed_error,reference_error,ratio"
         payload = json.loads((out_dir / "config.json").read_text())
         assert payload["gaussian_generator"] == "philox4x64-boxmuller"
+
+
+def test_cache_refuses_what_a_build_refuses(cache_dir):
+    # the key read int(nmax): a warm nmax-2 entry answered nmax 2.9, 2.5 and
+    # 2.0, which a cold call refuses
+    X.get_basis(0.5, 5.0, 2, cache_dir=cache_dir)
+    for nmax in (2.9, 2.5, 2.0):
+        for use_cache in (True, False):
+            with pytest.raises(DomainError, match="nmax must be an integer >= 1"):
+                X.get_basis(0.5, 5.0, nmax, cache_dir=cache_dir, use_cache=use_cache)
+    for args, match in (((-1.0, 5.0, 2), "alpha >= 0"), ((0.5, math.nan, 2), "c > 0")):
+        with pytest.raises(DomainError, match=match):
+            X.cache_key(*args)
+
+
+def test_version_name_and_cache_dir_refusals(small_basis, monkeypatch, tmp_path):
+    # a container of another version, a scenario name that is not one, and
+    # the cache directory taken from GPSWF_CACHE_DIR
+    raw = bytearray(X.basis_to_bytes(small_basis)[:-32])
+    struct.pack_into("<I", raw, 4, X._FORMAT_VERSION + 1)
+    with pytest.raises(DomainError, match=f"unsupported container version "
+                                          f"{X._FORMAT_VERSION + 1}"):
+        X.basis_from_bytes(bytes(raw) + hashlib.sha256(raw).digest())
+    with pytest.raises(DomainError, match="unknown experiment 'nope'"):
+        X.run_experiment("nope")
+    monkeypatch.setenv("GPSWF_CACHE_DIR", str(tmp_path))
+    assert X.default_cache_dir() == tmp_path

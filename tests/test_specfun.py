@@ -703,3 +703,14 @@ class TestGaussJacobi:
                     f"alpha must be finite and > -0.5, got {alpha!r}")):
                 specfun.gauss_jacobi(alpha, 5)
         assert specfun.gauss_jacobi(0.5, np.int64(5)) is specfun.gauss_jacobi(0.5, 5)
+
+
+def test_two_dimensional_points_raise_domain_error():
+    with pytest.raises(DomainError, match=r"Jacobi points .* got shape \(2, 2\)"):
+        specfun.jacobi_table(0.5, 3, np.zeros((2, 2)))
+
+
+def test_gamma_bracket_refuses_its_domain():
+    for x in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="gamma_bracket requires finite x > 0"):
+            specfun.gamma_bracket(x)

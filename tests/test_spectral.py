@@ -558,3 +558,23 @@ class TestDchiDc:
     def test_finite_difference_agreement(self):
         rec = oracles.dchi_dc(0.5, 3.0, 5)
         assert rec.finite_diff == pytest.approx(rec.analytic, rel=1e-5)
+
+
+def test_bounds_refuse_a_bad_alpha():
+    # these named ln_gamma and its argument alpha + 1 for a bad alpha
+    for call in (lambda: spectral.kernel_trace(-2.0, 1.0),
+                 lambda: spectral.decay_bound_check(30, 1e-30, math.nan, 1.0),
+                 lambda: spectral.lambda_bound_tail(math.nan, 1.0, 10),
+                 lambda: spectral.mu_decay_constant(math.inf),
+                 lambda: spectral.lambda_decay_constant(-1.0)):
+        with pytest.raises(DomainError, match="alpha must be finite and > -1"):
+            call()
+
+
+def test_decay_constant_overflow_and_early_tail_refused():
+    # Gamma(alpha + 1) passes the largest double from alpha 170.7; a tail
+    # from n_from <= (e c + 1)/2 (14.09 at c = 10) is refused
+    with pytest.raises(DomainError, match="passes the largest double at alpha=171.0"):
+        spectral.decay_bound_check(30, 1e-30, 171.0, 1.0)
+    with pytest.raises(DomainError, match=r"needs n_from > \(ec\+1\)/2; got 14"):
+        spectral.lambda_bound_tail(0.5, 10.0, 14)
