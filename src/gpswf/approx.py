@@ -359,7 +359,13 @@ def project(basis, f, N, quad_order=None):
             rule = specfun.gauss_jacobi(basis.alpha, m + 64)
             fvals = f(rule.nodes)
             tab = _rule_psi(basis, rule, N, kind="residual_psi")
-        resid = fvals - coeffs @ tab
+        if np.iscomplexobj(coeffs):
+            # the real and imaginary parts as two real rows, as in
+            # _sup_grid_values: a complex product rounds apart by BLAS thread count
+            parts = np.stack([coeffs.real, coeffs.imag]) @ tab
+            resid = fvals - (parts[0] + 1j * parts[1])
+        else:
+            resid = fvals - coeffs @ tab
         l2w = math.sqrt(max(float(np.real(np.dot(rule.weights, np.abs(resid) ** 2))), 0.0))
     sup = float(np.max(np.abs(f(_SUP_GRID) - _sup_grid_values(basis, coeffs))))
     return ProjectionResult(N=N, coefficients=coeffs, l2w_error=l2w, sup_error=sup)

@@ -79,8 +79,8 @@ def environment():
 def blas_threads():
     """OpenBLAS's thread count in this process, or None where NumPy's BLAS
     does not report one.  Not an environment field: the hashes hold at
-    OpenBLAS's default count on the recorded machine, and ``project``'s
-    complex residual rounds differently at 1 thread."""
+    every thread count (``tests/test_golden.py`` checks ``project`` at 1
+    thread), and a moved hash names the count it ran at."""
     try:
         from numpy._core import _multiarray_umath
         lib = ctypes.CDLL(_multiarray_umath.__file__)
@@ -188,11 +188,7 @@ def entries(tmp):
             argv = (command, "--alpha", repr(alpha), "--c", repr(c), "--nmax", nmax,
                     "--format", "csv", "--no-cache")
             yield f"gpswf {' '.join(map(str, argv))}", (_cli(*argv),)
-    for alpha in (0.5, 1.5):
-        for fn in PROJECT_FNS:
-            argv = ("project", "--alpha", alpha, "--c", repr(PI5), "--N", 60, "--fn", fn,
-                    "--format", "json", "--no-cache")
-            yield f"gpswf {' '.join(map(str, argv))}", (_cli(*argv),)
+    yield from _cli_project_entries()
 
     for seed in (1, 2):
         for i, (alpha, c) in enumerate(_sweep_requests(seed)):
@@ -249,10 +245,22 @@ def entries(tmp):
         yield (f"cosine_transform_table at build_basis(1.5, 5 pi, 91), k_max={k_max}, "
                f"N=91"), (approx.cosine_transform_table(b, k_max, 91),)
 
+    yield from _project_entries()
+
+
+def _cli_project_entries():
+    for alpha in (0.5, 1.5):
+        for fn in PROJECT_FNS:
+            argv = ("project", "--alpha", alpha, "--c", repr(PI5), "--N", 60, "--fn", fn,
+                    "--format", "json", "--no-cache")
+            yield f"gpswf {' '.join(map(str, argv))}", (_cli(*argv),)
+
+
+def _project_entries():
     # project at the sizes the CLI entries miss: one row (a one-row matrix
     # product), every row, and a coefficient rule apart from the residual
     # rule, which the wm target takes without its closed form
-    b = bases[0.5, PI5, 96]
+    b = B.build_basis(0.5, PI5, 96)
     m = max(b.trunc, b.nmax + math.ceil(b.c) + 40)
     for fn, f in (("wm:s=1,lambda=2", approx.weierstrass_mandelbrot(1.0, 2.0)),
                   ("periodic:k=7", approx.periodic_exponential(7))):
@@ -271,6 +279,13 @@ def entries(tmp):
         pr = approx.project(b, f, 60)
         yield f"project(build_basis(5.0, 20 pi, 96), {fn}, N=60)", (
             pr.coefficients, repr((pr.l2w_error, pr.sup_error)))
+
+
+def project_entries():
+    """The entries of ``project``, the CLI's and the in-process ones, in
+    their order among :func:`entries`."""
+    yield from _cli_project_entries()
+    yield from _project_entries()
 
 
 def hashes(tmp):
