@@ -58,9 +58,15 @@ def _gaussian_samples(seed, count):
     # one draw of 2 count: the stream is sequential, so its halves are the
     # draws of count each that the generator's name stands for
     u = gen.random(2 * count)
-    u1 = 1.0 - u[:count]
-    u2 = u[count:]
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    # sqrt(-2 log(1 - u1)) cos(2 pi u2), each step in place on the draw
+    u1, u2 = u[:count], u[count:]
+    np.subtract(1.0, u1, out=u1)
+    np.log(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(u2, 2.0 * math.pi, out=u2)
+    np.cos(u2, out=u2)
+    return np.multiply(u1, u2, out=u1)
 
 
 # The most series terms a corpus function takes: K comes from outside input
@@ -78,21 +84,32 @@ def _check_terms(K):
         raise DomainError(f"K must lie in 1..{_MAX_TERMS}, got {K!r}")
 
 
+@lru_cache(maxsize=8)
+def _open_grid(m):
+    """m equispaced points of the open interval (-1, 1), read-only, as
+    ``np.linspace(-1, 1, m + 2)[1:-1]`` builds them."""
+    x = np.linspace(-1.0, 1.0, m + 2)[1:-1]
+    x.setflags(write=False)
+    return x
+
+
 # The sup-error grid: 2001 equispaced points of the open interval (-1, 1)
-_SUP_GRID = np.linspace(-1.0, 1.0, 2003)[1:-1]
-_SUP_GRID.setflags(write=False)
+_SUP_GRID = _open_grid(2001)
 
 
 def _cos_series_grid(coefs, m):
     """sum_k coefs[k-1] cos(k pi x_i) at x_i = -1 + 2i/L, i = 1..m, L = m + 1.
 
     There cos(k pi x_i) = (-1)^k cos(2 pi k i / L), so the series is the real
-    part of one length-L FFT of (-1)^k coefs_k folded into bins k mod L."""
+    part of one length-L DFT of (-1)^k coefs_k folded into bins k mod L.  The
+    bins are real, so one real FFT gives Re X_j for j <= L/2, and the rest
+    are their mirror images, Re X_{L-j} = Re X_j."""
     L = m + 1
     k = np.arange(1, coefs.size + 1)
     signed = np.where(k % 2 == 1, -coefs, coefs)
     bins = np.bincount(k % L, weights=signed, minlength=L)
-    return np.fft.fft(bins).real[1:m + 1]
+    half = np.fft.rfft(bins).real
+    return np.concatenate([half[1:], half[L - half.size:0:-1]])
 
 
 def _cos_series_eval(coefs):
@@ -101,7 +118,7 @@ def _cos_series_eval(coefs):
     def evaluator(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         # the equispaced open grid (as np.linspace builds it) takes the FFT
-        if x.ndim == 1 and np.array_equal(x, np.linspace(-1.0, 1.0, x.size + 2)[1:-1]):
+        if x.ndim == 1 and np.array_equal(x, _open_grid(x.size)):
             return _cos_series_grid(coefs, x.size)
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, _EVAL_BLOCK):
@@ -589,11 +606,15 @@ def cosine_transform_table(basis, k_max, N):
     a matrix-vector product with exact coefficients (a quadrature rule of
     practical size cannot resolve thousands of cosine modes, and aliasing
     noise gets amplified by the endpoint growth of psi_n).
+
+    The table is laid out in column (Fortran) order and only its even
+    columns are written: each odd column is one contiguous run of zeros from
+    the zeroed allocation, whose pages are never touched, and
+    :func:`_even_products` reads the even columns alone.
     """
     _check_N(basis, N)
-    if not (_is_integer(k_max) and k_max >= 1):
-        raise DomainError(f"k_max={k_max!r} must be an integer >= 1")
-    table = np.zeros((k_max, N))
+    specfun._check_count("k_max", k_max, 1)
+    table = np.zeros((k_max, N), order="F")
     block = 256  # frequencies per batched ladder; bounds its memory
     for lo in range(0, k_max, block):
         u = np.arange(lo + 1, min(lo + block, k_max) + 1) * math.pi
@@ -672,7 +693,8 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
     (amplitude over k^s already applied).  The error uses Parseval in the
     orthonormal basis with ||f||^2 from :func:`cosine_series_norm2`.  A
     ``table`` from :func:`cosine_transform_table` needs one row per y_k and
-    at least N columns.
+    at least N columns.  Only the table's even columns are read; the odd
+    coefficients, which vanish by parity, are exactly 0.0.
     """
     y = _amplitudes(weighted_amplitudes)
     _check_N(basis, N)
@@ -682,8 +704,16 @@ def cosine_series_projection(basis, weighted_amplitudes, N, table=None):
     if len(shape) != 2 or shape[0] != y.size or shape[1] < N:
         raise DomainError(f"a table of shape {shape} does not serve {y.size} "
                           f"amplitudes at N={N}: it needs shape ({y.size}, >= {N})")
-    coeffs = y @ table[:, :N]
+    coeffs = _even_products(y, table, N)
     return coeffs, _parseval_error(cosine_series_norm2(basis.alpha, y), coeffs)
+
+
+def _even_products(y, table, N):
+    """``y @ table[:, :N]`` of a :func:`cosine_transform_table`, from its
+    even columns alone: the odd coefficients are exactly 0.0."""
+    coeffs = np.zeros(N)
+    coeffs[0::2] = y @ table[:, 0:N:2]
+    return coeffs
 
 
 def _periodic_sums(basis, u):

@@ -7,7 +7,6 @@ Scenarios: ``lambda-decay`` (eigenvalue decay curves per alpha),
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -283,27 +282,36 @@ def _report_dir(cfg):
 _NON_FINITE = re.compile(r"[-+\d.e]*(?:nan|inf)[-+\d.ej]*")
 
 
-def _check_finite(header, rows, text, where):
+def _check_finite(header, rows, text, where, start=0):
     """Raise ConsistencyError, naming ``where``, the column and the row, when
-    a cell of ``rows`` formats a non-finite number.  ``text`` holds every
-    cell as it is printed: when it has no "nan" and no "inf", two substring
-    searches clear them all."""
+    a cell of ``rows`` formats a non-finite number; the rows are numbered
+    from ``start``.  ``text`` holds every cell as it is printed: when it has
+    no "nan" and no "inf", two substring searches clear them all."""
     if "nan" not in text and "inf" not in text:
         return
-    for i, row in enumerate(rows):
+    for i, row in enumerate(rows, start):
         for name, cell in zip(header, row):
             if _NON_FINITE.fullmatch(str(cell)):
                 raise ConsistencyError(f"non-finite {name} = {cell} in row {i} of {where}")
 
 
 def _write_csv(path, header, rows):
-    """Write the CSV once every cell is checked finite (:func:`_check_finite`)."""
-    _check_finite(header, rows, "\n".join(map(str, itertools.chain.from_iterable(rows))),
-                  path.name)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    """Stream ``rows``, an iterable of rows (each a sequence of cells), to a
+    temporary sibling of ``path`` and rename it into place.  Each row is
+    checked finite (:func:`_check_finite`) before it is written, so a row
+    list need never be built; a refused row raises ConsistencyError and
+    leaves neither the CSV nor its temporary sibling behind."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for i, row in enumerate(rows):
+                _check_finite(header, (row,), "\n".join(map(str, row)), path.name, i)
+                writer.writerow(row)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _write_config(out_dir, cfg, extra=None):
@@ -430,7 +438,7 @@ def run_brownian(cfg=None, **overrides):
     def one(seed):
         f = approx.brownian(s, seed, K=k_terms)
         y = f.params["amplitudes"] / np.arange(1.0, k_terms + 1) ** s
-        coeffs = y @ table
+        coeffs = approx._even_products(y, table, n_top + 1)
         norm2 = approx.cosine_series_norm2(alpha, y)
         fx = f(xg)
         out, sums = [], {}
@@ -438,12 +446,13 @@ def run_brownian(cfg=None, **overrides):
             sums[N] = approx._sup_grid_values(b, coeffs[:N])  # S_N f as project sums it
             out.append((seed, N, float(np.max(np.abs(fx - sums[N])[bulk])),
                         approx._parseval_error(norm2, coeffs[:N])))
-        return out, fx, sums
+        # only the first seed's curves are written
+        return out, ((fx, sums) if seed == seeds[0] else None)
 
     results = _pool_map(one, seeds, cfg.threads)
     summary = []
     sup_by_n = {N: [] for N in cfg.N_list}
-    for per_seed, _, _ in results:
+    for per_seed, _ in results:
         for seed, N, sup, l2 in per_seed:
             summary.append([seed, N, _fmt(sup), _fmt(l2)])
             sup_by_n[N].append(sup)
@@ -451,11 +460,11 @@ def run_brownian(cfg=None, **overrides):
         summary.append(["median", N, _fmt(_median(sup_by_n[N])), ""])
     _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
                summary)
-    # sample curves for the first seed
-    _, fx0, sums0 = results[0]
+    # sample curves for the first seed, formatted row by row as they are written
+    fx0, sums0 = results[0][1]
     for N in sorted(cfg.N_list):
-        rows = [[_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
-                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sums0[N].tolist())]
+        rows = ([_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
+                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sums0[N].tolist()))
         name = f"samples_N{N}_seed{seeds[0]}.csv"
         _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
     medians = {N: _median(sup_by_n[N]) for N in cfg.N_list}

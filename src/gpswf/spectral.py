@@ -202,13 +202,15 @@ def decay_bound_check(n, mu_abs, alpha, c):
     margin stays finite where lambda_n itself underflows to 0.
     Applicable for n > (e c + 1)/2; inapplicable entries return a flagged
     verdict with infinite margins.  A c that is not finite and > 0, an n
-    that is not an integer >= 0, or a modulus |mu_n| that is NaN, negative
-    or infinite raises DomainError.
+    that is not an integer >= 0, a modulus |mu_n| that is NaN, negative
+    or infinite, or an alpha that is not finite and > -1 raises DomainError,
+    whether or not the bound applies.
     """
     _check_bandwidth(c)
     specfun._check_count("n", n)
     if not 0.0 <= mu_abs < math.inf:
         raise DomainError(f"the modulus |mu_n| must be finite and >= 0, got {mu_abs!r}")
+    specfun._check_alpha(alpha)
     applicable = n > (math.e * c + 1.0) / 2.0
     if not applicable:
         return DecayVerdict(n=n, applicable=False, log_mu_bound=math.inf,

@@ -69,11 +69,37 @@ SWEEP_ALPHAS = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5)
 
 def environment():
     """What the hashes depend on besides the code: NumPy, Python, the
-    machine and the BLAS that NumPy was built against."""
+    machine, the BLAS that NumPy was built against, and the kernels both
+    picked on this CPU: OpenBLAS's core (None where NumPy's BLAS does not
+    name one) and the SIMD targets of NumPy's own loops."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = _openblas(("scipy_openblas_get_corename64_", "openblas_get_corename"),
+                     ctypes.c_char_p)
+    from numpy._core import _multiarray_umath
+    simd = [t for t in _multiarray_umath.__cpu_dispatch__
+            if _multiarray_umath.__cpu_features__.get(t)]
     return {"numpy": np.__version__, "python": platform.python_version(),
             "machine": platform.machine(),
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_core": None if core is None else core.decode(),
+            "numpy_simd": simd}
+
+
+def _openblas(names, restype):
+    """The value of the first OpenBLAS function of ``names`` (no arguments)
+    that NumPy's BLAS exports, or None where it exports none of them."""
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    # NumPy's wheels prefix and suffix OpenBLAS's symbols; a system build does not
+    for name in names:
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], restype
+            return get()
+    return None
 
 
 def blas_threads():
@@ -81,17 +107,8 @@ def blas_threads():
     does not report one.  Not an environment field: the hashes hold at
     every thread count (``tests/test_golden.py`` checks ``project`` at 1
     thread), and a moved hash names the count it ran at."""
-    try:
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-    # NumPy's wheels prefix and suffix OpenBLAS's symbols; a system build does not
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
-        get = getattr(lib, name, None)
-        if get is not None:
-            return get()
-    return None
+    return _openblas(("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"),
+                     ctypes.c_int)
 
 
 def _bytes(part):

@@ -1080,7 +1080,10 @@ class TestCosineSeries:
         for k in (1, 64, 65, 117, 118, 300):
             ref = coefs @ spectral._fc_terms(b.alpha, kmax, k * math.pi)[0::2]
             assert table[k - 1, [0, 2, 4]].tobytes() == ref.tobytes()
-        assert not np.any(table[:, 1::2])
+        # column order: each odd column is one contiguous run of +0.0 that
+        # nothing writes
+        assert table.flags.f_contiguous
+        assert table[:, 1::2].tobytes() == bytes(8 * 300 * 3)
 
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -1095,6 +1098,20 @@ class TestCosineSeries:
         ref = np.array([coefs @ terms[0::2] for terms in rows])
         assert table[:, 0::2].tobytes() == ref.tobytes()
         assert not np.any(table[:, 1::2])
+
+    def test_projection_reads_the_even_columns(self, brownian_table):
+        # the even coefficients are the product with the even columns alone,
+        # at rounding level from the product with the whole C-order table,
+        # relative to sum_k |y_k T_kn| (a coefficient that cancels to 1e-6
+        # moves by up to 5e-13 of itself); the odd ones are +0.0
+        b, table = brownian_table
+        f = approx.brownian(1.5, seed=3, K=4001)
+        y = _cos_amplitudes(f)
+        coeffs, _ = approx.cosine_series_projection(b, y, 91, table=table)
+        ref = y @ np.ascontiguousarray(table)[:, :91]
+        assert coeffs[1::2].tobytes() == bytes(8 * 45)
+        scale = np.abs(y) @ np.abs(table[:, 0:91:2])
+        assert np.all(np.abs(coeffs[0::2] - ref[0::2]) <= 1e-13 * scale)
 
     def test_projection_refuses_a_table_of_another_shape(self):
         # a table must have one row per amplitude and at least N columns: a
@@ -1121,9 +1138,9 @@ class TestCosineSeries:
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda b: approx.cosine_transform_table(b, -1, 4), r"^k_max=-1 must be an integer >= 1$"),
-    (lambda b: approx.cosine_transform_table(b, 0, 4), r"^k_max=0 must be"),
-    (lambda b: approx.cosine_transform_table(b, 2.5, 4), r"^k_max=2\.5 must be"),
+    (lambda b: approx.cosine_transform_table(b, -1, 4), r"^k_max must be an integer >= 1, got -1$"),
+    (lambda b: approx.cosine_transform_table(b, 0, 4), r"^k_max must be an integer >= 1, got 0$"),
+    (lambda b: approx.cosine_transform_table(b, 2.5, 4), r"^k_max must be an integer >= 1, got 2\.5$"),
     (lambda b: approx.cosine_series_norm2(b.alpha, []), "at least one amplitude"),
     (lambda b: approx.cosine_series_projection(b, [], 4), "at least one amplitude"),
     (lambda b: approx.periodic_coefficient(b, 10 ** 400, 3), r"not a finite double at k=10{400}$"),

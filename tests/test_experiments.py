@@ -1,4 +1,7 @@
+import csv
 import hashlib
+import inspect
+import io
 import json
 import math
 import struct
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 from gpswf import __version__
 from gpswf import basis as B
 from gpswf import experiments as X
-from gpswf.errors import DomainError
+from gpswf.errors import ConsistencyError, DomainError
 
 
 @pytest.fixture()
@@ -321,6 +324,46 @@ class TestBrownian:
             name="brownian", output_dir=str(tmp_path / "r2"), **cfg))
         assert ((out1 / "summary.csv").read_bytes()
                 == (out2 / "summary.csv").read_bytes())
+
+    def test_sample_csvs_stream_a_list_built_write(self, tmp_path, cache_dir, monkeypatch):
+        # the sample rows reach _write_csv as a generator, and the file it
+        # streams is byte for byte csv.writer's write of the same rows as a list
+        written, write = {}, X._write_csv
+
+        def listed(path, header, rows):
+            streamed = inspect.isgenerator(rows)
+            rows = list(rows)
+            buf = io.StringIO(newline="")
+            csv.writer(buf).writerows([header, *rows])
+            written[path.name] = streamed, buf.getvalue().encode()
+            write(path, header, iter(rows))
+
+        monkeypatch.setattr(X, "_write_csv", listed)
+        out_dir, _ = X.run_brownian(X.ExperimentConfig(
+            name="brownian", alpha_list=(1.5,), c_list=(2.0,), N_list=(6,),
+            s_list=(1.5,), seed=7, n_seeds=2, output_dir=str(tmp_path / "reports"),
+            cache_dir=str(cache_dir)))
+        name = "samples_N6_seed7.csv"
+        assert [p.name for p in out_dir.glob("samples_*.csv")] == [name]
+        assert written[name] == (True, (out_dir / name).read_bytes())
+
+
+def _rows_then_a_refusal():
+    yield ["1", "2"]
+    raise DomainError("no more rows")
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ((["1.5", cell] for cell in ("2", "3", "-inf")), ConsistencyError,
+     r"^non-finite y = -inf in row 2 of a\.csv$"),
+    (_rows_then_a_refusal(), DomainError, "^no more rows$"),
+], ids=["non_finite_cell", "rows_raise"])
+def test_refused_csv_leaves_no_file(tmp_path, rows, error, message):
+    # neither the CSV nor its temporary sibling: the rows are written to the
+    # sibling as they come, and it is renamed into place only once all are in
+    with pytest.raises(error, match=message):
+        X._write_csv(tmp_path / "a.csv", ["x", "y"], rows)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestWmTable:

@@ -4,9 +4,11 @@ The file pins outputs bit for bit (see ``tests/golden/record.py`` for the
 entries and the one command that re-records them).  A moved hash fails
 naming the first entry that moved and the BLAS thread count it ran at; so
 does an environment other than the recorded one, whose NumPy, libm or BLAS
-may round differently.  The hashes hold at any OpenBLAS thread count: the
-``project`` entries, whose products are the ones BLAS could split across
-threads, are also recomputed in a child process at one thread.
+may round differently.  That test runs first, and on another CPU it names
+the kernels OpenBLAS and NumPy picked there beside the recorded ones.  The
+hashes hold at any OpenBLAS thread count: the ``project`` entries, whose
+products are the ones BLAS could split across threads, are also recomputed
+in a child process at one thread.
 """
 
 import json
@@ -27,8 +29,13 @@ def _first(moved):
 
 
 def test_environment_is_the_recorded_one():
-    moved = record.moved(GOLDEN["environment"], record.environment())
-    assert not moved, _first(moved)
+    # runs before any hash is compared; on another CPU it names both kernels,
+    # OpenBLAS's core and NumPy's SIMD targets, as recorded and as found
+    env = record.environment()
+    moved = record.moved(GOLDEN["environment"], env)
+    kernels = {key: (GOLDEN["environment"].get(key), env[key])
+               for key in ("blas_core", "numpy_simd")}
+    assert not moved, f"{_first(moved)}; kernels (recorded, found): {kernels}"
 
 
 def test_every_entry_hashes_as_recorded(tmp_path):

@@ -561,9 +561,13 @@ class TestDchiDc:
 
 
 def test_bounds_refuse_a_bad_alpha():
-    # these named ln_gamma and its argument alpha + 1 for a bad alpha
+    # these named ln_gamma and its argument alpha + 1 for a bad alpha; at
+    # n <= (e c + 1)/2, where the bound does not apply, decay_bound_check
+    # once returned a verdict with ok True
     for call in (lambda: spectral.kernel_trace(-2.0, 1.0),
                  lambda: spectral.decay_bound_check(30, 1e-30, math.nan, 1.0),
+                 lambda: spectral.decay_bound_check(1, 0.5, math.nan, 1.0),
+                 lambda: spectral.decay_bound_check(1, 0.5, -5.0, 1.0),
                  lambda: spectral.lambda_bound_tail(math.nan, 1.0, 10),
                  lambda: spectral.mu_decay_constant(math.inf),
                  lambda: spectral.lambda_decay_constant(-1.0)):
