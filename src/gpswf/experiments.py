@@ -12,9 +12,11 @@ import math
 import numbers
 import os
 import re
+import shutil
 import struct
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -332,6 +334,20 @@ def _write_config(out_dir, cfg, extra=None):
     (out_dir / "config.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
+@contextmanager
+def _report(cfg, extra=None):
+    """A new report directory (:func:`_report_dir`) with its ``config.json``,
+    removed with everything in it when the run raises: a refused run leaves
+    no directory that reads like a finished one."""
+    out_dir = _report_dir(cfg)
+    try:
+        _write_config(out_dir, cfg, extra)
+        yield out_dir
+    except BaseException:
+        shutil.rmtree(out_dir, ignore_errors=True)
+        raise
+
+
 def _fmt(x):
     if isinstance(x, float):
         return f"{x:.17g}"
@@ -379,9 +395,6 @@ def run_lambda_decay(cfg=None, **overrides):
     """
     cfg = _config(cfg, overrides, name="lambda-decay",
                   alpha_list=(1.0, 1.5, 2.0, 2.5), c_list=(5 * math.pi,))
-    out_dir = _report_dir(cfg)
-    _write_config(out_dir, cfg)
-    files = []
 
     def one(args):
         alpha, c = args
@@ -399,12 +412,14 @@ def run_lambda_decay(cfg=None, **overrides):
         return alpha, c, rows
 
     cells = [(alpha, c) for alpha in cfg.alpha_list for c in cfg.c_list]
-    for alpha, c, rows in _pool_map(one, cells, cfg.threads):
-        name = f"lambda_decay_alpha{alpha:g}_c{c:g}.csv"
-        _write_csv(out_dir / name,
-                   ["n", "chi", "lambda", "log_lambda", "log_bound",
-                    "margin", "comparison_curve"], rows)
-        files.append(out_dir / name)
+    files = []
+    with _report(cfg) as out_dir:
+        for alpha, c, rows in _pool_map(one, cells, cfg.threads):
+            name = f"lambda_decay_alpha{alpha:g}_c{c:g}.csv"
+            _write_csv(out_dir / name,
+                       ["n", "chi", "lambda", "log_lambda", "log_bound",
+                        "margin", "comparison_curve"], rows)
+            files.append(out_dir / name)
     return out_dir, files
 
 
@@ -421,52 +436,63 @@ def run_brownian(cfg=None, **overrides):
     rule cannot resolve thousands of cosine modes).  Writes per-seed summary
     rows plus the across-seed medians, and sample curves (x, f, S_N f, error)
     for the first seed.
+
+    Two passes over the seeds: the first takes each seed's coefficients,
+    Parseval norm and f on the sup grid from the table, which is then
+    dropped, so that it is freed before the second pass builds the basis's
+    sup-grid rows for the sup errors.
     """
     cfg = _config(cfg, overrides, name="brownian", alpha_list=(1.5,),
                   c_list=(5 * math.pi,), N_list=(46, 90), s_list=(1.5,))
-    out_dir = _report_dir(cfg)
-    _write_config(out_dir, cfg, extra={"bulk_sup_limit": BULK_SUP_LIMIT})
-    alpha, c, s = cfg.alpha_list[0], cfg.c_list[0], cfg.s_list[0]
-    n_top = max(cfg.N_list)
-    b = get_basis(alpha, c, n_top + 1, cfg.cache_dir, cfg.cache)
-    k_terms = 4000
-    table = approx.cosine_transform_table(b, k_terms, n_top + 1)
-    xg = approx._SUP_GRID
-    bulk = np.abs(xg) <= BULK_SUP_LIMIT
-    seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
+    with _report(cfg, extra={"bulk_sup_limit": BULK_SUP_LIMIT}) as out_dir:
+        alpha, c, s = cfg.alpha_list[0], cfg.c_list[0], cfg.s_list[0]
+        n_top = max(cfg.N_list)
+        b = get_basis(alpha, c, n_top + 1, cfg.cache_dir, cfg.cache)
+        k_terms = 4000
+        table = approx.cosine_transform_table(b, k_terms, n_top + 1)
+        xg = approx._SUP_GRID
+        seeds = [cfg.seed + i for i in range(cfg.n_seeds)]
 
-    def one(seed):
-        f = approx.brownian(s, seed, K=k_terms)
-        y = f.params["amplitudes"] / np.arange(1.0, k_terms + 1) ** s
-        coeffs = approx._even_products(y, table, n_top + 1)
-        norm2 = approx.cosine_series_norm2(alpha, y)
-        fx = f(xg)
-        out, sums = [], {}
+        def from_table(seed):
+            f = approx.brownian(s, seed, K=k_terms)
+            y = f.params["amplitudes"] / np.arange(1.0, k_terms + 1) ** s
+            return (approx._even_products(y, table, n_top + 1),
+                    approx.cosine_series_norm2(alpha, y), f(xg))
+
+        per_seed = _pool_map(from_table, seeds, cfg.threads)
+        # the local and from_table's closure share this one cell: the table
+        # is freed here, before the sup errors build the sup-grid rows
+        del table
+        bulk = np.abs(xg) <= BULK_SUP_LIMIT
+
+        def errors(args):
+            seed, (coeffs, norm2, fx) = args
+            out, sums = [], {}
+            for N in sorted(cfg.N_list):
+                sums[N] = approx._sup_grid_values(b, coeffs[:N])  # S_N f as project sums it
+                out.append((seed, N, float(np.max(np.abs(fx - sums[N])[bulk])),
+                            approx._parseval_error(norm2, coeffs[:N])))
+            # only the first seed's curves are written
+            return out, ((fx, sums) if seed == seeds[0] else None)
+
+        results = _pool_map(errors, list(zip(seeds, per_seed)), cfg.threads)
+        summary = []
+        sup_by_n = {N: [] for N in cfg.N_list}
+        for out, _ in results:
+            for seed, N, sup, l2 in out:
+                summary.append([seed, N, _fmt(sup), _fmt(l2)])
+                sup_by_n[N].append(sup)
         for N in sorted(cfg.N_list):
-            sums[N] = approx._sup_grid_values(b, coeffs[:N])  # S_N f as project sums it
-            out.append((seed, N, float(np.max(np.abs(fx - sums[N])[bulk])),
-                        approx._parseval_error(norm2, coeffs[:N])))
-        # only the first seed's curves are written
-        return out, ((fx, sums) if seed == seeds[0] else None)
-
-    results = _pool_map(one, seeds, cfg.threads)
-    summary = []
-    sup_by_n = {N: [] for N in cfg.N_list}
-    for per_seed, _ in results:
-        for seed, N, sup, l2 in per_seed:
-            summary.append([seed, N, _fmt(sup), _fmt(l2)])
-            sup_by_n[N].append(sup)
-    for N in sorted(cfg.N_list):
-        summary.append(["median", N, _fmt(_median(sup_by_n[N])), ""])
-    _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
-               summary)
-    # sample curves for the first seed, formatted row by row as they are written
-    fx0, sums0 = results[0][1]
-    for N in sorted(cfg.N_list):
-        rows = ([_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
-                for x, v, sv in zip(xg.tolist(), fx0.tolist(), sums0[N].tolist()))
-        name = f"samples_N{N}_seed{seeds[0]}.csv"
-        _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
+            summary.append(["median", N, _fmt(_median(sup_by_n[N])), ""])
+        _write_csv(out_dir / "summary.csv", ["seed", "N", "sup_error", "l2w_error"],
+                   summary)
+        # sample curves for the first seed, formatted row by row as they are written
+        fx0, sums0 = results[0][1]
+        for N in sorted(cfg.N_list):
+            rows = ([_fmt(x), _fmt(v), _fmt(sv), _fmt(v - sv)]
+                    for x, v, sv in zip(xg.tolist(), fx0.tolist(), sums0[N].tolist()))
+            name = f"samples_N{N}_seed{seeds[0]}.csv"
+            _write_csv(out_dir / name, ["x", "f", "S_N_f", "error"], rows)
     medians = {N: _median(sup_by_n[N]) for N in cfg.N_list}
     return out_dir, medians
 
@@ -477,9 +503,6 @@ def run_wm_table(cfg=None, **overrides):
     cfg = _config(cfg, overrides, name="wm-table",
                   alpha_list=(0.1, 0.5, 1.0, 1.5, 2.0), c_list=(5 * math.pi,),
                   N_list=(95,), s_list=(0.25, 0.5, 0.75, 1.0))
-    out_dir = _report_dir(cfg)
-    _write_config(out_dir, cfg, extra={"lambda": 2.0,
-                                       "assumed_cell_params": "c=5*pi, N=95"})
     c = cfg.c_list[0]
     N = cfg.N_list[0]
 
@@ -492,15 +515,17 @@ def run_wm_table(cfg=None, **overrides):
         return [(alpha, s, errs[s], WM_REFERENCE_ERRORS.get((alpha, s)))
                 for s in cfg.s_list]
 
-    rows = []
-    for chunk in _pool_map(one, list(cfg.alpha_list), cfg.threads):
-        for alpha, s, err, ref in chunk:
-            rows.append([_fmt(alpha), _fmt(s), _fmt(err),
-                         _fmt(ref) if ref is not None else "",
-                         _fmt(err / ref) if ref else ""])
-    _write_csv(out_dir / "wm_table.csv",
-               ["alpha", "s", "computed_error", "reference_error", "ratio"],
-               rows)
+    extra = {"lambda": 2.0, "assumed_cell_params": "c=5*pi, N=95"}
+    with _report(cfg, extra=extra) as out_dir:
+        rows = []
+        for chunk in _pool_map(one, list(cfg.alpha_list), cfg.threads):
+            for alpha, s, err, ref in chunk:
+                rows.append([_fmt(alpha), _fmt(s), _fmt(err),
+                             _fmt(ref) if ref is not None else "",
+                             _fmt(err / ref) if ref else ""])
+        _write_csv(out_dir / "wm_table.csv",
+                   ["alpha", "s", "computed_error", "reference_error", "ratio"],
+                   rows)
     table = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
     return out_dir, table
 

@@ -311,20 +311,15 @@ def _phase_quadratures(alpha, c, m):
                       for x0 in _PHASE_X] for k in _PHASE_K])
 
 
-def _phase_closed_forms(alpha, c):
-    """The closed forms i^k t_k(c x0) of :func:`_phase_quadratures`, as
-    Python complex numbers indexed [k][x0], from one ladder call over both
-    x0."""
-    terms = _fc_term_rows(alpha, 1, [c * x0 for x0 in _PHASE_X])
-    return [[1j ** k * float(row[k]) for row in terms] for k in _PHASE_K]
-
-
-def _check_phase(basis):
-    # one-off check of the i^k phase convention against direct quadrature
+def _check_phase(basis, terms):
+    """One-off check of the i^k phase convention against direct quadrature.
+    ``terms`` holds the rows of :func:`_fc_term_rows` at c x0 for x0 in
+    ``_PHASE_X``, in that order; their entries k give the closed forms
+    i^k t_k(c x0)."""
     direct = _phase_quadratures(basis.alpha, basis.c, _phase_rule_order(basis.c))
-    closed_forms = _phase_closed_forms(basis.alpha, basis.c)
     for k in _PHASE_K:
-        for d, closed in zip(direct[k], closed_forms[k]):
+        for d, row in zip(direct[k], terms):
+            closed = 1j ** k * float(row[k])
             if abs(d - closed) > 1e-8 * max(1.0, abs(d)):
                 raise ConsistencyError(
                     f"transform phase validation failed at k={k}: "
@@ -378,7 +373,14 @@ def compute_spectrum(basis):
     first n that fails one raises, with the probe checked before lambda <= 1
     and that before the decrease.
     """
-    _check_phase(basis)
+    # the transform terms at every candidate argument and at the phase
+    # check's two, from one batched Bessel ladder (a row does not depend on
+    # the other arguments of the call); the phase check runs first
+    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1,
+                         np.concatenate([basis.c * _PROBE_X,
+                                         [basis.c * x0 for x0 in _PHASE_X]]))
+    _check_phase(basis, rows[_PROBE_X.size:])
+    rows = rows[:_PROBE_X.size]
     ns = range(basis.nmax)
     # the Jacobi rows at the candidates (positive and ascending, so the rows
     # of psi_table's distinct |x|) give every psi_n(x*), bitwise psi_table's,
@@ -396,9 +398,7 @@ def compute_spectrum(basis):
     mus = [_mu_from_boundary(basis, n, at0[:, n]) for n in ns]
     mu_abs = [abs(mu) for mu in mus]
     mu_arr = np.array(mu_abs)
-    # the transform terms at every candidate argument from one batched
-    # Bessel ladder, and every n's floors and candidate ranking
-    rows = _fc_term_rows(basis.alpha, 2 * basis.trunc - 1, basis.c * _PROBE_X)
+    # every n's floors and candidate ranking
     floors = _probe_floors(basis, rows, vals, mu_arr, norms)
     ranked = np.argsort(floors, axis=1)[:, :_N_PROBES]
     # psi_n's coefficients vanish off its parity: each n sums only its

@@ -433,6 +433,22 @@ def test_non_finite_value_exits_2_printing_nothing(capsys, tmp_path, monkeypatch
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_refused_scenario_leaves_no_report_directory(capsys, tmp_path, monkeypatch):
+    # alpha 1's CSV is complete when row 2 of alpha 1.5 is refused: the run
+    # removes its report directory, config.json and that CSV with it
+    spectrum = spectral.compute_spectrum
+    monkeypatch.setattr(spectral, "compute_spectrum", lambda b: [
+        dataclasses.replace(e, lam=math.nan) if b.alpha == 1.5 and e.n == 2 else e
+        for e in spectrum(b)])
+    out = tmp_path / "out"
+    code, printed, err = run_cli(capsys, "experiment", "--name", "lambda-decay",
+                                 "--out-dir", str(out), "--no-cache")
+    assert (code, printed) == (2, "")
+    assert err == ("numerical-consistency failure: non-finite lambda = nan in row 2 "
+                   "of lambda_decay_alpha1.5_c15.708.csv\n")
+    assert list((out / "lambda-decay").iterdir()) == []
+
+
 def test_invalid_parameter_exits_1(capsys, cache_args):
     code, _, err = run_cli(capsys, "basis", "--alpha", "-3", "--c", "2",
                            "--nmax", "4", *cache_args)

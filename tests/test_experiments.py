@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -346,6 +347,34 @@ class TestBrownian:
         name = "samples_N6_seed7.csv"
         assert [p.name for p in out_dir.glob("samples_*.csv")] == [name]
         assert written[name] == (True, (out_dir / name).read_bytes())
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_is_freed_before_the_sup_grid_rows(self, tmp_path, cache_dir,
+                                                     monkeypatch, threads):
+        # the cosine table and the basis's sup-grid rows, the run's two
+        # largest arrays, never coexist: every reference to the table is gone
+        # when the first sup-error sum asks for the rows
+        tables, rows_asked = [], []
+        make_table, abs_rows = X.approx.cosine_transform_table, B.GpswfBasis._abs_rows
+
+        def kept(*args):
+            table = make_table(*args)
+            tables.append(weakref.ref(table))
+            return table
+
+        def checked(self, kind, key, x):
+            if kind == "sup_rows":
+                rows_asked.append(all(ref() is None for ref in tables))
+            return abs_rows(self, kind, key, x)
+
+        monkeypatch.setattr(X.approx, "cosine_transform_table", kept)
+        monkeypatch.setattr(B.GpswfBasis, "_abs_rows", checked)
+        X.run_brownian(X.ExperimentConfig(
+            name="brownian", alpha_list=(1.5,), c_list=(2.0,), N_list=(6,),
+            s_list=(1.5,), seed=7, n_seeds=2, threads=threads,
+            output_dir=str(tmp_path / "reports"), cache_dir=str(cache_dir)))
+        assert len(tables) == 1
+        assert rows_asked and all(rows_asked)
 
 
 def _rows_then_a_refusal():

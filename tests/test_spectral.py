@@ -213,9 +213,8 @@ class TestSpectrum:
 
 
 def test_spectrum_probes_share_batched_ladders(monkeypatch):
-    # every probe argument of every n goes through one batched Bessel
-    # ladder; only _check_phase's two arguments, from one ladder call, run
-    # the scalar one
+    # every probe argument of every n and _check_phase's two arguments go
+    # through one batched Bessel ladder, and none runs the scalar one
     calls = []
     scalar = backend._ladder_miller
 
@@ -226,14 +225,21 @@ def test_spectrum_probes_share_batched_ladders(monkeypatch):
     monkeypatch.setattr(backend, "_ladder_miller", counted)
     spectral._fc_terms.cache_clear()
     spectral.compute_spectrum(B.build_basis(1.0, 20 * math.pi, 93))
-    assert len(calls) <= 2
+    assert calls == []
+
+
+def _phase_terms(b):
+    # the rows that compute_spectrum hands _check_phase: its two arguments
+    # at the probe ladder's order
+    return spectral._fc_term_rows(b.alpha, 2 * b.trunc - 1,
+                                  [b.c * x0 for x0 in spectral._PHASE_X])
 
 
 def test_phase_check_refuses_a_wrong_phase(monkeypatch):
     # s_1 flipped: the closed form of F_c Jt_1 takes the opposite sign from
     # the quadrature, so the one-off phase check raises before any probe
     b = B.build_basis(0.5, 5.0, 12)
-    spectral._check_phase(b)
+    spectral._check_phase(b, _phase_terms(b))
     gammas = spectral._signed_gammas
 
     def flipped(alpha, kmax):
@@ -244,7 +250,7 @@ def test_phase_check_refuses_a_wrong_phase(monkeypatch):
 
     monkeypatch.setattr(spectral, "_signed_gammas", flipped)
     with pytest.raises(ConsistencyError, match="phase validation failed at k=1"):
-        spectral._check_phase(b)
+        spectral._check_phase(b, _phase_terms(b))
     with pytest.raises(ConsistencyError, match="phase validation failed at k=1"):
         spectral.compute_spectrum(b)
 
@@ -262,7 +268,7 @@ def test_phase_check_rule_order(monkeypatch, alpha, c, nmax, order):
         return rule(*args)
 
     monkeypatch.setattr(specfun, "gauss_jacobi", recorded)
-    spectral._check_phase(b)
+    spectral._check_phase(b, _phase_terms(b))
     assert calls == [(alpha, order)]
 
 
