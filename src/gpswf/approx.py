@@ -93,7 +93,11 @@ def _open_grid(m):
     return x
 
 
-# The sup-error grid: 2001 equispaced points of the open interval (-1, 1)
+# The sup-error grid: 2001 equispaced points of the open interval (-1, 1).
+# Its halves round apart (1416 distinct |x| where a mirror has 1001), but a
+# mirrored grid is not _open_grid(2001), where brownian's evaluator takes its
+# FFT: run_brownian and callers on np.linspace(-1, 1, 2003)[1:-1] rely on it
+# (0.09 ms at 2001 points, 99.6 ms by the dense sum).
 _SUP_GRID = _open_grid(2001)
 
 
@@ -116,15 +120,14 @@ def _cos_series_eval(coefs):
     k = np.arange(1, coefs.size + 1, dtype=float)
 
     def evaluator(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         # the equispaced open grid (as np.linspace builds it) takes the FFT
-        if x.ndim == 1 and np.array_equal(x, _open_grid(x.size)):
-            return _cos_series_grid(coefs, x.size)
+        if np.array_equal(x.ravel(), _open_grid(x.size)):
+            return _cos_series_grid(coefs, x.size).reshape(x.shape)
         out = np.zeros(x.size)
         for lo in range(0, coefs.size, _EVAL_BLOCK):
             hi = min(lo + _EVAL_BLOCK, coefs.size)
             out += coefs[lo:hi] @ np.cos(math.pi * np.outer(k[lo:hi], x))
-        return out
+        return out.reshape(x.shape)
 
     return evaluator
 
@@ -214,12 +217,11 @@ def weierstrass_mandelbrot(s, lam, K=None):
     amps = lam ** (-(2.0 - s) * np.arange(K))
 
     def evaluator(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros(x.size)
         for lo in range(0, K, _EVAL_BLOCK):
             hi = min(lo + _EVAL_BLOCK, K)
             out += np.sin(np.outer(x, freqs[lo:hi])) @ amps[lo:hi]
-        return out
+        return out.reshape(x.shape)
 
     def exact(basis, N):
         norm2 = wm_l2_norm_squared(basis.alpha, s, lam, K)
@@ -393,12 +395,9 @@ def _rule_psi(basis, rule, N, kind="rule_psi"):
     (N, rule.order): ``basis.psi_table(rule.nodes, range(N))`` bit for bit.
 
     The basis keeps ``psi_table(rule.nodes)``, psi_n of every n < nmax, under
-    ``kind`` for the last rule order; any N reads its first N rows, a
-    read-only view.  Below N = 4 a parity holds one n, whose one-column
-    product BLAS rounds apart from the same column of a wider one, so there
-    ``psi_table`` sums it afresh."""
-    table = basis._table(kind, rule.order, lambda: basis.psi_table(rule.nodes))
-    return table[:N] if N >= 4 else basis.psi_table(rule.nodes, range(N))
+    ``kind`` for the last rule order; every N reads its first N rows, a
+    read-only view."""
+    return basis._table(kind, rule.order, lambda: basis.psi_table(rule.nodes))[:N]
 
 
 def _sup_grid_values(basis, coeffs):

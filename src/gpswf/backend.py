@@ -176,9 +176,8 @@ def _sum_blocks(coefs, blocks, nd, npts):
     for i0, pair in blocks:
         for coef, rows, out, part in zip(coefs, pair, outs, parts):
             block = coef[i0:i0 + rows.shape[1]].T
-            if block.size:
-                for d in range(nd):
-                    out[d] += np.matmul(block, rows[d, :block.shape[1]], out=part)
+            for d in range(nd):
+                out[d] += np.matmul(block, rows[d, :block.shape[1]], out=part)
     return outs
 
 

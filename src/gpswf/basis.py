@@ -121,24 +121,24 @@ class GpswfBasis:
 
         ``n`` may also be a sequence of indices: the result then has shape
         (nderiv+1, len(n), len(x)).  One :func:`backend.jacobi_series` call
-        sums each parity's coefficients over that parity's rows at the
-        distinct |x|; the value at x is sign(x)^((n + d) mod 2) times that.
+        sums every n at the distinct |x|, so psi(n, x) is psi_table(x)[n] bit
+        for bit; the value at x is sign(x)^((n + d) mod 2) times that.
         """
         ns = self._check_index(n)
         _check_count("nderiv", nderiv)
         x = specfun._points(x, "psi points")
         u, index = _distinct_abs(x)
         rec = specfun.jacobi_recurrence(self.alpha, 2 * self.trunc + 2)
-        sums = backend.jacobi_series(self._parity_coefficients(ns), rec,
+        sums = backend.jacobi_series(self._parity_coefficients(), rec,
                                      specfun.jacobi_norm0(self.alpha), u, nderiv)
         out = _unfold(ns, sums, index, x < 0.0)
         return out[:, 0] if np.ndim(n) == 0 else out
 
-    def _parity_coefficients(self, ns):
-        """Per parity p, the beta rows of the n of ``ns`` of that parity as the
-        columns of a C-order matrix (:func:`backend.jacobi_series`): BLAS
-        rounds products over beta's own row layout differently at some x."""
-        return [np.take(self.beta.T, ns[ns % 2 == p], axis=1) for p in (0, 1)]
+    def _parity_coefficients(self):
+        """Per parity p, beta's rows of every n of that parity as the columns
+        of one C-order (trunc, count) block: the one product shape of every
+        psi sum, which BLAS rounds apart over a subset of its columns."""
+        return [np.ascontiguousarray(self.beta[p::2].T) for p in (0, 1)]
 
     def _abs_rows(self, kind, key, x):
         """(index, neg, rows), read-only, kept under ``kind`` for ``key``:
@@ -181,12 +181,14 @@ def _distinct_abs(x):
 
 
 def _unfold(ns, sums, index, neg):
-    """The values at the points, shape (nderiv+1, len(ns), len(index)), of
-    each parity's ``sums`` at the distinct |x|: ``sums[p][d, j, index[i]]``,
-    negated where ``neg`` when p + d is odd."""
+    """The values at the points, shape (nderiv+1, len(ns), len(index)), from
+    each parity's sums of every n at the distinct |x|: ``sums[n % 2][d, n //
+    2, index[i]]``, negated where ``neg`` when n + d is odd."""
     out = np.empty((sums[0].shape[0], ns.size, index.size))
     for p, part in enumerate(sums):
-        vals = part[:, :, index]
+        cols = ns[ns % 2 == p] // 2
+        run = np.array_equal(cols, np.arange(cols.size))  # as range(N): no copy
+        vals = np.take(part[:, :cols.size] if run else part[:, cols], index, axis=2)
         for d in range(1 - p, vals.shape[0], 2):
             np.negative(vals[d], out=vals[d], where=neg)
         out[:, ns % 2 == p] = vals

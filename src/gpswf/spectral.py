@@ -388,8 +388,7 @@ def compute_spectrum(basis):
     jac = specfun.jacobi_table(basis.alpha, 2 * basis.trunc - 1, _PROBE_X)
     parts = (jac[0::2], jac[1::2])
     vals = np.empty((basis.nmax, _PROBE_X.size))
-    for p, part in enumerate(backend.table_series(
-            basis._parity_coefficients(np.arange(basis.nmax)), parts)):
+    for p, part in enumerate(backend.table_series(basis._parity_coefficients(), parts)):
         vals[p::2] = part[0]
     norms = [np.sqrt(np.einsum("kj,kj->j", part, part)) for part in parts]
     at0 = basis_mod._psi_at0(basis)

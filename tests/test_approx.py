@@ -1,9 +1,11 @@
 import dataclasses
 import importlib.util
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -208,6 +210,25 @@ class TestCorpus:
     def test_user_sampled_refuses_a_grid_off_its_contract(self, grid):
         with pytest.raises(DomainError, match="strictly increasing and cover"):
             approx.user_sampled(grid, np.ones(grid.size))
+
+    @pytest.mark.parametrize("target", [
+        approx.brownian(1.5, 3), approx.weierstrass_mandelbrot(0.5, 2.0),
+        approx.periodic_exponential(3),
+        approx.user_sampled(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9) ** 2)],
+        ids=["brownian", "wm", "periodic", "user_sampled"])
+    @pytest.mark.parametrize("x", [np.array([-0.7, -0.2, 0.0, 0.1, 0.45, 0.9]),
+                                   approx._open_grid(6)], ids=["points", "open_grid"])
+    def test_evaluators_keep_the_shape_of_x(self, target, x):
+        # a scalar gives a scalar and a 2-d x its own shape, each value
+        # bitwise the 1-d call's at the same points (the open grid takes
+        # brownian's FFT in every shape)
+        flat = target(x)
+        assert flat.shape == (6,)
+        for xi in x:
+            one = target(xi)
+            assert one.shape == () and one.tobytes() == target(np.array([xi])).tobytes()
+        grid = target(x.reshape(2, 3))
+        assert grid.shape == (2, 3) and grid.tobytes() == flat.tobytes()
 
     def test_target_from_config(self):
         f = approx.target_from_config({"kind": "periodic", "k": 3})
@@ -490,34 +511,33 @@ class TestRuleRowsMemo:
             assert got.tobytes() == b.psi_table(rule.nodes, range(N)).tobytes()
             assert _kept(b, "rule_psi")[0] == quad_order
 
-    @pytest.mark.parametrize("N", [1, 7, 60])
+    @pytest.mark.parametrize("N", [1, 2, 7, 60])
     def test_second_call_reads_the_kept_table(self, basis_proj, monkeypatch, N):
         # bitwise psi_table on the first and the second call; the first sums
         # psi of every n < nmax in one jacobi_series pass, the second makes
-        # none and from N = 4 on reads a view of the kept table (below it,
-        # each call sums its N psi afresh); a new rule order makes a new table
+        # none, and both are views of the kept table at every N; a new rule
+        # order makes a new table
         b = dataclasses.replace(basis_proj)
         rule = specfun.gauss_jacobi(b.alpha, 216)
         ref = b.psi_table(rule.nodes, range(N)).tobytes()
         passes = _count_series(monkeypatch)
-        fresh = [N] if N < 4 else []
         first = approx._rule_psi(b, rule, N)
-        assert first.tobytes() == ref and passes == [b.nmax] + fresh
+        assert first.tobytes() == ref and passes == [b.nmax]
         second = approx._rule_psi(b, rule, N)
-        assert second.tobytes() == ref and passes == [b.nmax] + 2 * fresh
+        assert second.tobytes() == ref and passes == [b.nmax]
         table = _kept(b, "rule_psi")[1]
         assert table.shape == (b.nmax, 216) and not table.flags.writeable
-        assert np.shares_memory(second, table) == (N >= 4)
+        assert np.shares_memory(first, table) and np.shares_memory(second, table)
         rule = specfun.gauss_jacobi(b.alpha, 184)
         assert approx._rule_psi(b, rule, N).shape == (N, 184)
-        assert passes == [b.nmax] + 2 * fresh + [b.nmax] + fresh
+        assert passes == [b.nmax, b.nmax]
 
     @pytest.mark.parametrize("quad_order", [184, 216])
     def test_an_N_sweep_sums_once(self, basis_proj, monkeypatch, quad_order):
-        # the convergence study of project: every N on one basis reads the
-        # one kept table (N < 4 sums psi_table afresh), bit for bit
-        # psi_table(nodes, range(N)); one jacobi_series pass over every
-        # n < nmax in all, and no Jacobi table at the nodes
+        # the convergence study of project: every N on one basis reads a view
+        # of the one kept table, bit for bit psi_table(nodes, range(N)); one
+        # jacobi_series pass over every n < nmax in all, and no Jacobi table
+        # at the nodes
         b = dataclasses.replace(basis_proj)
         rule = specfun.gauss_jacobi(b.alpha, quad_order)
         refs = [b.psi_table(rule.nodes, range(N)).tobytes() for N in range(1, b.nmax + 1)]
@@ -528,9 +548,45 @@ class TestRuleRowsMemo:
         passes = _count_series(monkeypatch)
         for N in (2, 4, 8, 12, 16, 60, 96, 1, 3, 59):
             assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
-        assert tables == [] and passes == [b.nmax, 2, 1, 3]
+        assert tables == [] and passes == [b.nmax]
+        table = _kept(b, "rule_psi")[1]
         for N in range(1, b.nmax + 1):
-            assert approx._rule_psi(b, rule, N).tobytes() == refs[N - 1], N
+            got = approx._rule_psi(b, rule, N)
+            assert got.tobytes() == refs[N - 1] and np.shares_memory(got, table), N
+        assert passes == [b.nmax]
+
+    def test_rows_hold_under_the_haswell_kernels(self):
+        # OpenBLAS reads its core when it loads, so in a child process with
+        # the AVX2 (Haswell) kernels, which round a product over a subset of
+        # the columns apart from the wider one: psi of one n and the kept
+        # table's first N rows are still the rows of one psi_table
+        script = textwrap.dedent("""\
+            import json, math
+            from golden import record
+            from gpswf import approx, basis as B, specfun
+            from numpy._core import _multiarray_umath as umath
+            b = B.build_basis(0.5, 5 * math.pi, 96)
+            rule = specfun.gauss_jacobi(b.alpha, 216)
+            table = b.psi_table(rule.nodes)
+            print(json.dumps({
+                "core": record.environment()["blas_core"],
+                "avx2": bool(umath.__cpu_features__.get("AVX2")),
+                "one_n": [n for n in range(b.nmax)
+                          if b.psi(n, rule.nodes)[0].tobytes() != table[n].tobytes()],
+                "rule_psi": [N for N in (1, 2, 7, 60) if approx._rule_psi(b, rule, N).tobytes()
+                             != b.psi_table(rule.nodes, range(N)).tobytes()]}))
+            """)
+        path = [str(Path(approx.__file__).parents[1]), str(Path(__file__).parent)]
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        child = json.loads(run.stdout)
+        if not child["avx2"] or child["core"] != "Haswell":
+            pytest.skip(f"the child runs OpenBLAS core {child['core']!r} "
+                        f"(AVX2: {child['avx2']}), not the Haswell kernels")
+        assert child["one_n"] == [] and child["rule_psi"] == []
 
 
 def _count_series(monkeypatch):
