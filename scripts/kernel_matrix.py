@@ -36,11 +36,12 @@ KERNELS = ("from golden import record; env = record.environment(); "
 
 
 def _run(extra):
-    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests"),
-                            os.environ.get("PYTHONPATH", "")])
+    # Tier-1's path: src ahead of the caller's; the kernel probe reads tests/golden
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, PYTHONPATH=path, **extra)
-    kernels = subprocess.run([sys.executable, "-c", KERNELS], cwd=ROOT, env=env,
-                             capture_output=True, text=True)
+    kernels = subprocess.run([sys.executable, "-c", KERNELS], cwd=ROOT, capture_output=True,
+                             env=dict(env, PYTHONPATH=f"{ROOT / 'tests'}{os.pathsep}{path}"),
+                             text=True)
     start = time.perf_counter()
     tier1 = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p",
                             "no:cacheprovider", "--continue-on-collection-errors"],

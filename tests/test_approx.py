@@ -479,8 +479,8 @@ class TestRuleRowsMemo:
 
     @pytest.mark.parametrize("N", [1, 2, 7, 60, 96])
     def test_psi_is_bitwise_the_recurrence_table(self, basis_proj, N):
-        # N = 1 is a one-row matrix product, another BLAS path; the rules
-        # are m + 32 and m + 64 nodes
+        # at N = 1 and 2 a parity holds one n, which BLAS would round apart
+        # in a one-column product; the rules are m + 32 and m + 64 nodes
         for quad_order in (184, 216):
             rule = specfun.gauss_jacobi(basis_proj.alpha, quad_order)
             ref = basis_proj.psi_table(rule.nodes, range(N))
